@@ -42,13 +42,16 @@ pub fn encode_records(records: &[CaptureRecord]) -> Vec<u8> {
 pub fn decode_records(data: &[u8]) -> Result<Vec<CaptureRecord>, String> {
     let mut out = Vec::new();
     let mut off = 0usize;
-    while off + 21 <= data.len() {
+    while off < data.len() {
+        // Trailing zeroes of an oversized buffer end the capture.
+        if data[off..].iter().all(|&b| b == 0) {
+            break;
+        }
+        if data.len() - off < 21 {
+            return Err("truncated record header".into());
+        }
         let magic = u32::from_le_bytes(data[off..off + 4].try_into().expect("4"));
         if magic != RECORD_MAGIC {
-            // Trailing zeroes of an oversized buffer end the capture.
-            if data[off..].iter().all(|&b| b == 0) {
-                break;
-            }
             return Err(format!("bad record magic at offset {off}"));
         }
         let ts = u64::from_le_bytes(data[off + 4..off + 12].try_into().expect("8"));
@@ -170,6 +173,18 @@ mod tests {
         let mut encoded = encode_records(&sample_records());
         encoded.extend_from_slice(&[0u8; 1024]);
         assert_eq!(decode_records(&encoded).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn truncated_record_header_rejected() {
+        let records = sample_records();
+        let first_len = encode_records(&records[..1]).len();
+        let mut encoded = encode_records(&records);
+        encoded.truncate(first_len + 10);
+        assert_eq!(
+            decode_records(&encoded).unwrap_err(),
+            "truncated record header"
+        );
     }
 
     #[test]

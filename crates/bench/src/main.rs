@@ -31,7 +31,7 @@
 use coyote_bench::cache::{self, cached};
 use coyote_bench::experiments;
 use coyote_bench::ExperimentResult;
-use coyote_sim::par_map;
+use coyote_sim::{par_map, Fnv64};
 use serde_json::Value;
 use std::time::{Duration, Instant};
 
@@ -187,20 +187,17 @@ fn run_selection(selection: &[&str]) -> Vec<(ExperimentResult, Duration)> {
 }
 
 /// FNV-64 over the serialized deterministic results, in selection order:
-/// one number that pins every value the run produced (same constants as the
-/// trace hashes). [`NONDET`] experiments are skipped.
+/// one number that pins every value the run produced (the same [`Fnv64`] as
+/// the trace hashes). [`NONDET`] experiments are skipped.
 fn fingerprint(results: &[(ExperimentResult, Duration)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for (result, _) in results {
         if NONDET.contains(&result.id.as_str()) {
             continue;
         }
-        for b in serde_json::to_vec_pretty(result).expect("serializable result") {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        h.write(&serde_json::to_vec_pretty(result).expect("serializable result"));
     }
-    h
+    h.finish()
 }
 
 /// Round to whole microseconds: precise enough for a trajectory record,

@@ -17,7 +17,7 @@ use crate::report::{ExperimentResult, Row};
 use coyote_chaos::{Domain, FaultPlan, RetryPolicy};
 use coyote_driver::{BatchedReconfig, CompletionStatus, CoyoteDriver};
 use coyote_fabric::{Bitstream, BitstreamCache, BitstreamKind, DeviceKind};
-use coyote_sim::{par_map, SimTime};
+use coyote_sim::{par_map, Fnv64, SimTime};
 
 /// CI smoke mode (`coyote-bench reconfig_storm --quick`): fewer tenants and
 /// smaller images, same code paths, same determinism contract.
@@ -34,13 +34,6 @@ struct TenantOutcome {
     digest: u64,
     ring_high_water: usize,
     result: BatchedReconfig,
-}
-
-/// FNV-64 fold (same constants as the trace hashes).
-fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
 }
 
 fn status_code(s: CompletionStatus) -> u8 {
@@ -116,24 +109,25 @@ pub fn reconfig_storm() -> ExperimentResult {
     });
 
     // Fingerprint every deterministic field, in tenant order.
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::new();
     for o in &outcomes {
         let r = &o.result;
-        fp = fnv_fold(fp, &o.tenant.to_le_bytes());
-        fp = fnv_fold(fp, &o.digest.to_le_bytes());
-        fp = fnv_fold(fp, &u64::from(r.runs).to_le_bytes());
-        fp = fnv_fold(fp, &u64::from(r.attempts).to_le_bytes());
-        fp = fnv_fold(fp, &u64::from(r.retried_runs).to_le_bytes());
-        fp = fnv_fold(fp, &u64::from(r.flips_detected).to_le_bytes());
-        fp = fnv_fold(fp, &u64::from(r.rejects).to_le_bytes());
-        fp = fnv_fold(fp, &r.timing.program_done.0.to_le_bytes());
+        h.write_u64(o.tenant);
+        h.write_u64(o.digest);
+        h.write_u64(u64::from(r.runs));
+        h.write_u64(u64::from(r.attempts));
+        h.write_u64(u64::from(r.retried_runs));
+        h.write_u64(u64::from(r.flips_detected));
+        h.write_u64(u64::from(r.rejects));
+        h.write_u64(r.timing.program_done.0);
         for c in &r.completions {
-            fp = fnv_fold(fp, &c.run.to_le_bytes());
-            fp = fnv_fold(fp, &c.attempt.to_le_bytes());
-            fp = fnv_fold(fp, &[status_code(c.status)]);
-            fp = fnv_fold(fp, &c.at.0.to_le_bytes());
+            h.write(&c.run.to_le_bytes());
+            h.write(&c.attempt.to_le_bytes());
+            h.write(&[status_code(c.status)]);
+            h.write_u64(c.at.0);
         }
     }
+    let fp = h.finish();
 
     let recovered = outcomes.iter().filter(|o| o.result.recovered).count();
     let flips: u32 = outcomes.iter().map(|o| o.result.flips_detected).sum();

@@ -8,6 +8,7 @@
 
 use crate::plan::{Domain, FaultKind};
 use coyote_sim::stats::Counter;
+use coyote_sim::Fnv64;
 use coyote_sim::SimTime;
 
 /// What a trace event records.
@@ -151,22 +152,16 @@ impl FaultTrace {
     /// FNV-64 hash over the canonical field encoding. Same seed + same plan
     /// => same hash, on any thread count; this is the value CI publishes.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
         for e in &self.events {
-            mix(e.domain.tag());
-            mix(e.op);
-            mix(e.at_ps);
-            mix(e.kind.tag());
-            mix(e.fault.tag());
-            mix(e.detail);
+            h.write_u64(e.domain.tag());
+            h.write_u64(e.op);
+            h.write_u64(e.at_ps);
+            h.write_u64(e.kind.tag());
+            h.write_u64(e.fault.tag());
+            h.write_u64(e.detail);
         }
-        h
+        h.finish()
     }
 
     /// Aggregate counters.

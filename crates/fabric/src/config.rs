@@ -98,12 +98,12 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Errors from [`ConfigPort::program_blob`]: the blob failed validation or
-/// the port refused it. Either way nothing was committed.
+/// Errors from [`ConfigPort::program_run`]: the run failed its integrity
+/// check or the port refused it. Either way nothing was committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
-    /// The blob failed the bitstream parser (bad magic, frame structure or
-    /// CRC — this is how an in-flight bit-flip is *detected*).
+    /// The run failed its CRC check (this is how an in-flight bit-flip is
+    /// *detected*).
     Bitstream(BitstreamError),
     /// The port refused the request.
     Config(ConfigError),
@@ -217,7 +217,7 @@ impl ConfigPort {
         self.kind
     }
 
-    /// Attach a chaos injector, consulted once per [`ConfigPort::program_blob`]
+    /// Attach a chaos injector, consulted once per [`ConfigPort::program_run`]
     /// attempt ([`FaultKind::BitstreamFlip`] and [`FaultKind::IcapReject`]).
     pub fn attach_chaos(&mut self, injector: Injector) {
         self.chaos = Some(injector);
@@ -255,62 +255,9 @@ impl ConfigPort {
         Ok(xfer)
     }
 
-    /// Program raw bitstream bytes: validate with the frame parser, then
-    /// program. This is the path a fault plan can corrupt — an injected
-    /// [`FaultKind::BitstreamFlip`] flips one bit of the in-flight blob, and
-    /// the parser's CRC/frame check must catch it *before* anything touches
-    /// the device: on any error the active image is untouched, because
-    /// commit only ever happens on full success.
-    pub fn program_blob(
-        &mut self,
-        now: SimTime,
-        blob: Vec<u8>,
-        state: &mut ConfigState,
-    ) -> Result<(Bitstream, Transfer), ProgramError> {
-        let mut blob = blob;
-        let mut flipped = false;
-        if let Some(inj) = &mut self.chaos {
-            for fault in inj.next_at(now) {
-                match fault.kind {
-                    FaultKind::BitstreamFlip if !blob.is_empty() => {
-                        let bit = if fault.param != 0 {
-                            fault.param
-                        } else {
-                            inj.derived(blob.len() as u64)
-                        };
-                        let idx = (bit / 8) as usize % blob.len();
-                        blob[idx] ^= 1 << (bit % 8);
-                        flipped = true;
-                    }
-                    FaultKind::IcapReject => {
-                        inj.record_detected(FaultKind::IcapReject, 0);
-                        return Err(ProgramError::Config(ConfigError::PortRejected));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let bs = match Bitstream::from_bytes(blob) {
-            Ok(bs) => bs,
-            Err(e) => {
-                if flipped {
-                    if let Some(inj) = &mut self.chaos {
-                        inj.record_detected(FaultKind::BitstreamFlip, 0);
-                    }
-                }
-                return Err(ProgramError::Bitstream(e));
-            }
-        };
-        let xfer = self
-            .program(now, &bs, state)
-            .map_err(ProgramError::Config)?;
-        Ok((bs, xfer))
-    }
-
     /// Stream one frame run of an in-flight blob copy through the port.
     ///
-    /// This is the batched counterpart of [`ConfigPort::program_blob`]: the
-    /// chaos injector is consulted once per run (a [`FaultKind::BitstreamFlip`]
+    /// The chaos injector is consulted once per run (a [`FaultKind::BitstreamFlip`]
     /// flips one bit of the run's bytes, a [`FaultKind::IcapReject`] refuses
     /// the request), then the run's CRC is checked against the pristine
     /// value carried by `run` — one integrity check per run instead of per

@@ -374,7 +374,8 @@ mod tests {
 
     #[test]
     fn use_trees_map_simple_names_to_paths() {
-        let w = ws("use std::collections::{BTreeMap, HashMap as Fast};\nuse crate::trace::merged;\n");
+        let w =
+            ws("use std::collections::{BTreeMap, HashMap as Fast};\nuse crate::trace::merged;\n");
         let im = &w.files[0].imports;
         assert_eq!(im["BTreeMap"], "std::collections::BTreeMap");
         assert_eq!(im["Fast"], "std::collections::HashMap");

@@ -139,59 +139,50 @@ pub fn expr_source(
         let next_is = |k: usize, c: char| tokens.get(i + k).is_some_and(|t| t.is_punct(c));
         match t.text.as_str() {
             // `name . iter (` over a hash-bound name.
-            name if hash_names.contains(name) => {
-                if next_is(1, '.')
-                    && tokens
-                        .get(i + 2)
-                        .is_some_and(|m| ITER_METHODS.iter().any(|im| m.is_ident(im)))
-                    && next_is(3, '(')
-                {
-                    return Some((SourceClass::HashIter, t.line));
-                }
+            name if hash_names.contains(name)
+                && next_is(1, '.')
+                && tokens
+                    .get(i + 2)
+                    .is_some_and(|m| ITER_METHODS.iter().any(|im| m.is_ident(im)))
+                && next_is(3, '(') =>
+            {
+                return Some((SourceClass::HashIter, t.line));
             }
-            "Instant" | "SystemTime" => {
-                if next_is(1, ':') && tokens.get(i + 3).is_some_and(|n| n.is_ident("now")) {
-                    return Some((SourceClass::WallClock, t.line));
-                }
+            "Instant" | "SystemTime"
+                if next_is(1, ':') && tokens.get(i + 3).is_some_and(|n| n.is_ident("now")) =>
+            {
+                return Some((SourceClass::WallClock, t.line));
             }
             "thread_rng" | "OsRng" | "RandomState" | "from_entropy" => {
                 return Some((SourceClass::Entropy, t.line));
             }
-            "Relaxed" => {
-                if i >= 3 && tokens[i - 3].is_ident("Ordering") {
-                    return Some((SourceClass::RelaxedAtomic, t.line));
-                }
+            "Relaxed" if i >= 3 && tokens[i - 3].is_ident("Ordering") => {
+                return Some((SourceClass::RelaxedAtomic, t.line));
             }
-            "var" | "var_os" => {
-                if i >= 3 && tokens[i - 3].is_ident("env") {
-                    return Some((SourceClass::EnvRead, t.line));
-                }
+            "var" | "var_os" if i >= 3 && tokens[i - 3].is_ident("env") => {
+                return Some((SourceClass::EnvRead, t.line));
             }
-            "par_map" => {
-                // The fan-out itself is deterministic; its result is tainted
-                // only when a worker accumulates floats (SRC004's class).
-                if next_is(1, '(') {
-                    let mut depth = 0i32;
-                    let mut j = i + 1;
-                    while j < hi {
-                        if tokens[j].is_punct('(') {
-                            depth += 1;
-                        } else if tokens[j].is_punct(')') {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        } else if tokens[j].kind == TokenKind::Float {
-                            return Some((SourceClass::ParFloat, t.line));
+            // The fan-out itself is deterministic; its result is tainted
+            // only when a worker accumulates floats (SRC004's class).
+            "par_map" if next_is(1, '(') => {
+                let mut depth = 0i32;
+                let mut j = i + 1;
+                while j < hi {
+                    if tokens[j].is_punct('(') {
+                        depth += 1;
+                    } else if tokens[j].is_punct(')') {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
                         }
-                        j += 1;
+                    } else if tokens[j].kind == TokenKind::Float {
+                        return Some((SourceClass::ParFloat, t.line));
                     }
+                    j += 1;
                 }
             }
-            "spawn" => {
-                if next_is(1, '(') {
-                    return Some((SourceClass::AdHocThread, t.line));
-                }
+            "spawn" if next_is(1, '(') => {
+                return Some((SourceClass::AdHocThread, t.line));
             }
             _ => {}
         }
@@ -213,8 +204,15 @@ mod tests {
 
     #[test]
     fn each_source_class_is_recognized() {
-        assert_eq!(src("m.iter().collect()", &["m"]), Some(SourceClass::HashIter));
-        assert_eq!(src("m.iter().collect()", &[]), None, "only hash-bound names");
+        assert_eq!(
+            src("m.iter().collect()", &["m"]),
+            Some(SourceClass::HashIter)
+        );
+        assert_eq!(
+            src("m.iter().collect()", &[]),
+            None,
+            "only hash-bound names"
+        );
         assert_eq!(src("Instant::now()", &[]), Some(SourceClass::WallClock));
         assert_eq!(src("rand::thread_rng()", &[]), Some(SourceClass::Entropy));
         assert_eq!(
@@ -226,7 +224,11 @@ mod tests {
             src("par_map(xs, |x| x as f64 * 1.5)", &[]),
             Some(SourceClass::ParFloat)
         );
-        assert_eq!(src("par_map(xs, |x| x + 1)", &[]), None, "integer par_map is clean");
+        assert_eq!(
+            src("par_map(xs, |x| x + 1)", &[]),
+            None,
+            "integer par_map is clean"
+        );
         assert_eq!(
             src("thread::spawn(|| {})", &[]),
             Some(SourceClass::AdHocThread)

@@ -65,9 +65,7 @@ pub fn audit(ws: &Workspace, ipa_raw: &[IpaFinding]) -> Vec<IpaFinding> {
             }
         }
     }
-    out.sort_by(|a, b| {
-        (&ws.files[a.file].unit, a.line).cmp(&(&ws.files[b.file].unit, b.line))
-    });
+    out.sort_by(|a, b| (&ws.files[a.file].unit, a.line).cmp(&(&ws.files[b.file].unit, b.line)));
     out
 }
 

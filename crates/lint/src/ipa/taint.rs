@@ -97,10 +97,7 @@ enum Event {
         rhs: (usize, usize),
     },
     /// `recv.push(args)` and friends.
-    Collect {
-        recv: String,
-        args: (usize, usize),
-    },
+    Collect { recv: String, args: (usize, usize) },
     /// `recv.sort*()` — clears taint on recv.
     Sanitize { name: String },
     /// `return <span>;`
@@ -190,7 +187,11 @@ impl FnFacts {
 
 /// Parse `let [mut] name = ...;` / `let (a, b) = ...;` starting at the
 /// `let` token. Returns (bound names, rhs span, index after the rhs).
-fn parse_let(tokens: &[Token], let_idx: usize, hi: usize) -> Option<(Vec<String>, (usize, usize), usize)> {
+fn parse_let(
+    tokens: &[Token],
+    let_idx: usize,
+    hi: usize,
+) -> Option<(Vec<String>, (usize, usize), usize)> {
     let mut i = let_idx + 1;
     let mut names = Vec::new();
     if tokens.get(i).is_some_and(|t| t.is_ident("mut")) {
@@ -285,7 +286,10 @@ pub struct Analysis {
 /// Label a function for chain rendering: `name (unit:Lline)`.
 fn fn_label(ws: &Workspace, f: usize) -> String {
     let item = &ws.fns[f];
-    format!("{} ({}:L{})", item.name, ws.files[item.file].unit, item.line)
+    format!(
+        "{} ({}:L{})",
+        item.name, ws.files[item.file].unit, item.line
+    )
 }
 
 /// Is any tainted value present in `span`? Returns the earliest cause.
@@ -308,7 +312,7 @@ fn span_taint(
     // Candidate causes with their token positions; earliest wins.
     let mut best: Option<(usize, TaintInfo)> = None;
     let mut consider = |pos: usize, info: TaintInfo| {
-        if best.as_ref().is_none_or(|(p, _)| pos < *p) {
+        if best.as_ref().map_or(true, |(p, _)| pos < *p) {
             best = Some((pos, info));
         }
     };
@@ -396,8 +400,7 @@ fn analyze_fn(
                 }
                 Event::Collect { recv, args } => {
                     if !locals.contains_key(recv) {
-                        if let Some(mut info) =
-                            span_taint(ws, f, facts, summaries, &locals, *args)
+                        if let Some(mut info) = span_taint(ws, f, facts, summaries, &locals, *args)
                         {
                             info.laundered = true;
                             locals.insert(recv.clone(), info);
@@ -476,10 +479,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
             // Taint entering the sink: through the arguments or the
             // receiver the sink method is called on.
             let arg_taint = span_taint(ws, f, facts, &analysis.summaries, &locals, cs.args);
-            let recv_taint = cs
-                .receiver
-                .as_ref()
-                .and_then(|r| locals.get(r).cloned());
+            let recv_taint = cs.receiver.as_ref().and_then(|r| locals.get(r).cloned());
             let Some(info) = arg_taint.or(recv_taint) else {
                 continue;
             };
@@ -646,8 +646,13 @@ mod tests {
         assert_eq!(fs.len(), 1, "one IPA001");
         assert_eq!(fs[0].rule, "IPA001");
         assert_eq!(fs[0].line, 4);
-        assert!(fs[0].message.contains("leaf (t.rs:L1) -> publish (t.rs:L2) -> fingerprint_of (t.rs:L4)"),
-            "full chain rendered: {}", fs[0].message);
+        assert!(
+            fs[0]
+                .message
+                .contains("leaf (t.rs:L1) -> publish (t.rs:L2) -> fingerprint_of (t.rs:L4)"),
+            "full chain rendered: {}",
+            fs[0].message
+        );
     }
 
     #[test]

@@ -213,7 +213,11 @@ fn ipa_mode_reports_the_full_call_chain() {
 #[test]
 fn ipa_strict_gates_on_taint_errors_and_passes_clean() {
     let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_chain.rs")]);
-    assert_eq!(code(&out), 2, "--strict turns the taint path into a gate failure");
+    assert_eq!(
+        code(&out),
+        2,
+        "--strict turns the taint path into a gate failure"
+    );
     let out = run(&["--ipa", "--strict", &fixture("ipa/ipa001_clean.rs")]);
     assert_eq!(code(&out), 0);
     // Warning-severity IPA rules report without failing the gate.

@@ -15,39 +15,18 @@
 use crate::format::Recording;
 use coyote_lint::Report;
 use coyote_sim::{
-    ShardTrace, ShardTraceEntry, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+    Fnv64, ShardTrace, ShardTraceEntry, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
 };
 
-/// Fold one entry into a running FNV-64, mirroring [`ShardTrace::hash`]'s
-/// field order exactly (so the full-trace prefix hash equals the trace
-/// hash).
-fn fold_entry(mut h: u64, e: &ShardTraceEntry) -> u64 {
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(e.shard as u64);
-    mix(e.at_ps);
-    mix(e.domain.map_or(u64::MAX, |d| d));
-    mix(e.target.map_or(u64::MAX, |t| t));
-    mix(e.priority.map_or(u64::MAX, u64::from));
-    mix(e.src_domain.map_or(u64::MAX, |d| d));
-    mix(e.posted_at_ps);
-    mix(e.origin as u64);
-    mix(e.origin_seq);
-    h
-}
-
-/// Per-prefix FNV-64 hashes: `out[i]` covers the first `i` entries.
+/// Per-prefix FNV-64 hashes: `out[i]` covers the first `i` entries, so
+/// `out[len]` is [`ShardTrace::hash`].
 fn prefix_hashes(entries: &[ShardTraceEntry]) -> Vec<u64> {
     let mut out = Vec::with_capacity(entries.len() + 1);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    out.push(h);
+    let mut h = Fnv64::new();
+    out.push(h.finish());
     for e in entries {
-        h = fold_entry(h, e);
-        out.push(h);
+        e.hash_into(&mut h);
+        out.push(h.finish());
     }
     out
 }
@@ -340,6 +319,14 @@ mod tests {
         let full = ShardTrace::merged([base]);
         assert_eq!(first_divergence(&full, &shorter), Some(shorter.len()));
         assert_eq!(first_divergence(&full, &full.clone()), None);
+    }
+
+    #[test]
+    fn full_prefix_hash_is_the_trace_hash() {
+        let rec = Recording::record(StormConfig::platform(12, 8).with_chaos(3), 2);
+        let prefixes = prefix_hashes(rec.trace.entries());
+        assert_eq!(prefixes.len(), rec.trace.len() + 1);
+        assert_eq!(prefixes.last(), Some(&rec.trace.hash()));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 
 use coyote_chaos::{Domain, FaultKind, FaultPlan, FaultTrace, Injector, Trigger};
 use coyote_sim::{
-    EventTag, ShardCtx, ShardSpec, ShardTrace, ShardedSimulation, SimDuration, SimTime, Topology,
-    DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+    EventTag, Fnv64, ShardCtx, ShardSpec, ShardTrace, ShardedSimulation, SimDuration, SimTime,
+    Topology, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
 };
 
 /// Platform shard domains in canonical storm order.
@@ -153,21 +153,15 @@ impl StormRun {
 /// The run fingerprint from its parts (shared with the decoded
 /// [`crate::Recording`], which stores the parts rather than the run).
 pub fn fingerprint_of(events: u64, worlds: &[u64], trace_hash: u64, fault_hash: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(events);
-    mix(worlds.len() as u64);
+    let mut h = Fnv64::new();
+    h.write_u64(events);
+    h.write_u64(worlds.len() as u64);
     for &w in worlds {
-        mix(w);
+        h.write_u64(w);
     }
-    mix(trace_hash);
-    mix(fault_hash);
-    h
+    h.write_u64(trace_hash);
+    h.write_u64(fault_hash);
+    h.finish()
 }
 
 /// The seed-parameterized fault plan of a chaotic storm. The seed selects

@@ -18,8 +18,10 @@
 //! * [`CreditPool`] — the credit-based backpressure scheme of §7.2.
 //! * [`PipelineModel`] — an initiation-interval/latency model for pipelined
 //!   hardware kernels such as the 10-stage AES core of §9.5.
-//! * [`stats`] — counters, histograms and throughput meters used by the
-//!   experiment harness.
+//! * [`stats`] — event counters and trial series used by the experiment
+//!   harness.
+//! * [`Fnv64`] — the FNV-1a-style 64-bit hash behind every determinism
+//!   fingerprint.
 //! * [`par_map`] — deterministic fork-join parallelism for the build flows
 //!   and the experiment harness: results merge in input order, so output is
 //!   bit-identical for any worker-thread count.
@@ -50,7 +52,7 @@
 pub mod arbiter;
 pub mod credit;
 pub mod engine;
-pub mod fifo;
+pub mod hash;
 pub mod link;
 pub mod par;
 pub mod params;
@@ -64,7 +66,7 @@ pub mod window;
 pub use arbiter::RrQueue;
 pub use credit::CreditPool;
 pub use engine::{EventTag, Scheduler, Simulation, TraceEntry, TracePhase};
-pub use fifo::BoundedFifo;
+pub use hash::Fnv64;
 pub use link::{LinkModel, Transfer};
 pub use par::{par_map, thread_budget};
 pub use pipeline::PipelineModel;

@@ -39,6 +39,7 @@ use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
 use crate::engine::EventTag;
+use crate::hash::Fnv64;
 use crate::par::thread_budget;
 use crate::time::{SimDuration, SimTime};
 use crate::window::{horizons, ShardId, Topology, TopologyError};
@@ -228,6 +229,22 @@ impl ShardTraceEntry {
             origin_seq: self.origin_seq,
         }
     }
+
+    /// Fold this entry's canonical field encoding into `h`: the per-entry
+    /// step of [`ShardTrace::hash`], shared with the replay bisector's
+    /// prefix hashes so the full-trace prefix equals the trace hash.
+    #[inline]
+    pub fn hash_into(&self, h: &mut Fnv64) {
+        h.write_u64(self.shard as u64);
+        h.write_u64(self.at_ps);
+        h.write_u64(self.domain.unwrap_or(u64::MAX));
+        h.write_u64(self.target.unwrap_or(u64::MAX));
+        h.write_u64(self.priority.map_or(u64::MAX, u64::from));
+        h.write_u64(self.src_domain.unwrap_or(u64::MAX));
+        h.write_u64(self.posted_at_ps);
+        h.write_u64(self.origin as u64);
+        h.write_u64(self.origin_seq);
+    }
 }
 
 /// An ordered execution record with a deterministic hash: the artifact the
@@ -264,29 +281,15 @@ impl ShardTrace {
         self.entries.is_empty()
     }
 
-    /// FNV-64 hash over the canonical field encoding — same constants as
-    /// `coyote_chaos::FaultTrace::hash`, so CI can publish one number per
+    /// [`Fnv64`] over each entry's canonical field encoding — the same hash
+    /// as `coyote_chaos::FaultTrace::hash`, so CI can publish one number per
     /// run. Same seeds + same topology => same hash, on any worker count.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::new();
         for e in &self.entries {
-            mix(e.shard as u64);
-            mix(e.at_ps);
-            mix(e.domain.map_or(u64::MAX, |d| d));
-            mix(e.target.map_or(u64::MAX, |t| t));
-            mix(e.priority.map_or(u64::MAX, u64::from));
-            mix(e.src_domain.map_or(u64::MAX, |d| d));
-            mix(e.posted_at_ps);
-            mix(e.origin as u64);
-            mix(e.origin_seq);
+            e.hash_into(&mut h);
         }
-        h
+        h.finish()
     }
 
     /// Re-express the trace as the serial engine's [`TraceEntry`] stream

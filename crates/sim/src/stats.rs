@@ -1,10 +1,8 @@
-//! Measurement instrumentation: counters, histograms, throughput meters.
+//! Measurement instrumentation: event counters and trial series.
 //!
 //! Every number the experiment harness reports flows through one of these
 //! types, so the collection semantics (what counts, over which window) are
 //! uniform across figures.
-
-use crate::time::{rate, Bandwidth, SimDuration, SimTime};
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,188 +22,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0
-    }
-}
-
-/// Measures achieved data rate between the first and last recorded transfer.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<SimTime>,
-    last: SimTime,
-}
-
-impl ThroughputMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` completing at `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.bytes += bytes;
-        self.last = self.last.max(at);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Elapsed window between first and last record.
-    pub fn window(&self) -> SimDuration {
-        match self.first {
-            Some(first) => self.last.since(first),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    /// Achieved rate over the measured window; zero until two distinct
-    /// instants have been recorded.
-    pub fn rate(&self) -> Bandwidth {
-        rate(self.bytes, self.window())
-    }
-
-    /// Achieved rate measured from an externally chosen start instant
-    /// (e.g. when the request was *issued* rather than first completed).
-    pub fn rate_from(&self, start: SimTime) -> Bandwidth {
-        rate(self.bytes, self.last.saturating_since(start))
-    }
-
-    /// Forget everything (between trials).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// A latency histogram with power-of-two nanosecond buckets.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))` nanoseconds; bucket 0 also
-/// absorbs sub-nanosecond samples.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum_ps: u128,
-    min: SimDuration,
-    max: SimDuration,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ps: 0,
-            min: SimDuration(u64::MAX),
-            max: SimDuration::ZERO,
-        }
-    }
-
-    fn bucket_of(d: SimDuration) -> usize {
-        let ns = d.as_ps() / 1000;
-        if ns <= 1 {
-            0
-        } else {
-            (63 - ns.leading_zeros()) as usize
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.buckets[Self::bucket_of(d)] += 1;
-        self.count += 1;
-        self.sum_ps += d.as_ps() as u128;
-        self.min = self.min.min(d);
-        self.max = self.max.max(d);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or zero with no samples.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration((self.sum_ps / self.count as u128) as u64)
-        }
-    }
-
-    /// Smallest sample, or zero with no samples.
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
-    /// Approximate quantile (upper bound of the bucket containing it).
-    ///
-    /// `q` in `[0, 1]`. Resolution is a factor of two, which is enough for
-    /// the order-of-magnitude comparisons in the paper.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return SimDuration::from_ns(1u64 << (i + 1));
-            }
-        }
-        self.max
-    }
-}
-
-/// Exponentially weighted moving average (per-packet latency smoothing in
-/// the shell's monitors).
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with smoothing factor `alpha` in `(0, 1]` (higher = more
-    /// reactive).
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in an observation.
-    pub fn observe(&mut self, v: f64) {
-        self.value = Some(match self.value {
-            Some(prev) => prev + self.alpha * (v - prev),
-            None => v,
-        });
-    }
-
-    /// Current smoothed value (`None` before the first observation).
-    pub fn get(&self) -> Option<f64> {
-        self.value
     }
 }
 
@@ -261,7 +77,6 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn counter_counts() {
@@ -269,72 +84,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn throughput_meter_measures_rate() {
-        let mut m = ThroughputMeter::new();
-        let mut now = SimTime::ZERO;
-        // 10 transfers of 1 MB, one per millisecond: 1 GB/s over 9 ms window
-        // measured first-to-last, ~1.111 GB/s.
-        for _ in 0..10 {
-            m.record(now, 1_000_000);
-            now += SimDuration::from_ms(1);
-        }
-        assert_eq!(m.bytes(), 10_000_000);
-        let r = m.rate();
-        assert!((r.as_gbps_f64() - 10.0 / 9.0).abs() < 0.01, "{r:?}");
-        // Measured from issue time zero over the full 9 ms the answer is the
-        // same here; with an earlier start it drops.
-        let r2 = m.rate_from(SimTime::ZERO - SimDuration::ZERO);
-        assert_eq!(r2.as_bytes_per_sec(), r.as_bytes_per_sec());
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_samples() {
-        let mut h = Histogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_us(us));
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.min(), SimDuration::from_us(1));
-        assert_eq!(h.max(), SimDuration::from_us(1000));
-        let p50 = h.quantile(0.5);
-        assert!(p50 >= SimDuration::from_us(500) && p50 <= SimDuration::from_us(1100));
-        assert!(h.quantile(1.0) >= h.max());
-        let mean = h.mean();
-        assert!((mean.as_micros_f64() - 500.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_handles_tiny_samples() {
-        let mut h = Histogram::new();
-        h.record(SimDuration::from_ps(1));
-        h.record(SimDuration::from_ns(1));
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn ewma_converges_and_smooths() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        e.observe(100.0);
-        assert_eq!(e.get(), Some(100.0), "first observation seeds");
-        e.observe(0.0);
-        assert_eq!(e.get(), Some(50.0));
-        for _ in 0..50 {
-            e.observe(10.0);
-        }
-        assert!(
-            (e.get().unwrap() - 10.0).abs() < 1e-9,
-            "converges to the plateau"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha out of range")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

@@ -53,19 +53,4 @@ proptest! {
             prop_assert!(rng.gen_range(bound) < bound);
         }
     }
-
-    /// Histogram quantiles are monotone and bounded by min/max buckets.
-    #[test]
-    fn histogram_quantiles_monotone(samples in prop::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut h = coyote_sim::stats::Histogram::new();
-        for &s in &samples {
-            h.record(SimDuration::from_ns(s));
-        }
-        let q25 = h.quantile(0.25);
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        prop_assert!(q25 <= q50 && q50 <= q99);
-        prop_assert!(h.min() <= h.max());
-        prop_assert!(h.mean() >= h.min() && h.mean() <= h.max());
-    }
 }

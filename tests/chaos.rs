@@ -15,7 +15,7 @@ use coyote_mem::PageSize;
 use coyote_mmu::{AddressSpace, MemLocation, Mmu, MmuConfig, TranslateOutcome};
 use coyote_net::{CommodityNic, Delivery, QpConfig, Switch, Verb};
 use coyote_sim::time::SimDuration;
-use coyote_sim::SimTime;
+use coyote_sim::{Fnv64, SimTime};
 
 const SEEDS: [u64; 3] = [1, 7, 42];
 
@@ -25,11 +25,11 @@ fn pattern(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
-/// FNV-64 over a byte slice (the `data_integrity` checksum idiom).
+/// FNV-64 over a byte slice.
 fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Two commodity NICs on ports 0 and 1 of a switch, QPs 100 <-> 200, with

@@ -16,16 +16,14 @@ use coyote_mem::PageSize;
 use coyote_mmu::{AddressSpace, MemLocation, Mmu, MmuConfig, TlbConfig, TranslateOutcome};
 use coyote_net::{CommodityNic, QpConfig, Switch, Verb};
 use coyote_sim::par::{par_map, THREADS_ENV};
-use coyote_sim::SimTime;
+use coyote_sim::{Fnv64, SimTime};
 use coyote_synth::{Ip, IpBlock};
 
+/// FNV-64 over a byte slice.
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Everything observable from one 4-vFPGA shell build, digested.
