@@ -23,9 +23,13 @@
 //! 32+n*376 4    CRC-32 over everything before it
 //! ```
 
-use crate::cache::{content_hash64, BitstreamCache, CachedMeta};
-use crate::crc::{crc32, Crc32};
+use crate::cache::{
+    content_hash64, fold_block_hashes, BitstreamCache, BlockHasher, CachedMeta, HASH_BLOCK_BYTES,
+};
+use crate::crc::{crc32, crc32_concat, Crc32};
 use crate::device::{DeviceKind, FRAME_RECORD_BYTES};
+use coyote_sim::par_map;
+use std::sync::Mutex;
 
 /// Header length in bytes.
 pub const HEADER_BYTES: usize = 32;
@@ -152,6 +156,12 @@ impl Bitstream {
     /// design identified by `digest`. Frame payloads are a deterministic
     /// function of `(digest, frame index)` so distinct designs produce
     /// distinct, reproducible blobs.
+    ///
+    /// The blob is written in [`HASH_BLOCK_BYTES`] chunks on the `par_map`
+    /// worker budget. Each chunk is checksummed and content-hashed while it
+    /// is cache-hot; the chunk CRCs fold into the trailer (see
+    /// [`crate::crc::crc32_combine`]), so the bytes do not depend on the
+    /// budget.
     pub fn assemble(
         device: DeviceKind,
         kind: BitstreamKind,
@@ -159,54 +169,37 @@ impl Bitstream {
         digest: u64,
     ) -> Bitstream {
         let body_len = HEADER_BYTES + frames as usize * FRAME_RECORD_BYTES;
-        // One sized allocation, filled in place: shell images run to tens
-        // of megabytes, so per-frame `extend` bookkeeping on the growth
-        // path is measurable against the splitmix fill itself.
-        let mut bytes = vec![0u8; body_len + 4];
-        bytes[0..4].copy_from_slice(MAGIC);
-        bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        bytes[6..8].copy_from_slice(&device.id().to_le_bytes());
+        let mut header = [0u8; HEADER_BYTES];
+        header[0..4].copy_from_slice(MAGIC);
+        header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        header[6..8].copy_from_slice(&device.id().to_le_bytes());
         let (k, v) = kind.code();
-        bytes[8] = k;
-        bytes[9] = v;
-        bytes[10..18].copy_from_slice(&frames.to_le_bytes());
-        bytes[18..26].copy_from_slice(&digest.to_le_bytes());
+        header[8] = k;
+        header[9] = v;
+        header[10..18].copy_from_slice(&frames.to_le_bytes());
+        header[18..26].copy_from_slice(&digest.to_le_bytes());
 
-        // Frame records: address + pseudo-random payload derived from the
-        // digest. A splitmix64 step per word keeps assembly fast.
-        #[inline(always)]
-        fn next(word: &mut u64) -> u64 {
-            *word = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *word;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut word = digest ^ 0x9E37_79B9_7F4A_7C15;
-        // The CRC is folded into the fill loop: each record is checksummed
-        // while it is still cache-hot, instead of re-reading the multi-MB
-        // blob from memory in a second pass.
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..HEADER_BYTES]);
-        let records = &mut bytes[HEADER_BYTES..body_len];
-        for (addr, record) in records.chunks_exact_mut(FRAME_RECORD_BYTES).enumerate() {
-            let record: &mut [u8; FRAME_RECORD_BYTES] =
-                record.try_into().expect("exact record chunk");
-            record[..4].copy_from_slice(&(addr as u32).to_le_bytes());
-            let payload = &mut record[4..];
-            let mut chunks = payload.chunks_exact_mut(8);
-            for chunk in &mut chunks {
-                chunk.copy_from_slice(&next(&mut word).to_le_bytes());
-            }
-            // 372 = 46 * 8 + 4: fill the tail from one more word.
-            let tail = chunks.into_remainder();
-            let last = next(&mut word).to_le_bytes();
-            let n = tail.len();
-            tail.copy_from_slice(&last[..n]);
-            crc.update(record);
-        }
-        let crc = crc.finish();
+        // One sized allocation, filled in place: shell images run to tens
+        // of megabytes. Each worker gets its own disjoint chunk.
+        let mut bytes = vec![0u8; body_len + 4];
+        let chunks: Vec<Mutex<&mut [u8]>> =
+            bytes.chunks_mut(HASH_BLOCK_BYTES).map(Mutex::new).collect();
+        let fills = par_map(&chunks, |i, chunk| {
+            let mut chunk = chunk.lock().expect("chunk lock poisoned");
+            fill_chunk(&mut chunk, i * HASH_BLOCK_BYTES, body_len, &header, digest)
+        });
+        drop(chunks);
+
+        let crc = crc32_concat(fills.iter().map(|fill| (fill.crc, fill.body_len)));
         bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        // The trailer is stamped: finish the last chunk's hash over it.
+        let hash = fold_block_hashes(
+            fills
+                .iter()
+                .zip(bytes.chunks(HASH_BLOCK_BYTES))
+                .map(|(fill, block)| fill.hasher.finish(&block[fill.hashed..], block.len())),
+            bytes.len(),
+        );
         let bs = Bitstream {
             bytes,
             device,
@@ -216,7 +209,7 @@ impl Bitstream {
         };
         // A freshly assembled blob is valid by construction: prime the
         // fleet-wide cache so even its *first* deployment skips the parse.
-        BitstreamCache::global().admit(&bs);
+        BitstreamCache::global().admit(&bs, hash);
         bs
     }
 
@@ -292,29 +285,29 @@ impl Bitstream {
                 })
             }
         }
+        // CRC and frame-address scan per block, on the worker budget; the
+        // block CRCs fold like `assemble`'s.
         let body = &bytes[..bytes.len() - 4];
+        let blocks: Vec<&[u8]> = body.chunks(HASH_BLOCK_BYTES).collect();
+        let checks = par_map(&blocks, |i, block| {
+            (crc32(block), first_bad_address(block, i * HASH_BLOCK_BYTES))
+        });
+        let computed = crc32_concat(
+            blocks
+                .iter()
+                .zip(&checks)
+                .map(|(b, (crc, _))| (*crc, b.len())),
+        );
         let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("slice len 4"));
-        let mut c = Crc32::new();
-        c.update(body);
-        let computed = c.finish();
         if stored != computed {
             return Err(BitstreamError::CrcMismatch { stored, computed });
         }
         // Frame addresses must be the sequence 0..frames. The CRC does not
         // protect against a blob that was *assembled* wrong (and therefore
         // carries a CRC over the wrong addresses), so this is a separate
-        // typed check, not a corruption check.
-        for (index, record) in bytes[HEADER_BYTES..bytes.len() - 4]
-            .chunks_exact(FRAME_RECORD_BYTES)
-            .enumerate()
-        {
-            let found = u32::from_le_bytes(record[..4].try_into().expect("slice len 4"));
-            if found as u64 != index as u64 {
-                return Err(BitstreamError::BadFrameAddress {
-                    index: index as u64,
-                    found,
-                });
-            }
+        // typed check, not a corruption check. The lowest bad index wins.
+        if let Some((index, found)) = checks.into_iter().find_map(|(_, bad)| bad) {
+            return Err(BitstreamError::BadFrameAddress { index, found });
         }
         Ok(Bitstream {
             bytes,
@@ -433,6 +426,120 @@ pub struct FrameRun {
     pub byte_len: usize,
     /// CRC-32 over the pristine run bytes; the per-run integrity check.
     pub crc: u32,
+}
+
+/// Splitmix64 increment; also the stream's starting offset from the digest.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Splitmix words drawn per frame record: 46 whole words plus one for the
+/// 4-byte tail of the 372-byte payload.
+const WORDS_PER_RECORD: u64 = (FRAME_RECORD_BYTES as u64 - 4).div_ceil(8);
+
+/// Write frame record `index`: its address, then a payload drawn from the
+/// digest's splitmix64 stream starting at word `WORDS_PER_RECORD * index`,
+/// so any record can be written without its predecessors.
+#[inline(always)]
+fn fill_record(record: &mut [u8; FRAME_RECORD_BYTES], index: usize, digest: u64) {
+    #[inline(always)]
+    fn next(word: &mut u64) -> u64 {
+        *word = word.wrapping_add(GAMMA);
+        let mut z = *word;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let mut word =
+        (digest ^ GAMMA).wrapping_add((WORDS_PER_RECORD * index as u64).wrapping_mul(GAMMA));
+    record[..4].copy_from_slice(&(index as u32).to_le_bytes());
+    let mut words = record[4..].chunks_exact_mut(8);
+    for w in &mut words {
+        w.copy_from_slice(&next(&mut word).to_le_bytes());
+    }
+    let tail = words.into_remainder();
+    let last = next(&mut word).to_le_bytes();
+    let n = tail.len();
+    tail.copy_from_slice(&last[..n]);
+}
+
+/// What [`fill_chunk`] learned about its chunk while writing it.
+struct ChunkFill {
+    /// CRC-32 of the chunk's body bytes (everything before the trailer).
+    crc: u32,
+    /// Body bytes in the chunk.
+    body_len: usize,
+    /// Hash state over the chunk's first `hashed` bytes.
+    hasher: BlockHasher,
+    hashed: usize,
+}
+
+/// Write the body bytes of `chunk`, the blob range starting at `offset`:
+/// header, then frame records (the trailer, past `body_len`, stays zero).
+/// Each record is checksummed and hashed right after it is written.
+fn fill_chunk(
+    chunk: &mut [u8],
+    offset: usize,
+    body_len: usize,
+    header: &[u8; HEADER_BYTES],
+    digest: u64,
+) -> ChunkFill {
+    let body = body_len.saturating_sub(offset).min(chunk.len());
+    let chunk = &mut chunk[..body];
+    let mut crc = Crc32::new();
+    let mut hasher = BlockHasher::new();
+    let mut hashed = 0;
+    let mut pos = 0;
+    while pos < body {
+        let at = offset + pos;
+        let n = if at < HEADER_BYTES {
+            let n = (HEADER_BYTES - at).min(body - pos);
+            chunk[pos..pos + n].copy_from_slice(&header[at..at + n]);
+            n
+        } else {
+            let index = (at - HEADER_BYTES) / FRAME_RECORD_BYTES;
+            let skip = (at - HEADER_BYTES) % FRAME_RECORD_BYTES;
+            let n = (FRAME_RECORD_BYTES - skip).min(body - pos);
+            let dst = &mut chunk[pos..pos + n];
+            if let Ok(record) = <&mut [u8; FRAME_RECORD_BYTES]>::try_from(&mut *dst) {
+                fill_record(record, index, digest);
+            } else {
+                // A record cut by the chunk boundary: write it whole
+                // aside and copy this chunk's share.
+                let mut record = [0u8; FRAME_RECORD_BYTES];
+                fill_record(&mut record, index, digest);
+                dst.copy_from_slice(&record[skip..skip + n]);
+            }
+            n
+        };
+        crc.update(&chunk[pos..pos + n]);
+        pos += n;
+        // The hash takes whole words; a partial one waits for the next
+        // record (or, at the blob's end, for the trailer).
+        let words = pos / 32 * 32;
+        hasher.absorb(&chunk[hashed..words]);
+        hashed = words;
+    }
+    ChunkFill {
+        crc: crc.finish(),
+        body_len: body,
+        hasher,
+        hashed,
+    }
+}
+
+/// The lowest frame record whose address field lies in `block` (the body
+/// range starting at `offset`) and does not carry its own index.
+fn first_bad_address(block: &[u8], offset: usize) -> Option<(u64, u32)> {
+    let end = offset + block.len();
+    let first = offset
+        .saturating_sub(HEADER_BYTES)
+        .div_ceil(FRAME_RECORD_BYTES);
+    (first..)
+        .map(|index| (index, HEADER_BYTES + index * FRAME_RECORD_BYTES))
+        .take_while(|&(_, at)| at < end)
+        .find_map(|(index, at)| {
+            let field = &block[at - offset..at - offset + 4];
+            let found = u32::from_le_bytes(field.try_into().expect("slice len 4"));
+            (found as u64 != index as u64).then_some((index as u64, found))
+        })
 }
 
 #[cfg(test)]
@@ -636,6 +743,99 @@ mod tests {
             Err(BitstreamError::CrcMismatch { .. })
         ));
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// The serial assembly the chunked one must reproduce byte for byte:
+    /// one splitmix64 stream over every record, then one CRC pass.
+    fn reference_assemble(
+        device: DeviceKind,
+        kind: BitstreamKind,
+        frames: u64,
+        digest: u64,
+    ) -> Vec<u8> {
+        let mut bytes = vec![0u8; HEADER_BYTES];
+        bytes[0..4].copy_from_slice(MAGIC);
+        bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        bytes[6..8].copy_from_slice(&device.id().to_le_bytes());
+        let (k, v) = kind.code();
+        bytes[8] = k;
+        bytes[9] = v;
+        bytes[10..18].copy_from_slice(&frames.to_le_bytes());
+        bytes[18..26].copy_from_slice(&digest.to_le_bytes());
+        let mut word = digest ^ 0x9E37_79B9_7F4A_7C15;
+        let mut next = || {
+            word = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = word;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)).to_le_bytes()
+        };
+        for addr in 0..frames {
+            bytes.extend_from_slice(&(addr as u32).to_le_bytes());
+            for _ in 0..46 {
+                bytes.extend_from_slice(&next());
+            }
+            bytes.extend_from_slice(&next()[..4]);
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn chunked_assembly_matches_serial_reference() {
+        let c = (HASH_BLOCK_BYTES / FRAME_RECORD_BYTES) as u64;
+        // A body that ends exactly on a chunk boundary leaves the trailer
+        // alone in the last chunk.
+        let aligned = (1..)
+            .find(|n| (HEADER_BYTES + n * FRAME_RECORD_BYTES) % HASH_BLOCK_BYTES == 0)
+            .expect("some frame count fills whole chunks") as u64;
+        for frames in [1, c - 1, c, c + 1, 3 * c + 7, aligned] {
+            let want = reference_assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED);
+            for threads in [1, 2] {
+                let got = crate::at_budget(threads, || {
+                    Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED)
+                });
+                assert!(
+                    got.bytes() == want.as_slice(),
+                    "{frames} frames at budget {threads}"
+                );
+                // The hash fused into the fill is the one a parse computes.
+                let cache = crate::cache::BitstreamCache::new(1);
+                cache.admit(&got, content_hash64(&want));
+                Bitstream::from_bytes_in(&cache, want.clone()).unwrap();
+                assert_eq!(cache.stats().hits, 1, "{frames} frames at budget {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_validation_reports_the_first_bad_frame() {
+        // Bad addresses in two different chunks: the lower index wins at
+        // every budget, as in a front-to-back scan.
+        let c = HASH_BLOCK_BYTES / FRAME_RECORD_BYTES;
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 3 * c as u64, 3);
+        let mut bytes = bs.bytes().to_vec();
+        for index in [c + 5, 2 * c + 9] {
+            let off = HEADER_BYTES + index * FRAME_RECORD_BYTES;
+            bytes[off..off + 4].copy_from_slice(&7u32.to_le_bytes());
+        }
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&crc);
+        for threads in [1, 2] {
+            let cache = crate::cache::BitstreamCache::new(1);
+            let err = crate::at_budget(threads, || {
+                Bitstream::from_bytes_in(&cache, bytes.clone()).unwrap_err()
+            });
+            assert_eq!(
+                err,
+                BitstreamError::BadFrameAddress {
+                    index: c as u64 + 5,
+                    found: 7
+                }
+            );
+        }
     }
 
     #[test]

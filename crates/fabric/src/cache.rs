@@ -39,6 +39,7 @@
 
 use crate::bitstream::{Bitstream, BitstreamKind, HEADER_BYTES, MAGIC, VERSION};
 use crate::device::DeviceKind;
+use coyote_sim::par_map;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -180,10 +181,10 @@ impl BitstreamCache {
         }
     }
 
-    /// Record a validated bitstream (used by `assemble` to prime the cache
-    /// with blobs that are valid by construction).
-    pub fn admit(&self, bs: &Bitstream) {
-        let hash = content_hash64(bs.bytes());
+    /// Record a validated bitstream whose [`content_hash64`] is `hash`
+    /// (used by `assemble`, which hashes while it writes, to prime the
+    /// cache with blobs that are valid by construction).
+    pub(crate) fn admit(&self, bs: &Bitstream, hash: u64) {
         self.insert(
             bs.len(),
             hash,
@@ -224,45 +225,95 @@ impl BitstreamCache {
     }
 }
 
-/// Fast 64-bit content hash over a blob.
+/// Block size of [`content_hash64`]. Blocks hash independently, so a
+/// blob's hash can be computed block-parallel, or fused into the pass that
+/// writes the blocks (see `Bitstream::assemble`).
+pub const HASH_BLOCK_BYTES: usize = 1 << 20;
+
+const M: u64 = 0x9E37_79B9_7F4A_7C15;
+
+#[inline(always)]
+fn mix(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(M);
+    x ^ (x >> 29)
+}
+
+/// The hash state of one block: four interleaved multiply-xorshift lanes
+/// (each bijective per step, so every input bit perturbs its lane), fed
+/// whole 32-byte words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockHasher {
+    lanes: [u64; 4],
+}
+
+impl BlockHasher {
+    pub(crate) fn new() -> BlockHasher {
+        BlockHasher {
+            lanes: [
+                0xCBF2_9CE4_8422_2325,
+                0x9AE1_6A3B_2F90_404F,
+                0xC2B2_AE3D_27D4_EB4F,
+                0x1656_67B1_9E37_79F9,
+            ],
+        }
+    }
+
+    /// Absorb `words`, whose length must be a multiple of 32.
+    #[inline]
+    pub(crate) fn absorb(&mut self, words: &[u8]) {
+        debug_assert_eq!(words.len() % 32, 0, "whole 32-byte words only");
+        for chunk in words.chunks_exact(32) {
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                let word = u64::from_le_bytes(chunk[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+                *lane = mix(*lane, word);
+            }
+        }
+    }
+
+    /// Absorb the block's remaining bytes (any length) and finish the hash
+    /// of a block of `block_len` bytes.
+    pub(crate) fn finish(mut self, rest: &[u8], block_len: usize) -> u64 {
+        let whole = rest.len() / 32 * 32;
+        self.absorb(&rest[..whole]);
+        // Tail: fold the remaining 0..31 bytes into lane 0 eight at a time,
+        // zero-padded, then mix in the true length so padding is unambiguous.
+        let lanes = &mut self.lanes;
+        for part in rest[whole..].chunks(8) {
+            let mut word = [0u8; 8];
+            word[..part.len()].copy_from_slice(part);
+            lanes[0] = mix(lanes[0], u64::from_le_bytes(word));
+        }
+        let mut h = mix(lanes[0], block_len as u64);
+        h = mix(h, lanes[1]);
+        h = mix(h, lanes[2]);
+        h = mix(h, lanes[3]);
+        h ^ (h >> 32)
+    }
+}
+
+/// Fold per-block hashes, in block order, with the blob length.
+pub(crate) fn fold_block_hashes(blocks: impl IntoIterator<Item = u64>, len: usize) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for block in blocks {
+        h = mix(h, block);
+    }
+    h = mix(h, len as u64);
+    h ^ (h >> 32)
+}
+
+/// Fast 64-bit content hash over a blob: a 4-lane hash of each
+/// [`HASH_BLOCK_BYTES`] block, folded in order with the length.
 ///
-/// Four interleaved multiply-xorshift lanes (each bijective per step, so
-/// every input bit perturbs its lane) folded with the length at the end.
+/// The value is an in-memory cache key only and is never persisted. Blocks
+/// hash on the `par_map` worker budget; the value does not depend on it.
 /// Runs close to memory bandwidth — hashing a 37 MB shell image costs a
 /// few milliseconds where the CRC + frame scan it replaces costs tens.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
-    const M: u64 = 0x9E37_79B9_7F4A_7C15;
-    #[inline(always)]
-    fn mix(lane: u64, word: u64) -> u64 {
-        let x = (lane ^ word).wrapping_mul(M);
-        x ^ (x >> 29)
-    }
-    let mut lanes = [
-        0xCBF2_9CE4_8422_2325u64,
-        0x9AE1_6A3B_2F90_404Fu64,
-        0xC2B2_AE3D_27D4_EB4Fu64,
-        0x1656_67B1_9E37_79F9u64,
-    ];
-    let mut chunks = bytes.chunks_exact(32);
-    for chunk in &mut chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let word = u64::from_le_bytes(chunk[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            *lane = mix(*lane, word);
-        }
-    }
-    // Tail: fold the remaining 0..31 bytes into lane 0 eight at a time,
-    // zero-padded, then mix in the true length so padding is unambiguous.
-    let rem = chunks.remainder();
-    for part in rem.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..part.len()].copy_from_slice(part);
-        lanes[0] = mix(lanes[0], u64::from_le_bytes(word));
-    }
-    let mut h = mix(lanes[0], bytes.len() as u64);
-    h = mix(h, lanes[1]);
-    h = mix(h, lanes[2]);
-    h = mix(h, lanes[3]);
-    h ^ (h >> 32)
+    let blocks: Vec<&[u8]> = bytes.chunks(HASH_BLOCK_BYTES).collect();
+    let hashes = par_map(&blocks, |_, block| {
+        BlockHasher::new().finish(block, block.len())
+    });
+    fold_block_hashes(hashes, bytes.len())
 }
 
 #[cfg(test)]
@@ -292,6 +343,31 @@ mod tests {
         b.push(0);
         assert_ne!(content_hash64(&a), content_hash64(&b));
         assert_ne!(content_hash64(&[]), content_hash64(&[0]));
+    }
+
+    #[test]
+    fn hash_is_budget_invariant_and_block_sensitive() {
+        // Three blocks and a partial one; a flip in any block moves the hash.
+        let mut blob: Vec<u8> = (0..3 * HASH_BLOCK_BYTES as u64 + 77)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        let one = crate::at_budget(1, || content_hash64(&blob));
+        let two = crate::at_budget(2, || content_hash64(&blob));
+        assert_eq!(one, two);
+        for at in [
+            0,
+            HASH_BLOCK_BYTES - 1,
+            HASH_BLOCK_BYTES,
+            3 * HASH_BLOCK_BYTES + 76,
+        ] {
+            blob[at] ^= 0x80;
+            assert_ne!(content_hash64(&blob), one, "flip at {at}");
+            blob[at] ^= 0x80;
+        }
+        // Swapping two whole blocks is not invisible either.
+        let (a, b) = blob.split_at_mut(HASH_BLOCK_BYTES);
+        a.swap_with_slice(&mut b[..HASH_BLOCK_BYTES]);
+        assert_ne!(content_hash64(&blob), one);
     }
 
     #[test]

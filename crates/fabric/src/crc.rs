@@ -125,6 +125,83 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
+/// `a * b mod P` over GF(2), in the reflected bit order of the CRC
+/// (bit 31 is `x^0`).
+const fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    p
+}
+
+/// `X2N[k] = x^(2^k) mod P`: repeated squaring of `x^1`. The sequence has
+/// period 32 for this polynomial (`x^(2^32) = x mod P`), as zlib uses.
+static X2N: [u32; 32] = build_x2n();
+
+const fn build_x2n() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        t[k] = mul_mod_poly(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+}
+
+/// The operator that appends `len` bytes to a CRC: multiplication by
+/// `x^(8 len) mod P`. Building it costs one GF(2) multiply per set bit of
+/// `len`; applying it costs one.
+#[derive(Debug, Clone, Copy)]
+struct CrcShift(u32);
+
+impl CrcShift {
+    fn new(len: u64) -> CrcShift {
+        let mut p = 1u32 << 31; // x^0
+        let mut n = len;
+        let mut k = 3; // Bytes to bits: x^(8 len) = x^(len * 2^3).
+        while n != 0 {
+            if n & 1 != 0 {
+                p = mul_mod_poly(X2N[k & 31], p);
+            }
+            n >>= 1;
+            k += 1;
+        }
+        CrcShift(p)
+    }
+
+    fn combine(self, crc_a: u32, crc_b: u32) -> u32 {
+        mul_mod_poly(self.0, crc_a) ^ crc_b
+    }
+}
+
+/// `crc32(a ++ b)` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// touching the bytes (zlib's `crc32_combine`). Lets independently
+/// checksummed pieces of one blob fold into the blob's CRC.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    CrcShift::new(len_b).combine(crc_a, crc_b)
+}
+
+/// The CRC-32 of consecutive pieces given as `(crc32(piece), piece.len())`,
+/// in order. A run of equal-length pieces builds its shift once.
+pub(crate) fn crc32_concat(pieces: impl IntoIterator<Item = (u32, usize)>) -> u32 {
+    let mut crc = 0; // crc32 of no bytes.
+    let mut shift = (0, CrcShift::new(0));
+    for (piece_crc, len) in pieces {
+        if shift.0 != len {
+            shift = (len, CrcShift::new(len as u64));
+        }
+        crc = shift.1.combine(crc, piece_crc);
+    }
+    crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +225,30 @@ mod tests {
             c.update(chunk);
         }
         assert_eq!(c.finish(), crc32(&data));
+    }
+
+    #[test]
+    fn squaring_table_has_period_32() {
+        // x^(2^32) = x mod P, which is what lets `CrcShift::new` index the
+        // table modulo 32 for lengths of any size.
+        assert_eq!(mul_mod_poly(X2N[31], X2N[31]), X2N[0]);
+    }
+
+    #[test]
+    fn combine_matches_every_split() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let whole = crc32(&data);
+        for cut in [0, 1, 7, 8, 16, 500, 999, 1000] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "cut {cut}"
+            );
+        }
+        let pieces = data.chunks(64).map(|p| (crc32(p), p.len()));
+        assert_eq!(crc32_concat(pieces), whole);
+        assert_eq!(crc32_concat([]), crc32(b""));
     }
 
     #[test]

@@ -35,3 +35,15 @@ pub use crc::crc32;
 pub use device::{Device, DeviceKind, FRAMES_PER_TILE, FRAME_PAYLOAD_BYTES, FRAME_RECORD_BYTES};
 pub use floorplan::{Floorplan, FloorplanError, Partition, PartitionId, Rect, ShellProfile};
 pub use resources::ResourceVec;
+
+/// Run `f` with the `par_map` worker budget set to `threads`. Tests that
+/// set the budget hold one lock, so they do not overwrite each other's.
+#[cfg(test)]
+pub(crate) fn at_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var(coyote_sim::par::THREADS_ENV, threads.to_string());
+    let out = f();
+    std::env::remove_var(coyote_sim::par::THREADS_ENV);
+    out
+}

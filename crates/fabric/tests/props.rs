@@ -1,6 +1,6 @@
 //! Property-based tests on bitstreams and CRC.
 
-use coyote_fabric::crc::{crc32, Crc32};
+use coyote_fabric::crc::{crc32, crc32_combine, Crc32};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use proptest::prelude::*;
 
@@ -36,5 +36,55 @@ proptest! {
             c.update(part);
         }
         prop_assert_eq!(c.finish(), crc32(&data));
+    }
+
+    /// Folding two CRCs equals the CRC of the concatenation, empty parts
+    /// included.
+    #[test]
+    fn crc_combine_is_concatenation(a in prop::collection::vec(any::<u8>(), 0..600),
+                                    b in prop::collection::vec(any::<u8>(), 0..600)) {
+        let whole: Vec<u8> = a.iter().chain(&b).copied().collect();
+        prop_assert_eq!(crc32_combine(crc32(&a), crc32(&b), b.len() as u64), crc32(&whole));
+        prop_assert_eq!(crc32_combine(crc32(&a), crc32(&[]), 0), crc32(&a));
+        prop_assert_eq!(crc32_combine(crc32(&[]), crc32(&b), b.len() as u64), crc32(&b));
+    }
+
+    /// Arbitrary bytes never panic the decoder: `Ok` or a typed error.
+    #[test]
+    fn from_bytes_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..4096),
+                                           magic in any::<bool>()) {
+        let mut bytes = bytes;
+        // Half the cases get past the magic check, to reach the deeper ones.
+        if magic && bytes.len() >= 4 {
+            bytes[..4].copy_from_slice(b"CYT2");
+        }
+        let _ = Bitstream::from_bytes(bytes);
+    }
+
+    /// Every truncation of a valid blob, and any other frame count
+    /// (CRC re-stamped or not), is rejected with a typed error.
+    #[test]
+    fn from_bytes_rejects_truncations_and_bad_counts(
+        frames in 1u64..12,
+        near in any::<bool>(),
+        flip in 0u64..4,
+        big in any::<u64>(),
+        restamp in any::<bool>(),
+    ) {
+        // Half the counts land next to the true one, half anywhere.
+        let count = if near { frames ^ flip } else { big };
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 5);
+        for cut in 0..bs.bytes().len() {
+            prop_assert!(Bitstream::from_bytes(bs.bytes()[..cut].to_vec()).is_err(), "cut {}", cut);
+        }
+        let mut bytes = bs.bytes().to_vec();
+        bytes[10..18].copy_from_slice(&count.to_le_bytes());
+        if restamp {
+            let body_end = bytes.len() - 4;
+            let crc = crc32(&bytes[..body_end]).to_le_bytes();
+            bytes[body_end..].copy_from_slice(&crc);
+        }
+        let parsed = Bitstream::from_bytes(bytes);
+        prop_assert_eq!(parsed.is_ok(), count == frames, "count {}", count);
     }
 }

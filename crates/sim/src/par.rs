@@ -28,12 +28,18 @@
 //! * **Chunked claiming.** Workers claim runs of indices (≈4 chunks per
 //!   worker) rather than single items, so the per-claim synchronization is
 //!   amortized over the run and false sharing on the slot array is rare.
-//! * **Min-work threshold.** Batches below [`MIN_PAR_ITEMS`] run inline on
-//!   the caller: spawning a worker for one or two items costs more than the
-//!   loop itself, and the output is bit-identical either way.
+//! * **Min-work threshold.** Batches below [`MIN_PAR_ITEMS`] (a single
+//!   item) run inline on the caller. Two items already fan out: a spawn
+//!   costs tens of microseconds, and the two-item batches of the build
+//!   flows (two placement seeds, services + one app partition, a blob of
+//!   two 1 MiB blocks) carry milliseconds each.
 //!
 //! The calling thread participates as a worker, so `par_map` spawns at most
 //! `workers - 1` threads and a 1-worker budget spawns none.
+//!
+//! The nesting rule has a cost: code running inside a `par_map` (every
+//! experiment `coyote-bench` runs) executes its inner sections serially, so
+//! their parallel paths only run when reached from outside one.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,10 +54,9 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Batches smaller than this run inline on the caller: with one or two
-/// items a spawned worker can never beat the caller's loop, so the scope
-/// setup (thread spawn + slot allocation) would be pure overhead.
-const MIN_PAR_ITEMS: usize = 3;
+/// Batches smaller than this run inline on the caller: one item leaves a
+/// spawned worker nothing to do.
+const MIN_PAR_ITEMS: usize = 2;
 
 /// RAII for [`IN_POOL`]: restores the previous value even if `f` panics, so
 /// a caller thread that survives an unwind does not stay marked busy.
@@ -246,7 +251,33 @@ mod tests {
             assert_eq!(i as u32, x);
             x + 1
         });
-        assert_eq!(out, vec![1, 2]);
+        assert_eq!(out, (1..MIN_PAR_ITEMS as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn two_items_fan_out_at_budget_two() {
+        // Each item signals the other, then waits (bounded) for the other's
+        // signal. On two threads both return at once; run inline, the first
+        // item times out and both report the caller's id.
+        std::env::set_var(THREADS_ENV, "2");
+        let (to_0, from_1) = std::sync::mpsc::channel::<()>();
+        let (to_1, from_0) = std::sync::mpsc::channel::<()>();
+        let senders = [to_1, to_0];
+        let inboxes = [Mutex::new(from_1), Mutex::new(from_0)];
+        let ids = par_map(&[0usize, 1], |i, _| {
+            senders[i].send(()).expect("peer inbox alive");
+            let inbox = inboxes[i].lock().expect("inbox lock");
+            let _ = inbox.recv_timeout(std::time::Duration::from_secs(5));
+            std::thread::current().id()
+        });
+        std::env::remove_var(THREADS_ENV);
+        assert_ne!(ids[0], ids[1], "a 2-item batch at budget 2 ran inline");
+        // A single item stays on the caller.
+        let me = std::thread::current().id();
+        assert_eq!(
+            par_map(&[0u8], |_, _| std::thread::current().id()),
+            vec![me]
+        );
     }
 
     #[test]

@@ -167,10 +167,11 @@ pub struct AppArtifacts {
 }
 
 /// Seeds for the multi-seed placement sweep. Each partition is annealed
-/// once per seed (in parallel) and the best result by `(hpwl, seed)` wins,
-/// so the outcome is identical for any thread count. Two full-length
-/// annealers beat four shortened ones on quality per move, and keep the
-/// serial (single-core) build cost bounded at 2x a single anneal.
+/// once per seed, every (partition, seed) pair of a flow in one `par_map`
+/// batch, and the best result by `(hpwl, seed)` wins, so the outcome is
+/// identical for any thread count. Two full-length annealers beat four
+/// shortened ones on quality per move, and keep the serial (single-core)
+/// build cost bounded at 2x a single anneal.
 pub const PLACE_SEEDS: [u64; 2] = [1, 2];
 
 struct PartitionBuild {
@@ -180,44 +181,64 @@ struct PartitionBuild {
     timing: TimingReport,
 }
 
-/// Synthesize+place+route a set of blocks into a region.
-fn build_partition(
-    blocks: &[IpBlock],
-    width: u16,
-    height: u16,
-    partition: &'static str,
-    capacity: &ResourceVec,
-) -> Result<PartitionBuild, FlowError> {
-    let mut netlist = Netlist::synthesize("empty", ResourceVec::logic(64, 64), 2, 2.0, 0, 0);
-    netlist.name = format!("{partition}_top");
-    for b in blocks {
-        netlist.merge(&b.synthesize());
-    }
-    if !netlist.footprint.fits_in(capacity) {
-        return Err(FlowError::ResourceOverflow {
-            partition,
-            requested: netlist.footprint.to_string(),
-            capacity: capacity.to_string(),
-        });
-    }
-    let placement = Placer::default().place_multi_seed(&netlist, width, height, &PLACE_SEEDS);
-    let route = Router::default().route(&netlist, &placement);
-    let timing = timing::analyze(&netlist, &placement);
-    Ok(PartitionBuild {
-        netlist,
-        placement,
-        route,
-        timing,
-    })
-}
-
-/// One partition's inputs, so the whole shell build can fan out at once.
+/// One partition's inputs, so a whole flow can fan out at once.
 struct PartitionSpec<'a> {
     blocks: &'a [IpBlock],
     width: u16,
     height: u16,
     name: &'static str,
     capacity: ResourceVec,
+}
+
+/// Synthesize, place and route every partition of a flow, returning the
+/// builds in `specs` order.
+///
+/// Synthesis runs first for all partitions, so a partition that cannot
+/// hold its blocks fails the flow before any annealing, and the
+/// lowest-index overflow is the one reported. Then one `par_map` anneals
+/// every (partition, seed) pair and one more routes and times every
+/// partition; results merge in input order, so reports, digests and
+/// bitstream bytes are identical to a serial build.
+fn build_partitions(specs: &[PartitionSpec]) -> Result<Vec<PartitionBuild>, FlowError> {
+    let mut netlists = Vec::with_capacity(specs.len());
+    for s in specs {
+        let mut netlist = Netlist::synthesize("empty", ResourceVec::logic(64, 64), 2, 2.0, 0, 0);
+        netlist.name = format!("{}_top", s.name);
+        for b in s.blocks {
+            netlist.merge(&b.synthesize());
+        }
+        if !netlist.footprint.fits_in(&s.capacity) {
+            return Err(FlowError::ResourceOverflow {
+                partition: s.name,
+                requested: netlist.footprint.to_string(),
+                capacity: s.capacity.to_string(),
+            });
+        }
+        netlists.push(netlist);
+    }
+    let regions: Vec<(&Netlist, u16, u16)> = netlists
+        .iter()
+        .zip(specs)
+        .map(|(n, s)| (n, s.width, s.height))
+        .collect();
+    let placements = Placer::default().place_multi_seed(&regions, &PLACE_SEEDS);
+    let routed = par_map(&placements, |i, placement| {
+        (
+            Router::default().route(&netlists[i], placement),
+            timing::analyze(&netlists[i], placement),
+        )
+    });
+    Ok(netlists
+        .into_iter()
+        .zip(placements)
+        .zip(routed)
+        .map(|((netlist, placement), (route, timing))| PartitionBuild {
+            netlist,
+            placement,
+            route,
+            timing,
+        })
+        .collect())
 }
 
 fn stage_times(builds: &[&PartitionBuild]) -> (SimDuration, SimDuration, SimDuration, u64, u64) {
@@ -297,16 +318,7 @@ pub fn shell_flow(req: &BuildRequest) -> Result<ShellArtifacts, FlowError> {
         });
     }
 
-    // Every partition builds independently; fan out and join in partition
-    // index order, so reports, digests and bitstream bytes are identical
-    // to a serial build. On failure the lowest-index error wins (the same
-    // one the old serial loop would have surfaced first).
-    let mut builds = Vec::with_capacity(specs.len());
-    for built in par_map(&specs, |_, s| {
-        build_partition(s.blocks, s.width, s.height, s.name, &s.capacity)
-    }) {
-        builds.push(built?);
-    }
+    let mut builds = build_partitions(&specs)?;
     let app_builds = builds.split_off(1);
     let services = builds.pop().expect("services build present");
 
@@ -428,13 +440,15 @@ pub fn app_flow(
     let cap = fp
         .capacity_of(&device, PartitionId::Vfpga(vfpga))
         .expect("capacity");
-    let build = build_partition(
+    let build = build_partitions(&[PartitionSpec {
         blocks,
-        (rect.col1 - rect.col0) as u16,
-        (rect.row1 - rect.row0) as u16,
-        "vfpga",
-        &cap,
-    )?;
+        width: (rect.col1 - rect.col0) as u16,
+        height: (rect.row1 - rect.row0) as u16,
+        name: "vfpga",
+        capacity: cap,
+    }])?
+    .pop()
+    .expect("one partition built");
     let (synth_time, place_time, route_time, moves, expansions) = stage_times(&[&build]);
     // Linking: load + legalize the locked shell.
     let link_time = SimDuration((checkpoint.service_build_ps as f64 * cost::LINK_FRACTION) as u64);

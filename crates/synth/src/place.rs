@@ -294,36 +294,46 @@ impl Placer {
         }
     }
 
-    /// Run `seeds` independent annealers (in parallel, merged in seed-list
-    /// order) and keep the best result.
+    /// Place every region of `regions` (`(netlist, width, height)`) once
+    /// per seed and keep each region's best run.
     ///
-    /// The winner is chosen by `(hpwl, seed)`, so ties break toward the
-    /// lowest seed and the outcome is identical for any thread count.
+    /// All `regions.len() * seeds.len()` annealers are one `par_map` batch,
+    /// so the worker budget is shared across regions and seeds alike. Each
+    /// region's winner is chosen by `(hpwl, seed)`, so ties break toward
+    /// the lowest seed and the outcome is identical for any thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty or the region is over capacity.
+    /// Panics if `seeds` is empty or a region is over capacity.
     pub fn place_multi_seed(
         &self,
-        netlist: &Netlist,
-        width: u16,
-        height: u16,
+        regions: &[(&Netlist, u16, u16)],
         seeds: &[u64],
-    ) -> Placement {
+    ) -> Vec<Placement> {
         assert!(
             !seeds.is_empty(),
             "multi-seed placement needs at least one seed"
         );
-        let runs = par_map(seeds, |_, &seed| {
+        let jobs: Vec<(usize, u64)> = (0..regions.len())
+            .flat_map(|r| seeds.iter().map(move |&seed| (r, seed)))
+            .collect();
+        let mut runs = par_map(&jobs, |_, &(r, seed)| {
+            let (netlist, width, height) = regions[r];
             Placer {
                 moves_per_cell: self.moves_per_cell,
                 seed,
             }
             .place(netlist, width, height)
-        });
-        runs.into_iter()
-            .min_by_key(|p| (p.hpwl, p.seed))
-            .expect("at least one placement run")
+        })
+        .into_iter();
+        (0..regions.len())
+            .map(|_| {
+                runs.by_ref()
+                    .take(seeds.len())
+                    .min_by_key(|p| (p.hpwl, p.seed))
+                    .expect("at least one placement run")
+            })
+            .collect()
     }
 }
 
@@ -449,7 +459,7 @@ mod tests {
         let n = netlist();
         let placer = Placer::default();
         let seeds = [1u64, 2, 3, 4];
-        let best = placer.place_multi_seed(&n, 20, 20, &seeds);
+        let best = placer.place_multi_seed(&[(&n, 20, 20)], &seeds).remove(0);
         let runs: Vec<Placement> = seeds
             .iter()
             .map(|&s| {
@@ -477,13 +487,35 @@ mod tests {
         let seeds = [9u64, 5, 1];
         let run = |threads: &str| {
             std::env::set_var(coyote_sim::par::THREADS_ENV, threads);
-            let p = Placer::default().place_multi_seed(&n, 20, 20, &seeds);
+            let p = Placer::default()
+                .place_multi_seed(&[(&n, 20, 20)], &seeds)
+                .remove(0);
             std::env::remove_var(coyote_sim::par::THREADS_ENV);
             (p.pos.clone(), p.hpwl, p.seed)
         };
         let one = run("1");
         let eight = run("8");
         assert_eq!(one, eight, "winner depends on thread count");
+    }
+
+    #[test]
+    fn multi_region_batch_matches_one_region_at_a_time() {
+        let a = netlist();
+        let b = Netlist::synthesize("u", ResourceVec::new(6_000, 9_000, 4, 0, 0), 4, 2.5, 4, 11);
+        let seeds = [1u64, 2];
+        let placer = Placer::default();
+        let batch = placer.place_multi_seed(&[(&a, 20, 20), (&b, 12, 9)], &seeds);
+        let alone = [
+            placer.place_multi_seed(&[(&a, 20, 20)], &seeds).remove(0),
+            placer.place_multi_seed(&[(&b, 12, 9)], &seeds).remove(0),
+        ];
+        assert_eq!(batch.len(), 2);
+        for (got, want) in batch.iter().zip(&alone) {
+            assert_eq!(
+                (&got.pos, got.hpwl, got.seed),
+                (&want.pos, want.hpwl, want.seed)
+            );
+        }
     }
 
     #[test]

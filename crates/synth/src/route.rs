@@ -171,12 +171,19 @@ impl Router {
     }
 }
 
-fn range_incl(a: u16, b: u16) -> Box<dyn Iterator<Item = u16>> {
-    if a <= b {
-        Box::new(a..=b)
-    } else {
-        Box::new((b..=a).rev())
-    }
+/// The tiles from `a` to `b` inclusive, stepping toward `b`. One concrete
+/// iterator type for both directions, so the hot connection loop never
+/// allocates.
+fn range_incl(a: u16, b: u16) -> impl Iterator<Item = u16> {
+    let down = b < a;
+    (0..u32::from(a.abs_diff(b)) + 1).map(move |i| {
+        let i = i as u16;
+        if down {
+            a - i
+        } else {
+            a + i
+        }
+    })
 }
 
 #[cfg(test)]
@@ -245,6 +252,26 @@ mod tests {
         let b = Router::default().route(&n, &p);
         assert_eq!(a.wirelength, b.wirelength);
         assert_eq!(a.expansions, b.expansions);
+    }
+
+    #[test]
+    fn pinned_fixture_result() {
+        // Pinned: a change to the walk order or the cost model moves them.
+        let (n, p) = placed();
+        let r = Router::default().route(&n, &p);
+        assert_eq!(
+            (r.wirelength, r.expansions, r.rounds, r.peak_usage),
+            (3798, 7596, 1, 188)
+        );
+    }
+
+    #[test]
+    fn range_steps_both_ways() {
+        assert_eq!(range_incl(2, 5).collect::<Vec<_>>(), [2, 3, 4, 5]);
+        assert_eq!(range_incl(5, 2).collect::<Vec<_>>(), [5, 4, 3, 2]);
+        assert_eq!(range_incl(7, 7).collect::<Vec<_>>(), [7]);
+        assert_eq!(range_incl(0, u16::MAX).count(), 65_536);
+        assert_eq!(range_incl(u16::MAX, 0).last(), Some(0));
     }
 
     #[test]
