@@ -285,19 +285,10 @@ impl Bitstream {
                 })
             }
         }
-        // CRC and frame-address scan per block, on the worker budget; the
-        // block CRCs fold like `assemble`'s.
+        // Serial on the caller, like `content_hash64`: validation sits on
+        // the reconfiguration path, not in a build.
         let body = &bytes[..bytes.len() - 4];
-        let blocks: Vec<&[u8]> = body.chunks(HASH_BLOCK_BYTES).collect();
-        let checks = par_map(&blocks, |i, block| {
-            (crc32(block), first_bad_address(block, i * HASH_BLOCK_BYTES))
-        });
-        let computed = crc32_concat(
-            blocks
-                .iter()
-                .zip(&checks)
-                .map(|(b, (crc, _))| (*crc, b.len())),
-        );
+        let computed = crc32(body);
         let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("slice len 4"));
         if stored != computed {
             return Err(BitstreamError::CrcMismatch { stored, computed });
@@ -305,9 +296,18 @@ impl Bitstream {
         // Frame addresses must be the sequence 0..frames. The CRC does not
         // protect against a blob that was *assembled* wrong (and therefore
         // carries a CRC over the wrong addresses), so this is a separate
-        // typed check, not a corruption check. The lowest bad index wins.
-        if let Some((index, found)) = checks.into_iter().find_map(|(_, bad)| bad) {
-            return Err(BitstreamError::BadFrameAddress { index, found });
+        // typed check, not a corruption check.
+        for (index, record) in body[HEADER_BYTES..]
+            .chunks_exact(FRAME_RECORD_BYTES)
+            .enumerate()
+        {
+            let found = u32::from_le_bytes(record[..4].try_into().expect("slice len 4"));
+            if found as u64 != index as u64 {
+                return Err(BitstreamError::BadFrameAddress {
+                    index: index as u64,
+                    found,
+                });
+            }
         }
         Ok(Bitstream {
             bytes,
@@ -523,23 +523,6 @@ fn fill_chunk(
         hasher,
         hashed,
     }
-}
-
-/// The lowest frame record whose address field lies in `block` (the body
-/// range starting at `offset`) and does not carry its own index.
-fn first_bad_address(block: &[u8], offset: usize) -> Option<(u64, u32)> {
-    let end = offset + block.len();
-    let first = offset
-        .saturating_sub(HEADER_BYTES)
-        .div_ceil(FRAME_RECORD_BYTES);
-    (first..)
-        .map(|index| (index, HEADER_BYTES + index * FRAME_RECORD_BYTES))
-        .take_while(|&(_, at)| at < end)
-        .find_map(|(index, at)| {
-            let field = &block[at - offset..at - offset + 4];
-            let found = u32::from_le_bytes(field.try_into().expect("slice len 4"));
-            (found as u64 != index as u64).then_some((index as u64, found))
-        })
 }
 
 #[cfg(test)]

@@ -39,7 +39,6 @@
 
 use crate::bitstream::{Bitstream, BitstreamKind, HEADER_BYTES, MAGIC, VERSION};
 use crate::device::DeviceKind;
-use coyote_sim::par_map;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -225,9 +224,9 @@ impl BitstreamCache {
     }
 }
 
-/// Block size of [`content_hash64`]. Blocks hash independently, so a
-/// blob's hash can be computed block-parallel, or fused into the pass that
-/// writes the blocks (see `Bitstream::assemble`).
+/// Block size of [`content_hash64`]. Blocks hash independently, so the
+/// hash can be fused into the pass that writes the blocks, on whichever
+/// worker writes each one (see `Bitstream::assemble`).
 pub const HASH_BLOCK_BYTES: usize = 1 << 20;
 
 const M: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -304,15 +303,16 @@ pub(crate) fn fold_block_hashes(blocks: impl IntoIterator<Item = u64>, len: usiz
 /// Fast 64-bit content hash over a blob: a 4-lane hash of each
 /// [`HASH_BLOCK_BYTES`] block, folded in order with the length.
 ///
-/// The value is an in-memory cache key only and is never persisted. Blocks
-/// hash on the `par_map` worker budget; the value does not depend on it.
-/// Runs close to memory bandwidth — hashing a 37 MB shell image costs a
-/// few milliseconds where the CRC + frame scan it replaces costs tens.
+/// The value is an in-memory cache key only and is never persisted. It
+/// runs on the caller's thread: every reconfiguration and upload pays it,
+/// and a worker spawned per call would tie each one's latency to the load
+/// on the other core. Runs close to memory bandwidth — hashing a 37 MB
+/// shell image costs a few milliseconds where the CRC + frame scan it
+/// replaces costs tens.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
-    let blocks: Vec<&[u8]> = bytes.chunks(HASH_BLOCK_BYTES).collect();
-    let hashes = par_map(&blocks, |_, block| {
-        BlockHasher::new().finish(block, block.len())
-    });
+    let hashes = bytes
+        .chunks(HASH_BLOCK_BYTES)
+        .map(|block| BlockHasher::new().finish(block, block.len()));
     fold_block_hashes(hashes, bytes.len())
 }
 
