@@ -82,6 +82,15 @@ const GROUPS: &[(&str, &[&str])] = &[(
 /// its recorded wall-clock was ~pure blocked time.
 const DEPENDENT: &[&str] = &["claims"];
 
+/// The paper experiments that run for hundreds of milliseconds, longest
+/// first (wall-clock at `--threads 1` on a 2-vCPU x86-64 host). Their wave
+/// claims them ahead of the short ones, so the short ones fill in behind
+/// them. It also keeps a near-tie from choosing the worker `fig11` (about
+/// 270 MB at its peak) runs on: in selection order two ~1.5 s chunks end
+/// within milliseconds of each other, and a paper pass at two workers
+/// peaks at 354 or 435 MB depending on which finishes first.
+const LONGEST_FIRST: &[&str] = &["fig7b", "table3", "fig11", "fig7a", "fig12", "fig8"];
+
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the
 /// serialize/retransmit hot loop in real nanoseconds; `replay_overhead`
 /// times the storm with and without the recorder). Their values are
@@ -149,40 +158,38 @@ fn run_one(id: &str) -> Option<ExperimentResult> {
 }
 
 /// Run a selection in dependency waves: first everything self-contained,
-/// then the experiments that read other experiments' caches. Results come
-/// back in selection order, so printing and JSON output are identical to a
+/// then the experiments that read other experiments' caches. Within a wave
+/// the [`LONGEST_FIRST`] experiments are claimed first. Results come back
+/// in selection order, so printing and JSON output are identical to a
 /// serial run.
 fn run_selection(selection: &[&str]) -> Vec<(ExperimentResult, Duration)> {
-    let wave1: Vec<&str> = selection
-        .iter()
-        .copied()
-        .filter(|id| !DEPENDENT.contains(id))
-        .collect();
-    let wave2: Vec<&str> = selection
-        .iter()
-        .copied()
-        .filter(|id| DEPENDENT.contains(id))
-        .collect();
-    let run_wave = |ids: &[&str]| {
-        par_map(ids, |_, id| {
+    let mut order: Vec<usize> = (0..selection.len()).collect();
+    // Stable: everything else keeps selection order.
+    order.sort_by_key(|&i| {
+        let long = LONGEST_FIRST.iter().position(|id| *id == selection[i]);
+        long.unwrap_or(LONGEST_FIRST.len())
+    });
+    let mut runs: Vec<Option<(ExperimentResult, Duration)>> =
+        selection.iter().map(|_| None).collect();
+    for dependent in [false, true] {
+        let wave: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&i| DEPENDENT.contains(&selection[i]) == dependent)
+            .collect();
+        let results = par_map(&wave, |_, &i| {
             // detlint: allow(SRC002): harness self-timing (per-experiment
             // wall); never enters any experiment result.
             let start = Instant::now();
-            let result = run_one(id).expect("selection validated in main");
+            let result = run_one(selection[i]).expect("selection validated in main");
             (result, start.elapsed())
-        })
-    };
-    let mut first = run_wave(&wave1).into_iter();
-    let mut second = run_wave(&wave2).into_iter();
-    selection
-        .iter()
-        .map(|id| {
-            if DEPENDENT.contains(id) {
-                second.next().expect("one result per wave-2 id")
-            } else {
-                first.next().expect("one result per wave-1 id")
-            }
-        })
+        });
+        for (i, run) in wave.into_iter().zip(results) {
+            runs[i] = Some(run);
+        }
+    }
+    runs.into_iter()
+        .map(|run| run.expect("every id runs in exactly one wave"))
         .collect()
 }
 
@@ -550,6 +557,18 @@ mod tests {
             rows: Vec::new(),
             verdict: String::new(),
         }
+    }
+
+    /// Claiming `fig8` ahead of the experiments listed before it must not
+    /// move any result out of selection order.
+    #[test]
+    fn results_come_back_in_selection_order() {
+        let selection = ["table1", "fig10b", "fig8", "ablation_tlb"];
+        let ids: Vec<String> = run_selection(&selection)
+            .into_iter()
+            .map(|(result, _)| result.id)
+            .collect();
+        assert_eq!(ids, selection);
     }
 
     /// A scaling entry is a strict superset of the plain entry: same

@@ -1,33 +1,25 @@
-//! DES determinism analysis (DS001–DS005): the happens-before checker.
+//! DES determinism analysis: the happens-before checker over a recorded
+//! [`ShardTrace`].
 //!
-//! The scheduler breaks ties between same-timestamp events by insertion
-//! sequence number. That is deterministic for one binary, but the insertion
-//! order is an accident of model construction: two semantically equivalent
-//! programs (or one program after a refactor) can enqueue the same events
-//! in a different order and silently compute different results. This module
-//! replays a recorded [`TraceEntry`] stream and flags the schedules whose
-//! outcome *depends* on that accident:
+//! The engine runs same-instant events on one shard in [`EventKey`] order,
+//! `(priority, domain, target, origin, origin_seq)`: declared fields order
+//! every case they distinguish, and only events that tie on all three fall
+//! back to scheduling order. That order is deterministic for one binary,
+//! but it is an accident of model construction: two semantically
+//! equivalent programs (or one program after a refactor) can schedule the
+//! same events in a different order and silently compute different
+//! results. The rules flag the schedules whose outcome *depends* on it:
 //!
-//! * **DS001** — two same-timestamp events declare the *same* target (they
-//!   touch the same model object) without distinct tie-break priorities.
-//!   Whichever runs first wins; the result is insertion-order-dependent.
-//! * **DS002** — same-timestamp events where some event declares no target
-//!   at all, so disjointness cannot be established. Informational: the
-//!   events may well be independent, but nothing proves it.
-//! * **DS003** — same-timestamp events on *different* targets that declare
-//!   the same subsystem `domain` without a total priority order. Distinct
-//!   targets prove the events touch different objects, but a shared domain
-//!   says they communicate through one subsystem (a switch, a DMA engine),
-//!   so "disjoint targets" no longer implies "order-free".
+//! * **DS001** — same-instant events on one shard tie on
+//!   `(priority, domain, target)` with the target declared: they touch the
+//!   same model object and whichever was scheduled first wins.
+//! * **DS002** — the same tie with no target declared, so disjointness
+//!   cannot be established. Informational: the events may well be
+//!   independent, but nothing proves it.
 //! * **DS004** — a merged fault trace whose events are out of canonical
 //!   `(domain, op)` order: someone concatenated per-worker traces instead
 //!   of going through [`coyote_chaos::FaultTrace::merged`], so the trace
 //!   (and its published FNV-64 hash) depends on collection order.
-//! * **DS005** — an executed pop whose order contradicts the declared
-//!   priorities: the engine honors `(time, seq)`, so when a lower-priority
-//!   event was *inserted* first it also *runs* first, silently overriding
-//!   the declared intent. The schedule works today by accident of insertion
-//!   order — exactly what a refactor breaks.
 //! * **DS006** — an event crossing a shard-domain boundary with a delay
 //!   below the declared link lookahead. The sharded engine's conservative
 //!   windows are exactly as wide as the lookahead promises; an event that
@@ -38,208 +30,97 @@
 //!   decide *who computes*, never *what happened*, so any disagreement is a
 //!   happens-before violation upstream of the first divergent `EventKey`.
 //!   `coyote-replay bisect` finds that key and reports it through this rule.
+//!
+//! DS003 (distinct targets sharing a domain) and DS005 (pops contradicting
+//! declared priorities) are retired: [`EventKey`] orders distinct targets
+//! by target id and distinct priorities by priority, so neither hazard can
+//! occur on the engine.
+//!
+//! [`EventKey`]: coyote_sim::EventKey
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use coyote_chaos::FaultTrace;
-use coyote_sim::{SimDuration, TraceEntry, TracePhase};
+use coyote_sim::{ShardId, ShardTrace, ShardTraceEntry, SimDuration};
 use std::collections::BTreeMap;
 
 fn loc(unit: &str, at_ps: u64) -> Location {
     Location::new(format!("trace:{unit}"), format!("t={at_ps}ps"))
 }
 
-/// True if the priority multiset fails to impose a total order: some
-/// priority is undeclared, or two entries share one.
-fn no_total_order(mut priorities: Vec<Option<u8>>) -> bool {
-    priorities.sort_unstable();
-    let all_declared = priorities.iter().all(Option::is_some);
-    let mut distinct = priorities.clone();
-    distinct.dedup();
-    !all_declared || distinct.len() != priorities.len()
-}
-
-/// Analyze one recorded event trace for ordering hazards (DS001–DS003,
-/// DS005).
-pub fn lint_trace(unit: &str, trace: &[TraceEntry]) -> Report {
+/// Analyze one recorded event trace for scheduling-order ties (DS001,
+/// DS002).
+pub fn lint_trace(unit: &str, trace: &ShardTrace) -> Report {
     let mut report = Report::new();
 
-    // Bucket by timestamp. BTreeMap keeps diagnostics in time order.
-    let mut by_time: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
-    for e in trace {
-        by_time.entry(e.at.as_ps()).or_default().push(e);
+    // Group by (instant, shard) and the declared fields of the engine's
+    // order. BTreeMap keeps diagnostics in time order.
+    type Tie = (u64, ShardId, u8, u64, u64);
+    let mut ties: BTreeMap<Tie, Vec<&ShardTraceEntry>> = BTreeMap::new();
+    for e in trace.entries() {
+        let k = e.event_key();
+        ties.entry((e.at_ps, e.shard, k.priority, k.domain, k.target))
+            .or_default()
+            .push(e);
     }
 
-    for (at_ps, entries) in by_time {
-        let events: Vec<&TraceEntry> = entries
-            .iter()
-            .copied()
-            .filter(|e| e.phase == TracePhase::Scheduled)
-            .collect();
-        let executed: Vec<&TraceEntry> = entries
-            .iter()
-            .copied()
-            .filter(|e| e.phase == TracePhase::Executed)
-            .collect();
-
-        // DS005 needs only the pops; the scheduling-side rules need >= 2
-        // pushes at one instant.
-        lint_pop_order(unit, at_ps, &executed, &mut report);
-        if events.len() < 2 {
+    for ((at_ps, shard, ..), group) in ties {
+        if group.len() < 2 {
             continue;
         }
-
-        // DS001: same declared target, indistinct priorities.
-        let mut by_target: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
-        let mut untargeted = 0usize;
-        for e in &events {
-            match e.target {
-                Some(t) => by_target.entry(t).or_default().push(e),
-                None => untargeted += 1,
-            }
-        }
-        for (target, group) in &by_target {
-            if group.len() < 2 {
-                continue;
-            }
-            if no_total_order(group.iter().map(|e| e.priority).collect()) {
-                let seqs: Vec<u64> = group.iter().map(|e| e.seq).collect();
-                report.push(
-                    Diagnostic::new(
-                        "DS001",
-                        Severity::Error,
-                        loc(unit, at_ps),
-                        format!(
-                            "{} events at t={at_ps}ps target object {target} with no \
-                             deterministic tie-break (seqs {seqs:?}); execution order is an \
-                             accident of insertion order",
-                            group.len()
-                        ),
-                    )
-                    .with_suggestion(
-                        "schedule these with schedule_at_tagged and distinct priorities",
-                    ),
-                );
-            }
-        }
-
-        // DS003: distinct targets, but a shared declared domain without a
-        // total priority order across the domain's events. Same-target
-        // pairs are DS001's jurisdiction; count each domain once.
-        let mut by_domain: BTreeMap<u64, Vec<&TraceEntry>> = BTreeMap::new();
-        for e in &events {
-            if let Some(d) = e.domain {
-                by_domain.entry(d).or_default().push(e);
-            }
-        }
-        for (domain, group) in by_domain {
-            if group.len() < 2 {
-                continue;
-            }
-            let mut targets: Vec<Option<u64>> = group.iter().map(|e| e.target).collect();
-            targets.sort_unstable();
-            targets.dedup();
-            if targets.len() < 2 {
-                continue; // Single target: DS001 covers it.
-            }
-            if no_total_order(group.iter().map(|e| e.priority).collect()) {
-                let seqs: Vec<u64> = group.iter().map(|e| e.seq).collect();
-                report.push(
-                    Diagnostic::new(
-                        "DS003",
-                        Severity::Error,
-                        loc(unit, at_ps),
-                        format!(
-                            "{} events at t={at_ps}ps share domain {domain} across different \
-                             targets with no total priority order (seqs {seqs:?}); the \
-                             subsystem observes them in insertion order",
-                            group.len()
-                        ),
-                    )
-                    .with_suggestion(
-                        "give the domain's same-instant events distinct priorities \
-                         (EventTag::target(..).priority(..).domain(..))",
-                    ),
-                );
-            }
-        }
-
-        // DS002: disjointness unprovable because targets are undeclared.
-        if untargeted > 0 && events.len() > 1 {
-            report.push(Diagnostic::new(
+        let origins: Vec<String> = group
+            .iter()
+            .map(|e| format!("{}#{}", e.origin, e.origin_seq))
+            .collect();
+        let origins = origins.join(", ");
+        let n = group.len();
+        let target = group[0]
+            .target
+            .filter(|_| group.iter().all(|e| e.target.is_some()));
+        report.push(match target {
+            Some(target) => Diagnostic::new(
+                "DS001",
+                Severity::Error,
+                loc(unit, at_ps),
+                format!(
+                    "{n} events at t={at_ps}ps on shard {shard} target object {target} and tie \
+                     on priority and domain (origins {origins}); execution order is an \
+                     accident of scheduling order"
+                ),
+            )
+            .with_suggestion("give these events distinct priorities (EventTag::priority)"),
+            None => Diagnostic::new(
                 "DS002",
                 Severity::Info,
                 loc(unit, at_ps),
                 format!(
-                    "{untargeted} of {} events at t={at_ps}ps declare no target; \
-                     cannot prove the schedule is order-independent",
-                    events.len()
+                    "{n} events at t={at_ps}ps on shard {shard} declare no target and tie on \
+                     priority and domain (origins {origins}); cannot prove the schedule is \
+                     order-independent"
                 ),
-            ));
-        }
+            ),
+        });
     }
 
     report
-}
-
-/// DS005: executed pops at one instant that contradict declared priorities.
-fn lint_pop_order(unit: &str, at_ps: u64, executed: &[&TraceEntry], report: &mut Report) {
-    // Compare each executed pair on the same target with both priorities
-    // declared and distinct: the lower priority number must pop first.
-    for (i, a) in executed.iter().enumerate() {
-        for b in &executed[i + 1..] {
-            let (Some(ta), Some(tb)) = (a.target, b.target) else {
-                continue;
-            };
-            if ta != tb {
-                continue;
-            }
-            let (Some(pa), Some(pb)) = (a.priority, b.priority) else {
-                continue;
-            };
-            // `a` popped before `b`.
-            if pa > pb {
-                report.push(
-                    Diagnostic::new(
-                        "DS005",
-                        Severity::Error,
-                        loc(unit, at_ps),
-                        format!(
-                            "pop order at t={at_ps}ps contradicts declared priorities on \
-                             target {ta}: priority {pa} (seq {}) ran before priority {pb} \
-                             (seq {}); the engine broke the tie by insertion order",
-                            a.seq, b.seq
-                        ),
-                    )
-                    .with_suggestion(
-                        "enqueue same-instant events in priority order, or split them \
-                         across distinct timestamps",
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// DS006: verify cross-shard events respect the declared link lookaheads.
 ///
 /// `lookaheads` is the topology's declaration table as produced by
 /// `coyote_sim::Topology::lookahead_decls`: `(src domain, dst domain,
-/// lookahead)` per directed link. Every `Scheduled` entry whose
-/// `src_domain` differs from its `domain` crossed a shard boundary; its
-/// scheduling delay `at - posted_at` must be at least the declared
-/// lookahead of that link (error), and the link itself must be declared at
-/// all (warning) — otherwise the conservative window cannot order the
-/// event and determinism across worker counts is forfeit.
+/// lookahead)` per directed link. Every entry whose `src_domain` differs
+/// from its `domain` crossed a shard boundary; its scheduling delay
+/// `at - posted_at` must be at least the declared lookahead of that link
+/// (error), and the link itself must be declared at all (warning) —
+/// otherwise the conservative window cannot order the event and
+/// determinism across worker counts is forfeit.
 pub fn lint_shard_lookahead(
     unit: &str,
-    trace: &[TraceEntry],
+    trace: &ShardTrace,
     lookaheads: &[(u64, u64, SimDuration)],
 ) -> Report {
     let mut report = Report::new();
-    for e in trace {
-        if e.phase != TracePhase::Scheduled {
-            continue;
-        }
+    for (i, e) in trace.entries().iter().enumerate() {
         let (Some(src), Some(dst)) = (e.src_domain, e.domain) else {
             continue;
         };
@@ -250,18 +131,17 @@ pub fn lint_shard_lookahead(
             .iter()
             .find(|&&(s, d, _)| s == src && d == dst)
             .map(|&(_, _, l)| l);
-        let delay = e.at.saturating_since(e.posted_at);
+        let delay = SimDuration(e.at_ps.saturating_sub(e.posted_at_ps));
         match declared {
             None => report.push(
                 Diagnostic::new(
                     "DS006",
                     Severity::Warning,
-                    loc(unit, e.at.as_ps()),
+                    loc(unit, e.at_ps),
                     format!(
-                        "event (seq {}) crossed shard domains {src:#x} -> {dst:#x} with no \
+                        "event[{i}] crossed shard domains {src:#x} -> {dst:#x} with no \
                          declared link lookahead; the conservative window has no bound to \
-                         order it under",
-                        e.seq
+                         order it under"
                     ),
                 )
                 .with_suggestion("declare the link (and its lookahead) in the shard topology"),
@@ -270,12 +150,11 @@ pub fn lint_shard_lookahead(
                 Diagnostic::new(
                     "DS006",
                     Severity::Error,
-                    loc(unit, e.at.as_ps()),
+                    loc(unit, e.at_ps),
                     format!(
-                        "event (seq {}) crossed shard domains {src:#x} -> {dst:#x} with delay \
+                        "event[{i}] crossed shard domains {src:#x} -> {dst:#x} with delay \
                          {delay} below the declared link lookahead {lookahead}; it can land \
-                         inside a window the destination shard already executed past",
-                        e.seq
+                         inside a window the destination shard already executed past"
                     ),
                 )
                 .with_suggestion(
@@ -338,7 +217,7 @@ pub fn lint_fault_trace(unit: &str, trace: &FaultTrace) -> Report {
 /// * `at_ps` — timestamp of the expected event at that index.
 /// * `detail` — rendered expected-vs-actual comparison.
 /// * `suspects` — the rule families the field-level diff implicates
-///   (e.g. `["DS001", "DS005"]` for a same-instant priority flip).
+///   (e.g. `["DS001", "DS002"]` for a same-instant divergence).
 pub fn lint_replay_divergence(
     unit: &str,
     index: usize,
@@ -353,8 +232,8 @@ pub fn lint_replay_divergence(
             .to_string()
     } else {
         format!(
-            "audit the {} rule family at this instant (run coyote-lint over the \
-             recorded trace), then re-record",
+            "audit the {} rule family at this instant (coyote_lint::lint_trace on \
+             the recording's ShardTrace), then re-record",
             suspects.join("/"),
         )
     };
@@ -374,35 +253,34 @@ pub fn lint_replay_divergence(
 mod tests {
     use super::*;
     use coyote_chaos::{Domain, FaultKind, TraceKind};
-    use coyote_sim::{EventTag, SimTime, Simulation};
+    use coyote_sim::{EventTag, ShardSpec, ShardedSimulation, SimTime, Topology};
 
-    fn traced<F: FnOnce(&mut Simulation<u64>)>(build: F) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
+    /// Run the events `build` seeds on a one-shard engine (domain 1) and
+    /// return the recorded trace.
+    fn traced<F: FnOnce(&mut ShardedSimulation<u64>)>(build: F) -> ShardTrace {
+        let mut topo = Topology::new();
+        topo.add_shard(ShardSpec {
+            domain: 1,
+            name: "t",
+        })
+        .unwrap();
+        let mut sim = ShardedSimulation::new(topo, vec![0u64]);
         sim.record_trace();
         build(&mut sim);
-        let trace = sim.take_trace();
-        sim.run_until_idle();
-        trace
+        sim.run_serial();
+        sim.take_trace()
     }
 
-    /// Like [`traced`], but runs the simulation first so the trace includes
-    /// the executed pops (DS005's input).
-    fn traced_run<F: FnOnce(&mut Simulation<u64>)>(build: F) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
-        sim.record_trace();
-        build(&mut sim);
-        sim.run_until_idle();
-        sim.take_trace()
+    /// Seed one counting event at `at_ps` with `tag`.
+    fn event(sim: &mut ShardedSimulation<u64>, at_ps: u64, tag: EventTag) {
+        sim.seed(1, SimTime(at_ps), tag, |w, _| *w += 1).unwrap();
     }
 
     #[test]
     fn conflicting_untiebroken_events_flagged() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, None, |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, None, |w, _| *w *= 2);
+            event(sim, 500, EventTag::target(7));
+            event(sim, 500, EventTag::target(7));
         });
         let r = lint_trace("t", &trace);
         assert_eq!(r.of_rule("DS001").count(), 1, "{}", r.render_human());
@@ -412,11 +290,8 @@ mod tests {
     #[test]
     fn distinct_priorities_are_deterministic() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w *= 2);
+            event(sim, 500, EventTag::target(7).priority(0));
+            event(sim, 500, EventTag::target(7).priority(1));
         });
         assert!(lint_trace("t", &trace).is_clean());
     }
@@ -424,11 +299,8 @@ mod tests {
     #[test]
     fn equal_priorities_still_hazardous() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(3), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(3), |w, _| *w *= 2);
+            event(sim, 500, EventTag::target(7).priority(3));
+            event(sim, 500, EventTag::target(7).priority(3));
         });
         assert_eq!(lint_trace("t", &trace).of_rule("DS001").count(), 1);
     }
@@ -436,11 +308,8 @@ mod tests {
     #[test]
     fn disjoint_targets_are_clean() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 1, None, |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 2, None, |w, _| *w += 1);
+            event(sim, 500, EventTag::target(1));
+            event(sim, 500, EventTag::target(2));
         });
         assert!(lint_trace("t", &trace).is_clean());
     }
@@ -448,9 +317,8 @@ mod tests {
     #[test]
     fn untargeted_coincidence_is_info_only() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.schedule_at(at, |w, _| *w += 1);
-            sim.schedule_at(at, |w, _| *w += 1);
+            event(sim, 500, EventTag::default());
+            event(sim, 500, EventTag::default());
         });
         let r = lint_trace("t", &trace);
         assert_eq!(r.of_rule("DS002").count(), 1);
@@ -460,43 +328,17 @@ mod tests {
     #[test]
     fn distinct_times_never_flagged() {
         let trace = traced(|sim| {
-            sim.schedule_at(SimTime(1), |w, _| *w += 1);
-            sim.schedule_at(SimTime(2), |w, _| *w += 1);
+            event(sim, 1, EventTag::default());
+            event(sim, 2, EventTag::default());
         });
         assert!(lint_trace("t", &trace).is_clean());
-    }
-
-    // ------------------------------------------------------------- DS003
-
-    #[test]
-    fn ds003_shared_domain_without_order_flagged() {
-        let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(2).domain(9), |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
-        assert_eq!(r.of_rule("DS003").count(), 1, "{}", r.render_human());
-        assert!(r.of_rule("DS001").next().is_none(), "targets are distinct");
-        assert!(r.has_errors());
     }
 
     #[test]
     fn ds003_clean_with_domain_wide_priorities() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler().schedule_at_with(
-                at,
-                EventTag::target(1).priority(0).domain(9),
-                |w, _| *w += 1,
-            );
-            sim.scheduler().schedule_at_with(
-                at,
-                EventTag::target(2).priority(1).domain(9),
-                |w, _| *w *= 2,
-            );
+            event(sim, 500, EventTag::target(1).priority(0).domain(9));
+            event(sim, 500, EventTag::target(2).priority(1).domain(9));
         });
         assert!(lint_trace("t", &trace).is_clean());
     }
@@ -504,11 +346,8 @@ mod tests {
     #[test]
     fn ds003_different_domains_are_clean() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(2).domain(10), |w, _| *w *= 2);
+            event(sim, 500, EventTag::target(1).domain(9));
+            event(sim, 500, EventTag::target(2).domain(10));
         });
         assert!(lint_trace("t", &trace).is_clean());
     }
@@ -516,59 +355,56 @@ mod tests {
     #[test]
     fn ds003_same_target_defers_to_ds001() {
         let trace = traced(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_with(at, EventTag::target(1).domain(9), |w, _| *w *= 2);
+            event(sim, 500, EventTag::target(1).domain(9));
+            event(sim, 500, EventTag::target(1).domain(9));
         });
-        let r = lint_trace("t", &trace);
-        assert_eq!(r.of_rule("DS001").count(), 1);
-        assert!(r.of_rule("DS003").next().is_none());
-    }
-
-    // ------------------------------------------------------------- DS005
-
-    #[test]
-    fn ds005_priority_inversion_at_pop_flagged() {
-        // Priority 1 inserted first => pops first; the declared intent
-        // (priority 0 first) loses to insertion order.
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w *= 2);
-        });
-        let r = lint_trace("t", &trace);
-        assert_eq!(r.of_rule("DS005").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
+        assert_eq!(lint_trace("t", &trace).of_rule("DS001").count(), 1);
     }
 
     #[test]
     fn ds005_clean_when_insertion_matches_priority() {
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(0), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w *= 2);
+        let trace = traced(|sim| {
+            event(sim, 500, EventTag::target(7).priority(0));
+            event(sim, 500, EventTag::target(7).priority(1));
         });
         assert!(lint_trace("t", &trace).is_clean());
     }
 
     #[test]
     fn ds005_ignores_distinct_targets_and_undeclared_priorities() {
-        let trace = traced_run(|sim| {
-            let at = SimTime(500);
-            sim.scheduler()
-                .schedule_at_tagged(at, 7, Some(1), |w, _| *w += 1);
-            sim.scheduler()
-                .schedule_at_tagged(at, 8, Some(0), |w, _| *w *= 2);
-            sim.schedule_at(SimTime(600), |w, _| *w += 3);
+        let trace = traced(|sim| {
+            event(sim, 500, EventTag::target(7).priority(1));
+            event(sim, 500, EventTag::target(8).priority(0));
+            event(sim, 600, EventTag::default());
         });
         let r = lint_trace("t", &trace);
-        assert!(r.of_rule("DS005").next().is_none(), "{}", r.render_human());
+        assert!(r.is_clean(), "{}", r.render_human());
+    }
+
+    #[test]
+    fn ties_are_per_shard() {
+        // The same (priority, domain, target) at one instant on two shards
+        // touches two worlds: no tie. On one shard it is DS001.
+        let mut topo = Topology::new();
+        for domain in [1, 2] {
+            topo.add_shard(ShardSpec { domain, name: "s" }).unwrap();
+        }
+        let mut sim = ShardedSimulation::new(topo, vec![0u64, 0u64]);
+        sim.record_trace();
+        let tag = EventTag::target(5).domain(99);
+        for shard_domain in [1, 2, 2] {
+            sim.seed(shard_domain, SimTime(500), tag, |w, _| *w += 1)
+                .unwrap();
+        }
+        sim.run_serial();
+        let r = lint_trace("t", &sim.take_trace());
+        let hits: Vec<_> = r.of_rule("DS001").collect();
+        assert_eq!(hits.len(), 1, "{}", r.render_human());
+        assert!(
+            hits[0].message.contains("on shard 1"),
+            "{}",
+            hits[0].message
+        );
     }
 
     // ------------------------------------------------------------- DS004
@@ -617,22 +453,12 @@ mod tests {
 
     // ------------------------------------------------------------- DS006
 
-    use coyote_sim::SimDuration;
-
-    /// A sharded ping between two domains; with `delay` per post. The
-    /// sharded engine itself rejects below-lookahead posts at runtime, so
-    /// the hazardous trace is built through the serial engine, which is
+    /// One event tagged as crossing from domain 10 to 20 after `delay`.
+    /// The engine's `post_after` rejects below-lookahead posts at runtime,
+    /// so the hazardous crossing is declared through a local schedule —
     /// exactly the "refactor escaped the shard API" case DS006 exists for.
-    fn cross_shard_trace(delay: SimDuration) -> Vec<TraceEntry> {
-        let mut sim = Simulation::new(0u64);
-        sim.record_trace();
-        sim.scheduler().schedule_at_with(
-            SimTime::ZERO + delay,
-            EventTag::target(1).domain(20).from_domain(10),
-            |w, _| *w += 1,
-        );
-        sim.run_until_idle();
-        sim.take_trace()
+    fn cross_shard_trace(delay: SimDuration) -> ShardTrace {
+        traced(|sim| event(sim, delay.0, EventTag::target(1).domain(20).from_domain(10)))
     }
 
     const LINK_10_TO_20: (u64, u64, SimDuration) = (10, 20, SimDuration(5_000));
@@ -665,24 +491,19 @@ mod tests {
 
     #[test]
     fn ds006_ignores_local_and_untagged_events() {
-        let trace = traced_run(|sim| {
+        let trace = traced(|sim| {
             // Local (same domain both sides) and untagged events are not
             // shard crossings.
-            sim.scheduler().schedule_at_with(
-                SimTime(100),
-                EventTag::target(1).domain(10).from_domain(10),
-                |w, _| *w += 1,
-            );
-            sim.schedule_at(SimTime(100), |w, _| *w += 1);
+            event(sim, 100, EventTag::target(1).domain(10).from_domain(10));
+            event(sim, 100, EventTag::default());
         });
         assert!(lint_shard_lookahead("t", &trace, &[LINK_10_TO_20]).is_clean());
     }
 
     #[test]
     fn ds006_reads_sharded_engine_traces() {
-        // The sharded engine's own trace export is DS006-clean by
-        // construction: post_after refuses below-lookahead delays.
-        use coyote_sim::{ShardSpec, ShardedSimulation, Topology};
+        // The sharded engine's trace is DS006-clean by construction:
+        // post_after refuses below-lookahead delays.
         let mut topo = Topology::new();
         topo.add_shard(ShardSpec {
             domain: 10,
@@ -696,7 +517,7 @@ mod tests {
         .unwrap();
         topo.link(0, 1, SimDuration(5_000)).unwrap();
         let decls = topo.lookahead_decls();
-        let mut sim = ShardedSimulation::new(topo, vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(topo, vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(10, SimTime::ZERO, EventTag::default(), |w, ctx| {
             *w += 1;
@@ -705,7 +526,7 @@ mod tests {
         })
         .unwrap();
         sim.run_with_workers(2);
-        let trace = sim.take_trace().to_trace_entries();
+        let trace = sim.take_trace();
         assert!(lint_shard_lookahead("sharded", &trace, &decls).is_clean());
     }
 }

@@ -13,9 +13,11 @@
 //!   path, including deployment checks (BS001–BS006).
 //! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
 //!   would deadlock, starve or fail to schedule (CF001–CF009).
-//! * [`lint_trace`] / [`lint_fault_trace`] — DES schedules whose outcome
-//!   depends on event insertion order, and fault traces merged outside the
-//!   canonical order (DS001–DS005).
+//! * [`lint_trace`] / [`lint_fault_trace`] / [`lint_shard_lookahead`] —
+//!   recorded `ShardTrace`s whose outcome depends on event scheduling
+//!   order, fault traces merged outside the canonical order, and
+//!   cross-shard events undercutting their link lookahead (DS001, DS002,
+//!   DS004, DS006).
 //! * [`lint_source`] / [`lint_source_tree`] — the `coyote-detlint`
 //!   source-level determinism analyzer: hash-order iteration, wall-clock
 //!   and entropy escapes, float reductions in `par_map`, relaxed atomics,

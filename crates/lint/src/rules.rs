@@ -77,7 +77,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "NL003",
         layer: Layer::Netlist,
         severity: Severity::Warning,
-        description: "dangling cell: a non-I/O cell connected to no net (dead logic after synthesis)",
+        description:
+            "dangling cell: a non-I/O cell connected to no net (dead logic after synthesis)",
     },
     RuleInfo {
         id: "NL004",
@@ -144,7 +145,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "FP007",
         layer: Layer::Floorplan,
         severity: Severity::Warning,
-        description: "vFPGA region straddles a clock-region boundary without spanning whole regions",
+        description:
+            "vFPGA region straddles a clock-region boundary without spanning whole regions",
     },
     // --- Bitstream ---------------------------------------------------
     RuleInfo {
@@ -207,7 +209,8 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "CF004",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
+        description:
+            "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
     },
     RuleInfo {
         id: "CF005",
@@ -249,21 +252,15 @@ pub const CATALOG: &[RuleInfo] = &[
         layer: Layer::Des,
         severity: Severity::Error,
         description:
-            "ordering hazard: same-timestamp events on one target without distinct tie-break priorities",
+            "ordering hazard: same-instant events on one shard and one target tie on priority \
+             and domain, so they run in scheduling order",
     },
     RuleInfo {
         id: "DS002",
         layer: Layer::Des,
         severity: Severity::Info,
-        description: "same-timestamp events with undeclared targets (disjointness unprovable)",
-    },
-    RuleInfo {
-        id: "DS003",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "same-timestamp events sharing a subsystem domain across targets without a total \
-             priority order",
+        description: "same-instant events on one shard tie on priority and domain with no target \
+             declared (disjointness unprovable)",
     },
     RuleInfo {
         id: "DS004",
@@ -272,14 +269,6 @@ pub const CATALOG: &[RuleInfo] = &[
         description:
             "fault trace out of canonical (domain, op) order: merged by concatenation, not \
              FaultTrace::merged, so the published hash depends on collection order",
-    },
-    RuleInfo {
-        id: "DS005",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "executed pop order contradicts declared same-instant priorities (the engine \
-             broke the tie by insertion order)",
     },
     RuleInfo {
         id: "DS006",
@@ -304,8 +293,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "SRC001",
         layer: Layer::Source,
         severity: Severity::Error,
-        description:
-            "iteration over an unordered HashMap/HashSet: visit order varies per process \
+        description: "iteration over an unordered HashMap/HashSet: visit order varies per process \
              (SipHash keys are random), so any artifact it feeds is nondeterministic",
     },
     RuleInfo {
@@ -328,8 +316,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "SRC004",
         layer: Layer::Source,
         severity: Severity::Warning,
-        description:
-            "floating-point arithmetic inside a par_map worker: float reduction is not \
+        description: "floating-point arithmetic inside a par_map worker: float reduction is not \
              associative, so any cross-slot merge becomes schedule-dependent",
     },
     RuleInfo {
@@ -377,8 +364,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "WF001",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
+        description: "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
              actors waits back on itself (generalizes CF001/CF009 to any length)",
     },
     RuleInfo {
@@ -391,8 +377,7 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "WF003",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "orphaned wait: a party waits on a producer this shell never instantiates",
+        description: "orphaned wait: a party waits on a producer this shell never instantiates",
     },
     RuleInfo {
         id: "WF004",
@@ -406,40 +391,35 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "CAP001",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "declared tenant rate exceeds the min-cut of its path (host link, memory \
+        description: "declared tenant rate exceeds the min-cut of its path (host link, memory \
              channels, RoCE link at the tenant's share)",
     },
     RuleInfo {
         id: "CAP002",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "aggregate reconfiguration demand exceeds the ICAP beat rate: batches queue \
+        description: "aggregate reconfiguration demand exceeds the ICAP beat rate: batches queue \
              without bound",
     },
     RuleInfo {
         id: "CAP003",
         layer: Layer::Platform,
         severity: Severity::Warning,
-        description:
-            "RDMA window below the declared rate's bandwidth-delay product: the flow \
+        description: "RDMA window below the declared rate's bandwidth-delay product: the flow \
              stalls-and-bursts under its promise",
     },
     RuleInfo {
         id: "ISO001",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "tenant data flow reaches another tenant's resource (reachability over the \
+        description: "tenant data flow reaches another tenant's resource (reachability over the \
              feeds subgraph, path printed)",
     },
     RuleInfo {
         id: "ISO002",
         layer: Layer::Platform,
         severity: Severity::Error,
-        description:
-            "two tenants use a shell service the platform never declared shared \
+        description: "two tenants use a shell service the platform never declared shared \
              (undeclared contention / covert channel)",
     },
     // --- Interprocedural taint (--ipa) --------------------------------

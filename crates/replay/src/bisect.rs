@@ -114,24 +114,16 @@ fn render_entry(e: &ShardTraceEntry) -> String {
     )
 }
 
-/// The rule families a field-level diff implicates. Same instant with a
-/// differing tie-break field smells like the same-instant ordering rules;
-/// differing times smell like source-level scheduling nondeterminism; a
-/// missing event smells like diverged control flow.
+/// The rule families a field-level diff implicates. Same instant smells
+/// like a scheduling-order tie (DS001/DS002, the only rules that flag
+/// one); differing times smell like source-level scheduling
+/// nondeterminism; a missing event smells like diverged control flow.
 fn suspect_families(
     expected: Option<&ShardTraceEntry>,
     actual: Option<&ShardTraceEntry>,
 ) -> Vec<&'static str> {
     match (expected, actual) {
-        (Some(e), Some(a)) if e.at_ps == a.at_ps => {
-            if e.priority != a.priority {
-                vec!["DS001", "DS005"]
-            } else if e.domain != a.domain || e.target != a.target {
-                vec!["DS003"]
-            } else {
-                vec!["DS001"]
-            }
-        }
+        (Some(e), Some(a)) if e.at_ps == a.at_ps => vec!["DS001", "DS002"],
         (Some(_), Some(_)) => vec!["SRC006"],
         _ => vec!["SRC007"],
     }
@@ -342,7 +334,7 @@ mod tests {
         let (e, x) = (f.expected.unwrap(), f.actual.unwrap());
         assert_eq!(e.event_key().at, x.event_key().at);
         assert_ne!(e.event_key().priority, x.event_key().priority);
-        assert!(f.suspects.contains(&"DS001") && f.suspects.contains(&"DS005"));
+        assert!(f.suspects.contains(&"DS001") && f.suspects.contains(&"DS002"));
         // The report is a DS007 error at the canonical trace location.
         let d = f.report.of_rule("DS007").next().expect("DS007 fires");
         assert_eq!(d.location.unit, "trace:platform-storm");

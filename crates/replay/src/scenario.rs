@@ -336,7 +336,7 @@ pub fn run_storm(cfg: &StormConfig, workers: usize) -> StormRun {
                 .map(|seed| shard_injector(cfg.topology, i, d, seed)),
         })
         .collect();
-    let mut sim = ShardedSimulation::new(topo, worlds).expect("storm topology is valid");
+    let mut sim = ShardedSimulation::new(topo, worlds);
     sim.record_trace();
     for s in 0..cfg.seeds {
         let domain = domains[(s % domains.len() as u64) as usize];

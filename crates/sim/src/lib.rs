@@ -2,15 +2,17 @@
 //! Coyote v2 platform model.
 //!
 //! The Coyote v2 paper evaluates an FPGA shell on real Alveo hardware. This
-//! reproduction replaces the hardware with a deterministic, single-threaded
-//! discrete-event simulation. Every higher-level crate (`coyote-mem`,
-//! `coyote-dma`, `coyote-net`, ...) expresses its timing behaviour in terms
-//! of the primitives provided here:
+//! reproduction replaces the hardware with a deterministic simulation: the
+//! platform crates (`coyote-mem`, `coyote-dma`, `coyote-net`, ...) thread
+//! simulated time analytically through the primitives provided here, and
+//! the event engine runs the replay and scaling workloads on any number of
+//! worker threads with bit-identical results:
 //!
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution simulated clock.
-//! * [`Simulation`] / [`Scheduler`] — the event loop. Events are boxed
-//!   closures over a user-supplied *world* type, ordered by `(time, seq)` so
-//!   execution is fully deterministic.
+//! * [`ShardedSimulation`] — the event loop. Events are boxed closures over
+//!   a user-supplied per-shard *world* type, ordered by [`EventKey`] so
+//!   execution is fully deterministic. One shard with no links is the
+//!   serial engine.
 //! * [`LinkModel`] — a bandwidth-serialized, fixed-latency link (PCIe, HBM
 //!   channel, 100G Ethernet, ICAP, disk, ...).
 //! * [`RrQueue`] — round-robin fair queueing across keys, the mechanism
@@ -31,27 +33,26 @@
 //! # Examples
 //!
 //! ```
-//! use coyote_sim::{Simulation, SimDuration};
+//! use coyote_sim::{EventTag, ShardSpec, ShardedSimulation, SimDuration, SimTime, Topology};
 //!
-//! // A world holding a single counter.
-//! struct World { ticks: u64 }
-//!
-//! let mut sim = Simulation::new(World { ticks: 0 });
+//! // One shard, no links: a single serial event queue.
+//! let mut topo = Topology::new();
+//! topo.add_shard(ShardSpec { domain: 1, name: "world" }).unwrap();
+//! let mut sim = ShardedSimulation::new(topo, vec![0u64]);
 //! for i in 0..10 {
-//!     sim.schedule_after(SimDuration::from_ns(100 * i), |w: &mut World, _s| {
-//!         w.ticks += 1;
-//!     });
+//!     let at = SimTime::ZERO + SimDuration::from_ns(100 * i);
+//!     sim.seed(1, at, EventTag::default(), |ticks: &mut u64, _ctx| *ticks += 1)
+//!         .unwrap();
 //! }
-//! let end = sim.run_until_idle();
-//! assert_eq!(sim.world.ticks, 10);
-//! assert_eq!(end, coyote_sim::SimTime::ZERO + SimDuration::from_ns(900));
+//! let end = sim.run_serial();
+//! assert_eq!(sim.world_of(1), Some(&10));
+//! assert_eq!(end, SimTime::ZERO + SimDuration::from_ns(900));
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod arbiter;
 pub mod credit;
-pub mod engine;
 pub mod hash;
 pub mod link;
 pub mod par;
@@ -65,15 +66,121 @@ pub mod window;
 
 pub use arbiter::RrQueue;
 pub use credit::CreditPool;
-pub use engine::{EventTag, Scheduler, Simulation, TraceEntry, TracePhase};
 pub use hash::Fnv64;
 pub use link::{LinkModel, Transfer};
 pub use par::{par_map, thread_budget};
 pub use pipeline::PipelineModel;
 pub use rng::Xorshift64Star;
-pub use shard::{EventKey, PostError, ShardCtx, ShardTrace, ShardTraceEntry, ShardedSimulation};
+pub use shard::{
+    EventKey, EventTag, PostError, ShardCtx, ShardTrace, ShardTraceEntry, ShardedSimulation,
+};
 pub use time::{Bandwidth, Freq, SimDuration, SimTime};
 pub use window::{
     horizons, ShardId, ShardSpec, Topology, TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET,
     DOMAIN_SCHED,
 };
+
+/// The one-shard engine: a single shard with no links, the configuration
+/// every serial event-loop user runs on.
+#[cfg(test)]
+mod engine {
+    mod tests {
+        use crate::{
+            EventTag, ShardCtx, ShardSpec, ShardedSimulation, SimDuration, SimTime, Topology,
+        };
+
+        const DOMAIN: u64 = 1;
+
+        fn one_shard<W>(world: W) -> ShardedSimulation<W> {
+            let mut topo = Topology::new();
+            topo.add_shard(ShardSpec {
+                domain: DOMAIN,
+                name: "world",
+            })
+            .unwrap();
+            ShardedSimulation::new(topo, vec![world])
+        }
+
+        #[test]
+        fn events_run_in_time_order() {
+            let mut sim = one_shard(Vec::new());
+            for (ns, v) in [(30, 3u32), (10, 1), (20, 2)] {
+                let at = SimTime::ZERO + SimDuration::from_ns(ns);
+                sim.seed(
+                    DOMAIN,
+                    at,
+                    EventTag::default(),
+                    move |w: &mut Vec<u32>, _| w.push(v),
+                )
+                .unwrap();
+            }
+            sim.run_serial();
+            assert_eq!(sim.world_of(DOMAIN), Some(&vec![1, 2, 3]));
+        }
+
+        #[test]
+        fn same_instant_runs_in_scheduling_order() {
+            let mut sim = one_shard(Vec::new());
+            for i in 0..100u32 {
+                sim.seed(
+                    DOMAIN,
+                    SimTime::ZERO,
+                    EventTag::default(),
+                    move |w: &mut Vec<u32>, _| w.push(i),
+                )
+                .unwrap();
+            }
+            sim.run_serial();
+            assert_eq!(sim.world_of(DOMAIN), Some(&(0..100).collect::<Vec<_>>()));
+        }
+
+        #[test]
+        fn events_can_schedule_followups() {
+            // A self-perpetuating ticker that stops after five ticks.
+            fn tick(ticks: &mut u32, ctx: &mut ShardCtx<'_, u32>) {
+                *ticks += 1;
+                if *ticks < 5 {
+                    ctx.schedule_after(SimDuration::from_ns(7), EventTag::default(), tick);
+                }
+            }
+            let mut sim = one_shard(0u32);
+            sim.seed(DOMAIN, SimTime::ZERO, EventTag::default(), tick)
+                .unwrap();
+            let end = sim.run_serial();
+            assert_eq!(sim.world_of(DOMAIN), Some(&5));
+            assert_eq!(end, SimTime::ZERO + SimDuration::from_ns(28));
+        }
+
+        #[test]
+        fn trace_off_by_default() {
+            let mut sim = one_shard(());
+            sim.seed(
+                DOMAIN,
+                SimTime::ZERO + SimDuration::from_ns(1),
+                EventTag::default(),
+                |_, _| {},
+            )
+            .unwrap();
+            sim.run_serial();
+            assert_eq!(sim.events_executed(), 1);
+            assert!(sim.take_trace().is_empty());
+        }
+
+        #[test]
+        #[should_panic(expected = "scheduling into the past")]
+        fn scheduling_into_past_panics() {
+            let mut sim = one_shard(());
+            let at = SimTime::ZERO + SimDuration::from_ns(10);
+            sim.seed(
+                DOMAIN,
+                at,
+                EventTag::default(),
+                |_, ctx: &mut ShardCtx<'_, ()>| {
+                    ctx.schedule_at(SimTime::ZERO, EventTag::default(), |_, _| {});
+                },
+            )
+            .unwrap();
+            sim.run_serial();
+        }
+    }
+}

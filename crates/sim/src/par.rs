@@ -1,6 +1,6 @@
 //! Deterministic fork-join parallelism.
 //!
-//! The simulation itself is single-threaded by design, but the build flows
+//! The platform model runs on one thread by design, but the build flows
 //! and the experiment harness fan out over *independent* units of work:
 //! vFPGA app partitions, seeded placement attempts, whole experiments. This
 //! module provides the one primitive they all share: [`par_map`], an

@@ -1,11 +1,12 @@
-//! The sharded conservative parallel DES engine.
+//! The discrete-event engine: sharded, conservative and parallel.
 //!
-//! [`crate::Simulation`] runs one global event queue on one thread. This
-//! module scales the same event model the way the simulated hardware scales:
-//! the shell is a set of concurrent domains (network stack, DMA engines,
-//! reconfiguration fabric, scheduler), so the simulation becomes a set of
-//! [`ShardedSimulation`] *shards*, one per domain, each owning its own event
-//! queue, clock and world.
+//! Events are boxed `FnOnce(&mut W, &mut ShardCtx<W>)` closures over a
+//! caller-supplied world type `W`. The engine scales the way the simulated
+//! hardware scales: the shell is a set of concurrent domains (network stack,
+//! DMA engines, reconfiguration fabric, scheduler), so a simulation is a set
+//! of [`ShardedSimulation`] *shards*, one per domain, each owning its own
+//! event queue, clock and world. A topology with one shard and no links is
+//! the plain serial engine: every round drains the whole queue.
 //!
 //! Synchronization is conservative (null-message style, see
 //! [`crate::window`]): execution proceeds in rounds. Each round, every shard
@@ -23,7 +24,8 @@
 //! * Every event carries a globally unique, scheduling-independent key
 //!   `(time, priority, domain, target, origin shard, origin seq)`. Queue pops
 //!   follow this total order, so same-instant events execute in canonical
-//!   [`EventTag`] order — not in message-arrival order.
+//!   [`EventTag`] order — not in message-arrival order. Events that tie on
+//!   every declared field run in scheduling order.
 //! * Horizons are a pure function of next-event times and the declared
 //!   topology; worker threads only decide *who executes a window*, never
 //!   *what is in it*.
@@ -33,21 +35,71 @@
 //!
 //! Worker threads are spawned once per [`ShardedSimulation::run`] and parked
 //! on their command channels between rounds — windows reuse the pool instead
-//! of paying a spawn per synchronization step.
+//! of paying a spawn per synchronization step. Only the parallel path needs
+//! `W: Send`; [`ShardedSimulation::run_serial`] runs any world on the
+//! calling thread.
 
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
-use crate::engine::EventTag;
 use crate::hash::Fnv64;
 use crate::par::thread_budget;
 use crate::time::{SimDuration, SimTime};
-use crate::window::{horizons, ShardId, Topology, TopologyError};
-use crate::{TraceEntry, TracePhase};
+use crate::window::{horizons, ShardId, Topology};
 
 /// The body of a shard event: runs against the shard's world and a context
 /// that can schedule locally or post across shards.
 pub type ShardEventFn<W> = Box<dyn FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send>;
+
+/// Full determinism tagging for one event: the component it mutates, an
+/// explicit same-instant priority, and the subsystem domain it belongs to.
+///
+/// Built fluently: `EventTag::target(7).priority(0).domain(DOMAIN_NET)`.
+/// Every field is optional; what is declared is what the DES determinism
+/// lint can audit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventTag {
+    /// Component the event mutates.
+    pub target: Option<u64>,
+    /// Same-instant priority; lower runs first in intent.
+    pub priority: Option<u8>,
+    /// Subsystem domain (net, DMA, MMU, ...); lets the lint reason about
+    /// ordering across targets that share state through one subsystem.
+    pub domain: Option<u64>,
+    /// Domain of the subsystem that *scheduled* the event, when it differs
+    /// from `domain` — i.e. the event crossed a shard boundary. Set by the
+    /// sharded engine on cross-shard posts; feeds the DS006 lookahead lint.
+    pub src_domain: Option<u64>,
+}
+
+impl EventTag {
+    /// Tag declaring only the mutated component.
+    pub fn target(target: u64) -> EventTag {
+        EventTag {
+            target: Some(target),
+            ..EventTag::default()
+        }
+    }
+
+    /// Declare the same-instant priority.
+    pub fn priority(mut self, priority: u8) -> EventTag {
+        self.priority = Some(priority);
+        self
+    }
+
+    /// Declare the subsystem domain.
+    pub fn domain(mut self, domain: u64) -> EventTag {
+        self.domain = Some(domain);
+        self
+    }
+
+    /// Declare the scheduling-side domain (for events that cross a shard
+    /// boundary; the sharded engine sets this automatically on posts).
+    pub fn from_domain(mut self, src_domain: u64) -> EventTag {
+        self.src_domain = Some(src_domain);
+        self
+    }
+}
 
 /// Why a cross-shard post (or a seed) was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,29 +343,6 @@ impl ShardTrace {
         }
         h.finish()
     }
-
-    /// Re-express the trace as the serial engine's [`TraceEntry`] stream
-    /// (one `Scheduled` + one `Executed` per event, in canonical order) so
-    /// the DES lint rules — including the DS006 lookahead check — apply to
-    /// sharded runs unchanged.
-    pub fn to_trace_entries(&self) -> Vec<TraceEntry> {
-        let mut out = Vec::with_capacity(self.entries.len() * 2);
-        for (seq, e) in self.entries.iter().enumerate() {
-            for phase in [TracePhase::Scheduled, TracePhase::Executed] {
-                out.push(TraceEntry {
-                    at: SimTime(e.at_ps),
-                    seq: seq as u64,
-                    target: e.target,
-                    priority: e.priority,
-                    domain: e.domain,
-                    src_domain: e.src_domain,
-                    posted_at: SimTime(e.posted_at_ps),
-                    phase,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// What a running event sees: the shard's clock, identity, queue and
@@ -545,17 +574,16 @@ struct Report<W> {
 pub struct ShardedSimulation<W> {
     topo: Topology,
     shards: Vec<ShardState<W>>,
-    record: bool,
 }
 
-impl<W: Send> ShardedSimulation<W> {
+impl<W> ShardedSimulation<W> {
     /// Build a sharded simulation over `topo`, with `worlds[i]` owned by
     /// shard `i`.
     ///
     /// # Panics
     ///
     /// Panics if the world count does not match the shard count.
-    pub fn new(topo: Topology, worlds: Vec<W>) -> Result<ShardedSimulation<W>, TopologyError> {
+    pub fn new(topo: Topology, worlds: Vec<W>) -> ShardedSimulation<W> {
         assert_eq!(
             worlds.len(),
             topo.len(),
@@ -578,11 +606,7 @@ impl<W: Send> ShardedSimulation<W> {
                 executed: 0,
             })
             .collect();
-        Ok(ShardedSimulation {
-            topo,
-            shards,
-            record: false,
-        })
+        ShardedSimulation { topo, shards }
     }
 
     /// The topology the simulation runs over.
@@ -592,7 +616,6 @@ impl<W: Send> ShardedSimulation<W> {
 
     /// Start recording the execution trace on every shard.
     pub fn record_trace(&mut self) {
-        self.record = true;
         for s in &mut self.shards {
             s.record = true;
         }
@@ -661,28 +684,11 @@ impl<W: Send> ShardedSimulation<W> {
         ShardTrace::merged(self.shards.iter_mut().map(|s| std::mem::take(&mut s.trace)))
     }
 
-    /// Run to quiescence on [`thread_budget`] workers; returns the final
-    /// simulated time.
-    pub fn run(&mut self) -> SimTime {
-        self.run_with_workers(thread_budget())
-    }
-
-    /// Run to quiescence on exactly `workers` worker threads (clamped to
-    /// the shard count; `1` runs fully serial on the calling thread). The
-    /// results, traces and fingerprints are bit-identical for any value.
-    pub fn run_with_workers(&mut self, workers: usize) -> SimTime {
-        let workers = workers.clamp(1, self.shards.len().max(1));
-        if workers <= 1 || self.shards.len() <= 1 {
-            self.run_serial();
-        } else {
-            self.run_parallel(workers);
-        }
-        self.now()
-    }
-
-    /// The serial reference loop: same rounds, same horizons, same delivery
-    /// barrier — just one thread visiting shards in id order.
-    fn run_serial(&mut self) {
+    /// Run to quiescence on the calling thread; returns the final simulated
+    /// time. The serial reference loop: same rounds, same horizons, same
+    /// delivery barrier as [`ShardedSimulation::run`] — just one thread
+    /// visiting shards in id order. Worlds need not be `Send`.
+    pub fn run_serial(&mut self) -> SimTime {
         let mut inflight: Vec<Posted<W>> = Vec::new();
         loop {
             // Deliver the previous round's cross-shard posts, then compute
@@ -698,6 +704,28 @@ impl<W: Send> ShardedSimulation<W> {
             for s in &mut self.shards {
                 s.run_window(&self.topo, hz[s.id], &mut inflight);
             }
+        }
+        self.now()
+    }
+}
+
+impl<W: Send> ShardedSimulation<W> {
+    /// Run to quiescence on [`thread_budget`] workers; returns the final
+    /// simulated time.
+    pub fn run(&mut self) -> SimTime {
+        self.run_with_workers(thread_budget())
+    }
+
+    /// Run to quiescence on exactly `workers` worker threads (clamped to
+    /// the shard count; `1` runs fully serial on the calling thread). The
+    /// results, traces and fingerprints are bit-identical for any value.
+    pub fn run_with_workers(&mut self, workers: usize) -> SimTime {
+        let workers = workers.clamp(1, self.shards.len().max(1));
+        if workers <= 1 || self.shards.len() <= 1 {
+            self.run_serial()
+        } else {
+            self.run_parallel(workers);
+            self.now()
         }
     }
 
@@ -872,7 +900,7 @@ mod tests {
     }
 
     fn run_ping_pong(workers: usize) -> (u64, u64, u64, u64) {
-        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(20))
             .unwrap();
@@ -907,8 +935,7 @@ mod tests {
         // Two posts arriving on shard b at the same instant, posted in
         // priority-inverted order: execution must follow the canonical
         // EventTag order (lower priority number first), not posting order.
-        let mut sim =
-            ShardedSimulation::new(ping_pong_topology(), vec![Vec::new(), Vec::new()]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![Vec::new(), Vec::new()]);
         sim.seed(
             1,
             SimTime::ZERO,
@@ -937,7 +964,7 @@ mod tests {
 
     #[test]
     fn below_lookahead_post_is_rejected() {
-        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.seed(1, SimTime::ZERO, EventTag::default(), |_, ctx| {
             let err = ctx
                 .post_after(2, SimDuration::from_ns(9), EventTag::default(), |_, _| {})
@@ -964,7 +991,7 @@ mod tests {
             name: "c",
         })
         .unwrap();
-        let mut sim = ShardedSimulation::new(t, vec![0u64, 0, 0]).unwrap();
+        let mut sim = ShardedSimulation::new(t, vec![0u64, 0, 0]);
         sim.seed(1, SimTime::ZERO, EventTag::default(), |_, ctx| {
             assert_eq!(
                 ctx.post_after(3, SimDuration::from_ns(1), EventTag::default(), |_, _| {}),
@@ -981,30 +1008,38 @@ mod tests {
 
     #[test]
     fn local_events_honor_canonical_order_and_clock() {
-        let mut sim =
-            ShardedSimulation::new(ping_pong_topology(), vec![Vec::new(), Vec::new()]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![Vec::new(), Vec::new()]);
         sim.seed(
             1,
             SimTime::ZERO,
             EventTag::default(),
             |_w: &mut Vec<u32>, ctx| {
                 let at = ctx.now() + SimDuration::from_ns(5);
+                // Distinct priorities on one target: priority order.
                 ctx.schedule_at(at, EventTag::target(1).priority(2), |w, _| w.push(2));
                 ctx.schedule_at(at, EventTag::target(1).priority(1), |w, _| w.push(1));
-                ctx.schedule_at(at + SimDuration::from_ns(1), EventTag::default(), |w, _| {
-                    w.push(3)
-                });
+                // Distinct targets, no priorities, inserted in reverse:
+                // target order, whatever the insertion order.
+                let at = at + SimDuration::from_ns(1);
+                ctx.schedule_at(at, EventTag::target(9), |w, _| w.push(4));
+                ctx.schedule_at(at, EventTag::target(8), |w, _| w.push(3));
+                // Untagged ties: scheduling order.
+                let at = at + SimDuration::from_ns(1);
+                for i in 5..10 {
+                    ctx.schedule_at(at, EventTag::default(), move |w, _| w.push(i));
+                }
             },
         )
         .unwrap();
-        let end = sim.run_with_workers(1);
-        assert_eq!(sim.world_of(1).unwrap(), &[1, 2, 3]);
-        assert_eq!(end.as_ps(), 6_000);
+        let end = sim.run_serial();
+        assert_eq!(sim.world_of(1).unwrap(), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(end.as_ps(), 7_000);
+        assert!(sim.take_trace().is_empty(), "tracing is off by default");
     }
 
     #[test]
     fn trace_merge_is_canonical_and_hash_stable() {
-        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(6))
             .unwrap();
@@ -1033,7 +1068,7 @@ mod tests {
     /// and assert the merged trace — entries and hash — never moves.
     #[test]
     fn merge_is_arrival_order_independent() {
-        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(12))
             .unwrap();
@@ -1076,7 +1111,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_past_panics() {
-        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]).unwrap();
+        let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.seed(
             1,
             SimTime::ZERO + SimDuration::from_ns(10),

@@ -1,10 +1,13 @@
 //! Driving the platform from the discrete-event engine: a periodic
 //! telemetry workload scheduled as events, with the platform embedded as
-//! the simulation world.
+//! the world of a one-shard simulation. `Platform` is not `Send`, so the
+//! engine runs it on the calling thread.
 
 use coyote::kernel::Passthrough;
 use coyote::{CThread, Oper, Platform, SgEntry, ShellConfig};
-use coyote_sim::{SimDuration, Simulation};
+use coyote_sim::{
+    EventTag, ShardSpec, ShardedSimulation, SimDuration, SimTime, Topology, DOMAIN_SCHED,
+};
 
 struct World {
     platform: Platform,
@@ -32,24 +35,38 @@ fn periodic_invocations_from_the_event_loop() {
         sg: SgEntry::local(src, dst, 64 * 1024),
         submitted: 0,
     };
-    let mut sim = Simulation::new(world);
+    let mut topo = Topology::new();
+    topo.add_shard(ShardSpec {
+        domain: DOMAIN_SCHED,
+        name: "telemetry",
+    })
+    .unwrap();
+    let mut sim = ShardedSimulation::new(topo, vec![world]);
     // A telemetry tick every 100 us: each tick advances the platform clock
     // to the event time and queues one transfer.
     for i in 0..20u64 {
-        sim.schedule_after(SimDuration::from_us(100 * i), |w: &mut World, s| {
-            w.platform.advance_to(s.now());
-            w.thread
-                .invoke(&mut w.platform, Oper::LocalTransfer, &w.sg)
-                .unwrap();
-            w.submitted += 1;
-        });
+        let at = SimTime::ZERO + SimDuration::from_us(100 * i);
+        sim.seed(
+            DOMAIN_SCHED,
+            at,
+            EventTag::default(),
+            |w: &mut World, ctx| {
+                w.platform.advance_to(ctx.now());
+                w.thread
+                    .invoke(&mut w.platform, Oper::LocalTransfer, &w.sg)
+                    .unwrap();
+                w.submitted += 1;
+            },
+        )
+        .unwrap();
     }
-    sim.run_until_idle();
-    assert_eq!(sim.world.submitted, 20);
+    sim.run_serial();
+    let world = sim.world_of_mut(DOMAIN_SCHED).unwrap();
+    assert_eq!(world.submitted, 20);
 
     // Execute the queued work; completions must respect the staggered
     // issue times (each tick's invocation was issued at its event time).
-    let completions = sim.world.platform.drain().unwrap();
+    let completions = world.platform.drain().unwrap();
     assert_eq!(completions.len(), 20);
     for (i, c) in completions.iter().enumerate() {
         assert_eq!(

@@ -380,7 +380,7 @@ fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
             .unwrap();
         }
     }
-    let mut sim = ShardedSimulation::new(coyote::platform_topology(), vec![0u64; 4]).unwrap();
+    let mut sim = ShardedSimulation::new(coyote::platform_topology(), vec![0u64; 4]);
     sim.record_trace();
     for s in 0..48u64 {
         sim.seed(
@@ -410,8 +410,23 @@ fn sharded_platform_identical_across_worker_counts() {
     let shard_4 = sharded_platform_fingerprint(4);
     let shard_8 = sharded_platform_fingerprint(8);
     let shard_8_again = sharded_platform_fingerprint(8);
-    assert!(shard_1.0 >= 48, "every seed executed");
-    assert!(shard_1.2 != 0, "trace fingerprint recorded");
+    // Pinned values: a refactor of the engine that moves the execution
+    // order, the event count or the trace encoding fails here even when it
+    // stays self-consistent across worker counts.
+    assert_eq!(
+        shard_1,
+        (
+            1584,
+            [
+                6579751612086209293,
+                9450163911522243896,
+                938791667297378603,
+                13245694483332280743,
+            ],
+            0x6205_5a8b_3556_6df8,
+        ),
+        "sharded platform fingerprint moved"
+    );
     assert_eq!(
         shard_1, shard_4,
         "sharded platform differs between 1 and 4 workers"

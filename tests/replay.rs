@@ -7,7 +7,7 @@
 //!    at 1, 4 and 8 workers, and survives a serialize/decode cycle.
 //! 2. **Bisection** — a deliberately broken tie-break (the `perturb`
 //!    config) produces traces whose *exact* first divergent
-//!    [`coyote_sim::EventKey`] the bisector must name, with the DS001/DS005
+//!    [`coyote_sim::EventKey`] the bisector must name, with the DS001/DS002
 //!    tie-break rule family as suspects.
 //! 3. **Fail closed** — truncated or corrupted `.cyt` files decode to
 //!    typed errors, never to a plausible-but-wrong recording.
@@ -66,7 +66,7 @@ fn bisect_names_the_exact_first_divergent_event_key() {
     assert_eq!(expected.at_ps, actual.at_ps, "same instant, different tag");
     assert_ne!(expected.priority, actual.priority, "the flipped tie-break");
     assert!(
-        finding.suspects.contains(&"DS001") && finding.suspects.contains(&"DS005"),
+        finding.suspects.contains(&"DS001") && finding.suspects.contains(&"DS002"),
         "tie-break divergence must suspect the ordering rule family, got {:?}",
         finding.suspects
     );

@@ -12,17 +12,19 @@
 //!    ([`Domain::shard_domain`]) and replay bit-identically there at any
 //!    worker count.
 //! 4. (property) The sharded engine at any worker count computes exactly
-//!    what a single-queue serial [`Simulation`] computes for the same
+//!    what an independent single-queue reference loop computes for the same
 //!    workload — same final worlds — and its own serial/parallel runs are
 //!    bit-identical down to the canonical trace fingerprint.
 
 use coyote::platform_topology;
 use coyote_chaos::{Domain, FaultPlan};
 use coyote_sim::{
-    EventTag, PostError, ShardCtx, ShardSpec, ShardedSimulation, SimDuration, SimTime, Simulation,
-    Topology, TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
+    EventTag, PostError, ShardCtx, ShardSpec, ShardedSimulation, SimDuration, SimTime, Topology,
+    TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET, DOMAIN_SCHED,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 const ORDER: [u64; 4] = [DOMAIN_NET, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_SCHED];
 
@@ -79,7 +81,7 @@ fn same_timestamp_cross_shard_events_tie_break_in_canonical_tag_order() {
         for (src, dst) in [(b, a), (c, a), (a, b), (a, c)] {
             topo.link(src, dst, la).unwrap();
         }
-        let mut sim = ShardedSimulation::new(topo, vec![Vec::<u8>::new(); 3]).unwrap();
+        let mut sim = ShardedSimulation::new(topo, vec![Vec::<u8>::new(); 3]);
         // `left` posts a LOW-priority marker, `right` a HIGH-priority one,
         // both arriving at hub at exactly t=10ns. Seed order is reversed
         // from the expected execution order on purpose.
@@ -131,7 +133,7 @@ fn zero_lookahead_link_is_a_construction_error() {
 #[test]
 fn post_below_declared_lookahead_is_rejected_at_runtime() {
     let topo = pair_topology(SimDuration::from_ns(100)).unwrap();
-    let mut sim = ShardedSimulation::new(topo, vec![0u64; 2]).unwrap();
+    let mut sim = ShardedSimulation::new(topo, vec![0u64; 2]);
     sim.seed(
         1,
         SimTime::ZERO,
@@ -189,8 +191,7 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
         let mut sim = ShardedSimulation::new(
             platform_topology(),
             (0..4).map(|_| ChaosWorld::default()).collect(),
-        )
-        .unwrap();
+        );
         sim.record_trace();
         let plan = FaultPlan::new(42).page_fault_burst_at(3);
         sim.world_of_mut(owning).unwrap().injector = Some(plan.injector(Domain::Mmu));
@@ -245,7 +246,7 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
     }
 }
 
-/// One hop of the random workload, shared verbatim by both engines: fold a
+/// One hop of the random workload, shared verbatim by both runs: fold a
 /// commutative digest of (time, target, priority) into the domain's world,
 /// then hop to the next domain after exactly `step`.
 fn fold(worlds: &mut [u64; 4], idx: usize, at: SimTime, target: u64, priority: u8) {
@@ -273,7 +274,7 @@ fn sharded_run(
             }
         }
     }
-    let mut sim = ShardedSimulation::new(topo, vec![[0u64; 4]; 4]).unwrap();
+    let mut sim = ShardedSimulation::new(topo, vec![[0u64; 4]; 4]);
     sim.record_trace();
 
     fn hop(
@@ -312,45 +313,29 @@ fn sharded_run(
     (worlds, sim.take_trace().hash())
 }
 
-/// The same workload on the single-queue serial engine: one `Simulation`
-/// whose world is the four per-domain accumulators.
-fn single_queue_run(jobs: &[(usize, u64, u64, u8, u8)], step: SimDuration) -> [u64; 4] {
-    let mut sim = Simulation::new([0u64; 4]);
-
-    fn hop(
-        idx: usize,
-        hops_left: u8,
-        target: u64,
-        priority: u8,
-        step: SimDuration,
-    ) -> impl FnOnce(&mut [u64; 4], &mut coyote_sim::Scheduler<[u64; 4]>) + 'static {
-        move |w, sched| {
-            fold(w, idx, sched.now(), target, priority);
-            if hops_left > 0 {
-                let next = (idx + 1 + (target as usize % 3)) % 4;
-                sched.schedule_after(
-                    step,
-                    hop(
-                        next,
-                        hops_left - 1,
-                        mix(target),
-                        priority.wrapping_add(17),
-                        step,
-                    ),
-                );
-            }
+/// The same workload as plain-data events in one time-ordered heap: an
+/// independent reference that shares no engine code. `fold` is a
+/// commutative `wrapping_add`, so any time-ordered loop computes the same
+/// worlds.
+fn reference_run(jobs: &[(usize, u64, u64, u8, u8)], step: SimDuration) -> [u64; 4] {
+    let mut worlds = [0u64; 4];
+    let mut heap = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &(domain_idx, start_ns, target, priority, hops) in jobs {
+        let at = SimTime::ZERO + SimDuration::from_ns(start_ns);
+        heap.push(Reverse((at, seq, domain_idx % 4, hops, target, priority)));
+        seq += 1;
+    }
+    while let Some(Reverse((at, _, idx, hops, target, priority))) = heap.pop() {
+        fold(&mut worlds, idx, at, target, priority);
+        if hops > 0 {
+            let next = (idx + 1 + (target as usize % 3)) % 4;
+            let (target, priority) = (mix(target), priority.wrapping_add(17));
+            heap.push(Reverse((at + step, seq, next, hops - 1, target, priority)));
+            seq += 1;
         }
     }
-
-    for &(domain_idx, start_ns, target, priority, hops) in jobs {
-        let idx = domain_idx % 4;
-        sim.schedule_at(
-            SimTime::ZERO + SimDuration::from_ns(start_ns),
-            hop(idx, hops, target, priority, step),
-        );
-    }
-    sim.run_until_idle();
-    sim.world
+    worlds
 }
 
 proptest! {
@@ -358,7 +343,7 @@ proptest! {
 
     /// For any random workload: the sharded engine is bit-identical across
     /// worker counts (worlds AND canonical trace fingerprint), and its
-    /// worlds match the single-queue serial engine's exactly.
+    /// worlds match the single-queue reference loop's exactly.
     #[test]
     fn sharded_matches_single_queue_and_itself(
         jobs in prop::collection::vec(
@@ -372,6 +357,6 @@ proptest! {
         for workers in [2, 4, 8] {
             prop_assert_eq!(sharded_run(workers, &jobs, step), serial);
         }
-        prop_assert_eq!(single_queue_run(&jobs, step), serial.0);
+        prop_assert_eq!(reference_run(&jobs, step), serial.0);
     }
 }
