@@ -74,7 +74,7 @@ pub fn table2() -> ExperimentResult {
         let mut port = ConfigPort::new(kind);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let xfer = port
-            .program(SimTime::ZERO, &bs, &mut state)
+            .program(SimTime::ZERO, bs.header(), &mut state)
             .expect("program");
         let measured = mb / xfer.done.since(SimTime::ZERO).as_secs_f64();
         rows.push(
@@ -144,7 +144,7 @@ pub fn table3() -> ExperimentResult {
             p.register_built_shell(cfg.clone(), &art);
             let rcnfg = CRcnfg::new(&mut p, 1);
             let t = rcnfg
-                .reconfigure_shell_parsed(&mut p, &art.shell_bitstream, true)
+                .reconfigure_shell_parsed(&mut p, art.shell_bitstream.header(), true)
                 .expect("reconfigure");
             trials_kernel.push(t.kernel_latency.as_millis_f64());
             trials_total.push(t.total_latency.as_millis_f64());
@@ -172,36 +172,33 @@ pub fn table3() -> ExperimentResult {
     }
 }
 
+/// One Fig. 7(a) point: GB/s of a 16 MiB card-to-card copy over
+/// `channels` HBM channels, measured after a warm-up run. Deterministic, so
+/// each point is measured once.
+pub fn fig7a_gbps(channels: usize) -> f64 {
+    let len: u64 = 16 << 20;
+    let mut p = Platform::load(ShellConfig::host_memory(1, channels)).expect("platform");
+    p.load_kernel(0, Box::new(Passthrough::with_streams(channels as u32)))
+        .expect("kernel");
+    let t = CThread::create(&mut p, 0, 1).expect("thread");
+    let src = t.get_card_mem(&mut p, len).expect("src");
+    let dst = t.get_card_mem(&mut p, len).expect("dst");
+    t.write(&mut p, src, &vec![1u8; len as usize])
+        .expect("stage");
+    t.invoke_sync(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
+        .expect("warm");
+    let c = t
+        .invoke_sync(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
+        .expect("run");
+    gbps(2 * len, c.latency())
+}
+
 /// Fig. 7(a): HBM data-transfer throughput vs channel count.
 pub fn fig7a() -> ExperimentResult {
-    let len: u64 = 16 << 20;
-    let trials = 3;
-    let mut rows = Vec::new();
-    for channels in [1usize, 2, 4, 8, 12, 16, 24, 32] {
-        let mut series = coyote_sim::stats::Series::new();
-        for _ in 0..trials {
-            let mut p = Platform::load(ShellConfig::host_memory(1, channels)).expect("platform");
-            p.load_kernel(0, Box::new(Passthrough::with_streams(channels as u32)))
-                .expect("kernel");
-            let t = CThread::create(&mut p, 0, 1).expect("thread");
-            let src = t.get_card_mem(&mut p, len).expect("src");
-            let dst = t.get_card_mem(&mut p, len).expect("dst");
-            t.write(&mut p, src, &vec![1u8; len as usize])
-                .expect("stage");
-            // Warm-up run, then the measured run.
-            t.invoke_sync(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
-                .expect("warm");
-            let c = t
-                .invoke_sync(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
-                .expect("run");
-            series.push(gbps(2 * len, c.latency()));
-        }
-        rows.push(Row::new(
-            format!("{channels} channels"),
-            "GB/s",
-            series.mean(),
-        ));
-    }
+    let rows: Vec<Row> = [1usize, 2, 4, 8, 12, 16, 24, 32]
+        .into_iter()
+        .map(|channels| Row::new(format!("{channels} channels"), "GB/s", fig7a_gbps(channels)))
+        .collect();
     let first = rows[0].measured[0].1;
     let last = rows.last().expect("rows").measured[0].1;
     ExperimentResult {
@@ -386,6 +383,8 @@ pub fn fig11() -> ExperimentResult {
         .invoke_sync(&mut p2, Oper::LocalRead, &SgEntry::source(buf, len))
         .expect("run");
     let v2_thr = gbps(len, c2.latency());
+    // Each phase frees its memory before the next one allocates.
+    drop(p2);
 
     // Coyote v1 baseline: same kernel behind the single-stream shell.
     let mut v1 = V1Platform::load(cfg.clone()).expect("v1");
@@ -409,6 +408,8 @@ pub fn fig11() -> ExperimentResult {
         )
         .expect("run");
     let v1_thr = gbps(len, c1.latency());
+    drop(v1);
+    drop(data);
 
     // Utilization: base shell + HLL kernel over the U55C.
     let device_cap = Device::new(DeviceKind::U55C).capacity();

@@ -83,12 +83,11 @@ const GROUPS: &[(&str, &[&str])] = &[(
 const DEPENDENT: &[&str] = &["claims"];
 
 /// The paper experiments that run for hundreds of milliseconds, longest
-/// first (wall-clock at `--threads 1` on a 2-vCPU x86-64 host). Their wave
-/// claims them ahead of the short ones, so the short ones fill in behind
-/// them. It also keeps a near-tie from choosing the worker `fig11` (about
-/// 270 MB at its peak) runs on: in selection order two ~1.5 s chunks end
-/// within milliseconds of each other, and a paper pass at two workers
-/// peaks at 354 or 435 MB depending on which finishes first.
+/// first: median wall-clock of 3 runs at `--threads 1` on a 2-vCPU x86-64
+/// host, one process each, is `fig7b` 580 ms, `table3` 556, `fig11` 402,
+/// `fig7a` 339, `fig12` 321 and `fig8` 294; every other experiment takes
+/// under 25 ms. Their wave claims them ahead of the short ones, so the
+/// short ones fill in behind them.
 const LONGEST_FIRST: &[&str] = &["fig7b", "table3", "fig11", "fig7a", "fig12", "fig8"];
 
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the

@@ -60,7 +60,7 @@ pub fn reconfig_storm() -> ExperimentResult {
     // validation (miss + insert) per distinct image, so the storm's
     // hit/miss split never depends on which tenant wins the race to
     // validate first.
-    let blobs: Vec<Vec<u8>> = (0..images)
+    let bitstreams: Vec<Bitstream> = (0..images)
         .map(|k| {
             Bitstream::assemble(
                 DeviceKind::U55C,
@@ -68,21 +68,19 @@ pub fn reconfig_storm() -> ExperimentResult {
                 frames,
                 0x5702_0000 + k as u64,
             )
-            .bytes()
-            .to_vec()
         })
         .collect();
-    for blob in &blobs {
-        Bitstream::from_bytes_in(&cache, blob.clone()).expect("valid by construction");
+    for bs in &bitstreams {
+        Bitstream::validate_in(&cache, bs.bytes()).expect("valid by construction");
     }
     let primed_misses = cache.stats().misses;
 
     let tenant_ids: Vec<u64> = (0..tenants).collect();
     let outcomes: Vec<TenantOutcome> = par_map(&tenant_ids, |_, &t| {
-        let blob = &blobs[t as usize % images];
+        let blob = bitstreams[t as usize % images].bytes();
         // Shared-cache deployment: after priming this is always a hit, so
         // the tenant pays the content hash but never the frame scan.
-        let bs = Bitstream::from_bytes_in(&cache, blob.clone()).expect("primed image");
+        let header = Bitstream::validate_in(&cache, blob).expect("primed image");
         let mut drv = CoyoteDriver::new(DeviceKind::U55C);
         // Every eighth tenant deploys through an in-flight bit flip on its
         // second frame run; the batch must recover by re-queueing that run
@@ -94,7 +92,7 @@ pub fn reconfig_storm() -> ExperimentResult {
         let result = drv
             .reconfigure_batched(
                 SimTime::ZERO,
-                bs.bytes(),
+                blob,
                 t % 2 == 0, // Half the fleet deploys from disk, half from memory.
                 RetryPolicy::reconfig_default(),
                 Some(per_run),
@@ -102,7 +100,7 @@ pub fn reconfig_storm() -> ExperimentResult {
             .expect("storm reconfiguration completes");
         TenantOutcome {
             tenant: t,
-            digest: bs.digest(),
+            digest: header.digest,
             ring_high_water: drv.completion_ring().high_water(),
             result,
         }

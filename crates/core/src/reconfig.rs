@@ -12,7 +12,7 @@
 
 use crate::platform::{Platform, PlatformError, VfpgaState};
 use coyote_driver::reconfig::ReconfigTiming;
-use coyote_fabric::bitstream::{Bitstream, BitstreamKind};
+use coyote_fabric::bitstream::{Bitstream, BitstreamHeader, BitstreamKind};
 use coyote_mem::card::CardMemKind;
 use coyote_mem::CardMemory;
 use std::path::Path;
@@ -47,23 +47,24 @@ impl CRcnfg {
         blob: &[u8],
         from_disk: bool,
     ) -> Result<ReconfigTiming, PlatformError> {
-        let bs = Bitstream::from_bytes(blob.to_vec()).map_err(|e| {
+        let header = Bitstream::validate(blob).map_err(|e| {
             PlatformError::Reconfig(coyote_driver::reconfig::ReconfigError::Bitstream(e))
         })?;
-        self.reconfigure_shell_parsed(platform, &bs, from_disk)
+        self.reconfigure_shell_parsed(platform, &header, from_disk)
     }
 
-    /// Reconfigure the shell from an already-parsed bitstream handle: the
+    /// Reconfigure the shell from an already-validated image's header: the
     /// extreme of §9.3's in-memory deployment, where repeat deployments of
-    /// a resident image skip the byte copy and content-hash lookup entirely.
-    /// Modeled latencies are identical to [`CRcnfg::reconfigure_shell_bytes`].
+    /// a resident image skip the content-hash lookup entirely, and an image
+    /// whose bytes were never read stays unwritten. Modeled latencies are
+    /// identical to [`CRcnfg::reconfigure_shell_bytes`].
     pub fn reconfigure_shell_parsed(
         &self,
         platform: &mut Platform,
-        bs: &Bitstream,
+        header: &BitstreamHeader,
         from_disk: bool,
     ) -> Result<ReconfigTiming, PlatformError> {
-        let digest = bs.digest();
+        let digest = header.digest;
         let new_config = platform
             .shell_registry
             .get(&digest)
@@ -72,7 +73,7 @@ impl CRcnfg {
         let now = platform.now;
         let timing = platform
             .driver_mut()
-            .reconfigure_parsed(now, bs, from_disk)
+            .reconfigure_parsed(now, header, from_disk)
             .map_err(PlatformError::Reconfig)?;
 
         // Swap the dynamic layer to the new services.
@@ -137,17 +138,17 @@ impl CRcnfg {
         from_disk: bool,
     ) -> Result<ReconfigTiming, PlatformError> {
         platform.vfpga(vfpga)?;
-        let bs = Bitstream::from_bytes(blob.to_vec()).map_err(|e| {
+        let header = Bitstream::validate(blob).map_err(|e| {
             PlatformError::Reconfig(coyote_driver::reconfig::ReconfigError::Bitstream(e))
         })?;
-        if !matches!(bs.kind(), BitstreamKind::App { .. }) {
+        if !matches!(header.kind, BitstreamKind::App { .. }) {
             return Err(PlatformError::Reconfig(
                 coyote_driver::reconfig::ReconfigError::Bitstream(
                     coyote_fabric::BitstreamError::BadKind(1),
                 ),
             ));
         }
-        let digest = bs.digest();
+        let digest = header.digest;
         let factory_kernel = {
             let factory = platform
                 .app_registry
@@ -161,7 +162,7 @@ impl CRcnfg {
         let now = platform.now;
         let timing = platform
             .driver_mut()
-            .reconfigure_parsed(now, &bs, from_disk)
+            .reconfigure_parsed(now, &header, from_disk)
             .map_err(PlatformError::Reconfig)?;
         platform.load_kernel(vfpga, factory_kernel)?;
         platform.vfpga_mut(vfpga)?.loaded_digest = digest;

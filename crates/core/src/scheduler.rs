@@ -137,12 +137,11 @@ impl AppScheduler {
         let blob = entry
             .bitstreams
             .get(&(idx as u8))
-            .ok_or(PlatformError::UnknownApp(digest))?
-            .clone();
+            .ok_or(PlatformError::UnknownApp(digest))?;
         // Bitstreams are cached in memory: no disk stage (§9.3's
         // "keeping certain frequently used shell bitstreams in memory").
         let rcnfg = CRcnfg::new(platform, self.hpid);
-        let timing = rcnfg.reconfigure_app_bytes(platform, &blob, idx as u8, false)?;
+        let timing = rcnfg.reconfigure_app_bytes(platform, blob, idx as u8, false)?;
         self.regions[idx] = RegionState {
             loaded: digest,
             last_used: platform.now(),
@@ -186,8 +185,8 @@ mod tests {
             // Note: per-region digests differ only by region id in this
             // model; register each.
             for (_, blob) in &bitstreams {
-                let bs = coyote_fabric::Bitstream::from_bytes(blob.clone()).expect("valid");
-                platform.register_app(bs.digest(), factory);
+                let header = coyote_fabric::Bitstream::validate(blob).expect("valid");
+                platform.register_app(header.digest, factory);
             }
             sched.apps.insert(
                 digest,
@@ -197,8 +196,8 @@ mod tests {
             );
             // Also map every per-region digest to the same entry.
             for (_, blob) in &bitstreams {
-                let bs = coyote_fabric::Bitstream::from_bytes(blob.clone()).expect("valid");
-                sched.apps.entry(bs.digest()).or_insert_with(|| AppEntry {
+                let header = coyote_fabric::Bitstream::validate(blob).expect("valid");
+                sched.apps.entry(header.digest).or_insert_with(|| AppEntry {
                     bitstreams: bitstreams.clone().into_iter().collect(),
                 });
             }

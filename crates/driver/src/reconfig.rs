@@ -11,7 +11,7 @@
 use crate::driver::CoyoteDriver;
 use crate::ring::{Completion, CompletionStatus};
 use coyote_chaos::{FaultKind, RetryPolicy};
-use coyote_fabric::bitstream::{Bitstream, BitstreamError, BitstreamKind};
+use coyote_fabric::bitstream::{Bitstream, BitstreamError, BitstreamHeader, BitstreamKind};
 use coyote_fabric::config::{ConfigError, ProgramError};
 use coyote_fabric::floorplan::PartitionId;
 use coyote_sim::{params, SimDuration, SimTime};
@@ -130,22 +130,23 @@ impl CoyoteDriver {
         blob: &[u8],
         from_disk: bool,
     ) -> Result<ReconfigTiming, ReconfigError> {
-        let bs = Bitstream::from_bytes(blob.to_vec()).map_err(ReconfigError::Bitstream)?;
-        self.reconfigure_parsed(now, &bs, from_disk)
+        let header = Bitstream::validate(blob).map_err(ReconfigError::Bitstream)?;
+        self.reconfigure_parsed(now, &header, from_disk)
     }
 
-    /// Load an already-parsed bitstream. Callers that validated the blob
-    /// themselves (e.g. to look up its digest) use this to avoid a second
-    /// copy + CRC pass over a multi-megabyte image; the modeled latencies
-    /// are identical to [`CoyoteDriver::reconfigure`].
+    /// Load an already-validated bitstream, given its header. Callers that
+    /// validated the blob themselves (e.g. to look up its digest) use this
+    /// to skip a second hash over a multi-megabyte image; the modeled
+    /// latencies are identical to [`CoyoteDriver::reconfigure`], which
+    /// depend only on the image's length.
     pub fn reconfigure_parsed(
         &mut self,
         now: SimTime,
-        bs: &Bitstream,
+        header: &BitstreamHeader,
         from_disk: bool,
     ) -> Result<ReconfigTiming, ReconfigError> {
         // Stage 1: read from disk.
-        let len = bs.len();
+        let len = header.blob_len();
         let read_done = if from_disk {
             now + params::BITSTREAM_DISK_BW.time_for(len)
         } else {
@@ -157,7 +158,7 @@ impl CoyoteDriver {
         let program_start = copy_done + params::RECONFIG_SETUP;
         let (icap, state) = self.icap_and_state();
         let xfer = icap
-            .program(program_start, bs, state)
+            .program(program_start, header, state)
             .map_err(ReconfigError::Config)?;
         let program_done = xfer.done;
         Ok(ReconfigTiming {
@@ -235,22 +236,22 @@ impl CoyoteDriver {
         policy: RetryPolicy,
         max_frames_per_run: Option<u64>,
     ) -> Result<BatchedReconfig, ReconfigError> {
-        // Pre-validate the pristine copy: a genuinely bad image fails fast
-        // instead of burning the retry budget on it.
-        let pristine = Bitstream::from_bytes(blob.to_vec()).map_err(ReconfigError::Bitstream)?;
-        let expect_digest = pristine.digest();
-        let verify_at = match pristine.kind() {
+        // Pre-validate the caller's pristine copy in place: a genuinely bad
+        // image fails fast instead of burning the retry budget on it.
+        let header = Bitstream::validate(blob).map_err(ReconfigError::Bitstream)?;
+        let expect_digest = header.digest;
+        let verify_at = match header.kind {
             BitstreamKind::Full | BitstreamKind::Shell => PartitionId::Shell,
             BitstreamKind::App { vfpga } => PartitionId::Vfpga(vfpga),
         };
-        let runs = pristine.frame_runs(max_frames_per_run);
+        let runs = header.frame_runs(blob, max_frames_per_run);
         if !self.ring.can_hold(runs.len()) {
             return Err(ReconfigError::RingTooSmall {
                 slots: self.ring.slots(),
                 batch: runs.len(),
             });
         }
-        let len = pristine.len();
+        let len = header.blob_len();
         let read_done = if from_disk {
             now + params::BITSTREAM_DISK_BW.time_for(len)
         } else {
@@ -276,7 +277,8 @@ impl CoyoteDriver {
             let run = &runs[idx];
             run_attempt[idx] += 1;
             attempts += 1;
-            let run_bytes = pristine.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
+            // The in-flight copy of this run, which chaos may corrupt.
+            let run_bytes = blob[run.byte_off..run.byte_off + run.byte_len].to_vec();
             let (icap, _state) = self.icap_and_state();
             let outcome = icap.program_run(t, run, run_bytes);
             let (status, at) = match &outcome {
@@ -347,7 +349,7 @@ impl CoyoteDriver {
         // Every run passed: commit all-or-nothing, then verify-after-write.
         let program_done = t;
         let (icap, state) = self.icap_and_state();
-        icap.commit_batch(state, &pristine, program_done)
+        icap.commit_batch(state, &header, program_done)
             .map_err(ReconfigError::Config)?;
         completions.extend(self.ring.reap());
         let committed = self.config_state().image(verify_at).map(|i| i.digest);

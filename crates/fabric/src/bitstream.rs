@@ -7,6 +7,13 @@
 //! port, which *parses and validates* them. Sizes follow directly from the
 //! floorplan's frame counts, which is what gives Table 3 its latencies.
 //!
+//! Those latencies depend on an image's length alone, never on its payload.
+//! So [`Bitstream::assemble`] records just the header, and the bytes are
+//! written by the first [`Bitstream::bytes`] call; clones share them, so an
+//! image is resident at most once, and only once something reads it.
+//! [`Bitstream::validate`] checks a borrowed blob in place and returns its
+//! [`BitstreamHeader`], which is all the configuration port needs.
+//!
 //! # Format
 //!
 //! ```text
@@ -24,12 +31,12 @@
 //! ```
 
 use crate::cache::{
-    content_hash64, fold_block_hashes, BitstreamCache, BlockHasher, CachedMeta, HASH_BLOCK_BYTES,
+    content_hash64, fold_block_hashes, BitstreamCache, BlockHasher, HASH_BLOCK_BYTES,
 };
 use crate::crc::{crc32, crc32_concat, Crc32};
 use crate::device::{DeviceKind, FRAME_RECORD_BYTES};
 use coyote_sim::par_map;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Header length in bytes.
 pub const HEADER_BYTES: usize = 32;
@@ -141,122 +148,46 @@ impl std::fmt::Display for BitstreamError {
 
 impl std::error::Error for BitstreamError {}
 
-/// A parsed, validated bitstream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bitstream {
-    bytes: Vec<u8>,
-    device: DeviceKind,
-    kind: BitstreamKind,
-    frames: u64,
-    digest: u64,
+/// The header of a validated bitstream: everything a reconfiguration needs
+/// to time and commit an image. Every Table 2/3 latency scales with
+/// [`BitstreamHeader::blob_len`], never with the payload bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitstreamHeader {
+    /// Target device.
+    pub device: DeviceKind,
+    /// What the bitstream reconfigures.
+    pub kind: BitstreamKind,
+    /// Frame count.
+    pub frames: u64,
+    /// Design digest (identifies the routed design the blob encodes).
+    pub digest: u64,
 }
 
-impl Bitstream {
-    /// Assemble a bitstream covering `frames` configuration frames for a
-    /// design identified by `digest`. Frame payloads are a deterministic
-    /// function of `(digest, frame index)` so distinct designs produce
-    /// distinct, reproducible blobs.
-    ///
-    /// The blob is written in [`HASH_BLOCK_BYTES`] chunks on the `par_map`
-    /// worker budget. Each chunk is checksummed and content-hashed while it
-    /// is cache-hot; the chunk CRCs fold into the trailer (see
-    /// [`crate::crc::crc32_combine`]), so the bytes do not depend on the
-    /// budget.
-    pub fn assemble(
-        device: DeviceKind,
-        kind: BitstreamKind,
-        frames: u64,
-        digest: u64,
-    ) -> Bitstream {
-        let body_len = HEADER_BYTES + frames as usize * FRAME_RECORD_BYTES;
+impl BitstreamHeader {
+    /// Length of the blob this header describes: header, frame records
+    /// and CRC trailer.
+    pub fn blob_len(&self) -> u64 {
+        (HEADER_BYTES + 4) as u64 + self.frames * FRAME_RECORD_BYTES as u64
+    }
+
+    /// The 32 header bytes (the CRC trailer covers them like the frames).
+    fn encode(&self) -> [u8; HEADER_BYTES] {
         let mut header = [0u8; HEADER_BYTES];
         header[0..4].copy_from_slice(MAGIC);
         header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        header[6..8].copy_from_slice(&device.id().to_le_bytes());
-        let (k, v) = kind.code();
+        header[6..8].copy_from_slice(&self.device.id().to_le_bytes());
+        let (k, v) = self.kind.code();
         header[8] = k;
         header[9] = v;
-        header[10..18].copy_from_slice(&frames.to_le_bytes());
-        header[18..26].copy_from_slice(&digest.to_le_bytes());
-
-        // One sized allocation, filled in place: shell images run to tens
-        // of megabytes. Each worker gets its own disjoint chunk.
-        let mut bytes = vec![0u8; body_len + 4];
-        let chunks: Vec<Mutex<&mut [u8]>> =
-            bytes.chunks_mut(HASH_BLOCK_BYTES).map(Mutex::new).collect();
-        let fills = par_map(&chunks, |i, chunk| {
-            let mut chunk = chunk.lock().expect("chunk lock poisoned");
-            fill_chunk(&mut chunk, i * HASH_BLOCK_BYTES, body_len, &header, digest)
-        });
-        drop(chunks);
-
-        let crc = crc32_concat(fills.iter().map(|fill| (fill.crc, fill.body_len)));
-        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
-        // The trailer is stamped: finish the last chunk's hash over it.
-        let hash = fold_block_hashes(
-            fills
-                .iter()
-                .zip(bytes.chunks(HASH_BLOCK_BYTES))
-                .map(|(fill, block)| fill.hasher.finish(&block[fill.hashed..], block.len())),
-            bytes.len(),
-        );
-        let bs = Bitstream {
-            bytes,
-            device,
-            kind,
-            frames,
-            digest,
-        };
-        // A freshly assembled blob is valid by construction: prime the
-        // fleet-wide cache so even its *first* deployment skips the parse.
-        BitstreamCache::global().admit(&bs, hash);
-        bs
+        header[10..18].copy_from_slice(&self.frames.to_le_bytes());
+        header[18..26].copy_from_slice(&self.digest.to_le_bytes());
+        header
     }
 
-    /// Parse and validate a blob, consulting the process-wide
-    /// [`BitstreamCache`]: a content-hash hit skips the CRC and frame-scan
-    /// passes entirely (any mutation of the bytes changes the hash and
-    /// falls back to full validation).
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Bitstream, BitstreamError> {
-        Bitstream::from_bytes_in(BitstreamCache::global(), bytes)
-    }
-
-    /// [`Bitstream::from_bytes`] against an explicit cache instance
-    /// (experiments that report cache statistics use a private cache so
-    /// concurrent unrelated traffic cannot perturb their counters).
-    pub fn from_bytes_in(
-        cache: &BitstreamCache,
-        bytes: Vec<u8>,
-    ) -> Result<Bitstream, BitstreamError> {
-        let hash = content_hash64(&bytes);
-        if let Some(meta) = cache.lookup(bytes.len() as u64, hash) {
-            if meta.matches_header(&bytes) {
-                return Ok(Bitstream {
-                    bytes,
-                    device: meta.device,
-                    kind: meta.kind,
-                    frames: meta.frames,
-                    digest: meta.digest,
-                });
-            }
-        }
-        let bs = Bitstream::parse_validated(bytes)?;
-        cache.insert(
-            bs.len(),
-            hash,
-            CachedMeta {
-                device: bs.device,
-                kind: bs.kind,
-                frames: bs.frames,
-                digest: bs.digest,
-            },
-        );
-        Ok(bs)
-    }
-
-    /// The uncached parse path: full header, CRC and frame-address
-    /// validation.
-    fn parse_validated(bytes: Vec<u8>) -> Result<Bitstream, BitstreamError> {
+    /// Decode a blob's header and check its frame count against the blob
+    /// length. Constant time: the CRC and frame scan are
+    /// [`Bitstream::validate`]'s job.
+    fn parse(bytes: &[u8]) -> Result<BitstreamHeader, BitstreamError> {
         if bytes.len() < HEADER_BYTES + 4 {
             return Err(BitstreamError::TooShort(bytes.len()));
         }
@@ -277,19 +208,150 @@ impl Bitstream {
         // Checked arithmetic: a corrupted frame count must yield a clean
         // error, not an overflow (found by proptest).
         match frames.checked_mul(FRAME_RECORD_BYTES as u64) {
-            Some(expected) if expected == frame_bytes => {}
-            _ => {
-                return Err(BitstreamError::Truncated {
-                    expected_frames: frames,
-                    have_bytes: frame_bytes as usize,
-                })
+            Some(expected) if expected == frame_bytes => Ok(BitstreamHeader {
+                device,
+                kind,
+                frames,
+                digest,
+            }),
+            _ => Err(BitstreamError::Truncated {
+                expected_frames: frames,
+                have_bytes: frame_bytes as usize,
+            }),
+        }
+    }
+
+    /// Split `blob`, the validated image this header was read from, into
+    /// contiguous frame runs for batched ICAP application: one address
+    /// setup and one CRC check per *run* instead of per frame.
+    /// `max_frames_per_run = None` yields a single run covering the whole
+    /// blob, which programs in exactly the time the unbatched path took.
+    ///
+    /// Run 0 absorbs the 32-byte header and the last run absorbs the
+    /// 4-byte CRC trailer, so the runs' byte lengths sum to the blob length
+    /// and streaming every run moves the same bytes as streaming the blob.
+    /// Each run carries a CRC-32 over its pristine byte range; a bit flip
+    /// anywhere in a run's bytes (header and trailer included) fails that
+    /// run's check without touching the others.
+    pub fn frame_runs(&self, blob: &[u8], max_frames_per_run: Option<u64>) -> Vec<FrameRun> {
+        debug_assert_eq!(blob.len() as u64, self.blob_len(), "blob/header mismatch");
+        let per = max_frames_per_run.unwrap_or(u64::MAX).max(1);
+        let n_runs = self.frames.div_ceil(per).max(1);
+        let mut runs = Vec::with_capacity(n_runs as usize);
+        for i in 0..n_runs {
+            let first_frame = i * per;
+            let frames = per.min(self.frames - first_frame);
+            let byte_off = if i == 0 {
+                0
+            } else {
+                HEADER_BYTES + first_frame as usize * FRAME_RECORD_BYTES
+            };
+            let byte_end = if i == n_runs - 1 {
+                blob.len()
+            } else {
+                HEADER_BYTES + (first_frame + frames) as usize * FRAME_RECORD_BYTES
+            };
+            runs.push(FrameRun {
+                index: i as u32,
+                first_frame,
+                frames,
+                byte_off,
+                byte_len: byte_end - byte_off,
+                crc: crc32(&blob[byte_off..byte_end]),
+            });
+        }
+        runs
+    }
+}
+
+/// A validated bitstream: its header, plus the image bytes.
+///
+/// An assembled image's bytes are a pure function of its header, so they
+/// are written on the first [`Bitstream::bytes`] call rather than at
+/// assembly: an image nobody reads never becomes resident. Clones share the
+/// bytes, so each image is in memory at most once.
+#[derive(Debug, Clone)]
+pub struct Bitstream {
+    header: BitstreamHeader,
+    /// Empty until an assembled image is first read; always filled for an
+    /// image that came from [`Bitstream::from_bytes`].
+    bytes: Arc<OnceLock<Vec<u8>>>,
+}
+
+impl PartialEq for Bitstream {
+    fn eq(&self, other: &Bitstream) -> bool {
+        self.header == other.header
+            && match (self.bytes.get(), other.bytes.get()) {
+                // Both unwritten, so both assembled from equal headers.
+                (None, None) => true,
+                _ => self.bytes() == other.bytes(),
+            }
+    }
+}
+
+impl Eq for Bitstream {}
+
+impl Bitstream {
+    /// Assemble a bitstream covering `frames` configuration frames for a
+    /// design identified by `digest`. Frame payloads are a deterministic
+    /// function of `(digest, frame index)` so distinct designs produce
+    /// distinct, reproducible blobs. No bytes are written until the first
+    /// [`Bitstream::bytes`] call.
+    pub fn assemble(
+        device: DeviceKind,
+        kind: BitstreamKind,
+        frames: u64,
+        digest: u64,
+    ) -> Bitstream {
+        Bitstream {
+            header: BitstreamHeader {
+                device,
+                kind,
+                frames,
+                digest,
+            },
+            bytes: Arc::default(),
+        }
+    }
+
+    /// Validate a blob and take ownership of it.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Bitstream, BitstreamError> {
+        let header = Bitstream::validate(&bytes)?;
+        Ok(Bitstream {
+            header,
+            bytes: Arc::new(OnceLock::from(bytes)),
+        })
+    }
+
+    /// Validate a blob in place, consulting the process-wide
+    /// [`BitstreamCache`]: a content-hash hit skips the CRC and frame-scan
+    /// passes entirely (any mutation of the bytes changes the hash and
+    /// falls back to full validation).
+    pub fn validate(blob: &[u8]) -> Result<BitstreamHeader, BitstreamError> {
+        Bitstream::validate_in(BitstreamCache::global(), blob)
+    }
+
+    /// [`Bitstream::validate`] against an explicit cache instance
+    /// (experiments that report cache statistics use a private cache so
+    /// concurrent unrelated traffic cannot perturb their counters).
+    pub fn validate_in(
+        cache: &BitstreamCache,
+        blob: &[u8],
+    ) -> Result<BitstreamHeader, BitstreamError> {
+        let hash = content_hash64(blob);
+        if let Some(cached) = cache.lookup(blob.len() as u64, hash) {
+            // The header cross-check defeats a hash collision between
+            // blobs whose headers differ.
+            if BitstreamHeader::parse(blob) == Ok(cached) {
+                return Ok(cached);
             }
         }
+        let header = BitstreamHeader::parse(blob)?;
         // Serial on the caller, like `content_hash64`: validation sits on
         // the reconfiguration path, not in a build.
-        let body = &bytes[..bytes.len() - 4];
+        let body = &blob[..blob.len() - 4];
         let computed = crc32(body);
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("slice len 4"));
+        let stored = u32::from_le_bytes(blob[blob.len() - 4..].try_into().expect("slice len 4"));
         if stored != computed {
             return Err(BitstreamError::CrcMismatch { stored, computed });
         }
@@ -309,24 +371,37 @@ impl Bitstream {
                 });
             }
         }
-        Ok(Bitstream {
-            bytes,
-            device,
-            kind,
-            frames,
-            digest,
+        cache.insert(hash, header);
+        Ok(header)
+    }
+
+    /// The raw blob (what sits in the `.bin` file). The first call on an
+    /// assembled image writes it, and admits it to the process-wide
+    /// [`BitstreamCache`]: it is valid by construction, so even its first
+    /// deployment skips the CRC and frame scan.
+    pub fn bytes(&self) -> &[u8] {
+        self.bytes.get_or_init(|| {
+            let (bytes, hash) = write_image(&self.header);
+            BitstreamCache::global().insert(hash, self.header);
+            bytes
         })
     }
 
-    /// The raw blob (what sits in the `.bin` file).
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Whether the image bytes are in memory.
+    #[cfg(test)]
+    fn is_resident(&self) -> bool {
+        self.bytes.get().is_some()
+    }
+
+    /// The header, without touching the bytes.
+    pub fn header(&self) -> &BitstreamHeader {
+        &self.header
     }
 
     /// Blob length in bytes; the quantity every reconfiguration latency in
     /// Tables 2 and 3 scales with.
     pub fn len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.header.blob_len()
     }
 
     /// Never empty by construction.
@@ -336,81 +411,80 @@ impl Bitstream {
 
     /// Target device.
     pub fn device(&self) -> DeviceKind {
-        self.device
+        self.header.device
     }
 
     /// What this bitstream reconfigures.
     pub fn kind(&self) -> BitstreamKind {
-        self.kind
+        self.header.kind
     }
 
     /// Frame count.
     pub fn frames(&self) -> u64 {
-        self.frames
+        self.header.frames
     }
 
     /// Design digest (identifies the routed design the blob encodes).
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.header.digest
     }
 
     /// Iterate over the frame records as `(frame address, payload)` pairs —
     /// the view an offline verifier (e.g. `coyote-lint`) needs without going
     /// through the ICAP load path.
     pub fn frame_records(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        self.bytes[HEADER_BYTES..self.bytes.len() - 4]
+        let bytes = self.bytes();
+        bytes[HEADER_BYTES..bytes.len() - 4]
             .chunks_exact(FRAME_RECORD_BYTES)
             .map(|rec| {
                 let addr = u32::from_le_bytes(rec[..4].try_into().expect("slice len 4"));
                 (addr, &rec[4..])
             })
     }
+}
 
-    /// Split this (already validated) bitstream into contiguous frame runs
-    /// for batched ICAP application: one address setup and one CRC check
-    /// per *run* instead of per frame. `max_frames_per_run = None` yields a
-    /// single run covering the whole blob, which programs in exactly the
-    /// time the unbatched path took.
-    ///
-    /// Run 0 absorbs the 32-byte header and the last run absorbs the
-    /// 4-byte CRC trailer, so the runs' byte lengths sum to `len()` and
-    /// streaming every run moves the same bytes as streaming the blob.
-    /// Each run carries a CRC-32 over its pristine byte range; a bit flip
-    /// anywhere in a run's bytes (header and trailer included) fails that
-    /// run's check without touching the others.
-    pub fn frame_runs(&self, max_frames_per_run: Option<u64>) -> Vec<FrameRun> {
-        let per = max_frames_per_run.unwrap_or(u64::MAX).max(1);
-        let n_runs = self.frames.div_ceil(per).max(1);
-        let total_len = self.bytes.len();
-        let mut runs = Vec::with_capacity(n_runs as usize);
-        for i in 0..n_runs {
-            let first_frame = i * per;
-            let frames = per.min(self.frames - first_frame);
-            let byte_off = if i == 0 {
-                0
-            } else {
-                HEADER_BYTES + first_frame as usize * FRAME_RECORD_BYTES
-            };
-            let byte_end = if i == n_runs - 1 {
-                total_len
-            } else {
-                HEADER_BYTES + (first_frame + frames) as usize * FRAME_RECORD_BYTES
-            };
-            runs.push(FrameRun {
-                index: i as u32,
-                first_frame,
-                frames,
-                byte_off,
-                byte_len: byte_end - byte_off,
-                crc: crc32(&self.bytes[byte_off..byte_end]),
-            });
-        }
-        runs
-    }
+/// Write the image `header` describes, returning it with its
+/// [`content_hash64`].
+///
+/// The blob is written in [`HASH_BLOCK_BYTES`] chunks on the `par_map`
+/// worker budget. Each chunk is checksummed and content-hashed while it is
+/// cache-hot; the chunk CRCs fold into the trailer (see
+/// [`crate::crc::crc32_combine`]), so the bytes do not depend on the budget.
+fn write_image(header: &BitstreamHeader) -> (Vec<u8>, u64) {
+    let body_len = HEADER_BYTES + header.frames as usize * FRAME_RECORD_BYTES;
+    let head = header.encode();
+    // One sized allocation, filled in place: shell images run to tens of
+    // megabytes. Each worker gets its own disjoint chunk.
+    let mut bytes = vec![0u8; body_len + 4];
+    let chunks: Vec<Mutex<&mut [u8]>> =
+        bytes.chunks_mut(HASH_BLOCK_BYTES).map(Mutex::new).collect();
+    let fills = par_map(&chunks, |i, chunk| {
+        let mut chunk = chunk.lock().expect("chunk lock poisoned");
+        fill_chunk(
+            &mut chunk,
+            i * HASH_BLOCK_BYTES,
+            body_len,
+            &head,
+            header.digest,
+        )
+    });
+    drop(chunks);
+
+    let crc = crc32_concat(fills.iter().map(|fill| (fill.crc, fill.body_len)));
+    bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    // The trailer is stamped: finish the last chunk's hash over it.
+    let hash = fold_block_hashes(
+        fills
+            .iter()
+            .zip(bytes.chunks(HASH_BLOCK_BYTES))
+            .map(|(fill, block)| fill.hasher.finish(&block[fill.hashed..], block.len())),
+        bytes.len(),
+    );
+    (bytes, hash)
 }
 
 /// One contiguous run of frame records, as applied by the batched ICAP
-/// path (see [`Bitstream::frame_runs`]).
+/// path (see [`BitstreamHeader::frame_runs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRun {
     /// Run index within the batch.
@@ -672,7 +746,7 @@ mod tests {
     fn frame_runs_partition_the_blob_exactly() {
         let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 10, 3);
         // Single run covers everything.
-        let single = bs.frame_runs(None);
+        let single = bs.header().frame_runs(bs.bytes(), None);
         assert_eq!(single.len(), 1);
         assert_eq!(single[0].byte_off, 0);
         assert_eq!(single[0].byte_len as u64, bs.len());
@@ -680,7 +754,7 @@ mod tests {
         assert_eq!(single[0].crc, crc32(bs.bytes()));
 
         // 4-frame runs: 4 + 4 + 2, contiguous, summing to the blob length.
-        let runs = bs.frame_runs(Some(4));
+        let runs = bs.header().frame_runs(bs.bytes(), Some(4));
         assert_eq!(runs.len(), 3);
         assert_eq!(runs.iter().map(|r| r.frames).sum::<u64>(), 10);
         assert_eq!(
@@ -703,10 +777,10 @@ mod tests {
     fn cache_hit_skips_validation_but_matches_full_parse() {
         let cache = crate::cache::BitstreamCache::new(8);
         let bs = Bitstream::assemble(DeviceKind::U280, BitstreamKind::App { vfpga: 2 }, 20, 42);
-        let first = Bitstream::from_bytes_in(&cache, bs.bytes().to_vec()).unwrap();
-        let second = Bitstream::from_bytes_in(&cache, bs.bytes().to_vec()).unwrap();
-        assert_eq!(first, second, "cached parse is byte-identical");
-        assert_eq!(second, bs);
+        let first = Bitstream::validate_in(&cache, bs.bytes()).unwrap();
+        let second = Bitstream::validate_in(&cache, bs.bytes()).unwrap();
+        assert_eq!(first, second, "cached header is the parsed one");
+        assert_eq!(&second, bs.header());
         let stats = cache.stats();
         assert_eq!(stats.misses, 1, "first parse validates fully");
         assert_eq!(stats.hits, 1, "second parse is answered from the cache");
@@ -716,13 +790,13 @@ mod tests {
     fn mutated_blob_misses_cache_and_is_still_rejected() {
         let cache = crate::cache::BitstreamCache::new(8);
         let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 12, 9);
-        Bitstream::from_bytes_in(&cache, bs.bytes().to_vec()).unwrap();
+        Bitstream::validate_in(&cache, bs.bytes()).unwrap();
         // Flip one payload bit: the content hash changes, so the cached
         // entry cannot mask the corruption.
         let mut corrupt = bs.bytes().to_vec();
         corrupt[HEADER_BYTES + 100] ^= 0x01;
         assert!(matches!(
-            Bitstream::from_bytes_in(&cache, corrupt),
+            Bitstream::validate_in(&cache, &corrupt),
             Err(BitstreamError::CrcMismatch { .. })
         ));
         assert_eq!(cache.stats().misses, 2);
@@ -775,19 +849,17 @@ mod tests {
             .expect("some frame count fills whole chunks") as u64;
         for frames in [1, c - 1, c, c + 1, 3 * c + 7, aligned] {
             let want = reference_assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED);
+            let header =
+                Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED).header;
             for threads in [1, 2] {
-                let got = crate::at_budget(threads, || {
-                    Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED)
-                });
-                assert!(
-                    got.bytes() == want.as_slice(),
+                let (got, hash) = crate::at_budget(threads, || write_image(&header));
+                assert!(got == want, "{frames} frames at budget {threads}");
+                // The hash fused into the fill is the one a parse computes.
+                assert_eq!(
+                    hash,
+                    content_hash64(&want),
                     "{frames} frames at budget {threads}"
                 );
-                // The hash fused into the fill is the one a parse computes.
-                let cache = crate::cache::BitstreamCache::new(1);
-                cache.admit(&got, content_hash64(&want));
-                Bitstream::from_bytes_in(&cache, want.clone()).unwrap();
-                assert_eq!(cache.stats().hits, 1, "{frames} frames at budget {threads}");
             }
         }
     }
@@ -809,7 +881,7 @@ mod tests {
         for threads in [1, 2] {
             let cache = crate::cache::BitstreamCache::new(1);
             let err = crate::at_budget(threads, || {
-                Bitstream::from_bytes_in(&cache, bytes.clone()).unwrap_err()
+                Bitstream::validate_in(&cache, &bytes).unwrap_err()
             });
             assert_eq!(
                 err,
@@ -835,5 +907,121 @@ mod tests {
             Bitstream::from_bytes(bytes),
             Err(BitstreamError::Truncated { .. })
         ));
+    }
+
+    /// An image spanning three whole [`HASH_BLOCK_BYTES`] blocks and a
+    /// partial one.
+    fn four_block_image() -> Bitstream {
+        let c = (HASH_BLOCK_BYTES / FRAME_RECORD_BYTES) as u64;
+        Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, 3 * c + 7, 0x5EED)
+    }
+
+    #[test]
+    fn lazily_written_image_keeps_its_pinned_bytes() {
+        // Pinned from the eager writer the lazy one replaced: same payload,
+        // same trailer, same content hash.
+        let bs = four_block_image();
+        let bytes = bs.bytes();
+        assert_eq!(bytes.len(), 3_147_532);
+        assert_eq!(bytes.len() / HASH_BLOCK_BYTES, 3);
+        let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
+        assert_eq!(crc, 0x4eca_850e);
+        assert_eq!(content_hash64(bytes), 0x10de_0522_61e3_803b);
+    }
+
+    #[test]
+    fn header_reads_leave_the_image_unwritten() {
+        let bs = four_block_image();
+        let twin = bs.clone();
+        assert_eq!(bs.len(), 3_147_532);
+        assert_eq!(bs.digest(), 0x5EED);
+        assert_eq!(bs.frames(), twin.frames());
+        assert_eq!(
+            (bs.kind(), bs.device()),
+            (BitstreamKind::Shell, DeviceKind::U280)
+        );
+        assert_eq!(bs.header().blob_len(), bs.len());
+        assert_eq!(bs, four_block_image(), "equal headers, both unwritten");
+        assert!(!bs.is_resident() && !twin.is_resident());
+
+        // The first read writes the shared copy and admits it.
+        let hash = content_hash64(twin.bytes());
+        assert!(bs.is_resident(), "clones share the written bytes");
+        assert_eq!(
+            BitstreamCache::global().lookup(bs.len(), hash),
+            Some(*bs.header())
+        );
+        assert_eq!(
+            bs,
+            four_block_image(),
+            "written and unwritten compare by bytes"
+        );
+    }
+
+    #[test]
+    fn clones_share_one_copy() {
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 1 }, 40, 5);
+        let before = bs.clone();
+        let after = {
+            bs.bytes();
+            bs.clone()
+        };
+        assert_eq!(bs.bytes().as_ptr(), before.bytes().as_ptr());
+        assert_eq!(bs.bytes().as_ptr(), after.bytes().as_ptr());
+        let parsed = Bitstream::from_bytes(bs.bytes().to_vec()).unwrap();
+        assert_eq!(parsed.bytes().as_ptr(), parsed.clone().bytes().as_ptr());
+        assert_eq!(parsed, bs);
+    }
+
+    /// Re-stamp the trailer so only the checks after the CRC can fail.
+    fn restamp(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&crc);
+        bytes
+    }
+
+    #[test]
+    fn validate_in_place_matches_from_bytes_for_every_error() {
+        let good = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 6, 8)
+            .bytes()
+            .to_vec();
+        let edit = |at: usize, with: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            bytes
+        };
+        let blobs = [
+            vec![0u8; 20],
+            edit(0, b"X"),
+            edit(4, &[9]),
+            edit(6, &0xDEADu16.to_le_bytes()),
+            edit(8, &[7]),
+            restamp(edit(10, &u64::MAX.to_le_bytes())),
+            edit(HEADER_BYTES + 100, &[!good[HEADER_BYTES + 100]]),
+            restamp(edit(HEADER_BYTES + 2 * FRAME_RECORD_BYTES, &[9])),
+        ];
+        let mut seen = Vec::new();
+        for blob in &blobs {
+            let err = Bitstream::validate(blob).unwrap_err();
+            let owned = Bitstream::from_bytes(blob.to_vec()).map(|bs| *bs.header());
+            assert_eq!(owned, Err(err.clone()));
+            // Exhaustive: a new variant must be added to `blobs`.
+            seen.push(match err {
+                BitstreamError::TooShort(_) => 0,
+                BitstreamError::BadMagic => 1,
+                BitstreamError::BadVersion(_) => 2,
+                BitstreamError::UnknownDevice(_) => 3,
+                BitstreamError::BadKind(_) => 4,
+                BitstreamError::Truncated { .. } => 5,
+                BitstreamError::CrcMismatch { .. } => 6,
+                BitstreamError::BadFrameAddress { .. } => 7,
+            });
+        }
+        assert_eq!(seen, (0..8).collect::<Vec<_>>(), "one blob per variant");
+        assert_eq!(
+            Bitstream::validate(&good),
+            Ok(Bitstream::from_bytes(good.clone()).unwrap().header)
+        );
     }
 }

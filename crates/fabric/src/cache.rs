@@ -1,20 +1,19 @@
 //! Fleet-wide parsed-bitstream metadata cache.
 //!
-//! PR 1 made reconfiguration parse-once per *driver*: `CRcnfg` keeps parsed
-//! shells in a registry keyed by digest. But every `reconfigure_*_bytes`
-//! call still re-validates the raw blob — magic, header, CRC over tens of
-//! megabytes, and a full frame-address scan — even when the very same blob
-//! was deployed seconds ago by another tenant. On the real system the
+//! Validating a raw blob means checking its header, a CRC over tens of
+//! megabytes and a full frame-address scan. On the real system the
 //! orchestrator caches validated bitstream artifacts fleet-wide and keys
-//! them by content hash, so repeat deployments skip straight to the ICAP.
+//! them by content hash, so a repeat deployment of the same blob, by any
+//! tenant, skips straight to the ICAP.
 //!
 //! [`BitstreamCache`] is that artifact cache. It maps a fast 64-bit content
-//! hash (plus the blob length) to the parsed header metadata
-//! (`device`/`kind`/`frames`/`digest`). [`Bitstream::from_bytes`] consults
-//! the process-wide instance: on a hit it rebuilds the `Bitstream` without
-//! re-running the CRC or the frame scan; on a miss it validates fully and
-//! inserts. [`Bitstream::assemble`] primes the cache, because a blob it
-//! just wrote is valid by construction.
+//! hash (plus the blob length) to the blob's [`BitstreamHeader`].
+//! [`Bitstream::validate`] consults the process-wide instance: on a hit it
+//! returns the header without re-running the CRC or the frame scan; on a
+//! miss it validates fully and inserts. An assembled image is admitted when
+//! its bytes are first written ([`Bitstream::bytes`]), because those bytes
+//! are valid by construction. An image nobody reads is never admitted, and
+//! need not be: nobody can validate bytes that were never written.
 //!
 //! # Coherence
 //!
@@ -30,15 +29,14 @@
 //! # Determinism
 //!
 //! The cache only affects host wall-clock, never simulated time: a hit and
-//! a miss produce byte-identical `Bitstream` values. Concurrent `par_map`
+//! a miss return the same header. Concurrent `par_map`
 //! workers may race on insertions, but the *result* of every lookup is a
 //! pure function of the blob bytes, so DES fingerprints are unaffected.
 //!
-//! [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
-//! [`Bitstream::assemble`]: crate::Bitstream::assemble
+//! [`Bitstream::validate`]: crate::Bitstream::validate
+//! [`Bitstream::bytes`]: crate::Bitstream::bytes
 
-use crate::bitstream::{Bitstream, BitstreamKind, HEADER_BYTES, MAGIC, VERSION};
-use crate::device::DeviceKind;
+use crate::bitstream::BitstreamHeader;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -47,45 +45,6 @@ use std::sync::{Mutex, OnceLock};
 /// this bounds the cache to a few tens of kilobytes.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Parsed header metadata retained per cached blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedMeta {
-    /// Target device from the header.
-    pub device: DeviceKind,
-    /// What the bitstream reconfigures.
-    pub kind: BitstreamKind,
-    /// Frame count.
-    pub frames: u64,
-    /// Design digest.
-    pub digest: u64,
-}
-
-impl CachedMeta {
-    /// Cross-check the cached metadata against a blob's 32-byte header.
-    /// Cheap (constant time) and defeats hash collisions between blobs
-    /// whose headers differ.
-    pub(crate) fn matches_header(&self, bytes: &[u8]) -> bool {
-        if bytes.len() < HEADER_BYTES + 4 || &bytes[0..4] != MAGIC {
-            return false;
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        let dev_id = u16::from_le_bytes([bytes[6], bytes[7]]);
-        let (kind_code, vfpga) = (bytes[8], bytes[9]);
-        let frames = u64::from_le_bytes(bytes[10..18].try_into().expect("slice len 8"));
-        let digest = u64::from_le_bytes(bytes[18..26].try_into().expect("slice len 8"));
-        let want_kind = match self.kind {
-            BitstreamKind::Full => (0, 0xFF),
-            BitstreamKind::Shell => (1, 0xFF),
-            BitstreamKind::App { vfpga } => (2, vfpga),
-        };
-        version == VERSION
-            && dev_id == self.device.id()
-            && (kind_code, vfpga) == want_kind
-            && frames == self.frames
-            && digest == self.digest
-    }
-}
-
 /// Hit/miss/eviction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -93,7 +52,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell back to full validation.
     pub misses: u64,
-    /// Entries inserted (after a miss or at assembly).
+    /// Entries inserted (after a miss, or when an assembled image is
+    /// first written).
     pub insertions: u64,
     /// Entries dropped by FIFO capacity eviction.
     pub evictions: u64,
@@ -115,7 +75,7 @@ impl CacheStats {
 struct CacheInner {
     // Keyed by (blob length, content hash). Lookup tables only — never
     // iterated, so bucket order cannot leak into any artifact.
-    map: HashMap<(u64, u64), CachedMeta>,
+    map: HashMap<(u64, u64), BitstreamHeader>,
     // FIFO insertion order for deterministic capacity eviction.
     order: VecDeque<(u64, u64)>,
     stats: CacheStats,
@@ -143,16 +103,16 @@ impl BitstreamCache {
     }
 
     /// The process-wide cache shared by every driver and tenant
-    /// ([`Bitstream::from_bytes`] consults it).
+    /// ([`Bitstream::validate`] consults it).
     ///
-    /// [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
+    /// [`Bitstream::validate`]: crate::Bitstream::validate
     pub fn global() -> &'static BitstreamCache {
         static GLOBAL: OnceLock<BitstreamCache> = OnceLock::new();
         GLOBAL.get_or_init(|| BitstreamCache::new(DEFAULT_CACHE_CAPACITY))
     }
 
     /// Look up a blob by `(len, hash)`. Counts a hit or a miss.
-    pub(crate) fn lookup(&self, len: u64, hash: u64) -> Option<CachedMeta> {
+    pub(crate) fn lookup(&self, len: u64, hash: u64) -> Option<BitstreamHeader> {
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
         match inner.map.get(&(len, hash)).copied() {
             Some(meta) => {
@@ -166,11 +126,13 @@ impl BitstreamCache {
         }
     }
 
-    /// Insert metadata for a validated blob.
-    pub(crate) fn insert(&self, len: u64, hash: u64, meta: CachedMeta) {
+    /// Insert the header of a validated blob whose [`content_hash64`] is
+    /// `hash`.
+    pub(crate) fn insert(&self, hash: u64, header: BitstreamHeader) {
+        let key = (header.blob_len(), hash);
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
-        if inner.map.insert((len, hash), meta).is_none() {
-            inner.order.push_back((len, hash));
+        if inner.map.insert(key, header).is_none() {
+            inner.order.push_back(key);
             inner.stats.insertions += 1;
             while inner.order.len() > self.capacity {
                 let oldest = inner.order.pop_front().expect("non-empty order queue");
@@ -178,22 +140,6 @@ impl BitstreamCache {
                 inner.stats.evictions += 1;
             }
         }
-    }
-
-    /// Record a validated bitstream whose [`content_hash64`] is `hash`
-    /// (used by `assemble`, which hashes while it writes, to prime the
-    /// cache with blobs that are valid by construction).
-    pub(crate) fn admit(&self, bs: &Bitstream, hash: u64) {
-        self.insert(
-            bs.len(),
-            hash,
-            CachedMeta {
-                device: bs.device(),
-                kind: bs.kind(),
-                frames: bs.frames(),
-                digest: bs.digest(),
-            },
-        );
     }
 
     /// Entries currently held.
@@ -319,6 +265,7 @@ pub fn content_hash64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BitstreamKind, DeviceKind};
 
     #[test]
     fn hash_is_bit_sensitive() {
@@ -373,19 +320,20 @@ mod tests {
     #[test]
     fn fifo_eviction_is_bounded() {
         let cache = BitstreamCache::new(2);
-        let meta = CachedMeta {
+        let meta = BitstreamHeader {
             device: DeviceKind::U55C,
             kind: BitstreamKind::Full,
             frames: 1,
             digest: 0,
         };
-        cache.insert(10, 1, meta);
-        cache.insert(10, 2, meta);
-        cache.insert(10, 3, meta);
+        cache.insert(1, meta);
+        cache.insert(2, meta);
+        cache.insert(3, meta);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(10, 1).is_none(), "oldest entry evicted");
-        assert!(cache.lookup(10, 2).is_some());
-        assert!(cache.lookup(10, 3).is_some());
+        let len = meta.blob_len();
+        assert!(cache.lookup(len, 1).is_none(), "oldest entry evicted");
+        assert!(cache.lookup(len, 2).is_some());
+        assert!(cache.lookup(len, 3).is_some());
         let stats = cache.stats();
         assert_eq!(stats.insertions, 3);
         assert_eq!(stats.evictions, 1);
@@ -396,14 +344,14 @@ mod tests {
     #[test]
     fn reinsert_does_not_duplicate_order() {
         let cache = BitstreamCache::new(2);
-        let meta = CachedMeta {
+        let meta = BitstreamHeader {
             device: DeviceKind::U55C,
             kind: BitstreamKind::Full,
             frames: 1,
             digest: 0,
         };
         for _ in 0..10 {
-            cache.insert(10, 1, meta);
+            cache.insert(1, meta);
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);

@@ -8,11 +8,12 @@
 //! performance, we implement an optimized controller that fully utilizes
 //! the ICAP bandwidth (~800 MBps on AMD UltraScale+ devices)."
 //!
-//! [`ConfigPort`] models all four controllers of Table 2; programming a
-//! [`Bitstream`] occupies the port for `len / bandwidth` and then commits
-//! the image into the [`ConfigState`].
+//! [`ConfigPort`] models all four controllers of Table 2; programming an
+//! image occupies the port for `len / bandwidth` and then commits it into
+//! the [`ConfigState`]. Both take the image's [`BitstreamHeader`]: neither
+//! reads the payload bytes.
 
-use crate::bitstream::{Bitstream, BitstreamError, BitstreamKind, FrameRun};
+use crate::bitstream::{BitstreamError, BitstreamHeader, BitstreamKind, FrameRun};
 use crate::crc::crc32;
 use crate::device::DeviceKind;
 use crate::floorplan::PartitionId;
@@ -164,14 +165,26 @@ impl ConfigState {
         self.reconfig_count
     }
 
+    /// Refuse an image built for another device.
+    fn check_device(&self, header: &BitstreamHeader) -> Result<(), ConfigError> {
+        if header.device == self.device {
+            Ok(())
+        } else {
+            Err(ConfigError::DeviceMismatch {
+                card: self.device,
+                bitstream: header.device,
+            })
+        }
+    }
+
     /// Commit a validated bitstream at `at`.
-    fn commit(&mut self, bs: &Bitstream, at: SimTime) {
+    fn commit(&mut self, header: &BitstreamHeader, at: SimTime) {
         let image = LoadedImage {
-            digest: bs.digest(),
-            frames: bs.frames(),
+            digest: header.digest,
+            frames: header.frames,
             at,
         };
-        match bs.kind() {
+        match header.kind {
             BitstreamKind::Full => {
                 // Full reprogramming wipes every partition.
                 self.loaded.clear();
@@ -233,25 +246,22 @@ impl ConfigPort {
         self.chaos.as_mut()
     }
 
-    /// Program `bs` starting at or after `now`; on success the image is
-    /// committed into `state` at the returned transfer's `done` instant.
+    /// Program the validated image `header` describes, starting at or
+    /// after `now`; on success the image is committed into `state` at the
+    /// returned transfer's `done` instant. The port time depends only on
+    /// the image's length.
     ///
     /// The rest of the device keeps running: only the target partition's
     /// contents change, and only the port itself is occupied.
     pub fn program(
         &mut self,
         now: SimTime,
-        bs: &Bitstream,
+        header: &BitstreamHeader,
         state: &mut ConfigState,
     ) -> Result<Transfer, ConfigError> {
-        if bs.device() != state.device() {
-            return Err(ConfigError::DeviceMismatch {
-                card: state.device(),
-                bitstream: bs.device(),
-            });
-        }
-        let xfer = self.link.transmit(now, bs.len());
-        state.commit(bs, xfer.done);
+        state.check_device(header)?;
+        let xfer = self.link.transmit(now, header.blob_len());
+        state.commit(header, xfer.done);
         Ok(xfer)
     }
 
@@ -315,16 +325,11 @@ impl ConfigPort {
     pub fn commit_batch(
         &mut self,
         state: &mut ConfigState,
-        bs: &Bitstream,
+        header: &BitstreamHeader,
         at: SimTime,
     ) -> Result<(), ConfigError> {
-        if bs.device() != state.device() {
-            return Err(ConfigError::DeviceMismatch {
-                card: state.device(),
-                bitstream: bs.device(),
-            });
-        }
-        state.commit(bs, at);
+        state.check_device(header)?;
+        state.commit(header, at);
         Ok(())
     }
 
@@ -337,7 +342,7 @@ impl ConfigPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::BitstreamKind;
+    use crate::bitstream::{Bitstream, BitstreamKind};
 
     fn shell_bs(digest: u64) -> Bitstream {
         Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 1000, digest)
@@ -359,7 +364,9 @@ mod tests {
         for (kind, mbps) in cases {
             let mut port = ConfigPort::new(kind);
             let mut state = ConfigState::new(DeviceKind::U55C);
-            let xfer = port.program(SimTime::ZERO, &bs, &mut state).unwrap();
+            let xfer = port
+                .program(SimTime::ZERO, bs.header(), &mut state)
+                .unwrap();
             let secs = xfer.done.since(SimTime::ZERO).as_secs_f64();
             let measured = mb / secs;
             assert!(
@@ -375,7 +382,9 @@ mod tests {
         let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::Shell, 10, 1);
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        let err = port.program(SimTime::ZERO, &bs, &mut state).unwrap_err();
+        let err = port
+            .program(SimTime::ZERO, bs.header(), &mut state)
+            .unwrap_err();
         assert!(matches!(err, ConfigError::DeviceMismatch { .. }));
         assert_eq!(state.reconfig_count(), 0);
     }
@@ -385,10 +394,11 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let app = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 2 }, 50, 77);
-        port.program(SimTime::ZERO, &app, &mut state).unwrap();
+        port.program(SimTime::ZERO, app.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Vfpga(2)).unwrap().digest, 77);
 
-        port.program(SimTime::ZERO, &shell_bs(99), &mut state)
+        port.program(SimTime::ZERO, shell_bs(99).header(), &mut state)
             .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 99);
         assert!(
@@ -401,10 +411,11 @@ mod tests {
     fn app_reconfig_leaves_shell_intact() {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        port.program(SimTime::ZERO, &shell_bs(1), &mut state)
+        port.program(SimTime::ZERO, shell_bs(1).header(), &mut state)
             .unwrap();
         let app = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 0 }, 50, 2);
-        port.program(SimTime::ZERO, &app, &mut state).unwrap();
+        port.program(SimTime::ZERO, app.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 1);
         assert_eq!(state.image(PartitionId::Vfpga(0)).unwrap().digest, 2);
         assert_eq!(state.reconfig_count(), 2);
@@ -415,10 +426,10 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let a = port
-            .program(SimTime::ZERO, &shell_bs(1), &mut state)
+            .program(SimTime::ZERO, shell_bs(1).header(), &mut state)
             .unwrap();
         let b = port
-            .program(SimTime::ZERO, &shell_bs(2), &mut state)
+            .program(SimTime::ZERO, shell_bs(2).header(), &mut state)
             .unwrap();
         assert_eq!(
             b.start, a.done,
@@ -433,19 +444,19 @@ mod tests {
         let mut ref_port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut ref_state = ConfigState::new(DeviceKind::U55C);
         let ref_xfer = ref_port
-            .program(SimTime::ZERO, &bs, &mut ref_state)
+            .program(SimTime::ZERO, bs.header(), &mut ref_state)
             .unwrap();
 
         // Batched: 4 runs streamed back-to-back, then one commit.
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let mut at = SimTime::ZERO;
-        for run in bs.frame_runs(Some(250)) {
+        for run in bs.header().frame_runs(bs.bytes(), Some(250)) {
             let bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
             let xfer = port.program_run(at, &run, bytes).unwrap();
             at = xfer.done;
         }
-        port.commit_batch(&mut state, &bs, at).unwrap();
+        port.commit_batch(&mut state, bs.header(), at).unwrap();
 
         assert_eq!(
             at, ref_xfer.done,
@@ -461,7 +472,7 @@ mod tests {
         let bs = shell_bs(44);
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let state = ConfigState::new(DeviceKind::U55C);
-        let runs = bs.frame_runs(Some(400));
+        let runs = bs.header().frame_runs(bs.bytes(), Some(400));
         let run = &runs[1];
         let mut bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
         bytes[17] ^= 0x80;
@@ -484,7 +495,7 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         assert!(matches!(
-            port.commit_batch(&mut state, &bs, SimTime::ZERO),
+            port.commit_batch(&mut state, bs.header(), SimTime::ZERO),
             Err(ConfigError::DeviceMismatch { .. })
         ));
     }
@@ -493,10 +504,11 @@ mod tests {
     fn full_reprogram_resets_everything() {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        port.program(SimTime::ZERO, &shell_bs(5), &mut state)
+        port.program(SimTime::ZERO, shell_bs(5).header(), &mut state)
             .unwrap();
         let full = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Full, 100, 6);
-        port.program(SimTime::ZERO, &full, &mut state).unwrap();
+        port.program(SimTime::ZERO, full.header(), &mut state)
+            .unwrap();
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 6);
         assert_eq!(state.image(PartitionId::Static).unwrap().digest, 6);
     }

@@ -28,7 +28,9 @@ pub mod floorplan;
 pub mod resources;
 pub mod shard;
 
-pub use bitstream::{Bitstream, BitstreamError, BitstreamKind, FrameRun, HEADER_BYTES};
+pub use bitstream::{
+    Bitstream, BitstreamError, BitstreamHeader, BitstreamKind, FrameRun, HEADER_BYTES,
+};
 pub use cache::{content_hash64, BitstreamCache, CacheStats};
 pub use config::{ConfigError, ConfigPort, ConfigPortKind, ConfigState, ProgramError};
 pub use crc::crc32;

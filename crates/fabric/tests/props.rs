@@ -49,7 +49,8 @@ proptest! {
         prop_assert_eq!(crc32_combine(crc32(&[]), crc32(&b), b.len() as u64), crc32(&b));
     }
 
-    /// Arbitrary bytes never panic the decoder: `Ok` or a typed error.
+    /// Arbitrary bytes never panic the decoder: `Ok` or a typed error,
+    /// the same from in-place validation as from the owning parse.
     #[test]
     fn from_bytes_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..4096),
                                            magic in any::<bool>()) {
@@ -58,7 +59,9 @@ proptest! {
         if magic && bytes.len() >= 4 {
             bytes[..4].copy_from_slice(b"CYT2");
         }
-        let _ = Bitstream::from_bytes(bytes);
+        let in_place = Bitstream::validate(&bytes);
+        let owned = Bitstream::from_bytes(bytes).map(|bs| *bs.header());
+        prop_assert_eq!(in_place, owned);
     }
 
     /// Every truncation of a valid blob, and any other frame count

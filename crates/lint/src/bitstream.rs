@@ -29,8 +29,8 @@ fn loc(name: &str, path: &str) -> Location {
 /// without it only the structural rules run.
 pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>) -> Report {
     let mut report = Report::new();
-    let bs = match Bitstream::from_bytes(bytes.to_vec()) {
-        Ok(bs) => bs,
+    let header = match Bitstream::validate(bytes) {
+        Ok(header) => header,
         Err(e) => {
             let (rule, path) = match &e {
                 BitstreamError::BadMagic
@@ -59,7 +59,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
 
     // BS006: device identity. Loading a U250 image on a U55C bricks the
     // shell until a full reflash.
-    if bs.device() != ctx.device {
+    if header.device != ctx.device {
         report.push(
             Diagnostic::new(
                 "BS006",
@@ -67,7 +67,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
                 loc(name, "header"),
                 format!(
                     "bitstream targets {} but the node carries {}",
-                    bs.device().name(),
+                    header.device.name(),
                     ctx.device.name()
                 ),
             )
@@ -80,7 +80,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
     // partition's frame space means the tail frames configure tiles the
     // floorplan never granted to this image.
     if let Some(fp) = ctx.floorplan {
-        let (target, tiles) = match bs.kind() {
+        let (target, tiles) = match header.kind {
             BitstreamKind::Full => ("device".to_string(), Some(Device::new(ctx.device).tiles())),
             BitstreamKind::Shell => ("shell".to_string(), fp.tiles_of(PartitionId::Shell)),
             BitstreamKind::App { vfpga } => (
@@ -101,7 +101,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
             }
             Some(tiles) => {
                 let budget = Device::frames_for_tiles(tiles);
-                if bs.frames() > budget {
+                if header.frames > budget {
                     report.push(
                         Diagnostic::new(
                             "BS005",
@@ -110,7 +110,7 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
                             format!(
                                 "{} frames exceed partition {target}'s frame space of {budget} — \
                                  the tail frames address tiles outside the partition",
-                                bs.frames()
+                                header.frames
                             ),
                         )
                         .with_suggestion("the image was built against a larger floorplan; rebuild"),

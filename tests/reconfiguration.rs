@@ -6,7 +6,7 @@ use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
 use coyote_apps::{AesEcbKernel, HllKernel};
 use coyote_driver::VivadoBaseline;
 use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
-use coyote_fabric::{Bitstream, BitstreamKind, Device, DeviceKind};
+use coyote_fabric::{Bitstream, BitstreamError, BitstreamKind, Device, DeviceKind};
 use coyote_sim::SimTime;
 use coyote_synth::{Ip, IpBlock};
 
@@ -24,7 +24,9 @@ fn table2_port_ordering() {
     ] {
         let mut port = ConfigPort::new(kind);
         let mut state = ConfigState::new(DeviceKind::U55C);
-        let t = port.program(SimTime::ZERO, &bs, &mut state).unwrap();
+        let t = port
+            .program(SimTime::ZERO, bs.header(), &mut state)
+            .unwrap();
         times.push((kind, t.done.since(SimTime::ZERO)));
     }
     assert!(times[3].1 < times[2].1 && times[2].1 < times[1].1 && times[1].1 < times[0].1);
@@ -130,6 +132,42 @@ fn app_reconfig_swaps_kernels_without_shell_change() {
         .unwrap();
     let est = t.get_csr(&mut p, 0).unwrap();
     assert!((9_000..11_000).contains(&est), "estimate {est}");
+}
+
+#[test]
+fn flipped_app_blob_is_rejected_in_place() {
+    let cfg = ShellConfig::host_memory(1, 8);
+    let shell = build_shell(&cfg, vec![vec![IpBlock::new(Ip::Aes)]]).unwrap();
+    let good = build_app(&[IpBlock::new(Ip::Aes)], 0, &shell.checkpoint).unwrap();
+    let hll = build_app(&[IpBlock::new(Ip::Hll)], 0, &shell.checkpoint).unwrap();
+    let mut p = Platform::load(cfg).unwrap();
+    p.register_app(good.bitstream.digest(), || Box::new(AesEcbKernel::new()));
+    p.register_app(hll.bitstream.digest(), || Box::new(HllKernel::new()));
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    rcnfg
+        .reconfigure_app_bytes(&mut p, good.bitstream.bytes(), 0, false)
+        .unwrap();
+
+    let mut flipped = hll.bitstream.bytes().to_vec();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x10;
+    let err = rcnfg
+        .reconfigure_app_bytes(&mut p, &flipped, 0, false)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            coyote::PlatformError::Reconfig(coyote_driver::ReconfigError::Bitstream(
+                BitstreamError::CrcMismatch { .. }
+            ))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        p.vfpga(0).unwrap().loaded_digest,
+        good.bitstream.digest(),
+        "the loaded image is untouched"
+    );
 }
 
 #[test]
