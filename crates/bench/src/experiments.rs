@@ -6,6 +6,7 @@ use coyote::kernel::Passthrough;
 use coyote::v1::V1Platform;
 use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
 use coyote_apps::{AesCbcKernel, AesEcbKernel, HllKernel};
+use coyote_driver::ReconfigTiming;
 use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
 use coyote_fabric::{Bitstream, BitstreamKind, Device, DeviceKind, ResourceVec};
 use coyote_hls4ml::{
@@ -14,7 +15,7 @@ use coyote_hls4ml::{
 };
 use coyote_sim::time::rate;
 use coyote_sim::SimTime;
-use coyote_synth::{fig7b_configs, Ip, IpBlock};
+use coyote_synth::{fig7b_configs, Ip, IpBlock, ShellArtifacts};
 
 fn gbps(bytes: u64, dur: coyote_sim::SimDuration) -> f64 {
     rate(bytes, dur).as_gbps_f64()
@@ -137,21 +138,10 @@ pub fn table3() -> ExperimentResult {
     let mut rows = Vec::new();
     for (name, cfg, apps, paper_kernel, paper_total, paper_vivado) in scenarios {
         let art = build_shell(&cfg, apps).expect("shell flow");
-        let mut trials_kernel = coyote_sim::stats::Series::new();
-        let mut trials_total = coyote_sim::stats::Series::new();
-        for _ in 0..5 {
-            let mut p = Platform::load(ShellConfig::host_only(1)).expect("platform");
-            p.register_built_shell(cfg.clone(), &art);
-            let rcnfg = CRcnfg::new(&mut p, 1);
-            let t = rcnfg
-                .reconfigure_shell_parsed(&mut p, art.shell_bitstream.header(), true)
-                .expect("reconfigure");
-            trials_kernel.push(t.kernel_latency.as_millis_f64());
-            trials_total.push(t.total_latency.as_millis_f64());
-        }
+        let t = table3_reconfigure(cfg, &art);
         rows.push(
-            Row::new(name, "kernel ms", trials_kernel.mean())
-                .with("total ms", trials_total.mean())
+            Row::new(name, "kernel ms", t.kernel_latency.as_millis_f64())
+                .with("total ms", t.total_latency.as_millis_f64())
                 .with("vivado ms", vivado_ms)
                 .vs_paper(paper_kernel),
         );
@@ -166,10 +156,21 @@ pub fn table3() -> ExperimentResult {
     }
     ExperimentResult {
         id: "table3".into(),
-        title: "Shell reconfiguration latency (avg of 5 trials)".into(),
+        title: "Shell reconfiguration latency (n = 1: deterministic)".into(),
         rows,
         verdict: "kernel latencies within 4% of Table 3; >10x faster than the Vivado flow".into(),
     }
+}
+
+/// One Table 3 measurement: reconfigure a fresh platform to the shell
+/// `art` was built for, reading the image from disk. Deterministic, so each
+/// scenario is measured once.
+pub fn table3_reconfigure(cfg: ShellConfig, art: &ShellArtifacts) -> ReconfigTiming {
+    let mut p = Platform::load(ShellConfig::host_only(1)).expect("platform");
+    p.register_built_shell(cfg, art);
+    CRcnfg::new(&mut p, 1)
+        .reconfigure_shell_parsed(&mut p, art.shell_bitstream.header(), true)
+        .expect("reconfigure")
 }
 
 /// One Fig. 7(a) point: GB/s of a 16 MiB card-to-card copy over

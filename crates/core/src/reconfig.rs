@@ -53,11 +53,12 @@ impl CRcnfg {
         self.reconfigure_shell_parsed(platform, &header, from_disk)
     }
 
-    /// Reconfigure the shell from an already-validated image's header: the
-    /// extreme of §9.3's in-memory deployment, where repeat deployments of
-    /// a resident image skip the content-hash lookup entirely, and an image
-    /// whose bytes were never read stays unwritten. Modeled latencies are
-    /// identical to [`CRcnfg::reconfigure_shell_bytes`].
+    /// Reconfigure the shell from an already-validated image's header.
+    /// Handing [`CRcnfg::reconfigure_shell_bytes`] a resident image's
+    /// bytes already skips the content hash (validation answers by
+    /// identity); this is the path for an image whose bytes were never
+    /// read, which stays unwritten. Modeled latencies are identical to
+    /// [`CRcnfg::reconfigure_shell_bytes`].
     pub fn reconfigure_shell_parsed(
         &self,
         platform: &mut Platform,
@@ -129,7 +130,9 @@ impl CRcnfg {
         self.reconfigure_app_bytes(platform, &blob, vfpga, true)
     }
 
-    /// Reconfigure one vFPGA from an in-memory bitstream.
+    /// Reconfigure one vFPGA from an in-memory bitstream. The image must be
+    /// an app image built for `vfpga`; nothing about the platform changes
+    /// unless programming succeeds.
     pub fn reconfigure_app_bytes(
         &self,
         platform: &mut Platform,
@@ -137,16 +140,15 @@ impl CRcnfg {
         vfpga: u8,
         from_disk: bool,
     ) -> Result<ReconfigTiming, PlatformError> {
+        use coyote_driver::reconfig::ReconfigError;
         platform.vfpga(vfpga)?;
-        let header = Bitstream::validate(blob).map_err(|e| {
-            PlatformError::Reconfig(coyote_driver::reconfig::ReconfigError::Bitstream(e))
-        })?;
-        if !matches!(header.kind, BitstreamKind::App { .. }) {
-            return Err(PlatformError::Reconfig(
-                coyote_driver::reconfig::ReconfigError::Bitstream(
-                    coyote_fabric::BitstreamError::BadKind(1),
-                ),
-            ));
+        let header = Bitstream::validate(blob)
+            .map_err(|e| PlatformError::Reconfig(ReconfigError::Bitstream(e)))?;
+        if header.kind != (BitstreamKind::App { vfpga }) {
+            return Err(PlatformError::Reconfig(ReconfigError::WrongTarget {
+                image: header.kind,
+                vfpga,
+            }));
         }
         let digest = header.digest;
         let factory_kernel = {
@@ -156,14 +158,14 @@ impl CRcnfg {
                 .ok_or(PlatformError::UnknownApp(digest))?;
             factory()
         };
-        // In-flight traffic of the region is dropped, like the real shell
-        // quiescing a region before PR.
-        platform.xdma.evict_tenant(vfpga);
         let now = platform.now;
         let timing = platform
             .driver_mut()
             .reconfigure_parsed(now, &header, from_disk)
             .map_err(PlatformError::Reconfig)?;
+        // In-flight traffic of the region is dropped, like the real shell
+        // quiescing a region before PR.
+        platform.xdma.evict_tenant(vfpga);
         platform.load_kernel(vfpga, factory_kernel)?;
         platform.vfpga_mut(vfpga)?.loaded_digest = digest;
         platform.advance_to(timing.program_done);
@@ -189,6 +191,41 @@ impl VfpgaState {
             loaded_digest: 0,
             beats_in: 0,
             beats_out: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ShellConfig;
+    use crate::kernel::Passthrough;
+    use coyote_dma::{DmaJob, XdmaDir};
+    use coyote_fabric::DeviceKind;
+
+    #[test]
+    fn only_a_programmed_app_image_evicts_the_regions_queued_traffic() {
+        let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+        let rcnfg = CRcnfg::new(&mut p, 1);
+        let id = p.xdma.next_job_id();
+        p.xdma.submit(DmaJob {
+            id,
+            dir: XdmaDir::H2C,
+            tenant: 0,
+            host_addr: 0,
+            len: 4096,
+        });
+        let queued = p.xdma.pending(XdmaDir::H2C);
+        assert!(queued > 0);
+        for (device, digest) in [(DeviceKind::U250, 0xD0), (DeviceKind::U55C, 0xD1)] {
+            p.register_app(digest, || Box::new(Passthrough::default()));
+            let bs = Bitstream::assemble(device, BitstreamKind::App { vfpga: 0 }, 8, digest);
+            let programmed = rcnfg
+                .reconfigure_app_bytes(&mut p, bs.bytes(), 0, false)
+                .is_ok();
+            assert_eq!(programmed, device == DeviceKind::U55C);
+            let left = p.xdma.pending(XdmaDir::H2C);
+            assert_eq!(left, if programmed { 0 } else { queued }, "{device:?}");
         }
     }
 }

@@ -54,6 +54,15 @@ pub enum ReconfigError {
         /// Frame runs in the refused batch.
         batch: usize,
     },
+    /// An app deployment was handed an image that does not reconfigure the
+    /// target vFPGA: a full or shell image, or an app image built for
+    /// another region.
+    WrongTarget {
+        /// What the image reconfigures.
+        image: BitstreamKind,
+        /// The vFPGA the caller named.
+        vfpga: u8,
+    },
 }
 
 impl std::fmt::Display for ReconfigError {
@@ -69,6 +78,14 @@ impl std::fmt::Display for ReconfigError {
                     f,
                     "batch of {batch} frame runs cannot complete into a {slots}-slot ring"
                 )
+            }
+            ReconfigError::WrongTarget { image, vfpga } => {
+                let image = match image {
+                    BitstreamKind::Full => "full-device".to_string(),
+                    BitstreamKind::Shell => "shell".to_string(),
+                    BitstreamKind::App { vfpga } => format!("vFPGA {vfpga} app"),
+                };
+                write!(f, "{image} image cannot reconfigure vFPGA {vfpga}")
             }
         }
     }

@@ -12,7 +12,9 @@
 //! written by the first [`Bitstream::bytes`] call; clones share them, so an
 //! image is resident at most once, and only once something reads it.
 //! [`Bitstream::validate`] checks a borrowed blob in place and returns its
-//! [`BitstreamHeader`], which is all the configuration port needs.
+//! [`BitstreamHeader`], which is all the configuration port needs; handed
+//! the buffer of a resident image, it answers by identity and reads none of
+//! its bytes.
 //!
 //! # Format
 //!
@@ -31,7 +33,7 @@
 //! ```
 
 use crate::cache::{
-    content_hash64, fold_block_hashes, BitstreamCache, BlockHasher, HASH_BLOCK_BYTES,
+    content_hash64, fold_block_hashes, BitstreamCache, BlockHasher, ImageBytes, HASH_BLOCK_BYTES,
 };
 use crate::crc::{crc32, crc32_concat, Crc32};
 use crate::device::{DeviceKind, FRAME_RECORD_BYTES};
@@ -274,8 +276,9 @@ impl BitstreamHeader {
 pub struct Bitstream {
     header: BitstreamHeader,
     /// Empty until an assembled image is first read; always filled for an
-    /// image that came from [`Bitstream::from_bytes`].
-    bytes: Arc<OnceLock<Vec<u8>>>,
+    /// image that came from [`Bitstream::from_bytes`]. Only ever lent out
+    /// shared, which the cache's identity index relies on.
+    bytes: Arc<ImageBytes>,
 }
 
 impl PartialEq for Bitstream {
@@ -314,30 +317,42 @@ impl Bitstream {
         }
     }
 
-    /// Validate a blob and take ownership of it.
+    /// Validate a blob and take ownership of it. The image is then
+    /// resident: validating its [`Bitstream::bytes`] again reads none of
+    /// them.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Bitstream, BitstreamError> {
         let header = Bitstream::validate(&bytes)?;
-        Ok(Bitstream {
-            header,
-            bytes: Arc::new(OnceLock::from(bytes)),
-        })
+        let bytes = Arc::new(OnceLock::from(bytes));
+        let owned = bytes.get().expect("filled above");
+        BitstreamCache::global().insert_resident(&bytes, owned, header);
+        Ok(Bitstream { header, bytes })
     }
 
     /// Validate a blob in place, consulting the process-wide
-    /// [`BitstreamCache`]: a content-hash hit skips the CRC and frame-scan
-    /// passes entirely (any mutation of the bytes changes the hash and
-    /// falls back to full validation).
+    /// [`BitstreamCache`]:
+    ///
+    /// - the exact buffer of a resident image (one whose bytes were written
+    ///   by [`Bitstream::bytes`] or taken over by [`Bitstream::from_bytes`])
+    ///   is answered by identity, reading none of its bytes;
+    /// - any other blob is content-hashed, and a hit skips the CRC and
+    ///   frame-scan passes (any mutation of the bytes changes the hash and
+    ///   falls back to full validation).
     pub fn validate(blob: &[u8]) -> Result<BitstreamHeader, BitstreamError> {
         Bitstream::validate_in(BitstreamCache::global(), blob)
     }
 
     /// [`Bitstream::validate`] against an explicit cache instance
     /// (experiments that report cache statistics use a private cache so
-    /// concurrent unrelated traffic cannot perturb their counters).
+    /// concurrent unrelated traffic cannot perturb their counters). Only
+    /// the process-wide cache indexes resident images, so a private one
+    /// always takes the content path.
     pub fn validate_in(
         cache: &BitstreamCache,
         blob: &[u8],
     ) -> Result<BitstreamHeader, BitstreamError> {
+        if let Some(header) = cache.lookup_resident(blob) {
+            return Ok(header);
+        }
         let hash = content_hash64(blob);
         if let Some(cached) = cache.lookup(blob.len() as u64, hash) {
             // The header cross-check defeats a hash collision between
@@ -377,12 +392,16 @@ impl Bitstream {
 
     /// The raw blob (what sits in the `.bin` file). The first call on an
     /// assembled image writes it, and admits it to the process-wide
-    /// [`BitstreamCache`]: it is valid by construction, so even its first
-    /// deployment skips the CRC and frame scan.
+    /// [`BitstreamCache`] by content and by identity: it is valid by
+    /// construction, so even its first deployment skips the CRC and frame
+    /// scan, and [`Bitstream::validate`] on the returned slice reads none of
+    /// its bytes.
     pub fn bytes(&self) -> &[u8] {
         self.bytes.get_or_init(|| {
             let (bytes, hash) = write_image(&self.header);
-            BitstreamCache::global().insert(hash, self.header);
+            let cache = BitstreamCache::global();
+            cache.insert(hash, self.header);
+            cache.insert_resident(&self.bytes, &bytes, self.header);
             bytes
         })
     }
@@ -1023,5 +1042,158 @@ mod tests {
             Bitstream::validate(&good),
             Ok(Bitstream::from_bytes(good.clone()).unwrap().header)
         );
+    }
+
+    /// Bytes `f` passes to `content_hash64` on this thread, and its value.
+    fn hashing<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = crate::cache::hashed_bytes();
+        let out = f();
+        (crate::cache::hashed_bytes() - before, out)
+    }
+
+    /// Index `bs` in a private cache, as the process-wide cache does when
+    /// its bytes are first written, so counters are this test's alone.
+    fn resident_in(cache: &BitstreamCache, bs: &Bitstream) {
+        cache.insert_resident(&bs.bytes, bs.bytes(), bs.header);
+    }
+
+    #[test]
+    fn redeploying_a_resident_image_hashes_nothing() {
+        let app = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 2 }, 30, 11);
+        let shell = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 50, 12);
+        let upload = Bitstream::from_bytes(app.bytes().to_vec()).unwrap();
+        for bs in [&app, &shell, &upload] {
+            for _ in 0..3 {
+                let (hashed, header) = hashing(|| Bitstream::validate(bs.bytes()));
+                assert_eq!(hashed, 0, "{:?}", bs.kind());
+                assert_eq!(header, Ok(bs.header));
+            }
+        }
+    }
+
+    #[test]
+    fn a_copy_of_a_resident_image_hits_by_content() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U280, BitstreamKind::App { vfpga: 1 }, 25, 4);
+        // Prove the bytes once through the content path, then index them.
+        Bitstream::validate_in(&cache, bs.bytes()).unwrap();
+        resident_in(&cache, &bs);
+        let copy = bs.bytes().to_vec();
+        let (hashed, header) = hashing(|| Bitstream::validate_in(&cache, &copy));
+        assert_eq!(hashed, copy.len() as u64, "a copy is hashed");
+        assert_eq!(header, Ok(bs.header));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "hit by content");
+    }
+
+    #[test]
+    fn a_flipped_copy_fails_while_the_resident_image_validates() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 40, 6);
+        resident_in(&cache, &bs);
+        let mut flipped = bs.bytes().to_vec();
+        flipped[HEADER_BYTES + 3 * FRAME_RECORD_BYTES + 17] ^= 0x10;
+        assert!(matches!(
+            Bitstream::validate_in(&cache, &flipped),
+            Err(BitstreamError::CrcMismatch { .. })
+        ));
+        let (hashed, header) = hashing(|| Bitstream::validate_in(&cache, bs.bytes()));
+        assert_eq!((hashed, header), (0, Ok(bs.header)));
+        // Sub-slices of the resident buffer are not the image either.
+        let whole = bs.bytes();
+        for part in [&whole[..whole.len() - 4], &whole[4..]] {
+            let (hashed, header) = hashing(|| Bitstream::validate_in(&cache, part));
+            assert_eq!(hashed, part.len() as u64);
+            assert!(header.is_err());
+        }
+    }
+
+    #[test]
+    fn a_recycled_address_never_hits() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 0 }, 20, 8);
+        resident_in(&cache, &bs);
+        let (addr, len) = (bs.bytes().as_ptr(), bs.bytes().len());
+        drop(bs);
+        // Same-length buffers, kept alive so each is a new allocation,
+        // until the allocator hands the dropped image's address back or
+        // the tries run out.
+        let mut fresh = Vec::new();
+        while fresh.len() < 64 && !fresh.iter().any(|b: &Vec<u8>| b.as_ptr() == addr) {
+            fresh.push(vec![0u8; len]);
+        }
+        for blob in &fresh {
+            assert_eq!(
+                Bitstream::validate_in(&cache, blob),
+                Err(BitstreamError::BadMagic)
+            );
+        }
+        assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn clones_share_one_identity_entry() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::App { vfpga: 3 }, 15, 2);
+        let twin = bs.clone();
+        resident_in(&cache, &bs);
+        resident_in(&cache, &twin);
+        assert_eq!(cache.resident_len(), 1);
+        let (hashed, header) = hashing(|| Bitstream::validate_in(&cache, twin.bytes()));
+        assert_eq!((hashed, header), (0, Ok(bs.header)));
+    }
+
+    #[test]
+    fn identity_hits_count_and_clear_empties_the_index() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 10, 3);
+        resident_in(&cache, &bs);
+        for _ in 0..2 {
+            Bitstream::validate_in(&cache, bs.bytes()).unwrap();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 0, 0));
+        cache.clear();
+        assert_eq!(cache.resident_len(), 0);
+        let (hashed, _) = hashing(|| Bitstream::validate_in(&cache, bs.bytes()));
+        assert_eq!(hashed, bs.len(), "cleared: back to the content path");
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_private_cache_never_sees_global_identity_entries() {
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 1 }, 12, 21);
+        let parsed = Bitstream::from_bytes(bs.bytes().to_vec()).unwrap();
+        let cache = BitstreamCache::new(8);
+        for image in [&bs, &parsed] {
+            let (hashed, header) = hashing(|| Bitstream::validate_in(&cache, image.bytes()));
+            assert_eq!((hashed, header), (image.len(), Ok(bs.header)));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "content path only");
+        assert_eq!(cache.resident_len(), 0);
+    }
+
+    #[test]
+    fn identity_index_forgets_dropped_images_before_live_ones() {
+        let cache = BitstreamCache::new(2);
+        let live = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 9, 1);
+        resident_in(&cache, &live);
+        // Images that come and go, as uploads do, never push out a live one.
+        for digest in 2..10 {
+            let gone = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 9, digest);
+            resident_in(&cache, &gone);
+        }
+        assert!(cache.resident_len() <= 2);
+        let (hashed, _) = hashing(|| Bitstream::validate_in(&cache, live.bytes()));
+        assert_eq!(hashed, 0, "the live image is still indexed");
+        // Live images past capacity evict the oldest.
+        let a = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 9, 20);
+        let b = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 9, 21);
+        resident_in(&cache, &a);
+        resident_in(&cache, &b);
+        assert_eq!(cache.resident_len(), 2);
+        let (hashed, _) = hashing(|| Bitstream::validate_in(&cache, live.bytes()));
+        assert_eq!(hashed, live.len(), "oldest evicted");
     }
 }

@@ -15,16 +15,43 @@
 //! are valid by construction. An image nobody reads is never admitted, and
 //! need not be: nobody can validate bytes that were never written.
 //!
+//! Beside the content map sits an *identity index*: the (buffer address,
+//! length) of every resident image, that is one whose bytes were written by
+//! [`Bitstream::bytes`] or taken over by [`Bitstream::from_bytes`], mapped
+//! to a [`Weak`] of the image's shared bytes and its header. Redeploying an
+//! in-memory image (§9.3) hands `validate` exactly that buffer, and the
+//! index answers it without hashing: a redeployment reads none of the
+//! image's bytes.
+//!
 //! # Coherence
 //!
-//! The cache is keyed by *content*, not by name: any mutation of a blob —
-//! an injected bit flip, a rewritten frame address, a truncation — changes
-//! the content hash and therefore misses, falling back to full validation.
-//! A cached entry can never mask corruption, it can only skip re-proving
-//! the validity of bytes that were already proven valid. On a hit the
-//! 32-byte header is additionally cross-checked against the cached
+//! The content map is keyed by *content*, not by name: any mutation of a
+//! blob — an injected bit flip, a rewritten frame address, a truncation —
+//! changes the content hash and therefore misses, falling back to full
+//! validation. A cached entry can never mask corruption, it can only skip
+//! re-proving the validity of bytes that were already proven valid. On a
+//! hit the 32-byte header is additionally cross-checked against the cached
 //! metadata, so a (astronomically unlikely) hash collision between two
 //! well-formed blobs would still need identical headers to go unnoticed.
+//!
+//! The identity index is keyed by *where* the bytes are, and is sound
+//! without any trust in the caller:
+//!
+//! - A resident image's bytes sit in an `Arc<OnceLock<Vec<u8>>>` that hands
+//!   out only shared references, and the index's live `Weak` makes
+//!   `Arc::get_mut` fail. Once admitted, the bytes cannot change.
+//! - A hit needs the `Weak` to upgrade *and* the image's buffer to start at
+//!   the caller's slice with the same length. The caller's slice is live
+//!   for the whole call, and two live allocations never share an address,
+//!   so the slice *is* the image's buffer, byte for byte.
+//! - Everything else misses into the content path unchanged: a copy (other
+//!   address), a sub-slice (other address or length), the recycled address
+//!   of a dropped image (its `Weak` no longer upgrades).
+//!
+//! Only the process-wide cache is filled: a private cache never sees an
+//! identity entry, so its counters still come from content lookups alone.
+//! Addresses are lookup keys only; none reaches a result, a recording or a
+//! file.
 //!
 //! # Determinism
 //!
@@ -35,20 +62,26 @@
 //!
 //! [`Bitstream::validate`]: crate::Bitstream::validate
 //! [`Bitstream::bytes`]: crate::Bitstream::bytes
+//! [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
 
 use crate::bitstream::BitstreamHeader;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-/// Default entry capacity of the process-wide cache. Entries are ~100
-/// bytes of metadata (the blob bytes themselves are never retained), so
+/// A bitstream's bytes as its clones share them: empty until written.
+pub(crate) type ImageBytes = OnceLock<Vec<u8>>;
+
+/// Default entry capacity of the process-wide cache, for the content map
+/// and the identity index each. Entries are ~100 bytes of metadata (the
+/// blob bytes themselves are never retained, the index holds `Weak`s), so
 /// this bounds the cache to a few tens of kilobytes.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Hit/miss/eviction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (validation skipped).
+    /// Lookups answered from the cache (validation skipped), by content
+    /// or by identity.
     pub hits: u64,
     /// Lookups that fell back to full validation.
     pub misses: u64,
@@ -71,6 +104,13 @@ impl CacheStats {
     }
 }
 
+/// A resident image in the identity index.
+#[derive(Debug)]
+struct Resident {
+    image: Weak<ImageBytes>,
+    header: BitstreamHeader,
+}
+
 #[derive(Debug, Default)]
 struct CacheInner {
     // Keyed by (blob length, content hash). Lookup tables only — never
@@ -78,6 +118,10 @@ struct CacheInner {
     map: HashMap<(u64, u64), BitstreamHeader>,
     // FIFO insertion order for deterministic capacity eviction.
     order: VecDeque<(u64, u64)>,
+    // The identity index, keyed by (buffer address, length); a lookup table
+    // like `map`, bounded the same way through `resident_order`.
+    resident: HashMap<(usize, usize), Resident>,
+    resident_order: VecDeque<(usize, usize)>,
     stats: CacheStats,
 }
 
@@ -142,6 +186,74 @@ impl BitstreamCache {
         }
     }
 
+    /// The header of `blob` if it is exactly the buffer of a live resident
+    /// image (see the module docs' "Coherence"). Counts a hit when it is;
+    /// anything else is left to the content lookup, which counts.
+    pub(crate) fn lookup_resident(&self, blob: &[u8]) -> Option<BitstreamHeader> {
+        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
+        let entry = inner.resident.get(&(blob.as_ptr() as usize, blob.len()))?;
+        let image = entry.image.upgrade()?;
+        let bytes = image.get()?;
+        if bytes.as_ptr() != blob.as_ptr() || bytes.len() != blob.len() {
+            return None;
+        }
+        let header = entry.header;
+        inner.stats.hits += 1;
+        Some(header)
+    }
+
+    /// Index `bytes`, valid for `header`, as the buffer `image` holds (or
+    /// is about to hold: a lookup checks the buffer is really there).
+    pub(crate) fn insert_resident(
+        &self,
+        image: &Arc<ImageBytes>,
+        bytes: &[u8],
+        header: BitstreamHeader,
+    ) {
+        let key = (bytes.as_ptr() as usize, bytes.len());
+        let entry = Resident {
+            image: Arc::downgrade(image),
+            header,
+        };
+        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
+        let CacheInner {
+            resident,
+            resident_order,
+            ..
+        } = &mut *inner;
+        // A recycled address replaces its dead entry in place.
+        if resident.insert(key, entry).is_some() {
+            return;
+        }
+        resident_order.push_back(key);
+        if resident_order.len() > self.capacity {
+            // Forget dropped images before evicting a live one.
+            resident_order.retain(|key| {
+                let live = resident
+                    .get(key)
+                    .is_some_and(|r| r.image.strong_count() > 0);
+                if !live {
+                    resident.remove(key);
+                }
+                live
+            });
+            if resident_order.len() > self.capacity {
+                let oldest = resident_order.pop_front().expect("non-empty order queue");
+                resident.remove(&oldest);
+            }
+        }
+    }
+
+    /// Identity entries currently held.
+    #[cfg(test)]
+    pub(crate) fn resident_len(&self) -> usize {
+        self.inner
+            .lock()
+            .expect("bitstream cache poisoned")
+            .resident
+            .len()
+    }
+
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.inner
@@ -161,12 +273,9 @@ impl BitstreamCache {
         self.inner.lock().expect("bitstream cache poisoned").stats
     }
 
-    /// Drop every entry and zero the counters.
+    /// Drop every entry, identity entries included, and zero the counters.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
-        inner.stats = CacheStats::default();
+        *self.inner.lock().expect("bitstream cache poisoned") = CacheInner::default();
     }
 }
 
@@ -256,10 +365,25 @@ pub(crate) fn fold_block_hashes(blocks: impl IntoIterator<Item = u64>, len: usiz
 /// shell image costs a few milliseconds where the CRC + frame scan it
 /// replaces costs tens.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
     let hashes = bytes
         .chunks(HASH_BLOCK_BYTES)
         .map(|block| BlockHasher::new().finish(block, block.len()));
     fold_block_hashes(hashes, bytes.len())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread has passed to [`content_hash64`]; validation runs
+    /// on the caller's thread, so a test reads its own count.
+    static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes the calling thread has passed to [`content_hash64`] so far.
+#[cfg(test)]
+pub(crate) fn hashed_bytes() -> u64 {
+    HASHED_BYTES.with(|n| n.get())
 }
 
 #[cfg(test)]

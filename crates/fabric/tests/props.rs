@@ -1,7 +1,7 @@
 //! Property-based tests on bitstreams and CRC.
 
 use coyote_fabric::crc::{crc32, crc32_combine, Crc32};
-use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
+use coyote_fabric::{Bitstream, BitstreamCache, BitstreamKind, DeviceKind};
 use proptest::prelude::*;
 
 proptest! {
@@ -50,18 +50,45 @@ proptest! {
     }
 
     /// Arbitrary bytes never panic the decoder: `Ok` or a typed error,
-    /// the same from in-place validation as from the owning parse.
+    /// the same from in-place validation as from the owning parse. Once the
+    /// parse owns a valid blob, validating its resident buffer (the
+    /// identity path) agrees with both and with the content path of a
+    /// private cache. A third of the cases start from an intact valid
+    /// image and a third from one with a bit flipped, so the identity path
+    /// sees traffic.
     #[test]
     fn from_bytes_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..4096),
-                                           magic in any::<bool>()) {
+                                           magic in any::<bool>(),
+                                           start in 0u8..3,
+                                           frames in 1u64..64,
+                                           digest in any::<u64>(),
+                                           bit in any::<usize>()) {
         let mut bytes = bytes;
-        // Half the cases get past the magic check, to reach the deeper ones.
-        if magic && bytes.len() >= 4 {
+        let mut source = None;
+        if start > 0 {
+            let bs = Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, frames, digest);
+            bytes = bs.bytes().to_vec();
+            if start == 2 {
+                let bit = bit % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            source = Some(bs);
+        } else if magic && bytes.len() >= 4 {
+            // Half the cases get past the magic check, to reach the deeper ones.
             bytes[..4].copy_from_slice(b"CYT2");
         }
         let in_place = Bitstream::validate(&bytes);
-        let owned = Bitstream::from_bytes(bytes).map(|bs| *bs.header());
-        prop_assert_eq!(in_place, owned);
+        let owned = Bitstream::from_bytes(bytes);
+        prop_assert_eq!(&in_place, &owned.as_ref().map(|bs| *bs.header()).map_err(Clone::clone));
+        if let Ok(bs) = &owned {
+            prop_assert_eq!(&Bitstream::validate(bs.bytes()), &in_place);
+            let content = Bitstream::validate_in(&BitstreamCache::new(1), bs.bytes());
+            prop_assert_eq!(&content, &in_place);
+        }
+        // The image a copy came from validates whatever the copy did.
+        if let Some(bs) = source {
+            prop_assert_eq!(Bitstream::validate(bs.bytes()), Ok(*bs.header()));
+        }
     }
 
     /// Every truncation of a valid blob, and any other frame count

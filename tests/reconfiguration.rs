@@ -2,11 +2,12 @@
 //! reconfiguration with kernel swap, and the on-demand HLL load of §9.6.
 
 use coyote::build::{build_app, build_shell};
-use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
+use coyote::kernel::Passthrough;
+use coyote::{CRcnfg, CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
 use coyote_apps::{AesEcbKernel, HllKernel};
-use coyote_driver::VivadoBaseline;
-use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
-use coyote_fabric::{Bitstream, BitstreamError, BitstreamKind, Device, DeviceKind};
+use coyote_driver::{ReconfigError, VivadoBaseline};
+use coyote_fabric::config::{ConfigError, ConfigPort, ConfigPortKind, ConfigState};
+use coyote_fabric::{Bitstream, BitstreamError, BitstreamKind, Device, DeviceKind, PartitionId};
 use coyote_sim::SimTime;
 use coyote_synth::{Ip, IpBlock};
 
@@ -211,4 +212,115 @@ fn in_memory_bitstreams_skip_the_disk_stage() {
         .unwrap();
     assert!(cached.total_latency < from_disk.total_latency / 2);
     assert_eq!(cached.kernel_latency, from_disk.kernel_latency);
+}
+
+/// A small app image for `vfpga` on `device`, registered with `p`.
+fn app_image(p: &mut Platform, device: DeviceKind, vfpga: u8, digest: u64) -> Bitstream {
+    p.register_app(digest, || Box::new(Passthrough::default()));
+    Bitstream::assemble(device, BitstreamKind::App { vfpga }, 64, digest)
+}
+
+/// What a failed app deployment must leave alone: every region's loaded
+/// design and committed image, the reconfiguration count and the clock.
+fn app_state(p: &Platform) -> (Vec<(u64, Option<u64>)>, u64, SimTime) {
+    let state = p.driver().config_state();
+    let regions = (0..p.config().n_vfpgas)
+        .map(|v| {
+            let committed = state.image(PartitionId::Vfpga(v)).map(|img| img.digest);
+            (p.vfpga(v).unwrap().loaded_digest, committed)
+        })
+        .collect();
+    (regions, state.reconfig_count(), p.now())
+}
+
+#[test]
+fn app_image_for_another_region_is_rejected() {
+    let mut p = Platform::load(ShellConfig::host_only(2)).unwrap();
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    let bs = app_image(&mut p, DeviceKind::U55C, 0, 0xA0);
+    let before = app_state(&p);
+    let err = rcnfg
+        .reconfigure_app_bytes(&mut p, bs.bytes(), 1, false)
+        .unwrap_err();
+    assert_eq!(
+        format!("{err}"),
+        "reconfiguration: vFPGA 0 app image cannot reconfigure vFPGA 1"
+    );
+    assert!(
+        matches!(
+            err,
+            PlatformError::Reconfig(ReconfigError::WrongTarget {
+                image: BitstreamKind::App { vfpga: 0 },
+                vfpga: 1
+            })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(app_state(&p), before, "neither region changed");
+    // The image deploys to the region it was built for.
+    rcnfg
+        .reconfigure_app_bytes(&mut p, bs.bytes(), 0, false)
+        .unwrap();
+    let (regions, count, _) = app_state(&p);
+    assert_eq!(regions, vec![(0xA0, Some(0xA0)), before.0[1]]);
+    assert_eq!(count, before.1 + 1);
+}
+
+#[test]
+fn shell_and_full_images_are_rejected_as_apps_by_kind() {
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    for (kind, name) in [
+        (BitstreamKind::Shell, "shell"),
+        (BitstreamKind::Full, "full-device"),
+    ] {
+        let bs = Bitstream::assemble(DeviceKind::U55C, kind, 64, 0xB0);
+        let before = app_state(&p);
+        let err = rcnfg
+            .reconfigure_app_bytes(&mut p, bs.bytes(), 0, false)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("reconfiguration: {name} image cannot reconfigure vFPGA 0")
+        );
+        assert!(
+            matches!(
+                err,
+                PlatformError::Reconfig(ReconfigError::WrongTarget { image, vfpga: 0 })
+                    if image == kind
+            ),
+            "{err:?}"
+        );
+        assert_eq!(app_state(&p), before);
+    }
+}
+
+#[test]
+fn device_mismatch_leaves_the_region_untouched() {
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    let rcnfg = CRcnfg::new(&mut p, 1);
+    let own = app_image(&mut p, DeviceKind::U55C, 0, 0xC0);
+    rcnfg
+        .reconfigure_app_bytes(&mut p, own.bytes(), 0, false)
+        .unwrap();
+    let foreign = app_image(&mut p, DeviceKind::U250, 0, 0xC1);
+    let before = app_state(&p);
+    let err = rcnfg
+        .reconfigure_app_bytes(&mut p, foreign.bytes(), 0, false)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::Reconfig(ReconfigError::Config(ConfigError::DeviceMismatch {
+                card: DeviceKind::U55C,
+                bitstream: DeviceKind::U250
+            }))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(app_state(&p), before);
+    assert_eq!(
+        p.vfpga(0).unwrap().kernel.as_ref().unwrap().name(),
+        "passthrough"
+    );
 }
