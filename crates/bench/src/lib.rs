@@ -15,7 +15,6 @@ pub mod experiments;
 pub mod netexp;
 pub mod recording;
 pub mod report;
-pub mod scaling;
 pub mod storm;
 
 pub use report::{ExperimentResult, Row};

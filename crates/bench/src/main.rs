@@ -53,7 +53,6 @@ const IDS: &[&str] = &[
     "ablation_virt",
     "ablation_mt",
     "claims",
-    "scaling_des",
     "reconfig_storm",
     "net_goodput",
     "net_fanin",
@@ -144,14 +143,13 @@ fn run_one(id: &str) -> Option<ExperimentResult> {
             coyote_bench::ablations::ablation_threads_vs_vfpgas,
         ),
         "claims" => cached("claims", coyote_bench::claims::claims),
-        "scaling_des" => cached("scaling_des", coyote_bench::scaling::scaling_des),
         "reconfig_storm" => cached("reconfig_storm", coyote_bench::storm::reconfig_storm),
         "net_goodput" => cached("net_goodput", coyote_bench::netexp::net_goodput),
         "net_fanin" => cached("net_fanin", coyote_bench::netexp::net_fanin),
         "net_retransmit" => cached("net_retransmit", coyote_bench::netexp::net_retransmit),
         "net_chaos" => cached("net_chaos", coyote_bench::netexp::net_chaos),
         "net_micro" => cached("net_micro", coyote_bench::netexp::net_micro),
-        "replay_overhead" => cached("replay_overhead", coyote_bench::scaling::replay_overhead),
+        "replay_overhead" => cached("replay_overhead", coyote_bench::recording::replay_overhead),
         _ => return None,
     })
 }
@@ -436,8 +434,8 @@ fn main() {
     };
     let label = flag_value("--label");
     if let Some(dir) = flag_value("--record") {
-        // Experiments with a capture hook (scaling_des, net_chaos) write
-        // replay recordings (`.cyt`) into this directory.
+        // Experiments with a capture hook (net_chaos) write replay
+        // recordings (`.cyt`) into this directory.
         coyote_bench::recording::set_dir(&dir);
     }
     if let Some(threads) = flag_value("--threads") {

@@ -301,8 +301,8 @@ pub fn net_chaos() -> ExperimentResult {
         let cfg = StormConfig::platform(seeds, hops).with_chaos(seed);
         // detlint: allow(IPA001): quick mode selects the workload size; the
         // chosen cfg travels inside the artifact, so replay and verify are
-        // self-consistent per mode, on any worker count.
-        let rec = Recording::record(cfg, coyote_sim::thread_budget().max(2));
+        // self-consistent per mode.
+        let rec = Recording::record(cfg);
         if let Some(path) = crate::recording::save("net_chaos", &rec) {
             println!(
                 "net_chaos: recorded {} faults over {} events -> {}",

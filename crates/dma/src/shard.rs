@@ -1,4 +1,4 @@
-//! The DMA/XDMA path's identity in the sharded parallel DES engine.
+//! The DMA/XDMA path's identity in the sharded DES engine.
 //!
 //! The XDMA engine, writeback table and MSI-X path (plus the MMU, which
 //! shares the PCIe/host-memory substrate) form one shard

@@ -1,5 +1,4 @@
-//! The reconfiguration fabric's identity in the sharded parallel DES
-//! engine.
+//! The reconfiguration fabric's identity in the sharded DES engine.
 //!
 //! The ICAP controller, bitstream parsing and configuration state form one
 //! shard ([`coyote_sim::DOMAIN_FABRIC`]).

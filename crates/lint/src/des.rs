@@ -21,13 +21,15 @@
 //!   of going through [`coyote_chaos::FaultTrace::merged`], so the trace
 //!   (and its published FNV-64 hash) depends on collection order.
 //! * **DS006** — an event crossing a shard-domain boundary with a delay
-//!   below the declared link lookahead. The sharded engine's conservative
-//!   windows are exactly as wide as the lookahead promises; an event that
-//!   undercuts its link can land inside a window the destination shard has
-//!   already executed past, so no deterministic order exists for it.
+//!   below the declared link lookahead. The lookahead is the model's
+//!   declared minimum latency of the path between two domains, and a
+//!   strictly positive one is what keeps each shard executing its own
+//!   events in `EventKey` order; an event that undercuts its link breaks
+//!   that declaration (the engine's `post_after` refuses it, so a trace
+//!   that shows one was built around the shard API).
 //! * **DS007** — replay divergence: two runs of one recorded workload
-//!   disagree on an event. The determinism contract says worker threads
-//!   decide *who computes*, never *what happened*, so any disagreement is a
+//!   disagree on an event. The determinism contract says the same config
+//!   executes the same events in the same order, so any disagreement is a
 //!   happens-before violation upstream of the first divergent `EventKey`.
 //!   `coyote-replay bisect` finds that key and reports it through this rule.
 //!
@@ -112,8 +114,8 @@ pub fn lint_trace(unit: &str, trace: &ShardTrace) -> Report {
 /// from its `domain` crossed a shard boundary; its scheduling delay
 /// `at - posted_at` must be at least the declared lookahead of that link
 /// (error), and the link itself must be declared at all (warning) —
-/// otherwise the conservative window cannot order the event and
-/// determinism across worker counts is forfeit.
+/// otherwise the crossing is faster than, or absent from, the model's
+/// declared latencies.
 pub fn lint_shard_lookahead(
     unit: &str,
     trace: &ShardTrace,
@@ -140,8 +142,8 @@ pub fn lint_shard_lookahead(
                     loc(unit, e.at_ps),
                     format!(
                         "event[{i}] crossed shard domains {src:#x} -> {dst:#x} with no \
-                         declared link lookahead; the conservative window has no bound to \
-                         order it under"
+                         declared link lookahead; the topology promises no minimum latency \
+                         for it"
                     ),
                 )
                 .with_suggestion("declare the link (and its lookahead) in the shard topology"),
@@ -153,8 +155,8 @@ pub fn lint_shard_lookahead(
                     loc(unit, e.at_ps),
                     format!(
                         "event[{i}] crossed shard domains {src:#x} -> {dst:#x} with delay \
-                         {delay} below the declared link lookahead {lookahead}; it can land \
-                         inside a window the destination shard already executed past"
+                         {delay} below the declared link lookahead {lookahead}; it is faster \
+                         than the link's declared minimum latency"
                     ),
                 )
                 .with_suggestion(
@@ -267,7 +269,7 @@ mod tests {
         let mut sim = ShardedSimulation::new(topo, vec![0u64]);
         sim.record_trace();
         build(&mut sim);
-        sim.run_serial();
+        sim.run();
         sim.take_trace()
     }
 
@@ -396,7 +398,7 @@ mod tests {
             sim.seed(shard_domain, SimTime(500), tag, |w, _| *w += 1)
                 .unwrap();
         }
-        sim.run_serial();
+        sim.run();
         let r = lint_trace("t", &sim.take_trace());
         let hits: Vec<_> = r.of_rule("DS001").collect();
         assert_eq!(hits.len(), 1, "{}", r.render_human());
@@ -525,7 +527,7 @@ mod tests {
                 .unwrap();
         })
         .unwrap();
-        sim.run_with_workers(2);
+        sim.run();
         let trace = sim.take_trace();
         assert!(lint_shard_lookahead("sharded", &trace, &decls).is_clean());
     }

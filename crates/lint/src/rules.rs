@@ -274,10 +274,9 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "DS006",
         layer: Layer::Des,
         severity: Severity::Error,
-        description:
-            "cross-shard event scheduled with a delay below the declared link lookahead: the \
-             conservative window cannot order it, so determinism across worker counts is \
-             forfeit",
+        description: "cross-shard event scheduled with a delay below the declared link lookahead: \
+             faster than the link's declared minimum latency, which is what keeps each \
+             shard's events in EventKey order",
     },
     RuleInfo {
         id: "DS007",

@@ -536,7 +536,7 @@ fn traced(build: impl FnOnce(&mut ShardedSimulation<u64>)) -> ShardTrace {
     let mut sim = ShardedSimulation::new(topo, vec![0u64]);
     sim.record_trace();
     build(&mut sim);
-    sim.run_serial();
+    sim.run();
     sim.take_trace()
 }
 
@@ -691,8 +691,8 @@ fn ds007_replay_divergence() {
 #[test]
 fn ds006_below_lookahead_shard_crossing() {
     // An event crossing from the net shard domain to the DMA shard domain
-    // with a 1ns delay, against a link that promises 5ns lookahead: the
-    // conservative window cannot order it.
+    // with a 1ns delay, against a link that promises 5ns lookahead: faster
+    // than the link's declared minimum latency.
     let crossing = EventTag::target(3)
         .domain(DOMAIN_DMA)
         .from_domain(DOMAIN_NET);

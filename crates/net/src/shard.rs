@@ -1,4 +1,4 @@
-//! The network stack's identity in the sharded parallel DES engine.
+//! The network stack's identity in the sharded DES engine.
 //!
 //! The RoCE stack, switch fabric and QPs form one shard
 //! ([`coyote_sim::DOMAIN_NET`]): everything they schedule stays on the
@@ -22,7 +22,7 @@ pub fn shard_spec() -> ShardSpec {
 
 /// Egress lookahead of the network shard: nothing leaves the domain faster
 /// than one wire plus one switch traversal, so links out of `net` may
-/// promise that much slack to the conservative window.
+/// promise that much latency.
 pub fn shard_lookahead() -> SimDuration {
     WIRE_LATENCY + SWITCH_LATENCY
 }

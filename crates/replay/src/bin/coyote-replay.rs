@@ -3,13 +3,13 @@
 //! first divergent event.
 //!
 //! ```text
-//! coyote-replay record [--ring N] [--seeds N] [--hops N] [--workers N]
-//!                      [--chaos SEED] [--perturb IDX] <out.cyt>
-//! coyote-replay verify [--workers N] [--json] <trace.cyt>
+//! coyote-replay record [--ring N] [--seeds N] [--hops N] [--chaos SEED]
+//!                      [--perturb IDX] <out.cyt>
+//! coyote-replay verify [--json] <trace.cyt>
 //! coyote-replay bisect [--json] <a.cyt> <b.cyt>
 //!
 //! record   run the storm and write the recording (platform topology by
-//!          default; --ring N runs the N-shard ring instead)
+//!          default; --ring N runs the N-shard ring instead, 2 <= N <= 8)
 //! verify   re-execute the recording's config and assert per-event identity
 //! bisect   find the first divergent EventKey of two recordings and print
 //!          the DS007 diagnosis
@@ -18,14 +18,14 @@
 //! divergence was found, 2 usage or I/O failure.
 //! ```
 
-use coyote_replay::{bisect, verify, Recording, StormConfig, StormTopology};
+use coyote_replay::{bisect, verify, Recording, StormConfig, StormTopology, MAX_RING};
 use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: coyote-replay <record|verify|bisect> [options] <path>...\n\
-                     \x20 record [--ring N] [--seeds N] [--hops N] [--workers N] \
-                     [--chaos SEED] [--perturb IDX] <out.cyt>\n\
-                     \x20 verify [--workers N] [--json] <trace.cyt>\n\
+                     \x20 record [--ring N] [--seeds N] [--hops N] [--chaos SEED] \
+                     [--perturb IDX] <out.cyt>\n\
+                     \x20 verify [--json] <trace.cyt>\n\
                      \x20 bisect [--json] <a.cyt> <b.cyt>";
 
 fn main() -> ExitCode {
@@ -58,18 +58,24 @@ fn flag_value(flag: &str, value: Option<&String>) -> Result<u64, String> {
 
 fn cmd_record(args: &[String]) -> ExitCode {
     let mut cfg = StormConfig::platform(64, 24);
-    let mut workers = coyote_sim::thread_budget().max(2);
     let mut out: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let parsed = match arg.as_str() {
-            "--ring" => flag_value(arg, it.next()).map(|n| {
-                cfg.topology = StormTopology::Ring(n as usize);
+            // The decoder's limits: a recording this accepts must decode.
+            "--ring" => flag_value(arg, it.next()).and_then(|n| match usize::try_from(n) {
+                Ok(n) if (2..=MAX_RING).contains(&n) => {
+                    cfg.topology = StormTopology::Ring(n);
+                    Ok(())
+                }
+                _ => Err(format!("--ring: {n} is outside 2..={MAX_RING}")),
             }),
             "--seeds" => flag_value(arg, it.next()).map(|n| cfg.seeds = n),
-            "--hops" => flag_value(arg, it.next()).map(|n| cfg.hops = n as u32),
-            "--workers" => flag_value(arg, it.next()).map(|n| workers = (n as usize).max(1)),
+            "--hops" => flag_value(arg, it.next()).and_then(|n| {
+                cfg.hops = u32::try_from(n).map_err(|_| format!("--hops: {n} overflows u32"))?;
+                Ok(())
+            }),
             "--chaos" => flag_value(arg, it.next()).map(|n| cfg.chaos_seed = Some(n)),
             "--perturb" => flag_value(arg, it.next()).map(|n| cfg.perturb = Some(n)),
             flag if flag.starts_with('-') => Err(format!("unknown option '{flag}'")),
@@ -91,11 +97,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    // detlint: allow(IPA001): the env-derived default for `workers` only
-    // sets the fan-out width; the recorded trace is worker-invariant, proven
-    // by the scaling gate and re-proven by `verify --workers N` on any count.
-    let rec = Recording::record(cfg, workers);
-    // detlint: allow(IPA001): same worker-invariance as above.
+    let rec = Recording::record(cfg);
     if let Err(e) = rec.write_to(Path::new(&out)) {
         eprintln!("coyote-replay: {out}: {e}");
         return ExitCode::from(2);
@@ -104,7 +106,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
         "recorded {} events, {} faults -> {out} (fingerprint {:016x})",
         rec.trace.len(),
         rec.faults.len(),
-        // detlint: allow(IPA001): same worker-invariance as above.
         rec.fingerprint()
     );
     ExitCode::SUCCESS
@@ -112,20 +113,11 @@ fn cmd_record(args: &[String]) -> ExitCode {
 
 fn cmd_verify(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut workers = coyote_sim::thread_budget().max(2);
     let mut path: Option<String> = None;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--json" => json = true,
-            "--workers" => match flag_value(arg, it.next()) {
-                Ok(n) => workers = (n as usize).max(1),
-                Err(e) => {
-                    eprintln!("{e}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             flag if flag.starts_with('-') => {
                 eprintln!("unknown option '{flag}'\n{USAGE}");
                 return ExitCode::from(2);
@@ -150,13 +142,12 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let outcome = verify(&rec, workers);
+    let outcome = verify(&rec);
     if json {
         println!(
-            "{{\"recording\":{:?},\"workers\":{},\"fingerprint\":\"{:016x}\",\
+            "{{\"recording\":{:?},\"fingerprint\":\"{:016x}\",\
              \"identical\":{},\"outcome\":{:?}}}",
             path,
-            workers,
             rec.fingerprint(),
             outcome.is_identical(),
             outcome.render(),

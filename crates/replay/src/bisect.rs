@@ -186,7 +186,7 @@ pub fn bisect(unit: &str, a: &Recording, b: &Recording) -> Option<BisectFinding>
             (None, None) => "both traces ended".into(),
         };
         // Cross-shard context from the topology both runs declared.
-        let decls = crate::scenario::build_topology(a.meta.config.topology).lookahead_decls();
+        let decls = crate::scenario::build_topology(a.config.topology).lookahead_decls();
         for e in [&expected, &actual].into_iter().flatten() {
             if let Some((ctx, undercut)) = link_context(e, &decls) {
                 detail.push_str("; ");
@@ -286,13 +286,13 @@ mod tests {
 
     #[test]
     fn identical_recordings_bisect_to_none() {
-        let rec = Recording::record(StormConfig::platform(8, 6), 1);
+        let rec = Recording::record(StormConfig::platform(8, 6));
         assert!(bisect("storm", &rec, &rec.clone()).is_none());
     }
 
     #[test]
     fn first_divergence_matches_linear_scan_on_synthetic_edits() {
-        let run = run_storm(&StormConfig::platform(12, 8), 1);
+        let run = run_storm(&StormConfig::platform(12, 8));
         let base = run.trace.entries().to_vec();
         for edit_at in [0, 1, base.len() / 2, base.len() - 1] {
             let mut edited = base.clone();
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn full_prefix_hash_is_the_trace_hash() {
-        let rec = Recording::record(StormConfig::platform(12, 8).with_chaos(3), 2);
+        let rec = Recording::record(StormConfig::platform(12, 8).with_chaos(3));
         let prefixes = prefix_hashes(rec.trace.entries());
         assert_eq!(prefixes.len(), rec.trace.len() + 1);
         assert_eq!(prefixes.last(), Some(&rec.trace.hash()));
@@ -323,11 +323,11 @@ mod tests {
 
     #[test]
     fn broken_tie_break_bisects_to_the_exact_event_with_ds_suspects() {
-        // The acceptance scenario: 1-worker vs 4-worker recordings of a
-        // perturbed storm differ in exactly the perturbed seed event.
-        let cfg = StormConfig::platform(12, 8).with_perturb(5);
-        let a = Recording::record(cfg, 1);
-        let b = Recording::record(cfg, 4);
+        // The acceptance scenario: clean and perturbed recordings of one
+        // storm differ in exactly the perturbed seed event.
+        let cfg = StormConfig::platform(12, 8);
+        let a = Recording::record(cfg);
+        let b = Recording::record(cfg.with_perturb(5));
         let f = bisect("platform-storm", &a, &b).expect("the traces diverge");
         assert_eq!(f.stream, "events");
         assert_eq!(f.at_ps, 5_000, "the perturbed seed event (5 ns)");

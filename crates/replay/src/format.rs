@@ -4,13 +4,12 @@
 //!
 //! ```text
 //! magic  "CYRT"
-//! version       uvarint   (= 1)
-//! meta:
+//! version       uvarint   (= 2)
+//! config:
 //!   scenario    u8        1 = platform, 2 = ring
 //!   ring_len    uvarint   (0 for platform)
 //!   seeds       uvarint
 //!   hops        uvarint
-//!   workers     uvarint   (worker count the recording was made with)
 //!   flags       u8        bit0 chaos_seed present, bit1 perturb present
 //!   [chaos_seed uvarint]
 //!   [perturb    uvarint]
@@ -39,10 +38,12 @@
 //! Decoding fails **closed**: bad magic, unknown version, unknown tags,
 //! truncation, trailing bytes, non-canonical entry order and a footer that
 //! does not match the decoded payload are all typed errors, never a
-//! best-effort recording.
+//! best-effort recording. Version 1 carried a worker-count varint after
+//! `hops`; the engine no longer has workers, so a version-1 image is
+//! rejected as [`ReplayError::UnsupportedVersion`].
 
 use crate::scenario::{fingerprint_of, run_storm, StormConfig, StormRun, StormTopology, MAX_RING};
-use crate::wire::{put_uvarint, Reader};
+use crate::wire::{put_uvarint, write_uvarint, Reader};
 use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
 use coyote_sim::{ShardTrace, ShardTraceEntry, SimTime};
 use std::path::Path;
@@ -51,7 +52,11 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"CYRT";
 
 /// Current format version.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
+
+/// Largest encoded trace entry: seven varints of at most ten bytes, the
+/// flags byte and the priority byte.
+const MAX_ENTRY_BYTES: usize = 7 * 10 + 2;
 
 /// Why a recording could not be decoded (or written).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,22 +113,11 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// How a recorded run was produced: the full [`StormConfig`] plus the
-/// worker count, which matters exactly when the config carries a
-/// perturbation (the broken tie-break keys on `workers > 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunMeta {
-    /// The storm configuration.
-    pub config: StormConfig,
-    /// Worker threads the recording ran on.
-    pub workers: usize,
-}
-
-/// A captured run: meta + traces + outcome + fingerprint material.
+/// A captured run: config + traces + outcome + fingerprint material.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recording {
-    /// How the run was produced.
-    pub meta: RunMeta,
+    /// The storm configuration that produced the run.
+    pub config: StormConfig,
     /// The canonically merged execution trace.
     pub trace: ShardTrace,
     /// The canonically merged fault trace.
@@ -147,9 +141,9 @@ impl Recording {
     /// Wrap an already-executed run (no re-execution, no re-hashing;
     /// recording cost is serialization only — this is what keeps bench
     /// overhead low).
-    pub fn from_run(config: StormConfig, workers: usize, run: StormRun) -> Recording {
+    pub fn from_run(config: StormConfig, run: StormRun) -> Recording {
         Recording {
-            meta: RunMeta { config, workers },
+            config,
             trace: run.trace,
             faults: run.faults,
             worlds: run.worlds,
@@ -160,9 +154,9 @@ impl Recording {
     }
 
     /// Execute the storm and capture it.
-    pub fn record(config: StormConfig, workers: usize) -> Recording {
-        let run = run_storm(&config, workers);
-        Recording::from_run(config, workers, run)
+    pub fn record(config: StormConfig) -> Recording {
+        let run = run_storm(&config);
+        Recording::from_run(config, run)
     }
 
     /// The canonical event-trace hash (equals `self.trace.hash()`).
@@ -187,69 +181,68 @@ impl Recording {
 
     /// Serialize to the canonical byte image.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.trace.len() * 16 + self.faults.len() * 12);
+        let mut buf = Vec::with_capacity(64 + self.trace.len() * 24 + self.faults.len() * 12);
         buf.extend_from_slice(&MAGIC);
         put_uvarint(&mut buf, FORMAT_VERSION);
 
-        // Meta.
-        let (scenario, ring_len) = match self.meta.config.topology {
+        // Config.
+        let (scenario, ring_len) = match self.config.topology {
             StormTopology::Platform => (1u8, 0u64),
             StormTopology::Ring(n) => (2u8, n as u64),
         };
         buf.push(scenario);
         put_uvarint(&mut buf, ring_len);
-        put_uvarint(&mut buf, self.meta.config.seeds);
-        put_uvarint(&mut buf, self.meta.config.hops as u64);
-        put_uvarint(&mut buf, self.meta.workers as u64);
+        put_uvarint(&mut buf, self.config.seeds);
+        put_uvarint(&mut buf, self.config.hops as u64);
         let mut flags = 0u8;
-        if self.meta.config.chaos_seed.is_some() {
+        if self.config.chaos_seed.is_some() {
             flags |= 1;
         }
-        if self.meta.config.perturb.is_some() {
+        if self.config.perturb.is_some() {
             flags |= 2;
         }
         buf.push(flags);
-        if let Some(seed) = self.meta.config.chaos_seed {
+        if let Some(seed) = self.config.chaos_seed {
             put_uvarint(&mut buf, seed);
         }
-        if let Some(idx) = self.meta.config.perturb {
+        if let Some(idx) = self.config.perturb {
             put_uvarint(&mut buf, idx);
         }
 
-        // Events.
+        // Events: the bulk of the image. Grow the buffer by the largest
+        // possible encoding of a batch of entries, write each entry straight
+        // into that slice, then cut it back to what was written.
         put_uvarint(&mut buf, self.trace.len() as u64);
-        for e in self.trace.entries() {
-            put_uvarint(&mut buf, e.shard as u64);
-            put_uvarint(&mut buf, e.at_ps);
-            let mut flags = 0u8;
-            if e.domain.is_some() {
-                flags |= 1;
+        for batch in self.trace.entries().chunks(256) {
+            let mut pos = buf.len();
+            buf.resize(pos + batch.len() * MAX_ENTRY_BYTES, 0);
+            let out = buf.as_mut_slice();
+            for e in batch {
+                write_uvarint(out, &mut pos, e.shard as u64);
+                write_uvarint(out, &mut pos, e.at_ps);
+                out[pos] = u8::from(e.domain.is_some())
+                    | u8::from(e.target.is_some()) << 1
+                    | u8::from(e.priority.is_some()) << 2
+                    | u8::from(e.src_domain.is_some()) << 3;
+                pos += 1;
+                if let Some(d) = e.domain {
+                    write_uvarint(out, &mut pos, d);
+                }
+                if let Some(t) = e.target {
+                    write_uvarint(out, &mut pos, t);
+                }
+                if let Some(p) = e.priority {
+                    out[pos] = p;
+                    pos += 1;
+                }
+                if let Some(s) = e.src_domain {
+                    write_uvarint(out, &mut pos, s);
+                }
+                write_uvarint(out, &mut pos, e.posted_at_ps);
+                write_uvarint(out, &mut pos, e.origin as u64);
+                write_uvarint(out, &mut pos, e.origin_seq);
             }
-            if e.target.is_some() {
-                flags |= 2;
-            }
-            if e.priority.is_some() {
-                flags |= 4;
-            }
-            if e.src_domain.is_some() {
-                flags |= 8;
-            }
-            buf.push(flags);
-            if let Some(d) = e.domain {
-                put_uvarint(&mut buf, d);
-            }
-            if let Some(t) = e.target {
-                put_uvarint(&mut buf, t);
-            }
-            if let Some(p) = e.priority {
-                buf.push(p);
-            }
-            if let Some(s) = e.src_domain {
-                put_uvarint(&mut buf, s);
-            }
-            put_uvarint(&mut buf, e.posted_at_ps);
-            put_uvarint(&mut buf, e.origin as u64);
-            put_uvarint(&mut buf, e.origin_seq);
+            buf.truncate(pos);
         }
 
         // Faults.
@@ -288,7 +281,7 @@ impl Recording {
             return Err(ReplayError::UnsupportedVersion(version));
         }
 
-        // Meta.
+        // Config.
         let topology = match r.u8()? {
             1 => StormTopology::Platform,
             2 => {
@@ -310,13 +303,9 @@ impl Recording {
         let hops_raw = r.uvarint()?;
         let hops = u32::try_from(hops_raw)
             .map_err(|_| ReplayError::BadValue("hop count overflows u32"))?;
-        let workers = r.uvarint()? as usize;
-        if workers == 0 {
-            return Err(ReplayError::BadValue("zero worker count"));
-        }
         let flags = r.u8()?;
         if flags & !0b11 != 0 {
-            return Err(ReplayError::BadValue("unknown meta flag bits"));
+            return Err(ReplayError::BadValue("unknown config flag bits"));
         }
         let chaos_seed = if flags & 1 != 0 {
             Some(r.uvarint()?)
@@ -449,7 +438,7 @@ impl Recording {
         }
 
         Ok(Recording {
-            meta: RunMeta { config, workers },
+            config,
             trace,
             faults,
             worlds,
@@ -476,7 +465,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Recording {
-        Recording::record(StormConfig::platform(12, 8).with_chaos(0xC0FFEE), 2)
+        Recording::record(StormConfig::platform(12, 8).with_chaos(0xC0FFEE))
     }
 
     #[test]
@@ -496,11 +485,27 @@ mod tests {
             StormConfig::platform(8, 4).with_perturb(3),
             StormConfig::ring(2, 6, 3).with_chaos(9).with_perturb(1),
         ] {
-            let rec = Recording::record(cfg, 4);
+            let rec = Recording::record(cfg);
             let back = Recording::from_bytes(&rec.to_bytes()).unwrap();
-            assert_eq!(back.meta.config, cfg);
-            assert_eq!(back.meta.workers, 4);
+            assert_eq!(back.config, cfg);
         }
+    }
+
+    #[test]
+    fn version_1_images_are_rejected() {
+        // A version-1 image is this one with version 1 and a worker-count
+        // varint after `hops` (scenario, ring length, seeds and hops of the
+        // sample take one byte each).
+        let v2 = sample().to_bytes();
+        let mut v1 = MAGIC.to_vec();
+        v1.push(1);
+        v1.extend_from_slice(&v2[5..9]);
+        v1.push(2); // workers
+        v1.extend_from_slice(&v2[9..]);
+        assert_eq!(
+            Recording::from_bytes(&v1).unwrap_err(),
+            ReplayError::UnsupportedVersion(1)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A recording pins *what happened*; the determinism contract says a
 //! re-execution of the same [`crate::StormConfig`] must reproduce it bit for
-//! bit on **any** worker count. [`verify`] re-runs the storm and compares
+//! bit. [`verify`] re-runs the storm and compares
 //! event by event (full [`ShardTraceEntry`] identity, which subsumes the
 //! [`coyote_sim::EventKey`]), then fault by fault, then the final worlds and
 //! event count — reporting the *first* disagreement in each stream, which is
@@ -158,18 +158,18 @@ pub fn compare(rec: &Recording, run: &StormRun) -> VerifyOutcome {
     VerifyOutcome::Identical
 }
 
-/// Re-execute the recording's config on `workers` threads and compare.
-/// Returns the re-run alongside the outcome so callers (the bisector, the
-/// CLI) can inspect the diverged run without paying a second execution.
-pub fn replay(rec: &Recording, workers: usize) -> (StormRun, VerifyOutcome) {
-    let run = run_storm(&rec.meta.config, workers);
+/// Re-execute the recording's config and compare. Returns the re-run
+/// alongside the outcome so callers (the bisector, the CLI) can inspect the
+/// diverged run without paying a second execution.
+pub fn replay(rec: &Recording) -> (StormRun, VerifyOutcome) {
+    let run = run_storm(&rec.config);
     let outcome = compare(rec, &run);
     (run, outcome)
 }
 
 /// [`replay`] without the run.
-pub fn verify(rec: &Recording, workers: usize) -> VerifyOutcome {
-    replay(rec, workers).1
+pub fn verify(rec: &Recording) -> VerifyOutcome {
+    replay(rec).1
 }
 
 #[cfg(test)]
@@ -178,30 +178,25 @@ mod tests {
     use crate::scenario::StormConfig;
 
     #[test]
-    fn clean_recordings_verify_identical_at_any_worker_count() {
+    fn clean_recordings_verify_identical() {
         for cfg in [
             StormConfig::platform(12, 8),
             StormConfig::ring(4, 10, 6).with_chaos(3),
         ] {
-            let rec = Recording::record(cfg, 1);
-            for workers in [1, 2, 4, 8] {
-                assert!(
-                    verify(&rec, workers).is_identical(),
-                    "{cfg:?} workers={workers}"
-                );
-            }
+            let rec = Recording::record(cfg);
+            assert!(verify(&rec).is_identical(), "{cfg:?}");
         }
     }
 
     #[test]
-    fn perturbed_recording_diverges_only_across_the_worker_boundary() {
-        // Recorded serial (salt 0); replaying serial matches, replaying
-        // parallel hits the broken tie-break and must report the exact
-        // perturbed event.
-        let cfg = StormConfig::platform(12, 8).with_perturb(7);
-        let rec = Recording::record(cfg, 1);
-        assert!(verify(&rec, 1).is_identical());
-        match verify(&rec, 4) {
+    fn perturbed_run_diverges_from_the_clean_recording_at_the_perturbed_event() {
+        // A perturbed recording replays identically against itself; a
+        // perturbed run compared against the clean recording hits the
+        // broken tie-break and must report the exact perturbed event.
+        let cfg = StormConfig::platform(12, 8);
+        let perturbed = cfg.with_perturb(7);
+        assert!(verify(&Recording::record(perturbed)).is_identical());
+        match compare(&Recording::record(cfg), &run_storm(&perturbed)) {
             VerifyOutcome::EventDivergence(d) => {
                 let e = d.expected.unwrap();
                 let a = d.actual.unwrap();

@@ -6,8 +6,8 @@
 //! seed and an optional perturbation. Two shapes exist:
 //!
 //! * **Platform** — the four platform domain shards (net, DMA, fabric,
-//!   scheduler), fully connected; byte-for-byte the `scaling_des` storm of
-//!   `coyote-bench`, so bench fingerprints and replay fingerprints agree.
+//!   scheduler), fully connected; the storm `coyote-bench`'s
+//!   `replay_overhead` and `net_chaos --record` run.
 //! * **Ring** — `n` synthetic shards in a directed cycle; small, shape-
 //!   parameterizable topologies for the property tests.
 //!
@@ -16,12 +16,11 @@
 //! injected fault visibly perturbs the downstream event trace — exactly the
 //! coupling the bisector must be able to see through.
 //!
-//! The perturbation (`perturb = Some(seed index)`) is the deliberately
-//! broken tie-break of the acceptance test: when re-run on more than one
-//! worker, that one seed event's priority gets its low bit flipped. It
-//! emulates a schedule-dependent tag — the class of bug the determinism
-//! contract forbids — and produces traces that diverge in exactly one entry,
-//! which the bisector must name.
+//! The perturbation (`perturb = Some(seed index)`) is a deliberately broken
+//! tie-break: that one seed event's priority gets its low bit flipped. It
+//! emulates a tag that changed between two runs of one workload — the class
+//! of bug the determinism contract forbids — so a clean and a perturbed
+//! recording diverge in exactly one entry, which the bisector must name.
 
 use coyote_chaos::{Domain, FaultKind, FaultPlan, FaultTrace, Injector, Trigger};
 use coyote_sim::{
@@ -55,14 +54,14 @@ const RING_CHAOS: [Domain; 6] = [
 /// Which shard graph the storm runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StormTopology {
-    /// The four platform domains, fully connected (the `scaling_des` storm).
+    /// The four platform domains, fully connected.
     Platform,
     /// `n` shards in a directed cycle, `2 <= n <= MAX_RING`.
     Ring(usize),
 }
 
-/// A complete, recordable description of one storm run. Same config + same
-/// worker count => same run, bit for bit.
+/// A complete, recordable description of one storm run. Same config =>
+/// same run, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormConfig {
     /// Shard graph shape.
@@ -75,7 +74,7 @@ pub struct StormConfig {
     /// seed.
     pub chaos_seed: Option<u64>,
     /// When set, the deliberately broken tie-break: seed event at this index
-    /// gets its priority's low bit flipped iff the run uses > 1 worker.
+    /// gets its priority's low bit flipped.
     pub perturb: Option<u64>,
 }
 
@@ -144,7 +143,7 @@ pub struct StormRun {
 
 impl StormRun {
     /// One FNV-64 number pinning the whole run: events, worlds, both trace
-    /// hashes. Bit-identical across worker counts for a correct engine.
+    /// hashes. Bit-identical across reruns for a correct engine.
     pub fn fingerprint(&self) -> u64 {
         fingerprint_of(self.events, &self.worlds, self.trace_hash, self.fault_hash)
     }
@@ -194,8 +193,7 @@ pub fn storm_plan(seed: u64) -> FaultPlan {
     plan
 }
 
-/// splitmix64 finalizer: cheap, well-scrambled, deterministic. Identical to
-/// the `scaling_des` mixer so platform recordings fingerprint-match bench.
+/// splitmix64 finalizer: cheap, well-scrambled, deterministic.
 pub fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -234,8 +232,7 @@ pub fn build_topology(topo: StormTopology) -> Topology {
     }
 }
 
-/// Egress lookahead out of `domain` — the exact legal minimum post delay,
-/// the worst case for the conservative windows.
+/// Egress lookahead out of `domain` — the exact legal minimum post delay.
 fn egress(topo: StormTopology, domain: u64) -> SimDuration {
     match topo {
         StormTopology::Platform => match domain {
@@ -294,7 +291,7 @@ fn hop(
     topo: StormTopology,
     hops_left: u32,
     state: u64,
-) -> impl FnOnce(&mut StormWorld, &mut ShardCtx<'_, StormWorld>) + Send + 'static {
+) -> impl FnOnce(&mut StormWorld, &mut ShardCtx<'_, StormWorld>) + 'static {
     move |w, ctx| {
         w.acc = w.acc.wrapping_add(mix(state ^ ctx.now().as_ps()));
         let mut state = state;
@@ -317,13 +314,13 @@ fn hop(
     }
 }
 
-/// Run the storm described by `cfg` on `workers` threads.
+/// Run the storm described by `cfg`.
 ///
-/// For a clean config this is bit-identical across worker counts — the
-/// engine's determinism contract. A perturbed config deliberately breaks
-/// that contract (see [`StormConfig::perturb`]) to give the bisector a
-/// known, single-event divergence to find.
-pub fn run_storm(cfg: &StormConfig, workers: usize) -> StormRun {
+/// Bit-identical across reruns — the engine's determinism contract. A
+/// perturbed config differs from its clean twin in exactly one seed tag
+/// (see [`StormConfig::perturb`]), giving the bisector a known,
+/// single-event divergence to find.
+pub fn run_storm(cfg: &StormConfig) -> StormRun {
     let topo = build_topology(cfg.topology);
     let domains = storm_domains(cfg.topology);
     let worlds: Vec<StormWorld> = domains
@@ -341,8 +338,8 @@ pub fn run_storm(cfg: &StormConfig, workers: usize) -> StormRun {
     for s in 0..cfg.seeds {
         let domain = domains[(s % domains.len() as u64) as usize];
         let mut priority = (s % 251) as u8;
-        if cfg.perturb == Some(s) && workers > 1 {
-            // The broken tie-break: a tag that depends on the schedule.
+        if cfg.perturb == Some(s) {
+            // The broken tie-break: one tag changed between two runs.
             priority ^= 1;
         }
         sim.seed(
@@ -353,7 +350,7 @@ pub fn run_storm(cfg: &StormConfig, workers: usize) -> StormRun {
         )
         .expect("seeding onto a storm shard");
     }
-    sim.run_with_workers(workers);
+    sim.run();
     let events = sim.events_executed();
     let trace = sim.take_trace();
     let mut accs = Vec::with_capacity(domains.len());
@@ -383,26 +380,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_storm_is_bit_identical_across_worker_counts() {
+    fn clean_storm_reruns_bit_identically() {
         for cfg in [
             StormConfig::platform(16, 12),
             StormConfig::ring(3, 12, 10),
             StormConfig::platform(16, 12).with_chaos(0xC0FFEE),
             StormConfig::ring(5, 12, 10).with_chaos(7),
         ] {
-            let serial = run_storm(&cfg, 1);
-            for workers in [2, 4, 8] {
-                let run = run_storm(&cfg, workers);
-                assert_eq!(run, serial, "{cfg:?} workers={workers}");
-                assert_eq!(run.fingerprint(), serial.fingerprint());
-            }
+            let first = run_storm(&cfg);
+            let again = run_storm(&cfg);
+            assert_eq!(again, first, "{cfg:?}");
+            assert_eq!(again.fingerprint(), first.fingerprint());
         }
     }
 
     #[test]
     fn chaos_perturbs_the_event_trace() {
-        let clean = run_storm(&StormConfig::platform(16, 12), 1);
-        let chaotic = run_storm(&StormConfig::platform(16, 12).with_chaos(0xC0FFEE), 1);
+        let clean = run_storm(&StormConfig::platform(16, 12));
+        let chaotic = run_storm(&StormConfig::platform(16, 12).with_chaos(0xC0FFEE));
         assert!(!chaotic.faults.is_empty(), "chaos fired");
         assert_ne!(
             clean.trace.hash(),
@@ -412,27 +407,27 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_storm_diverges_in_exactly_one_entry_on_parallel_runs() {
-        let cfg = StormConfig::platform(16, 12).with_perturb(5);
-        let serial = run_storm(&cfg, 1);
-        let parallel = run_storm(&cfg, 4);
+    fn perturbed_storm_diverges_from_clean_in_exactly_one_entry() {
+        let cfg = StormConfig::platform(16, 12);
+        let clean = run_storm(&cfg);
+        let perturbed = run_storm(&cfg.with_perturb(5));
         // Worlds and event counts agree: the perturbation flips only a tag.
-        assert_eq!(serial.events, parallel.events);
-        assert_eq!(serial.worlds, parallel.worlds);
-        assert_eq!(serial.faults, parallel.faults);
-        let diffs: Vec<usize> = serial
+        assert_eq!(clean.events, perturbed.events);
+        assert_eq!(clean.worlds, perturbed.worlds);
+        assert_eq!(clean.faults, perturbed.faults);
+        let diffs: Vec<usize> = clean
             .trace
             .entries()
             .iter()
-            .zip(parallel.trace.entries())
+            .zip(perturbed.trace.entries())
             .enumerate()
             .filter(|(_, (a, b))| a != b)
             .map(|(i, _)| i)
             .collect();
         assert_eq!(diffs.len(), 1, "exactly one divergent entry");
         let (a, b) = (
-            serial.trace.entries()[diffs[0]],
-            parallel.trace.entries()[diffs[0]],
+            clean.trace.entries()[diffs[0]],
+            perturbed.trace.entries()[diffs[0]],
         );
         assert_eq!(a.at_ps, 5_000, "the perturbed seed event (5 ns)");
         assert_eq!(a.at_ps, b.at_ps);
@@ -441,9 +436,9 @@ mod tests {
 
     #[test]
     fn storm_fingerprints_separate_configs() {
-        let a = run_storm(&StormConfig::platform(8, 6), 1).fingerprint();
-        let b = run_storm(&StormConfig::platform(8, 7), 1).fingerprint();
-        let c = run_storm(&StormConfig::ring(3, 8, 6), 1).fingerprint();
+        let a = run_storm(&StormConfig::platform(8, 6)).fingerprint();
+        let b = run_storm(&StormConfig::platform(8, 7)).fingerprint();
+        let c = run_storm(&StormConfig::ring(3, 8, 6)).fingerprint();
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

@@ -9,12 +9,28 @@
 use crate::format::ReplayError;
 
 /// Append `v` as unsigned LEB128.
-pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+pub fn put_uvarint(buf: &mut Vec<u8>, v: u64) {
+    let mut tmp = [0u8; 10];
+    let mut n = 0;
+    write_uvarint(&mut tmp, &mut n, v);
+    buf.extend_from_slice(&tmp[..n]);
+}
+
+/// Write `v` as unsigned LEB128 into `out` at `*pos` and advance `*pos`
+/// past it. A value takes at most ten bytes.
+///
+/// # Panics
+///
+/// Panics if `out` has no room for the encoding.
+#[inline]
+pub(crate) fn write_uvarint(out: &mut [u8], pos: &mut usize, mut v: u64) {
     while v >= 0x80 {
-        buf.push((v as u8 & 0x7F) | 0x80);
+        out[*pos] = (v as u8 & 0x7F) | 0x80;
+        *pos += 1;
         v >>= 7;
     }
-    buf.push(v as u8);
+    out[*pos] = v as u8;
+    *pos += 1;
 }
 
 /// A bounds-checked cursor over a recording's bytes. Every read fails

@@ -1,5 +1,4 @@
-//! The scheduler/control-plane's identity in the sharded parallel DES
-//! engine.
+//! The scheduler/control-plane's identity in the sharded DES engine.
 //!
 //! Packetization, interleaving and crediting form one shard
 //! ([`coyote_sim::DOMAIN_SCHED`]).

@@ -5,14 +5,15 @@
 //! reproduction replaces the hardware with a deterministic simulation: the
 //! platform crates (`coyote-mem`, `coyote-dma`, `coyote-net`, ...) thread
 //! simulated time analytically through the primitives provided here, and
-//! the event engine runs the replay and scaling workloads on any number of
-//! worker threads with bit-identical results:
+//! the event engine runs the synthetic event storms of the replay tooling
+//! deterministically, bit for bit:
 //!
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution simulated clock.
 //! * [`ShardedSimulation`] — the event loop. Events are boxed closures over
-//!   a user-supplied per-shard *world* type, ordered by [`EventKey`] so
-//!   execution is fully deterministic. One shard with no links is the
-//!   serial engine.
+//!   a user-supplied per-shard *world* type, executed one at a time in
+//!   [`EventKey`] order so execution is fully deterministic. A
+//!   [`Topology`] declares the shards and the lookahead of every link; one
+//!   shard with no links is the plain serial engine.
 //! * [`LinkModel`] — a bandwidth-serialized, fixed-latency link (PCIe, HBM
 //!   channel, 100G Ethernet, ICAP, disk, ...).
 //! * [`RrQueue`] — round-robin fair queueing across keys, the mechanism
@@ -20,8 +21,7 @@
 //! * [`CreditPool`] — the credit-based backpressure scheme of §7.2.
 //! * [`PipelineModel`] — an initiation-interval/latency model for pipelined
 //!   hardware kernels such as the 10-stage AES core of §9.5.
-//! * [`stats`] — event counters and trial series used by the experiment
-//!   harness.
+//! * [`stats`] — event counters used by the experiment harness.
 //! * [`Fnv64`] — the FNV-1a-style 64-bit hash behind every determinism
 //!   fingerprint.
 //! * [`par_map`] — deterministic fork-join parallelism for the build flows
@@ -44,7 +44,7 @@
 //!     sim.seed(1, at, EventTag::default(), |ticks: &mut u64, _ctx| *ticks += 1)
 //!         .unwrap();
 //! }
-//! let end = sim.run_serial();
+//! let end = sim.run();
 //! assert_eq!(sim.world_of(1), Some(&10));
 //! assert_eq!(end, SimTime::ZERO + SimDuration::from_ns(900));
 //! ```
@@ -76,7 +76,7 @@ pub use shard::{
 };
 pub use time::{Bandwidth, Freq, SimDuration, SimTime};
 pub use window::{
-    horizons, ShardId, ShardSpec, Topology, TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET,
+    ShardId, ShardSpec, Topology, TopologyError, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET,
     DOMAIN_SCHED,
 };
 
@@ -114,7 +114,7 @@ mod engine {
                 )
                 .unwrap();
             }
-            sim.run_serial();
+            sim.run();
             assert_eq!(sim.world_of(DOMAIN), Some(&vec![1, 2, 3]));
         }
 
@@ -130,7 +130,7 @@ mod engine {
                 )
                 .unwrap();
             }
-            sim.run_serial();
+            sim.run();
             assert_eq!(sim.world_of(DOMAIN), Some(&(0..100).collect::<Vec<_>>()));
         }
 
@@ -146,7 +146,7 @@ mod engine {
             let mut sim = one_shard(0u32);
             sim.seed(DOMAIN, SimTime::ZERO, EventTag::default(), tick)
                 .unwrap();
-            let end = sim.run_serial();
+            let end = sim.run();
             assert_eq!(sim.world_of(DOMAIN), Some(&5));
             assert_eq!(end, SimTime::ZERO + SimDuration::from_ns(28));
         }
@@ -161,7 +161,7 @@ mod engine {
                 |_, _| {},
             )
             .unwrap();
-            sim.run_serial();
+            sim.run();
             assert_eq!(sim.events_executed(), 1);
             assert!(sim.take_trace().is_empty());
         }
@@ -180,7 +180,7 @@ mod engine {
                 },
             )
             .unwrap();
-            sim.run_serial();
+            sim.run();
         }
     }
 }

@@ -1,55 +1,42 @@
-//! The discrete-event engine: sharded, conservative and parallel.
+//! The discrete-event engine: one event loop over per-domain shards.
 //!
 //! Events are boxed `FnOnce(&mut W, &mut ShardCtx<W>)` closures over a
-//! caller-supplied world type `W`. The engine scales the way the simulated
-//! hardware scales: the shell is a set of concurrent domains (network stack,
-//! DMA engines, reconfiguration fabric, scheduler), so a simulation is a set
-//! of [`ShardedSimulation`] *shards*, one per domain, each owning its own
-//! event queue, clock and world. A topology with one shard and no links is
-//! the plain serial engine: every round drains the whole queue.
+//! caller-supplied world type `W`. The simulation mirrors the simulated
+//! hardware: the shell is a set of concurrent domains (network stack, DMA
+//! engines, reconfiguration fabric, scheduler), so a [`ShardedSimulation`]
+//! is a set of *shards*, one per domain, each owning its own clock, world
+//! and scheduling sequence. A topology with one shard and no links is the
+//! plain serial engine.
 //!
-//! Synchronization is conservative (null-message style, see
-//! [`crate::window`]): execution proceeds in rounds. Each round, every shard
-//! reports its earliest pending event time; from those times and the
-//! per-link lookaheads the engine computes a per-shard *horizon*, and each
-//! shard executes — in parallel — every local event strictly below its
-//! horizon. Cross-shard events are posted into a per-round outbox and
-//! exchanged through bounded channels at the round barrier, so a shard never
-//! observes a message out of its simulated past.
+//! [`ShardedSimulation::run`] is a single loop that always executes the
+//! globally smallest [`EventKey`] next. A cross-shard post goes straight
+//! into the queue, addressed to its destination shard; the declared link
+//! lookahead (see [`crate::window`]) only bounds how soon it may land.
 //!
 //! # Determinism
-//!
-//! The engine is bit-identical for any worker count, including fully serial:
 //!
 //! * Every event carries a globally unique, scheduling-independent key
 //!   `(time, priority, domain, target, origin shard, origin seq)`. Queue pops
 //!   follow this total order, so same-instant events execute in canonical
-//!   [`EventTag`] order — not in message-arrival order. Events that tie on
-//!   every declared field run in scheduling order.
-//! * Horizons are a pure function of next-event times and the declared
-//!   topology; worker threads only decide *who executes a window*, never
-//!   *what is in it*.
-//! * The per-shard execution traces merge canonically ([`ShardTrace::merged`]
-//!   mirrors `coyote_chaos::FaultTrace::merged`) and hash with the same
-//!   FNV-64 scheme, so one `u64` fingerprint pins the whole run.
-//!
-//! Worker threads are spawned once per [`ShardedSimulation::run`] and parked
-//! on their command channels between rounds — windows reuse the pool instead
-//! of paying a spawn per synchronization step. Only the parallel path needs
-//! `W: Send`; [`ShardedSimulation::run_serial`] runs any world on the
-//! calling thread.
+//!   [`EventTag`] order. Events that tie on every declared field run in
+//!   scheduling order.
+//! * Each shard executes its own events in key order: a local event lands
+//!   at or after the shard's clock, and a cross-shard post lands at or
+//!   after `now + lookahead > now`, never at an instant the destination
+//!   has already executed.
+//! * The execution trace merges canonically ([`ShardTrace::merged`] mirrors
+//!   `coyote_chaos::FaultTrace::merged`) and hashes with the same FNV-64
+//!   scheme, so one `u64` fingerprint pins the whole run.
 
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 use crate::hash::Fnv64;
-use crate::par::thread_budget;
 use crate::time::{SimDuration, SimTime};
-use crate::window::{horizons, ShardId, Topology};
+use crate::window::{ShardId, Topology};
 
 /// The body of a shard event: runs against the shard's world and a context
 /// that can schedule locally or post across shards.
-pub type ShardEventFn<W> = Box<dyn FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send>;
+pub type ShardEventFn<W> = Box<dyn FnOnce(&mut W, &mut ShardCtx<'_, W>)>;
 
 /// Full determinism tagging for one event: the component it mutates, an
 /// explicit same-instant priority, and the subsystem domain it belongs to.
@@ -113,9 +100,9 @@ pub enum PostError {
         /// Destination domain.
         dst: u64,
     },
-    /// The post's delay undercuts the declared link lookahead — a causality
-    /// violation the conservative window cannot order (the runtime twin of
-    /// lint rule DS006).
+    /// The post's delay undercuts the declared link lookahead: the model
+    /// makes something observable across the link faster than its declared
+    /// minimum latency (the runtime twin of lint rule DS006).
     BelowLookahead {
         /// Source domain.
         src: u64,
@@ -143,8 +130,8 @@ impl std::fmt::Display for PostError {
             } => write!(
                 f,
                 "cross-shard post {src:#x}->{dst:#x} with delay {delay} below the \
-                 declared lookahead {lookahead}: the conservative window cannot \
-                 order it"
+                 declared lookahead {lookahead}: faster than the link's declared \
+                 minimum latency"
             ),
         }
     }
@@ -193,6 +180,8 @@ impl EventKey {
 
 struct Queued<W> {
     key: EventKey,
+    /// Shard that executes the event.
+    dst: ShardId,
     tag: EventTag,
     posted_at: SimTime,
     f: ShardEventFn<W>,
@@ -213,20 +202,9 @@ impl<W> Ord for Queued<W> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; invert so the smallest key pops first.
         // Keys are globally unique, so the pop sequence is independent of
-        // insertion order — message-arrival races cannot reorder execution.
+        // insertion order.
         other.key.cmp(&self.key)
     }
-}
-
-/// A cross-shard event in flight: routed at the round barrier.
-struct Posted<W> {
-    dst: ShardId,
-    at: SimTime,
-    tag: EventTag,
-    posted_at: SimTime,
-    origin: ShardId,
-    origin_seq: u64,
-    f: ShardEventFn<W>,
 }
 
 /// One executed event, as recorded by a shard with tracing enabled.
@@ -254,19 +232,6 @@ pub struct ShardTraceEntry {
 }
 
 impl ShardTraceEntry {
-    /// The canonical sort key: execution instant, then canonical tag order,
-    /// then origin — the same order the engine executes in.
-    fn canonical_key(&self) -> (u64, u8, u64, u64, ShardId, u64) {
-        (
-            self.at_ps,
-            self.priority.unwrap_or(u8::MAX),
-            self.domain.unwrap_or(u64::MAX),
-            self.target.unwrap_or(u64::MAX),
-            self.origin,
-            self.origin_seq,
-        )
-    }
-
     /// The event's [`EventKey`] — its globally unique, run-independent
     /// address. Two correct runs of the same workload produce the same key
     /// sequence; the replay bisector reports the first key where they
@@ -314,7 +279,7 @@ impl ShardTrace {
     /// independent of the order the pieces were collected in.
     pub fn merged(traces: impl IntoIterator<Item = Vec<ShardTraceEntry>>) -> ShardTrace {
         let mut entries: Vec<ShardTraceEntry> = traces.into_iter().flatten().collect();
-        entries.sort_by_key(ShardTraceEntry::canonical_key);
+        entries.sort_by_key(ShardTraceEntry::event_key);
         ShardTrace { entries }
     }
 
@@ -335,7 +300,7 @@ impl ShardTrace {
 
     /// [`Fnv64`] over each entry's canonical field encoding — the same hash
     /// as `coyote_chaos::FaultTrace::hash`, so CI can publish one number per
-    /// run. Same seeds + same topology => same hash, on any worker count.
+    /// run. Same seeds + same topology => same hash.
     pub fn hash(&self) -> u64 {
         let mut h = Fnv64::new();
         for e in &self.entries {
@@ -345,9 +310,9 @@ impl ShardTrace {
     }
 }
 
-/// What a running event sees: the shard's clock, identity, queue and
-/// outbox. Borrowed disjointly from the shard state so the event also holds
-/// `&mut W`.
+/// What a running event sees: the shard's clock, identity and scheduling
+/// sequence, plus the event queue. Borrowed disjointly from the shard state
+/// so the event also holds `&mut W`.
 pub struct ShardCtx<'a, W> {
     now: SimTime,
     shard: ShardId,
@@ -355,7 +320,6 @@ pub struct ShardCtx<'a, W> {
     topo: &'a Topology,
     seq: &'a mut u64,
     queue: &'a mut BinaryHeap<Queued<W>>,
-    outbox: &'a mut Vec<Posted<W>>,
 }
 
 impl<W> ShardCtx<'_, W> {
@@ -374,10 +338,18 @@ impl<W> ShardCtx<'_, W> {
         self.domain
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = *self.seq;
+    /// Queue `f` on shard `dst` at `at`, keyed by this shard's next
+    /// scheduling sequence number.
+    fn push(&mut self, dst: ShardId, at: SimTime, tag: EventTag, f: ShardEventFn<W>) {
+        let origin_seq = *self.seq;
         *self.seq += 1;
-        s
+        self.queue.push(Queued {
+            key: EventKey::new(at, tag, self.shard, origin_seq),
+            dst,
+            tag,
+            posted_at: self.now,
+            f,
+        });
     }
 
     /// Schedule a local event at absolute time `at`. The tag's domain
@@ -388,7 +360,7 @@ impl<W> ShardCtx<'_, W> {
     /// Panics if `at` is in the shard's simulated past.
     pub fn schedule_at<F>(&mut self, at: SimTime, tag: EventTag, f: F)
     where
-        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send + 'static,
+        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + 'static,
     {
         assert!(
             at >= self.now,
@@ -399,28 +371,22 @@ impl<W> ShardCtx<'_, W> {
         if tag.domain.is_none() {
             tag.domain = Some(self.domain);
         }
-        let origin_seq = self.next_seq();
-        self.queue.push(Queued {
-            key: EventKey::new(at, tag, self.shard, origin_seq),
-            tag,
-            posted_at: self.now,
-            f: Box::new(f),
-        });
+        self.push(self.shard, at, tag, Box::new(f));
     }
 
     /// Schedule a local event `delay` after now.
     pub fn schedule_after<F>(&mut self, delay: SimDuration, tag: EventTag, f: F)
     where
-        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send + 'static,
+        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + 'static,
     {
         self.schedule_at(self.now + delay, tag, f);
     }
 
     /// Post an event to the shard owning `dst_domain`, arriving `delay`
     /// after now. The delay must be at least the declared link lookahead —
-    /// anything shorter is a causality violation the conservative window
-    /// cannot order, and is rejected (lint rule DS006 catches the same
-    /// hazard in recorded traces).
+    /// anything shorter undercuts the link's declared minimum latency and is
+    /// rejected (lint rule DS006 catches the same hazard in recorded
+    /// traces).
     ///
     /// The tag's domain defaults to the destination domain; its
     /// `src_domain` is set to the posting shard's domain.
@@ -432,7 +398,7 @@ impl<W> ShardCtx<'_, W> {
         f: F,
     ) -> Result<(), PostError>
     where
-        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send + 'static,
+        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + 'static,
     {
         let dst = self
             .topo
@@ -463,117 +429,29 @@ impl<W> ShardCtx<'_, W> {
             tag.domain = Some(dst_domain);
         }
         tag.src_domain = Some(self.domain);
-        let origin_seq = self.next_seq();
-        self.outbox.push(Posted {
-            dst,
-            at: self.now + delay,
-            tag,
-            posted_at: self.now,
-            origin: self.shard,
-            origin_seq,
-            f: Box::new(f),
-        });
+        self.push(dst, self.now + delay, tag, Box::new(f));
         Ok(())
     }
 }
 
-/// One shard: a domain's world, clock, queue and trace.
-struct ShardState<W> {
-    id: ShardId,
+/// One shard: a domain's world, clock and scheduling sequence.
+struct Shard<W> {
     domain: u64,
     now: SimTime,
     seq: u64,
     world: W,
+}
+
+/// A sharded simulation: one world, clock and scheduling sequence per
+/// domain shard, advanced by one loop in global [`EventKey`] order. See the
+/// module docs.
+pub struct ShardedSimulation<W> {
+    topo: Topology,
+    shards: Vec<Shard<W>>,
     queue: BinaryHeap<Queued<W>>,
     record: bool,
     trace: Vec<ShardTraceEntry>,
     executed: u64,
-}
-
-impl<W> ShardState<W> {
-    fn next_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|q| q.key.at)
-    }
-
-    fn deliver(&mut self, p: Posted<W>) {
-        self.queue.push(Queued {
-            key: EventKey::new(p.at, p.tag, p.origin, p.origin_seq),
-            tag: p.tag,
-            posted_at: p.posted_at,
-            f: p.f,
-        });
-    }
-
-    /// Execute every queued event strictly below `horizon` (`None` =
-    /// unbounded: drain the queue), collecting cross-shard posts.
-    fn run_window(
-        &mut self,
-        topo: &Topology,
-        horizon: Option<SimTime>,
-        outbox: &mut Vec<Posted<W>>,
-    ) {
-        loop {
-            let due = match self.queue.peek() {
-                Some(q) => horizon.map_or(true, |h| q.key.at < h),
-                None => false,
-            };
-            if !due {
-                break;
-            }
-            let q = self.queue.pop().expect("peeked event exists");
-            self.now = q.key.at;
-            self.executed += 1;
-            if self.record {
-                self.trace.push(ShardTraceEntry {
-                    shard: self.id,
-                    at_ps: q.key.at.as_ps(),
-                    domain: q.tag.domain,
-                    target: q.tag.target,
-                    priority: q.tag.priority,
-                    src_domain: q.tag.src_domain,
-                    posted_at_ps: q.posted_at.as_ps(),
-                    origin: q.key.origin,
-                    origin_seq: q.key.origin_seq,
-                });
-            }
-            let mut ctx = ShardCtx {
-                now: self.now,
-                shard: self.id,
-                domain: self.domain,
-                topo,
-                seq: &mut self.seq,
-                queue: &mut self.queue,
-                outbox,
-            };
-            (q.f)(&mut self.world, &mut ctx);
-        }
-    }
-}
-
-/// A round command from the coordinator to a worker.
-enum Cmd<W> {
-    /// Merge the deliveries, then run each owned shard's window up to its
-    /// horizon and report back.
-    Round {
-        deliveries: Vec<Posted<W>>,
-        horizons: Vec<(ShardId, Option<SimTime>)>,
-    },
-    /// Return the shard states and exit.
-    Stop,
-}
-
-/// A worker's per-round report: the null messages (next-event promises)
-/// plus the outbox of cross-shard posts.
-struct Report<W> {
-    next: Vec<(ShardId, Option<SimTime>)>,
-    outbox: Vec<Posted<W>>,
-}
-
-/// A sharded simulation: one world, queue and clock per domain shard,
-/// advanced in conservative windows. See the module docs.
-pub struct ShardedSimulation<W> {
-    topo: Topology,
-    shards: Vec<ShardState<W>>,
 }
 
 impl<W> ShardedSimulation<W> {
@@ -593,20 +471,22 @@ impl<W> ShardedSimulation<W> {
         );
         let shards = worlds
             .into_iter()
-            .enumerate()
-            .map(|(id, world)| ShardState {
-                id,
-                domain: topo.shards()[id].domain,
+            .zip(topo.shards())
+            .map(|(world, spec)| Shard {
+                domain: spec.domain,
                 now: SimTime::ZERO,
                 seq: 0,
                 world,
-                queue: BinaryHeap::new(),
-                record: false,
-                trace: Vec::new(),
-                executed: 0,
             })
             .collect();
-        ShardedSimulation { topo, shards }
+        ShardedSimulation {
+            topo,
+            shards,
+            queue: BinaryHeap::new(),
+            record: false,
+            trace: Vec::new(),
+            executed: 0,
+        }
     }
 
     /// The topology the simulation runs over.
@@ -614,14 +494,17 @@ impl<W> ShardedSimulation<W> {
         &self.topo
     }
 
-    /// Start recording the execution trace on every shard.
+    /// Start recording the execution trace.
     pub fn record_trace(&mut self) {
-        for s in &mut self.shards {
-            s.record = true;
-        }
+        self.record = true;
     }
 
     /// Seed an event onto the shard owning `domain` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in that shard's simulated past, exactly like
+    /// [`ShardCtx::schedule_at`].
     pub fn seed<F>(
         &mut self,
         domain: u64,
@@ -630,25 +513,22 @@ impl<W> ShardedSimulation<W> {
         f: F,
     ) -> Result<(), PostError>
     where
-        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + Send + 'static,
+        F: FnOnce(&mut W, &mut ShardCtx<'_, W>) + 'static,
     {
         let id = self
             .topo
             .shard_of_domain(domain)
             .ok_or(PostError::UnknownDomain(domain))?;
         let shard = &mut self.shards[id];
-        let mut tag = tag;
-        if tag.domain.is_none() {
-            tag.domain = Some(domain);
+        ShardCtx {
+            now: shard.now,
+            shard: id,
+            domain,
+            topo: &self.topo,
+            seq: &mut shard.seq,
+            queue: &mut self.queue,
         }
-        let origin_seq = shard.seq;
-        shard.seq += 1;
-        shard.queue.push(Queued {
-            key: EventKey::new(at, tag, id, origin_seq),
-            tag,
-            posted_at: shard.now,
-            f: Box::new(f),
-        });
+        .schedule_at(at, tag, f);
         Ok(())
     }
 
@@ -675,188 +555,47 @@ impl<W> ShardedSimulation<W> {
 
     /// Total events executed across all shards.
     pub fn events_executed(&self) -> u64 {
-        self.shards.iter().map(|s| s.executed).sum()
+        self.executed
     }
 
     /// Take the canonically merged execution trace (empty unless
     /// [`ShardedSimulation::record_trace`] was called).
     pub fn take_trace(&mut self) -> ShardTrace {
-        ShardTrace::merged(self.shards.iter_mut().map(|s| std::mem::take(&mut s.trace)))
+        ShardTrace::merged([std::mem::take(&mut self.trace)])
     }
 
-    /// Run to quiescence on the calling thread; returns the final simulated
-    /// time. The serial reference loop: same rounds, same horizons, same
-    /// delivery barrier as [`ShardedSimulation::run`] — just one thread
-    /// visiting shards in id order. Worlds need not be `Send`.
-    pub fn run_serial(&mut self) -> SimTime {
-        let mut inflight: Vec<Posted<W>> = Vec::new();
-        loop {
-            // Deliver the previous round's cross-shard posts, then compute
-            // the null-message horizons from the post-delivery queues.
-            for p in inflight.drain(..) {
-                self.shards[p.dst].deliver(p);
-            }
-            let next: Vec<Option<SimTime>> = self.shards.iter().map(ShardState::next_at).collect();
-            if next.iter().all(Option::is_none) {
-                break;
-            }
-            let hz = horizons(&self.topo, &next);
-            for s in &mut self.shards {
-                s.run_window(&self.topo, hz[s.id], &mut inflight);
-            }
-        }
-        self.now()
-    }
-}
-
-impl<W: Send> ShardedSimulation<W> {
-    /// Run to quiescence on [`thread_budget`] workers; returns the final
-    /// simulated time.
+    /// Run to quiescence on the calling thread, always executing the
+    /// globally smallest [`EventKey`] next; returns the final simulated
+    /// time.
     pub fn run(&mut self) -> SimTime {
-        self.run_with_workers(thread_budget())
-    }
-
-    /// Run to quiescence on exactly `workers` worker threads (clamped to
-    /// the shard count; `1` runs fully serial on the calling thread). The
-    /// results, traces and fingerprints are bit-identical for any value.
-    pub fn run_with_workers(&mut self, workers: usize) -> SimTime {
-        let workers = workers.clamp(1, self.shards.len().max(1));
-        if workers <= 1 || self.shards.len() <= 1 {
-            self.run_serial()
-        } else {
-            self.run_parallel(workers);
-            self.now()
-        }
-    }
-
-    /// The parallel loop: the same rounds, with shard windows executed by a
-    /// pool of workers spawned once and reused across every round.
-    fn run_parallel(&mut self, workers: usize) {
-        let nshards = self.shards.len();
-        let mut per_worker: Vec<Vec<ShardState<W>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, s) in std::mem::take(&mut self.shards).into_iter().enumerate() {
-            per_worker[i % workers].push(s);
-        }
-        let topo = &self.topo;
-
-        // detlint: allow(SRC006): the sharded engine's sanctioned pool — the
-        // round barrier and canonical event keys make the merge order-free.
-        let finished: Vec<ShardState<W>> = std::thread::scope(|scope| {
-            let (report_tx, report_rx) = mpsc::sync_channel::<Report<W>>(workers);
-            let (done_tx, done_rx) = mpsc::sync_channel::<Vec<ShardState<W>>>(workers);
-            let mut cmd_txs = Vec::with_capacity(workers);
-            for mut states in per_worker {
-                // Bounded rendezvous: at most one in-flight round per worker.
-                let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd<W>>(1);
-                cmd_txs.push(cmd_tx);
-                let report_tx = report_tx.clone();
-                let done_tx = done_tx.clone();
-                // detlint: allow(SRC006): worker of the sanctioned shard pool.
-                scope.spawn(move || {
-                    // Initial null messages so the coordinator can open the
-                    // first window.
-                    let initial = Report {
-                        next: states.iter().map(|s| (s.id, s.next_at())).collect(),
-                        outbox: Vec::new(),
-                    };
-                    report_tx.send(initial).expect("coordinator alive");
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Round {
-                                deliveries,
-                                horizons: hz,
-                            } => {
-                                for p in deliveries {
-                                    let s = states
-                                        .iter_mut()
-                                        .find(|s| s.id == p.dst)
-                                        .expect("delivery routed to owning worker");
-                                    s.deliver(p);
-                                }
-                                let mut outbox = Vec::new();
-                                for s in &mut states {
-                                    let h = hz
-                                        .iter()
-                                        .find(|(id, _)| *id == s.id)
-                                        .map(|&(_, h)| h)
-                                        .expect("horizon for every owned shard");
-                                    s.run_window(topo, h, &mut outbox);
-                                }
-                                let report = Report {
-                                    next: states.iter().map(|s| (s.id, s.next_at())).collect(),
-                                    outbox,
-                                };
-                                report_tx.send(report).expect("coordinator alive");
-                            }
-                            Cmd::Stop => break,
-                        }
-                    }
-                    done_tx.send(states).expect("coordinator alive");
+        while let Some(q) = self.queue.pop() {
+            let shard = &mut self.shards[q.dst];
+            shard.now = q.key.at;
+            self.executed += 1;
+            if self.record {
+                self.trace.push(ShardTraceEntry {
+                    shard: q.dst,
+                    at_ps: q.key.at.as_ps(),
+                    domain: q.tag.domain,
+                    target: q.tag.target,
+                    priority: q.tag.priority,
+                    src_domain: q.tag.src_domain,
+                    posted_at_ps: q.posted_at.as_ps(),
+                    origin: q.key.origin,
+                    origin_seq: q.key.origin_seq,
                 });
             }
-            drop(report_tx);
-            drop(done_tx);
-
-            let mut next: Vec<Option<SimTime>> = vec![None; nshards];
-            let mut inflight: Vec<Vec<Posted<W>>> = (0..nshards).map(|_| Vec::new()).collect();
-            for _ in 0..workers {
-                let r = report_rx.recv().expect("initial report");
-                for (id, n) in r.next {
-                    next[id] = n;
-                }
-            }
-            loop {
-                // Fold undelivered posts into the next-event promises: a
-                // message in flight is a known future event on its target.
-                let mut eff = next.clone();
-                for (dst, msgs) in inflight.iter().enumerate() {
-                    for m in msgs {
-                        eff[dst] = Some(match eff[dst] {
-                            Some(cur) => cur.min(m.at),
-                            None => m.at,
-                        });
-                    }
-                }
-                if eff.iter().all(Option::is_none) {
-                    break;
-                }
-                let hz = horizons(topo, &eff);
-                for (w, cmd_tx) in cmd_txs.iter().enumerate() {
-                    let mut deliveries = Vec::new();
-                    let mut worker_hz = Vec::new();
-                    for id in (w..nshards).step_by(workers) {
-                        deliveries.append(&mut inflight[id]);
-                        worker_hz.push((id, hz[id]));
-                    }
-                    cmd_tx
-                        .send(Cmd::Round {
-                            deliveries,
-                            horizons: worker_hz,
-                        })
-                        .expect("worker alive");
-                }
-                for _ in 0..workers {
-                    let r = report_rx.recv().expect("round report");
-                    for (id, n) in r.next {
-                        next[id] = n;
-                    }
-                    for p in r.outbox {
-                        inflight[p.dst].push(p);
-                    }
-                }
-            }
-            for cmd_tx in &cmd_txs {
-                cmd_tx.send(Cmd::Stop).expect("worker alive");
-            }
-            let mut finished = Vec::with_capacity(nshards);
-            for _ in 0..workers {
-                finished.extend(done_rx.recv().expect("worker states"));
-            }
-            finished
-        });
-
-        self.shards = finished;
-        self.shards.sort_by_key(|s| s.id);
+            let mut ctx = ShardCtx {
+                now: shard.now,
+                shard: q.dst,
+                domain: shard.domain,
+                topo: &self.topo,
+                seq: &mut shard.seq,
+                queue: &mut self.queue,
+            };
+            (q.f)(&mut shard.world, &mut ctx);
+        }
+        self.now()
     }
 }
 
@@ -883,7 +622,7 @@ mod tests {
         t
     }
 
-    fn hop(hops_left: u32) -> impl FnOnce(&mut u64, &mut ShardCtx<'_, u64>) + Send + 'static {
+    fn hop(hops_left: u32) -> impl FnOnce(&mut u64, &mut ShardCtx<'_, u64>) + 'static {
         move |w, ctx| {
             *w += 1;
             if hops_left > 0 {
@@ -899,12 +638,12 @@ mod tests {
         }
     }
 
-    fn run_ping_pong(workers: usize) -> (u64, u64, u64, u64) {
+    fn run_ping_pong() -> (u64, u64, u64, u64) {
         let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(20))
             .unwrap();
-        let end = sim.run_with_workers(workers);
+        let end = sim.run();
         (
             *sim.world_of(1).unwrap(),
             *sim.world_of(2).unwrap(),
@@ -915,19 +654,11 @@ mod tests {
 
     #[test]
     fn ping_pong_counts_hops_on_both_shards() {
-        let (a, b, end, _) = run_ping_pong(1);
+        let (a, b, end, _) = run_ping_pong();
         assert_eq!(a + b, 21);
         assert_eq!(a, 11);
         assert_eq!(b, 10);
         assert_eq!(end, 20 * 10_000, "20 hops of 10ns each");
-    }
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let serial = run_ping_pong(1);
-        for workers in [2, 4, 8] {
-            assert_eq!(run_ping_pong(workers), serial, "workers={workers}");
-        }
     }
 
     #[test]
@@ -958,7 +689,7 @@ mod tests {
             },
         )
         .unwrap();
-        sim.run_with_workers(2);
+        sim.run();
         assert_eq!(sim.world_of(2).unwrap(), b"AB");
     }
 
@@ -980,7 +711,7 @@ mod tests {
             );
         })
         .unwrap();
-        sim.run_with_workers(1);
+        sim.run();
     }
 
     #[test]
@@ -1003,7 +734,7 @@ mod tests {
             );
         })
         .unwrap();
-        sim.run_with_workers(1);
+        sim.run();
     }
 
     #[test]
@@ -1031,7 +762,7 @@ mod tests {
             },
         )
         .unwrap();
-        let end = sim.run_serial();
+        let end = sim.run();
         assert_eq!(sim.world_of(1).unwrap(), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(end.as_ps(), 7_000);
         assert!(sim.take_trace().is_empty(), "tracing is off by default");
@@ -1043,7 +774,7 @@ mod tests {
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(6))
             .unwrap();
-        sim.run_with_workers(2);
+        sim.run();
         let trace = sim.take_trace();
         assert_eq!(trace.len(), 7);
         // Entries are in canonical (time-major) order.
@@ -1060,19 +791,17 @@ mod tests {
         assert_ne!(trace.hash(), ShardTrace::default().hash());
     }
 
-    /// Adversarial canonical-merge test: `FaultTrace::merged`'s ordering is
-    /// pinned by unit tests, but the shard engine's round-barrier merge
-    /// feeds `ShardTrace::merged` with per-shard vectors in whatever order
-    /// workers report. Permute the arrival order every way (including
-    /// splitting one shard's entries across pieces, as multiple rounds do)
-    /// and assert the merged trace — entries and hash — never moves.
+    /// Adversarial canonical-merge test: `ShardTrace::merged` may be fed
+    /// pieces of a trace in any order. Permute the arrival order every way
+    /// (including splitting one shard's entries across pieces) and assert
+    /// the merged trace — entries and hash — never moves.
     #[test]
     fn merge_is_arrival_order_independent() {
         let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
         sim.record_trace();
         sim.seed(1, SimTime::ZERO, EventTag::default(), hop(12))
             .unwrap();
-        sim.run_with_workers(2);
+        sim.run();
         let canonical = sim.take_trace();
         assert_eq!(canonical.len(), 13);
 
@@ -1111,16 +840,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_past_panics() {
+        // After a run that ends at 100 ns, shard a's clock reads 100 ns; a
+        // seed at 0 would run it backwards. (An event's own `schedule_at`
+        // into the past is `engine::tests::scheduling_into_past_panics`.)
         let mut sim = ShardedSimulation::new(ping_pong_topology(), vec![0u64, 0u64]);
-        sim.seed(
-            1,
-            SimTime::ZERO + SimDuration::from_ns(10),
-            EventTag::default(),
-            |_, ctx| {
-                ctx.schedule_at(SimTime::ZERO, EventTag::default(), |_, _| {});
-            },
-        )
-        .unwrap();
-        sim.run_with_workers(1);
+        sim.seed(1, SimTime(100_000), EventTag::default(), |_, _| {})
+            .unwrap();
+        assert_eq!(sim.run(), SimTime(100_000));
+        let _ = sim.seed(1, SimTime::ZERO, EventTag::default(), |_, _| {});
     }
 }

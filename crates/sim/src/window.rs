@@ -1,21 +1,19 @@
-//! Conservative time windows for the sharded parallel DES engine.
+//! The shard topology of the DES engine: shards, links and lookaheads.
 //!
-//! The sharded engine ([`crate::shard`]) partitions a simulation into
-//! per-domain shards that advance concurrently. What keeps that safe is the
-//! *lookahead* declared on every inter-shard link: a promise that no event
-//! executing on the source shard at time `t` can make anything observable on
-//! the destination shard before `t + lookahead`. From those promises and the
-//! shards' next-event times, [`horizons`] computes, per shard, the largest
-//! simulated time the shard may advance to without risk of a straggler
-//! message arriving in its past — the classic null-message bound of
-//! conservative parallel DES (Chandy/Misra/Bryant), evaluated once per
-//! synchronization round instead of per message.
+//! The engine ([`crate::shard`]) partitions a simulation into per-domain
+//! shards. A directed link between two shards declares a *lookahead*: a
+//! promise that no event executing on the source shard at time `t` can make
+//! anything observable on the destination shard before `t + lookahead`. It
+//! is a statement about the model — the minimum latency of the hardware
+//! path between two domains — and [`crate::ShardCtx::post_after`] enforces
+//! it on every cross-shard post (lint rule DS006 checks recorded traces).
 //!
-//! Zero lookahead is rejected at topology-construction time: a link that
-//! promises nothing gives the destination no safe window at all, and the
-//! conservative engine would deadlock at the first shared timestamp.
+//! Zero lookahead is rejected at topology-construction time: every hardware
+//! path takes time, and a strictly positive lookahead is what keeps a
+//! cross-shard post out of an instant its destination may already have
+//! executed, so each shard runs its own events in [`crate::EventKey`] order.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Canonical shard-domain id of the network stack (RoCE/RDMA, switch, QPs).
 pub const DOMAIN_NET: u64 = 0x006E_6574;
@@ -42,8 +40,8 @@ pub struct ShardSpec {
 /// Why a topology could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyError {
-    /// A link declared a zero lookahead: the conservative window can never
-    /// open, so the engine would deadlock at the first shared timestamp.
+    /// A link declared a zero lookahead: a post across it could land at an
+    /// instant its destination has already executed.
     ZeroLookahead {
         /// Source shard of the offending link.
         src: ShardId,
@@ -70,8 +68,8 @@ impl std::fmt::Display for TopologyError {
         match self {
             TopologyError::ZeroLookahead { src, dst } => write!(
                 f,
-                "link {src}->{dst} declares zero lookahead: the conservative \
-                 window can never open"
+                "link {src}->{dst} declares zero lookahead: every cross-shard \
+                 path must take time"
             ),
             TopologyError::UnknownShard(s) => write!(f, "unknown shard id {s}"),
             TopologyError::SelfLink(s) => write!(f, "self-link on shard {s}"),
@@ -173,49 +171,6 @@ impl Topology {
             .map(|&(s, d, l)| (self.shards[s].domain, self.shards[d].domain, l))
             .collect()
     }
-
-    /// The smallest lookahead of any declared link (the width of the worst
-    /// conservative window), if any links exist.
-    pub fn min_lookahead(&self) -> Option<SimDuration> {
-        self.links.iter().map(|&(_, _, l)| l).min()
-    }
-}
-
-/// Per-shard conservative horizons for one synchronization round.
-///
-/// `next_event[s]` is shard `s`'s earliest pending event time — *after*
-/// folding in any messages already routed but not yet delivered — or `None`
-/// for an idle shard. The horizon of shard `d` is the minimum over its
-/// incoming links `s -> d` of `next_event[s] + lookahead(s, d)`: before that
-/// time, no message from any neighbor can still arrive. `None` means the
-/// shard is unbounded this round (no incoming link constrains it) and may
-/// drain its whole queue.
-///
-/// A shard may execute events *strictly below* its horizon. An event at
-/// exactly the horizon must wait: a neighbor could still emit a message for
-/// that very instant, and the canonical same-instant order has to include it.
-///
-/// Progress is guaranteed for any validated topology: the globally earliest
-/// event at time `m` sits on some shard whose horizon is at least
-/// `m + min_lookahead > m`, so every round executes at least one event.
-pub fn horizons(topo: &Topology, next_event: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-    assert_eq!(
-        next_event.len(),
-        topo.len(),
-        "one next-event time per shard"
-    );
-    let mut out: Vec<Option<SimTime>> = vec![None; topo.len()];
-    for &(src, dst, lookahead) in &topo.links {
-        let Some(next) = next_event[src] else {
-            continue; // Idle neighbor: promises nothing before +infinity.
-        };
-        let bound = next + lookahead;
-        out[dst] = Some(match out[dst] {
-            Some(cur) => cur.min(bound),
-            None => bound,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -273,50 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn horizon_is_min_over_incoming_links() {
-        let mut t = Topology::new();
-        for (d, n) in [(1u64, "a"), (2, "b"), (3, "c")] {
-            t.add_shard(spec(d, n)).unwrap();
-        }
-        t.link(0, 2, SimDuration::from_ns(10)).unwrap();
-        t.link(1, 2, SimDuration::from_ns(5)).unwrap();
-        let next = [
-            Some(SimTime(1_000)),
-            Some(SimTime(2_000)),
-            Some(SimTime(500)),
-        ];
-        let hz = horizons(&t, &next);
-        // Shards with no incoming links are unbounded.
-        assert_eq!(hz[0], None);
-        assert_eq!(hz[1], None);
-        // c is bounded by min(1000ps + 10ns, 2000ps + 5ns) = 7000ps.
-        assert_eq!(hz[2], Some(SimTime(7_000)));
-    }
-
-    #[test]
-    fn idle_neighbors_do_not_bound() {
-        let mut t = two_shards();
-        t.link(0, 1, SimDuration::from_ns(1)).unwrap();
-        let hz = horizons(&t, &[None, Some(SimTime(100))]);
-        assert_eq!(hz[1], None, "idle neighbor promises +infinity");
-    }
-
-    #[test]
-    fn progress_is_guaranteed() {
-        // The globally earliest event always clears its own horizon.
-        let mut t = two_shards();
-        t.link(0, 1, SimDuration::from_ns(1)).unwrap();
-        t.link(1, 0, SimDuration::from_ns(1)).unwrap();
-        let m = SimTime(5_000);
-        let hz = horizons(&t, &[Some(m), Some(m)]);
-        assert!(hz[0].unwrap() > m && hz[1].unwrap() > m);
-    }
-
-    #[test]
     fn lookahead_decls_report_domains() {
         let mut t = two_shards();
         t.link(0, 1, SimDuration::from_ns(3)).unwrap();
         assert_eq!(t.lookahead_decls(), vec![(1, 2, SimDuration::from_ns(3))]);
-        assert_eq!(t.min_lookahead(), Some(SimDuration::from_ns(3)));
     }
 }

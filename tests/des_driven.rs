@@ -60,7 +60,7 @@ fn periodic_invocations_from_the_event_loop() {
         )
         .unwrap();
     }
-    sim.run_serial();
+    sim.run();
     let world = sim.world_of_mut(DOMAIN_SCHED).unwrap();
     assert_eq!(world.submitted, 20);
 

@@ -341,11 +341,10 @@ fn artifacts_identical_across_thread_counts() {
     );
 }
 
-/// The sharded conservative-parallel engine over the full platform
-/// topology: a cross-domain event storm folded into per-shard worlds, with
-/// the canonical merged trace fingerprint. `workers` is passed explicitly —
-/// the sharded engine's twin of `COYOTE_THREADS`.
-fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
+/// The sharded engine over the full platform topology: a cross-domain event
+/// storm folded into per-shard worlds, with the canonical merged trace
+/// fingerprint.
+fn sharded_platform_fingerprint() -> (u64, [u64; 4], u64) {
     use coyote_sim::{
         EventTag, ShardCtx, ShardedSimulation, SimDuration, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET,
         DOMAIN_SCHED,
@@ -357,10 +356,7 @@ fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-    fn hop(
-        hops_left: u32,
-        state: u64,
-    ) -> impl FnOnce(&mut u64, &mut ShardCtx<'_, u64>) + Send + 'static {
+    fn hop(hops_left: u32, state: u64) -> impl FnOnce(&mut u64, &mut ShardCtx<'_, u64>) + 'static {
         move |w, ctx| {
             *w = w.wrapping_add(mix(state ^ ctx.now().as_ps()));
             if hops_left == 0 {
@@ -391,7 +387,7 @@ fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
         )
         .unwrap();
     }
-    sim.run_with_workers(workers);
+    sim.run();
     let worlds = [
         *sim.world_of(DOMAIN_NET).unwrap(),
         *sim.world_of(DOMAIN_DMA).unwrap(),
@@ -402,19 +398,16 @@ fn sharded_platform_fingerprint(workers: usize) -> (u64, [u64; 4], u64) {
 }
 
 /// The sharded engine's determinism contract over the real platform
-/// topology: 1, 4 and 8 workers (and a repeat at 8) are bit-identical down
-/// to the canonical merged trace fingerprint.
+/// topology: a rerun is bit-identical down to the canonical merged trace
+/// fingerprint, and the fingerprint is pinned.
 #[test]
-fn sharded_platform_identical_across_worker_counts() {
-    let shard_1 = sharded_platform_fingerprint(1);
-    let shard_4 = sharded_platform_fingerprint(4);
-    let shard_8 = sharded_platform_fingerprint(8);
-    let shard_8_again = sharded_platform_fingerprint(8);
+fn sharded_platform_fingerprint_is_pinned() {
+    let run = sharded_platform_fingerprint();
     // Pinned values: a refactor of the engine that moves the execution
     // order, the event count or the trace encoding fails here even when it
-    // stays self-consistent across worker counts.
+    // stays self-consistent across reruns.
     assert_eq!(
-        shard_1,
+        run,
         (
             1584,
             [
@@ -428,15 +421,8 @@ fn sharded_platform_identical_across_worker_counts() {
         "sharded platform fingerprint moved"
     );
     assert_eq!(
-        shard_1, shard_4,
-        "sharded platform differs between 1 and 4 workers"
-    );
-    assert_eq!(
-        shard_1, shard_8,
-        "sharded platform differs between 1 and 8 workers"
-    );
-    assert_eq!(
-        shard_8, shard_8_again,
-        "sharded platform not reproducible at 8 workers"
+        sharded_platform_fingerprint(),
+        run,
+        "sharded platform not reproducible"
     );
 }

@@ -4,18 +4,21 @@
 //! Three pillars, mirroring the determinism contract it instruments:
 //!
 //! 1. **Round trip** — a platform-storm recording replays bit-identically
-//!    at 1, 4 and 8 workers, and survives a serialize/decode cycle.
+//!    and survives a serialize/decode cycle; the full platform storm is
+//!    pinned by event count and trace hash.
 //! 2. **Bisection** — a deliberately broken tie-break (the `perturb`
-//!    config) produces traces whose *exact* first divergent
-//!    [`coyote_sim::EventKey`] the bisector must name, with the DS001/DS002
-//!    tie-break rule family as suspects.
+//!    config) produces a trace whose *exact* first divergent
+//!    [`coyote_sim::EventKey`] from the clean run the bisector must name,
+//!    with the DS001/DS002 tie-break rule family as suspects.
 //! 3. **Fail closed** — truncated or corrupted `.cyt` files decode to
 //!    typed errors, never to a plausible-but-wrong recording.
 //!
 //! The proptest block generalizes 1 and 2 over random ring topologies,
 //! chaos seeds and perturbation indices.
 
-use coyote_replay::{bisect, verify, Recording, ReplayError, StormConfig, VerifyOutcome};
+use coyote_replay::{
+    bisect, compare, run_storm, verify, Recording, ReplayError, StormConfig, VerifyOutcome,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -28,41 +31,54 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn platform_storm_records_and_replays_bit_identically() {
-    let rec = Recording::record(StormConfig::platform(24, 10), 1);
-    for workers in [1, 4, 8] {
-        assert!(
-            verify(&rec, workers).is_identical(),
-            "platform storm must replay bit-identically on {workers} workers"
-        );
-    }
+    let rec = Recording::record(StormConfig::platform(24, 10));
+    assert!(
+        verify(&rec).is_identical(),
+        "platform storm must replay bit-identically"
+    );
+}
+
+/// The full platform storm (192 seeds x 96 hops, `replay_overhead`'s full
+/// size): a change to the engine that moves the execution order, the event
+/// count or the trace encoding fails here.
+#[test]
+fn full_platform_storm_is_pinned() {
+    let run = run_storm(&StormConfig::platform(192, 96));
+    assert_eq!(run.events, 18_624, "192 seeds x 97 executions each");
+    assert_eq!(run.trace.len(), 18_624);
+    assert_eq!(
+        format!("{:016x}", run.trace_hash),
+        "c81998aff750c040",
+        "platform storm trace hash moved"
+    );
 }
 
 #[test]
 fn recording_survives_the_wire_and_still_replays() {
-    let rec = Recording::record(StormConfig::platform(16, 8).with_chaos(5), 2);
+    let rec = Recording::record(StormConfig::platform(16, 8).with_chaos(5));
     let path = temp_path("roundtrip.cyt");
     rec.write_to(&path).expect("write recording");
     let back = Recording::read_from(&path).expect("decode recording");
     assert_eq!(back, rec, "decode(encode(rec)) == rec");
     assert_eq!(back.fingerprint(), rec.fingerprint());
-    assert!(verify(&back, 4).is_identical());
+    assert!(verify(&back).is_identical());
 }
 
 #[test]
 fn bisect_names_the_exact_first_divergent_event_key() {
-    // The broken tie-break flips the priority of seed event 5 iff the run
-    // is parallel. Seeds post at distinct instants (seed s at s ns), so
-    // the first divergent EventKey is exactly seed 5's: t = 5000 ps, same
-    // instant on both sides, priorities differing by the flipped low bit.
-    let cfg = StormConfig::platform(16, 8).with_perturb(5);
-    let serial = Recording::record(cfg, 1);
-    let parallel = Recording::record(cfg, 8);
-    let finding = bisect("replay-test", &serial, &parallel).expect("perturbed traces must diverge");
+    // The broken tie-break flips the priority of seed event 5. Seeds post
+    // at distinct instants (seed s at s ns), so the first divergent
+    // EventKey is exactly seed 5's: t = 5000 ps, same instant on both
+    // sides, priorities differing by the flipped low bit.
+    let cfg = StormConfig::platform(16, 8);
+    let clean = Recording::record(cfg);
+    let perturbed = Recording::record(cfg.with_perturb(5));
+    let finding = bisect("replay-test", &clean, &perturbed).expect("perturbed traces must diverge");
     assert_eq!(finding.stream, "events");
     assert_eq!(finding.index, 5, "first divergence is seed event 5");
     assert_eq!(finding.at_ps, 5_000);
-    let expected = finding.expected.expect("entry on the serial side");
-    let actual = finding.actual.expect("entry on the parallel side");
+    let expected = finding.expected.expect("entry on the clean side");
+    let actual = finding.actual.expect("entry on the perturbed side");
     assert_eq!(expected.at_ps, actual.at_ps, "same instant, different tag");
     assert_ne!(expected.priority, actual.priority, "the flipped tie-break");
     assert!(
@@ -77,14 +93,14 @@ fn bisect_names_the_exact_first_divergent_event_key() {
 #[test]
 fn identical_recordings_do_not_bisect() {
     let cfg = StormConfig::platform(12, 6);
-    let a = Recording::record(cfg, 1);
-    let b = Recording::record(cfg, 8);
+    let a = Recording::record(cfg);
+    let b = Recording::record(cfg);
     assert!(bisect("replay-test", &a, &b).is_none());
 }
 
 #[test]
 fn truncated_recordings_fail_closed_with_typed_errors() {
-    let rec = Recording::record(StormConfig::platform(8, 4), 1);
+    let rec = Recording::record(StormConfig::platform(8, 4));
     let bytes = rec.to_bytes();
     // Every proper prefix must be rejected — never a short-read panic,
     // never a silently partial recording.
@@ -106,7 +122,7 @@ fn truncated_recordings_fail_closed_with_typed_errors() {
 
 #[test]
 fn corrupted_recordings_fail_closed_from_disk() {
-    let rec = Recording::record(StormConfig::platform(8, 4).with_chaos(1), 1);
+    let rec = Recording::record(StormConfig::platform(8, 4).with_chaos(1));
     let path = temp_path("corrupt.cyt");
 
     // Bad magic.
@@ -149,12 +165,12 @@ fn corrupted_recordings_fail_closed_from_disk() {
 
 #[test]
 fn verify_reports_the_perturbed_event_not_a_neighbour() {
-    // Recorded serial, replayed parallel: the verifier (not just the
+    // Recorded clean, re-run perturbed: the verifier (not just the
     // bisector) must point at the exact perturbed seed event.
-    let cfg = StormConfig::platform(10, 6).with_perturb(3);
-    let rec = Recording::record(cfg, 1);
-    assert!(verify(&rec, 1).is_identical(), "serial replay matches");
-    match verify(&rec, 4) {
+    let cfg = StormConfig::platform(10, 6);
+    let rec = Recording::record(cfg);
+    assert!(verify(&rec).is_identical(), "clean replay matches");
+    match compare(&rec, &run_storm(&cfg.with_perturb(3))) {
         VerifyOutcome::EventDivergence(d) => {
             assert_eq!(d.index, 3);
             let e = d.expected.expect("recorded entry");
@@ -168,8 +184,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `replay(record(run))` is the identity, for random small topologies
-    /// and fault plans: recording at one worker count and replaying at any
-    /// other reproduces the run bit for bit, fingerprint included.
+    /// and fault plans: replaying a recording reproduces the run bit for
+    /// bit, fingerprint included.
     #[test]
     fn replay_of_record_is_identity(
         ring in 2usize..=6,
@@ -177,15 +193,13 @@ proptest! {
         hops in 1u32..10,
         chaos_on in any::<bool>(),
         chaos_seed in any::<u64>(),
-        record_workers in 1usize..=4,
-        replay_workers in 1usize..=8,
     ) {
         let mut cfg = StormConfig::ring(ring, seeds, hops);
         if chaos_on {
             cfg = cfg.with_chaos(chaos_seed);
         }
-        let rec = Recording::record(cfg, record_workers);
-        prop_assert!(verify(&rec, replay_workers).is_identical());
+        let rec = Recording::record(cfg);
+        prop_assert!(verify(&rec).is_identical());
         let back = Recording::from_bytes(&rec.to_bytes()).unwrap();
         prop_assert_eq!(back.fingerprint(), rec.fingerprint());
     }
@@ -199,16 +213,16 @@ proptest! {
         idx in 0u64..24,
     ) {
         let idx = idx % seeds;
-        let cfg = StormConfig::platform(seeds, hops).with_perturb(idx);
-        let serial = Recording::record(cfg, 1);
-        let parallel = Recording::record(cfg, 4);
-        let finding = bisect("replay-prop", &serial, &parallel)
+        let cfg = StormConfig::platform(seeds, hops);
+        let clean = Recording::record(cfg);
+        let perturbed = Recording::record(cfg.with_perturb(idx));
+        let finding = bisect("replay-prop", &clean, &perturbed)
             .expect("perturbed runs must diverge");
         prop_assert_eq!(finding.stream, "events");
         prop_assert_eq!(finding.index as u64, idx);
         prop_assert_eq!(finding.at_ps, idx * 1_000);
-        let e = finding.expected.expect("serial entry");
-        let a = finding.actual.expect("parallel entry");
+        let e = finding.expected.expect("clean entry");
+        let a = finding.actual.expect("perturbed entry");
         prop_assert_eq!(e.at_ps, a.at_ps);
         prop_assert_ne!(e.priority, a.priority);
     }

@@ -1,20 +1,19 @@
-//! The sharded conservative parallel DES engine, end to end.
+//! The sharded DES engine, end to end.
 //!
-//! The contract under test (DESIGN.md, "Parallel DES contract"):
+//! The contract under test (DESIGN.md, "DES contract"):
 //!
 //! 1. Cross-shard events at the *same* timestamp execute in canonical
-//!    [`EventTag`] order — (at, priority, domain, target) — no matter which
-//!    worker delivered them or in which order the inboxes drained.
-//! 2. A zero-lookahead link is a construction error, not a deadlock at run
-//!    time; a post below its link's declared lookahead is a runtime error,
-//!    not a silent causality violation.
+//!    [`EventTag`] order — (at, priority, domain, target) — not in the
+//!    order they were posted.
+//! 2. A zero-lookahead link is a construction error; a post below its
+//!    link's declared lookahead is a runtime error, not a silent violation
+//!    of the model's declared latency.
 //! 3. Chaos faults land on the shard that owns their domain
-//!    ([`Domain::shard_domain`]) and replay bit-identically there at any
-//!    worker count.
-//! 4. (property) The sharded engine at any worker count computes exactly
-//!    what an independent single-queue reference loop computes for the same
-//!    workload — same final worlds — and its own serial/parallel runs are
-//!    bit-identical down to the canonical trace fingerprint.
+//!    ([`Domain::shard_domain`]) and replay bit-identically there.
+//! 4. (property) The sharded engine computes exactly what an independent
+//!    single-queue reference loop computes for the same workload — same
+//!    final worlds — and reruns are bit-identical down to the canonical
+//!    trace fingerprint.
 
 use coyote::platform_topology;
 use coyote_chaos::{Domain, FaultPlan};
@@ -56,72 +55,70 @@ fn mix(x: u64) -> u64 {
 fn same_timestamp_cross_shard_events_tie_break_in_canonical_tag_order() {
     // Both remote shards post into shard `a` at the *same* instant with
     // different priorities; the execution log must follow canonical tag
-    // order (priority first), independent of worker count or arrival order.
-    for workers in [1, 2, 4, 8] {
-        let mut topo = Topology::new();
-        let a = topo
-            .add_shard(ShardSpec {
-                domain: 10,
-                name: "hub",
-            })
-            .unwrap();
-        let b = topo
-            .add_shard(ShardSpec {
-                domain: 20,
-                name: "left",
-            })
-            .unwrap();
-        let c = topo
-            .add_shard(ShardSpec {
-                domain: 30,
-                name: "right",
-            })
-            .unwrap();
-        let la = SimDuration::from_ns(10);
-        for (src, dst) in [(b, a), (c, a), (a, b), (a, c)] {
-            topo.link(src, dst, la).unwrap();
-        }
-        let mut sim = ShardedSimulation::new(topo, vec![Vec::<u8>::new(); 3]);
-        // `left` posts a LOW-priority marker, `right` a HIGH-priority one,
-        // both arriving at hub at exactly t=10ns. Seed order is reversed
-        // from the expected execution order on purpose.
-        sim.seed(
-            20,
-            SimTime::ZERO,
-            EventTag::target(0),
-            |_w: &mut Vec<u8>, ctx: &mut ShardCtx<'_, Vec<u8>>| {
-                ctx.post_after(
-                    10,
-                    SimDuration::from_ns(10),
-                    EventTag::target(1).priority(200),
-                    |w: &mut Vec<u8>, _: &mut ShardCtx<'_, Vec<u8>>| w.push(b'B'),
-                )
-                .unwrap();
-            },
-        )
+    // order (priority first), independent of posting order.
+    let mut topo = Topology::new();
+    let a = topo
+        .add_shard(ShardSpec {
+            domain: 10,
+            name: "hub",
+        })
         .unwrap();
-        sim.seed(
-            30,
-            SimTime::ZERO,
-            EventTag::target(1),
-            |_w: &mut Vec<u8>, ctx: &mut ShardCtx<'_, Vec<u8>>| {
-                ctx.post_after(
-                    10,
-                    SimDuration::from_ns(10),
-                    EventTag::target(2).priority(5),
-                    |w: &mut Vec<u8>, _: &mut ShardCtx<'_, Vec<u8>>| w.push(b'A'),
-                )
-                .unwrap();
-            },
-        )
+    let b = topo
+        .add_shard(ShardSpec {
+            domain: 20,
+            name: "left",
+        })
         .unwrap();
-        sim.run_with_workers(workers);
-        assert_eq!(
-            sim.world_of(10).unwrap(),
-            b"AB",
-            "priority 5 before 200 at the shared instant (workers={workers})"
-        );
+    let c = topo
+        .add_shard(ShardSpec {
+            domain: 30,
+            name: "right",
+        })
+        .unwrap();
+    let la = SimDuration::from_ns(10);
+    for (src, dst) in [(b, a), (c, a), (a, b), (a, c)] {
+        topo.link(src, dst, la).unwrap();
     }
+    let mut sim = ShardedSimulation::new(topo, vec![Vec::<u8>::new(); 3]);
+    // `left` posts a LOW-priority marker, `right` a HIGH-priority one,
+    // both arriving at hub at exactly t=10ns. Seed order is reversed
+    // from the expected execution order on purpose.
+    sim.seed(
+        20,
+        SimTime::ZERO,
+        EventTag::target(0),
+        |_w: &mut Vec<u8>, ctx: &mut ShardCtx<'_, Vec<u8>>| {
+            ctx.post_after(
+                10,
+                SimDuration::from_ns(10),
+                EventTag::target(1).priority(200),
+                |w: &mut Vec<u8>, _: &mut ShardCtx<'_, Vec<u8>>| w.push(b'B'),
+            )
+            .unwrap();
+        },
+    )
+    .unwrap();
+    sim.seed(
+        30,
+        SimTime::ZERO,
+        EventTag::target(1),
+        |_w: &mut Vec<u8>, ctx: &mut ShardCtx<'_, Vec<u8>>| {
+            ctx.post_after(
+                10,
+                SimDuration::from_ns(10),
+                EventTag::target(2).priority(5),
+                |w: &mut Vec<u8>, _: &mut ShardCtx<'_, Vec<u8>>| w.push(b'A'),
+            )
+            .unwrap();
+        },
+    )
+    .unwrap();
+    sim.run();
+    assert_eq!(
+        sim.world_of(10).unwrap(),
+        b"AB",
+        "priority 5 before 200 at the shared instant"
+    );
 }
 
 #[test]
@@ -183,11 +180,11 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
     // and Domain::shard_domain maps it onto the DMA shard. The net shard
     // originates ops and posts them across; the injector must only ever
     // run on the owning shard, and the whole run — fault trace included —
-    // must be bit-identical at every worker count.
+    // must be bit-identical on a rerun.
     let owning = Domain::Mmu.shard_domain();
     assert_eq!(owning, DOMAIN_DMA, "MMU faults belong to the DMA shard");
 
-    let run = |workers: usize| -> (u64, u64, u64) {
+    let run = || -> (u64, u64, u64) {
         let mut sim = ShardedSimulation::new(
             platform_topology(),
             (0..4).map(|_| ChaosWorld::default()).collect(),
@@ -228,7 +225,7 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
             )
             .unwrap();
         }
-        sim.run_with_workers(workers);
+        sim.run();
         let trace = sim.take_trace().hash();
         let dma = sim.world_of(DOMAIN_DMA).unwrap();
         let fault_trace = dma
@@ -240,10 +237,7 @@ fn chaos_fault_lands_on_the_owning_shard_and_replays_bit_identically() {
         (trace, dma.faults, fault_trace)
     };
 
-    let serial = run(1);
-    for workers in [2, 4, 8] {
-        assert_eq!(run(workers), serial, "workers={workers}");
-    }
+    assert_eq!(run(), run(), "the rerun must be bit-identical");
 }
 
 /// One hop of the random workload, shared verbatim by both runs: fold a
@@ -254,11 +248,7 @@ fn fold(worlds: &mut [u64; 4], idx: usize, at: SimTime, target: u64, priority: u
 }
 
 /// Run a random workload on the sharded engine; returns (worlds, trace hash).
-fn sharded_run(
-    workers: usize,
-    jobs: &[(usize, u64, u64, u8, u8)],
-    step: SimDuration,
-) -> ([u64; 4], u64) {
+fn sharded_run(jobs: &[(usize, u64, u64, u8, u8)], step: SimDuration) -> ([u64; 4], u64) {
     let mut topo = Topology::new();
     for d in ORDER {
         topo.add_shard(ShardSpec {
@@ -282,7 +272,7 @@ fn sharded_run(
         target: u64,
         priority: u8,
         step: SimDuration,
-    ) -> impl FnOnce(&mut [u64; 4], &mut ShardCtx<'_, [u64; 4]>) + Send + 'static {
+    ) -> impl FnOnce(&mut [u64; 4], &mut ShardCtx<'_, [u64; 4]>) + 'static {
         move |w, ctx| {
             let idx = ORDER.iter().position(|&d| d == ctx.domain()).unwrap();
             fold(w, idx, ctx.now(), target, priority);
@@ -308,7 +298,7 @@ fn sharded_run(
         )
         .unwrap();
     }
-    sim.run_with_workers(workers);
+    sim.run();
     let worlds: [u64; 4] = std::array::from_fn(|i| sim.world_of(ORDER[i]).unwrap()[i]);
     (worlds, sim.take_trace().hash())
 }
@@ -342,8 +332,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For any random workload: the sharded engine is bit-identical across
-    /// worker counts (worlds AND canonical trace fingerprint), and its
-    /// worlds match the single-queue reference loop's exactly.
+    /// reruns (worlds AND canonical trace fingerprint), and its worlds match
+    /// the single-queue reference loop's exactly.
     #[test]
     fn sharded_matches_single_queue_and_itself(
         jobs in prop::collection::vec(
@@ -353,10 +343,8 @@ proptest! {
         step_ns in 1u64..50,
     ) {
         let step = SimDuration::from_ns(step_ns);
-        let serial = sharded_run(1, &jobs, step);
-        for workers in [2, 4, 8] {
-            prop_assert_eq!(sharded_run(workers, &jobs, step), serial);
-        }
-        prop_assert_eq!(reference_run(&jobs, step), serial.0);
+        let run = sharded_run(&jobs, step);
+        prop_assert_eq!(sharded_run(&jobs, step), run);
+        prop_assert_eq!(reference_run(&jobs, step), run.0);
     }
 }
