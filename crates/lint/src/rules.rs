@@ -436,8 +436,8 @@ pub const CATALOG: &[RuleInfo] = &[
         layer: Layer::Interproc,
         severity: Severity::Error,
         description:
-            "tainted value crosses a shard boundary through a cross-shard post: every worker \
-             count now observes a different event stream",
+            "tainted value crosses a shard boundary through a cross-shard post: every run \
+             now observes a different event stream",
     },
     RuleInfo {
         id: "IPA003",
