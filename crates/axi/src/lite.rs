@@ -9,8 +9,6 @@
 //! [`RegisterFile`] models such a block: 64-bit registers at 8-byte-aligned
 //! offsets with per-register access modes.
 
-use std::collections::BTreeMap;
-
 /// Access semantics of one register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMode {
@@ -57,7 +55,10 @@ struct Register {
 /// A block of 64-bit registers on an AXI4-Lite bus.
 #[derive(Debug, Clone, Default)]
 pub struct RegisterFile {
-    regs: BTreeMap<u64, Register>,
+    /// Sorted by offset. Every kernel load builds a fresh file, so one
+    /// contiguous allocation (a bank is reserved at once) keeps a partial
+    /// reconfiguration from allocating, walking and freeing tree nodes.
+    regs: Vec<(u64, Register)>,
     reads: u64,
     writes: u64,
 }
@@ -80,13 +81,17 @@ impl RegisterFile {
             0,
             "register offset {offset:#x} not 8-byte aligned"
         );
-        let prev = self.regs.insert(offset, Register { value: reset, mode });
-        assert!(prev.is_none(), "duplicate register at {offset:#x}");
+        let Err(at) = self.position(offset) else {
+            panic!("duplicate register at {offset:#x}");
+        };
+        self.regs
+            .insert(at, (offset, Register { value: reset, mode }));
         self
     }
 
     /// Define `n` consecutive read/write registers starting at `base`.
     pub fn define_bank(&mut self, base: u64, n: u64) -> &mut Self {
+        self.regs.reserve(n as usize);
         for i in 0..n {
             self.define(base + i * 8, AccessMode::ReadWrite, 0);
         }
@@ -103,6 +108,21 @@ impl RegisterFile {
         self.regs.is_empty()
     }
 
+    /// Where `offset` is, or where it would be inserted.
+    fn position(&self, offset: u64) -> Result<usize, usize> {
+        self.regs.binary_search_by_key(&offset, |&(at, _)| at)
+    }
+
+    fn get(&self, offset: u64) -> Option<&Register> {
+        let at = self.position(offset).ok()?;
+        Some(&self.regs[at].1)
+    }
+
+    fn get_mut(&mut self, offset: u64) -> Option<&mut Register> {
+        let at = self.position(offset).ok()?;
+        Some(&mut self.regs[at].1)
+    }
+
     fn check_align(offset: u64) -> Result<(), LiteError> {
         if offset % 8 != 0 {
             Err(LiteError::Unaligned { offset })
@@ -115,8 +135,7 @@ impl RegisterFile {
     pub fn read(&mut self, offset: u64) -> Result<u64, LiteError> {
         Self::check_align(offset)?;
         self.reads += 1;
-        self.regs
-            .get(&offset)
+        self.get(offset)
             .map(|r| r.value)
             .ok_or(LiteError::Unmapped { offset })
     }
@@ -125,10 +144,7 @@ impl RegisterFile {
     pub fn write(&mut self, offset: u64, value: u64) -> Result<(), LiteError> {
         Self::check_align(offset)?;
         self.writes += 1;
-        let reg = self
-            .regs
-            .get_mut(&offset)
-            .ok_or(LiteError::Unmapped { offset })?;
+        let reg = self.get_mut(offset).ok_or(LiteError::Unmapped { offset })?;
         match reg.mode {
             AccessMode::ReadWrite => reg.value = value,
             AccessMode::ReadOnly => return Err(LiteError::ReadOnlyWrite { offset }),
@@ -140,21 +156,21 @@ impl RegisterFile {
     /// Hardware-side update, ignoring software access modes (the kernel
     /// logic updating a status register or latching an interrupt bit).
     pub fn hw_set(&mut self, offset: u64, value: u64) {
-        if let Some(reg) = self.regs.get_mut(&offset) {
+        if let Some(reg) = self.get_mut(offset) {
             reg.value = value;
         }
     }
 
     /// Hardware-side OR-in of status bits.
     pub fn hw_or(&mut self, offset: u64, bits: u64) {
-        if let Some(reg) = self.regs.get_mut(&offset) {
+        if let Some(reg) = self.get_mut(offset) {
             reg.value |= bits;
         }
     }
 
     /// Hardware-side peek (no access counting).
     pub fn hw_get(&self, offset: u64) -> Option<u64> {
-        self.regs.get(&offset).map(|r| r.value)
+        self.get(offset).map(|r| r.value)
     }
 
     /// Total software accesses, for the "bypassing the kernel space" latency
@@ -219,6 +235,23 @@ mod tests {
             rf.write(0x100 + i * 8, i).unwrap();
         }
         assert_eq!(rf.read(0x118).unwrap(), 3);
+    }
+
+    #[test]
+    fn definitions_in_any_order_resolve_by_offset() {
+        let mut rf = RegisterFile::new();
+        for (i, offset) in [0x18u64, 0x00, 0x28, 0x08].into_iter().enumerate() {
+            rf.define(offset, AccessMode::ReadOnly, i as u64);
+        }
+        rf.define_bank(0x10, 1);
+        rf.define(0x20, AccessMode::ReadWrite, 9);
+        assert_eq!(rf.len(), 6);
+        let values: Vec<_> = (0..6).map(|i| rf.hw_get(i * 8)).collect();
+        assert_eq!(
+            values,
+            [Some(1), Some(3), Some(0), Some(0), Some(9), Some(2)]
+        );
+        assert_eq!(rf.hw_get(0x30), None);
     }
 
     #[test]

@@ -294,8 +294,9 @@ impl CoyoteDriver {
             let run = &runs[idx];
             run_attempt[idx] += 1;
             attempts += 1;
-            // The in-flight copy of this run, which chaos may corrupt.
-            let run_bytes = blob[run.byte_off..run.byte_off + run.byte_len].to_vec();
+            // This run's bytes, borrowed: the port copies them only if
+            // chaos corrupts them in flight, so `blob` stays pristine.
+            let run_bytes = &blob[run.byte_off..run.byte_off + run.byte_len];
             let (icap, _state) = self.icap_and_state();
             let outcome = icap.program_run(t, run, run_bytes);
             let (status, at) = match &outcome {

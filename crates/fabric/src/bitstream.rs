@@ -235,9 +235,36 @@ impl BitstreamHeader {
     /// Each run carries a CRC-32 over its pristine byte range; a bit flip
     /// anywhere in a run's bytes (header and trailer included) fails that
     /// run's check without touching the others.
-    pub fn frame_runs(&self, blob: &[u8], max_frames_per_run: Option<u64>) -> Vec<FrameRun> {
+    ///
+    /// Handed the exact buffer of a resident image, the process-wide
+    /// [`BitstreamCache`] remembers the image's last split, so redeploying
+    /// it at the same run size reads none of its bytes here. Any other
+    /// blob is split afresh.
+    pub fn frame_runs(&self, blob: &[u8], max_frames_per_run: Option<u64>) -> Arc<[FrameRun]> {
+        self.frame_runs_in(BitstreamCache::global(), blob, max_frames_per_run)
+    }
+
+    /// [`BitstreamHeader::frame_runs`] against an explicit cache instance.
+    pub(crate) fn frame_runs_in(
+        &self,
+        cache: &BitstreamCache,
+        blob: &[u8],
+        max_frames_per_run: Option<u64>,
+    ) -> Arc<[FrameRun]> {
         debug_assert_eq!(blob.len() as u64, self.blob_len(), "blob/header mismatch");
         let per = max_frames_per_run.unwrap_or(u64::MAX).max(1);
+        if let Some(runs) = cache.resident_runs(blob, per) {
+            return runs;
+        }
+        let runs = self.split_runs(blob, per);
+        cache.remember_runs(blob, per, &runs);
+        runs
+    }
+
+    /// Split `blob` into runs of at most `per` frames, checksumming each.
+    fn split_runs(&self, blob: &[u8], per: u64) -> Arc<[FrameRun]> {
+        #[cfg(test)]
+        RUN_SPLITS.with(|n| n.set(n.get() + 1));
         let n_runs = self.frames.div_ceil(per).max(1);
         let mut runs = Vec::with_capacity(n_runs as usize);
         for i in 0..n_runs {
@@ -262,8 +289,14 @@ impl BitstreamHeader {
                 crc: crc32(&blob[byte_off..byte_end]),
             });
         }
-        runs
+        runs.into()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Frame-run splits this thread has computed (memo misses).
+    static RUN_SPLITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A validated bitstream: its header, plus the image bytes.
@@ -1195,5 +1228,131 @@ mod tests {
         assert_eq!(cache.resident_len(), 2);
         let (hashed, _) = hashing(|| Bitstream::validate_in(&cache, live.bytes()));
         assert_eq!(hashed, live.len(), "oldest evicted");
+    }
+
+    /// Frame-run splits `f` computes on this thread, and its value.
+    fn splitting<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = RUN_SPLITS.with(|n| n.get());
+        let out = f();
+        (RUN_SPLITS.with(|n| n.get()) - before, out)
+    }
+
+    #[test]
+    fn memoised_runs_equal_a_fresh_split() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 1 }, 30, 31);
+        resident_in(&cache, &bs);
+        let (split, first) = splitting(|| bs.header.frame_runs_in(&cache, bs.bytes(), Some(4)));
+        assert_eq!(split, 1);
+        for _ in 0..3 {
+            let (split, again) = splitting(|| bs.header.frame_runs_in(&cache, bs.bytes(), Some(4)));
+            assert_eq!(split, 0, "remembered");
+            assert!(Arc::ptr_eq(&first, &again));
+        }
+        let fresh = bs.header.split_runs(bs.bytes(), 4);
+        assert_eq!(first, fresh);
+        for run in first.iter() {
+            let range = &bs.bytes()[run.byte_off..run.byte_off + run.byte_len];
+            assert_eq!(run.crc, crc32(range));
+        }
+    }
+
+    #[test]
+    fn anything_but_the_resident_buffer_at_the_same_run_size_recomputes() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U280, BitstreamKind::Shell, 24, 32);
+        resident_in(&cache, &bs);
+        let runs = |header: &BitstreamHeader, blob: &[u8], per| {
+            splitting(|| header.frame_runs_in(&cache, blob, per))
+        };
+        let (split, memo) = runs(&bs.header, bs.bytes(), Some(5));
+        assert_eq!(split, 1);
+        // A copy: same bytes, another buffer.
+        let copy = bs.bytes().to_vec();
+        for _ in 0..2 {
+            let (split, of_copy) = runs(&bs.header, &copy, Some(5));
+            assert_eq!((split, &of_copy), (1, &memo));
+        }
+        // A sub-slice at the image's address, split with its own header.
+        let short = BitstreamHeader {
+            frames: bs.frames() - 1,
+            ..bs.header
+        };
+        let part = &bs.bytes()[..short.blob_len() as usize];
+        for _ in 0..2 {
+            assert_eq!(runs(&short, part, Some(5)).0, 1);
+        }
+        // Another run size replaces the remembered split.
+        for (per, want) in [
+            (Some(6), 1),
+            (Some(6), 0),
+            (None, 1),
+            (None, 0),
+            (Some(5), 1),
+            (Some(5), 0),
+        ] {
+            assert_eq!(runs(&bs.header, bs.bytes(), per).0, want, "{per:?}");
+        }
+        // Unindexed in another cache: always a fresh split.
+        let other = BitstreamCache::new(8);
+        let (split, _) = splitting(|| bs.header.frame_runs_in(&other, bs.bytes(), Some(5)));
+        assert_eq!(split, 1);
+    }
+
+    #[test]
+    fn a_recycled_address_recomputes_its_runs() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 0 }, 20, 33);
+        resident_in(&cache, &bs);
+        bs.header.frame_runs_in(&cache, bs.bytes(), Some(3));
+        let header = bs.header;
+        let addr = bs.bytes().as_ptr();
+        // Another design of the same size, so a stale split would differ.
+        let other = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 0 }, 20, 34)
+            .bytes()
+            .to_vec();
+        drop(bs);
+        // New resident images of the same length, kept alive so each is a
+        // new allocation, until one lands on the dropped image's address.
+        let mut fresh: Vec<Arc<ImageBytes>> = Vec::new();
+        while fresh.len() < 64 && !fresh.iter().any(|b| b.get().unwrap().as_ptr() == addr) {
+            let image = Arc::new(OnceLock::from(other.clone()));
+            cache.insert_resident(&image, image.get().unwrap(), header);
+            fresh.push(image);
+        }
+        for image in &fresh {
+            let blob = image.get().unwrap();
+            let (split, runs) = splitting(|| header.frame_runs_in(&cache, blob, Some(3)));
+            assert_eq!(split, 1, "a new image starts with no runs");
+            assert_eq!(runs, header.split_runs(&other, 3));
+        }
+    }
+
+    #[test]
+    fn run_memo_lookups_leave_the_cache_counters_alone() {
+        let cache = BitstreamCache::new(8);
+        let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::Shell, 16, 35);
+        resident_in(&cache, &bs);
+        Bitstream::validate_in(&cache, bs.bytes()).unwrap();
+        let before = cache.stats();
+        let copy = bs.bytes().to_vec();
+        for per in [Some(4), Some(4), Some(7), None] {
+            bs.header.frame_runs_in(&cache, bs.bytes(), per);
+            bs.header.frame_runs_in(&cache, &copy, per);
+        }
+        assert_eq!(cache.stats(), before);
+        assert_eq!(cache.len(), 0, "runs are not content entries");
+    }
+
+    #[test]
+    fn redeploying_a_resident_image_splits_it_once() {
+        // Through the process-wide cache, as the batched driver path does.
+        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::App { vfpga: 3 }, 40, 36);
+        let twin = bs.clone();
+        let (split, first) = splitting(|| bs.header().frame_runs(bs.bytes(), Some(8)));
+        assert_eq!(split, 1);
+        let (split, again) = splitting(|| twin.header().frame_runs(twin.bytes(), Some(8)));
+        assert_eq!(split, 0, "clones share the image and its runs");
+        assert!(Arc::ptr_eq(&first, &again));
     }
 }

@@ -48,6 +48,15 @@
 //!   address), a sub-slice (other address or length), the recycled address
 //!   of a dropped image (its `Weak` no longer upgrades).
 //!
+//! Each identity entry also remembers the image's last frame-run split,
+//! with its frames per run ([`BitstreamHeader::frame_runs`]). The runs are
+//! a pure function of the bytes and the run size, and the bytes cannot
+//! change while the `Weak` lives, so the same hit test makes the memo
+//! sound: only the exact buffer of a live resident image, asked for the
+//! same run size, gets the remembered runs. Anything else splits afresh,
+//! and a recycled address's new entry starts with none. Memo lookups never
+//! touch [`CacheStats`].
+//!
 //! Only the process-wide cache is filled: a private cache never sees an
 //! identity entry, so its counters still come from content lookups alone.
 //! Addresses are lookup keys only; none reaches a result, a recording or a
@@ -64,7 +73,7 @@
 //! [`Bitstream::bytes`]: crate::Bitstream::bytes
 //! [`Bitstream::from_bytes`]: crate::Bitstream::from_bytes
 
-use crate::bitstream::BitstreamHeader;
+use crate::bitstream::{BitstreamHeader, FrameRun};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -109,6 +118,9 @@ impl CacheStats {
 struct Resident {
     image: Weak<ImageBytes>,
     header: BitstreamHeader,
+    /// The last frame-run split asked of the image, with its frames per
+    /// run.
+    runs: Option<(u64, Arc<[FrameRun]>)>,
 }
 
 #[derive(Debug, Default)]
@@ -123,6 +135,20 @@ struct CacheInner {
     resident: HashMap<(usize, usize), Resident>,
     resident_order: VecDeque<(usize, usize)>,
     stats: CacheStats,
+}
+
+impl CacheInner {
+    /// The identity entry of the live resident image whose buffer is
+    /// exactly `blob` (see the module docs' "Coherence").
+    fn resident_of(&mut self, blob: &[u8]) -> Option<&mut Resident> {
+        let entry = self
+            .resident
+            .get_mut(&(blob.as_ptr() as usize, blob.len()))?;
+        let image = entry.image.upgrade()?;
+        let bytes = image.get()?;
+        let same = bytes.as_ptr() == blob.as_ptr() && bytes.len() == blob.len();
+        same.then_some(entry)
+    }
 }
 
 /// A bounded, thread-safe map from blob content hash to parsed metadata.
@@ -191,15 +217,30 @@ impl BitstreamCache {
     /// anything else is left to the content lookup, which counts.
     pub(crate) fn lookup_resident(&self, blob: &[u8]) -> Option<BitstreamHeader> {
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
-        let entry = inner.resident.get(&(blob.as_ptr() as usize, blob.len()))?;
-        let image = entry.image.upgrade()?;
-        let bytes = image.get()?;
-        if bytes.as_ptr() != blob.as_ptr() || bytes.len() != blob.len() {
-            return None;
-        }
-        let header = entry.header;
+        let header = inner.resident_of(blob)?.header;
         inner.stats.hits += 1;
         Some(header)
+    }
+
+    /// The frame runs remembered for `blob` split at `per` frames per run,
+    /// if `blob` is exactly the buffer of a live resident image. Counts
+    /// nothing.
+    pub(crate) fn resident_runs(&self, blob: &[u8], per: u64) -> Option<Arc<[FrameRun]>> {
+        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
+        match &inner.resident_of(blob)?.runs {
+            Some((at, runs)) if *at == per => Some(Arc::clone(runs)),
+            _ => None,
+        }
+    }
+
+    /// Remember `runs`, the split of `blob` at `per` frames per run, if
+    /// `blob` is exactly the buffer of a live resident image. Replaces the
+    /// image's previous split.
+    pub(crate) fn remember_runs(&self, blob: &[u8], per: u64, runs: &Arc<[FrameRun]>) {
+        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
+        if let Some(entry) = inner.resident_of(blob) {
+            entry.runs = Some((per, Arc::clone(runs)));
+        }
     }
 
     /// Index `bytes`, valid for `header`, as the buffer `image` holds (or
@@ -214,6 +255,7 @@ impl BitstreamCache {
         let entry = Resident {
             image: Arc::downgrade(image),
             header,
+            runs: None,
         };
         let mut inner = self.inner.lock().expect("bitstream cache poisoned");
         let CacheInner {
@@ -221,7 +263,7 @@ impl BitstreamCache {
             resident_order,
             ..
         } = &mut *inner;
-        // A recycled address replaces its dead entry in place.
+        // A recycled address replaces its dead entry, and its runs, in place.
         if resident.insert(key, entry).is_some() {
             return;
         }

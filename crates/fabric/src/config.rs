@@ -20,6 +20,7 @@ use crate::floorplan::PartitionId;
 use coyote_chaos::{FaultKind, Injector};
 use coyote_sim::time::Bandwidth;
 use coyote_sim::{LinkModel, SimDuration, SimTime, Transfer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The reconfiguration controllers compared in Table 2.
@@ -265,22 +266,25 @@ impl ConfigPort {
         Ok(xfer)
     }
 
-    /// Stream one frame run of an in-flight blob copy through the port.
+    /// Stream one frame run of a blob through the port. The run's bytes are
+    /// borrowed from the caller's blob and copied only if the chaos
+    /// injector corrupts them, so the caller's blob is never written.
     ///
     /// The chaos injector is consulted once per run (a [`FaultKind::BitstreamFlip`]
-    /// flips one bit of the run's bytes, a [`FaultKind::IcapReject`] refuses
-    /// the request), then the run's CRC is checked against the pristine
-    /// value carried by `run` — one integrity check per run instead of per
-    /// frame. Nothing is committed here; the caller commits the whole image
-    /// via [`ConfigPort::commit_batch`] once every run has passed.
+    /// flips one bit of the run's in-flight bytes, a [`FaultKind::IcapReject`]
+    /// refuses the request), then the CRC of the bytes in flight is checked
+    /// against the pristine value carried by `run` — one integrity check per
+    /// run instead of per frame. Nothing is committed here; the caller
+    /// commits the whole image via [`ConfigPort::commit_batch`] once every
+    /// run has passed.
     pub fn program_run(
         &mut self,
         now: SimTime,
         run: &FrameRun,
-        run_bytes: Vec<u8>,
+        run_bytes: &[u8],
     ) -> Result<Transfer, ProgramError> {
         debug_assert_eq!(run_bytes.len(), run.byte_len, "run byte range mismatch");
-        let mut run_bytes = run_bytes;
+        let mut in_flight = Cow::Borrowed(run_bytes);
         let mut flipped = false;
         if let Some(inj) = &mut self.chaos {
             for fault in inj.next_at(now) {
@@ -292,7 +296,7 @@ impl ConfigPort {
                             inj.derived(run_bytes.len() as u64)
                         };
                         let idx = (bit / 8) as usize % run_bytes.len();
-                        run_bytes[idx] ^= 1 << (bit % 8);
+                        in_flight.to_mut()[idx] ^= 1 << (bit % 8);
                         flipped = true;
                     }
                     FaultKind::IcapReject => {
@@ -303,7 +307,7 @@ impl ConfigPort {
                 }
             }
         }
-        let computed = crc32(&run_bytes);
+        let computed = crc32(&in_flight);
         if computed != run.crc {
             if flipped {
                 if let Some(inj) = &mut self.chaos {
@@ -451,9 +455,9 @@ mod tests {
         let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
         let mut state = ConfigState::new(DeviceKind::U55C);
         let mut at = SimTime::ZERO;
-        for run in bs.header().frame_runs(bs.bytes(), Some(250)) {
-            let bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
-            let xfer = port.program_run(at, &run, bytes).unwrap();
+        for run in bs.header().frame_runs(bs.bytes(), Some(250)).iter() {
+            let bytes = &bs.bytes()[run.byte_off..run.byte_off + run.byte_len];
+            let xfer = port.program_run(at, run, bytes).unwrap();
             at = xfer.done;
         }
         port.commit_batch(&mut state, bs.header(), at).unwrap();
@@ -476,7 +480,7 @@ mod tests {
         let run = &runs[1];
         let mut bytes = bs.bytes()[run.byte_off..run.byte_off + run.byte_len].to_vec();
         bytes[17] ^= 0x80;
-        let err = port.program_run(SimTime::ZERO, run, bytes).unwrap_err();
+        let err = port.program_run(SimTime::ZERO, run, &bytes).unwrap_err();
         assert!(matches!(
             err,
             ProgramError::Bitstream(BitstreamError::CrcMismatch { .. })
@@ -487,6 +491,32 @@ mod tests {
             0,
             "failed run never reached the port"
         );
+    }
+
+    #[test]
+    fn a_flipped_run_leaves_the_borrowed_slice_unchanged() {
+        use coyote_chaos::{Domain, FaultPlan};
+        let bs = shell_bs(45);
+        let runs = bs.header().frame_runs(bs.bytes(), Some(400));
+        let run = &runs[1];
+        let borrowed = &bs.bytes()[run.byte_off..run.byte_off + run.byte_len];
+        let before = borrowed.to_vec();
+        let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
+        port.attach_chaos(
+            FaultPlan::new(3)
+                .bitstream_flip_at(0, 8 * 17 + 5)
+                .injector(Domain::Reconfig),
+        );
+        let err = port.program_run(SimTime::ZERO, run, borrowed).unwrap_err();
+        assert!(matches!(
+            err,
+            ProgramError::Bitstream(BitstreamError::CrcMismatch { .. })
+        ));
+        assert_eq!(borrowed, &before[..], "the flip hit a copy");
+        assert_eq!(crc32(borrowed), run.crc);
+        // The next attempt is clean and streams the same borrowed bytes.
+        assert!(port.program_run(SimTime::ZERO, run, borrowed).is_ok());
+        assert_eq!(port.bytes_programmed(), run.byte_len as u64);
     }
 
     #[test]

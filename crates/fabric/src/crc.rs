@@ -3,6 +3,15 @@
 //! Used for the bitstream integrity word (the real devices embed a CRC in
 //! the configuration stream and abort configuration on mismatch) and for the
 //! ICRC of the RoCE v2 stack in `coyote-net`.
+//!
+//! [`Crc32::update`] folds sixteen bytes per table step. One step depends
+//! on the previous one's result, so a single stream of steps waits on its
+//! own table loads. An input of at least [`TWO_LANE_MIN`] bytes is therefore
+//! split into two equal, 16-byte-aligned halves whose step chains run in
+//! lockstep (independent chains overlap in the pipeline), and the halves'
+//! CRCs are joined with [`crc32_combine`]'s shift operator. The output is
+//! bit-identical to the one-lane loop, and the work stays on the caller's
+//! thread.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -11,8 +20,13 @@ const POLY: u32 = 0xEDB8_8320;
 /// classic byte-at-a-time table; `TABLES[k][i]` advances byte `i` over `k`
 /// further zero bytes, letting `update` fold sixteen input bytes per step
 /// instead of one (bitstream blobs run to tens of megabytes, so the CRC is
-/// the assembly and reconfiguration paths' dominant wall-clock cost).
+/// the assembly and reconfiguration paths' dominant wall-clock cost). Both
+/// lanes of a long input step through the same tables.
 static TABLES: [[u32; 256]; 16] = build_tables();
+
+/// Inputs at least this long take two lanes. Below it, the one-lane loop
+/// wins: joining the lanes costs a GF(2) shift of about a dozen multiplies.
+pub const TWO_LANE_MIN: usize = 2048;
 
 const fn build_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
@@ -64,58 +78,83 @@ impl Crc32 {
 
     /// Absorb bytes.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(16);
-        for chunk in &mut chunks {
-            let a = crc ^ u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes"));
-            let b = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-            let c = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
-            let d = u32::from_le_bytes(chunk[12..16].try_into().expect("4 bytes"));
-            crc = TABLES[15][(a & 0xFF) as usize]
-                ^ TABLES[14][((a >> 8) & 0xFF) as usize]
-                ^ TABLES[13][((a >> 16) & 0xFF) as usize]
-                ^ TABLES[12][(a >> 24) as usize]
-                ^ TABLES[11][(b & 0xFF) as usize]
-                ^ TABLES[10][((b >> 8) & 0xFF) as usize]
-                ^ TABLES[9][((b >> 16) & 0xFF) as usize]
-                ^ TABLES[8][(b >> 24) as usize]
-                ^ TABLES[7][(c & 0xFF) as usize]
-                ^ TABLES[6][((c >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((c >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(c >> 24) as usize]
-                ^ TABLES[3][(d & 0xFF) as usize]
-                ^ TABLES[2][((d >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((d >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(d >> 24) as usize];
+        if data.len() < TWO_LANE_MIN {
+            self.state = absorb(self.state, data);
+            return;
         }
-        // Fold one 8-byte step out of the sub-16 remainder, so streaming
-        // callers that update in record-sized pieces (16k + 8 bytes) never
-        // hit the byte loop.
-        let mut rest = chunks.remainder();
-        if rest.len() >= 8 {
-            let lo = crc ^ u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-            let hi = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-            rest = &rest[8..];
+        let half = data.len() / 32 * 16;
+        let (a, rest) = data.split_at(half);
+        let (b, tail) = rest.split_at(half);
+        let (mut crc_a, mut crc_b) = (self.state, 0xFFFF_FFFF);
+        for (x, y) in a.chunks_exact(16).zip(b.chunks_exact(16)) {
+            crc_a = step16(crc_a, x);
+            crc_b = step16(crc_b, y);
         }
-        for &b in rest {
-            let idx = ((crc ^ b as u32) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLES[0][idx];
-        }
-        self.state = crc;
+        // The lanes' registers, finished, are CRCs of (everything before ++
+        // a) and of b alone; join them and carry on over the < 32-byte tail.
+        let joined = crc32_combine(!crc_a, !crc_b, half as u64);
+        self.state = absorb(!joined, tail);
     }
 
     /// Final checksum.
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
+}
+
+/// One slice-by-16 step: fold the sixteen bytes of `chunk` into `crc`.
+#[inline(always)]
+fn step16(crc: u32, chunk: &[u8]) -> u32 {
+    let a = crc ^ u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes"));
+    let b = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
+    let c = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
+    let d = u32::from_le_bytes(chunk[12..16].try_into().expect("4 bytes"));
+    TABLES[15][(a & 0xFF) as usize]
+        ^ TABLES[14][((a >> 8) & 0xFF) as usize]
+        ^ TABLES[13][((a >> 16) & 0xFF) as usize]
+        ^ TABLES[12][(a >> 24) as usize]
+        ^ TABLES[11][(b & 0xFF) as usize]
+        ^ TABLES[10][((b >> 8) & 0xFF) as usize]
+        ^ TABLES[9][((b >> 16) & 0xFF) as usize]
+        ^ TABLES[8][(b >> 24) as usize]
+        ^ TABLES[7][(c & 0xFF) as usize]
+        ^ TABLES[6][((c >> 8) & 0xFF) as usize]
+        ^ TABLES[5][((c >> 16) & 0xFF) as usize]
+        ^ TABLES[4][(c >> 24) as usize]
+        ^ TABLES[3][(d & 0xFF) as usize]
+        ^ TABLES[2][((d >> 8) & 0xFF) as usize]
+        ^ TABLES[1][((d >> 16) & 0xFF) as usize]
+        ^ TABLES[0][(d >> 24) as usize]
+}
+
+/// The one-lane loop: advance the register `crc` over `data`.
+fn absorb(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        crc = step16(crc, chunk);
+    }
+    // Fold one 8-byte step out of the sub-16 remainder, so streaming
+    // callers that update in record-sized pieces (16k + 8 bytes) never
+    // hit the byte loop.
+    let mut rest = chunks.remainder();
+    if rest.len() >= 8 {
+        let lo = crc ^ u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+        rest = &rest[8..];
+    }
+    for &b in rest {
+        let idx = ((crc ^ b as u32) & 0xFF) as usize;
+        crc = (crc >> 8) ^ TABLES[0][idx];
+    }
+    crc
 }
 
 /// One-shot CRC-32 of a byte slice.
@@ -215,6 +254,34 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time CRC over `TABLES[0]` alone: no slicing, no lanes.
+    fn bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |crc, &b| {
+            (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+        })
+    }
+
+    #[test]
+    fn matches_the_bytewise_reference_at_every_length() {
+        // Lengths 0..=4200 cross the two-lane threshold and every tail
+        // length on both sides of it.
+        let data: Vec<u8> = (0..4200u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        assert!(data.len() > 2 * TWO_LANE_MIN);
+        for len in 0..=data.len() {
+            let want = bytewise(&data[..len]);
+            assert_eq!(crc32(&data[..len]), want, "one-shot, len {len}");
+            // A short first piece makes the long second one start from a
+            // non-initial register.
+            let (head, tail) = data[..len].split_at(len % 37);
+            let mut c = Crc32::new();
+            c.update(head);
+            c.update(tail);
+            assert_eq!(c.finish(), want, "streaming, len {len}");
+        }
     }
 
     #[test]

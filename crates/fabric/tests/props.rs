@@ -1,8 +1,24 @@
 //! Property-based tests on bitstreams and CRC.
 
-use coyote_fabric::crc::{crc32, crc32_combine, Crc32};
+use coyote_fabric::crc::{crc32, crc32_combine, Crc32, TWO_LANE_MIN};
 use coyote_fabric::{Bitstream, BitstreamCache, BitstreamKind, DeviceKind};
 use proptest::prelude::*;
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial.
+fn bitwise_crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
 
 proptest! {
     /// Assemble -> parse is the identity for any geometry.
@@ -36,6 +52,24 @@ proptest! {
             c.update(part);
         }
         prop_assert_eq!(c.finish(), crc32(&data));
+    }
+
+    /// One-shot and streaming CRCs equal a bit-at-a-time reference at any
+    /// split points, on inputs either side of the two-lane threshold.
+    #[test]
+    fn crc_matches_the_bitwise_reference(data in prop::collection::vec(any::<u8>(), 0..3 * TWO_LANE_MIN),
+                                         cuts in prop::collection::vec(any::<usize>(), 0..4)) {
+        let want = bitwise_crc32(&data);
+        prop_assert_eq!(crc32(&data), want);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut c = Crc32::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            c.update(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(c.finish(), want);
     }
 
     /// Folding two CRCs equals the CRC of the concatenation, empty parts

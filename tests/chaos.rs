@@ -490,6 +490,54 @@ fn batched_exhausted_budget_never_commits_a_partial_batch() {
 }
 
 #[test]
+fn a_faulted_batched_reconfiguration_never_writes_the_callers_blob() {
+    let (mut drv, _) = driver_with_shell(11);
+    let next = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 2_000, 23);
+    let pristine = next.bytes().to_vec();
+    // Flip a bit of the second run in flight; the retry streams it clean.
+    let plan = FaultPlan::new(7).bitstream_flip_at(1, 8 * 64 + 5);
+    drv.attach_icap_chaos(plan.injector(Domain::Reconfig));
+    let r = drv
+        .reconfigure_batched(
+            SimTime::ZERO,
+            next.bytes(),
+            false,
+            RetryPolicy::reconfig_default(),
+            Some(BATCH_FRAMES_PER_RUN),
+        )
+        .unwrap();
+    assert_eq!((r.flips_detected, r.retried_runs), (1, 1));
+    assert!(r.recovered);
+    assert_eq!(shell_digest(&drv), next.digest());
+
+    // The flip hit the port's copy, never the resident image: its bytes
+    // are the ones written at assembly, so answering a later `validate` by
+    // identity (without reading them) is still sound.
+    assert!(
+        next.bytes() == &pristine[..],
+        "the caller's blob was written"
+    );
+    assert_eq!(Bitstream::validate(next.bytes()), Ok(*next.header()));
+    let (body, trailer) = next.bytes().split_at(next.bytes().len() - 4);
+    assert_eq!(
+        coyote_fabric::crc32(body).to_le_bytes(),
+        trailer,
+        "body CRC equals the trailer"
+    );
+    // A private cache proves the bytes from scratch: CRC and frame scan.
+    let fresh = coyote_fabric::BitstreamCache::new(4);
+    assert_eq!(
+        Bitstream::validate_in(&fresh, next.bytes()),
+        Ok(*next.header())
+    );
+    assert_eq!(
+        fresh.stats().misses,
+        1,
+        "validated by content, not identity"
+    );
+}
+
+#[test]
 fn batched_fault_trace_fingerprint_is_worker_count_invariant() {
     // A fleet of faulted batched reconfigurations fanned out over 1, 4 and
     // 8 workers: every tenant's FaultTrace — and the canonical merged
