@@ -20,7 +20,7 @@ pub const DEFAULT_MAX_RECONFIG_BATCH: usize = 8;
 /// Default number of reconfiguration batches that may be in flight against
 /// one completion ring at once. The single-driver deployments of §6 submit
 /// one batch at a time; fleet-style deployments sharing a ring across
-/// tenants raise this, and the completion ring must scale with it (CF009).
+/// tenants raise this, and the completion ring must scale with it (WF001).
 pub const DEFAULT_MAX_CONCURRENT_RECONFIGS: usize = 1;
 
 /// Which service groups the shell carries.
@@ -62,13 +62,13 @@ pub struct ShellConfig {
     pub reconfig_ring_slots: usize,
     /// Largest frame-run batch a single reconfiguration submission may
     /// post. Must fit the ring: the engine writes one completion per
-    /// in-flight run and stalls when the ring is full (CF009).
+    /// in-flight run and stalls when the ring is full (WF001).
     pub max_reconfig_batch: usize,
     /// Reconfiguration batches that may be in flight against the shared
     /// completion ring concurrently. The ring must hold
     /// `max_reconfig_batch * max_concurrent_reconfigs` completions or a
-    /// full fleet submission wedges the ICAP engine on writeback (CF009,
-    /// and the WF001 wait-for cycle in `coyote-lint --platform`).
+    /// full fleet submission wedges the ICAP engine on writeback (the
+    /// WF001 wait-for cycle `coyote-lint` reports for the shell spec).
     pub max_concurrent_reconfigs: usize,
 }
 
@@ -188,7 +188,7 @@ impl ShellConfig {
     /// completion-ring entries and at most `max_batch` frame runs per
     /// submission. A ring smaller than the batch deadlocks by construction
     /// (the engine stalls on writeback while software waits on the
-    /// doorbell) — `coyote-lint` refuses such a shell as CF009.
+    /// doorbell) — `coyote-lint` refuses such a shell as a WF001 cycle.
     pub fn with_reconfig_ring(mut self, ring_slots: usize, max_batch: usize) -> ShellConfig {
         self.reconfig_ring_slots = ring_slots;
         self.max_reconfig_batch = max_batch;

@@ -12,7 +12,7 @@
 //! software waits for the doorbell's batch to finish — deadlock by
 //! construction. The driver refuses such submissions at the doorbell
 //! (`ReconfigError::RingTooSmall`) and `coyote-lint` flags the config
-//! statically (rule CF009).
+//! statically (the WF001 wait-for cycle).
 
 use coyote_sim::SimTime;
 use std::collections::VecDeque;
@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 pub const DEFAULT_RING_SLOTS: usize = 16;
 
 /// The static wait facts of one completion ring, exported for the
-/// whole-platform analyzer (`coyote-lint --platform`).
+/// whole-platform analyzer (`coyote-lint`'s platform rules).
 ///
 /// The runtime guard (`ReconfigError::RingTooSmall`) and the static
 /// wait-for-graph rule (WF001) must agree on when the ICAP engine can

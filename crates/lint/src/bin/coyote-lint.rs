@@ -1,52 +1,42 @@
-//! The `coyote-lint` CLI: lint shell specs, bitstream blobs and — with
-//! `--source` — the workspace's own Rust code.
+//! The `coyote-lint` CLI: one pass per input, with the rules chosen by
+//! the path.
 //!
 //! ```text
 //! coyote-lint [OPTIONS] <PATH>...
 //!
-//! PATHs ending in .json are shell specifications; .bin are bitstreams.
-//! With --source, PATHs are .rs files or directories scanned recursively
-//! (the coyote-detlint determinism analyzer, SRC001-SRC007). With --ipa,
-//! PATHs are workspace roots (or .rs files) analyzed as one call graph:
-//! interprocedural taint from the SRC nondeterminism classes to the
-//! determinism sinks, plus the suppression-drift audit (IPA001-IPA005).
-//! With --platform, PATHs are shell specs (or directories of them)
-//! analyzed as whole platforms: the cross-layer resource graph plus the
-//! PG/WF/CAP/ISO rule families.
+//! A .json PATH is a shell spec: the config, floorplan, netlist and
+//! whole-platform rules (CF, FP, NL, PG/WF/CAP/ISO) in one report. A .bin
+//! PATH is a bitstream (BS). A .rs PATH, or a directory, is Rust: every
+//! .rs file under it (build output, vendored code, fixtures, tests and
+//! examples skipped) is lexed once into one workspace for the per-file
+//! determinism rules (SRC001-SRC007) and the interprocedural taint
+//! analysis (IPA001-IPA005). A directory's top-level .json files are
+//! linted as shell specs too.
 //!
 //! Options:
-//!   --source        treat paths as Rust source (files or directories)
-//!   --ipa           interprocedural taint analysis of a workspace root
-//!   --platform      whole-platform analysis of shell specs (files or dirs)
 //!   --json          machine-readable JSON report on stdout
 //!   --allow <RULE>  suppress a rule (repeatable)
 //!   --deny <RULE>   promote a rule to error severity (repeatable)
-//!   --strict        exit 2 (gate failure) on any error-severity finding
 //!   --catalog       print the rule catalog and exit
 //!   -h, --help      this text
 //!
 //! Exit status: 0 clean or warnings only, 1 error-severity findings,
-//! 2 usage or I/O failure — or, under --strict, any deny-level finding
-//! (the CI gate keys on 2).
+//! 2 usage or I/O failure, or a path with nothing to lint.
 //! ```
 
+use coyote_lint::source::read_rs_tree;
 use coyote_lint::{
-    lint_bitstream, lint_ipa_sources, lint_ipa_workspace, lint_platform, lint_shell_spec,
-    lint_source, lint_source_tree, LintConfig, Report, ShellSpec,
+    lint_bitstream, lint_rust_sources, lint_shell_spec, LintConfig, Report, ShellSpec,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: coyote-lint [--source|--ipa|--platform] [--json] [--allow RULE]... \
-                     [--deny RULE]... [--strict] [--catalog] <path>...";
+const USAGE: &str =
+    "usage: coyote-lint [--json] [--allow RULE]... [--deny RULE]... [--catalog] <path>...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
-    let mut source = false;
-    let mut ipa = false;
-    let mut platform = false;
-    let mut strict = false;
     let mut config = LintConfig::new();
     let mut paths: Vec<String> = Vec::new();
 
@@ -54,10 +44,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--source" => source = true,
-            "--ipa" => ipa = true,
-            "--platform" => platform = true,
-            "--strict" => strict = true,
             "--catalog" => {
                 print!("{}", coyote_lint::render_catalog());
                 return ExitCode::SUCCESS;
@@ -94,24 +80,18 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    // Specs and bitstreams are reported per path, in argument order; all
+    // Rust inputs join one workspace, so call chains cross between them.
     let mut report = Report::new();
+    let mut rust: Vec<(String, String)> = Vec::new();
     for path in &paths {
-        let result = if ipa {
-            lint_ipa_path(path)
-        } else if source {
-            lint_source_path(path)
-        } else if platform {
-            lint_platform_path(path)
-        } else {
-            lint_path(path)
-        };
-        match result {
-            Ok(r) => report.extend(r),
-            Err(e) => {
-                eprintln!("coyote-lint: {path}: {e}");
-                return ExitCode::from(2);
-            }
+        if let Err(e) = lint_path(path, &mut report, &mut rust) {
+            eprintln!("coyote-lint: {path}: {e}");
+            return ExitCode::from(2);
         }
+    }
+    if !rust.is_empty() {
+        report.extend(lint_rust_sources(&rust));
     }
     let report = config.apply(report);
 
@@ -121,77 +101,56 @@ fn main() -> ExitCode {
         print!("{}", report.render_human());
     }
     if report.has_errors() {
-        if strict {
-            ExitCode::from(2)
-        } else {
-            ExitCode::FAILURE
-        }
+        ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
 }
 
-fn lint_path(path: &str) -> Result<Report, String> {
-    if path.ends_with(".json") {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let spec = ShellSpec::from_json(&text).map_err(|e| format!("bad shell spec: {e}"))?;
-        Ok(lint_shell_spec(&spec))
-    } else if path.ends_with(".bin") {
-        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-        let name = path.rsplit('/').next().unwrap_or(path);
-        Ok(lint_bitstream(name, &bytes, None))
-    } else {
-        Err("unsupported file type (expected .json shell spec or .bin bitstream)".to_string())
-    }
-}
-
-fn lint_platform_path(path: &str) -> Result<Report, String> {
+/// Lint one path by its kind: specs and bitstreams into `report`, Rust
+/// sources collected into `rust` for the single workspace pass.
+fn lint_path(
+    path: &str,
+    report: &mut Report,
+    rust: &mut Vec<(String, String)>,
+) -> Result<(), String> {
     let p = Path::new(path);
     if p.is_dir() {
-        // Deterministic scan order: sorted .json entries.
+        let sources = read_rs_tree(p).map_err(|e| e.to_string())?;
         let mut specs: Vec<std::path::PathBuf> = std::fs::read_dir(p)
             .map_err(|e| e.to_string())?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
             .collect();
+        if sources.is_empty() && specs.is_empty() {
+            return Err("directory holds no .rs files and no .json shell specs".to_string());
+        }
         specs.sort();
-        if specs.is_empty() {
-            return Err("directory holds no .json shell specs".to_string());
-        }
-        let mut report = Report::new();
         for spec in specs {
-            report.extend(lint_platform_path(&spec.to_string_lossy())?);
+            report.extend(lint_spec_file(&spec)?);
         }
-        Ok(report)
+        rust.extend(sources);
     } else if path.ends_with(".json") {
-        let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        let spec = ShellSpec::from_json(&text).map_err(|e| format!("bad shell spec: {e}"))?;
-        Ok(lint_platform(&spec))
-    } else {
-        Err("unsupported platform path (expected a .json shell spec or a directory)".to_string())
-    }
-}
-
-fn lint_ipa_path(path: &str) -> Result<Report, String> {
-    let p = Path::new(path);
-    if p.is_dir() {
-        lint_ipa_workspace(p).map_err(|e| e.to_string())
+        report.extend(lint_spec_file(p)?);
+    } else if path.ends_with(".bin") {
+        let bytes = std::fs::read(p).map_err(|e| e.to_string())?;
+        let name = path.rsplit('/').next().unwrap_or(path);
+        report.extend(lint_bitstream(name, &bytes, None));
     } else if path.ends_with(".rs") {
         let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        Ok(lint_ipa_sources(&[(path.to_string(), text)]))
+        rust.push((path.to_string(), text));
     } else {
-        Err("unsupported ipa path (expected a workspace directory or a .rs file)".to_string())
+        return Err(
+            "unsupported path (expected a .json shell spec, a .bin bitstream, a .rs file or \
+             a directory)"
+                .to_string(),
+        );
     }
+    Ok(())
 }
 
-fn lint_source_path(path: &str) -> Result<Report, String> {
-    let p = Path::new(path);
-    if p.is_dir() {
-        lint_source_tree(p).map_err(|e| e.to_string())
-    } else if path.ends_with(".rs") {
-        let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        Ok(lint_source(path, &text))
-    } else {
-        Err("unsupported source path (expected a .rs file or a directory)".to_string())
-    }
+fn lint_spec_file(path: &Path) -> Result<Report, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let spec = ShellSpec::from_json(&text).map_err(|e| format!("bad shell spec: {e}"))?;
+    Ok(lint_shell_spec(&spec))
 }

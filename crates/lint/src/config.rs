@@ -1,55 +1,28 @@
-//! Configuration lints (CF001–CF009): shell, QP and MMU parameter checks.
+//! Configuration lints (CF002–CF008): shell, QP and MMU parameter checks.
 //!
 //! These rules catch configurations that *parse* fine and even *boot* fine
-//! but then deadlock, starve or fail to schedule at run time. The flagship
-//! is CF001, the ACK-starvation class: with end-of-message-only ACKs, any
-//! message longer than `window * mtu` fills the retransmission window
-//! before the only ACK-carrying packet can be sent — the sender stalls
-//! forever. The RC queue pair now forces an ACK when the window fills, but
-//! a deployment that disables that safeguard while allowing long messages
-//! reintroduces the deadlock, and this rule refuses the config up front.
+//! but then fail to schedule, or are malformed for the component that
+//! would run them. Deadlocks are judged on the platform wait-for graph
+//! instead ([`crate::platform::waitfor`]): its WF001 cycles subsume the
+//! retired pair checks CF001 (end-of-message-only ACKs with messages
+//! longer than `window * mtu`) and CF009 (a completion ring smaller than
+//! the batches in flight), and their edges name the same fixes.
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
+use crate::shellspec::QpSpec;
 use coyote::config::ShellConfig;
 use coyote_chaos::{FaultKind, FaultPlan, RetryPolicy};
 use coyote_fabric::{Device, Floorplan};
 use coyote_mmu::{MmuConfig, TlbConfig};
 use coyote_sim::params::ROCE_MTU;
 
-/// Queue-pair transport parameters as a deployment declares them. This is a
-/// superset of the runtime `QpConfig`: the lint also sees the message-size
-/// contract and whether the window-fill ACK safeguard is enabled.
-#[derive(Debug, Clone)]
-pub struct QpSpec {
-    /// Path MTU (payload bytes per packet).
-    pub mtu: usize,
-    /// Maximum outstanding (unacknowledged) packets.
-    pub window: usize,
-    /// Largest message the deployment will post on this QP.
-    pub max_msg_bytes: usize,
-    /// Whether the sender requests an ACK when the window fills (the
-    /// safeguard; disabling it reverts to end-of-message-only ACKs).
-    pub ack_on_window_fill: bool,
-}
-
-impl Default for QpSpec {
-    fn default() -> QpSpec {
-        QpSpec {
-            mtu: ROCE_MTU,
-            window: 64,
-            max_msg_bytes: ROCE_MTU * 64,
-            ack_on_window_fill: true,
-        }
-    }
-}
-
-/// Lint one QP's transport parameters (CF001–CF003).
+/// Lint one QP's transport parameters (CF002, CF003).
 pub fn lint_qp(unit: &str, qp: &QpSpec) -> Report {
     let mut report = Report::new();
     let loc = |path: &str| Location::new(format!("config:{unit}"), path);
 
     // CF002: MTU sanity.
-    if qp.mtu == 0 || qp.mtu > ROCE_MTU || !qp.mtu.is_power_of_two() {
+    if qp.mtu == 0 || qp.mtu > ROCE_MTU as u64 || !qp.mtu.is_power_of_two() {
         report.push(
             Diagnostic::new(
                 "CF002",
@@ -72,28 +45,6 @@ pub fn lint_qp(unit: &str, qp: &QpSpec) -> Report {
             loc("qp.window"),
             "retransmission window of 0 packets: no packet can ever be in flight",
         ));
-    }
-
-    // CF001: the ACK-starvation deadlock class. Only meaningful when the
-    // basic parameters are sane, so it is gated on them.
-    if qp.mtu > 0 && qp.window > 0 && !qp.ack_on_window_fill {
-        let capacity = qp.window.saturating_mul(qp.mtu);
-        if qp.max_msg_bytes > capacity {
-            report.push(
-                Diagnostic::new(
-                    "CF001",
-                    Severity::Error,
-                    loc("qp.max_msg_bytes"),
-                    format!(
-                        "ACK starvation: messages up to {} bytes need more than window*mtu = \
-                         {}*{} = {capacity} bytes in flight, but only the last packet of a \
-                         message requests an ACK — the window fills and the sender deadlocks",
-                        qp.max_msg_bytes, qp.window, qp.mtu
-                    ),
-                )
-                .with_suggestion("enable ack_on_window_fill, or cap max_msg_bytes at window*mtu"),
-            );
-        }
     }
 
     report
@@ -225,8 +176,7 @@ pub fn lint_mmu(unit: &str, mmu: &MmuConfig) -> Report {
     report
 }
 
-/// Lint a full shell configuration (CF005, CF006, CF009, plus the MMU
-/// rules).
+/// Lint a full shell configuration (CF005, CF006, plus the MMU rules).
 pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     let mut report = Report::new();
     let loc = |path: &str| Location::new(format!("config:{unit}"), path);
@@ -234,7 +184,8 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     // CF005: everything ShellConfig::validate refuses — vFPGA count,
     // stream counts, channel counts, sniffer-without-network. The shell
     // could never be scheduled onto a device in this state.
-    if let Err(e) = cfg.validate() {
+    let valid = cfg.validate();
+    if let Err(e) = &valid {
         report.push(
             Diagnostic::new(
                 "CF005",
@@ -254,41 +205,13 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
         ));
     }
 
-    // CF009: the batched-reconfiguration writeback ring must hold one
-    // completion record per run of *every batch that may be in flight at
-    // once*. The driver posts every run of a batch before waiting on the
-    // doorbell, so a smaller ring deadlocks by construction: the engine
-    // stalls on writeback with the ring full while software waits for the
-    // doorbell count the stalled engine can never reach. The same bound is
-    // what puts the engine->ring waits-on edge into the platform wait-for
-    // graph, where WF001 reports it as a full cycle (`--platform`).
-    let concurrent = cfg.max_concurrent_reconfigs.max(1);
-    let required = cfg.max_reconfig_batch.saturating_mul(concurrent);
-    if cfg.reconfig_ring_slots < required {
-        report.push(
-            Diagnostic::new(
-                "CF009",
-                Severity::Error,
-                loc("shell.reconfig_ring_slots"),
-                format!(
-                    "completion ring of {} slots cannot hold {} concurrent batch(es) of {} \
-                     runs ({} slots needed): the ICAP engine stalls on writeback while \
-                     software waits on the doorbell — deadlock by construction",
-                    cfg.reconfig_ring_slots, concurrent, cfg.max_reconfig_batch, required
-                ),
-            )
-            .with_suggestion(format!(
-                "raise reconfig_ring_slots to at least {required}, cap max_reconfig_batch, \
-                 or lower max_concurrent_reconfigs; `--platform` prints the full WF001 cycle"
-            )),
-        );
-    }
-
     report.extend(lint_mmu(unit, &cfg.mmu));
 
     // CF006: do the service blocks fit the service band of the implied
     // floorplan? `capacity_of(Shell)` already subtracts the vFPGA regions.
-    if (1..=10).contains(&cfg.n_vfpgas) {
+    // Only a shell `validate` accepts has one: synthesizing the service
+    // blocks of a rejected shell (say 10^8 memory channels) is wasted work.
+    if valid.is_ok() {
         let device = Device::new(cfg.device);
         let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
         let band = fp
@@ -320,39 +243,48 @@ mod tests {
     use super::*;
     use coyote_mem::PageSize;
 
+    fn qp(mtu: u64, window: u64) -> QpSpec {
+        QpSpec {
+            mtu,
+            window,
+            max_msg_bytes: mtu * window,
+            ack_on_window_fill: true,
+        }
+    }
+
     #[test]
     fn default_qp_spec_is_clean() {
-        assert!(lint_qp("t", &QpSpec::default()).is_clean());
+        assert!(lint_qp("t", &qp(ROCE_MTU as u64, 64)).is_clean());
+    }
+
+    /// A spec with the given service/section fields, through the one spec
+    /// entry (config, artifacts and platform rules).
+    fn spec_report(fields: &str) -> Report {
+        let text = format!(
+            r#"{{"name": "t", "device": "u55c", "n_vfpgas": 2, "memory_channels": 0,
+                "sniffer": false, "n_host_streams": 4, "n_card_streams": 0,
+                "node_id": 1, {fields}}}"#
+        );
+        crate::lint_shell_spec(&crate::ShellSpec::from_json(&text).unwrap())
     }
 
     #[test]
     fn pre_fix_deadlock_config_is_flagged() {
-        // The exact class the RC queue pair deadlocked on before the
-        // window-fill ACK: 1 MB messages over a 64 x 4096-byte window with
-        // end-of-message-only ACKs.
-        let qp = QpSpec {
-            mtu: 4096,
-            window: 64,
-            max_msg_bytes: 1 << 20,
-            ack_on_window_fill: false,
+        // The class the RC queue pair deadlocked on before the window-fill
+        // ACK: 1 MB messages over a 64 x 4096-byte window with
+        // end-of-message-only ACKs. The spec lint reports it once, as the
+        // WF001 cycle, whose ACK edge names the fix.
+        let qp = |max_msg: u64| {
+            spec_report(&format!(
+                r#""networking": true, "qp": {{ "mtu": 4096, "window": 64,
+                    "max_msg_bytes": {max_msg}, "ack_on_window_fill": false }}"#
+            ))
         };
-        let r = lint_qp("t", &qp);
-        assert_eq!(r.of_rule("CF001").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-
-        // Same message size with the safeguard on: fine.
-        let safe = QpSpec {
-            ack_on_window_fill: true,
-            ..qp
-        };
-        assert!(lint_qp("t", &safe).is_clean());
-
-        // Safeguard off but messages fit the window: also fine.
-        let short = QpSpec {
-            max_msg_bytes: 64 * 4096,
-            ..qp
-        };
-        assert!(lint_qp("t", &short).is_clean());
+        let r = qp(1 << 20);
+        assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
+        assert!(r.render_human().contains("enable qp.ack_on_window_fill"));
+        // Messages that fit the window cannot starve.
+        assert!(qp(64 * 4096).is_clean());
     }
 
     #[test]
@@ -384,12 +316,7 @@ mod tests {
 
     #[test]
     fn bad_mtu_and_window_flagged() {
-        let qp = QpSpec {
-            mtu: 3000,
-            window: 0,
-            ..QpSpec::default()
-        };
-        let r = lint_qp("t", &qp);
+        let r = lint_qp("t", &qp(3000, 0));
         assert_eq!(r.of_rule("CF002").count(), 1);
         assert_eq!(r.of_rule("CF003").count(), 1);
     }
@@ -429,31 +356,21 @@ mod tests {
 
     #[test]
     fn undersized_completion_ring_flagged() {
-        let mut cfg = ShellConfig::host_only(2);
-        cfg = cfg.with_reconfig_ring(4, 8);
-        let r = lint_shell("t", &cfg);
-        assert_eq!(r.of_rule("CF009").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-        // validate() deliberately does not refuse this — it is lint-only —
-        // so CF005 must not also fire.
-        assert_eq!(r.of_rule("CF005").count(), 0, "{}", r.render_human());
-
-        // Ring exactly one batch deep: fine.
-        let exact = ShellConfig::host_only(2).with_reconfig_ring(8, 8);
-        assert!(lint_shell("t", &exact).is_clean());
-
-        // Concurrency multiplies the bound: two in-flight batches of 8
-        // need 16 slots, so the same 8-slot ring is now refused.
-        let concurrent = ShellConfig::host_only(2)
-            .with_reconfig_ring(8, 8)
-            .with_reconfig_concurrency(2);
-        let r = lint_shell("t", &concurrent);
-        assert_eq!(r.of_rule("CF009").count(), 1, "{}", r.render_human());
-        assert!(r.render_human().contains("16 slots needed"));
-        let sized = ShellConfig::host_only(2)
-            .with_reconfig_ring(16, 8)
-            .with_reconfig_concurrency(2);
-        assert!(lint_shell("t", &sized).is_clean());
+        let ring = |slots: u64, concurrent: u64| {
+            spec_report(&format!(
+                r#""networking": false, "reconfig": {{ "ring_slots": {slots},
+                    "max_batch_runs": 8, "max_concurrent": {concurrent} }}"#
+            ))
+        };
+        // One WF001 naming the minimum ring; `validate` deliberately does
+        // not refuse this shell, so no CF005 rides along.
+        let r = ring(4, 1);
+        assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
+        assert!(r
+            .render_human()
+            .contains("raise reconfig.ring_slots to at least 8"));
+        // Concurrency multiplies the bound: two in-flight batches of 8.
+        assert!(ring(8, 2).render_human().contains("at least 16"));
     }
 
     #[test]

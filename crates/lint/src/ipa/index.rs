@@ -13,7 +13,7 @@
 //! graph.
 
 use crate::source::lex::{self, Token, TokenKind};
-use crate::source::{collections, raw_findings, Finding};
+use crate::source::{raw_findings, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Keywords that look like call heads but never are.
@@ -60,10 +60,17 @@ pub struct FileIndex {
     pub all_lines: BTreeSet<u32>,
     /// `use` imports: simple (or renamed) name → full path.
     pub imports: BTreeMap<String, String>,
-    /// Names bound to HashMap/HashSet in this file (fields, lets, params).
-    pub hash_names: BTreeSet<String>,
-    /// Raw per-file SRC findings, pre-suppression (fed to IPA005).
+    /// Raw per-file SRC findings, pre-suppression: the per-file report
+    /// once allow-filtered, the taint pass's direct sources and IPA005's
+    /// evidence.
     pub(crate) src_findings: Vec<Finding>,
+}
+
+impl FileIndex {
+    /// Is `rule` suppressed at `line` by a `detlint: allow` directive?
+    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
+        self.allows.get(&line).is_some_and(|set| set.contains(rule))
+    }
 }
 
 /// The indexed workspace: all files, all functions, and the resolution map.
@@ -84,7 +91,7 @@ impl Workspace {
         for (unit, text) in sources {
             let lexed = lex::lex(text);
             let all_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
-            let tokens = lex::strip_cfg_test(lexed.tokens.clone());
+            let tokens = lex::strip_cfg_test(lexed.tokens);
             let live_lines: BTreeSet<u32> = tokens.iter().map(|t| t.line).collect();
             let file_idx = files.len();
             let module = module_path(unit);
@@ -95,7 +102,6 @@ impl Workspace {
                 unit: unit.clone(),
                 module,
                 src_findings: raw_findings(&tokens),
-                hash_names: collections::hash_bound_names(&tokens),
                 imports: index_imports(&tokens),
                 live_lines,
                 all_lines,

@@ -1,4 +1,4 @@
-//! Interprocedural determinism taint analysis (`--ipa`, IPA001–IPA005).
+//! Interprocedural determinism taint analysis (IPA001–IPA005).
 //!
 //! The per-file SRC rules answer "is this line hazardous?"; this module
 //! answers the question they cannot: "does a hazardous value *travel* —
@@ -10,6 +10,13 @@
 //! at least one call boundary, full chain in the diagnostic. [`suppress`]
 //! rides along: it replays raw findings against every `detlint: allow`
 //! directive and flags the stale ones (IPA005).
+//!
+//! The taint sources are the SRC rules' own raw findings, which
+//! [`Workspace::index`] computes once per file with the token index of
+//! each anchor: a span is directly tainted when a finding is anchored
+//! inside it. There is no second set of source matchers to drift.
+//! [`crate::lint_rust_sources`] runs this pass and the per-file report
+//! over one index.
 //!
 //! Deliberate asymmetry: SRC-level `allow` directives do NOT stop taint at
 //! its origin. A per-file annotation asserts a site is locally reviewed;
@@ -26,29 +33,20 @@ pub mod taint;
 
 use crate::diag::{Diagnostic, Location, Report};
 use crate::rules;
-use crate::source::collect_rs_files;
 use index::Workspace;
-use std::fs;
-use std::io;
-use std::path::Path;
 
-/// Analyze a set of `(unit, text)` sources as one workspace.
-pub fn lint_ipa_sources(sources: &[(String, String)]) -> Report {
-    let ws = Workspace::index(sources);
-    let analysis = taint::propagate(&ws);
-    let mut raw = taint::findings(&ws, &analysis);
-    let stale = suppress::audit(&ws, &raw);
+/// Run the interprocedural rules over an indexed workspace.
+pub(crate) fn lint(ws: &Workspace) -> Report {
+    let analysis = taint::propagate(ws);
+    let mut raw = taint::findings(ws, &analysis);
+    let stale = suppress::audit(ws, &raw);
     raw.extend(stale);
 
     let mut report = Report::new();
     for f in raw {
         let file = &ws.files[f.file];
         // IPA findings honor IPA-level allows at their emission line.
-        if file
-            .allows
-            .get(&f.line)
-            .is_some_and(|set| set.contains(f.rule))
-        {
+        if file.is_allowed(f.rule, f.line) {
             continue;
         }
         let severity = rules::rule(f.rule)
@@ -67,31 +65,12 @@ pub fn lint_ipa_sources(sources: &[(String, String)]) -> Report {
     report
 }
 
-/// Analyze every `.rs` file under `root` (recursively, deterministic
-/// order) as one workspace, naming each file by its path relative to
-/// `root`. Same tree walk as the per-file scan, so both see the same
-/// shipped code.
-pub fn lint_ipa_workspace(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for path in &files {
-        let unit = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push((unit, fs::read_to_string(path)?));
-    }
-    Ok(lint_ipa_sources(&sources))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn single(src: &str) -> Report {
-        lint_ipa_sources(&[("t.rs".to_string(), src.to_string())])
+        crate::lint_rust_sources(&[("t.rs".to_string(), src.to_string())])
     }
 
     #[test]
@@ -138,7 +117,7 @@ mod tests {
 
     #[test]
     fn multi_file_workspace_resolves_cross_crate_chains() {
-        let r = lint_ipa_sources(&[
+        let r = crate::lint_rust_sources(&[
             (
                 "crates/a/src/lib.rs".to_string(),
                 "pub fn order_of(m: &HashMap<u32, u32>) -> Vec<u32> {\n    \

@@ -1,62 +1,37 @@
 //! The taint endpoints: the seven SRC nondeterminism classes as *sources*
 //! and the determinism boundary as *sinks*.
 //!
-//! A source is a token shape that produces a value depending on something
-//! other than `(inputs, seed)`; a sink is a call where the workspace
+//! A source is a raw SRC finding (computed once per file by
+//! [`crate::source`]): a token shape that produces a value depending on
+//! something other than `(inputs, seed)`. A sink is a call where the workspace
 //! commits a value to the determinism contract — FNV trace fingerprints,
 //! the canonical `merged` joins, cross-shard posts, recorded `.cyt`
 //! streams and bench fingerprints. The taint pass connects the two through
 //! the call graph; this module only says what they look like.
 
 use super::callgraph::CallSite;
-use crate::source::collections::ITER_METHODS;
-use crate::source::lex::{Token, TokenKind};
-use std::collections::BTreeSet;
 
-/// The seven SRC nondeterminism classes, as taint origins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SourceClass {
-    /// SRC001: HashMap/HashSet iteration order.
-    HashIter,
-    /// SRC002: `Instant::now` / `SystemTime::now`.
-    WallClock,
-    /// SRC003: `thread_rng` / `OsRng` / `RandomState` / `from_entropy`.
-    Entropy,
-    /// SRC004: float accumulation inside a `par_map` worker.
-    ParFloat,
-    /// SRC005: a value read under `Ordering::Relaxed`.
-    RelaxedAtomic,
-    /// SRC006: a join handle / result of an ad-hoc thread spawn.
-    AdHocThread,
-    /// SRC007: `std::env::var` reads.
-    EnvRead,
-}
-
-impl SourceClass {
-    /// Human description used in diagnostics.
-    pub fn describe(self) -> &'static str {
-        match self {
-            SourceClass::HashIter => "hash-order iteration",
-            SourceClass::WallClock => "wall-clock read",
-            SourceClass::Entropy => "ambient entropy",
-            SourceClass::ParFloat => "par_map float accumulation",
-            SourceClass::RelaxedAtomic => "relaxed-atomic read",
-            SourceClass::AdHocThread => "ad-hoc thread result",
-            SourceClass::EnvRead => "environment read",
-        }
-    }
-
-    /// The per-file SRC rule this class corresponds to.
-    pub fn src_rule(self) -> &'static str {
-        match self {
-            SourceClass::HashIter => "SRC001",
-            SourceClass::WallClock => "SRC002",
-            SourceClass::Entropy => "SRC003",
-            SourceClass::ParFloat => "SRC004",
-            SourceClass::RelaxedAtomic => "SRC005",
-            SourceClass::AdHocThread => "SRC006",
-            SourceClass::EnvRead => "SRC007",
-        }
+/// How taint diagnostics name the class of source an SRC rule matches,
+/// and the fix they suggest for it. The sources themselves are the SRC
+/// rules' raw findings; this module holds no matcher of its own.
+pub fn source_class(src_rule: &str) -> (&'static str, &'static str) {
+    match src_rule {
+        "SRC001" => (
+            "hash-order iteration",
+            "BTreeMap/BTreeSet or an explicit sort",
+        ),
+        "SRC002" => ("wall-clock read", "simulated time instead of wall clock"),
+        "SRC003" => ("ambient entropy", "a seeded Xorshift64Star"),
+        "SRC004" => (
+            "par_map float accumulation",
+            "integer/fixed-point accumulation",
+        ),
+        "SRC005" => (
+            "relaxed-atomic read",
+            "AcqRel ordering or a sequential merge",
+        ),
+        "SRC006" => ("ad-hoc thread result", "the sanctioned par_map fan-out"),
+        _ => ("environment read", "explicit configuration plumbing"),
     }
 }
 
@@ -121,119 +96,53 @@ pub fn sink_class(cs: &CallSite) -> Option<SinkClass> {
     None
 }
 
-/// Scan an expression span for a *direct* nondeterminism source. Returns
-/// the first (class, line) in token order — deterministic and sufficient,
-/// since one origin per expression is all the diagnostic needs.
-pub fn expr_source(
-    tokens: &[Token],
-    range: (usize, usize),
-    hash_names: &BTreeSet<String>,
-) -> Option<(SourceClass, u32)> {
-    let (lo, hi) = range;
-    let hi = hi.min(tokens.len());
-    for i in lo..hi {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_is = |k: usize, c: char| tokens.get(i + k).is_some_and(|t| t.is_punct(c));
-        match t.text.as_str() {
-            // `name . iter (` over a hash-bound name.
-            name if hash_names.contains(name)
-                && next_is(1, '.')
-                && tokens
-                    .get(i + 2)
-                    .is_some_and(|m| ITER_METHODS.iter().any(|im| m.is_ident(im)))
-                && next_is(3, '(') =>
-            {
-                return Some((SourceClass::HashIter, t.line));
-            }
-            "Instant" | "SystemTime"
-                if next_is(1, ':') && tokens.get(i + 3).is_some_and(|n| n.is_ident("now")) =>
-            {
-                return Some((SourceClass::WallClock, t.line));
-            }
-            "thread_rng" | "OsRng" | "RandomState" | "from_entropy" => {
-                return Some((SourceClass::Entropy, t.line));
-            }
-            "Relaxed" if i >= 3 && tokens[i - 3].is_ident("Ordering") => {
-                return Some((SourceClass::RelaxedAtomic, t.line));
-            }
-            "var" | "var_os" if i >= 3 && tokens[i - 3].is_ident("env") => {
-                return Some((SourceClass::EnvRead, t.line));
-            }
-            // The fan-out itself is deterministic; its result is tainted
-            // only when a worker accumulates floats (SRC004's class).
-            "par_map" if next_is(1, '(') => {
-                let mut depth = 0i32;
-                let mut j = i + 1;
-                while j < hi {
-                    if tokens[j].is_punct('(') {
-                        depth += 1;
-                    } else if tokens[j].is_punct(')') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    } else if tokens[j].kind == TokenKind::Float {
-                        return Some((SourceClass::ParFloat, t.line));
-                    }
-                    j += 1;
-                }
-            }
-            "spawn" if next_is(1, '(') => {
-                return Some((SourceClass::AdHocThread, t.line));
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::index::Workspace;
+    use super::super::taint::propagate;
     use super::*;
     use crate::source::lex::lex;
 
-    fn src(text: &str, hash: &[&str]) -> Option<SourceClass> {
-        let toks = lex(text).tokens;
-        let names: BTreeSet<String> = hash.iter().map(|s| s.to_string()).collect();
-        let n = toks.len();
-        expr_source(&toks, (0, n), &names).map(|(c, _)| c)
+    /// The SRC rule whose finding taints `fn f`'s return, if any.
+    fn source_of(body: &str) -> Option<&'static str> {
+        let src =
+            format!("fn f(m: &HashMap<u32, u32>, v: &Vec<u32>, xs: &[u64]) -> u64 {{ {body} }}");
+        let ws = Workspace::index(&[("t.rs".to_string(), src)]);
+        let a = propagate(&ws);
+        a.summaries[0].returns.as_ref().map(|t| t.src_rule)
     }
 
     #[test]
     fn each_source_class_is_recognized() {
+        // The taint sources are the SRC matchers' raw findings, so every
+        // shape an SRC rule flags seeds taint, named by that rule.
+        for (body, rule) in [
+            ("m.iter().count() as u64", "SRC001"),
+            ("Instant::now().elapsed().as_nanos() as u64", "SRC002"),
+            ("rand::thread_rng().next_u64()", "SRC003"),
+            ("getrandom::u64().unwrap()", "SRC003"),
+            ("par_map(xs, |x| *x as f64 * 1.5).len() as u64", "SRC004"),
+            ("c.load(Ordering::Relaxed)", "SRC005"),
+            ("thread::spawn(|| 1).join().unwrap()", "SRC006"),
+            (
+                "std::env::var(\"X\").map_or(0, |s| s.len() as u64)",
+                "SRC007",
+            ),
+            ("std::env::vars().count() as u64", "SRC007"),
+        ] {
+            assert_eq!(source_of(body), Some(rule), "{body}");
+        }
         assert_eq!(
-            src("m.iter().collect()", &["m"]),
-            Some(SourceClass::HashIter)
-        );
-        assert_eq!(
-            src("m.iter().collect()", &[]),
+            source_of("v.iter().count() as u64"),
             None,
             "only hash-bound names"
         );
-        assert_eq!(src("Instant::now()", &[]), Some(SourceClass::WallClock));
-        assert_eq!(src("rand::thread_rng()", &[]), Some(SourceClass::Entropy));
         assert_eq!(
-            src("c.load(Ordering::Relaxed)", &[]),
-            Some(SourceClass::RelaxedAtomic)
-        );
-        assert_eq!(src("std::env::var(\"X\")", &[]), Some(SourceClass::EnvRead));
-        assert_eq!(
-            src("par_map(xs, |x| x as f64 * 1.5)", &[]),
-            Some(SourceClass::ParFloat)
-        );
-        assert_eq!(
-            src("par_map(xs, |x| x + 1)", &[]),
+            source_of("par_map(xs, |x| x + 1).len() as u64"),
             None,
             "integer par_map is clean"
         );
-        assert_eq!(
-            src("thread::spawn(|| {})", &[]),
-            Some(SourceClass::AdHocThread)
-        );
-        assert_eq!(src("seeded.next_u64()", &[]), None);
+        assert_eq!(source_of("seeded.next_u64()"), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use super::callgraph::{call_sites, resolve, CallSite};
 use super::index::Workspace;
-use super::sinks::{expr_source, sink_class, SinkClass, SourceClass};
+use super::sinks::{sink_class, source_class, SinkClass};
 use crate::source::lex::{Token, TokenKind};
 use std::collections::BTreeMap;
 
@@ -53,8 +53,8 @@ const SANITIZE_METHODS: [&str; 7] = [
 /// Where a taint came from and how it traveled.
 #[derive(Debug, Clone)]
 pub struct TaintInfo {
-    /// The nondeterminism class at the origin.
-    pub class: SourceClass,
+    /// The SRC rule whose raw finding is the origin (its class).
+    pub src_rule: &'static str,
     /// File (workspace index) holding the origin expression.
     pub origin_file: usize,
     /// 1-based origin line.
@@ -317,18 +317,19 @@ fn span_taint(
         }
     };
 
-    // (a) Direct source in the span.
-    if let Some((class, line)) = expr_source(&file.tokens, (lo, hi), &file.hash_names) {
-        // Position: first token at that line within the span.
-        let pos = (lo..hi)
-            .find(|&i| file.tokens[i].line == line)
-            .unwrap_or(lo);
+    // (a) Direct source in the span: a raw SRC finding anchored inside it.
+    if let Some(f) = file
+        .src_findings
+        .iter()
+        .filter(|f| (lo..hi).contains(&f.tok))
+        .min_by_key(|f| f.tok)
+    {
         consider(
-            pos,
+            f.tok,
             TaintInfo {
-                class,
+                src_rule: f.rule,
                 origin_file: item.file,
-                origin_line: line,
+                origin_line: f.line,
                 chain: Vec::new(),
                 laundered: false,
             },
@@ -495,6 +496,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
             };
             let chain = render_chain(ws, f, &info, &cs.callee, cs.line);
             let origin_unit = &ws.files[info.origin_file].unit;
+            let (class, fix) = source_class(info.src_rule);
             sink_reported = true;
             out.push(IpaFinding {
                 rule,
@@ -502,7 +504,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
                 line: cs.line,
                 message: format!(
                     "{} at {}:L{} reaches the {} `{}` across {} call boundar{}: {}",
-                    info.class.describe(),
+                    class,
                     origin_unit,
                     info.origin_line,
                     sink.describe(),
@@ -512,9 +514,8 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
                     chain,
                 ),
                 suggestion: format!(
-                    "make the origin deterministic ({}), or annotate the sink with \
-                     `// detlint: allow({rule}): <why>`",
-                    origin_fix(info.class),
+                    "make the origin deterministic ({fix}), or annotate the sink with \
+                     `// detlint: allow({rule}): <why>`"
                 ),
             });
         }
@@ -525,7 +526,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
         // already anchored a sink finding is covered by it.
         if item.is_pub && !sink_reported {
             if let Some(ret) = &analysis.summaries[f].returns {
-                if ret.class == SourceClass::HashIter {
+                if ret.src_rule == "SRC001" {
                     let origin_unit = &ws.files[ret.origin_file].unit;
                     out.push(IpaFinding {
                         rule: "IPA004",
@@ -573,19 +574,6 @@ fn render_chain(ws: &Workspace, f: usize, info: &TaintInfo, sink: &str, sink_lin
     parts.join(" -> ")
 }
 
-/// The class-appropriate fix the suggestion names.
-fn origin_fix(class: SourceClass) -> &'static str {
-    match class {
-        SourceClass::HashIter => "BTreeMap/BTreeSet or an explicit sort",
-        SourceClass::WallClock => "simulated time instead of wall clock",
-        SourceClass::Entropy => "a seeded Xorshift64Star",
-        SourceClass::ParFloat => "integer/fixed-point accumulation",
-        SourceClass::RelaxedAtomic => "AcqRel ordering or a sequential merge",
-        SourceClass::AdHocThread => "the sanctioned par_map fan-out",
-        SourceClass::EnvRead => "explicit configuration plumbing",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,7 +591,7 @@ mod tests {
              let v: Vec<u32> = m.keys().copied().collect();\n    v\n}\n",
         );
         let ret = a.summaries[0].returns.as_ref().expect("tainted");
-        assert_eq!(ret.class, SourceClass::HashIter);
+        assert_eq!(ret.src_rule, "SRC001");
         assert_eq!(ret.origin_line, 2);
         assert!(ret.chain.is_empty(), "no call boundary crossed yet");
         let _ = ws;

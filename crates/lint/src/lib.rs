@@ -11,26 +11,34 @@
 //!   clock-region discipline (FP001–FP007).
 //! * [`lint_bitstream`] — offline blob verification without the ICAP load
 //!   path, including deployment checks (BS001–BS006).
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
-//!   would deadlock, starve or fail to schedule (CF001–CF009).
+//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
+//!   configurations that would fail to schedule or are malformed for the
+//!   component that runs them (CF002–CF008).
 //! * [`lint_trace`] / [`lint_fault_trace`] / [`lint_shard_lookahead`] —
 //!   recorded `ShardTrace`s whose outcome depends on event scheduling
 //!   order, fault traces merged outside the canonical order, and
 //!   cross-shard events undercutting their link lookahead (DS001, DS002,
 //!   DS004, DS006).
-//! * [`lint_source`] / [`lint_source_tree`] — the `coyote-detlint`
-//!   source-level determinism analyzer: hash-order iteration, wall-clock
-//!   and entropy escapes, float reductions in `par_map`, relaxed atomics,
-//!   ad-hoc threads, environment reads (SRC001–SRC007).
-//! * [`lint_ipa_workspace`] / [`lint_ipa_sources`] — the interprocedural
-//!   determinism taint analyzer: workspace call graph, source→sink taint
-//!   propagation with full call chains, suppression-drift audit
-//!   (IPA001–IPA005).
-//! * [`lint_platform`] — the whole-platform analyzer: joins everything
-//!   above into one typed resource graph ([`PlatformGraph`]) and runs the
+//! * [`platform`] — the whole-platform analyzer: joins the shell's layers
+//!   into one typed resource graph ([`PlatformGraph`]) and runs the
 //!   cross-layer families on it — graph construction (PG001–PG002),
-//!   global wait-for cycles (WF001–WF004), capacity feasibility
-//!   (CAP001–CAP003) and tenant isolation (ISO001–ISO002).
+//!   global wait-for cycles (WF001–WF004, which subsume the retired pair
+//!   checks CF001 and CF009), capacity feasibility (CAP001–CAP003) and
+//!   tenant isolation (ISO001–ISO002).
+//! * [`source`] — the `coyote-detlint` source-level determinism analyzer:
+//!   hash-order iteration, wall-clock and entropy escapes, float
+//!   reductions in `par_map`, relaxed atomics, ad-hoc threads,
+//!   environment reads (SRC001–SRC007).
+//! * [`ipa`] — the interprocedural determinism taint analyzer: workspace
+//!   call graph, source→sink taint propagation with full call chains,
+//!   suppression-drift audit (IPA001–IPA005). Its sources are the SRC
+//!   findings.
+//!
+//! There is one entry per input kind, which is how the `coyote-lint`
+//! binary dispatches on a path: [`lint_shell_spec`] for a `.json` shell
+//! spec (config, floorplan, netlist and platform rules in one report),
+//! [`lint_bitstream`] for a `.bin` blob, and [`lint_rust_sources`] /
+//! [`lint_rust_tree`] for Rust (SRC and IPA over one lex per file).
 //!
 //! All rules emit [`Diagnostic`]s into a [`Report`]; [`LintConfig`] applies
 //! per-rule allow/deny; the `coyote-lint` binary renders reports as text or
@@ -50,56 +58,84 @@ pub mod shellspec;
 pub mod source;
 
 pub use bitstream::{lint_bitstream, DeployContext};
-pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell, QpSpec};
+pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
 pub use des::{lint_fault_trace, lint_replay_divergence, lint_shard_lookahead, lint_trace};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
-pub use ipa::{lint_ipa_sources, lint_ipa_workspace};
 pub use netlist::lint_netlist;
-pub use platform::{build_platform_graph, lint_platform, PlatformGraph};
+pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
-pub use shellspec::ShellSpec;
-pub use source::{lint_source, lint_source_tree};
+pub use shellspec::{QpSpec, ShellSpec};
 
 use coyote_fabric::{Device, Floorplan};
+use std::io;
+use std::path::Path;
 
-/// Lint everything a shell specification implies: the configuration itself,
-/// the QP transport contract (if declared), the preset floorplan the shell
-/// would be built on, and the post-synthesis netlists of every service
-/// block it instantiates.
+/// Lint everything a shell specification implies, in one report: the
+/// configuration itself, the QP transport contract (if declared), the
+/// preset floorplan the shell would be built on, the post-synthesis
+/// netlists of every service block it instantiates, and the platform
+/// resource graph with its PG/WF/CAP/ISO rules.
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
     let unit = spec.name.as_str();
 
-    let cfg = match spec.to_shell_config() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            report.push(Diagnostic::new(
-                "CF005",
-                Severity::Error,
-                Location::new(format!("config:{unit}"), "shell"),
-                format!("unusable shell spec: {e}"),
-            ));
-            return report;
+    match spec.to_shell_config() {
+        Err(e) => report.push(Diagnostic::new(
+            "CF005",
+            Severity::Error,
+            Location::new(format!("config:{unit}"), "shell"),
+            format!("unusable shell spec: {e}"),
+        )),
+        Ok(cfg) => {
+            let shell = lint_shell(unit, &cfg);
+            let buildable = !shell.has_errors();
+            report.extend(shell);
+            if let Some(qp) = &spec.qp {
+                report.extend(lint_qp(unit, qp));
+            }
+            // Artifact checks only make sense for a shell the config rules
+            // accept: one `validate` rejects (CF005) or whose services
+            // overflow the band (CF006) may ask for absurd service blocks,
+            // and synthesizing them costs seconds or all of memory.
+            if buildable {
+                let device = Device::new(cfg.device);
+                let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
+                report.extend(lint_floorplan(&fp, &device, &[]));
+                for block in cfg.service_blocks() {
+                    report.extend(lint_netlist(&block.synthesize()));
+                }
+            }
         }
-    };
-
-    report.extend(lint_shell(unit, &cfg));
-    if let Some(qp) = spec.qp_spec() {
-        report.extend(lint_qp(unit, &qp));
     }
-
-    // Deeper artifact checks only make sense for a schedulable shell.
-    if (1..=10).contains(&cfg.n_vfpgas) {
-        let device = Device::new(cfg.device);
-        let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
-        report.extend(lint_floorplan(&fp, &device, &[]));
-        for block in cfg.service_blocks() {
-            report.extend(lint_netlist(&block.synthesize()));
-        }
-    }
-
+    report.extend(platform::lint_platform(spec));
     report
+}
+
+/// Lint Rust sources as one workspace, lexing each `(unit, text)` file
+/// once: its raw SRC findings, filtered by the file's `detlint: allow`
+/// directives, are the per-file report (`src:<unit>`), and the same raw
+/// findings are the taint sources of the interprocedural pass
+/// (`ipa:<unit>`).
+pub fn lint_rust_sources(sources: &[(String, String)]) -> Report {
+    let ws = ipa::index::Workspace::index(sources);
+    let mut report = Report::new();
+    for file in &ws.files {
+        for f in &file.src_findings {
+            if !file.is_allowed(f.rule, f.line) {
+                report.push(source::diagnostic(&file.unit, f));
+            }
+        }
+    }
+    report.extend(ipa::lint(&ws));
+    report
+}
+
+/// [`lint_rust_sources`] over every `.rs` file under `root` (recursively,
+/// in sorted order, skipping build output, vendored code, fixtures, tests
+/// and examples), each named by its path relative to `root`.
+pub fn lint_rust_tree(root: &Path) -> io::Result<Report> {
+    Ok(lint_rust_sources(&source::read_rs_tree(root)?))
 }
 
 #[cfg(test)]
@@ -126,19 +162,23 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_prone_spec_is_refused() {
-        let s = spec(
-            r#"{
-                "name": "pre-fix", "device": "u55c", "n_vfpgas": 1,
-                "memory_channels": 0, "networking": true, "sniffer": false,
-                "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
-                "qp": { "mtu": 4096, "window": 64, "max_msg_bytes": 1048576,
-                        "ack_on_window_fill": false }
-            }"#,
-        );
-        let r = lint_shell_spec(&s);
-        assert_eq!(r.of_rule("CF001").count(), 1);
-        assert!(r.has_errors());
+    fn a_rejected_shell_is_not_synthesized() {
+        // `n_vfpgas` is in range, so only `validate` knows this shell is
+        // unschedulable; the artifact checks must not build a memory
+        // controller with that many channels.
+        for channels in ["100000000", "18446744073709551615"] {
+            let s = spec(&format!(
+                r#"{{
+                    "name": "huge", "device": "u55c", "n_vfpgas": 2,
+                    "memory_channels": {channels}, "networking": false,
+                    "sniffer": false, "n_host_streams": 4, "n_card_streams": 0,
+                    "node_id": 1
+                }}"#
+            ));
+            let r = lint_shell_spec(&s);
+            assert_eq!(r.of_rule("CF005").count(), 1, "{}", r.render_human());
+            assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
+        }
     }
 
     #[test]

@@ -291,7 +291,9 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
     let mut g = PlatformGraph::new(&unit);
     let mut report = Report::new();
 
-    let n_vfpgas = spec.n_vfpgas as usize;
+    // Saturate like `ShellSpec::to_shell_config`: CF005 reports an absurd
+    // count, and the graph must not allocate a node per claimed region.
+    let n_vfpgas = usize::from(u8::try_from(spec.n_vfpgas).unwrap_or(u8::MAX));
 
     // --- Reconfiguration control plane (driver facts) ------------------
     let software = g.node("software", NodeKind::Actor);
@@ -351,12 +353,13 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
             ring,
             EdgeKind::WaitsOn,
             format!(
-                "{} concurrent batch(es) of {} runs need {} completion slots but the ring \
-                 holds {}",
+                "{} concurrent batch(es) of {} runs need {required} completion slots but the \
+                 ring holds {}; fix: raise reconfig.ring_slots to at least {required}, or lower \
+                 reconfig.max_batch_runs or reconfig.max_concurrent",
                 facts.concurrent,
                 facts.max_batch,
-                facts.required_slots(),
-                facts.slots
+                facts.slots,
+                required = facts.required_slots(),
             ),
         );
     }
@@ -391,8 +394,8 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
         .unwrap_or_else(MmuConfig::default_2m);
     let stlb = g.node("mmu.stlb", NodeKind::Tlb);
     let ltlb = g.node("mmu.ltlb", NodeKind::Tlb);
-    g.set_capacity(stlb, (mmu.stlb.sets * mmu.stlb.ways) as u64);
-    g.set_capacity(ltlb, (mmu.ltlb.sets * mmu.ltlb.ways) as u64);
+    g.set_capacity(stlb, mmu.stlb.entries() as u64);
+    g.set_capacity(ltlb, mmu.ltlb.entries() as u64);
 
     // --- Per-vFPGA plumbing: DMA channel, credit pool, TLB mapping ------
     let credits = CreditWaitFacts {
@@ -521,8 +524,11 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
                 ack,
                 sender,
                 EdgeKind::WaitsOn,
-                "only the final packet of a message requests an ACK — which the stalled \
-                 sender can never send",
+                format!(
+                    "only the final packet of a message requests an ACK — which the stalled \
+                     sender can never send; fix: enable qp.ack_on_window_fill, or cap \
+                     qp.max_msg_bytes at {bdp}"
+                ),
             );
         }
         if !spec.networking {

@@ -11,7 +11,8 @@
 //!   feasibility against the calibrated platform rates.
 //! * [`tenancy`] — ISO001–ISO002: tenant isolation by reachability.
 //!
-//! Entry point: [`lint_platform`], wired to `coyote-lint --platform`.
+//! Entry point: [`lint_platform`], which [`crate::lint_shell_spec`] runs
+//! on every spec after the config, floorplan and netlist rules.
 
 pub mod capacity;
 pub mod graph;

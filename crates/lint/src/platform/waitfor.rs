@@ -1,11 +1,18 @@
 //! Wait-for-graph rules (WF001–WF004): global hold-and-wait analysis.
 //!
-//! WF001 generalizes the local pair checks CF001 (ACK starvation) and
-//! CF009 (ring vs. batch) to arbitrary-length cycles over the `waits-on`
-//! subgraph: *any* configuration in which a chain of resources and actors
-//! waits back on itself is a deadlock some legal workload can reach, and
-//! the diagnostic prints the whole chain, edge by edge, with the reason
-//! each wait exists. WF002–WF004 catch the degenerate waits a cycle search
+//! WF001 finds arbitrary-length cycles over the `waits-on` subgraph: *any*
+//! configuration in which a chain of resources and actors waits back on
+//! itself is a deadlock some legal workload can reach, and the diagnostic
+//! prints the whole chain, edge by edge, with the reason each wait exists.
+//! It subsumes the two pair checks that used to report the same hazards
+//! under their own ids: CF001 (ACK starvation) is the `rdma.sender ->
+//! rdma.window -> rdma.ack` cycle and CF009 (ring smaller than the batches
+//! in flight) the `software -> reconfig.doorbell -> reconfig.engine ->
+//! reconfig.ring` cycle. Their fixes now ride on the configuration-
+//! dependent edge of each cycle (`qp.ack_on_window_fill` /
+//! `qp.max_msg_bytes`, and the minimum `reconfig.ring_slots`).
+//!
+//! WF002–WF004 catch the degenerate waits a cycle search
 //! cannot: waits that are unsatisfiable from the start (zero capacity),
 //! waits on producers the shell never instantiates, and hold-and-wait
 //! chains that cross a tenant boundary.
@@ -89,8 +96,8 @@ pub fn check(g: &PlatformGraph) -> Report {
                                 msg,
                             )
                             .with_suggestion(
-                                "break any edge of the cycle; the local rules CF001 \
-                                 (ACK starvation) and CF009 (ring sizing) name the usual fixes",
+                                "break any edge of the cycle; an edge that exists because of \
+                                 a configuration value names its fix above",
                             ),
                         );
                     }

@@ -4,6 +4,13 @@
 //! Rule ids are stable; tooling (CI gates, allow/deny lists, golden tests)
 //! keys on them. The catalog is data, not behavior — the checks themselves
 //! live in the per-layer modules.
+//!
+//! Retired ids are not reused. DS003 and DS005 went when the engine's
+//! `EventKey` started ordering both hazards. CF001 (ACK starvation) and
+//! CF009 (completion ring smaller than the batches in flight) were pair
+//! checks for two cycles of the platform wait-for graph and are reported
+//! as WF001 at `platform:<spec>` / `cycle(rdma.sender)` and
+//! `cycle(software)`.
 
 use crate::diag::Severity;
 
@@ -22,10 +29,10 @@ pub enum Layer {
     Des,
     /// The workspace's own Rust source (the `coyote-detlint` analyzer).
     Source,
-    /// The joined cross-layer platform resource graph (`--platform`).
+    /// The joined cross-layer platform resource graph (every shell spec).
     Platform,
     /// Interprocedural determinism taint analysis over the whole
-    /// workspace call graph (`--ipa`).
+    /// workspace call graph (every Rust input).
     Interproc,
 }
 
@@ -187,13 +194,6 @@ pub const CATALOG: &[RuleInfo] = &[
     },
     // --- Config ------------------------------------------------------
     RuleInfo {
-        id: "CF001",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "ACK starvation: max message length exceeds window*MTU with end-of-message-only ACKs",
-    },
-    RuleInfo {
         id: "CF002",
         layer: Layer::Config,
         severity: Severity::Error,
@@ -237,14 +237,6 @@ pub const CATALOG: &[RuleInfo] = &[
         description:
             "fault plan outruns the retry budget: injected loss rate leaves the recovery path \
              an unrecoverable residual failure probability",
-    },
-    RuleInfo {
-        id: "CF009",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description:
-            "reconfiguration completion ring smaller than the largest batch one submission may \
-             post: the ICAP engine stalls on writeback while software waits on the doorbell",
     },
     // --- DES ---------------------------------------------------------
     RuleInfo {
@@ -364,7 +356,8 @@ pub const CATALOG: &[RuleInfo] = &[
         layer: Layer::Platform,
         severity: Severity::Error,
         description: "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
-             actors waits back on itself (generalizes CF001/CF009 to any length)",
+             actors waits back on itself (covers the retired CF001 ACK starvation and CF009 \
+             ring sizing)",
     },
     RuleInfo {
         id: "WF002",
@@ -421,7 +414,7 @@ pub const CATALOG: &[RuleInfo] = &[
         description: "two tenants use a shell service the platform never declared shared \
              (undeclared contention / covert channel)",
     },
-    // --- Interprocedural taint (--ipa) --------------------------------
+    // --- Interprocedural taint ----------------------------------------
     RuleInfo {
         id: "IPA001",
         layer: Layer::Interproc,
@@ -510,6 +503,6 @@ mod tests {
     fn lookup_works() {
         assert_eq!(rule("NL004").unwrap().layer, Layer::Netlist);
         assert!(rule("ZZ999").is_none());
-        assert!(render_catalog().contains("CF001"));
+        assert!(render_catalog().contains("CF002"));
     }
 }

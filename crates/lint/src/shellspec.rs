@@ -2,13 +2,13 @@
 //!
 //! A deployment describes a shell as a JSON document — device, vFPGA count,
 //! services, optional MMU geometry and QP transport contract. This module
-//! parses that document and converts it to the typed [`ShellConfig`] /
-//! [`QpSpec`] the config rules run over. The JSON schema deliberately
-//! carries *more* than `ShellConfig` (the QP message-size contract, the
-//! window-fill-ACK switch) because the lint checks the deployment's intent,
-//! not just what the runtime structs hold.
+//! parses that document and converts it to the typed [`ShellConfig`] the
+//! config rules run over; the QP section ([`QpSpec`]) is linted as
+//! written. The JSON schema deliberately carries *more* than `ShellConfig`
+//! (the QP message-size contract, the window-fill-ACK switch) because the
+//! platform wait-for graph checks the deployment's intent, not just what
+//! the runtime structs hold.
 
-use crate::config::QpSpec;
 use coyote::config::{
     ShellConfig, ShellServices, DEFAULT_MAX_CONCURRENT_RECONFIGS, DEFAULT_MAX_RECONFIG_BATCH,
     DEFAULT_RECONFIG_RING_SLOTS,
@@ -97,9 +97,11 @@ pub struct PlatformSpec {
     pub stream_credits: Option<u64>,
 }
 
-/// QP transport contract in the spec file (see [`QpSpec`]).
+/// QP transport contract in the spec file: the runtime `QpConfig`'s
+/// geometry plus the deployment's message-size contract and whether the
+/// window-fill ACK safeguard is on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QpSpecFile {
+pub struct QpSpec {
     /// Path MTU in bytes.
     pub mtu: u64,
     /// Outstanding-packet window.
@@ -134,7 +136,7 @@ pub struct ShellSpec {
     /// MMU geometry; the 2 MB default when absent.
     pub mmu: Option<MmuSpec>,
     /// QP transport contract; linted only when present.
-    pub qp: Option<QpSpecFile>,
+    pub qp: Option<QpSpec>,
     /// Batched-reconfiguration sizing; driver defaults when absent.
     pub reconfig: Option<ReconfigSpec>,
     /// Multi-tenant platform declaration; platform rules (PG/WF/CAP/ISO)
@@ -207,16 +209,6 @@ impl ShellSpec {
                 .map_or(DEFAULT_MAX_CONCURRENT_RECONFIGS, |c| c as usize),
         })
     }
-
-    /// The QP transport contract, when the spec declares one.
-    pub fn qp_spec(&self) -> Option<QpSpec> {
-        self.qp.as_ref().map(|q| QpSpec {
-            mtu: q.mtu as usize,
-            window: q.window as usize,
-            max_msg_bytes: q.max_msg_bytes as usize,
-            ack_on_window_fill: q.ack_on_window_fill,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +238,7 @@ mod tests {
                     page: "2m".into(),
                 },
             }),
-            qp: Some(QpSpecFile {
+            qp: Some(QpSpec {
                 mtu: 4096,
                 window: 64,
                 max_msg_bytes: 262_144,
@@ -276,8 +268,7 @@ mod tests {
         assert!(cfg.services.networking);
         assert_eq!(cfg.mmu.stlb.sets, 512);
         cfg.validate().unwrap();
-        let qp = sample().qp_spec().unwrap();
-        assert_eq!(qp.window, 64);
+        assert_eq!(sample().qp.unwrap().window, 64);
     }
 
     #[test]
@@ -293,7 +284,7 @@ mod tests {
         assert_eq!(cfg.mmu.stlb.sets, MmuConfig::default_2m().stlb.sets);
         assert_eq!(cfg.reconfig_ring_slots, DEFAULT_RECONFIG_RING_SLOTS);
         assert_eq!(cfg.max_reconfig_batch, DEFAULT_MAX_RECONFIG_BATCH);
-        assert!(back.qp_spec().is_none());
+        assert!(back.qp.is_none());
     }
 
     #[test]

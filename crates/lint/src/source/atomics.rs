@@ -24,6 +24,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
         {
             findings.push(Finding {
                 rule: "SRC005",
+                tok: i,
                 line: t.line,
                 message: "`Ordering::Relaxed` access: value is schedule-dependent if it \
                           reaches any artifact"

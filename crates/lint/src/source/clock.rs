@@ -33,6 +33,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             let what = &tokens[i + 3].text;
             findings.push(Finding {
                 rule: "SRC002",
+                tok: i,
                 line: t.line,
                 message: format!(
                     "`{ty}::{what}` reads the wall clock; results become run-dependent"

@@ -19,10 +19,10 @@ use super::Finding;
 use std::collections::BTreeSet;
 
 /// Hash-collection type names.
-pub(crate) const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 
 /// Methods whose callbacks observe bucket order.
-pub(crate) const ITER_METHODS: [&str; 11] = [
+const ITER_METHODS: [&str; 11] = [
     "iter",
     "iter_mut",
     "keys",
@@ -37,7 +37,7 @@ pub(crate) const ITER_METHODS: [&str; 11] = [
 ];
 
 /// Names in this file bound to a hash-collection type.
-pub(crate) fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
+fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for (i, t) in tokens.iter().enumerate() {
         if !HASH_TYPES.iter().any(|h| t.is_ident(h)) {
@@ -114,6 +114,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                 {
                     findings.push(Finding {
                         rule: "SRC001",
+                        tok: i,
                         line: t.line,
                         message: format!(
                             "`{}` is a hash collection; `.{}()` observes random bucket order",
@@ -149,27 +150,31 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                 j += 1;
             }
             let Some(in_idx) = found_in else { continue };
-            // Collect expression tokens until the body `{`.
+            // Collect expression token indices until the body `{`.
             let mut expr = Vec::new();
             let mut k = in_idx + 1;
             while k < tokens.len() && !tokens[k].is_punct('{') && expr.len() < 8 {
-                expr.push(&tokens[k]);
+                expr.push(k);
                 k += 1;
             }
             // Accept shapes: [&] [mut] name | [&] [mut] self . name.
-            let core: Vec<&&Token> = expr
-                .iter()
-                .filter(|t| !(t.is_punct('&') || t.is_ident("mut")))
+            let core: Vec<usize> = expr
+                .into_iter()
+                .filter(|&k| !(tokens[k].is_punct('&') || tokens[k].is_ident("mut")))
                 .collect();
             let name = match core.as_slice() {
                 [n] => Some(*n),
-                [s, dot, n] if s.is_ident("self") && dot.is_punct('.') => Some(*n),
+                [s, dot, n] if tokens[*s].is_ident("self") && tokens[*dot].is_punct('.') => {
+                    Some(*n)
+                }
                 _ => None,
             };
-            if let Some(n) = name {
+            if let Some(n_idx) = name {
+                let n = &tokens[n_idx];
                 if n.kind == super::lex::TokenKind::Ident && names.contains(&n.text) {
                     findings.push(Finding {
                         rule: "SRC001",
+                        tok: n_idx,
                         line: n.line,
                         message: format!(
                             "`for … in {}` iterates a hash collection in random bucket order",

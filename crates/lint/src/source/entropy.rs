@@ -22,10 +22,11 @@ const ENTROPY_IDENTS: [&str; 5] = [
 
 /// Report SRC003 findings.
 pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
-    for t in tokens {
+    for (i, t) in tokens.iter().enumerate() {
         if let Some(name) = ENTROPY_IDENTS.iter().find(|n| t.is_ident(n)) {
             findings.push(Finding {
                 rule: "SRC003",
+                tok: i,
                 line: t.line,
                 message: format!("`{name}` draws ambient entropy; runs are no longer replayable"),
                 suggestion: Some(

@@ -24,6 +24,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             let what = &tokens[i + 3].text;
             findings.push(Finding {
                 rule: "SRC007",
+                tok: i,
                 line: t.line,
                 message: format!(
                     "`env::{what}` read: the result depends on process environment, which no \

@@ -25,18 +25,23 @@
 //! with `// detlint: allow(SRC00x): <why>`, which keeps the justification
 //! in the code under review. `#[cfg(test)]` items are skipped entirely:
 //! the determinism contract covers shipped code.
+//!
+//! These matchers are the only ones: [`crate::lint_rust_sources`] lexes
+//! each file once, reports its allow-filtered findings here and hands
+//! the same raw findings to the interprocedural pass ([`crate::ipa`]) as
+//! its taint sources.
 
 pub mod lex;
 
-pub(crate) mod atomics;
-pub(crate) mod clock;
-pub(crate) mod collections;
-pub(crate) mod entropy;
-pub(crate) mod envdep;
-pub(crate) mod parfloat;
-pub(crate) mod threads;
+mod atomics;
+mod clock;
+mod collections;
+mod entropy;
+mod envdep;
+mod parfloat;
+mod threads;
 
-use crate::diag::{Diagnostic, Location, Report};
+use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules;
 use std::fs;
 use std::io;
@@ -46,6 +51,9 @@ use std::path::{Path, PathBuf};
 /// and severity lookup.
 pub(crate) struct Finding {
     pub(crate) rule: &'static str,
+    /// Index of the anchor token in the cfg(test)-stripped stream: how
+    /// the interprocedural taint pass finds this source inside a span.
+    pub(crate) tok: usize,
     pub(crate) line: u32,
     pub(crate) message: String,
     pub(crate) suggestion: Option<String>,
@@ -53,9 +61,10 @@ pub(crate) struct Finding {
 
 /// Run all seven SRC checks over a (cfg(test)-stripped) token stream and
 /// return the raw findings, pre-suppression, sorted by (line, rule).
-/// `lint_source` filters these through the allow directives; the
-/// interprocedural suppression-drift audit (IPA005) instead compares them
-/// *against* the directives to find stale ones.
+/// Filtered through the allow directives they are the per-file report;
+/// unfiltered they are the interprocedural taint sources, and the
+/// suppression-drift audit (IPA005) compares them *against* the
+/// directives to find stale ones.
 pub(crate) fn raw_findings(tokens: &[lex::Token]) -> Vec<Finding> {
     let mut findings = Vec::new();
     collections::check(tokens, &mut findings);
@@ -69,34 +78,21 @@ pub(crate) fn raw_findings(tokens: &[lex::Token]) -> Vec<Finding> {
     findings
 }
 
-/// Analyze one source file's text. `unit` names the file in diagnostics
-/// (conventionally its workspace-relative path); locations are
-/// `src:<unit>` / `L<line>`.
-pub fn lint_source(unit: &str, text: &str) -> Report {
-    let file = lex::lex(text);
-    let tokens = lex::strip_cfg_test(file.tokens.clone());
-    let findings = raw_findings(&tokens);
-
-    let mut report = Report::new();
-    for f in findings {
-        if file.is_allowed(f.rule, f.line) {
-            continue;
-        }
-        let severity = rules::rule(f.rule)
-            .map(|r| r.severity)
-            .unwrap_or(crate::diag::Severity::Warning);
-        let mut d = Diagnostic::new(
-            f.rule,
-            severity,
-            Location::new(format!("src:{unit}"), format!("L{}", f.line)),
-            f.message,
-        );
-        if let Some(s) = f.suggestion {
-            d = d.with_suggestion(s);
-        }
-        report.push(d);
+/// Render one finding of the file `unit` (conventionally its
+/// workspace-relative path) at `src:<unit>` / `L<line>`, with the
+/// catalog's severity.
+pub(crate) fn diagnostic(unit: &str, f: &Finding) -> Diagnostic {
+    let severity = rules::rule(f.rule).map_or(Severity::Warning, |r| r.severity);
+    let d = Diagnostic::new(
+        f.rule,
+        severity,
+        Location::new(format!("src:{unit}"), format!("L{}", f.line)),
+        f.message.clone(),
+    );
+    match &f.suggestion {
+        Some(s) => d.with_suggestion(s.clone()),
+        None => d,
     }
-    report
 }
 
 /// Directories never scanned: build output, vendored deps, lint fixtures
@@ -107,9 +103,8 @@ const SKIP_DIRS: [&str; 7] = [
 ];
 
 /// Recursively collect `.rs` files under `root`, sorted, honoring
-/// [`SKIP_DIRS`]. Shared with the interprocedural analyzer so both scans
-/// see the same tree.
-pub(crate) fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// [`SKIP_DIRS`].
+fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(root)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -130,27 +125,31 @@ pub(crate) fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) -> io::Resul
     Ok(())
 }
 
-/// Analyze every `.rs` file under `root` (recursively, deterministic
-/// order), naming each file by its path relative to `root`.
-pub fn lint_source_tree(root: &Path) -> io::Result<Report> {
+/// Read every `.rs` file under `root` (recursively, deterministic order)
+/// as `(unit, text)`, naming each file by its path relative to `root`.
+pub fn read_rs_tree(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
-    let mut report = Report::new();
-    for path in &files {
-        let text = fs::read_to_string(path)?;
-        let unit = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        report.extend(lint_source(&unit, &text));
-    }
-    Ok(report)
+    files
+        .iter()
+        .map(|path| {
+            let unit = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Ok((unit, fs::read_to_string(path)?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lint_source(unit: &str, text: &str) -> crate::Report {
+        crate::lint_rust_sources(&[(unit.to_string(), text.to_string())])
+    }
 
     fn rules_fired(text: &str) -> Vec<String> {
         lint_source("t.rs", text)
@@ -315,8 +314,8 @@ fn f() {
         // not report findings from `fixtures/` (seeded violations live
         // there) and must produce a deterministic report.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let a = lint_source_tree(root).expect("scan");
-        let b = lint_source_tree(root).expect("scan");
+        let a = crate::lint_rust_tree(root).expect("scan");
+        let b = crate::lint_rust_tree(root).expect("scan");
         assert_eq!(a, b, "tree scan must be deterministic");
         assert!(
             a.diagnostics

@@ -52,6 +52,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
                 if float_literal_in_arith || float_cast {
                     findings.push(Finding {
                         rule: "SRC004",
+                        tok: j,
                         line: t.line,
                         message: format!(
                             "float arithmetic inside the par_map call at line {call_line}: \

@@ -26,6 +26,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
             let what = &tokens[i + 3].text;
             findings.push(Finding {
                 rule: "SRC006",
+                tok: i,
                 line: t.line,
                 message: format!(
                     "`thread::{what}` outside the sanctioned par_map fan-out: the result \
@@ -46,6 +47,7 @@ pub fn check(tokens: &[Token], findings: &mut Vec<Finding>) {
         {
             findings.push(Finding {
                 rule: "SRC006",
+                tok: i,
                 line: t.line,
                 message: "`.spawn(...)` scoped-thread launch outside the sanctioned \
                           par_map fan-out"

@@ -1,19 +1,24 @@
 //! Golden tests: every rule in the catalog fires on a seeded violation with
 //! the exact rule id and location, and stays silent on a clean counterpart.
 //!
-//! Config rules are exercised through the JSON fixtures in `fixtures/`
-//! (the same files a deployment would feed the CLI); netlist, floorplan,
+//! Config and platform rules are exercised through the JSON fixtures in
+//! `fixtures/` (the same files a deployment would feed the CLI), and the
+//! SRC/IPA rules through the `.rs` fixtures; netlist, floorplan,
 //! bitstream and DES rules use programmatic fixtures because their inputs
 //! are in-memory artifacts.
+//!
+//! The retired pair checks map onto WF001: CF001 (ACK starvation) is the
+//! `cycle(rdma.sender)` finding and CF009 (ring sizing) the
+//! `cycle(software)` finding of the spec's `platform:<name>` unit.
 
 use coyote_fabric::{
     Bitstream, BitstreamKind, Device, DeviceKind, Floorplan, Partition, PartitionId, Rect,
     ResourceVec, ShellProfile, FRAME_RECORD_BYTES, HEADER_BYTES,
 };
 use coyote_lint::{
-    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shard_lookahead,
-    lint_shell_spec, lint_source, lint_trace, DeployContext, PartitionDemand, Report, Severity,
-    ShellSpec,
+    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_rust_sources,
+    lint_shard_lookahead, lint_shell_spec, lint_trace, DeployContext, PartitionDemand, Report,
+    Severity, ShellSpec,
 };
 use coyote_sim::{
     EventTag, ShardSpec, ShardTrace, ShardedSimulation, SimDuration, SimTime, Topology, DOMAIN_DMA,
@@ -57,9 +62,9 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
     let cases = [
         (
             "cf001_ack_starvation.json",
-            "CF001",
-            "config:cf001-ack-starvation",
-            "qp.max_msg_bytes",
+            "WF001",
+            "platform:cf001-ack-starvation",
+            "cycle(rdma.sender)",
         ),
         (
             "cf002_bad_mtu.json",
@@ -99,9 +104,9 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
         ),
         (
             "cf009_ring_too_small.json",
-            "CF009",
-            "config:cf009-ring-too-small",
-            "shell.reconfig_ring_slots",
+            "WF001",
+            "platform:cf009-ring-too-small",
+            "cycle(software)",
         ),
     ];
     for (file, rule, unit, path) in cases {
@@ -137,10 +142,16 @@ fn cf008_uncoverable_fault_plan_is_an_error() {
 fn the_pre_fix_deadlock_config_is_an_error() {
     // The acceptance case: a config reproducing the ack_req starvation
     // deadlock the RC queue pair had before the window-fill ACK fix must be
-    // rejected at error severity.
+    // rejected at error severity, with the fix on the cycle's ACK edge.
     let r = lint_shell_spec(&fixture("cf001_ack_starvation.json"));
     assert!(r.has_errors());
-    assert_eq!(r.of_rule("CF001").next().unwrap().severity, Severity::Error);
+    let d = r.of_rule("WF001").next().unwrap();
+    assert_eq!(d.severity, Severity::Error);
+    assert!(
+        d.message.contains("enable qp.ack_on_window_fill"),
+        "{}",
+        d.message
+    );
 }
 
 // ---------------------------------------------------------------- netlist
@@ -709,10 +720,22 @@ fn ds006_below_lookahead_shard_crossing() {
 
 // ----------------------------------------------------- source (detlint)
 
-fn source_fixture(name: &str) -> Report {
-    let path = format!("{}/fixtures/src/{name}", env!("CARGO_MANIFEST_DIR"));
+/// Lint one `.rs` fixture and keep the diagnostics of one layer, by
+/// location prefix (`src:` or `ipa:`): a Rust file's report carries both.
+fn rust_fixture(dir: &str, name: &str, prefix: &str) -> Report {
+    let path = format!("{}/fixtures/{dir}/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    lint_source(name, &text)
+    let mut layer = Report::new();
+    for d in lint_rust_sources(&[(name.to_string(), text)]).diagnostics {
+        if d.location.unit.starts_with(prefix) {
+            layer.push(d);
+        }
+    }
+    layer
+}
+
+fn source_fixture(name: &str) -> Report {
+    rust_fixture("src", name, "src:")
 }
 
 #[test]
@@ -771,15 +794,17 @@ fn src_severities_match_the_catalog() {
 // ------------------------------------------------- interprocedural (ipa)
 
 fn ipa_fixture(name: &str) -> Report {
-    let path = format!("{}/fixtures/ipa/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    coyote_lint::lint_ipa_sources(&[(name.to_string(), text)])
+    rust_fixture("ipa", name, "ipa:")
 }
 
 #[test]
 fn ipa_rules_fire_on_seeded_fixtures_at_exact_locations() {
     let cases = [
         ("ipa001_chain.rs", "IPA001", "L15"),
+        // The SRC matchers are the taint sources, so every shape SRC003
+        // and SRC007 flag (here `getrandom` and `env::vars`) seeds taint.
+        ("ipa001_env_vars.rs", "IPA001", "L11"),
+        ("ipa001_getrandom.rs", "IPA001", "L10"),
         ("ipa002_post.rs", "IPA002", "L10"),
         ("ipa003_launder.rs", "IPA003", "L12"),
         ("ipa004_pub_iter.rs", "IPA004", "L5"),
@@ -840,7 +865,7 @@ fn platform_fixture(name: &str) -> Report {
     let path = format!("{}/fixtures/platform/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let spec = ShellSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    coyote_lint::lint_platform(&spec)
+    lint_shell_spec(&spec)
 }
 
 #[test]
@@ -933,8 +958,9 @@ fn clean_platform_fixture_produces_zero_diagnostics() {
 
 #[test]
 fn wf001_diagnostic_prints_the_full_cycle() {
-    // The whole hold/wait chain must be in the message, edge by edge —
-    // that is the point of generalizing CF009 into a graph rule.
+    // The whole hold/wait chain must be in the message, edge by edge, and
+    // the configuration-dependent edge names the fix the retired CF009
+    // printed.
     let r = platform_fixture("wf001_ring_cycle.json");
     let d = r.of_rule("WF001").next().expect("WF001 fires");
     let msg = &d.message;
@@ -942,6 +968,7 @@ fn wf001_diagnostic_prints_the_full_cycle() {
         "software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring -> software",
         "reconfig.engine -> reconfig.ring:",
         "reconfig.ring -> software:",
+        "raise reconfig.ring_slots to at least 8",
     ] {
         assert!(msg.contains(leg), "missing '{leg}' in:\n{msg}");
     }
@@ -956,14 +983,14 @@ fn every_catalog_rule_has_golden_coverage() {
     let covered = [
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF001", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "CF009", "DS001",
-        "DS002", "DS004", "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005",
-        "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001",
-        "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
+        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS001", "DS002", "DS004",
+        "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007",
+        "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003",
+        "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
     ];
     assert!(
-        coyote_lint::CATALOG.len() >= 56,
-        "the catalog must not shrink below the interprocedural-rule count"
+        coyote_lint::CATALOG.len() >= 55,
+        "the catalog must not shrink below its count after CF001/CF009 folded into WF001"
     );
     for rule in coyote_lint::CATALOG {
         assert!(
@@ -989,6 +1016,8 @@ fn every_catalog_rule_has_golden_coverage() {
     for name in [
         "ipa001_chain.rs",
         "ipa001_clean.rs",
+        "ipa001_env_vars.rs",
+        "ipa001_getrandom.rs",
         "ipa002_post.rs",
         "ipa003_launder.rs",
         "ipa004_pub_iter.rs",

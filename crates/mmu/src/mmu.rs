@@ -47,7 +47,7 @@ impl MmuConfig {
 
     /// SRAM cost of both TLBs (feeds the resource model).
     pub fn sram_bits(&self) -> u64 {
-        self.stlb.sram_bits() + self.ltlb.sram_bits()
+        self.stlb.sram_bits().saturating_add(self.ltlb.sram_bits())
     }
 }
 

@@ -49,16 +49,16 @@ impl TlbConfig {
         }
     }
 
-    /// Total entries.
+    /// Total entries (saturating: a declared geometry may be absurd).
     pub fn entries(&self) -> usize {
-        self.sets * self.ways
+        self.sets.saturating_mul(self.ways)
     }
 
     /// Approximate on-chip SRAM cost in bits (tag + data per entry); used
     /// by the resource model in `coyote-synth`.
     pub fn sram_bits(&self) -> u64 {
         // ~64-bit tag/meta + 64-bit translation per entry.
-        (self.entries() as u64) * 128
+        (self.entries() as u64).saturating_mul(128)
     }
 }
 

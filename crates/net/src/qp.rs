@@ -98,14 +98,14 @@ pub struct QpConfig {
 
 /// The runtime queue pair always requests an ACK on the packet that fills
 /// the window (see `poll_tx`), so a live flow can never ACK-starve. A
-/// deployment *spec* may declare the safeguard off — `coyote-lint` (CF001
-/// and the WF001 wait-for cycle) refuses that intent against this fact.
+/// deployment *spec* may declare the safeguard off — `coyote-lint` (the
+/// WF001 wait-for cycle) refuses that intent against this fact.
 pub const RUNTIME_ACK_ON_WINDOW_FILL: bool = true;
 
 impl QpConfig {
     /// The window's bandwidth-delay capacity in bytes: how much of a
     /// message can be in flight before the sender must see an ACK. The
-    /// capacity-feasibility rules (`coyote-lint --platform`, CAP003) check
+    /// capacity-feasibility rules (`coyote-lint`'s CAP003) check
     /// declared tenant rates against this.
     pub fn window_bdp_bytes(&self) -> u64 {
         (self.window as u64).saturating_mul(self.mtu as u64)

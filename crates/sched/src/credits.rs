@@ -12,7 +12,7 @@ use coyote_sim::CreditPool;
 use std::collections::BTreeMap;
 
 /// The static wait facts of one crediter, exported for the whole-platform
-/// analyzer (`coyote-lint --platform`).
+/// analyzer (`coyote-lint`'s platform rules).
 ///
 /// Every data request waits on its stream's credit pool before issue; a
 /// pool with zero capacity is a wait that can never be satisfied (WF002).

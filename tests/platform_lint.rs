@@ -3,10 +3,11 @@
 //! The acceptance contract for the platform analyzer:
 //!
 //! * The two deadlock configurations this repo has historically shipped
-//!   fixes for — the pre-window-fill-ACK RDMA starvation (CF001) and the
-//!   pre-ring-sizing batched-reconfiguration stall (CF009) — must both
-//!   surface as WF001 *wait-for cycles* with the full hold/wait chain in
-//!   the diagnostic, while the current example shells are clean.
+//!   fixes for — the pre-window-fill-ACK RDMA starvation and the
+//!   pre-ring-sizing batched-reconfiguration stall (once the pair checks
+//!   CF001 and CF009) — must both surface from the spec lint as WF001
+//!   *wait-for cycles* with the full hold/wait chain in the diagnostic,
+//!   while the current example shells are clean.
 //! * The static wait-for predicate and the dynamic driver guard must
 //!   agree: a config the graph calls cycle-free completes
 //!   `reconfigure_batched` without `RingTooSmall`, and a flagged config
@@ -17,8 +18,8 @@
 use coyote_chaos::RetryPolicy;
 use coyote_driver::{CoyoteDriver, ReconfigError, RingWaitFacts};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
-use coyote_lint::platform::{build_platform_graph, waitfor};
-use coyote_lint::{lint_platform, ShellSpec};
+use coyote_lint::platform::{build_platform_graph, lint_platform, waitfor};
+use coyote_lint::{lint_shell_spec, ShellSpec};
 use coyote_sim::SimTime;
 use proptest::prelude::*;
 
@@ -38,8 +39,8 @@ fn example(name: &str) -> ShellSpec {
 
 #[test]
 fn pre_pr2_ack_starvation_config_is_a_wait_for_cycle() {
-    // The exact shape CF001 was written for: end-of-message-only ACKs and
-    // a message longer than window*MTU. The platform graph sees it as a
+    // The exact shape the retired CF001 was written for: end-of-message-only
+    // ACKs and a message longer than window*MTU. The platform graph sees it as a
     // three-party cycle: the sender fills the window mid-message, window
     // slots wait on the ACK path, and the ACK path waits on the final
     // packet the stalled sender can never send.
@@ -52,7 +53,7 @@ fn pre_pr2_ack_starvation_config_is_a_wait_for_cycle() {
                     "ack_on_window_fill": false }
         }"#,
     );
-    let r = lint_platform(&s);
+    let r = lint_shell_spec(&s);
     let hits: Vec<_> = r.of_rule("WF001").collect();
     assert_eq!(hits.len(), 1, "{}", r.render_human());
     assert_eq!(hits[0].location.path, "cycle(rdma.sender)");
@@ -69,14 +70,14 @@ fn pre_pr2_ack_starvation_config_is_a_wait_for_cycle() {
     let mut fixed = s.clone();
     fixed.qp.as_mut().unwrap().ack_on_window_fill = true;
     assert!(
-        lint_platform(&fixed).of_rule("WF001").count() == 0,
+        lint_shell_spec(&fixed).of_rule("WF001").count() == 0,
         "window-fill ACK must break the cycle"
     );
 }
 
 #[test]
 fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
-    // The exact shape CF009 was written for: a completion ring smaller
+    // The exact shape the retired CF009 was written for: a completion ring smaller
     // than the largest batch. Four parties: software waits on the
     // doorbell, the doorbell on the engine, the engine on ring space, and
     // ring space on software's reap.
@@ -88,7 +89,7 @@ fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
             "reconfig": { "ring_slots": 4, "max_batch_runs": 8 }
         }"#,
     );
-    let r = lint_platform(&s);
+    let r = lint_shell_spec(&s);
     let hits: Vec<_> = r.of_rule("WF001").collect();
     assert_eq!(hits.len(), 1, "{}", r.render_human());
     assert_eq!(hits[0].location.path, "cycle(software)");
@@ -103,13 +104,13 @@ fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
     // The shipped fix — a ring at least one batch deep — breaks the cycle.
     let mut fixed = s.clone();
     fixed.reconfig.as_mut().unwrap().ring_slots = 8;
-    assert!(lint_platform(&fixed).of_rule("WF001").count() == 0);
+    assert!(lint_shell_spec(&fixed).of_rule("WF001").count() == 0);
 
     // But two concurrent batches re-create it: the bound is batch x
     // concurrency, not batch alone.
     let mut concurrent = fixed.clone();
     concurrent.reconfig.as_mut().unwrap().max_concurrent = Some(2);
-    let r = lint_platform(&concurrent);
+    let r = lint_shell_spec(&concurrent);
     assert_eq!(r.of_rule("WF001").count(), 1, "{}", r.render_human());
 }
 
@@ -120,7 +121,7 @@ fn current_example_shells_are_platform_clean() {
         "host_memory.json",
         "host_memory_network.json",
     ] {
-        let r = lint_platform(&example(name));
+        let r = lint_shell_spec(&example(name));
         assert!(r.is_clean(), "{name}:\n{}", r.render_human());
     }
 }
@@ -189,7 +190,7 @@ proptest! {
                 "reconfig": {{ "ring_slots": {slots}, "max_batch_runs": {batch} }}
             }}"#,
         ));
-        let flagged = lint_platform(&s).of_rule("WF001").count() == 1;
+        let flagged = lint_shell_spec(&s).of_rule("WF001").count() == 1;
         prop_assert_eq!(flagged, facts.engine_waits_on_ring());
 
         match run_batched(slots, batch) {
@@ -213,12 +214,18 @@ proptest! {
         batch in 1usize..=8,
         concurrency in 1usize..=4,
     ) {
-        let cfg = coyote::ShellConfig::host_only(1)
-            .with_reconfig_ring(slots, batch)
-            .with_reconfig_concurrency(concurrency);
-        let facts = cfg.ring_wait_facts();
+        let s = spec(&format!(
+            r#"{{
+                "name": "prop", "device": "u55c", "n_vfpgas": 1,
+                "memory_channels": 0, "networking": false, "sniffer": false,
+                "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
+                "reconfig": {{ "ring_slots": {slots}, "max_batch_runs": {batch},
+                               "max_concurrent": {concurrency} }}
+            }}"#,
+        ));
+        let facts = s.to_shell_config().unwrap().ring_wait_facts();
         prop_assert_eq!(facts.required_slots(), batch * concurrency);
-        let flagged = coyote_lint::lint_shell("prop", &cfg).of_rule("CF009").count() == 1;
+        let flagged = lint_shell_spec(&s).of_rule("WF001").count() == 1;
         prop_assert_eq!(flagged, facts.engine_waits_on_ring());
     }
 }
