@@ -162,6 +162,27 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_prone_spec_is_refused() {
+        // 1 MB messages over a 64 x 4096-byte window with end-of-message
+        // ACKs: the sender starves, which the spec lint reports as the
+        // WF001 cycle through the RDMA sender.
+        let s = spec(
+            r#"{
+                "name": "pre-fix", "device": "u55c", "n_vfpgas": 1,
+                "memory_channels": 0, "networking": true, "sniffer": false,
+                "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
+                "qp": { "mtu": 4096, "window": 64, "max_msg_bytes": 1048576,
+                        "ack_on_window_fill": false }
+            }"#,
+        );
+        let r = lint_shell_spec(&s);
+        let hits: Vec<_> = r.of_rule("WF001").collect();
+        assert_eq!(hits.len(), 1, "{}", r.render_human());
+        assert_eq!(hits[0].location.path, "cycle(rdma.sender)");
+        assert!(r.has_errors());
+    }
+
+    #[test]
     fn a_rejected_shell_is_not_synthesized() {
         // `n_vfpgas` is in range, so only `validate` knows this shell is
         // unschedulable; the artifact checks must not build a memory
