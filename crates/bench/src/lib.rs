@@ -13,7 +13,6 @@ pub mod cache;
 pub mod claims;
 pub mod experiments;
 pub mod netexp;
-pub mod recording;
 pub mod report;
 pub mod storm;
 

@@ -9,7 +9,6 @@
 //! coyote-bench all --threads 4  # pin the worker budget for this run
 //! coyote-bench scaling          # sweep 1/2/4/8 threads, record speedups
 //! coyote-bench scaling --gate   # ... and fail if 8 threads lose to 1
-//! coyote-bench all --record d/  # also write replay recordings (.cyt) to d/
 //! coyote-bench --list
 //! ```
 //!
@@ -59,7 +58,6 @@ const IDS: &[&str] = &[
     "net_retransmit",
     "net_chaos",
     "net_micro",
-    "replay_overhead",
 ];
 
 /// Group aliases: one name selecting several experiments.
@@ -90,12 +88,11 @@ const DEPENDENT: &[&str] = &["claims"];
 const LONGEST_FIRST: &[&str] = &["fig7b", "table3", "fig11", "fig7a", "fig12", "fig8"];
 
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the
-/// serialize/retransmit hot loop in real nanoseconds; `replay_overhead`
-/// times the storm with and without the recorder). Their values are
+/// serialize/retransmit hot loop in real nanoseconds). Their values are
 /// legitimately different on every run, so the `scaling` sweep's
 /// bit-identity fingerprint skips them — everything else must match
 /// exactly across thread counts.
-const NONDET: &[&str] = &["net_micro", "replay_overhead"];
+const NONDET: &[&str] = &["net_micro"];
 
 /// Thread counts the `scaling` sweep measures.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -149,7 +146,6 @@ fn run_one(id: &str) -> Option<ExperimentResult> {
         "net_retransmit" => cached("net_retransmit", coyote_bench::netexp::net_retransmit),
         "net_chaos" => cached("net_chaos", coyote_bench::netexp::net_chaos),
         "net_micro" => cached("net_micro", coyote_bench::netexp::net_micro),
-        "replay_overhead" => cached("replay_overhead", coyote_bench::recording::replay_overhead),
         _ => return None,
     })
 }
@@ -433,11 +429,6 @@ fn main() {
             .cloned()
     };
     let label = flag_value("--label");
-    if let Some(dir) = flag_value("--record") {
-        // Experiments with a capture hook (net_chaos) write replay
-        // recordings (`.cyt`) into this directory.
-        coyote_bench::recording::set_dir(&dir);
-    }
     if let Some(threads) = flag_value("--threads") {
         match threads.trim().parse::<usize>() {
             Ok(n) if n >= 1 => std::env::set_var(coyote_sim::par::THREADS_ENV, n.to_string()),
@@ -455,7 +446,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--label" || *a == "--threads" || *a == "--record" {
+            if *a == "--label" || *a == "--threads" {
                 skip_next = true;
                 return false;
             }

@@ -98,9 +98,6 @@ pub fn net_fanin() -> ExperimentResult {
         p.rdma_create_qp(42, qp_fpga).unwrap();
         let payload: Vec<u8> = (0..per_qp).map(|b| ((b + i) % 243) as u8).collect();
         nic.write_memory((i * per_qp) as usize, &payload);
-        // detlint: allow(IPA002): NIC work-queue post, not a DES cross-shard
-        // post; quick mode scales the transfer size only and every asserted
-        // value is identical in both modes.
         nic.post(
             0x100 + i as u32,
             i,
@@ -230,9 +227,6 @@ fn chaos_run(seed: u64) -> (u64, u64, u64, f64) {
     p.rdma_create_qp(42, qp_fpga).unwrap();
     let payload: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
     nic.write_memory(0, &payload);
-    // detlint: allow(IPA002): NIC work-queue post, not a DES cross-shard
-    // post; quick mode scales the transfer size only and every asserted
-    // value is identical in both modes.
     nic.post(
         0x120,
         3,
@@ -291,27 +285,6 @@ pub fn net_chaos() -> ExperimentResult {
     );
     assert!(dropped > 0, "the seeded 1% plan must fire at least once");
     println!("net_chaos: seed {seed:#x} fault-trace hash {hash:016x}");
-    // `--record`: capture a chaos-armed storm keyed on the same seed, so
-    // the run leaves a replayable artifact with a fault stream to bisect
-    // (the NIC harness itself is exercised above; the recording carries
-    // the injector behaviour through the replay format's fault trace).
-    if crate::recording::dir().is_some() {
-        use coyote_replay::{Recording, StormConfig};
-        let (seeds, hops) = if quick() { (32, 12) } else { (96, 48) };
-        let cfg = StormConfig::platform(seeds, hops).with_chaos(seed);
-        // detlint: allow(IPA001): quick mode selects the workload size; the
-        // chosen cfg travels inside the artifact, so replay and verify are
-        // self-consistent per mode.
-        let rec = Recording::record(cfg);
-        if let Some(path) = crate::recording::save("net_chaos", &rec) {
-            println!(
-                "net_chaos: recorded {} faults over {} events -> {}",
-                rec.faults.len(),
-                rec.trace.len(),
-                path.display()
-            );
-        }
-    }
     let rows = vec![Row::new("1% seeded loss", "goodput Gbit/s", goodput)
         .with("frames", frames as f64)
         .with("dropped", dropped as f64)];

@@ -8,7 +8,7 @@
 //!
 //! * [`FaultPlan`] — a declarative plan: which [`FaultKind`] fires in which
 //!   [`Domain`], triggered per-operation ([`Trigger::Rate`]), at an exact
-//!   operation count ([`Trigger::AtOp`]) or at a DES timestamp
+//!   operation count ([`Trigger::AtOp`]) or at a simulated timestamp
 //!   ([`Trigger::AtTime`]).
 //! * [`Injector`] — the per-domain runtime a subsystem consults once per
 //!   operation. Draws come from a [`coyote_sim::Xorshift64Star`] seeded from

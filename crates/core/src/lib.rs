@@ -56,7 +56,6 @@ pub mod platform;
 pub mod rdma;
 pub mod reconfig;
 pub mod scheduler;
-pub mod shard;
 pub mod tcp_service;
 pub mod v1;
 
@@ -67,4 +66,3 @@ pub use platform::{Platform, PlatformError, VfpgaState};
 pub use rdma::BalboaService;
 pub use reconfig::CRcnfg;
 pub use scheduler::AppScheduler;
-pub use shard::{platform_lookaheads, platform_shards, platform_topology};

@@ -20,7 +20,6 @@
 
 pub mod engine;
 pub mod msix;
-pub mod shard;
 pub mod writeback;
 
 pub use engine::{ChaosBooked, DmaJob, JobId, PacketDone, XdmaDir, XdmaEngine};

@@ -67,7 +67,7 @@
 //! The cache only affects host wall-clock, never simulated time: a hit and
 //! a miss return the same header. Concurrent `par_map`
 //! workers may race on insertions, but the *result* of every lookup is a
-//! pure function of the blob bytes, so DES fingerprints are unaffected.
+//! pure function of the blob bytes, so determinism fingerprints are unaffected.
 //!
 //! [`Bitstream::validate`]: crate::Bitstream::validate
 //! [`Bitstream::bytes`]: crate::Bitstream::bytes

@@ -26,7 +26,6 @@ pub mod crc;
 pub mod device;
 pub mod floorplan;
 pub mod resources;
-pub mod shard;
 
 pub use bitstream::{
     Bitstream, BitstreamError, BitstreamHeader, BitstreamKind, FrameRun, HEADER_BYTES,

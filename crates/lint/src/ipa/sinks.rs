@@ -5,8 +5,8 @@
 //! [`crate::source`]): a token shape that produces a value depending on
 //! something other than `(inputs, seed)`. A sink is a call where the workspace
 //! commits a value to the determinism contract — FNV trace fingerprints,
-//! the canonical `merged` joins, cross-shard posts, recorded `.cyt`
-//! streams and bench fingerprints. The taint pass connects the two through
+//! the canonical `merged` joins, artifacts written to disk and bench
+//! fingerprints. The taint pass connects the two through
 //! the call graph; this module only says what they look like.
 
 use super::callgraph::CallSite;
@@ -40,12 +40,10 @@ pub fn source_class(src_rule: &str) -> (&'static str, &'static str) {
 pub enum SinkClass {
     /// FNV trace hash / fingerprint computation.
     TraceHash,
-    /// Canonical trace merge (`FaultTrace::merged` / `ShardTrace::merged`).
+    /// Canonical trace merge (`FaultTrace::merged`).
     TraceMerge,
-    /// Cross-shard event post (`post_after` / `.post(..)`).
-    ShardPost,
-    /// Recorded `.cyt` stream (`Recording::record` / `.write_to(..)`).
-    Recording,
+    /// Artifact written to disk (`.write_to(..)`).
+    Artifact,
 }
 
 impl SinkClass {
@@ -54,8 +52,7 @@ impl SinkClass {
         match self {
             SinkClass::TraceHash => "trace fingerprint",
             SinkClass::TraceMerge => "canonical trace merge",
-            SinkClass::ShardPost => "cross-shard post",
-            SinkClass::Recording => "recorded stream",
+            SinkClass::Artifact => "written artifact",
         }
     }
 }
@@ -76,22 +73,16 @@ pub fn sink_class(cs: &CallSite) -> Option<SinkClass> {
     if HASH_SINKS.contains(&name) {
         return Some(SinkClass::TraceHash);
     }
-    // `.hash()` with no arguments is a trace fingerprint (`FaultTrace::hash`,
-    // `ShardTrace::hash`); `x.hash(&mut hasher)` is std::hash and not one.
+    // `.hash()` with no arguments is a trace fingerprint (`FaultTrace::hash`);
+    // `x.hash(&mut hasher)` is std::hash and not one.
     if name == "hash" && cs.is_method && cs.args.0 >= cs.args.1 {
         return Some(SinkClass::TraceHash);
     }
     if name == "merged" {
         return Some(SinkClass::TraceMerge);
     }
-    if name == "post_after" || (name == "post" && cs.is_method) {
-        return Some(SinkClass::ShardPost);
-    }
-    if name == "write_to"
-        || (name == "record" && cs.qualifier.as_deref() == Some("Recording"))
-        || (name == "from_run" && cs.qualifier.as_deref() == Some("Recording"))
-    {
-        return Some(SinkClass::Recording);
+    if name == "write_to" {
+        return Some(SinkClass::Artifact);
     }
     None
 }
@@ -164,8 +155,8 @@ mod tests {
                 Some(SinkClass::TraceMerge),
                 Some(SinkClass::TraceHash),
                 None, // std::hash with a hasher argument
-                Some(SinkClass::ShardPost),
-                Some(SinkClass::Recording),
+                None, // an event post is no sink
+                Some(SinkClass::Artifact),
             ]
         );
     }

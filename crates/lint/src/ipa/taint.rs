@@ -13,13 +13,13 @@
 //! Sanctioned SRC-level `detlint: allow` directives deliberately do NOT
 //! stop taint here: a per-file annotation asserts the site is *locally*
 //! reviewed; the interprocedural question — does that sanctioned value
-//! ever reach a fingerprint, merge, post or recording — is exactly what
+//! ever reach a fingerprint, merge or written artifact — is exactly what
 //! this pass exists to answer. IPA findings have their own `allow(IPA00x)`
 //! escape at the sink.
 
 use super::callgraph::{call_sites, resolve, CallSite};
 use super::index::Workspace;
-use super::sinks::{sink_class, source_class, SinkClass};
+use super::sinks::{sink_class, source_class};
 use crate::source::lex::{Token, TokenKind};
 use std::collections::BTreeMap;
 
@@ -464,7 +464,7 @@ pub fn propagate(ws: &Workspace) -> Analysis {
     Analysis { summaries, facts }
 }
 
-/// The sink scan: IPA001/IPA002/IPA003 findings plus IPA004 public-API
+/// The sink scan: IPA001/IPA003 findings plus IPA004 public-API
 /// escapes, raw (pre-allow), in deterministic (file, line, rule) order.
 pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
     let mut out = Vec::new();
@@ -489,11 +489,7 @@ pub fn findings(ws: &Workspace, analysis: &Analysis) -> Vec<IpaFinding> {
             if info.chain.is_empty() {
                 continue;
             }
-            let rule = match sink {
-                SinkClass::ShardPost => "IPA002",
-                _ if info.laundered => "IPA003",
-                _ => "IPA001",
-            };
+            let rule = if info.laundered { "IPA003" } else { "IPA001" };
             let chain = render_chain(ws, f, &info, &cs.callee, cs.line);
             let origin_unit = &ws.files[info.origin_file].unit;
             let (class, fix) = source_class(info.src_rule);

@@ -2,7 +2,7 @@
 //! `coyote-lint`: the design-rule checker and shell verifier.
 //!
 //! Every other crate in the workspace *executes* the model — synthesizes
-//! netlists, loads bitstreams, runs the DES. This crate *judges* the
+//! netlists, loads bitstreams, moves data. This crate *judges* the
 //! artifacts those flows produce, before anything runs:
 //!
 //! * [`lint_netlist`] — undriven/multiply-driven nets, dangling cells,
@@ -14,11 +14,8 @@
 //! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
 //!   configurations that would fail to schedule or are malformed for the
 //!   component that runs them (CF002–CF008).
-//! * [`lint_trace`] / [`lint_fault_trace`] / [`lint_shard_lookahead`] —
-//!   recorded `ShardTrace`s whose outcome depends on event scheduling
-//!   order, fault traces merged outside the canonical order, and
-//!   cross-shard events undercutting their link lookahead (DS001, DS002,
-//!   DS004, DS006).
+//! * [`lint_fault_trace`] — fault traces merged outside the canonical
+//!   `(domain, op)` order (DS004).
 //! * [`platform`] — the whole-platform analyzer: joins the shell's layers
 //!   into one typed resource graph ([`PlatformGraph`]) and runs the
 //!   cross-layer families on it — graph construction (PG001–PG002),
@@ -47,7 +44,6 @@
 
 pub mod bitstream;
 pub mod config;
-pub mod des;
 pub mod diag;
 pub mod floorplan;
 pub mod ipa;
@@ -56,16 +52,17 @@ pub mod platform;
 pub mod rules;
 pub mod shellspec;
 pub mod source;
+pub mod trace;
 
 pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
-pub use des::{lint_fault_trace, lint_replay_divergence, lint_shard_lookahead, lint_trace};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
 pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
+pub use trace::lint_fault_trace;
 
 use coyote_fabric::{Device, Floorplan};
 use std::io;

@@ -22,7 +22,6 @@ use coyote_driver::RingWaitFacts;
 use coyote_mmu::MmuConfig;
 use coyote_sched::CreditWaitFacts;
 use coyote_sim::params::DEFAULT_STREAM_CREDITS;
-use coyote_sim::Topology;
 use std::collections::BTreeMap;
 
 /// What a node models.
@@ -46,8 +45,6 @@ pub enum NodeKind {
     Service,
     /// An active party: software, the ICAP engine, the RDMA sender/ACK path.
     Actor,
-    /// A DES shard ingested from the platform topology.
-    Shard,
 }
 
 impl NodeKind {
@@ -63,7 +60,6 @@ impl NodeKind {
             NodeKind::Tlb => "tlb",
             NodeKind::Service => "service",
             NodeKind::Actor => "actor",
-            NodeKind::Shard => "shard",
         }
     }
 }
@@ -246,31 +242,6 @@ impl PlatformGraph {
             }
         }
         out
-    }
-
-    /// Join the DES shard topology in: one `Shard` node per domain shard
-    /// and a `Feeds` edge per declared link, annotated with its lookahead.
-    /// Shards carry no waits, so ingesting the topology never introduces a
-    /// cycle — it extends the graph's coverage to the engine the shell
-    /// actually runs on.
-    pub fn ingest_topology(&mut self, topo: &Topology) {
-        let ids: Vec<usize> = topo
-            .shards()
-            .iter()
-            .map(|s| self.node(format!("shard.{}", s.name), NodeKind::Shard))
-            .collect();
-        for (src, dst, la) in topo.lookahead_decls() {
-            // Links are declared by domain id; map each back to its shard.
-            let (Some(s), Some(d)) = (topo.shard_of_domain(src), topo.shard_of_domain(dst)) else {
-                continue;
-            };
-            self.edge(
-                ids[s],
-                ids[d],
-                EdgeKind::Feeds,
-                format!("DES link with {la} lookahead"),
-            );
-        }
     }
 }
 

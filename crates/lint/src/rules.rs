@@ -5,8 +5,9 @@
 //! keys on them. The catalog is data, not behavior — the checks themselves
 //! live in the per-layer modules.
 //!
-//! Retired ids are not reused. DS003 and DS005 went when the engine's
-//! `EventKey` started ordering both hazards. CF001 (ACK starvation) and
+//! Retired ids are not reused. DS001–DS003 and DS005–DS007 checked the
+//! event engine's recorded traces and IPA002 its cross-shard posts; they
+//! went with the engine. CF001 (ACK starvation) and
 //! CF009 (completion ring smaller than the batches in flight) were pair
 //! checks for two cycles of the platform wait-for graph and are reported
 //! as WF001 at `platform:<spec>` / `cycle(rdma.sender)` and
@@ -25,8 +26,8 @@ pub enum Layer {
     Bitstream,
     /// Shell / QP / MMU configuration (`coyote`, `coyote-net`, `coyote-mmu`).
     Config,
-    /// Discrete-event scheduler traces (`coyote-sim`).
-    Des,
+    /// Recorded fault traces (`coyote-chaos`).
+    Trace,
     /// The workspace's own Rust source (the `coyote-detlint` analyzer).
     Source,
     /// The joined cross-layer platform resource graph (every shell spec).
@@ -44,7 +45,7 @@ impl Layer {
             Layer::Floorplan => "floorplan",
             Layer::Bitstream => "bitstream",
             Layer::Config => "config",
-            Layer::Des => "des",
+            Layer::Trace => "trace",
             Layer::Source => "source",
             Layer::Platform => "platform",
             Layer::Interproc => "interproc",
@@ -238,46 +239,14 @@ pub const CATALOG: &[RuleInfo] = &[
             "fault plan outruns the retry budget: injected loss rate leaves the recovery path \
              an unrecoverable residual failure probability",
     },
-    // --- DES ---------------------------------------------------------
-    RuleInfo {
-        id: "DS001",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "ordering hazard: same-instant events on one shard and one target tie on priority \
-             and domain, so they run in scheduling order",
-    },
-    RuleInfo {
-        id: "DS002",
-        layer: Layer::Des,
-        severity: Severity::Info,
-        description: "same-instant events on one shard tie on priority and domain with no target \
-             declared (disjointness unprovable)",
-    },
+    // --- Trace -------------------------------------------------------
     RuleInfo {
         id: "DS004",
-        layer: Layer::Des,
+        layer: Layer::Trace,
         severity: Severity::Error,
         description:
             "fault trace out of canonical (domain, op) order: merged by concatenation, not \
              FaultTrace::merged, so the published hash depends on collection order",
-    },
-    RuleInfo {
-        id: "DS006",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description: "cross-shard event scheduled with a delay below the declared link lookahead: \
-             faster than the link's declared minimum latency, which is what keeps each \
-             shard's events in EventKey order",
-    },
-    RuleInfo {
-        id: "DS007",
-        layer: Layer::Des,
-        severity: Severity::Error,
-        description:
-            "replay divergence: two runs of one recorded workload disagree on an event — a \
-             happens-before violation upstream of the first divergent EventKey (tie-break, \
-             lookahead or source-level nondeterminism)",
     },
     // --- Source (coyote-detlint) -------------------------------------
     RuleInfo {
@@ -423,14 +392,6 @@ pub const CATALOG: &[RuleInfo] = &[
             "a nondeterministic value (hash order, wall clock, entropy, ...) returned by one \
              function reaches a determinism sink (trace fingerprint, merge, recording) in \
              another — the full call chain is printed",
-    },
-    RuleInfo {
-        id: "IPA002",
-        layer: Layer::Interproc,
-        severity: Severity::Error,
-        description:
-            "tainted value crosses a shard boundary through a cross-shard post: every run \
-             now observes a different event stream",
     },
     RuleInfo {
         id: "IPA003",

@@ -1,8 +1,7 @@
 //! `coyote-detlint`: the source-level determinism analyzer (SRC001–SRC007).
 //!
-//! The DES rules (`DS00x`) audit *recorded traces* — they catch a
-//! nondeterministic schedule after it ran. This module family audits the
-//! *code*: it lexes the workspace's own Rust sources and flags the
+//! The trace rule (DS004) audits a *recorded* fault trace after it ran.
+//! This module family audits the *code*: it lexes the workspace's own Rust sources and flags the
 //! constructs that make results depend on anything other than
 //! `(inputs, seed)` — hash-order iteration, wall-clock reads, ambient
 //! entropy, cross-slot float reductions, relaxed atomics, ad-hoc threads

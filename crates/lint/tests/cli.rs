@@ -186,7 +186,7 @@ fn ipa_directory_scan_joins_files_into_one_workspace() {
     let out = run(&[&fixture("ipa")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in ["IPA001", "IPA002", "IPA003", "IPA004", "IPA005"] {
+    for rule in ["IPA001", "IPA003", "IPA004", "IPA005"] {
         assert!(text.contains(rule), "directory scan must report {rule}");
     }
     let again = run(&[&fixture("ipa")]);
@@ -266,12 +266,14 @@ fn catalog_lists_the_new_rule_families() {
     for rule in [
         "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "DS004", "PG001",
         "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001",
-        "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
+        "ISO002", "IPA001", "IPA003", "IPA004", "IPA005",
     ] {
         assert!(text.contains(rule), "--catalog must list {rule}");
     }
-    // Retired: the engine's EventKey orders both hazards by declared fields.
-    for rule in ["DS003", "DS005"] {
+    // Retired with the event engine whose traces and posts they checked.
+    for rule in [
+        "DS001", "DS002", "DS003", "DS005", "DS006", "DS007", "IPA002",
+    ] {
         assert!(!text.contains(rule), "--catalog must not list {rule}");
     }
 }

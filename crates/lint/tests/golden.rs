@@ -4,7 +4,7 @@
 //! Config and platform rules are exercised through the JSON fixtures in
 //! `fixtures/` (the same files a deployment would feed the CLI), and the
 //! SRC/IPA rules through the `.rs` fixtures; netlist, floorplan,
-//! bitstream and DES rules use programmatic fixtures because their inputs
+//! bitstream and fault-trace rules use programmatic fixtures because their inputs
 //! are in-memory artifacts.
 //!
 //! The retired pair checks map onto WF001: CF001 (ACK starvation) is the
@@ -17,13 +17,9 @@ use coyote_fabric::{
 };
 use coyote_lint::{
     lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_rust_sources,
-    lint_shard_lookahead, lint_shell_spec, lint_trace, DeployContext, PartitionDemand, Report,
-    Severity, ShellSpec,
+    lint_shell_spec, DeployContext, PartitionDemand, Report, Severity, ShellSpec,
 };
-use coyote_sim::{
-    EventTag, ShardSpec, ShardTrace, ShardedSimulation, SimDuration, SimTime, Topology, DOMAIN_DMA,
-    DOMAIN_NET,
-};
+use coyote_sim::SimTime;
 use coyote_synth::{CellKind, Net, Netlist};
 
 fn fixture(name: &str) -> ShellSpec {
@@ -117,8 +113,8 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
 
 #[test]
 fn cf008_uncoverable_fault_plan_is_an_error() {
-    // CF008's input is an in-memory fault plan + retry policy, like the DES
-    // rules' traces.
+    // CF008's input is an in-memory fault plan + retry policy, like DS004's
+    // fault trace.
     use coyote_chaos::{FaultPlan, RetryPolicy};
     let policy = RetryPolicy::reconfig_default();
 
@@ -533,74 +529,7 @@ fn bs006_device_mismatch() {
     );
 }
 
-// -------------------------------------------------------------------- des
-
-/// Run the events `build` seeds on a one-shard engine (domain 1) and
-/// return the recorded trace.
-fn traced(build: impl FnOnce(&mut ShardedSimulation<u64>)) -> ShardTrace {
-    let mut topo = Topology::new();
-    topo.add_shard(ShardSpec {
-        domain: 1,
-        name: "des",
-    })
-    .unwrap();
-    let mut sim = ShardedSimulation::new(topo, vec![0u64]);
-    sim.record_trace();
-    build(&mut sim);
-    sim.run();
-    sim.take_trace()
-}
-
-/// Seed one counting event at `at_ps` with `tag`.
-fn event(sim: &mut ShardedSimulation<u64>, at_ps: u64, tag: EventTag) {
-    sim.seed(1, SimTime(at_ps), tag, |w, _| *w += 1).unwrap();
-}
-
-#[test]
-fn ds001_ordering_hazard() {
-    let trace = traced(|sim| {
-        event(sim, 500, EventTag::target(9));
-        event(sim, 500, EventTag::target(9));
-    });
-    assert_fires(&lint_trace("qp", &trace), "DS001", "trace:qp", "t=500ps");
-}
-
-#[test]
-fn ds002_undeclared_targets() {
-    let trace = traced(|sim| {
-        event(sim, 500, EventTag::default());
-        event(sim, 500, EventTag::default());
-    });
-    let r = lint_trace("qp", &trace);
-    assert_fires(&r, "DS002", "trace:qp", "t=500ps");
-    assert_eq!(r.max_severity(), Some(Severity::Info));
-}
-
-#[test]
-fn clean_trace_produces_zero_diagnostics() {
-    let trace = traced(|sim| {
-        event(sim, 500, EventTag::target(9).priority(0));
-        event(sim, 500, EventTag::target(9).priority(1));
-        event(sim, 500, EventTag::target(10));
-    });
-    let r = lint_trace("qp", &trace);
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-/// The schedule DS003 (retired) flagged: distinct targets sharing a domain
-/// with no priorities. The engine orders them by target id, so it lints
-/// clean.
-#[test]
-fn ds003_shared_domain_without_total_order() {
-    let trace = traced(|sim| {
-        event(sim, 750, EventTag::target(2).domain(40));
-        event(sim, 750, EventTag::target(1).domain(40));
-    });
-    let targets: Vec<_> = trace.entries().iter().map(|e| e.target).collect();
-    assert_eq!(targets, [Some(1), Some(2)], "target order, not insertion");
-    let r = lint_trace("switch", &trace);
-    assert!(r.is_clean(), "{}", r.render_human());
-}
+// ------------------------------------------------------------ fault trace
 
 #[test]
 fn ds004_concatenated_fault_trace() {
@@ -648,74 +577,6 @@ fn ds004_concatenated_fault_trace() {
         0,
     );
     assert!(lint_fault_trace("chaos", &FaultTrace::merged([net, dma])).is_clean());
-}
-
-/// The schedule DS005 (retired) flagged: priority 1 inserted before
-/// priority 0 on one target. The engine pops by priority, so it lints
-/// clean.
-#[test]
-fn ds005_pop_order_contradicts_priorities() {
-    let trace = traced(|sim| {
-        event(sim, 900, EventTag::target(5).priority(1));
-        event(sim, 900, EventTag::target(5).priority(0));
-    });
-    let priorities: Vec<_> = trace.entries().iter().map(|e| e.priority).collect();
-    assert_eq!(
-        priorities,
-        [Some(0), Some(1)],
-        "priority order, not insertion"
-    );
-    let r = lint_trace("qp", &trace);
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn ds007_replay_divergence() {
-    // The bisector found event[17] of the platform-storm recording differing
-    // in priority; the diagnostic must land at the canonical trace location
-    // with error severity and name the suspect rule families.
-    let r = coyote_lint::lint_replay_divergence(
-        "platform-storm",
-        17,
-        4200,
-        "expected priority=9, actual priority=8 (at=4200ps target=3)",
-        &["DS001", "DS002"],
-    );
-    assert_fires(&r, "DS007", "trace:platform-storm", "t=4200ps");
-    assert!(r.has_errors());
-    let d = r.of_rule("DS007").next().unwrap();
-    assert!(d.message.contains("event[17]"), "{}", d.message);
-    assert!(
-        d.suggestion
-            .as_deref()
-            .unwrap_or("")
-            .contains("DS001/DS002"),
-        "suggestion names the suspect families: {:?}",
-        d.suggestion
-    );
-
-    // Without suspects the suggestion falls back to re-record guidance.
-    let r = coyote_lint::lint_replay_divergence("ring-storm", 0, 0, "fault trace diverged", &[]);
-    assert_fires(&r, "DS007", "trace:ring-storm", "t=0ps");
-}
-
-#[test]
-fn ds006_below_lookahead_shard_crossing() {
-    // An event crossing from the net shard domain to the DMA shard domain
-    // with a 1ns delay, against a link that promises 5ns lookahead: faster
-    // than the link's declared minimum latency.
-    let crossing = EventTag::target(3)
-        .domain(DOMAIN_DMA)
-        .from_domain(DOMAIN_NET);
-    let trace = traced(|sim| event(sim, 1_000, crossing));
-    let decls = [(DOMAIN_NET, DOMAIN_DMA, SimDuration::from_ns(5))];
-    let r = lint_shard_lookahead("shards", &trace, &decls);
-    assert_fires(&r, "DS006", "trace:shards", "t=1000ps");
-    assert!(r.has_errors());
-
-    // The same crossing at the declared lookahead is clean.
-    let trace = traced(|sim| event(sim, 5_000, crossing));
-    assert!(lint_shard_lookahead("shards", &trace, &decls).is_clean());
 }
 
 // ----------------------------------------------------- source (detlint)
@@ -805,7 +666,6 @@ fn ipa_rules_fire_on_seeded_fixtures_at_exact_locations() {
         // and SRC007 flag (here `getrandom` and `env::vars`) seeds taint.
         ("ipa001_env_vars.rs", "IPA001", "L11"),
         ("ipa001_getrandom.rs", "IPA001", "L10"),
-        ("ipa002_post.rs", "IPA002", "L10"),
         ("ipa003_launder.rs", "IPA003", "L12"),
         ("ipa004_pub_iter.rs", "IPA004", "L5"),
         ("ipa005_stale.rs", "IPA005", "L5"),
@@ -983,14 +843,14 @@ fn every_catalog_rule_has_golden_coverage() {
     let covered = [
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
         "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS001", "DS002", "DS004",
-        "DS006", "DS007", "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007",
-        "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003",
-        "ISO001", "ISO002", "IPA001", "IPA002", "IPA003", "IPA004", "IPA005",
+        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS004", "SRC001", "SRC002",
+        "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "PG001", "PG002", "WF001", "WF002",
+        "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002", "IPA001", "IPA003",
+        "IPA004", "IPA005",
     ];
     assert!(
-        coyote_lint::CATALOG.len() >= 55,
-        "the catalog must not shrink below its count after CF001/CF009 folded into WF001"
+        coyote_lint::CATALOG.len() >= 50,
+        "the catalog must not shrink below its count after DS001/DS002/DS006/DS007 and IPA002 retired"
     );
     for rule in coyote_lint::CATALOG {
         assert!(
@@ -1018,7 +878,6 @@ fn every_catalog_rule_has_golden_coverage() {
         "ipa001_clean.rs",
         "ipa001_env_vars.rs",
         "ipa001_getrandom.rs",
-        "ipa002_post.rs",
         "ipa003_launder.rs",
         "ipa004_pub_iter.rs",
         "ipa005_stale.rs",

@@ -31,7 +31,6 @@ pub mod nic;
 pub mod packet;
 pub mod pcap;
 pub mod qp;
-pub mod shard;
 pub mod sniffer;
 pub mod switch;
 pub mod tcp;

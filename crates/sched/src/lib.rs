@@ -17,7 +17,6 @@
 pub mod credits;
 pub mod interleave;
 pub mod packetizer;
-pub mod shard;
 
 pub use credits::{CreditTable, CreditWaitFacts};
 pub use interleave::{ChaosDrain, Delivered, Interleaver};

@@ -7,10 +7,9 @@
 //! even the disk used to load partial bitstreams (Table 3 of the paper) are
 //! all `LinkModel`s with different constants.
 //!
-//! The model is *analytic within the event framework*: a call to
-//! [`LinkModel::transmit`] books the next free slot on the link and returns
-//! the precise start/end/arrival instants, which the caller turns into
-//! scheduled events. Booked slots are strictly FIFO, matching the in-order
+//! The model is *analytic*: a call to [`LinkModel::transmit`] books the
+//! next free slot on the link and returns the precise start/end/arrival
+//! instants, which the caller threads through its own clock. Booked slots are strictly FIFO, matching the in-order
 //! guarantee that AXI and PCIe provide per channel.
 
 use crate::time::{Bandwidth, SimDuration, SimTime};

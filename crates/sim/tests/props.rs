@@ -1,4 +1,4 @@
-//! Property-based tests on the DES primitives.
+//! Property-based tests on the simulation primitives.
 
 use coyote_sim::time::Bandwidth;
 use coyote_sim::{LinkModel, RrQueue, SimDuration, SimTime, Xorshift64Star};

@@ -340,89 +340,3 @@ fn artifacts_identical_across_thread_counts() {
         "MMU chaos+eviction trace not reproducible at 8 threads"
     );
 }
-
-/// The sharded engine over the full platform topology: a cross-domain event
-/// storm folded into per-shard worlds, with the canonical merged trace
-/// fingerprint.
-fn sharded_platform_fingerprint() -> (u64, [u64; 4], u64) {
-    use coyote_sim::{
-        EventTag, ShardCtx, ShardedSimulation, SimDuration, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_NET,
-        DOMAIN_SCHED,
-    };
-    const ORDER: [u64; 4] = [DOMAIN_NET, DOMAIN_DMA, DOMAIN_FABRIC, DOMAIN_SCHED];
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn hop(hops_left: u32, state: u64) -> impl FnOnce(&mut u64, &mut ShardCtx<'_, u64>) + 'static {
-        move |w, ctx| {
-            *w = w.wrapping_add(mix(state ^ ctx.now().as_ps()));
-            if hops_left == 0 {
-                return;
-            }
-            let cur = ORDER.iter().position(|&d| d == ctx.domain()).unwrap();
-            let dst = ORDER[(cur + 1 + (state as usize % 3)) % 4];
-            // Each platform link promises the source domain's egress
-            // lookahead; posting at exactly that delay is the legal minimum.
-            let la = coyote::platform_lookaheads()[cur];
-            ctx.post_after(
-                dst,
-                la,
-                EventTag::target(state % 8).priority((state % 251) as u8),
-                hop(hops_left - 1, mix(state)),
-            )
-            .unwrap();
-        }
-    }
-    let mut sim = ShardedSimulation::new(coyote::platform_topology(), vec![0u64; 4]);
-    sim.record_trace();
-    for s in 0..48u64 {
-        sim.seed(
-            ORDER[(s % 4) as usize],
-            SimTime::ZERO + SimDuration::from_ns(s),
-            EventTag::target(s % 8).priority((s % 251) as u8),
-            hop(32, mix(s)),
-        )
-        .unwrap();
-    }
-    sim.run();
-    let worlds = [
-        *sim.world_of(DOMAIN_NET).unwrap(),
-        *sim.world_of(DOMAIN_DMA).unwrap(),
-        *sim.world_of(DOMAIN_FABRIC).unwrap(),
-        *sim.world_of(DOMAIN_SCHED).unwrap(),
-    ];
-    (sim.events_executed(), worlds, sim.take_trace().hash())
-}
-
-/// The sharded engine's determinism contract over the real platform
-/// topology: a rerun is bit-identical down to the canonical merged trace
-/// fingerprint, and the fingerprint is pinned.
-#[test]
-fn sharded_platform_fingerprint_is_pinned() {
-    let run = sharded_platform_fingerprint();
-    // Pinned values: a refactor of the engine that moves the execution
-    // order, the event count or the trace encoding fails here even when it
-    // stays self-consistent across reruns.
-    assert_eq!(
-        run,
-        (
-            1584,
-            [
-                6579751612086209293,
-                9450163911522243896,
-                938791667297378603,
-                13245694483332280743,
-            ],
-            0x6205_5a8b_3556_6df8,
-        ),
-        "sharded platform fingerprint moved"
-    );
-    assert_eq!(
-        sharded_platform_fingerprint(),
-        run,
-        "sharded platform not reproducible"
-    );
-}

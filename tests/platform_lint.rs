@@ -18,7 +18,7 @@
 use coyote_chaos::RetryPolicy;
 use coyote_driver::{CoyoteDriver, ReconfigError, RingWaitFacts};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
-use coyote_lint::platform::{build_platform_graph, lint_platform, waitfor};
+use coyote_lint::platform::lint_platform;
 use coyote_lint::{lint_shell_spec, ShellSpec};
 use coyote_sim::SimTime;
 use proptest::prelude::*;
@@ -124,32 +124,6 @@ fn current_example_shells_are_platform_clean() {
         let r = lint_shell_spec(&example(name));
         assert!(r.is_clean(), "{name}:\n{}", r.render_human());
     }
-}
-
-// --- Graph coverage of the engine the shell runs on --------------------
-
-#[test]
-fn platform_graph_ingests_the_des_topology_without_new_waits() {
-    let s = example("host_memory_network.json");
-    let (mut g, report) = build_platform_graph(&s);
-    assert!(report.is_clean(), "{}", report.render_human());
-    assert!(waitfor::check(&g).is_clean());
-
-    let topo = coyote::platform_topology();
-    let before_edges = g.edges().len();
-    g.ingest_topology(&topo);
-    for shard in topo.shards() {
-        let id = format!("shard.{}", shard.name);
-        assert!(g.find(&id).is_some(), "missing node {id}");
-    }
-    assert_eq!(
-        g.edges().len() - before_edges,
-        topo.lookahead_decls().len(),
-        "one feeds edge per declared DES link"
-    );
-    // Shards carry data, not waits: ingesting the engine topology must
-    // never manufacture a deadlock report.
-    assert!(waitfor::check(&g).is_clean());
 }
 
 // --- Static == dynamic ------------------------------------------------
