@@ -7,6 +7,7 @@
 use coyote_fabric::{DeviceKind, ShellProfile};
 use coyote_mmu::MmuConfig;
 use coyote_net::SnifferConfig;
+use coyote_sim::Fnv64;
 use coyote_synth::{Ip, IpBlock};
 
 /// Default completion-ring size for the batched reconfiguration path
@@ -276,21 +277,21 @@ impl ShellConfig {
 
     /// A stable digest of the configuration (identifies shell bitstreams).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0x8396_5525_27F4_E6E5;
-        let mut absorb = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        absorb(self.device.id() as u64);
-        absorb(self.n_vfpgas as u64);
-        absorb(self.services.memory_channels as u64);
-        absorb(self.services.networking as u64);
-        absorb(self.services.sniffer as u64);
-        absorb(self.mmu.sram_bits());
-        absorb(self.mmu.ltlb.page.bytes());
-        absorb(self.n_host_streams as u64);
-        absorb(self.n_card_streams as u64);
-        h
+        let mut h = Fnv64::with_basis(0x8396_5525_27F4_E6E5);
+        for v in [
+            self.device.id() as u64,
+            self.n_vfpgas as u64,
+            self.services.memory_channels as u64,
+            self.services.networking as u64,
+            self.services.sniffer as u64,
+            self.mmu.sram_bits(),
+            self.mmu.ltlb.page.bytes(),
+            self.n_host_streams as u64,
+            self.n_card_streams as u64,
+        ] {
+            h.write_word(v);
+        }
+        h.finish()
     }
 }
 
@@ -298,6 +299,27 @@ impl ShellConfig {
 mod tests {
     use super::*;
     use coyote_mmu::MmuConfig;
+
+    /// Pinned digests of Table 3's three shells: the digest keys shell
+    /// images and the bitstream registry, so a change to its fold fails
+    /// here first.
+    #[test]
+    fn table3_shell_digests_are_pinned() {
+        let digests = [
+            ShellConfig::host_only(1).with_mmu(MmuConfig::huge_1g()),
+            ShellConfig::host_memory(2, 16),
+            ShellConfig::host_memory_network(1, 16).with_sniffer(SnifferConfig::default()),
+        ]
+        .map(|c| c.digest());
+        assert_eq!(
+            digests,
+            [
+                0xda36_ee24_3cf5_7afa,
+                0x6ee7_51a6_f264_0b59,
+                0x81ca_d853_5533_0c50
+            ]
+        );
+    }
 
     #[test]
     fn presets_validate() {

@@ -1,15 +1,18 @@
 //! FNV-1a 64-bit: the one hash behind every determinism fingerprint.
 //!
-//! Trace hashes, run fingerprints, the bench result fingerprint and the
-//! tests' payload checksums all fold bytes through [`Fnv64`], so a value
-//! published by one layer can be recomputed by any other. Integers are
-//! folded little-endian, which makes the result independent of the host.
+//! Trace hashes, run fingerprints, the bench result fingerprint, the
+//! design digests and the tests' payload checksums all fold through
+//! [`Fnv64`], so a value published by one layer can be recomputed by any
+//! other. Integers are folded little-endian, which makes the result
+//! independent of the host; the design digests fold whole words instead
+//! ([`Fnv64::write_word`]).
 //!
 //! The offset basis and the xor-then-multiply order are FNV-1a's, but the
 //! multiplier is `0x1000_0000_01b3`, not the published 64-bit FNV prime
 //! `0x100_0000_01b3`. Every committed fingerprint (`results/*.json`, the
-//! `.cyt` footers, the CI logs) was computed with this multiplier, so it
-//! stays; only the empty input hashes to the standard FNV-1a-64 value.
+//! design digests in image headers, the CI logs) was computed with this
+//! multiplier, so it stays; only the empty input hashes to the standard
+//! FNV-1a-64 value.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const MULTIPLIER: u64 = 0x1000_0000_01b3;
@@ -39,12 +42,28 @@ impl Fnv64 {
         Fnv64(OFFSET_BASIS)
     }
 
+    /// A hash over no bytes that starts from `basis` instead of the FNV
+    /// offset basis (`ShellConfig::digest` keeps its own).
+    #[inline]
+    pub const fn with_basis(basis: u64) -> Self {
+        Fnv64(basis)
+    }
+
     /// Fold in `bytes`, one at a time.
     #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(MULTIPLIER);
+            self.write_word(u64::from(b));
         }
+    }
+
+    /// Fold in `v` as one word: a single xor-multiply step over the whole
+    /// value, where [`Fnv64::write_u64`] takes one step per byte. The
+    /// design digests (`Netlist::digest`, `ShellConfig::digest`) fold this
+    /// way.
+    #[inline]
+    pub fn write_word(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(MULTIPLIER);
     }
 
     /// Fold in `v` as its eight little-endian bytes.

@@ -6,7 +6,7 @@
 //! locality-biased fanout (so placement quality matters).
 
 use coyote_fabric::ResourceVec;
-use coyote_sim::Xorshift64Star;
+use coyote_sim::{Fnv64, Xorshift64Star};
 
 /// One netlist cell stands for this many device primitives. The build flows
 /// multiply operation counts back up by this factor when modeling time.
@@ -192,23 +192,17 @@ impl Netlist {
 
     /// Stable content digest (identifies the design in bitstream headers).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut absorb = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for b in self.name.as_bytes() {
-            absorb(*b as u64);
-        }
-        absorb(self.cells.len() as u64);
-        absorb(self.nets.len() as u64);
+        let mut h = Fnv64::new();
+        h.write(self.name.as_bytes());
+        h.write_word(self.cells.len() as u64);
+        h.write_word(self.nets.len() as u64);
         for net in self.nets.iter().take(64) {
-            absorb(net.driver as u64);
-            absorb(net.sinks.len() as u64);
+            h.write_word(net.driver as u64);
+            h.write_word(net.sinks.len() as u64);
         }
-        absorb(self.footprint.lut);
-        absorb(self.footprint.bram);
-        h
+        h.write_word(self.footprint.lut);
+        h.write_word(self.footprint.bram);
+        h.finish()
     }
 }
 
@@ -225,6 +219,13 @@ mod tests {
             16,
             42,
         )
+    }
+
+    /// Pinned digest: it seeds the placer and names the design in image
+    /// headers, so a change to its fold fails here first.
+    #[test]
+    fn digest_is_pinned() {
+        assert_eq!(sample().digest(), 0x559d_4a53_228e_2d9b);
     }
 
     #[test]
