@@ -68,6 +68,25 @@ impl FaultKind {
             FaultKind::TenantCrash => 9,
         }
     }
+
+    /// Inverse of [`FaultKind::tag`]. `None` for tags this build does not
+    /// know: an unknown tag fails closed instead of misattributing the
+    /// fault. Round-tripping every kind also proves the tags that feed the
+    /// trace hash are distinct.
+    pub fn from_tag(tag: u64) -> Option<FaultKind> {
+        Some(match tag {
+            1 => FaultKind::NetLoss,
+            2 => FaultKind::NetReorder,
+            3 => FaultKind::NetDuplicate,
+            4 => FaultKind::NetCorrupt,
+            5 => FaultKind::BitstreamFlip,
+            6 => FaultKind::IcapReject,
+            7 => FaultKind::DmaStall,
+            8 => FaultKind::PageFaultBurst,
+            9 => FaultKind::TenantCrash,
+            _ => return None,
+        })
+    }
 }
 
 /// Where an injector is consulted. Each domain draws from its own RNG
@@ -113,6 +132,19 @@ impl Domain {
             Domain::Mmu => 0x006D_6D75,
             Domain::Sched => 0x7363_6864,
         }
+    }
+
+    /// Inverse of [`Domain::tag`]. `None` for unknown tags (fail closed).
+    pub fn from_tag(tag: u64) -> Option<Domain> {
+        Some(match tag {
+            0x6E65_7453 => Domain::NetSwitch,
+            0x6E65_7451 => Domain::NetQp,
+            0x6963_6170 => Domain::Reconfig,
+            0x0064_6D61 => Domain::Dma,
+            0x006D_6D75 => Domain::Mmu,
+            0x7363_6864 => Domain::Sched,
+            _ => return None,
+        })
     }
 }
 

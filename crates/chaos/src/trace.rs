@@ -40,6 +40,16 @@ impl TraceKind {
             TraceKind::Recovered => 3,
         }
     }
+
+    /// Inverse of [`TraceKind::tag`]; `None` for unknown tags.
+    pub fn from_tag(tag: u64) -> Option<TraceKind> {
+        Some(match tag {
+            1 => TraceKind::Injected,
+            2 => TraceKind::Detected,
+            3 => TraceKind::Recovered,
+            _ => return None,
+        })
+    }
 }
 
 /// One event of a fault trace.
@@ -231,6 +241,37 @@ mod tests {
         assert_eq!(c.injected.get(), 1);
         assert_eq!(c.detected.get(), 1);
         assert_eq!(c.recovered.get(), 2);
+    }
+
+    #[test]
+    fn tags_round_trip_and_unknown_fails_closed() {
+        use crate::plan::{Domain, FaultKind};
+        for kind in [
+            TraceKind::Injected,
+            TraceKind::Detected,
+            TraceKind::Recovered,
+        ] {
+            assert_eq!(TraceKind::from_tag(kind.tag()), Some(kind));
+        }
+        assert_eq!(TraceKind::from_tag(0), None);
+        assert_eq!(TraceKind::from_tag(4), None);
+        for tag in 1..=9 {
+            let kind = FaultKind::from_tag(tag).expect("known fault tag");
+            assert_eq!(kind.tag(), tag);
+        }
+        assert_eq!(FaultKind::from_tag(0), None);
+        assert_eq!(FaultKind::from_tag(10), None);
+        for domain in [
+            Domain::NetSwitch,
+            Domain::NetQp,
+            Domain::Reconfig,
+            Domain::Dma,
+            Domain::Mmu,
+            Domain::Sched,
+        ] {
+            assert_eq!(Domain::from_tag(domain.tag()), Some(domain));
+        }
+        assert_eq!(Domain::from_tag(0xDEAD_BEEF), None);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 
 pub mod bitstream;
 pub mod config;
+pub mod des;
 pub mod diag;
 pub mod floorplan;
 pub mod ipa;
@@ -52,17 +53,16 @@ pub mod platform;
 pub mod rules;
 pub mod shellspec;
 pub mod source;
-pub mod trace;
 
 pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
+pub use des::lint_fault_trace;
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::{lint_floorplan, PartitionDemand};
 pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
-pub use trace::lint_fault_trace;
 
 use coyote_fabric::{Device, Floorplan};
 use std::io;

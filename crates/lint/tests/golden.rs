@@ -531,6 +531,37 @@ fn bs006_device_mismatch() {
 
 // ------------------------------------------------------------ fault trace
 
+/// The traces the injectors record, detections and recoveries included, lint
+/// clean once merged canonically, whichever order the per-domain traces are
+/// collected in.
+#[test]
+fn clean_trace_produces_zero_diagnostics() {
+    use coyote_chaos::{Domain, FaultPlan, FaultTrace};
+    let plan = FaultPlan::new(7)
+        .net_loss(0.2)
+        .dma_stall(0.2, 1_000)
+        .icap_reject_at(3);
+    let traces: Vec<FaultTrace> = [Domain::NetSwitch, Domain::Dma, Domain::Reconfig]
+        .into_iter()
+        .map(|domain| {
+            let mut inj = plan.injector(domain);
+            for _ in 0..64 {
+                for fault in inj.tick() {
+                    inj.record_detected(fault.kind, 0);
+                    inj.record_recovered(fault.kind, 0);
+                }
+            }
+            assert!(inj.injected() > 0, "{domain:?} fires at least once");
+            inj.take_trace()
+        })
+        .collect();
+    let forward = FaultTrace::merged(traces.clone());
+    let reverse = FaultTrace::merged(traces.into_iter().rev());
+    assert_eq!(forward, reverse);
+    let r = lint_fault_trace("chaos", &forward);
+    assert!(r.is_clean(), "{}", r.render_human());
+}
+
 #[test]
 fn ds004_concatenated_fault_trace() {
     use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
