@@ -250,15 +250,3 @@ pub fn ablation_threads_vs_vfpgas() -> ExperimentResult {
             .into(),
     }
 }
-
-/// All ablations.
-pub fn all() -> Vec<ExperimentResult> {
-    vec![
-        ablation_chunk_size(),
-        ablation_tlb_geometry(),
-        ablation_page_size(),
-        ablation_credits(),
-        ablation_virt_service(),
-        ablation_threads_vs_vfpgas(),
-    ]
-}

@@ -1,78 +1,239 @@
-//! Programmatic verification of the paper's headline claims: one PASS/FAIL
-//! line per claim, derived from freshly-run experiments.
+//! The paper's headline claims (§9) as one table, evaluated over results a
+//! run has already computed.
+//!
+//! Each row of `CLAIMS` names the numbers it reads (experiment id, exact row
+//! label, metric), the small function that derives its checked values from
+//! them, the range each checked value must fall in, and why that range may
+//! differ from the paper's value. [`claims`] renders the table as the
+//! `claims` experiment and [`summary`] as EXPERIMENTS.md's "Headline claims
+//! summary". A claim whose input is missing fails.
 
-use crate::cache::cached;
-use crate::experiments;
 use crate::report::{ExperimentResult, Row};
 use coyote_sim::{params, PipelineModel, SimTime};
+use std::fmt;
 
+/// One number a claim reads: experiment id, exact row label, metric name.
+type Read = (&'static str, &'static str, &'static str);
+
+/// The range a checked value must fall in.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// `x >= lo`.
+    AtLeast(f64),
+    /// `x <= hi`.
+    AtMost(f64),
+    /// `x > lo`.
+    Above(f64),
+    /// `x < hi`.
+    Below(f64),
+    /// `|x - center| < tolerance`.
+    Within(f64, f64),
+}
+
+impl Bound {
+    fn holds(self, x: f64) -> bool {
+        match self {
+            Bound::AtLeast(lo) => x >= lo,
+            Bound::AtMost(hi) => x <= hi,
+            Bound::Above(lo) => x > lo,
+            Bound::Below(hi) => x < hi,
+            Bound::Within(center, tolerance) => (x - center).abs() < tolerance,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(lo) => write!(f, "≥ {lo}"),
+            Bound::AtMost(hi) => write!(f, "≤ {hi}"),
+            Bound::Above(lo) => write!(f, "> {lo}"),
+            Bound::Below(hi) => write!(f, "< {hi}"),
+            Bound::Within(center, tolerance) => write!(f, "{center} ± {tolerance}"),
+        }
+    }
+}
+
+/// One checked value: what it is ("" when the claim checks one value), the
+/// range it must fall in, and the unit suffix of that range.
+type Check = (&'static str, Bound, &'static str);
+
+/// One headline claim.
 struct Claim {
+    /// What the paper claims.
     text: &'static str,
+    /// The paper's value.
     paper: &'static str,
-    measured: String,
-    pass: bool,
+    /// The numbers the claim reads.
+    reads: &'static [Read],
+    /// Derives the values from the numbers read: the checked ones first.
+    derive: fn(&[f64]) -> Vec<f64>,
+    /// The bound of each checked value, in `derive`'s order.
+    checks: &'static [Check],
+    /// Renders the derived values as the measured text.
+    shown: fn(&[f64]) -> String,
+    /// Why the allowed range or the measured value may deviate from the paper.
+    why: &'static str,
 }
 
-fn metric(result: &ExperimentResult, row_contains: &str, metric_idx: usize) -> f64 {
-    result
-        .rows
-        .iter()
-        .find(|r| r.label.contains(row_contains))
-        .and_then(|r| r.measured.get(metric_idx))
-        .map(|(_, v)| *v)
-        .unwrap_or(f64::NAN)
-}
-
-/// Run every claim check.
-pub fn claims() -> ExperimentResult {
-    let mut out: Vec<Claim> = Vec::new();
-
-    // 1. "reduces synthesis times between 15% and 20%".
-    let fig7b = cached("fig7b", experiments::fig7b);
-    let savings: Vec<f64> = fig7b
-        .rows
-        .iter()
-        .map(|r| metric(&fig7b, &r.label, 2))
-        .collect();
-    let min_s = savings.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max_s = savings.iter().cloned().fold(0.0, f64::max);
-    out.push(Claim {
+/// The headline claims, in the order `claims` reports them.
+const CLAIMS: &[Claim] = &[
+    Claim {
         text: "app flow reduces synthesis time 15-20%",
         paper: "15-20%",
-        measured: format!("{min_s:.1}-{max_s:.1}%"),
-        pass: min_s >= 13.0 && max_s <= 22.0,
-    });
-
-    // 2. "run-time reconfiguration times [reduced] by an order of
-    //    magnitude" (Table 3).
-    let table3 = cached("table3", experiments::table3);
-    let kernel_ms = metric(&table3, "#3", 0);
-    let total_ms = metric(&table3, "#3", 1);
-    let vivado_ms = metric(&table3, "#3", 2);
-    out.push(Claim {
+        reads: &[
+            ("fig7b", "passthrough + host IF", "saving %"),
+            ("fig7b", "vecadd + memory", "saving %"),
+            ("fig7b", "RDMA + AES", "saving %"),
+        ],
+        derive: min_max,
+        checks: &[
+            ("min", Bound::AtLeast(13.0), "%"),
+            ("max", Bound::AtMost(22.0), "%"),
+        ],
+        shown: |v| format!("{:.1}-{:.1}%", v[0], v[1]),
+        why: "The saving follows `synth::flow::cost::LINK_FRACTION` (0.79), which is fitted to \
+              this figure: 10% less gives 19-26%, 10% more 8-12% (ROADMAP item 3). The band is \
+              wider than the paper's because the smallest config saves less than 15%.",
+    },
+    Claim {
         text: "shell reconfig >=10x faster than full reprogramming",
         paper: ">=10x",
-        measured: format!(
-            "{:.0}x (total) / {:.0}x (kernel)",
-            vivado_ms / total_ms,
-            vivado_ms / kernel_ms
-        ),
-        pass: vivado_ms / total_ms >= 10.0,
-    });
-
-    // 3. Table 2 ordering and ICAP rate.
-    let table2 = cached("table2", experiments::table2);
-    let icap = metric(&table2, "Coyote v2 ICAP", 0);
-    let mcap = metric(&table2, "MCAP", 0);
-    out.push(Claim {
+        reads: &[
+            ("table3", "#3 RDMA+sniffer -> RDMA", "kernel ms"),
+            ("table3", "#3 RDMA+sniffer -> RDMA", "total ms"),
+            ("table3", "#3 RDMA+sniffer -> RDMA", "vivado ms"),
+        ],
+        derive: vivado_ratios,
+        checks: &[("Vivado/total", Bound::AtLeast(10.0), "x")],
+        shown: |v| format!("{:.0}x (total) / {:.0}x (kernel)", v[0], v[1]),
+        why: "Vivado's flow is modelled as JTAG programming of the full device (`JTAG_BW`, \
+              fitted to Table 3) plus an 8 s PCIe rescan and a 2.5 s driver re-insertion: \
+              55.6 s for every scenario. The check reads scenario #3, the slowest \
+              reconfiguration, and is one-sided.",
+    },
+    Claim {
         text: "Coyote ICAP ~800 MB/s, ~5.5x over MCAP",
         paper: "800 MB/s",
-        measured: format!("{icap:.0} MB/s, {:.1}x", icap / mcap),
-        pass: (icap - 800.0).abs() < 10.0 && (icap / mcap - 5.5).abs() < 0.3,
-    });
+        reads: &[
+            ("table2", "Coyote v2 ICAP (AXI Stream)", "MB/s"),
+            ("table2", "MCAP (AXI)", "MB/s"),
+        ],
+        derive: icap_over_mcap,
+        checks: &[
+            ("ICAP", Bound::Within(800.0, 10.0), " MB/s"),
+            ("ICAP/MCAP", Bound::Within(5.5, 0.3), "x"),
+        ],
+        shown: |v| format!("{:.0} MB/s, {:.1}x", v[0], v[1]),
+        why: "Both rates are Table 2's values set as `params::ICAP_BW` and `params::MCAP_BW`, \
+              so the row restates two constants (ROADMAP item 2).",
+    },
+    Claim {
+        text: "multithreading cuts pipeline idle time ~7x (8 threads)",
+        paper: "up to 7x",
+        reads: &[],
+        derive: idle_ratio,
+        checks: &[("", Bound::AtLeast(6.0), "x")],
+        shown: |v| format!("{:.1}x", v[0]),
+        why: "Issue-port idle time of the 10-stage AES pipeline over 8,000 CBC blocks: one \
+              thread idles 13 of the 14 cycles each block takes, eight threads 6 cycles per \
+              8 blocks. That is 17.3x, above the paper's \"up to 7x\", so the bound is \
+              one-sided.",
+    },
+    Claim {
+        text: "cumulative ECB bandwidth constant across tenant counts",
+        paper: "~12 GB/s, flat",
+        reads: &[
+            ("fig8", "1 vFPGAs", "cumulative GB/s"),
+            ("fig8", "8 vFPGAs", "cumulative GB/s"),
+        ],
+        derive: flatness,
+        checks: &[
+            ("1-vs-8 spread", Bound::Below(0.08), ""),
+            ("1 vFPGA", Bound::Above(10.5), " GB/s"),
+        ],
+        shown: |v| format!("{:.1} -> {:.1} GB/s", v[1], v[2]),
+        why: "The paper plots ~12 GB/s at every tenant count without a number per point, so \
+              the check asks for a flat total rather than 12 exactly.",
+    },
+    Claim {
+        text: "single-thread CBC saturates ~280 MB/s at 32 KB",
+        paper: "280 MB/s",
+        reads: &[("fig10a", "32 KB", "MB/s")],
+        derive: identity,
+        checks: &[("", Bound::Within(280.0, 20.0), " MB/s")],
+        shown: |v| format!("{:.0} MB/s", v[0]),
+        why: "`params::AES_CBC_OVERHEAD_CYCLES` is derived from this figure (280 MB/s is 14.3 \
+              cycles per block), so the plateau restates it (ROADMAP item 2); the curve still \
+              climbs to 285 MB/s at 1 MB.",
+    },
+    Claim {
+        text: "HLL on-demand partial reconfiguration ~57 ms",
+        paper: "57 ms",
+        reads: &[("fig11", "on-demand app load", "ms")],
+        derive: identity,
+        checks: &[("", Bound::Within(57.0, 4.0), " ms")],
+        shown: |v| format!("{:.1} ms", v[0]),
+        why: "The load is `params::RECONFIG_SETUP` (5 ms, derived from Table 3) plus the HLL \
+              image's frames at `params::ICAP_BW`.",
+    },
+    Claim {
+        text: "HLL deployment utilization stays low",
+        paper: "~10%",
+        reads: &[("fig11", "Coyote v2 utilization", "% of U55C")],
+        derive: identity,
+        checks: &[("", Bound::Below(12.0), "%")],
+        shown: |v| format!("{:.1}%", v[0]),
+        why: "The paper says \"around 10%\"; ours sums the synth footprints of the shell's \
+              services and the HLL kernel over the U55C, and the bound is one-sided.",
+    },
+    Claim {
+        text: "NN inference order of magnitude over PYNQ baseline",
+        paper: "~10x",
+        reads: &[("fig12", "batch 1024", "speedup x")],
+        derive: identity,
+        checks: &[("", Bound::AtLeast(8.0), "x")],
+        shown: |v| format!("{:.1}x at batch 1024", v[0]),
+        why: "The speedup falls with batch size as the fitted 2 ms \
+              `hls4ml::PYNQ_CALL_OVERHEAD` amortizes; the check reads the largest batch, \
+              where it is smallest.",
+    },
+];
 
-    // 4. "reducing idle time up to 7x over the baseline" — issue-port idle
-    //    time of the 10-stage pipeline at 1 vs 8 threads.
+fn identity(v: &[f64]) -> Vec<f64> {
+    v.to_vec()
+}
+
+/// Fig. 7(b): the smallest and the largest saving.
+fn min_max(v: &[f64]) -> Vec<f64> {
+    vec![
+        v.iter().copied().fold(f64::INFINITY, f64::min),
+        v.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+    ]
+}
+
+/// Table 3: Vivado's time over the total and over the kernel latency.
+fn vivado_ratios(v: &[f64]) -> Vec<f64> {
+    let [kernel, total, vivado] = [v[0], v[1], v[2]];
+    vec![vivado / total, vivado / kernel]
+}
+
+/// Table 2: the ICAP rate and its ratio over MCAP.
+fn icap_over_mcap(v: &[f64]) -> Vec<f64> {
+    vec![v[0], v[0] / v[1]]
+}
+
+/// Fig. 8: the relative spread of the cumulative bandwidth between 1 and 8
+/// tenants, then both ends.
+fn flatness(v: &[f64]) -> Vec<f64> {
+    let [one, eight] = [v[0], v[1]];
+    vec![(eight - one).abs() / one, one, eight]
+}
+
+/// Fig. 10(b)'s "up to 7x": issue-port idle time of the AES CBC pipeline
+/// at 1 thread over 8 threads, for the same 8,000 blocks. Reads no
+/// experiment.
+fn idle_ratio(_: &[f64]) -> Vec<f64> {
     let idle_for = |threads: usize| {
         let mut p = PipelineModel::new(params::SYS_CLOCK, params::AES_PIPELINE_DEPTH, 1);
         let mut ready = vec![SimTime::ZERO; threads];
@@ -83,79 +244,108 @@ pub fn claims() -> ExperimentResult {
         }
         p.idle_time().as_ps().max(1) as f64
     };
-    let idle_ratio = idle_for(1) / idle_for(8);
-    out.push(Claim {
-        text: "multithreading cuts pipeline idle time ~7x (8 threads)",
-        paper: "up to 7x",
-        measured: format!("{idle_ratio:.1}x"),
-        pass: idle_ratio >= 6.0,
-    });
+    vec![idle_for(1) / idle_for(8)]
+}
 
-    // 5. Fig. 8: cumulative bandwidth constant at ~12 GB/s.
-    let fig8 = cached("fig8", experiments::fig8);
-    let c1 = metric(&fig8, "1 vFPGAs", 1);
-    let c8 = metric(&fig8, "8 vFPGAs", 1);
-    out.push(Claim {
-        text: "cumulative ECB bandwidth constant across tenant counts",
-        paper: "~12 GB/s, flat",
-        measured: format!("{c1:.1} -> {c8:.1} GB/s"),
-        pass: (c8 - c1).abs() / c1 < 0.08 && c1 > 10.5,
-    });
+/// The value `read` names in `results`; `None` when the experiment, the
+/// exact row label or the metric is missing, or the value is not finite.
+fn lookup(results: &[ExperimentResult], (id, label, metric): Read) -> Option<f64> {
+    results
+        .iter()
+        .find(|r| r.id == id)?
+        .rows
+        .iter()
+        .find(|r| r.label == label)?
+        .measured
+        .iter()
+        .find(|(name, _)| name == metric)
+        .map(|&(_, v)| v)
+        .filter(|v| v.is_finite())
+}
 
-    // 6. Fig. 10(a): CBC saturates ~280 MB/s at 32 KB.
-    let fig10a = cached("fig10a", experiments::fig10a);
-    let at32k = metric(&fig10a, "32 KB", 0);
-    out.push(Claim {
-        text: "single-thread CBC saturates ~280 MB/s at 32 KB",
-        paper: "280 MB/s",
-        measured: format!("{at32k:.0} MB/s"),
-        pass: (at32k - 280.0).abs() < 20.0,
-    });
+impl Claim {
+    /// The measured text, and whether every check holds. A missing input
+    /// fails the claim and is named in the text.
+    fn evaluate(&self, results: &[ExperimentResult]) -> (String, bool) {
+        let mut read = Vec::with_capacity(self.reads.len());
+        for &(id, label, metric) in self.reads {
+            let Some(v) = lookup(results, (id, label, metric)) else {
+                return (format!("no {metric:?} in {id} row {label:?}"), false);
+            };
+            read.push(v);
+        }
+        let values = (self.derive)(&read);
+        let pass = (self.checks.iter().enumerate())
+            .all(|(i, (_, bound, _))| values.get(i).is_some_and(|&v| bound.holds(v)));
+        ((self.shown)(&values), pass)
+    }
 
-    // 7. Fig. 11: HLL on-demand load ~57 ms, utilization ~10%.
-    let fig11 = cached("fig11", experiments::fig11);
-    let load_ms = metric(&fig11, "on-demand", 0);
-    let util = metric(&fig11, "Coyote v2 utilization", 0);
-    out.push(Claim {
-        text: "HLL on-demand partial reconfiguration ~57 ms",
-        paper: "57 ms",
-        measured: format!("{load_ms:.1} ms"),
-        pass: (load_ms - 57.0).abs() < 4.0,
-    });
-    out.push(Claim {
-        text: "HLL deployment utilization stays low",
-        paper: "~10%",
-        measured: format!("{util:.1}%"),
-        pass: util < 12.0,
-    });
+    /// The checks as text: "min ≥ 13%, max ≤ 22%".
+    fn allowed(&self) -> String {
+        self.checks
+            .iter()
+            .map(|(what, bound, unit)| format!("{what} {bound}{unit}").trim_start().to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+}
 
-    // 8. Fig. 12: NN inference an order of magnitude over the baseline.
-    let fig12 = cached("fig12", experiments::fig12);
-    let speedup_1024 = metric(&fig12, "batch 1024", 2);
-    out.push(Claim {
-        text: "NN inference order of magnitude over PYNQ baseline",
-        paper: "~10x",
-        measured: format!("{speedup_1024:.1}x at batch 1024"),
-        pass: speedup_1024 >= 8.0,
-    });
+/// The experiments [`CLAIMS`] reads, in first-read order.
+pub fn inputs() -> Vec<&'static str> {
+    let mut ids: Vec<&'static str> = Vec::new();
+    for &(id, _, _) in CLAIMS.iter().flat_map(|c| c.reads) {
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    ids
+}
 
-    let all_pass = out.iter().all(|c| c.pass);
+/// Evaluate every claim over `results` (which must hold [`inputs`]): one
+/// PASS/FAIL row per claim.
+pub fn claims(results: &[ExperimentResult]) -> ExperimentResult {
+    let mut all_pass = true;
+    let rows = CLAIMS
+        .iter()
+        .map(|claim| {
+            let (measured, pass) = claim.evaluate(results);
+            all_pass &= pass;
+            Row::text(
+                if pass { "PASS" } else { "FAIL" },
+                format!(
+                    "{} — paper: {}, measured: {measured}",
+                    claim.text, claim.paper
+                ),
+            )
+        })
+        .collect();
     ExperimentResult {
         id: "claims".into(),
         title: "Headline claims: paper vs measured".into(),
-        rows: out
-            .into_iter()
-            .map(|c| {
-                Row::text(
-                    if c.pass { "PASS" } else { "FAIL" },
-                    format!("{} — paper: {}, measured: {}", c.text, c.paper, c.measured),
-                )
-            })
-            .collect(),
+        rows,
         verdict: if all_pass {
             "every headline claim reproduced".into()
         } else {
             "AT LEAST ONE CLAIM FAILED".into()
         },
     }
+}
+
+/// The table as Markdown, measured over `results`: EXPERIMENTS.md's
+/// "Headline claims summary".
+pub fn summary(results: &[ExperimentResult]) -> String {
+    let mut md = String::from(
+        "| Claim | Paper | Measured | Allowed | Why it may deviate |\n|---|---|---|---|---|\n",
+    );
+    for claim in CLAIMS {
+        let (measured, _) = claim.evaluate(results);
+        md.push_str(&format!(
+            "| {} | {} | {measured} | {} | {} |\n",
+            claim.text,
+            claim.paper,
+            claim.allowed(),
+            claim.why
+        ));
+    }
+    md
 }

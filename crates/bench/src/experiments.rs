@@ -505,19 +505,3 @@ pub fn fig12() -> ExperimentResult {
         ),
     }
 }
-
-/// Every experiment in order.
-pub fn all() -> Vec<ExperimentResult> {
-    vec![
-        table1(),
-        table2(),
-        table3(),
-        fig7a(),
-        fig7b(),
-        fig8(),
-        fig10a(),
-        fig10b(),
-        fig11(),
-        fig12(),
-    ]
-}

@@ -20,70 +20,22 @@
 //! execution.
 //!
 //! The `scaling` pseudo-group runs the selection once per thread count in
-//! {1, 2, 4, 8}, resets the result cache between runs so every run
-//! measures real work, asserts the result fingerprints are bit-identical
-//! across thread counts, and appends one `kind: "scaling"` entry with
+//! {1, 2, 4, 8}, asserts the result fingerprints are bit-identical across
+//! thread counts, and appends one `kind: "scaling"` entry with
 //! per-experiment wall-clock and speedup columns to BENCH_wallclock.json.
 
 #![forbid(unsafe_code)]
 
-use coyote_bench::cache::{self, cached};
-use coyote_bench::experiments;
-use coyote_bench::ExperimentResult;
+use coyote_bench::{experiment, ExperimentResult, Run, EXPERIMENTS};
 use coyote_sim::{par_map, Fnv64};
 use serde_json::Value;
 use std::time::{Duration, Instant};
-
-const IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "fig7a",
-    "fig7b",
-    "fig8",
-    "fig10a",
-    "fig10b",
-    "fig11",
-    "fig12",
-    "ablation_chunk",
-    "ablation_tlb",
-    "ablation_pages",
-    "ablation_credits",
-    "ablation_virt",
-    "ablation_mt",
-    "claims",
-    "reconfig_storm",
-    "net_goodput",
-    "net_fanin",
-    "net_retransmit",
-    "net_chaos",
-    "net_micro",
-];
-
-/// Group aliases: one name selecting several experiments.
-const GROUPS: &[(&str, &[&str])] = &[(
-    "net",
-    &[
-        "net_goodput",
-        "net_fanin",
-        "net_retransmit",
-        "net_chaos",
-        "net_micro",
-    ],
-)];
-
-/// Experiments that consume other experiments' memoized results (`claims`
-/// re-reads seven of them). They run in a second wave, after the wave that
-/// computes their inputs: under the old single-wave fan-out, `claims`
-/// blocked a worker on its dependencies' cache cells for the entire run —
-/// its recorded wall-clock was ~pure blocked time.
-const DEPENDENT: &[&str] = &["claims"];
 
 /// The paper experiments that run for hundreds of milliseconds, longest
 /// first: median wall-clock of 3 runs at `--threads 1` on a 2-vCPU x86-64
 /// host, one process each, is `fig7b` 580 ms, `table3` 556, `fig11` 402,
 /// `fig7a` 339, `fig12` 321 and `fig8` 294; every other experiment takes
-/// under 25 ms. Their wave claims them ahead of the short ones, so the
+/// under 25 ms. The fan-out claims them ahead of the short ones, so the
 /// short ones fill in behind them.
 const LONGEST_FIRST: &[&str] = &["fig7b", "table3", "fig11", "fig7a", "fig12", "fig8"];
 
@@ -103,86 +55,61 @@ type SweepPoint = (usize, Vec<(ExperimentResult, Duration)>, Duration, u64);
 /// Where `--timings` and the scaling sweep record the wall-clock trajectory.
 const WALLCLOCK_FILE: &str = "BENCH_wallclock.json";
 
-fn run_one(id: &str) -> Option<ExperimentResult> {
-    Some(match id {
-        "table1" => cached("table1", experiments::table1),
-        "table2" => cached("table2", experiments::table2),
-        "table3" => cached("table3", experiments::table3),
-        "fig7a" => cached("fig7a", experiments::fig7a),
-        "fig7b" => cached("fig7b", experiments::fig7b),
-        "fig8" => cached("fig8", experiments::fig8),
-        "fig10a" => cached("fig10a", experiments::fig10a),
-        "fig10b" => cached("fig10b", experiments::fig10b),
-        "fig11" => cached("fig11", experiments::fig11),
-        "fig12" => cached("fig12", experiments::fig12),
-        "ablation_chunk" => cached(
-            "ablation_chunk",
-            coyote_bench::ablations::ablation_chunk_size,
-        ),
-        "ablation_tlb" => cached(
-            "ablation_tlb",
-            coyote_bench::ablations::ablation_tlb_geometry,
-        ),
-        "ablation_pages" => cached(
-            "ablation_pages",
-            coyote_bench::ablations::ablation_page_size,
-        ),
-        "ablation_credits" => cached(
-            "ablation_credits",
-            coyote_bench::ablations::ablation_credits,
-        ),
-        "ablation_virt" => cached(
-            "ablation_virt",
-            coyote_bench::ablations::ablation_virt_service,
-        ),
-        "ablation_mt" => cached(
-            "ablation_mt",
-            coyote_bench::ablations::ablation_threads_vs_vfpgas,
-        ),
-        "claims" => cached("claims", coyote_bench::claims::claims),
-        "reconfig_storm" => cached("reconfig_storm", coyote_bench::storm::reconfig_storm),
-        "net_goodput" => cached("net_goodput", coyote_bench::netexp::net_goodput),
-        "net_fanin" => cached("net_fanin", coyote_bench::netexp::net_fanin),
-        "net_retransmit" => cached("net_retransmit", coyote_bench::netexp::net_retransmit),
-        "net_chaos" => cached("net_chaos", coyote_bench::netexp::net_chaos),
-        "net_micro" => cached("net_micro", coyote_bench::netexp::net_micro),
-        _ => return None,
-    })
+/// `f()` and its wall-clock time.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    // detlint: allow(SRC002): harness self-timing (per-experiment
+    // wall); never enters any experiment result.
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
-/// Run a selection in dependency waves: first everything self-contained,
-/// then the experiments that read other experiments' caches. Within a wave
-/// the [`LONGEST_FIRST`] experiments are claimed first. Results come back
-/// in selection order, so printing and JSON output are identical to a
-/// serial run.
+/// Run a selection in one fan-out over every experiment that runs alone:
+/// the selected ones, plus the inputs of selected evaluations (`claims`)
+/// that the selection leaves out, each once, the [`LONGEST_FIRST`] ones
+/// claimed first. The evaluations then run over the fan-out's results.
+/// Results come back in selection order, so printing and JSON output are
+/// identical to a serial run.
 fn run_selection(selection: &[&str]) -> Vec<(ExperimentResult, Duration)> {
-    let mut order: Vec<usize> = (0..selection.len()).collect();
-    // Stable: everything else keeps selection order.
-    order.sort_by_key(|&i| {
-        let long = LONGEST_FIRST.iter().position(|id| *id == selection[i]);
-        long.unwrap_or(LONGEST_FIRST.len())
-    });
-    let mut runs: Vec<Option<(ExperimentResult, Duration)>> =
-        selection.iter().map(|_| None).collect();
-    for dependent in [false, true] {
-        let wave: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| DEPENDENT.contains(&selection[i]) == dependent)
-            .collect();
-        let results = par_map(&wave, |_, &i| {
-            // detlint: allow(SRC002): harness self-timing (per-experiment
-            // wall); never enters any experiment result.
-            let start = Instant::now();
-            let result = run_one(selection[i]).expect("selection validated in main");
-            (result, start.elapsed())
-        });
-        for (i, run) in wave.into_iter().zip(results) {
-            runs[i] = Some(run);
+    let runs: Vec<Run> = selection
+        .iter()
+        .map(|id| experiment(id).expect("selection validated in main"))
+        .collect();
+    let mut alone: Vec<&str> = Vec::new();
+    for (&id, run) in selection.iter().zip(&runs) {
+        let ids = match run {
+            Run::Alone(_) => vec![id],
+            Run::Over(inputs, _) => inputs(),
+        };
+        for id in ids {
+            if !alone.contains(&id) {
+                alone.push(id);
+            }
         }
     }
-    runs.into_iter()
-        .map(|run| run.expect("every id runs in exactly one wave"))
+    // Stable: everything else keeps selection order.
+    alone.sort_by_key(|id| {
+        let long = LONGEST_FIRST.iter().position(|l| l == id);
+        long.unwrap_or(LONGEST_FIRST.len())
+    });
+    let (results, walls): (Vec<ExperimentResult>, Vec<Duration>) = par_map(&alone, |_, id| {
+        let Some(Run::Alone(run)) = experiment(id) else {
+            panic!("{id} is not an experiment that runs alone");
+        };
+        timed(run)
+    })
+    .into_iter()
+    .unzip();
+    selection
+        .iter()
+        .zip(runs)
+        .map(|(id, run)| match run {
+            Run::Alone(_) => {
+                let i = alone.iter().position(|a| a == id).expect("ran alone");
+                (results[i].clone(), walls[i])
+            }
+            Run::Over(_, evaluate) => timed(|| evaluate(&results)),
+        })
         .collect()
 }
 
@@ -343,7 +270,6 @@ fn speedup(serial: Duration, parallel: Duration) -> f64 {
 fn run_scaling(selection: &[&str], label: &str, gate: bool) -> i32 {
     let mut sweeps: Vec<SweepPoint> = Vec::with_capacity(THREAD_SWEEP.len());
     for &t in &THREAD_SWEEP {
-        cache::reset();
         std::env::set_var(coyote_sim::par::THREADS_ENV, t.to_string());
         // detlint: allow(SRC002): harness self-timing of the whole sweep
         // point; wall-clock never enters any experiment result.
@@ -411,7 +337,7 @@ fn run_scaling(selection: &[&str], label: &str, gate: bool) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for id in IDS {
+        for (id, _) in EXPERIMENTS {
             println!("{id}");
         }
         return;
@@ -455,24 +381,25 @@ fn main() {
         .map(String::as_str)
         .collect();
     let sweep = named.contains(&"scaling");
-    // Expand group aliases ("net" -> every net_* experiment).
+    let ids = EXPERIMENTS.iter().map(|&(id, _)| id);
+    // Expand the group alias ("net" -> every net_* experiment).
     let named: Vec<&str> = named
         .into_iter()
         .filter(|a| *a != "scaling")
-        .flat_map(|a| match GROUPS.iter().find(|(g, _)| *g == a) {
-            Some((_, ids)) => ids.to_vec(),
-            None => vec![a],
+        .flat_map(|a| match a {
+            "net" => ids.clone().filter(|id| id.starts_with("net_")).collect(),
+            _ => vec![a],
         })
         .collect();
     let selection: Vec<&str> = if named.is_empty() || named.contains(&"all") {
-        IDS.to_vec()
+        ids.collect()
     } else {
         named
     };
     let unknown: Vec<&str> = selection
         .iter()
         .copied()
-        .filter(|id| !IDS.contains(id))
+        .filter(|id| experiment(id).is_none())
         .collect();
     if !unknown.is_empty() {
         for id in unknown {

@@ -401,14 +401,3 @@ pub fn net_micro() -> ExperimentResult {
             .into(),
     }
 }
-
-/// All network experiments.
-pub fn all() -> Vec<ExperimentResult> {
-    vec![
-        net_goodput(),
-        net_fanin(),
-        net_retransmit(),
-        net_chaos(),
-        net_micro(),
-    ]
-}

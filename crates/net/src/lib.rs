@@ -34,7 +34,6 @@ pub mod qp;
 pub mod sniffer;
 pub mod switch;
 pub mod tcp;
-pub mod udp;
 
 pub use frame::{payload_copies, reset_payload_copies, Frame};
 pub use headers::{EthernetHdr, Ipv4Hdr, MacAddr, UdpHdr, ROCE_UDP_PORT};
@@ -47,4 +46,3 @@ pub use qp::{
 pub use sniffer::{CaptureRecord, SnifferConfig, TrafficSniffer};
 pub use switch::{Delivery, PortId, PortStats, Switch};
 pub use tcp::{TcpSegment, TcpSocket, TcpStack, TcpState};
-pub use udp::{Datagram, UdpEndpoint};
