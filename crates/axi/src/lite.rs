@@ -59,8 +59,6 @@ pub struct RegisterFile {
     /// contiguous allocation (a bank is reserved at once) keeps a partial
     /// reconfiguration from allocating, walking and freeing tree nodes.
     regs: Vec<(u64, Register)>,
-    reads: u64,
-    writes: u64,
 }
 
 impl RegisterFile {
@@ -132,9 +130,8 @@ impl RegisterFile {
     }
 
     /// Software read.
-    pub fn read(&mut self, offset: u64) -> Result<u64, LiteError> {
+    pub fn read(&self, offset: u64) -> Result<u64, LiteError> {
         Self::check_align(offset)?;
-        self.reads += 1;
         self.get(offset)
             .map(|r| r.value)
             .ok_or(LiteError::Unmapped { offset })
@@ -143,7 +140,6 @@ impl RegisterFile {
     /// Software write, honoring the register's access mode.
     pub fn write(&mut self, offset: u64, value: u64) -> Result<(), LiteError> {
         Self::check_align(offset)?;
-        self.writes += 1;
         let reg = self.get_mut(offset).ok_or(LiteError::Unmapped { offset })?;
         match reg.mode {
             AccessMode::ReadWrite => reg.value = value,
@@ -151,32 +147,6 @@ impl RegisterFile {
             AccessMode::WriteOneToClear => reg.value &= !value,
         }
         Ok(())
-    }
-
-    /// Hardware-side update, ignoring software access modes (the kernel
-    /// logic updating a status register or latching an interrupt bit).
-    pub fn hw_set(&mut self, offset: u64, value: u64) {
-        if let Some(reg) = self.get_mut(offset) {
-            reg.value = value;
-        }
-    }
-
-    /// Hardware-side OR-in of status bits.
-    pub fn hw_or(&mut self, offset: u64, bits: u64) {
-        if let Some(reg) = self.get_mut(offset) {
-            reg.value |= bits;
-        }
-    }
-
-    /// Hardware-side peek (no access counting).
-    pub fn hw_get(&self, offset: u64) -> Option<u64> {
-        self.get(offset).map(|r| r.value)
-    }
-
-    /// Total software accesses, for the "bypassing the kernel space" latency
-    /// accounting in the control path.
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -201,15 +171,15 @@ mod tests {
             rf.write(0x08, 1),
             Err(LiteError::ReadOnlyWrite { .. })
         ));
-        rf.hw_set(0x08, 42);
+        // Hardware (the kernel logic) updates a status register directly.
+        rf.get_mut(0x08).unwrap().value = 42;
         assert_eq!(rf.read(0x08).unwrap(), 42);
     }
 
     #[test]
     fn w1c_clears_bits() {
         let mut rf = RegisterFile::new();
-        rf.define(0x10, AccessMode::WriteOneToClear, 0);
-        rf.hw_or(0x10, 0b1011);
+        rf.define(0x10, AccessMode::WriteOneToClear, 0b1011);
         rf.write(0x10, 0b0010).unwrap();
         assert_eq!(rf.read(0x10).unwrap(), 0b1001);
     }
@@ -246,12 +216,12 @@ mod tests {
         rf.define_bank(0x10, 1);
         rf.define(0x20, AccessMode::ReadWrite, 9);
         assert_eq!(rf.len(), 6);
-        let values: Vec<_> = (0..6).map(|i| rf.hw_get(i * 8)).collect();
+        let values: Vec<_> = (0..6).map(|i| rf.get(i * 8).map(|r| r.value)).collect();
         assert_eq!(
             values,
             [Some(1), Some(3), Some(0), Some(0), Some(9), Some(2)]
         );
-        assert_eq!(rf.hw_get(0x30), None);
+        assert!(rf.get(0x30).is_none());
     }
 
     #[test]
@@ -260,15 +230,5 @@ mod tests {
         let mut rf = RegisterFile::new();
         rf.define(0, AccessMode::ReadWrite, 0);
         rf.define(0, AccessMode::ReadOnly, 0);
-    }
-
-    #[test]
-    fn access_counts_track() {
-        let mut rf = RegisterFile::new();
-        rf.define(0, AccessMode::ReadWrite, 0);
-        rf.read(0).unwrap();
-        rf.write(0, 1).unwrap();
-        rf.write(0, 2).unwrap();
-        assert_eq!(rf.access_counts(), (1, 2));
     }
 }

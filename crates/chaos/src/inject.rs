@@ -89,11 +89,6 @@ impl Injector {
         &self.domains
     }
 
-    /// Operations evaluated so far.
-    pub fn op_count(&self) -> u64 {
-        self.op
-    }
-
     /// Faults fired so far.
     pub fn injected(&self) -> u64 {
         self.injected

@@ -14,16 +14,6 @@ use coyote_synth::{Ip, IpBlock};
 /// (re-exported so config consumers don't need the driver crate).
 pub const DEFAULT_RECONFIG_RING_SLOTS: usize = coyote_driver::DEFAULT_RING_SLOTS;
 
-/// Default cap on frame runs per batched reconfiguration submission: half
-/// the default completion ring, so one full batch plus its retries fit.
-pub const DEFAULT_MAX_RECONFIG_BATCH: usize = 8;
-
-/// Default number of reconfiguration batches that may be in flight against
-/// one completion ring at once. The single-driver deployments of §6 submit
-/// one batch at a time; fleet-style deployments sharing a ring across
-/// tenants raise this, and the completion ring must scale with it (WF001).
-pub const DEFAULT_MAX_CONCURRENT_RECONFIGS: usize = 1;
-
 /// Which service groups the shell carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShellServices {
@@ -61,16 +51,6 @@ pub struct ShellConfig {
     /// Completion-ring slots for the batched reconfiguration path. The
     /// platform sizes the driver's writeback ring to this at load.
     pub reconfig_ring_slots: usize,
-    /// Largest frame-run batch a single reconfiguration submission may
-    /// post. Must fit the ring: the engine writes one completion per
-    /// in-flight run and stalls when the ring is full (WF001).
-    pub max_reconfig_batch: usize,
-    /// Reconfiguration batches that may be in flight against the shared
-    /// completion ring concurrently. The ring must hold
-    /// `max_reconfig_batch * max_concurrent_reconfigs` completions or a
-    /// full fleet submission wedges the ICAP engine on writeback (the
-    /// WF001 wait-for cycle `coyote-lint` reports for the shell spec).
-    pub max_concurrent_reconfigs: usize,
 }
 
 /// Configuration errors.
@@ -118,8 +98,6 @@ impl ShellConfig {
             sniffer_config: None,
             node_id: 1,
             reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
-            max_reconfig_batch: DEFAULT_MAX_RECONFIG_BATCH,
-            max_concurrent_reconfigs: DEFAULT_MAX_CONCURRENT_RECONFIGS,
         }
     }
 
@@ -139,8 +117,6 @@ impl ShellConfig {
             sniffer_config: None,
             node_id: 1,
             reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
-            max_reconfig_batch: DEFAULT_MAX_RECONFIG_BATCH,
-            max_concurrent_reconfigs: DEFAULT_MAX_CONCURRENT_RECONFIGS,
         }
     }
 
@@ -160,8 +136,6 @@ impl ShellConfig {
             sniffer_config: None,
             node_id: 1,
             reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
-            max_reconfig_batch: DEFAULT_MAX_RECONFIG_BATCH,
-            max_concurrent_reconfigs: DEFAULT_MAX_CONCURRENT_RECONFIGS,
         }
     }
 
@@ -183,36 +157,6 @@ impl ShellConfig {
     pub fn with_node_id(mut self, node_id: u16) -> ShellConfig {
         self.node_id = node_id;
         self
-    }
-
-    /// Size the batched-reconfiguration control plane: `ring_slots`
-    /// completion-ring entries and at most `max_batch` frame runs per
-    /// submission. A ring smaller than the batch deadlocks by construction
-    /// (the engine stalls on writeback while software waits on the
-    /// doorbell) — `coyote-lint` refuses such a shell as a WF001 cycle.
-    pub fn with_reconfig_ring(mut self, ring_slots: usize, max_batch: usize) -> ShellConfig {
-        self.reconfig_ring_slots = ring_slots;
-        self.max_reconfig_batch = max_batch;
-        self
-    }
-
-    /// Declare how many reconfiguration batches may share the completion
-    /// ring concurrently (fleet deployments driving one control plane).
-    /// The ring must then hold `max_batch * concurrency` completions.
-    pub fn with_reconfig_concurrency(mut self, concurrency: usize) -> ShellConfig {
-        self.max_concurrent_reconfigs = concurrency;
-        self
-    }
-
-    /// The wait facts of the reconfiguration control plane, in the form
-    /// the driver exports them: the static precondition for the
-    /// software -> doorbell -> engine -> ring hold-and-wait cycle.
-    pub fn ring_wait_facts(&self) -> coyote_driver::RingWaitFacts {
-        coyote_driver::RingWaitFacts {
-            slots: self.reconfig_ring_slots,
-            max_batch: self.max_reconfig_batch,
-            concurrent: self.max_concurrent_reconfigs.max(1),
-        }
     }
 
     /// This node's MAC address on the simulated fabric.

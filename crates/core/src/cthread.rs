@@ -7,7 +7,7 @@
 //! control registers, trigger data movement, initiate Queue Pair (QP)
 //! numbers for RDMA connections and invoke hardware kernels."
 
-use crate::platform::{Platform, PlatformError, ThreadState};
+use crate::platform::{Platform, PlatformError};
 use coyote_mem::PageSize;
 use coyote_sim::SimTime;
 
@@ -105,9 +105,7 @@ impl CThread {
         platform.next_tid[vfpga as usize] = tid.wrapping_add(1);
         let id = platform.next_thread;
         platform.next_thread += 1;
-        platform
-            .threads
-            .insert(id, ThreadState { vfpga, hpid, tid });
+        platform.threads.insert(id);
         Ok(CThread {
             id,
             vfpga,

@@ -49,7 +49,7 @@ pub(crate) fn queue_invocation(
     oper: Oper,
     sg: SgEntry,
 ) -> Result<u64, PlatformError> {
-    if !platform.threads.contains_key(&thread.id) {
+    if !platform.threads.contains(&thread.id) {
         return Err(PlatformError::BadThread(thread.id));
     }
     if sg.len == 0 {
@@ -275,20 +275,14 @@ impl Platform {
         for (key, window) in windows {
             self.credits.release(key, window.len() as u64);
         }
-        // Card inputs: per-packet round-robin across invocations; each
-        // packet occupies the shared virtualization pipeline, then its
-        // stripe's channels.
+        // Card and GPU inputs: per-packet round-robin across invocations.
+        // A card packet occupies the shared virtualization pipeline, then
+        // its stripe's channels; a GPU packet crosses the peer-to-peer link.
         let mut card_seq: HashMap<usize, u32> = HashMap::new();
         let mut card_last_arrival: HashMap<usize, SimTime> = HashMap::new();
         while let Some((inv_idx, p)) = card_rr.pop() {
             let r = &resolved[inv_idx];
-            let virt_done = self.virt_server.admit(r.start);
-            let card = self
-                .driver
-                .card_mut()
-                .ok_or(PlatformError::MissingService("card memory"))?;
-            let transfers = card.book_access(virt_done, p.addr, p.len);
-            let raw = coyote_mem::CardMemory::completion_of(&transfers);
+            let raw = self.book_device(r.src_loc, r.start, p.addr, p.len)?;
             // The vFPGA's stream delivers in order even though stripes land
             // on independently-queued channels: a packet is visible only
             // after its predecessors (reorder buffer at the stream port).
@@ -479,13 +473,7 @@ impl Platform {
                             .arrival
                     }
                     MemLocation::Card | MemLocation::Gpu => {
-                        let virt_done = self.virt_server.admit(ready);
-                        let card = self
-                            .driver
-                            .card_mut()
-                            .ok_or(PlatformError::MissingService("card memory"))?;
-                        let ts = card.book_access(virt_done, addr, out.len() as u64);
-                        coyote_mem::CardMemory::completion_of(&ts)
+                        self.book_device(dst_loc, ready, addr, out.len() as u64)?
                     }
                 };
                 self.driver.phys_write(dst_loc, addr, &out)?;
@@ -546,6 +534,33 @@ fn fault_err(out: &TranslateOutcome) -> coyote_driver::DriverError {
 }
 
 impl Platform {
+    /// Book `len` bytes at `addr` of card or GPU memory, ready at `at`;
+    /// returns when they arrive. Card traffic is admitted by the shared
+    /// virtualization pipeline and striped over the memory channels; GPU
+    /// traffic crosses the PCIe peer-to-peer link.
+    fn book_device(
+        &mut self,
+        loc: MemLocation,
+        at: SimTime,
+        addr: u64,
+        len: u64,
+    ) -> Result<SimTime, PlatformError> {
+        if loc == MemLocation::Gpu {
+            let gpu = self
+                .driver
+                .gpu_mut()
+                .ok_or(PlatformError::MissingService("GPU"))?;
+            return Ok(gpu.book_p2p(at, len).arrival);
+        }
+        let virt_done = self.virt_server.admit(at);
+        let card = self
+            .driver
+            .card_mut()
+            .ok_or(PlatformError::MissingService("card memory"))?;
+        let transfers = card.book_access(virt_done, addr, len);
+        Ok(coyote_mem::CardMemory::completion_of(&transfers))
+    }
+
     /// Deliver user-issued interrupts: MSI-X vector + eventfd signal (§7.1).
     fn deliver_user_interrupts(&mut self, vfpga: u8, hpid: u32, at: SimTime, values: Vec<u64>) {
         for value in values {

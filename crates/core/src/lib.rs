@@ -55,7 +55,6 @@ pub mod kernel;
 pub mod platform;
 pub mod rdma;
 pub mod reconfig;
-pub mod scheduler;
 pub mod tcp_service;
 pub mod v1;
 
@@ -65,4 +64,3 @@ pub use kernel::{Kernel, KernelTiming};
 pub use platform::{Platform, PlatformError, VfpgaState};
 pub use rdma::BalboaService;
 pub use reconfig::CRcnfg;
-pub use scheduler::AppScheduler;

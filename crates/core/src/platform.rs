@@ -11,14 +11,14 @@ use crate::kernel::{Kernel, KernelTiming};
 use crate::rdma::BalboaService;
 use coyote_axi::RegisterFile;
 use coyote_dma::{MsiX, WritebackTable, XdmaEngine};
-use coyote_driver::{CoyoteDriver, DriverError, Hpid};
+use coyote_driver::{CoyoteDriver, DriverError};
 use coyote_mem::card::CardMemKind;
 use coyote_mem::CardMemory;
 use coyote_mmu::{Mmu, VirtServer};
 use coyote_net::TrafficSniffer;
 use coyote_sched::CreditTable;
 use coyote_sim::{params, PipelineModel, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Platform-level errors.
 #[derive(Debug)]
@@ -108,19 +108,6 @@ impl VfpgaState {
     }
 }
 
-pub(crate) struct ThreadState {
-    pub vfpga: u8,
-    pub hpid: Hpid,
-    pub tid: u16,
-}
-
-impl ThreadState {
-    /// The (vfpga, hpid, tid) triple, used by introspection APIs.
-    pub(crate) fn key(&self) -> (u8, Hpid, u16) {
-        (self.vfpga, self.hpid, self.tid)
-    }
-}
-
 /// The assembled platform.
 pub struct Platform {
     pub(crate) config: ShellConfig,
@@ -131,7 +118,7 @@ pub struct Platform {
     pub(crate) vfpgas: Vec<VfpgaState>,
     pub(crate) virt_server: VirtServer,
     pub(crate) credits: CreditTable<(u8, u8, bool)>,
-    pub(crate) threads: HashMap<u64, ThreadState>,
+    pub(crate) threads: HashSet<u64>,
     pub(crate) next_thread: u64,
     pub(crate) next_tid: Vec<u16>,
     pub(crate) pending: Vec<crate::datapath::PendingInvocation>,
@@ -188,7 +175,7 @@ impl Platform {
             vfpgas,
             virt_server: VirtServer::new(),
             credits: CreditTable::new(params::DEFAULT_STREAM_CREDITS),
-            threads: HashMap::new(),
+            threads: HashSet::new(),
             next_thread: 1,
             next_tid: vec![0; n_vfpgas as usize],
             pending: Vec::new(),
@@ -328,11 +315,6 @@ impl Platform {
     /// Back-pressure stalls observed by the crediters.
     pub fn credit_stalls(&self) -> u64 {
         self.credits.total_stalls()
-    }
-
-    /// Introspect a cThread handle: `(vfpga, hpid, tid)`.
-    pub fn thread_info(&self, id: u64) -> Option<(u8, Hpid, u16)> {
-        self.threads.get(&id).map(ThreadState::key)
     }
 }
 

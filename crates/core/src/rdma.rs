@@ -54,11 +54,6 @@ impl BalboaService {
             qps: BTreeMap::new(),
         }
     }
-
-    /// Number of active QPs.
-    pub fn qp_count(&self) -> usize {
-        self.qps.len()
-    }
 }
 
 impl Default for BalboaService {

@@ -18,7 +18,6 @@ use crate::config::ShellConfig;
 use crate::cthread::CThread;
 use crate::platform::{Platform, PlatformError};
 use coyote_fabric::ResourceVec;
-use coyote_sim::SimDuration;
 use coyote_synth::IpBlock;
 
 /// The v1 baseline platform.
@@ -51,9 +50,6 @@ impl V1Platform {
     pub fn create_thread(&mut self, vfpga: u8, hpid: u32) -> Result<CThread, PlatformError> {
         let mut t = CThread::create(&mut self.inner, vfpga, hpid)?;
         t.tid = 0;
-        if let Some(state) = self.inner.threads.get_mut(&t.id) {
-            state.tid = 0;
-        }
         Ok(t)
     }
 
@@ -72,13 +68,6 @@ impl V1Platform {
             uram: v2.uram,
             dsp: v2.dsp,
         }
-    }
-
-    /// Cost of changing a *service* on v1: the FPGA must be taken offline
-    /// and fully re-programmed (Table 3's Vivado flow).
-    pub fn service_change_cost(&self) -> SimDuration {
-        let full = coyote_fabric::Device::new(self.inner.config().device).full_config_bytes();
-        coyote_driver::VivadoBaseline::full_flow(full)
     }
 }
 
@@ -107,8 +96,11 @@ mod tests {
 
     #[test]
     fn v1_service_change_takes_a_minute() {
+        // v1 has no reconfigurable services: changing one takes the FPGA
+        // offline for a full Vivado reprogram of the device.
         let v1 = V1Platform::load(ShellConfig::host_only(1)).unwrap();
-        let cost = v1.service_change_cost();
+        let full = coyote_fabric::Device::new(v1.platform().config().device).full_config_bytes();
+        let cost = coyote_driver::VivadoBaseline::full_flow(full);
         assert!(cost.as_secs_f64() > 50.0, "got {cost}");
     }
 }

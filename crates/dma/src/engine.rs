@@ -72,7 +72,6 @@ pub struct XdmaEngine {
     /// Packets remaining per in-flight job.
     remaining: HashMap<JobId, u32>,
     next_id: JobId,
-    chunk: u64,
     desc_overhead: SimDuration,
     chaos: Option<Injector>,
 }
@@ -91,7 +90,6 @@ impl XdmaEngine {
             c2h: Interleaver::new(LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY)),
             remaining: HashMap::new(),
             next_id: 1,
-            chunk: params::DEFAULT_PACKET_BYTES,
             desc_overhead: params::XDMA_DESC_OVERHEAD,
             chaos: None,
         }
@@ -113,12 +111,6 @@ impl XdmaEngine {
         self.chaos.as_mut()
     }
 
-    /// Override the packetization chunk ("default, but configurable").
-    pub fn set_chunk(&mut self, chunk: u64) {
-        assert!(chunk.is_power_of_two(), "chunk must be a power of two");
-        self.chunk = chunk;
-    }
-
     /// Allocate a job id.
     pub fn next_job_id(&mut self) -> JobId {
         let id = self.next_id;
@@ -131,9 +123,8 @@ impl XdmaEngine {
     pub fn submit(&mut self, job: DmaJob) {
         assert!(job.len > 0, "empty DMA job");
         let mut count = 0u32;
-        let chunk = self.chunk;
         let q = self.dir_mut(job.dir);
-        for packet in packetize_iter(job.host_addr, job.len, chunk) {
+        for packet in packetize_iter(job.host_addr, job.len, params::DEFAULT_PACKET_BYTES) {
             q.submit(job.tenant, QueuedPacket { job, packet });
             count += 1;
         }
@@ -153,16 +144,6 @@ impl XdmaEngine {
             XdmaDir::H2C => self.h2c.pending(),
             XdmaDir::C2H => self.c2h.pending(),
         }
-    }
-
-    /// Book the single next packet of `dir` on the link (round-robin pick)
-    /// at or after `now`. Event-driven callers pump this once per packet
-    /// completion so late-arriving tenants interleave fairly.
-    pub fn book_next(&mut self, now: SimTime, dir: XdmaDir) -> Option<PacketDone> {
-        let overhead = self.desc_overhead;
-        let q = self.dir_mut(dir);
-        let delivered = q.drain_n(now, 1).pop()?;
-        self.finish(delivered, overhead)
     }
 
     /// Book everything queued in `dir` (fast path when all tenants
@@ -363,30 +344,6 @@ mod tests {
         assert!(done
             .windows(2)
             .all(|w| w[1].transfer.arrival >= w[0].transfer.arrival));
-    }
-
-    #[test]
-    fn event_driven_pump_interleaves_late_arrivals() {
-        let mut e = XdmaEngine::new();
-        job(&mut e, 0, 64 << 10, XdmaDir::H2C); // 16 packets from tenant 0.
-                                                // Serve two packets, then tenant 1 arrives.
-        let first = e.book_next(SimTime::ZERO, XdmaDir::H2C).unwrap();
-        let second = e.book_next(first.transfer.done, XdmaDir::H2C).unwrap();
-        job(&mut e, 1, 8 << 10, XdmaDir::H2C);
-        // From now on the round-robin alternates 0,1,0,1...
-        let mut order = Vec::new();
-        let mut now = second.transfer.done;
-        while let Some(p) = e.book_next(now, XdmaDir::H2C) {
-            order.push(p.job.tenant);
-            now = p.transfer.done;
-        }
-        // Tenant 0 holds the current grant; from the next round tenant 1
-        // interleaves 1:1.
-        assert_eq!(
-            &order[..4],
-            &[0, 1, 0, 1],
-            "late tenant interleaves from the next round"
-        );
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl CoyoteDriver {
         self.icap.chaos()
     }
 
-    /// Mutable access to the ICAP port's chaos injector.
-    pub fn icap_chaos_mut(&mut self) -> Option<&mut coyote_chaos::Injector> {
-        self.icap.chaos_mut()
-    }
-
     /// Completed host<->card migrations.
     pub fn migrations(&self) -> u64 {
         self.migrations

@@ -8,15 +8,14 @@
 //! standard system calls like open, close, mmap, and ioctl."
 //!
 //! The real artifact is a kernel module; the simulation keeps the same
-//! *shape* — a char-device object with `open`/`close`/`ioctl`-style entry
-//! points, per-process state keyed by `hpid`, eventfd-like interrupt
-//! delivery — so the software API in `coyote` can be a faithful port of the
-//! paper's Code 1 / Code 2 examples.
+//! *shape* — a device object whose methods stand in for the ioctl table
+//! (`open`, `close`, `alloc_*`, `config_state`, `reconfigure`), per-process
+//! state keyed by `hpid`, eventfd-like interrupt delivery — so the software
+//! API in `coyote` can be a faithful port of the paper's Code 1 / Code 2
+//! examples.
 //!
 //! * [`CoyoteDriver`] — owns the physical memories, page tables, the
 //!   configuration port and the MSI-X controller.
-//! * [`ioctl`] — the numbered command surface, mirroring the real driver's
-//!   ioctl table.
 //! * [`reconfig`] — the partial-reconfiguration flow of Table 3 (disk read,
 //!   copy to kernel space, ICAP programming) and the Vivado full-reprogram
 //!   baseline.
@@ -26,17 +25,13 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod ioctl;
 pub mod irq;
 pub mod reconfig;
 pub mod ring;
 
 pub use driver::{CoyoteDriver, DriverError, Hpid};
-pub use ioctl::{Ioctl, IoctlReply};
 pub use irq::{EventFd, IrqEvent};
-pub use reconfig::{
-    BatchedReconfig, ReconfigError, ReconfigTiming, ResilientReconfig, VivadoBaseline,
-};
+pub use reconfig::{BatchedReconfig, ReconfigError, ReconfigTiming, VivadoBaseline};
 pub use ring::{
     Completion, CompletionRing, CompletionStatus, Doorbell, RingWaitFacts, DEFAULT_RING_SLOTS,
 };

@@ -93,23 +93,6 @@ impl std::fmt::Display for ReconfigError {
 
 impl std::error::Error for ReconfigError {}
 
-/// The outcome of a hardened, retrying reconfiguration.
-#[derive(Debug, Clone, Copy)]
-pub struct ResilientReconfig {
-    /// Timing of the *successful* attempt (total latency measured from the
-    /// original request, so it includes every failed attempt and backoff).
-    pub timing: ReconfigTiming,
-    /// Attempts made, successful one included.
-    pub attempts: u32,
-    /// Attempts that failed because the in-flight blob was corrupted and
-    /// the bitstream parser caught it.
-    pub flips_detected: u32,
-    /// Attempts the configuration port transiently rejected.
-    pub rejects: u32,
-    /// True when at least one attempt failed before success.
-    pub recovered: bool,
-}
-
 /// The outcome of one batched, ring-completed reconfiguration.
 #[derive(Debug, Clone)]
 pub struct BatchedReconfig {
@@ -187,53 +170,22 @@ impl CoyoteDriver {
         })
     }
 
-    /// Load a partial bitstream through a hardened path: bounded retries
-    /// with jitter-free exponential backoff, and verify-after-write.
-    ///
-    /// The recovery contract:
-    ///
-    /// * A corrupted in-flight blob (an injected [`FaultKind::BitstreamFlip`])
-    ///   is caught by the bitstream CRC/frame parser *before* the ICAP sees
-    ///   it; the attempt fails, the active image is untouched, and the
-    ///   pristine in-memory copy is retried after the backoff delay.
-    /// * A transient [`ConfigError::PortRejected`] is likewise retried.
-    /// * After programming, the committed digest at the target partition is
-    ///   compared against the requested image (verify-after-write).
-    /// * When the attempt budget runs out the call returns
-    ///   [`ReconfigError::RetriesExhausted`] and the device gracefully keeps
-    ///   the previous bitstream — commit only ever happens on full success.
-    ///
-    /// The disk read (when `from_disk`) is charged once; retries reuse the
-    /// in-memory copy and pay only the kernel copy + programming stages.
-    pub fn reconfigure_resilient(
-        &mut self,
-        now: SimTime,
-        blob: &[u8],
-        from_disk: bool,
-        policy: RetryPolicy,
-    ) -> Result<ResilientReconfig, ReconfigError> {
-        let batched = self.reconfigure_batched(now, blob, from_disk, policy, None)?;
-        Ok(ResilientReconfig {
-            timing: batched.timing,
-            attempts: batched.attempts,
-            flips_detected: batched.flips_detected,
-            rejects: batched.rejects,
-            recovered: batched.recovered,
-        })
-    }
-
     /// Load a partial bitstream through the batched control plane: split
     /// the (pre-validated) image into contiguous frame runs, submit the
     /// batch with one doorbell ring, stream each run through the ICAP with
     /// one address setup + CRC check per run, and reap per-run completion
     /// records from the writeback ring instead of blocking per op.
     ///
-    /// `max_frames_per_run = None` submits the whole image as a single run,
-    /// which costs exactly what the unbatched resilient path cost —
-    /// [`CoyoteDriver::reconfigure_resilient`] is this call with one run.
+    /// `max_frames_per_run = None` submits the whole image as a single run:
+    /// bounded retries with jitter-free exponential backoff and
+    /// verify-after-write around one programming pass. The disk read (when
+    /// `from_disk`) is charged once; retries reuse the in-memory copy.
     ///
-    /// The recovery contract extends the unbatched one:
+    /// The recovery contract:
     ///
+    /// * A corrupted in-flight blob (an injected [`FaultKind::BitstreamFlip`])
+    ///   is caught by the per-run CRC *before* the ICAP commits it; the
+    ///   active image is untouched.
     /// * Chaos faults surface as completion statuses
     ///   ([`CompletionStatus::FlipDetected`], [`CompletionStatus::Rejected`])
     ///   rather than synchronous errors.

@@ -336,11 +336,6 @@ impl ConfigPort {
         state.commit(header, at);
         Ok(())
     }
-
-    /// Total bytes ever streamed through this port.
-    pub fn bytes_programmed(&self) -> u64 {
-        self.link.bytes_total()
-    }
 }
 
 #[cfg(test)]
@@ -466,7 +461,7 @@ mod tests {
             at, ref_xfer.done,
             "back-to-back runs take the unbatched time"
         );
-        assert_eq!(port.bytes_programmed(), ref_port.bytes_programmed());
+        assert_eq!(port.link.bytes_total(), ref_port.link.bytes_total());
         assert_eq!(state.image(PartitionId::Shell).unwrap().digest, 33);
         assert_eq!(state.reconfig_count(), 1);
     }
@@ -487,7 +482,7 @@ mod tests {
         ));
         assert_eq!(state.reconfig_count(), 0, "nothing committed");
         assert_eq!(
-            port.bytes_programmed(),
+            port.link.bytes_total(),
             0,
             "failed run never reached the port"
         );
@@ -516,7 +511,7 @@ mod tests {
         assert_eq!(crc32(borrowed), run.crc);
         // The next attempt is clean and streams the same borrowed bytes.
         assert!(port.program_run(SimTime::ZERO, run, borrowed).is_ok());
-        assert_eq!(port.bytes_programmed(), run.byte_len as u64);
+        assert_eq!(port.link.bytes_total(), run.byte_len as u64);
     }
 
     #[test]

@@ -231,14 +231,6 @@ impl Floorplan {
         self.partitions.iter().find(|p| p.id == id)
     }
 
-    /// Number of vFPGA regions.
-    pub fn vfpga_count(&self) -> u8 {
-        self.partitions
-            .iter()
-            .filter(|p| matches!(p.id, PartitionId::Vfpga(_)))
-            .count() as u8
-    }
-
     /// Check geometric invariants.
     pub fn validate(&self, device: &Device) -> Result<(), FloorplanError> {
         let bounds = Rect::new(0, 0, device.cols(), device.rows());
@@ -293,11 +285,6 @@ impl Floorplan {
         self.partition(id).map(|p| p.rect.tiles())
     }
 
-    /// Bytes of configuration data in a partial bitstream for `id`.
-    pub fn config_bytes(&self, id: PartitionId) -> Option<u64> {
-        self.tiles_of(id).map(Device::config_bytes_for_tiles)
-    }
-
     /// Placeable capacity of a partition. For the shell, the nested vFPGA
     /// rectangles are subtracted: services may only use the service band.
     pub fn capacity_of(&self, device: &Device, id: PartitionId) -> Option<ResourceVec> {
@@ -345,7 +332,10 @@ mod tests {
         ];
         for (profile, expect_mb) in cases {
             let fp = Floorplan::preset(DeviceKind::U55C, profile, 1);
-            let bytes = fp.config_bytes(PartitionId::Shell).unwrap();
+            let bytes = fp
+                .tiles_of(PartitionId::Shell)
+                .map(Device::config_bytes_for_tiles)
+                .unwrap();
             let mb = bytes as f64 / 1e6;
             assert!((mb - expect_mb).abs() < 0.5, "{profile:?}: {mb} MB");
         }
@@ -356,7 +346,10 @@ mod tests {
         // §9.6: loading the HLL kernel by partial reconfiguration takes
         // ~57 ms; at 800 MB/s + 5 ms setup that is a ~41 MB region.
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemory, 1);
-        let bytes = fp.config_bytes(PartitionId::Vfpga(0)).unwrap();
+        let bytes = fp
+            .tiles_of(PartitionId::Vfpga(0))
+            .map(Device::config_bytes_for_tiles)
+            .unwrap();
         let mb = bytes as f64 / 1e6;
         assert!((40.0..42.5).contains(&mb), "got {mb} MB");
     }
@@ -364,7 +357,8 @@ mod tests {
     #[test]
     fn vfpga_regions_tile_the_app_band() {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemoryNetwork, 4);
-        assert_eq!(fp.vfpga_count(), 4);
+        assert!(fp.partition(PartitionId::Vfpga(3)).is_some());
+        assert!(fp.partition(PartitionId::Vfpga(4)).is_none());
         let total: u32 = (0..4)
             .map(|v| fp.tiles_of(PartitionId::Vfpga(v)).unwrap())
             .sum();
@@ -452,7 +446,9 @@ mod tests {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
         let tiles = fp.tiles_of(PartitionId::Shell).unwrap() as u64;
         assert_eq!(
-            fp.config_bytes(PartitionId::Shell).unwrap(),
+            fp.tiles_of(PartitionId::Shell)
+                .map(Device::config_bytes_for_tiles)
+                .unwrap(),
             tiles * 33 * FRAME_RECORD_BYTES as u64
         );
     }

@@ -95,18 +95,6 @@ impl ResourceVec {
             .max(frac(self.dsp, capacity.dsp))
     }
 
-    /// Per-resource utilization fractions `(lut, ff, bram, uram, dsp)`.
-    pub fn utilization_breakdown(&self, capacity: &ResourceVec) -> [f64; 5] {
-        let f = |u: u64, c: u64| if c == 0 { 0.0 } else { u as f64 / c as f64 };
-        [
-            f(self.lut, capacity.lut),
-            f(self.ff, capacity.ff),
-            f(self.bram, capacity.bram),
-            f(self.uram, capacity.uram),
-            f(self.dsp, capacity.dsp),
-        ]
-    }
-
     /// Total primitive count (a rough "size" for build-effort models).
     pub fn total_cells(&self) -> u64 {
         self.lut + self.ff + self.bram + self.uram + self.dsp
@@ -203,9 +191,6 @@ mod tests {
         let used = ResourceVec::new(100, 100, 50, 0, 0);
         // BRAM dominates at 50%.
         assert!((used.utilization(&cap) - 0.5).abs() < 1e-12);
-        let breakdown = used.utilization_breakdown(&cap);
-        assert!((breakdown[0] - 0.1).abs() < 1e-12);
-        assert!((breakdown[2] - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::ShellSpec;
-use coyote_driver::RingWaitFacts;
 use coyote_mmu::MmuConfig;
-use coyote_sched::CreditWaitFacts;
 use coyote_sim::params::DEFAULT_STREAM_CREDITS;
 use std::collections::BTreeMap;
 
@@ -272,26 +270,7 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
     let engine = g.node("reconfig.engine", NodeKind::Actor);
     let ring = g.node("reconfig.ring", NodeKind::Ring);
 
-    let facts = RingWaitFacts {
-        slots: spec
-            .reconfig
-            .as_ref()
-            .map_or(coyote_driver::DEFAULT_RING_SLOTS, |r| r.ring_slots as usize),
-        max_batch: spec
-            .reconfig
-            .as_ref()
-            .map_or(coyote::config::DEFAULT_MAX_RECONFIG_BATCH, |r| {
-                r.max_batch_runs as usize
-            }),
-        concurrent: spec
-            .reconfig
-            .as_ref()
-            .and_then(|r| r.max_concurrent)
-            .map_or(coyote::config::DEFAULT_MAX_CONCURRENT_RECONFIGS, |c| {
-                c as usize
-            })
-            .max(1),
-    };
+    let facts = spec.ring_wait_facts();
     g.set_capacity(ring, facts.slots as u64);
     g.set_capacity(doorbell, facts.concurrent as u64);
     g.edge(
@@ -369,18 +348,16 @@ pub fn build_platform_graph(spec: &ShellSpec) -> (PlatformGraph, Report) {
     g.set_capacity(ltlb, mmu.ltlb.entries() as u64);
 
     // --- Per-vFPGA plumbing: DMA channel, credit pool, TLB mapping ------
-    let credits = CreditWaitFacts {
-        capacity: spec
-            .platform
-            .as_ref()
-            .and_then(|p| p.stream_credits)
-            .unwrap_or(DEFAULT_STREAM_CREDITS),
-    };
+    let credits = spec
+        .platform
+        .as_ref()
+        .and_then(|p| p.stream_credits)
+        .unwrap_or(DEFAULT_STREAM_CREDITS);
     for i in 0..n_vfpgas {
         let vf = g.node(format!("vfpga({i})"), NodeKind::VfpgaRegion);
         let dma = g.node(format!("dma.host({i})"), NodeKind::DmaChannel);
         let pool = g.node(format!("credits.host({i})"), NodeKind::CreditPool);
-        g.set_capacity(pool, credits.capacity);
+        g.set_capacity(pool, credits);
         g.edge(
             svc_host,
             dma,

@@ -9,10 +9,8 @@
 //! platform wait-for graph checks the deployment's intent, not just what
 //! the runtime structs hold.
 
-use coyote::config::{
-    ShellConfig, ShellServices, DEFAULT_MAX_CONCURRENT_RECONFIGS, DEFAULT_MAX_RECONFIG_BATCH,
-    DEFAULT_RECONFIG_RING_SLOTS,
-};
+use coyote::config::{ShellConfig, ShellServices, DEFAULT_RECONFIG_RING_SLOTS};
+use coyote_driver::RingWaitFacts;
 use coyote_fabric::DeviceKind;
 use coyote_mem::PageSize;
 use coyote_mmu::{MmuConfig, TlbConfig};
@@ -154,11 +152,6 @@ impl ShellSpec {
         serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
-    /// Render back to JSON (fixture generation, round-trip tests).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("spec serialization is infallible")
-    }
-
     /// The typed shell configuration this spec describes. Out-of-range
     /// counts saturate (to 255) rather than wrap, so a nonsense value still
     /// trips the range checks in `ShellConfig::validate` instead of
@@ -194,20 +187,28 @@ impl ShellSpec {
                 None
             },
             node_id: u16::try_from(self.node_id).unwrap_or(u16::MAX),
-            reconfig_ring_slots: self
-                .reconfig
-                .as_ref()
-                .map_or(DEFAULT_RECONFIG_RING_SLOTS, |r| r.ring_slots as usize),
-            max_reconfig_batch: self
-                .reconfig
-                .as_ref()
-                .map_or(DEFAULT_MAX_RECONFIG_BATCH, |r| r.max_batch_runs as usize),
-            max_concurrent_reconfigs: self
-                .reconfig
-                .as_ref()
-                .and_then(|r| r.max_concurrent)
-                .map_or(DEFAULT_MAX_CONCURRENT_RECONFIGS, |c| c as usize),
+            reconfig_ring_slots: self.ring_wait_facts().slots,
         })
+    }
+
+    /// The wait facts of the reconfiguration control plane this spec
+    /// declares: the static precondition for the software -> doorbell ->
+    /// engine -> ring hold-and-wait cycle (WF001). Without a `reconfig`
+    /// section the driver's default ring takes batches of half its slots,
+    /// so one full batch plus its retries fit, one batch at a time.
+    pub fn ring_wait_facts(&self) -> RingWaitFacts {
+        match &self.reconfig {
+            Some(r) => RingWaitFacts {
+                slots: r.ring_slots as usize,
+                max_batch: r.max_batch_runs as usize,
+                concurrent: r.max_concurrent.map_or(1, |c| c as usize).max(1),
+            },
+            None => RingWaitFacts {
+                slots: DEFAULT_RECONFIG_RING_SLOTS,
+                max_batch: DEFAULT_RECONFIG_RING_SLOTS / 2,
+                concurrent: 1,
+            },
+        }
     }
 }
 
@@ -256,7 +257,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let spec = sample();
-        let back = ShellSpec::from_json(&spec.to_json()).unwrap();
+        let back = ShellSpec::from_json(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -277,13 +278,13 @@ mod tests {
         spec.mmu = None;
         spec.qp = None;
         spec.reconfig = None;
-        let text = spec.to_json();
+        let text = serde_json::to_string(&spec).unwrap();
         let back = ShellSpec::from_json(&text).unwrap();
         assert_eq!(back.mmu, None);
         let cfg = back.to_shell_config().unwrap();
         assert_eq!(cfg.mmu.stlb.sets, MmuConfig::default_2m().stlb.sets);
         assert_eq!(cfg.reconfig_ring_slots, DEFAULT_RECONFIG_RING_SLOTS);
-        assert_eq!(cfg.max_reconfig_batch, DEFAULT_MAX_RECONFIG_BATCH);
+        assert_eq!(back.ring_wait_facts().max_batch, 8);
         assert!(back.qp.is_none());
     }
 

@@ -117,10 +117,7 @@ fn cf001_holds(q: &QpSpec) -> bool {
 /// the runs of every batch that may be in flight at once. It judged the
 /// typed shell configuration, so it held only for a spec that converts.
 fn cf009_holds(s: &ShellSpec) -> bool {
-    s.to_shell_config().is_ok_and(|cfg| {
-        let concurrent = cfg.max_concurrent_reconfigs.max(1);
-        cfg.reconfig_ring_slots < cfg.max_reconfig_batch.saturating_mul(concurrent)
-    })
+    s.to_shell_config().is_ok() && s.ring_wait_facts().engine_waits_on_ring()
 }
 
 #[test]

@@ -16,6 +16,9 @@ use crate::PhysAddr;
 use coyote_sim::time::Bandwidth;
 use coyote_sim::{params, LinkModel, SimDuration, SimTime, Transfer};
 
+/// Stripe granularity: one packet per channel turn.
+const STRIPE_BYTES: u64 = params::DEFAULT_PACKET_BYTES;
+
 /// Which technology backs the card memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CardMemKind {
@@ -66,7 +69,6 @@ pub struct CardMemory {
     channels: Vec<LinkModel>,
     store: SparseBytes,
     alloc: RangeAlloc,
-    stripe_bytes: u64,
 }
 
 impl CardMemory {
@@ -86,7 +88,6 @@ impl CardMemory {
                 .collect(),
             store: SparseBytes::new(capacity),
             alloc: RangeAlloc::new(capacity),
-            stripe_bytes: params::DEFAULT_PACKET_BYTES,
         }
     }
 
@@ -105,29 +106,15 @@ impl CardMemory {
         self.store.capacity()
     }
 
-    /// Stripe granularity.
-    pub fn stripe_bytes(&self) -> u64 {
-        self.stripe_bytes
-    }
-
-    /// Change the stripe granularity (a power of two).
-    pub fn set_stripe_bytes(&mut self, stripe: u64) {
-        assert!(
-            stripe.is_power_of_two() && stripe >= 64,
-            "bad stripe size {stripe}"
-        );
-        self.stripe_bytes = stripe;
-    }
-
     /// Channel serving the stripe containing `addr`.
     pub fn channel_of(&self, addr: PhysAddr) -> usize {
-        ((addr / self.stripe_bytes) % self.channels.len() as u64) as usize
+        ((addr / STRIPE_BYTES) % self.channels.len() as u64) as usize
     }
 
     /// Allocate a card buffer (`getMem` with a card-memory target).
     pub fn alloc_buffer(&mut self, len: u64) -> Option<PhysAddr> {
         // Stripe-aligned so striping starts on channel boundaries.
-        self.alloc.alloc(len.max(1), self.stripe_bytes)
+        self.alloc.alloc(len.max(1), STRIPE_BYTES)
     }
 
     /// Free a card buffer.
@@ -146,7 +133,7 @@ impl CardMemory {
         let mut a = addr;
         let end = addr + len;
         while a < end {
-            let stripe_end = (a / self.stripe_bytes + 1) * self.stripe_bytes;
+            let stripe_end = (a / STRIPE_BYTES + 1) * STRIPE_BYTES;
             let n = stripe_end.min(end) - a;
             let ch = self.channel_of(a);
             out.push(self.channels[ch].transmit(now, n));
@@ -173,11 +160,6 @@ impl CardMemory {
     pub fn read(&self, addr: PhysAddr, len: usize) -> Result<Vec<u8>, MemAccessError> {
         self.store.read(addr, len)
     }
-
-    /// Total bytes moved per channel (diagnostics / fairness checks).
-    pub fn channel_bytes(&self) -> Vec<u64> {
-        self.channels.iter().map(LinkModel::bytes_total).collect()
-    }
 }
 
 #[cfg(test)]
@@ -194,35 +176,28 @@ mod tests {
     #[test]
     fn striping_distributes_consecutive_stripes() {
         let hbm = CardMemory::with_channels(CardMemKind::Hbm, 8);
-        let stripe = hbm.stripe_bytes();
         for i in 0..16 {
-            assert_eq!(hbm.channel_of(i * stripe), (i % 8) as usize);
+            assert_eq!(hbm.channel_of(i * STRIPE_BYTES), (i % 8) as usize);
         }
     }
 
     #[test]
     fn striped_access_uses_all_channels_in_parallel() {
         let mut hbm = CardMemory::with_channels(CardMemKind::Hbm, 4);
-        let len = 16 * hbm.stripe_bytes();
+        let len = 16 * STRIPE_BYTES;
         let transfers = hbm.book_access(SimTime::ZERO, 0, len);
         assert_eq!(transfers.len(), 16);
         let done = CardMemory::completion_of(&transfers);
         // 16 stripes over 4 channels: 4 serialized stripes per channel.
-        let per_stripe = CardMemKind::Hbm
-            .channel_bandwidth()
-            .time_for(hbm.stripe_bytes());
+        let per_stripe = CardMemKind::Hbm.channel_bandwidth().time_for(STRIPE_BYTES);
         let expected = SimTime::ZERO + per_stripe * 4 + CardMemKind::Hbm.latency();
         assert_eq!(done, expected);
-        // Every channel moved the same number of bytes.
-        let bytes = hbm.channel_bytes();
-        assert!(bytes.iter().all(|&b| b == bytes[0]));
     }
 
     #[test]
     fn unaligned_access_straddles_stripes() {
         let mut hbm = CardMemory::with_channels(CardMemKind::Hbm, 2);
-        let stripe = hbm.stripe_bytes();
-        let transfers = hbm.book_access(SimTime::ZERO, stripe - 100, 200);
+        let transfers = hbm.book_access(SimTime::ZERO, STRIPE_BYTES - 100, 200);
         assert_eq!(transfers.len(), 2, "split at the stripe boundary");
     }
 
@@ -241,13 +216,5 @@ mod tests {
         let ddr = CardMemory::new(CardMemKind::Ddr);
         assert_eq!(ddr.channel_count(), 4);
         assert_eq!(ddr.capacity(), 64 << 30);
-    }
-
-    #[test]
-    fn configurable_stripe_size() {
-        let mut hbm = CardMemory::with_channels(CardMemKind::Hbm, 4);
-        hbm.set_stripe_bytes(64 << 10);
-        assert_eq!(hbm.channel_of(0), 0);
-        assert_eq!(hbm.channel_of(64 << 10), 1);
     }
 }

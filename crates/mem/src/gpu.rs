@@ -4,8 +4,9 @@
 //! contribution to the open-source codebase, which extended the MMU to
 //! include GPU memory and supports direct data movement between the FPGA
 //! and a GPU." We model the GPU's device memory as a third physical memory
-//! reachable through the shared-virtual-memory machinery; the P2P path is
-//! exercised in the MMU's migration tests and the `rdma_remote` example.
+//! reachable through the shared-virtual-memory machinery. The platform's
+//! datapath books every GPU-resident invocation packet on the P2P link
+//! ([`GpuMemory::book_p2p`]); `tests/virtual_memory.rs` exercises it.
 
 use crate::sparse::{MemAccessError, SparseBytes};
 use crate::{PhysAddr, RangeAlloc};

@@ -31,11 +31,6 @@ impl SparseBytes {
         self.capacity
     }
 
-    /// Bytes actually materialized (diagnostics).
-    pub fn resident_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * BLOCK as u64
-    }
-
     fn check(&self, addr: u64, len: usize) -> Result<(), MemAccessError> {
         let end = addr
             .checked_add(len as u64)
@@ -98,12 +93,6 @@ impl SparseBytes {
         }
         Ok(())
     }
-
-    /// Copy `len` bytes within the store.
-    pub fn copy_within(&mut self, src: u64, dst: u64, len: usize) -> Result<(), MemAccessError> {
-        let data = self.read(src, len)?;
-        self.write(dst, &data)
-    }
 }
 
 /// Out-of-range access.
@@ -147,7 +136,7 @@ mod tests {
     fn unwritten_reads_zero() {
         let s = SparseBytes::new(1 << 30);
         assert_eq!(s.read(12345, 8).unwrap(), vec![0u8; 8]);
-        assert_eq!(s.resident_bytes(), 0);
+        assert!(s.blocks.is_empty(), "a read materializes nothing");
     }
 
     #[test]
@@ -166,7 +155,7 @@ mod tests {
     fn sparse_residency() {
         let mut s = SparseBytes::new(16 << 30); // "16 GB" HBM.
         s.write(8 << 30, &[1, 2, 3]).unwrap();
-        assert_eq!(s.resident_bytes(), 4096);
+        assert_eq!(s.blocks.len(), 1, "one 4 KiB block is resident");
         assert_eq!(s.read(8 << 30, 3).unwrap(), vec![1, 2, 3]);
     }
 
@@ -177,13 +166,5 @@ mod tests {
         assert!(s.read(0, 101).is_err());
         assert!(s.write(u64::MAX, &[0; 2]).is_err(), "overflow guarded");
         s.write(97, &[0; 3]).unwrap();
-    }
-
-    #[test]
-    fn copy_within_moves_data() {
-        let mut s = SparseBytes::new(1 << 16);
-        s.write(0, b"coyote v2").unwrap();
-        s.copy_within(0, 9000, 9).unwrap();
-        assert_eq!(s.read(9000, 9).unwrap(), b"coyote v2");
     }
 }

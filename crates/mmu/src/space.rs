@@ -146,29 +146,6 @@ impl AddressSpace {
         m
     }
 
-    /// Record a mapping at a caller-chosen virtual address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if it overlaps an existing mapping (driver bug).
-    pub fn map_at(&mut self, m: Mapping) {
-        let overlap = self
-            .mappings
-            .range(..m.vaddr + m.len)
-            .next_back()
-            .map(|(_, e)| e.vaddr + e.len > m.vaddr)
-            .unwrap_or(false);
-        assert!(!overlap, "overlapping mapping at {:#x}", m.vaddr);
-        self.mappings.insert(m.vaddr, m);
-    }
-
-    /// Remove the mapping containing `vaddr`; returns it for physical
-    /// cleanup.
-    pub fn unmap(&mut self, vaddr: u64) -> Option<Mapping> {
-        let key = self.find(vaddr)?.vaddr;
-        self.mappings.remove(&key)
-    }
-
     /// The mapping covering `vaddr`, if any.
     pub fn find(&self, vaddr: u64) -> Option<&Mapping> {
         self.mappings
@@ -316,31 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn unmap_removes_and_returns() {
-        let mut space = AddressSpace::new();
-        let m = space.map_fresh(4096, PageSize::Small, MemLocation::Host, 0, true);
-        let removed = space.unmap(m.vaddr + 100).unwrap();
-        assert_eq!(removed.vaddr, m.vaddr);
-        assert!(space.is_empty());
-        assert!(space.unmap(m.vaddr).is_none());
-    }
-
-    #[test]
     fn mapping_boundaries_are_exact() {
         let mut space = AddressSpace::new();
         let m = space.map_fresh(4096, PageSize::Small, MemLocation::Host, 0, true);
         assert!(space.translate(m.vaddr + 4095, false, None).is_ok());
         assert!(space.translate(m.vaddr + 4096, false, None).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping mapping")]
-    fn map_at_rejects_overlap() {
-        let mut space = AddressSpace::new();
-        let m = space.map_fresh(4096, PageSize::Small, MemLocation::Host, 0, true);
-        space.map_at(Mapping {
-            vaddr: m.vaddr + 2048,
-            ..m
-        });
     }
 }

@@ -545,19 +545,6 @@ impl RocePacket {
             payload,
         }
     }
-
-    /// Bytes this packet occupies on the wire.
-    pub fn wire_len(&self) -> u64 {
-        let mut n =
-            EthernetHdr::LEN + Ipv4Hdr::LEN + UdpHdr::LEN + BTH_LEN + 4 + self.payload.len();
-        if self.opcode.has_reth() {
-            n += RETH_LEN;
-        }
-        if self.opcode.has_aeth() {
-            n += AETH_LEN;
-        }
-        n as u64
-    }
 }
 
 #[cfg(test)]
@@ -603,7 +590,6 @@ mod tests {
         ] {
             let pkt = sample(op, b"payload bytes here");
             let wire = pkt.serialize();
-            assert_eq!(wire.len() as u64, pkt.wire_len(), "{op:?} wire_len");
             let parsed = RocePacket::parse(&wire).unwrap_or_else(|e| panic!("{op:?}: {e}"));
             assert_eq!(parsed, pkt, "{op:?}");
         }

@@ -101,11 +101,6 @@ impl TrafficSniffer {
         self.recording = false;
     }
 
-    /// Whether currently recording.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
     /// Update the filter from the control registers.
     pub fn reconfigure(&mut self, config: SnifferConfig) {
         self.config = config;

@@ -516,15 +516,6 @@ impl TcpStack {
         self.sockets.get_mut(&key)
     }
 
-    /// All established connections.
-    pub fn established(&self) -> Vec<(u16, u16)> {
-        self.sockets
-            .iter()
-            .filter(|(_, s)| s.state == TcpState::Established)
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
     /// Frame a segment for the wire.
     fn frame(&self, seg: &TcpSegment, dst_mac: MacAddr, dst_ip: [u8; 4]) -> Vec<u8> {
         let tcp = seg.serialize(self.ip, dst_ip);
@@ -721,7 +712,7 @@ mod tests {
         let key_a = a.connect(5000, 80, MacAddr::node(2), [10, 0, 0, 2]);
         pump(&mut a, &mut b, |_| false);
         assert_eq!(a.socket(key_a).unwrap().state(), TcpState::Established);
-        assert_eq!(b.established(), vec![(80, 5000)]);
+        assert_eq!(b.socket((80, 5000)).unwrap().state(), TcpState::Established);
     }
 
     #[test]

@@ -11,25 +11,6 @@
 use coyote_sim::CreditPool;
 use std::collections::BTreeMap;
 
-/// The static wait facts of one crediter, exported for the whole-platform
-/// analyzer (`coyote-lint`'s platform rules).
-///
-/// Every data request waits on its stream's credit pool before issue; a
-/// pool with zero capacity is a wait that can never be satisfied (WF002).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CreditWaitFacts {
-    /// Credits each pool of the table starts with.
-    pub capacity: u64,
-}
-
-impl CreditWaitFacts {
-    /// True when a request waiting on this crediter can never proceed:
-    /// `try_acquire` fails forever on a zero-capacity pool.
-    pub fn starves(&self) -> bool {
-        self.capacity == 0
-    }
-}
-
 /// Independent credit pools per key, created on first use.
 #[derive(Debug, Clone)]
 pub struct CreditTable<K: Ord + Clone> {
@@ -49,13 +30,6 @@ impl<K: Ord + Clone> CreditTable<K> {
     /// The capacity every pool of this table starts with.
     pub fn default_capacity(&self) -> u64 {
         self.default_capacity
-    }
-
-    /// This table's wait facts for the platform analyzer.
-    pub fn wait_facts(&self) -> CreditWaitFacts {
-        CreditWaitFacts {
-            capacity: self.default_capacity,
-        }
     }
 
     /// The pool for `key`, created on demand.

@@ -75,25 +75,6 @@ impl<K: Eq + Hash + Clone, P: PacketLen> Interleaver<K, P> {
         out
     }
 
-    /// Book at most `n` packets (incremental pumping).
-    pub fn drain_n(&mut self, now: SimTime, n: usize) -> Vec<Delivered<K, P>> {
-        let mut out = Vec::with_capacity(n.min(self.queue.len()));
-        for _ in 0..n {
-            match self.queue.pop() {
-                Some((key, packet)) => {
-                    let transfer = self.link.transmit(now, packet.packet_len());
-                    out.push(Delivered {
-                        key,
-                        packet,
-                        transfer,
-                    });
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Drop a tenant's queued packets (reconfiguration of its vFPGA).
     pub fn evict(&mut self, key: &K) -> Vec<P> {
         self.queue.drain_key(key)
@@ -259,17 +240,6 @@ mod tests {
         let delivered = il.drain(SimTime::ZERO);
         let xs: Vec<u64> = delivered.iter().map(|d| d.packet).collect();
         assert_eq!(xs, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drain_n_is_incremental() {
-        let mut il = Interleaver::new(host_link());
-        for _ in 0..5 {
-            il.submit(1, 4096u64);
-        }
-        assert_eq!(il.drain_n(SimTime::ZERO, 2).len(), 2);
-        assert_eq!(il.pending(), 3);
-        assert_eq!(il.drain(SimTime::ZERO).len(), 3);
     }
 
     #[test]

@@ -18,6 +18,6 @@ pub mod credits;
 pub mod interleave;
 pub mod packetizer;
 
-pub use credits::{CreditTable, CreditWaitFacts};
+pub use credits::CreditTable;
 pub use interleave::{ChaosDrain, Delivered, Interleaver};
 pub use packetizer::{packetize, packetize_iter, Packet, PacketIter};

@@ -46,11 +46,6 @@ impl<K: Eq + Hash + Clone, T> RrQueue<K, T> {
         self.len == 0
     }
 
-    /// Items queued under `key`.
-    pub fn len_of(&self, key: &K) -> usize {
-        self.queues.get(key).map_or(0, VecDeque::len)
-    }
-
     /// Enqueue `item` under `key`.
     pub fn push(&mut self, key: K, item: T) {
         let q = self.queues.entry(key.clone()).or_default();
@@ -76,11 +71,6 @@ impl<K: Eq + Hash + Clone, T> RrQueue<K, T> {
             self.rotation.push_back(key.clone());
         }
         Some((key, item))
-    }
-
-    /// Peek at the key that would be served next.
-    pub fn peek_key(&self) -> Option<&K> {
-        self.rotation.front()
     }
 
     /// Drop every queued item under `key` (e.g. a vFPGA being reconfigured).

@@ -9,8 +9,9 @@
 //!
 //! The model is *analytic*: a call to [`LinkModel::transmit`] books the
 //! next free slot on the link and returns the precise start/end/arrival
-//! instants, which the caller threads through its own clock. Booked slots are strictly FIFO, matching the in-order
-//! guarantee that AXI and PCIe provide per channel.
+//! instants, which the caller threads through its own clock. Booked slots
+//! are strictly FIFO, matching the in-order guarantee that AXI and PCIe
+//! provide per channel.
 
 use crate::time::{Bandwidth, SimDuration, SimTime};
 
@@ -25,20 +26,11 @@ pub struct Transfer {
     pub arrival: SimTime,
 }
 
-impl Transfer {
-    /// Total time the requester waits from `now` until arrival.
-    pub fn latency_from(&self, now: SimTime) -> SimDuration {
-        self.arrival.since(now)
-    }
-}
-
 /// A bandwidth-limited, fixed-latency, work-conserving FIFO link.
 #[derive(Debug, Clone)]
 pub struct LinkModel {
     bandwidth: Bandwidth,
     latency: SimDuration,
-    /// Fixed per-transfer overhead (arbitration, header, descriptor fetch).
-    per_transfer_overhead: SimDuration,
     busy_until: SimTime,
     /// Total bytes ever booked, for utilization accounting.
     bytes_total: u64,
@@ -51,17 +43,10 @@ impl LinkModel {
         LinkModel {
             bandwidth,
             latency,
-            per_transfer_overhead: SimDuration::ZERO,
             busy_until: SimTime::ZERO,
             bytes_total: 0,
             transfers_total: 0,
         }
-    }
-
-    /// Add a fixed per-transfer overhead charged before serialization.
-    pub fn with_overhead(mut self, overhead: SimDuration) -> Self {
-        self.per_transfer_overhead = overhead;
-        self
     }
 
     /// The configured serialization rate.
@@ -79,18 +64,13 @@ impl LinkModel {
         self.busy_until
     }
 
-    /// True if a transfer starting at `now` would begin immediately.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Book `bytes` on the link at or after `now`; returns the timing.
     ///
     /// The link is occupied from `start` to `done`; subsequent transfers
     /// queue behind it (FIFO).
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> Transfer {
         let start = self.busy_until.max(now);
-        let done = start + self.per_transfer_overhead + self.bandwidth.time_for(bytes);
+        let done = start + self.bandwidth.time_for(bytes);
         self.busy_until = done;
         self.bytes_total += bytes;
         self.transfers_total += 1;
@@ -110,11 +90,6 @@ impl LinkModel {
     pub fn transfers_total(&self) -> u64 {
         self.transfers_total
     }
-
-    /// Achieved throughput between the simulation epoch and `now`.
-    pub fn achieved_rate(&self, now: SimTime) -> Bandwidth {
-        crate::time::rate(self.bytes_total, now.since(SimTime::ZERO))
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +104,6 @@ mod tests {
         assert_eq!(t.start, SimTime::ZERO);
         assert_eq!(t.done, SimTime::ZERO + SimDuration::from_ns(1000));
         assert_eq!(t.arrival, SimTime::ZERO + SimDuration::from_ns(1100));
-        assert_eq!(t.latency_from(SimTime::ZERO), SimDuration::from_ns(1100));
     }
 
     #[test]
@@ -152,14 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn per_transfer_overhead_is_charged() {
-        let mut link = LinkModel::new(Bandwidth::gbps(1), SimDuration::ZERO)
-            .with_overhead(SimDuration::from_ns(50));
-        let t = link.transmit(SimTime::ZERO, 100);
-        assert_eq!(t.done.since(SimTime::ZERO), SimDuration::from_ns(150));
-    }
-
-    #[test]
     fn icap_rate_matches_table2() {
         // Coyote v2's ICAP controller achieves ~800 MB/s (Table 2): a 40 MB
         // partial bitstream should take ~50 ms.
@@ -176,7 +142,7 @@ mod tests {
             let t = link.transmit(now, 4096);
             now = t.done;
         }
-        let rate = link.achieved_rate(now);
+        let rate = crate::time::rate(link.bytes_total(), now.since(SimTime::ZERO));
         assert!((rate.as_gbps_f64() - 10.0).abs() < 0.01, "got {rate:?}");
         assert_eq!(link.transfers_total(), 100);
         assert_eq!(link.bytes_total(), 409_600);

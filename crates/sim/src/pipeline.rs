@@ -95,26 +95,6 @@ impl PipelineModel {
     pub fn idle_time(&self) -> SimDuration {
         self.idle
     }
-
-    /// Fraction of issue slots wasted between the first and last issue.
-    pub fn idle_fraction(&self) -> f64 {
-        match (self.last_issue, self.issued) {
-            (Some(last), n) if n > 1 => {
-                let span = last.since(self.first_possible_span_start());
-                if span.is_zero() {
-                    0.0
-                } else {
-                    self.idle.as_ps() as f64 / span.as_ps() as f64
-                }
-            }
-            _ => 0.0,
-        }
-    }
-
-    fn first_possible_span_start(&self) -> SimTime {
-        // Span accounting starts at the first issue.
-        SimTime::ZERO
-    }
 }
 
 #[cfg(test)]

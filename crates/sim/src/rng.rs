@@ -36,12 +36,6 @@ impl Xorshift64Star {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics
@@ -55,12 +49,6 @@ impl Xorshift64Star {
         // just as cheap.
         let x = self.next_u64();
         ((x as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// Uniform value in `[lo, hi)` .
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.gen_range(hi - lo)
     }
 
     /// Uniform float in `[0, 1)`.
@@ -135,8 +123,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(r.gen_range(13) < 13);
         }
-        let v = r.gen_range_in(100, 110);
-        assert!((100..110).contains(&v));
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl Freq {
         Freq(ghz * 1_000_000_000)
     }
 
-    /// Frequency in hertz.
-    pub fn hz(self) -> u64 {
-        self.0
-    }
-
     /// The period of one clock cycle, rounded to the nearest picosecond.
     pub fn period(self) -> SimDuration {
         assert!(self.0 > 0, "zero frequency");

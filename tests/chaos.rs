@@ -273,11 +273,12 @@ fn bitstream_flips_are_caught_and_retried_to_success() {
         drv.attach_icap_chaos(plan.injector(Domain::Reconfig));
 
         let r = drv
-            .reconfigure_resilient(
+            .reconfigure_batched(
                 SimTime::ZERO,
                 next.bytes(),
                 true,
                 RetryPolicy::reconfig_default(),
+                None,
             )
             .unwrap();
         assert_eq!(r.attempts, 3, "two flipped attempts then success");
@@ -305,7 +306,7 @@ fn exhausted_retry_budget_keeps_prior_image() {
 
     let policy = RetryPolicy::reconfig_default();
     let err = drv
-        .reconfigure_resilient(SimTime::ZERO, next.bytes(), false, policy)
+        .reconfigure_batched(SimTime::ZERO, next.bytes(), false, policy, None)
         .unwrap_err();
     assert_eq!(
         err,
@@ -332,11 +333,12 @@ fn transient_icap_reject_is_retried() {
     drv.attach_icap_chaos(plan.injector(Domain::Reconfig));
 
     let r = drv
-        .reconfigure_resilient(
+        .reconfigure_batched(
             SimTime::ZERO,
             next.bytes(),
             false,
             RetryPolicy::reconfig_default(),
+            None,
         )
         .unwrap();
     assert_eq!(r.attempts, 2);
@@ -354,11 +356,12 @@ fn retry_cost_is_bounded_by_the_backoff_schedule() {
     let (mut drv, _) = driver_with_shell(11);
     let next = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 2_000, 22);
     let clean = drv
-        .reconfigure_resilient(
+        .reconfigure_batched(
             SimTime::ZERO,
             next.bytes(),
             false,
             RetryPolicy::reconfig_default(),
+            None,
         )
         .unwrap();
 
@@ -368,11 +371,12 @@ fn retry_cost_is_bounded_by_the_backoff_schedule() {
         .bitstream_flip_at(1, 78);
     drv2.attach_icap_chaos(plan.injector(Domain::Reconfig));
     let faulted = drv2
-        .reconfigure_resilient(
+        .reconfigure_batched(
             SimTime::ZERO,
             next.bytes(),
             false,
             RetryPolicy::reconfig_default(),
+            None,
         )
         .unwrap();
 

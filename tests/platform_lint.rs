@@ -197,7 +197,7 @@ proptest! {
                                "max_concurrent": {concurrency} }}
             }}"#,
         ));
-        let facts = s.to_shell_config().unwrap().ring_wait_facts();
+        let facts = s.ring_wait_facts();
         prop_assert_eq!(facts.required_slots(), batch * concurrency);
         let flagged = lint_shell_spec(&s).of_rule("WF001").count() == 1;
         prop_assert_eq!(flagged, facts.engine_waits_on_ring());

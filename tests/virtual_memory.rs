@@ -5,6 +5,7 @@ use coyote::kernel::Passthrough;
 use coyote::{CThread, Oper, Platform, SgEntry, ShellConfig};
 use coyote_mem::{GpuMemory, PageSize};
 use coyote_mmu::MemLocation;
+use coyote_sim::time::Bandwidth;
 
 #[test]
 fn page_sizes_allocate_and_work() {
@@ -115,6 +116,32 @@ fn gpu_peer_to_peer_extension() {
     )
     .unwrap();
     assert_eq!(t.read(&p, dst, 64 * 1024).unwrap(), vec![9u8; 64 * 1024]);
+}
+
+#[test]
+fn gpu_source_rides_the_p2p_link_without_card_memory() {
+    // GPU-resident data crosses the PCIe peer-to-peer link (10 Gb/s), not
+    // the card's HBM channels: a shell with no card memory still reads it.
+    const LEN: u64 = 64 * 1024;
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    p.driver_mut().attach_gpu(GpuMemory::new(1 << 30));
+    p.load_kernel(0, Box::new(Passthrough::default())).unwrap();
+    let t = CThread::create(&mut p, 0, 1).unwrap();
+    let src = p.driver_mut().alloc_gpu(1, LEN).unwrap().vaddr;
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    p.driver_mut().user_write(1, src, &data).unwrap();
+    let dst = t.get_mem(&mut p, LEN).unwrap();
+    let done = t
+        .invoke_sync(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, LEN))
+        .unwrap();
+    assert_eq!(t.read(&p, dst, LEN as usize).unwrap(), data);
+    let p2p = Bandwidth::gbps(10).time_for(LEN);
+    assert!(
+        done.latency() >= p2p,
+        "{} is faster than the P2P link's {}",
+        done.latency(),
+        p2p
+    );
 }
 
 #[test]
