@@ -57,8 +57,10 @@ const WALLCLOCK_FILE: &str = "BENCH_wallclock.json";
 
 /// `f()` and its wall-clock time.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    // detlint: allow(SRC002): harness self-timing (per-experiment
-    // wall); never enters any experiment result.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "harness self-timing (per-experiment wall); never enters any experiment result"
+    )]
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
@@ -271,15 +273,13 @@ fn run_scaling(selection: &[&str], label: &str, gate: bool) -> i32 {
     let mut sweeps: Vec<SweepPoint> = Vec::with_capacity(THREAD_SWEEP.len());
     for &t in &THREAD_SWEEP {
         std::env::set_var(coyote_sim::par::THREADS_ENV, t.to_string());
-        // detlint: allow(SRC002): harness self-timing of the whole sweep
-        // point; wall-clock never enters any experiment result.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "harness self-timing of the whole sweep point; wall-clock never enters any experiment result"
+        )]
         let start = Instant::now();
         let results = run_selection(selection);
         let total = start.elapsed();
-        // detlint: allow(IPA001): the wall-clock element of each (result,
-        // duration) tuple is destructured away inside `fingerprint` — only
-        // the tuple travels, never the timing; the taint is the analyzer's
-        // tuple-field-insensitive over-approximation.
         let fp = fingerprint(&results);
         println!(
             "scaling: threads={t:<2} total {:>10.1} ms  fingerprint {fp:016x}",
@@ -416,8 +416,10 @@ fn main() {
     // Fan the experiments out; merge in selection order so stdout and the
     // JSON files match a serial run byte for byte.
     let threads = coyote_sim::thread_budget().min(selection.len().max(1));
-    // detlint: allow(SRC002): harness self-timing — measures the harness,
-    // and the wall-clock numbers never enter any experiment result.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "harness self-timing: measures the harness, and the wall-clock numbers never enter any experiment result"
+    )]
     let wall_start = Instant::now();
     let runs = run_selection(&selection);
     let wall_total = wall_start.elapsed();

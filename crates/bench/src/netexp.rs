@@ -20,8 +20,10 @@ use std::time::Instant;
 /// CI smoke mode (`coyote-bench net --quick`): smaller transfers and
 /// shorter timing loops, same code paths and assertions.
 fn quick() -> bool {
-    // detlint: allow(SRC007): CI-mode switch; scales iteration counts only,
-    // every asserted value is identical in both modes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CI-mode switch; scales iteration counts only, every asserted value is identical in both modes"
+    )]
     std::env::var_os("COYOTE_BENCH_QUICK").is_some()
 }
 
@@ -270,8 +272,10 @@ fn chaos_run(seed: u64) -> (u64, u64, u64, f64) {
 pub fn net_chaos() -> ExperimentResult {
     // Default chosen so the 1% plan fires even over the short quick-mode
     // run; `COYOTE_CHAOS_SEED` overrides it for ad-hoc exploration.
-    // detlint: allow(SRC007): ad-hoc exploration override; the default seed
-    // is what CI runs and the published hash is keyed on the seed itself.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "ad-hoc exploration override; the default seed is what CI runs and the published hash is keyed on the seed itself"
+    )]
     let seed = std::env::var("COYOTE_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -334,7 +338,10 @@ pub fn net_micro() -> ExperimentResult {
     let (mut qp_ref, mem_ref) = staged_qp(segments);
     qp_ref.poll_tx(&mem_ref);
     let ref_iters = if quick() { 20u32 } else { 200 };
-    // detlint: allow(SRC002): wall-clock is the measurand of this bench.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is the measurand of this bench"
+    )]
     let t0 = Instant::now();
     for _ in 0..ref_iters {
         for pkt in qp_ref.on_timeout() {
@@ -348,7 +355,10 @@ pub fn net_micro() -> ExperimentResult {
     let (mut qp_zc, mem_zc) = staged_qp(segments);
     qp_zc.poll_tx_frames(&mem_zc);
     let zc_iters = if quick() { 2_000u32 } else { 20_000 };
-    // detlint: allow(SRC002): wall-clock is the measurand of this bench.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is the measurand of this bench"
+    )]
     let t1 = Instant::now();
     for _ in 0..zc_iters {
         std::hint::black_box(qp_zc.on_timeout_frames());
@@ -371,13 +381,19 @@ pub fn net_micro() -> ExperimentResult {
         payload: mem[..coyote_sim::params::ROCE_MTU].to_vec().into(),
     };
     let ser_iters = if quick() { 2_000u32 } else { 20_000 };
-    // detlint: allow(SRC002): wall-clock is the measurand of this bench.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is the measurand of this bench"
+    )]
     let t2 = Instant::now();
     for _ in 0..ser_iters {
         std::hint::black_box(pkt.reference_serialize());
     }
     let ser_ref_ns = t2.elapsed().as_nanos() as f64 / ser_iters as f64;
-    // detlint: allow(SRC002): wall-clock is the measurand of this bench.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is the measurand of this bench"
+    )]
     let t3 = Instant::now();
     for _ in 0..ser_iters {
         std::hint::black_box(pkt.to_frame());

@@ -22,8 +22,10 @@ use coyote_sim::{par_map, Fnv64, SimTime};
 /// CI smoke mode (`coyote-bench reconfig_storm --quick`): fewer tenants and
 /// smaller images, same code paths, same determinism contract.
 fn quick() -> bool {
-    // detlint: allow(SRC007): CI-mode switch; scales tenant/image counts
-    // only, the determinism assertions are identical in both modes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CI-mode switch; scales tenant/image counts only, the determinism assertions are identical in both modes"
+    )]
     std::env::var_os("COYOTE_BENCH_QUICK").is_some()
 }
 

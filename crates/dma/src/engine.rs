@@ -9,7 +9,7 @@
 
 use coyote_chaos::Injector;
 use coyote_sched::{packetize_iter, Interleaver, Packet};
-use coyote_sim::{params, LinkModel, SimDuration, SimTime, Transfer};
+use coyote_sim::{params, LinkModel, SimTime, Transfer};
 use std::collections::HashMap;
 
 /// Transfer direction over PCIe.
@@ -72,7 +72,6 @@ pub struct XdmaEngine {
     /// Packets remaining per in-flight job.
     remaining: HashMap<JobId, u32>,
     next_id: JobId,
-    desc_overhead: SimDuration,
     chaos: Option<Injector>,
 }
 
@@ -90,7 +89,6 @@ impl XdmaEngine {
             c2h: Interleaver::new(LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY)),
             remaining: HashMap::new(),
             next_id: 1,
-            desc_overhead: params::XDMA_DESC_OVERHEAD,
             chaos: None,
         }
     }
@@ -149,12 +147,11 @@ impl XdmaEngine {
     /// Book everything queued in `dir` (fast path when all tenants
     /// submitted before any service started).
     pub fn book_all(&mut self, now: SimTime, dir: XdmaDir) -> Vec<PacketDone> {
-        let overhead = self.desc_overhead;
         let q = self.dir_mut(dir);
         let delivered = q.drain(now);
         delivered
             .into_iter()
-            .filter_map(|d| self.finish(d, overhead))
+            .filter_map(|d| self.finish(d))
             .collect()
     }
 
@@ -173,7 +170,6 @@ impl XdmaEngine {
                 crashed: Vec::new(),
             };
         };
-        let overhead = self.desc_overhead;
         let drained = self.dir_mut(dir).drain_chaos(now, &mut inj);
         let mut crashed = Vec::new();
         for (tenant, lost) in drained.crashed {
@@ -188,23 +184,19 @@ impl XdmaEngine {
         let done = drained
             .delivered
             .into_iter()
-            .filter_map(|d| self.finish(d, overhead))
+            .filter_map(|d| self.finish(d))
             .collect();
         self.chaos = Some(inj);
         ChaosBooked { done, crashed }
     }
 
-    fn finish(
-        &mut self,
-        d: coyote_sched::Delivered<u8, QueuedPacket>,
-        overhead: SimDuration,
-    ) -> Option<PacketDone> {
+    fn finish(&mut self, d: coyote_sched::Delivered<u8, QueuedPacket>) -> Option<PacketDone> {
         let QueuedPacket { job, packet } = d.packet;
         let mut transfer = d.transfer;
         // The descriptor fetch delays the stream's visibility: every packet
-        // of the job arrives `overhead` later than its wire time (link
-        // occupancy is unchanged, and in-order delivery is preserved).
-        transfer.arrival += overhead;
+        // of the job arrives `XDMA_DESC_OVERHEAD` later than its wire time
+        // (link occupancy is unchanged, and in-order delivery is preserved).
+        transfer.arrival += params::XDMA_DESC_OVERHEAD;
         let rem = self.remaining.get_mut(&job.id).expect("job bookkeeping");
         *rem -= 1;
         let job_done = *rem == 0;

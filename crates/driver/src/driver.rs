@@ -179,11 +179,6 @@ impl CoyoteDriver {
         &self.ring
     }
 
-    /// The submission doorbell.
-    pub fn doorbell(&self) -> &Doorbell {
-        &self.doorbell
-    }
-
     /// Resize the completion ring (platform load applies
     /// `ShellConfig::reconfig_ring_slots`). Pending records are dropped, so
     /// this is only sensible before any batch is submitted.

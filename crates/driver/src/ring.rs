@@ -104,11 +104,6 @@ impl Doorbell {
         self.rings += 1;
         op
     }
-
-    /// Batches submitted so far.
-    pub fn rings(&self) -> u64 {
-        self.rings
-    }
 }
 
 /// A bounded writeback ring.
@@ -267,6 +262,5 @@ mod tests {
         let mut bell = Doorbell::default();
         assert_eq!(bell.ring(), 0);
         assert_eq!(bell.ring(), 1);
-        assert_eq!(bell.rings(), 2);
     }
 }

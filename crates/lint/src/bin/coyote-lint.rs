@@ -6,12 +6,8 @@
 //!
 //! A .json PATH is a shell spec: the config, floorplan, netlist and
 //! whole-platform rules (CF, FP, NL, PG/WF/CAP/ISO) in one report. A .bin
-//! PATH is a bitstream (BS). A .rs PATH, or a directory, is Rust: every
-//! .rs file under it (build output, vendored code, fixtures, tests and
-//! examples skipped) is lexed once into one workspace for the per-file
-//! determinism rules (SRC001-SRC007) and the interprocedural taint
-//! analysis (IPA001-IPA005). A directory's top-level .json files are
-//! linted as shell specs too.
+//! PATH is a bitstream (BS). A directory's top-level .json files are
+//! linted as shell specs, in sorted order.
 //!
 //! Options:
 //!   --json          machine-readable JSON report on stdout
@@ -24,10 +20,7 @@
 //! 2 usage or I/O failure, or a path with nothing to lint.
 //! ```
 
-use coyote_lint::source::read_rs_tree;
-use coyote_lint::{
-    lint_bitstream, lint_rust_sources, lint_shell_spec, LintConfig, Report, ShellSpec,
-};
+use coyote_lint::{lint_bitstream, lint_shell_spec, LintConfig, Report, ShellSpec};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -80,18 +73,16 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Specs and bitstreams are reported per path, in argument order; all
-    // Rust inputs join one workspace, so call chains cross between them.
+    // Reported per path, in argument order.
     let mut report = Report::new();
-    let mut rust: Vec<(String, String)> = Vec::new();
     for path in &paths {
-        if let Err(e) = lint_path(path, &mut report, &mut rust) {
-            eprintln!("coyote-lint: {path}: {e}");
-            return ExitCode::from(2);
+        match lint_path(path) {
+            Ok(r) => report.extend(r),
+            Err(e) => {
+                eprintln!("coyote-lint: {path}: {e}");
+                return ExitCode::from(2);
+            }
         }
-    }
-    if !rust.is_empty() {
-        report.extend(lint_rust_sources(&rust));
     }
     let report = config.apply(report);
 
@@ -107,46 +98,36 @@ fn main() -> ExitCode {
     }
 }
 
-/// Lint one path by its kind: specs and bitstreams into `report`, Rust
-/// sources collected into `rust` for the single workspace pass.
-fn lint_path(
-    path: &str,
-    report: &mut Report,
-    rust: &mut Vec<(String, String)>,
-) -> Result<(), String> {
+/// Lint one path by its kind.
+fn lint_path(path: &str) -> Result<Report, String> {
     let p = Path::new(path);
+    let mut report = Report::new();
     if p.is_dir() {
-        let sources = read_rs_tree(p).map_err(|e| e.to_string())?;
         let mut specs: Vec<std::path::PathBuf> = std::fs::read_dir(p)
             .map_err(|e| e.to_string())?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
             .collect();
-        if sources.is_empty() && specs.is_empty() {
-            return Err("directory holds no .rs files and no .json shell specs".to_string());
+        if specs.is_empty() {
+            return Err("directory holds no .json shell specs".to_string());
         }
         specs.sort();
         for spec in specs {
             report.extend(lint_spec_file(&spec)?);
         }
-        rust.extend(sources);
     } else if path.ends_with(".json") {
         report.extend(lint_spec_file(p)?);
     } else if path.ends_with(".bin") {
         let bytes = std::fs::read(p).map_err(|e| e.to_string())?;
         let name = path.rsplit('/').next().unwrap_or(path);
         report.extend(lint_bitstream(name, &bytes, None));
-    } else if path.ends_with(".rs") {
-        let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        rust.push((path.to_string(), text));
     } else {
         return Err(
-            "unsupported path (expected a .json shell spec, a .bin bitstream, a .rs file or \
-             a directory)"
+            "unsupported path (expected a .json shell spec, a .bin bitstream or a directory)"
                 .to_string(),
         );
     }
-    Ok(())
+    Ok(report)
 }
 
 fn lint_spec_file(path: &Path) -> Result<Report, String> {

@@ -143,11 +143,6 @@ impl LintConfig {
         self
     }
 
-    /// Is this rule suppressed?
-    pub fn is_allowed(&self, rule_id: &str) -> bool {
-        self.allow.contains(rule_id)
-    }
-
     /// Apply allow/deny to a raw report.
     pub fn apply(&self, report: Report) -> Report {
         let diagnostics = report

@@ -22,20 +22,16 @@
 //!   global wait-for cycles (WF001–WF004, which subsume the retired pair
 //!   checks CF001 and CF009), capacity feasibility (CAP001–CAP003) and
 //!   tenant isolation (ISO001–ISO002).
-//! * [`source`] — the `coyote-detlint` source-level determinism analyzer:
-//!   hash-order iteration, wall-clock and entropy escapes, float
-//!   reductions in `par_map`, relaxed atomics, ad-hoc threads,
-//!   environment reads (SRC001–SRC007).
-//! * [`ipa`] — the interprocedural determinism taint analyzer: workspace
-//!   call graph, source→sink taint propagation with full call chains,
-//!   suppression-drift audit (IPA001–IPA005). Its sources are the SRC
-//!   findings.
 //!
 //! There is one entry per input kind, which is how the `coyote-lint`
 //! binary dispatches on a path: [`lint_shell_spec`] for a `.json` shell
-//! spec (config, floorplan, netlist and platform rules in one report),
-//! [`lint_bitstream`] for a `.bin` blob, and [`lint_rust_sources`] /
-//! [`lint_rust_tree`] for Rust (SRC and IPA over one lex per file).
+//! spec (config, floorplan, netlist and platform rules in one report) and
+//! [`lint_bitstream`] for a `.bin` blob.
+//!
+//! The workspace's own Rust is not an input: its determinism hazards
+//! (hash-order iteration, wall clock, ambient entropy, atomics, ad-hoc
+//! threads, environment reads) are clippy's to find, through the
+//! workspace `clippy.toml` and `[workspace.lints.clippy]`.
 //!
 //! All rules emit [`Diagnostic`]s into a [`Report`]; [`LintConfig`] applies
 //! per-rule allow/deny; the `coyote-lint` binary renders reports as text or
@@ -47,12 +43,10 @@ pub mod config;
 pub mod des;
 pub mod diag;
 pub mod floorplan;
-pub mod ipa;
 pub mod netlist;
 pub mod platform;
 pub mod rules;
 pub mod shellspec;
-pub mod source;
 
 pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
@@ -65,8 +59,6 @@ pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
 
 use coyote_fabric::{Device, Floorplan};
-use std::io;
-use std::path::Path;
 
 /// Lint everything a shell specification implies, in one report: the
 /// configuration itself, the QP transport contract (if declared), the
@@ -107,32 +99,6 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     }
     report.extend(platform::lint_platform(spec));
     report
-}
-
-/// Lint Rust sources as one workspace, lexing each `(unit, text)` file
-/// once: its raw SRC findings, filtered by the file's `detlint: allow`
-/// directives, are the per-file report (`src:<unit>`), and the same raw
-/// findings are the taint sources of the interprocedural pass
-/// (`ipa:<unit>`).
-pub fn lint_rust_sources(sources: &[(String, String)]) -> Report {
-    let ws = ipa::index::Workspace::index(sources);
-    let mut report = Report::new();
-    for file in &ws.files {
-        for f in &file.src_findings {
-            if !file.is_allowed(f.rule, f.line) {
-                report.push(source::diagnostic(&file.unit, f));
-            }
-        }
-    }
-    report.extend(ipa::lint(&ws));
-    report
-}
-
-/// [`lint_rust_sources`] over every `.rs` file under `root` (recursively,
-/// in sorted order, skipping build output, vendored code, fixtures, tests
-/// and examples), each named by its path relative to `root`.
-pub fn lint_rust_tree(root: &Path) -> io::Result<Report> {
-    Ok(lint_rust_sources(&source::read_rs_tree(root)?))
 }
 
 #[cfg(test)]

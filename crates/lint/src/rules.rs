@@ -7,11 +7,13 @@
 //!
 //! Retired ids are not reused. DS001–DS003 and DS005–DS007 checked the
 //! event engine's recorded traces and IPA002 its cross-shard posts; they
-//! went with the engine. CF001 (ACK starvation) and
-//! CF009 (completion ring smaller than the batches in flight) were pair
-//! checks for two cycles of the platform wait-for graph and are reported
-//! as WF001 at `platform:<spec>` / `cycle(rdma.sender)` and
-//! `cycle(software)`.
+//! went with the engine. SRC001–SRC007 and IPA001/IPA003–IPA005 checked
+//! the workspace's own Rust for determinism hazards; `clippy.toml` and
+//! the workspace clippy lints gate those now (see DESIGN.md). CF001 (ACK
+//! starvation) and CF009 (completion ring smaller than the batches in
+//! flight) were pair checks for two cycles of the platform wait-for graph
+//! and are reported as WF001 at `platform:<spec>` / `cycle(rdma.sender)`
+//! and `cycle(software)`.
 
 use crate::diag::Severity;
 
@@ -28,13 +30,8 @@ pub enum Layer {
     Config,
     /// Recorded fault traces (`coyote-chaos`).
     Trace,
-    /// The workspace's own Rust source (the `coyote-detlint` analyzer).
-    Source,
     /// The joined cross-layer platform resource graph (every shell spec).
     Platform,
-    /// Interprocedural determinism taint analysis over the whole
-    /// workspace call graph (every Rust input).
-    Interproc,
 }
 
 impl Layer {
@@ -46,9 +43,7 @@ impl Layer {
             Layer::Bitstream => "bitstream",
             Layer::Config => "config",
             Layer::Trace => "trace",
-            Layer::Source => "source",
             Layer::Platform => "platform",
-            Layer::Interproc => "interproc",
         }
     }
 }
@@ -248,61 +243,6 @@ pub const CATALOG: &[RuleInfo] = &[
             "fault trace out of canonical (domain, op) order: merged by concatenation, not \
              FaultTrace::merged, so the published hash depends on collection order",
     },
-    // --- Source (coyote-detlint) -------------------------------------
-    RuleInfo {
-        id: "SRC001",
-        layer: Layer::Source,
-        severity: Severity::Error,
-        description: "iteration over an unordered HashMap/HashSet: visit order varies per process \
-             (SipHash keys are random), so any artifact it feeds is nondeterministic",
-    },
-    RuleInfo {
-        id: "SRC002",
-        layer: Layer::Source,
-        severity: Severity::Error,
-        description:
-            "wall-clock escape: Instant::now/SystemTime::now inside model code ties results \
-             to real time instead of simulated time",
-    },
-    RuleInfo {
-        id: "SRC003",
-        layer: Layer::Source,
-        severity: Severity::Error,
-        description:
-            "ambient entropy: thread_rng/OsRng/RandomState/from_entropy draws differ per run; \
-             all randomness must come from a seeded Xorshift64Star",
-    },
-    RuleInfo {
-        id: "SRC004",
-        layer: Layer::Source,
-        severity: Severity::Warning,
-        description: "floating-point arithmetic inside a par_map worker: float reduction is not \
-             associative, so any cross-slot merge becomes schedule-dependent",
-    },
-    RuleInfo {
-        id: "SRC005",
-        layer: Layer::Source,
-        severity: Severity::Warning,
-        description:
-            "Ordering::Relaxed atomic: safe only for the work-claiming counter; a relaxed \
-             value that feeds a trace or artifact is schedule-dependent",
-    },
-    RuleInfo {
-        id: "SRC006",
-        layer: Layer::Source,
-        severity: Severity::Error,
-        description:
-            "thread spawn outside the sanctioned par_map fan-out: ad-hoc threads bypass the \
-             input-order merge that makes parallelism deterministic",
-    },
-    RuleInfo {
-        id: "SRC007",
-        layer: Layer::Source,
-        severity: Severity::Warning,
-        description:
-            "environment read (std::env::var) in model code: results silently depend on the \
-             process environment",
-    },
     // --- Platform (cross-layer resource graph) -----------------------
     RuleInfo {
         id: "PG001",
@@ -382,40 +322,6 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Error,
         description: "two tenants use a shell service the platform never declared shared \
              (undeclared contention / covert channel)",
-    },
-    // --- Interprocedural taint ----------------------------------------
-    RuleInfo {
-        id: "IPA001",
-        layer: Layer::Interproc,
-        severity: Severity::Error,
-        description:
-            "a nondeterministic value (hash order, wall clock, entropy, ...) returned by one \
-             function reaches a determinism sink (trace fingerprint, merge, recording) in \
-             another — the full call chain is printed",
-    },
-    RuleInfo {
-        id: "IPA003",
-        layer: Layer::Interproc,
-        severity: Severity::Warning,
-        description:
-            "taint laundered through an intermediate collection (push/insert/extend) before \
-             reaching a sink: the hazard survives the copy unless the collection is sorted",
-    },
-    RuleInfo {
-        id: "IPA004",
-        layer: Layer::Interproc,
-        severity: Severity::Warning,
-        description:
-            "public function returns hash-ordered iteration: callers outside the analysis \
-             horizon inherit the nondeterminism with no sink to anchor a diagnostic on",
-    },
-    RuleInfo {
-        id: "IPA005",
-        layer: Layer::Interproc,
-        severity: Severity::Warning,
-        description:
-            "stale `detlint: allow` suppression: the directive matches no raw finding on its \
-             governed line, so it silently pre-approves the next hazard that lands there",
     },
 ];
 

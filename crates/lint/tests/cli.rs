@@ -1,12 +1,12 @@
 //! CLI contract tests: the path picks the rules (`.json` spec, `.bin`
-//! bitstream, `.rs` file or directory), exit codes (0 clean/warnings,
+//! bitstream or a directory of specs), exit codes (0 clean/warnings,
 //! 1 errors, 2 usage/IO or nothing to lint) and the `--json` schema
 //! round-trip.
 //!
 //! These run the real `coyote-lint` binary via `CARGO_BIN_EXE_`, so they
 //! pin exactly what CI and deployments observe.
 
-use coyote_lint::Report;
+use coyote_lint::{lint_shell_spec, Report, ShellSpec};
 use std::process::{Command, Output};
 
 fn bin() -> Command {
@@ -28,25 +28,25 @@ fn code(out: &Output) -> i32 {
 // ------------------------------------------------------------- exit codes
 
 #[test]
-fn exit_0_on_clean_source() {
-    let out = run(&[&fixture("src/src001_clean.rs")]);
+fn exit_0_on_clean_spec() {
+    let out = run(&[&fixture("clean_full.json")]);
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("clean"));
 }
 
 #[test]
 fn exit_0_on_warning_only_findings() {
-    // SRC005 is warning severity: reported, but not a failure.
-    let out = run(&[&fixture("src/src005_bad.rs")]);
+    // CF007 is warning severity: reported, but not a failure.
+    let out = run(&[&fixture("cf007_oversized_tlb.json")]);
     assert_eq!(code(&out), 0);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("SRC005"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("CF007"));
 }
 
 #[test]
 fn exit_1_on_error_findings() {
-    let out = run(&[&fixture("src/src002_bad.rs")]);
+    let out = run(&[&fixture("cf002_bad_mtu.json")]);
     assert_eq!(code(&out), 1);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("SRC002"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("CF002"));
 }
 
 #[test]
@@ -57,20 +57,26 @@ fn exit_2_on_usage_and_io_errors() {
     assert_eq!(code(&run(&["--frobnicate"])), 2);
     for retired in ["--source", "--ipa", "--platform", "--strict"] {
         assert_eq!(
-            code(&run(&[retired, &fixture("src/src001_clean.rs")])),
+            code(&run(&[retired, &fixture("clean_full.json")])),
             2,
             "{retired} is not an option"
         );
     }
-    // Unknown rule id.
-    assert_eq!(code(&run(&["--allow", "ZZ999", "x.json"])), 2);
+    // Unknown rule id, including the retired SRC/IPA ids.
+    for id in ["ZZ999", "SRC001", "IPA001"] {
+        assert_eq!(code(&run(&["--allow", id, "x.json"])), 2, "{id}");
+    }
     // Nonexistent files.
-    assert_eq!(code(&run(&["/nonexistent/detlint.rs"])), 2);
     assert_eq!(code(&run(&["/nonexistent/shell.json"])), 2);
-    // A path with nothing to lint: an unsupported extension, or a
-    // directory with no .rs files and no .json specs.
+    assert_eq!(code(&run(&["/nonexistent/blob.bin"])), 2);
+    // A path with nothing to lint: an unsupported extension (Rust is
+    // clippy's to lint), or a directory with no .json specs.
     let manifest = format!("{}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
     assert_eq!(code(&run(&[&manifest])), 2);
+    let lib = format!("{}/src/lib.rs", env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(code(&run(&[&lib])), 2);
+    let src = format!("{}/src", env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(code(&run(&[&src])), 2);
     let empty = format!("{}/empty-lint-dir", env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&empty).unwrap();
     assert_eq!(code(&run(&[&empty])), 2);
@@ -79,25 +85,27 @@ fn exit_2_on_usage_and_io_errors() {
 #[test]
 fn allow_and_deny_shift_the_exit_code() {
     // Allowing the fired rule turns an error run clean.
-    let out = run(&["--allow", "SRC002", &fixture("src/src002_bad.rs")]);
+    let out = run(&["--allow", "CF002", &fixture("cf002_bad_mtu.json")]);
     assert_eq!(code(&out), 0);
     // Denying a warning rule promotes it to a failure.
-    let out = run(&["--deny", "SRC005", &fixture("src/src005_bad.rs")]);
+    let out = run(&["--deny", "CF007", &fixture("cf007_oversized_tlb.json")]);
     assert_eq!(code(&out), 1);
 }
 
 #[test]
 fn directory_scan_aggregates_findings() {
-    // Pointing the CLI at the fixture directory picks up every seeded
-    // violation in one deterministic report.
-    let out = run(&[&fixture("src")]);
+    // Pointing the CLI at the config fixture directory picks up every
+    // seeded violation in one deterministic report.
+    let out = run(&[&fixture("")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in ["SRC001", "SRC002", "SRC003", "SRC006"] {
+    for rule in [
+        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001",
+    ] {
         assert!(text.contains(rule), "directory scan must report {rule}");
     }
     // Deterministic: two runs render identically.
-    let again = run(&[&fixture("src")]);
+    let again = run(&[&fixture("")]);
     assert_eq!(out.stdout, again.stdout);
 }
 
@@ -148,109 +156,35 @@ fn platform_directory_scan_aggregates_and_is_deterministic() {
     assert_eq!(out.stdout, again.stdout);
 }
 
-// ------------------------------------------------------------------- ipa
-
-#[test]
-fn ipa_mode_reports_the_full_call_chain() {
-    // A Rust file runs the interprocedural rules with the SRC rules.
-    let out = run(&[&fixture("ipa/ipa001_chain.rs")]);
-    assert_eq!(code(&out), 1, "IPA001 is error severity");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("IPA001"), "{text}");
-    assert!(
-        text.contains("leaf (") && text.contains("-> mid (") && text.contains("-> top ("),
-        "the rendered diagnostic must print the helper chain hop by hop:\n{text}"
-    );
-    assert!(
-        text.contains("-> fingerprint_of ("),
-        "the chain must end at the sink:\n{text}"
-    );
-}
-
-#[test]
-fn ipa_rules_gate_on_taint_errors_and_pass_clean() {
-    let out = run(&[&fixture("ipa/ipa001_chain.rs")]);
-    assert_eq!(code(&out), 1, "the taint path fails the run");
-    // Warning-severity IPA rules report without failing the run.
-    let out = run(&[&fixture("ipa/ipa005_stale.rs")]);
-    assert_eq!(code(&out), 0);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("IPA005"));
-    let out = run(&[&fixture("ipa/ipa005_live.rs")]);
-    assert_eq!(code(&out), 0);
-}
-
-#[test]
-fn ipa_directory_scan_joins_files_into_one_workspace() {
-    // Pointing the CLI at the fixture directory indexes every file into
-    // one call graph and reports each seeded violation, deterministically.
-    let out = run(&[&fixture("ipa")]);
-    assert_eq!(code(&out), 1);
-    let text = String::from_utf8_lossy(&out.stdout);
-    for rule in ["IPA001", "IPA003", "IPA004", "IPA005"] {
-        assert!(text.contains(rule), "directory scan must report {rule}");
-    }
-    let again = run(&[&fixture("ipa")]);
-    assert_eq!(out.stdout, again.stdout, "ipa scan must be deterministic");
-}
-
-#[test]
-fn ipa_json_carries_the_chain_and_round_trips() {
-    let path = fixture("ipa/ipa001_chain.rs");
-    let out = run(&["--json", &path]);
-    assert_eq!(code(&out), 1);
-    let parsed: Report =
-        serde_json::from_slice(&out.stdout).expect("stdout must be a valid Report");
-    let ids: Vec<&str> = parsed
-        .diagnostics
-        .iter()
-        .map(|d| d.rule_id.as_str())
-        .collect();
-    assert_eq!(
-        ids,
-        ["SRC001", "IPA001"],
-        "the origin's SRC finding, then the chain"
-    );
-    let d = &parsed.diagnostics[1];
-    assert_eq!(d.location.path, "L15");
-    assert!(d.location.unit.starts_with("ipa:"));
-    assert!(
-        d.message.contains("-> top (") && d.message.contains("-> fingerprint_of ("),
-        "the JSON message must carry the same chain as the human rendering: {}",
-        d.message
-    );
-}
-
 // ------------------------------------------------------------------ JSON
 
 #[test]
 fn json_output_round_trips_through_the_report_schema() {
-    let path = fixture("src/src001_bad.rs");
+    let path = fixture("cf006_service_overflow.json");
     let out = run(&["--json", &path]);
     assert_eq!(code(&out), 1);
     let parsed: Report =
         serde_json::from_slice(&out.stdout).expect("stdout must be a valid Report");
-    // The hash-ordered `for` loop is SRC001 and, since `frame_order` is
-    // public and returns what the loop built, also an IPA004 escape.
+    // The oversized MMU is a CF007 warning and overflows the service band.
     let ids: Vec<&str> = parsed
         .diagnostics
         .iter()
         .map(|d| d.rule_id.as_str())
         .collect();
-    assert_eq!(ids, ["SRC001", "IPA004"]);
-    let d = &parsed.diagnostics[0];
-    assert_eq!(d.rule_id, "SRC001");
-    assert_eq!(d.location.path, "L7");
-    assert!(d.location.unit.starts_with("src:"));
+    assert_eq!(ids, ["CF007", "CF006"]);
+    let d = &parsed.diagnostics[1];
+    assert_eq!(d.location.unit, "config:cf006-service-overflow");
+    assert_eq!(d.location.path, "shell.services");
     // Round-trip: re-serializing the parsed report reproduces the library's
     // own rendering of the same file.
     let text = std::fs::read_to_string(&path).unwrap();
-    let direct = coyote_lint::lint_rust_sources(&[(path, text)]);
+    let direct = lint_shell_spec(&ShellSpec::from_json(&text).unwrap());
     assert_eq!(parsed, direct);
 }
 
 #[test]
 fn json_clean_report_is_an_empty_diagnostics_array() {
-    let out = run(&["--json", &fixture("src/src003_clean.rs")]);
+    let out = run(&["--json", &fixture("clean_host_only.json")]);
     assert_eq!(code(&out), 0);
     let parsed: Report = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert!(parsed.diagnostics.is_empty());
@@ -263,17 +197,20 @@ fn catalog_lists_the_new_rule_families() {
     let out = run(&["--catalog"]);
     assert_eq!(code(&out), 0);
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "SRC001", "SRC002", "SRC003", "SRC004", "SRC005", "SRC006", "SRC007", "DS004", "PG001",
-        "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001",
-        "ISO002", "IPA001", "IPA003", "IPA004", "IPA005",
-    ] {
-        assert!(text.contains(rule), "--catalog must list {rule}");
-    }
-    // Retired with the event engine whose traces and posts they checked.
-    for rule in [
-        "DS001", "DS002", "DS003", "DS005", "DS006", "DS007", "IPA002",
-    ] {
-        assert!(!text.contains(rule), "--catalog must not list {rule}");
-    }
+    let listed: Vec<&str> = text
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002",
+            "FP003", "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004",
+            "BS005", "BS006", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008",
+            "DS004", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
+            "CAP003", "ISO001", "ISO002",
+        ],
+        "--catalog must list the 39 rules, ordered by layer then id"
+    );
 }

@@ -27,11 +27,6 @@ impl<K: Ord + Clone> CreditTable<K> {
         }
     }
 
-    /// The capacity every pool of this table starts with.
-    pub fn default_capacity(&self) -> u64 {
-        self.default_capacity
-    }
-
     /// The pool for `key`, created on demand.
     pub fn pool(&mut self, key: K) -> &mut CreditPool {
         self.pools

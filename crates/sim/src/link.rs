@@ -34,7 +34,6 @@ pub struct LinkModel {
     busy_until: SimTime,
     /// Total bytes ever booked, for utilization accounting.
     bytes_total: u64,
-    transfers_total: u64,
 }
 
 impl LinkModel {
@@ -45,7 +44,6 @@ impl LinkModel {
             latency,
             busy_until: SimTime::ZERO,
             bytes_total: 0,
-            transfers_total: 0,
         }
     }
 
@@ -73,7 +71,6 @@ impl LinkModel {
         let done = start + self.bandwidth.time_for(bytes);
         self.busy_until = done;
         self.bytes_total += bytes;
-        self.transfers_total += 1;
         Transfer {
             start,
             done,
@@ -84,11 +81,6 @@ impl LinkModel {
     /// Total bytes booked over the lifetime of the link.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
-    }
-
-    /// Total transfers booked over the lifetime of the link.
-    pub fn transfers_total(&self) -> u64 {
-        self.transfers_total
     }
 }
 
@@ -144,7 +136,6 @@ mod tests {
         }
         let rate = crate::time::rate(link.bytes_total(), now.since(SimTime::ZERO));
         assert!((rate.as_gbps_f64() - 10.0).abs() < 0.01, "got {rate:?}");
-        assert_eq!(link.transfers_total(), 100);
         assert_eq!(link.bytes_total(), 409_600);
     }
 

@@ -42,6 +42,10 @@
 //! their parallel paths only run when reached from outside one.
 
 use std::cell::Cell;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the claim counter only picks which worker computes a slot; its value never reaches a result"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -80,8 +84,10 @@ impl Drop for PoolGuard {
 /// Reads [`THREADS_ENV`] (clamped to at least 1); falls back to the
 /// machine's available parallelism.
 pub fn thread_budget() -> usize {
-    // detlint: allow(SRC007): by the par_map contract the thread count can
-    // only change wall-clock, never results; this is the one sanctioned read.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "by the par_map contract the thread count can only change wall-clock, never results"
+    )]
     if let Ok(v) = std::env::var(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
@@ -122,6 +128,10 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the claim counter only picks which worker computes a slot; its value never reaches a result"
+    )]
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // ~4 claims per worker: enough slack for uneven items, few enough that
@@ -130,8 +140,6 @@ where
     let work = || {
         let _guard = PoolGuard::enter();
         loop {
-            // detlint: allow(SRC005): the claim counter only picks which
-            // worker computes a slot; its value never reaches a result.
             let start = next.fetch_add(chunk, Ordering::Relaxed);
             if start >= n {
                 break;
@@ -147,11 +155,16 @@ where
             }
         }
     };
-    // detlint: allow(SRC006): this IS the sanctioned fan-out — results land
-    // in per-index slots, so the merge below is input-ordered by construction.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned fan-out: results land in per-index slots, so the merge below is input-ordered by construction"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers - 1 {
-            // detlint: allow(SRC006): worker of the sanctioned fan-out.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "worker of the sanctioned fan-out"
+            )]
             scope.spawn(work); // Copy: the closure captures only shared refs.
         }
         work(); // The caller is the last worker.

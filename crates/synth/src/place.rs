@@ -392,7 +392,7 @@ mod tests {
     fn capacity_respected() {
         let n = netlist();
         let p = Placer::default().place(&n, 20, 20);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for &xy in &p.pos {
             *counts.entry(xy).or_insert(0usize) += 1;
         }

@@ -216,7 +216,10 @@ fn whole_platform_scan_stays_interactive() {
     .iter()
     .map(|n| example(n))
     .collect();
-    // detlint: allow(SRC002): harness wall-clock budget, not model state.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "harness wall-clock budget, not model state"
+    )]
     let start = std::time::Instant::now();
     for s in &shells {
         let r = lint_platform(s);
