@@ -1,7 +1,6 @@
 //! One function per table/figure of §9.
 
 use crate::report::{ExperimentResult, Row};
-use coyote::build::{build_app, build_shell};
 use coyote::kernel::Passthrough;
 use coyote::v1::V1Platform;
 use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
@@ -15,7 +14,7 @@ use coyote_hls4ml::{
 };
 use coyote_sim::time::rate;
 use coyote_sim::SimTime;
-use coyote_synth::{fig7b_configs, Ip, IpBlock, ShellArtifacts};
+use coyote_synth::{fig7b_configs, Ip, IpBlock};
 
 fn gbps(bytes: u64, dur: coyote_sim::SimDuration) -> f64 {
     rate(bytes, dur).as_gbps_f64()
@@ -98,12 +97,11 @@ pub fn table2() -> ExperimentResult {
 /// Table 3: shell reconfiguration latency for the three §9.3 scenarios,
 /// plus the Vivado Hardware Manager baseline.
 pub fn table3() -> ExperimentResult {
-    type Scenario = (&'static str, ShellConfig, Vec<Vec<IpBlock>>, f64, f64, f64);
+    type Scenario = (&'static str, ShellConfig, f64, f64, f64);
     let scenarios: Vec<Scenario> = vec![
         (
             "#1 MMU 2MB -> 1GB pages",
             ShellConfig::host_only(1).with_mmu(coyote_mmu::MmuConfig::huge_1g()),
-            vec![vec![IpBlock::new(Ip::Passthrough)]],
             51.6,
             536.2,
             55_922.5,
@@ -111,10 +109,6 @@ pub fn table3() -> ExperimentResult {
         (
             "#2 RDMA -> 2 numeric kernels",
             ShellConfig::host_memory(2, 16),
-            vec![
-                vec![IpBlock::new(Ip::VecAdd)],
-                vec![IpBlock::new(Ip::VecProduct)],
-            ],
             72.3,
             709.0,
             63_045.2,
@@ -123,7 +117,6 @@ pub fn table3() -> ExperimentResult {
             "#3 RDMA+sniffer -> RDMA",
             ShellConfig::host_memory_network(1, 16)
                 .with_sniffer(coyote_net::SnifferConfig::default()),
-            vec![vec![IpBlock::new(Ip::Passthrough)]],
             85.5,
             929.1,
             71_417.9,
@@ -136,9 +129,8 @@ pub fn table3() -> ExperimentResult {
         coyote_driver::VivadoBaseline::full_flow(Device::new(DeviceKind::U55C).full_config_bytes())
             .as_millis_f64();
     let mut rows = Vec::new();
-    for (name, cfg, apps, paper_kernel, paper_total, paper_vivado) in scenarios {
-        let art = build_shell(&cfg, apps).expect("shell flow");
-        let t = table3_reconfigure(cfg, &art);
+    for (name, cfg, paper_kernel, paper_total, paper_vivado) in scenarios {
+        let t = table3_reconfigure(cfg);
         rows.push(
             Row::new(name, "kernel ms", t.kernel_latency.as_millis_f64())
                 .with("total ms", t.total_latency.as_millis_f64())
@@ -163,13 +155,19 @@ pub fn table3() -> ExperimentResult {
 }
 
 /// One Table 3 measurement: reconfigure a fresh platform to the shell
-/// `art` was built for, reading the image from disk. Deterministic, so each
-/// scenario is measured once.
-pub fn table3_reconfigure(cfg: ShellConfig, art: &ShellArtifacts) -> ReconfigTiming {
+/// `cfg`, reading the image from disk. The image is the shell partition of
+/// `cfg`'s floorplan, keyed by [`ShellConfig::digest`]: its latencies
+/// depend on its size alone, which placement never changes. Deterministic,
+/// so each scenario is measured once.
+pub fn table3_reconfigure(cfg: ShellConfig) -> ReconfigTiming {
+    let image = cfg
+        .floorplan()
+        .image(BitstreamKind::Shell, cfg.digest())
+        .expect("preset has shell");
     let mut p = Platform::load(ShellConfig::host_only(1)).expect("platform");
-    p.register_built_shell(cfg, art);
+    p.register_shell(image.digest(), cfg);
     CRcnfg::new(&mut p, 1)
-        .reconfigure_shell_parsed(&mut p, art.shell_bitstream.header(), true)
+        .reconfigure_shell_parsed(&mut p, image.header(), true)
         .expect("reconfigure")
 }
 
@@ -420,14 +418,20 @@ pub fn fig11() -> ExperimentResult {
     let v2_util = (v2_services + hll).utilization(&device_cap) * 100.0;
     let v1_util = (v1_services + hll).utilization(&device_cap) * 100.0;
 
-    // On-demand reconfiguration (§9.6's 57 ms).
-    let shell = build_shell(&cfg, vec![vec![IpBlock::new(Ip::Hll)]]).expect("shell");
-    let app = build_app(&[IpBlock::new(Ip::Hll)], 0, &shell.checkpoint).expect("app");
+    // On-demand reconfiguration (§9.6's 57 ms): the HLL image fills
+    // vFPGA 0's region of the floorplan, keyed by the HLL design's digest.
+    let image = cfg
+        .floorplan()
+        .image(
+            BitstreamKind::App { vfpga: 0 },
+            IpBlock::new(Ip::Hll).synthesize().digest(),
+        )
+        .expect("preset region");
     let mut pd = Platform::load(cfg).expect("platform");
-    pd.register_app(app.bitstream.digest(), || Box::new(HllKernel::new()));
+    pd.register_app(image.digest(), || Box::new(HllKernel::new()));
     let rcnfg = CRcnfg::new(&mut pd, 1);
     let timing = rcnfg
-        .reconfigure_app_bytes(&mut pd, app.bitstream.bytes(), 0, true)
+        .reconfigure_app_bytes(&mut pd, image.bytes(), 0, true)
         .expect("on-demand load");
 
     ExperimentResult {
@@ -455,7 +459,7 @@ pub fn fig11() -> ExperimentResult {
 pub fn fig12() -> ExperimentResult {
     let spec = intrusion_detection_model(42);
     let hls = HlsModel::convert(spec.clone(), HlsConfig::new(Backend::CoyoteAccelerator));
-    let build = hls.build().expect("build");
+    let build = hls.build();
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();

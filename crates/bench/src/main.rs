@@ -31,13 +31,25 @@ use coyote_sim::{par_map, Fnv64};
 use serde_json::Value;
 use std::time::{Duration, Instant};
 
-/// The paper experiments that run for hundreds of milliseconds, longest
-/// first: median wall-clock of 3 runs at `--threads 1` on a 2-vCPU x86-64
-/// host, one process each, is `fig7b` 580 ms, `table3` 556, `fig11` 402,
-/// `fig7a` 339, `fig12` 321 and `fig8` 294; every other experiment takes
-/// under 25 ms. The fan-out claims them ahead of the short ones, so the
-/// short ones fill in behind them.
-const LONGEST_FIRST: &[&str] = &["fig7b", "table3", "fig11", "fig7a", "fig12", "fig8"];
+/// The order in which the fan-out claims the paper experiments that run
+/// for hundreds of milliseconds, ahead of the short ones, which fill in
+/// behind them. Median wall-clock of 3 runs at `--threads 1` on a 2-vCPU
+/// x86-64 host, one process each: `fig7b` 503 ms, `fig7a` 240, `fig8` 210,
+/// `fig11` 195 and `fig12` 145; every other paper experiment takes under
+/// 25 ms (`table3` 0.4).
+///
+/// The order also sets a run's peak memory. The allocator keeps the heap a
+/// worker thread freed, so the peaks of experiments on different workers
+/// add up while those on one worker do not. At two workers `par_map` hands
+/// out two items per claim, so the list is read in pairs: `fig11`+`fig12`,
+/// `fig7b`+`table3` (which only keeps a large resident set out of
+/// `fig7b`'s claim), then `fig8`+`fig7a`, taken by the first worker to
+/// finish, the one that ran `fig11`+`fig12` (~340 ms). The four largest
+/// resident sets (`fig8` 136 MB, `fig11` 108, `fig7a` 54, `fig12` 22) so
+/// run back to back on one worker, and `fig7b` (14 MB) beside them. A pass
+/// over the 17 paper experiments at two threads peaks at 138 MB in this
+/// order, and at 185 MB in order of wall-clock alone.
+const CLAIM_ORDER: &[&str] = &["fig11", "fig12", "fig7b", "table3", "fig8", "fig7a"];
 
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the
 /// serialize/retransmit hot loop in real nanoseconds). Their values are
@@ -68,7 +80,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Run a selection in one fan-out over every experiment that runs alone:
 /// the selected ones, plus the inputs of selected evaluations (`claims`)
-/// that the selection leaves out, each once, the [`LONGEST_FIRST`] ones
+/// that the selection leaves out, each once, the [`CLAIM_ORDER`] ones
 /// claimed first. The evaluations then run over the fan-out's results.
 /// Results come back in selection order, so printing and JSON output are
 /// identical to a serial run.
@@ -91,8 +103,8 @@ fn run_selection(selection: &[&str]) -> Vec<(ExperimentResult, Duration)> {
     }
     // Stable: everything else keeps selection order.
     alone.sort_by_key(|id| {
-        let long = LONGEST_FIRST.iter().position(|l| l == id);
-        long.unwrap_or(LONGEST_FIRST.len())
+        let claimed = CLAIM_ORDER.iter().position(|l| l == id);
+        claimed.unwrap_or(CLAIM_ORDER.len())
     });
     let (results, walls): (Vec<ExperimentResult>, Vec<Duration>) = par_map(&alone, |_, id| {
         let Some(Run::Alone(run)) = experiment(id) else {

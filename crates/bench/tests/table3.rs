@@ -1,16 +1,13 @@
 //! Table 3 measures each scenario once: a repeat is bit-identical, so
 //! averaging repeats would only cost time.
 
-use coyote::build::build_shell;
 use coyote::ShellConfig;
-use coyote_synth::{Ip, IpBlock};
 
 #[test]
 fn table3_reconfigurations_repeat_bit_identically() {
     let cfg = ShellConfig::host_only(1);
-    let art = build_shell(&cfg, vec![vec![IpBlock::new(Ip::Passthrough)]]).unwrap();
     let measure = || {
-        let t = coyote_bench::experiments::table3_reconfigure(cfg.clone(), &art);
+        let t = coyote_bench::experiments::table3_reconfigure(cfg.clone());
         (
             t.read_done,
             t.copy_done,

@@ -4,7 +4,7 @@
 //! applications. Coyote v2 will then synthesize all the necessary partial
 //! bitstreams which can dynamically be loaded onto the FPGA."
 
-use coyote_fabric::{DeviceKind, ShellProfile};
+use coyote_fabric::{DeviceKind, Floorplan, ShellProfile};
 use coyote_mmu::MmuConfig;
 use coyote_net::SnifferConfig;
 use coyote_sim::Fnv64;
@@ -196,6 +196,16 @@ impl ShellConfig {
         } else {
             ShellProfile::HostOnly
         }
+    }
+
+    /// The preset floorplan this shell is built into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vFPGA count does not fit the device (`validate`
+    /// rejects such a config).
+    pub fn floorplan(&self) -> Floorplan {
+        Floorplan::preset(self.device, self.profile(), self.n_vfpgas)
     }
 
     /// Service IP blocks for the build flows.

@@ -149,10 +149,7 @@ impl XdmaEngine {
     pub fn book_all(&mut self, now: SimTime, dir: XdmaDir) -> Vec<PacketDone> {
         let q = self.dir_mut(dir);
         let delivered = q.drain(now);
-        delivered
-            .into_iter()
-            .filter_map(|d| self.finish(d))
-            .collect()
+        delivered.into_iter().map(|d| self.finish(d)).collect()
     }
 
     /// [`XdmaEngine::book_all`] under the attached chaos injector: stalled
@@ -184,13 +181,13 @@ impl XdmaEngine {
         let done = drained
             .delivered
             .into_iter()
-            .filter_map(|d| self.finish(d))
+            .map(|d| self.finish(d))
             .collect();
         self.chaos = Some(inj);
         ChaosBooked { done, crashed }
     }
 
-    fn finish(&mut self, d: coyote_sched::Delivered<u8, QueuedPacket>) -> Option<PacketDone> {
+    fn finish(&mut self, d: coyote_sched::Delivered<u8, QueuedPacket>) -> PacketDone {
         let QueuedPacket { job, packet } = d.packet;
         let mut transfer = d.transfer;
         // The descriptor fetch delays the stream's visibility: every packet
@@ -203,12 +200,12 @@ impl XdmaEngine {
         if job_done {
             self.remaining.remove(&job.id);
         }
-        Some(PacketDone {
+        PacketDone {
             job,
             packet,
             transfer,
             job_done,
-        })
+        }
     }
 
     /// Book one packet directly on a direction's link at or after `now`,

@@ -384,14 +384,13 @@ impl VivadoBaseline {
 mod tests {
     use super::*;
     use coyote_fabric::bitstream::BitstreamKind;
-    use coyote_fabric::floorplan::{Floorplan, PartitionId, ShellProfile};
+    use coyote_fabric::floorplan::{Floorplan, ShellProfile};
     use coyote_fabric::{Device, DeviceKind};
 
     fn shell_blob(profile: ShellProfile) -> Vec<u8> {
-        let fp = Floorplan::preset(DeviceKind::U55C, profile, 1);
-        let tiles = fp.tiles_of(PartitionId::Shell).unwrap();
-        let frames = Device::frames_for_tiles(tiles);
-        Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 0xAA)
+        Floorplan::preset(DeviceKind::U55C, profile, 1)
+            .image(BitstreamKind::Shell, 0xAA)
+            .unwrap()
             .bytes()
             .to_vec()
     }

@@ -654,8 +654,7 @@ fn fill_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
-    use crate::floorplan::{Floorplan, PartitionId, ShellProfile};
+    use crate::floorplan::{Floorplan, ShellProfile};
 
     #[test]
     fn assemble_parse_roundtrip() {
@@ -676,10 +675,8 @@ mod tests {
     #[test]
     fn shell_bitstream_size_matches_floorplan() {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-        let tiles = fp.tiles_of(PartitionId::Shell).unwrap();
-        let frames = Device::frames_for_tiles(tiles);
-        let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 1);
-        let expected = HEADER_BYTES as u64 + frames * FRAME_RECORD_BYTES as u64 + 4;
+        let bs = fp.image(BitstreamKind::Shell, 1).unwrap();
+        let expected = HEADER_BYTES as u64 + bs.frames() * FRAME_RECORD_BYTES as u64 + 4;
         assert_eq!(bs.len(), expected);
         // ~37 MB: the scenario #1 shell of Table 3.
         assert!((37.0..37.5).contains(&(bs.len() as f64 / 1e6)));

@@ -176,15 +176,10 @@ impl Device {
         tiles as u64 * FRAMES_PER_TILE as u64
     }
 
-    /// Configuration-data bytes for a tile count (what a partial bitstream
-    /// covering those tiles carries, before the header).
-    pub fn config_bytes_for_tiles(tiles: u32) -> u64 {
-        Self::frames_for_tiles(tiles) * FRAME_RECORD_BYTES as u64
-    }
-
-    /// Full-device configuration-data size.
+    /// Full-device configuration-data size (the frame records of a full
+    /// image, before its header and trailer).
     pub fn full_config_bytes(&self) -> u64 {
-        Self::config_bytes_for_tiles(self.tiles())
+        Self::frames_for_tiles(self.tiles()) * FRAME_RECORD_BYTES as u64
     }
 }
 

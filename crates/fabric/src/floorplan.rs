@@ -11,6 +11,7 @@
 //! fail-safe of §4); an app reconfiguration rewrites only the frames of one
 //! vFPGA rectangle.
 
+use crate::bitstream::{Bitstream, BitstreamKind};
 use crate::device::{Device, DeviceKind};
 use crate::resources::ResourceVec;
 use serde::{Deserialize, Serialize};
@@ -210,9 +211,10 @@ impl Floorplan {
         fp
     }
 
-    /// Build a floorplan from explicit partitions (for tests and custom
-    /// deployments); call [`Floorplan::validate`] before use.
-    pub fn custom(device: DeviceKind, partitions: Vec<Partition>) -> Floorplan {
+    /// Build a floorplan from explicit partitions, for the `validate`
+    /// tests.
+    #[cfg(test)]
+    fn custom(device: DeviceKind, partitions: Vec<Partition>) -> Floorplan {
         Floorplan { device, partitions }
     }
 
@@ -285,6 +287,21 @@ impl Floorplan {
         self.partition(id).map(|p| p.rect.tiles())
     }
 
+    /// The unwritten image of a `kind` bitstream for the design `digest`.
+    /// Its size is the target partition's geometry, never the placement
+    /// inside it: the shell image covers the whole shell rectangle, an app
+    /// image its vFPGA region, a full image the whole device. `None` if
+    /// the floorplan has no such region.
+    pub fn image(&self, kind: BitstreamKind, digest: u64) -> Option<Bitstream> {
+        let tiles = match kind {
+            BitstreamKind::Full => Some(Device::new(self.device).tiles()),
+            BitstreamKind::Shell => self.tiles_of(PartitionId::Shell),
+            BitstreamKind::App { vfpga } => self.tiles_of(PartitionId::Vfpga(vfpga)),
+        }?;
+        let frames = Device::frames_for_tiles(tiles);
+        Some(Bitstream::assemble(self.device, kind, frames, digest))
+    }
+
     /// Placeable capacity of a partition. For the shell, the nested vFPGA
     /// rectangles are subtracted: services may only use the service band.
     pub fn capacity_of(&self, device: &Device, id: PartitionId) -> Option<ResourceVec> {
@@ -307,6 +324,7 @@ impl Floorplan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::HEADER_BYTES;
     use crate::device::FRAME_RECORD_BYTES;
 
     #[test]
@@ -332,11 +350,7 @@ mod tests {
         ];
         for (profile, expect_mb) in cases {
             let fp = Floorplan::preset(DeviceKind::U55C, profile, 1);
-            let bytes = fp
-                .tiles_of(PartitionId::Shell)
-                .map(Device::config_bytes_for_tiles)
-                .unwrap();
-            let mb = bytes as f64 / 1e6;
+            let mb = fp.image(BitstreamKind::Shell, 0).unwrap().len() as f64 / 1e6;
             assert!((mb - expect_mb).abs() < 0.5, "{profile:?}: {mb} MB");
         }
     }
@@ -346,11 +360,8 @@ mod tests {
         // §9.6: loading the HLL kernel by partial reconfiguration takes
         // ~57 ms; at 800 MB/s + 5 ms setup that is a ~41 MB region.
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemory, 1);
-        let bytes = fp
-            .tiles_of(PartitionId::Vfpga(0))
-            .map(Device::config_bytes_for_tiles)
-            .unwrap();
-        let mb = bytes as f64 / 1e6;
+        let image = fp.image(BitstreamKind::App { vfpga: 0 }, 0).unwrap();
+        let mb = image.len() as f64 / 1e6;
         assert!((40.0..42.5).contains(&mb), "got {mb} MB");
     }
 
@@ -445,11 +456,16 @@ mod tests {
     fn config_bytes_use_frame_geometry() {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
         let tiles = fp.tiles_of(PartitionId::Shell).unwrap() as u64;
+        let shell = fp.image(BitstreamKind::Shell, 9).unwrap();
+        assert_eq!(shell.frames(), tiles * 33);
         assert_eq!(
-            fp.tiles_of(PartitionId::Shell)
-                .map(Device::config_bytes_for_tiles)
-                .unwrap(),
-            tiles * 33 * FRAME_RECORD_BYTES as u64
+            shell.len(),
+            (HEADER_BYTES + 4) as u64 + tiles * 33 * FRAME_RECORD_BYTES as u64
         );
+        assert_eq!((shell.device(), shell.digest()), (DeviceKind::U55C, 9));
+        let full = fp.image(BitstreamKind::Full, 9).unwrap();
+        let device_tiles = Device::new(DeviceKind::U55C).tiles() as u64;
+        assert_eq!(full.frames(), device_tiles * 33);
+        assert!(fp.image(BitstreamKind::App { vfpga: 1 }, 9).is_none());
     }
 }

@@ -2,7 +2,7 @@
 //! baseline (§9.7, Fig. 12).
 
 use crate::model::ModelSpec;
-use coyote::{CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
+use coyote::{CThread, Oper, Platform, PlatformError, SgEntry};
 use coyote_apps::nn::{quantize, DenseLayer, NnKernel, QuantizedMlp};
 use coyote_sim::SimDuration;
 use coyote_synth::{Ip, IpBlock};
@@ -52,17 +52,11 @@ pub struct HlsModel {
     compiled: QuantizedMlp,
 }
 
-/// Output of `build()`: the synthesized artifact metadata.
+/// Output of `build()`: what the overlays deploy.
 #[derive(Debug, Clone)]
 pub struct BuildOutput {
-    /// Bitstream digest the overlay loads.
-    pub digest: u64,
     /// Resource footprint of the generated IP.
     pub resources: coyote_fabric::ResourceVec,
-    /// Modeled build time.
-    pub build_time: SimDuration,
-    /// The backend it was built for.
-    pub backend: Backend,
     /// The quantized network (the overlay instantiates the kernel from it).
     pub network: QuantizedMlp,
 }
@@ -103,22 +97,18 @@ impl HlsModel {
         x.iter().map(|row| self.compiled.classify(row)).collect()
     }
 
-    /// Hardware synthesis (`hls_model.build()`): runs the app flow against
-    /// a host+memory shell checkpoint and reports resources + build time.
-    pub fn build(&self) -> Result<BuildOutput, PlatformError> {
-        let shell_cfg = ShellConfig::host_memory(1, 8);
+    /// Hardware generation (`hls_model.build()`): the generated IP's
+    /// resource footprint and the network the overlays load as a kernel.
+    /// No place-and-route runs: the overlays load the kernel directly, and
+    /// Fig. 12 reads only the footprint.
+    pub fn build(&self) -> BuildOutput {
         let ip = IpBlock::new(Ip::NnInference {
             params: self.compiled.param_count(),
         });
-        let shell = coyote::build::build_shell(&shell_cfg, vec![vec![ip.clone()]])?;
-        let app = coyote::build::build_app(std::slice::from_ref(&ip), 0, &shell.checkpoint)?;
-        Ok(BuildOutput {
-            digest: app.bitstream.digest(),
+        BuildOutput {
             resources: ip.footprint(),
-            build_time: app.report.total,
-            backend: self.config.backend,
             network: self.compiled.clone(),
-        })
+        }
     }
 }
 
@@ -296,13 +286,14 @@ impl PynqOverlay {
 mod tests {
     use super::*;
     use crate::model::{intrusion_detection_model, sample_batch};
+    use coyote::ShellConfig;
 
     fn built() -> (BuildOutput, Vec<Vec<f32>>, Vec<usize>) {
         let spec = intrusion_detection_model(3);
         let x = sample_batch(&spec, 16, 5);
         let hls = HlsModel::convert(spec, HlsConfig::new(Backend::CoyoteAccelerator));
         let emu = hls.predict(&x);
-        let build = hls.build().unwrap();
+        let build = hls.build();
         (build, x, emu)
     }
 
@@ -343,7 +334,6 @@ mod tests {
         let (build, _, _) = built();
         assert!(build.resources.lut > 4_000);
         assert!(build.resources.dsp > 0);
-        assert!(build.build_time.as_secs_f64() > 100.0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! let hls_model = HlsModel::convert(keras_model, HlsConfig::new(Backend::CoyoteAccelerator));
 //! // Software emulation (hls_model.compile(); hls_model.predict(X)).
 //! let pred_emu = hls_model.predict(&x);
-//! // Hardware build + overlay deployment.
-//! let build = hls_model.build().unwrap();
+//! // Hardware generation + overlay deployment.
+//! let build = hls_model.build();
 //! let mut platform = Platform::load(ShellConfig::host_memory(1, 8)).unwrap();
 //! let mut overlay = CoyoteOverlay::program_fpga(&mut platform, &build).unwrap();
 //! let (pred_fpga, _report) = overlay.predict(&mut platform, &x).unwrap();

@@ -8,9 +8,7 @@
 //! the floorplan reserves for it (BS005)?
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
-use coyote_fabric::{
-    Bitstream, BitstreamError, BitstreamKind, Device, DeviceKind, Floorplan, PartitionId,
-};
+use coyote_fabric::{Bitstream, BitstreamError, BitstreamKind, DeviceKind, Floorplan};
 
 /// Where a verified blob is about to be deployed.
 #[derive(Debug, Clone)]
@@ -80,15 +78,12 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
     // partition's frame space means the tail frames configure tiles the
     // floorplan never granted to this image.
     if let Some(fp) = ctx.floorplan {
-        let (target, tiles) = match header.kind {
-            BitstreamKind::Full => ("device".to_string(), Some(Device::new(ctx.device).tiles())),
-            BitstreamKind::Shell => ("shell".to_string(), fp.tiles_of(PartitionId::Shell)),
-            BitstreamKind::App { vfpga } => (
-                format!("vfpga({vfpga})"),
-                fp.tiles_of(PartitionId::Vfpga(vfpga)),
-            ),
+        let target = match header.kind {
+            BitstreamKind::Full => "device".to_string(),
+            BitstreamKind::Shell => "shell".to_string(),
+            BitstreamKind::App { vfpga } => format!("vfpga({vfpga})"),
         };
-        match tiles {
+        match fp.image(header.kind, header.digest) {
             None => {
                 report.push(Diagnostic::new(
                     "BS005",
@@ -99,8 +94,8 @@ pub fn lint_bitstream(name: &str, bytes: &[u8], ctx: Option<&DeployContext<'_>>)
                     ),
                 ));
             }
-            Some(tiles) => {
-                let budget = Device::frames_for_tiles(tiles);
+            Some(partition) => {
+                let budget = partition.frames();
                 if header.frames > budget {
                     report.push(
                         Diagnostic::new(
@@ -138,12 +133,8 @@ mod tests {
     #[test]
     fn well_built_images_verify_clean() {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemory, 2);
-        for (kind, part) in [
-            (BitstreamKind::Shell, PartitionId::Shell),
-            (BitstreamKind::App { vfpga: 1 }, PartitionId::Vfpga(1)),
-        ] {
-            let frames = Device::frames_for_tiles(fp.tiles_of(part).unwrap());
-            let bs = Bitstream::assemble(DeviceKind::U55C, kind, frames, 0xC0FFEE);
+        for kind in [BitstreamKind::Shell, BitstreamKind::App { vfpga: 1 }] {
+            let bs = fp.image(kind, 0xC0FFEE).unwrap();
             let r = lint_bitstream("image", bs.bytes(), Some(&ctx(&fp)));
             assert!(r.is_clean(), "{}", r.render_human());
         }
@@ -190,13 +181,9 @@ mod tests {
     #[test]
     fn oversized_image_flagged_outside_partition() {
         let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-        let budget = Device::frames_for_tiles(fp.tiles_of(PartitionId::Vfpga(0)).unwrap());
-        let bs = Bitstream::assemble(
-            DeviceKind::U55C,
-            BitstreamKind::App { vfpga: 0 },
-            budget + 1,
-            2,
-        );
+        let kind = BitstreamKind::App { vfpga: 0 };
+        let budget = fp.image(kind, 2).unwrap().frames();
+        let bs = Bitstream::assemble(DeviceKind::U55C, kind, budget + 1, 2);
         let r = lint_bitstream("big", bs.bytes(), Some(&ctx(&fp)));
         assert_eq!(r.of_rule("BS005").count(), 1, "{}", r.render_human());
     }

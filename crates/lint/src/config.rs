@@ -12,7 +12,7 @@ use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::QpSpec;
 use coyote::config::ShellConfig;
 use coyote_chaos::{FaultKind, FaultPlan, RetryPolicy};
-use coyote_fabric::{Device, Floorplan};
+use coyote_fabric::Device;
 use coyote_mmu::{MmuConfig, TlbConfig};
 use coyote_sim::params::ROCE_MTU;
 
@@ -213,8 +213,8 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     // blocks of a rejected shell (say 10^8 memory channels) is wasted work.
     if valid.is_ok() {
         let device = Device::new(cfg.device);
-        let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
-        let band = fp
+        let band = cfg
+            .floorplan()
             .capacity_of(&device, coyote_fabric::PartitionId::Shell)
             .expect("preset floorplan has a shell");
         let demand: coyote_fabric::ResourceVec =

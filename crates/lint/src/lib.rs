@@ -7,8 +7,8 @@
 //!
 //! * [`lint_netlist`] — undriven/multiply-driven nets, dangling cells,
 //!   combinational loops, width mismatches, unreachable logic (NL001–NL007).
-//! * [`lint_floorplan`] — partition geometry, resource budgets and
-//!   clock-region discipline (FP001–FP007).
+//! * [`lint_floorplan`] — clock-region discipline of the vFPGA regions
+//!   (FP007).
 //! * [`lint_bitstream`] — offline blob verification without the ICAP load
 //!   path, including deployment checks (BS001–BS006).
 //! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
@@ -52,13 +52,11 @@ pub use bitstream::{lint_bitstream, DeployContext};
 pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
 pub use des::lint_fault_trace;
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
-pub use floorplan::{lint_floorplan, PartitionDemand};
+pub use floorplan::lint_floorplan;
 pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
-
-use coyote_fabric::{Device, Floorplan};
 
 /// Lint everything a shell specification implies, in one report: the
 /// configuration itself, the QP transport contract (if declared), the
@@ -88,9 +86,7 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
             // overflow the band (CF006) may ask for absurd service blocks,
             // and synthesizing them costs seconds or all of memory.
             if buildable {
-                let device = Device::new(cfg.device);
-                let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
-                report.extend(lint_floorplan(&fp, &device, &[]));
+                report.extend(lint_floorplan(&cfg.floorplan()));
                 for block in cfg.service_blocks() {
                     report.extend(lint_netlist(&block.synthesize()));
                 }

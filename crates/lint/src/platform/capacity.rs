@@ -11,7 +11,7 @@
 use super::graph::PlatformGraph;
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::ShellSpec;
-use coyote_fabric::{Device, Floorplan, PartitionId, FRAME_RECORD_BYTES};
+use coyote_fabric::{BitstreamKind, FRAME_RECORD_BYTES};
 use coyote_sim::params::{
     HBM_CHANNEL_BW, HOST_LINK_BW, ICAP_BW, NET_LINK_BW, SWITCH_LATENCY, WIRE_LATENCY,
 };
@@ -89,9 +89,8 @@ pub fn check(spec: &ShellSpec, g: &PlatformGraph) -> Report {
     if total_rate > 0.0 {
         if let Ok(cfg) = spec.to_shell_config() {
             if (1..=10).contains(&cfg.n_vfpgas) {
-                let fp = Floorplan::preset(cfg.device, cfg.profile(), cfg.n_vfpgas);
-                if let Some(tiles) = fp.tiles_of(PartitionId::Vfpga(0)) {
-                    let region_bytes = Device::frames_for_tiles(tiles) * FRAME_RECORD_BYTES as u64;
+                if let Some(region) = cfg.floorplan().image(BitstreamKind::App { vfpga: 0 }, 0) {
+                    let region_bytes = region.frames() * FRAME_RECORD_BYTES as u64;
                     let demand = total_rate * region_bytes as f64;
                     let beat = ICAP_BW.as_bytes_per_sec() as f64;
                     if demand > beat {

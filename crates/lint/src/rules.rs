@@ -109,42 +109,6 @@ pub const CATALOG: &[RuleInfo] = &[
     },
     // --- Floorplan ---------------------------------------------------
     RuleInfo {
-        id: "FP001",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "partition extends beyond the device tile grid",
-    },
-    RuleInfo {
-        id: "FP002",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "partitions overlap (static/shell, or two vFPGA regions)",
-    },
-    RuleInfo {
-        id: "FP003",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "vFPGA region not contained in the shell partition",
-    },
-    RuleInfo {
-        id: "FP004",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "floorplan has no shell partition (nothing to reconfigure)",
-    },
-    RuleInfo {
-        id: "FP005",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "duplicate partition id",
-    },
-    RuleInfo {
-        id: "FP006",
-        layer: Layer::Floorplan,
-        severity: Severity::Error,
-        description: "resource demand exceeds partition capacity (LUT/FF/BRAM/URAM/DSP)",
-    },
-    RuleInfo {
         id: "FP007",
         layer: Layer::Floorplan,
         severity: Severity::Warning,

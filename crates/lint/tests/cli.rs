@@ -205,12 +205,11 @@ fn catalog_lists_the_new_rule_families() {
     assert_eq!(
         listed,
         [
-            "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002",
-            "FP003", "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004",
-            "BS005", "BS006", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008",
-            "DS004", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
-            "CAP003", "ISO001", "ISO002",
+            "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP007", "BS001",
+            "BS002", "BS003", "BS004", "BS005", "BS006", "CF002", "CF003", "CF004", "CF005",
+            "CF006", "CF007", "CF008", "DS004", "PG001", "PG002", "WF001", "WF002", "WF003",
+            "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
         ],
-        "--catalog must list the 39 rules, ordered by layer then id"
+        "--catalog must list the 33 rules, ordered by layer then id"
     );
 }

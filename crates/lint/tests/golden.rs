@@ -11,12 +11,12 @@
 //! `cycle(software)` finding of the spec's `platform:<name>` unit.
 
 use coyote_fabric::{
-    Bitstream, BitstreamKind, Device, DeviceKind, Floorplan, Partition, PartitionId, Rect,
-    ResourceVec, ShellProfile, FRAME_RECORD_BYTES, HEADER_BYTES,
+    Bitstream, BitstreamKind, DeviceKind, Floorplan, ResourceVec, ShellProfile, FRAME_RECORD_BYTES,
+    HEADER_BYTES,
 };
 use coyote_lint::{
     lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shell_spec, DeployContext,
-    PartitionDemand, Report, Severity, ShellSpec,
+    Report, Severity, ShellSpec,
 };
 use coyote_sim::SimTime;
 use coyote_synth::{CellKind, Net, Netlist};
@@ -284,131 +284,30 @@ fn nl007_invalid_sink() {
 
 // -------------------------------------------------------------- floorplan
 
-fn dev() -> Device {
-    Device::new(DeviceKind::U55C)
-}
-
-fn shell() -> Partition {
-    Partition {
-        id: PartitionId::Shell,
-        rect: Rect::new(8, 0, 60, 100),
-    }
-}
-
 #[test]
 fn clean_floorplan_produces_zero_diagnostics() {
     let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemoryNetwork, 4);
-    let r = lint_floorplan(&fp, &dev(), &[]);
+    let r = lint_floorplan(&fp);
     assert!(r.is_clean(), "{}", r.render_human());
 }
 
 #[test]
-fn fp001_out_of_bounds() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![
-            shell(),
-            Partition {
-                id: PartitionId::Static,
-                rect: Rect::new(0, 0, 8, 110),
-            },
-        ],
-    );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP001", "floorplan:Alveo U55C", "static");
-}
-
-#[test]
-fn fp002_overlap() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![
-            shell(),
-            Partition {
-                id: PartitionId::Static,
-                rect: Rect::new(0, 0, 10, 100),
-            },
-        ],
-    );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP002", "floorplan:Alveo U55C", "static");
-}
-
-#[test]
-fn fp003_vfpga_outside_shell() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![
-            shell(),
-            Partition {
-                id: PartitionId::Vfpga(0),
-                rect: Rect::new(55, 0, 70, 100),
-            },
-        ],
-    );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP003", "floorplan:Alveo U55C", "vfpga(0)");
-}
-
-#[test]
-fn fp004_missing_shell() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![Partition {
-            id: PartitionId::Static,
-            rect: Rect::new(0, 0, 8, 100),
-        }],
-    );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP004", "floorplan:Alveo U55C", "shell");
-}
-
-#[test]
-fn fp005_duplicate_partition() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![
-            shell(),
-            Partition {
-                id: PartitionId::Vfpga(0),
-                rect: Rect::new(20, 0, 40, 50),
-            },
-            Partition {
-                id: PartitionId::Vfpga(0),
-                rect: Rect::new(20, 50, 40, 100),
-            },
-        ],
-    );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP005", "floorplan:Alveo U55C", "vfpga(0)");
-}
-
-#[test]
-fn fp006_over_capacity() {
-    let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let demand = PartitionDemand {
-        id: PartitionId::Vfpga(0),
-        demand: ResourceVec::new(10_000_000, 0, 0, 0, 0),
-        design: "monster".into(),
-    };
-    let r = lint_floorplan(&fp, &dev(), &[demand]);
-    assert_fires(&r, "FP006", "floorplan:Alveo U55C", "vfpga(0)");
-}
-
-#[test]
 fn fp007_clock_region_straddle() {
-    let fp = Floorplan::custom(
-        DeviceKind::U55C,
-        vec![
-            shell(),
-            Partition {
-                id: PartitionId::Vfpga(0),
-                rect: Rect::new(20, 10, 40, 60),
-            },
-        ],
+    // Three 33-row bands on a 100-row grid straddle the 25-row clock
+    // regions without aligning to them.
+    let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostMemory, 3);
+    let r = lint_floorplan(&fp);
+    let at: Vec<(&str, &str)> = r
+        .of_rule("FP007")
+        .map(|d| (d.location.unit.as_str(), d.location.path.as_str()))
+        .collect();
+    let unit = "floorplan:Alveo U55C";
+    assert_eq!(
+        at,
+        [(unit, "vfpga(0)"), (unit, "vfpga(1)"), (unit, "vfpga(2)")],
+        "{}",
+        r.render_human()
     );
-    let r = lint_floorplan(&fp, &dev(), &[]);
-    assert_fires(&r, "FP007", "floorplan:Alveo U55C", "vfpga(0)");
     assert_ne!(r.max_severity(), Some(Severity::Error));
 }
 
@@ -429,8 +328,7 @@ fn restamp_crc(bytes: &mut [u8]) {
 #[test]
 fn clean_bitstream_produces_zero_diagnostics() {
     let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let frames = Device::frames_for_tiles(fp.tiles_of(PartitionId::Shell).unwrap());
-    let bs = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 7);
+    let bs = fp.image(BitstreamKind::Shell, 7).unwrap();
     let ctx = DeployContext {
         device: DeviceKind::U55C,
         floorplan: Some(&fp),
@@ -494,13 +392,9 @@ fn bs004_frame_address_sequence() {
 #[test]
 fn bs005_frames_outside_partition() {
     let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let budget = Device::frames_for_tiles(fp.tiles_of(PartitionId::Vfpga(0)).unwrap());
-    let bs = Bitstream::assemble(
-        DeviceKind::U55C,
-        BitstreamKind::App { vfpga: 0 },
-        budget + 1,
-        7,
-    );
+    let kind = BitstreamKind::App { vfpga: 0 };
+    let budget = fp.image(kind, 7).unwrap().frames();
+    let bs = Bitstream::assemble(DeviceKind::U55C, kind, budget + 1, 7);
     let ctx = DeployContext {
         device: DeviceKind::U55C,
         floorplan: Some(&fp),
@@ -732,10 +626,10 @@ fn every_catalog_rule_has_golden_coverage() {
     // test above fails here, and so does a rule dropped from the catalog
     // that is still listed.
     let covered = [
-        "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP001", "FP002", "FP003",
-        "FP004", "FP005", "FP006", "FP007", "BS001", "BS002", "BS003", "BS004", "BS005", "BS006",
-        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "CF008", "DS004", "PG001", "PG002",
-        "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
+        "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP007", "BS001", "BS002",
+        "BS003", "BS004", "BS005", "BS006", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007",
+        "CF008", "DS004", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
+        "CAP003", "ISO001", "ISO002",
     ];
     let catalog: Vec<&str> = coyote_lint::CATALOG.iter().map(|r| r.id).collect();
     assert_eq!(catalog, covered, "catalog and golden coverage disagree");

@@ -42,7 +42,6 @@ macro_rules! bitflags_lite {
         pub struct $name(pub $ty);
         impl $name {
             $(
-                #[allow(missing_docs, reason = "a flag constant is named after its header bit")]
                 pub const $flag: $name = $name($value);
             )*
             /// No flags.

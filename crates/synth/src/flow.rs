@@ -333,22 +333,19 @@ pub fn shell_flow(req: &BuildRequest) -> Result<ShellArtifacts, FlowError> {
     for b in &app_builds {
         digest ^= b.netlist.digest().rotate_left(17);
     }
-    let shell_frames = Device::frames_for_tiles(fp.tiles_of(PartitionId::Shell).expect("shell"));
-    let shell_bitstream =
-        Bitstream::assemble(req.device, BitstreamKind::Shell, shell_frames, digest);
-    let mut app_bitstreams = Vec::new();
-    let mut bitgen_frames = shell_frames;
-    for (v, b) in app_builds.iter().enumerate() {
-        let frames =
-            Device::frames_for_tiles(fp.tiles_of(PartitionId::Vfpga(v as u8)).expect("region"));
-        bitgen_frames += frames;
-        app_bitstreams.push(Bitstream::assemble(
-            req.device,
-            BitstreamKind::App { vfpga: v as u8 },
-            frames,
-            b.netlist.digest(),
-        ));
-    }
+    let shell_bitstream = fp
+        .image(BitstreamKind::Shell, digest)
+        .expect("preset has shell");
+    let app_bitstreams: Vec<Bitstream> = app_builds
+        .iter()
+        .enumerate()
+        .map(|(v, b)| {
+            fp.image(BitstreamKind::App { vfpga: v as u8 }, b.netlist.digest())
+                .expect("preset region")
+        })
+        .collect();
+    let bitgen_frames: u64 =
+        shell_bitstream.frames() + app_bitstreams.iter().map(Bitstream::frames).sum::<u64>();
     let bitgen_time = SimDuration(cost::BITGEN_PER_FRAME.0 * bitgen_frames);
 
     let total = cost::FLOW_FIXED + synth_time + place_time + route_time + bitgen_time;
@@ -452,11 +449,16 @@ pub fn app_flow(
     let (synth_time, place_time, route_time, moves, expansions) = stage_times(&[&build]);
     // Linking: load + legalize the locked shell.
     let link_time = SimDuration((checkpoint.service_build_ps as f64 * cost::LINK_FRACTION) as u64);
+    let bitstream = fp
+        .image(BitstreamKind::App { vfpga }, build.netlist.digest())
+        .expect("preset region");
     // Bitstream generation still covers the whole shell image (the partial
     // for this region is extracted from it).
-    let shell_frames = Device::frames_for_tiles(fp.tiles_of(PartitionId::Shell).expect("shell"));
-    let frames = Device::frames_for_tiles(fp.tiles_of(PartitionId::Vfpga(vfpga)).expect("region"));
-    let bitgen_time = SimDuration(cost::BITGEN_PER_FRAME.0 * (shell_frames + frames));
+    let shell_frames = fp
+        .image(BitstreamKind::Shell, 0)
+        .expect("preset has shell")
+        .frames();
+    let bitgen_time = SimDuration(cost::BITGEN_PER_FRAME.0 * (shell_frames + bitstream.frames()));
     let total = cost::FLOW_FIXED + synth_time + place_time + route_time + link_time + bitgen_time;
     let report = BuildReport {
         flow: "app",
@@ -472,12 +474,6 @@ pub fn app_flow(
         capacity: cap,
         timing: build.timing,
     };
-    let bitstream = Bitstream::assemble(
-        checkpoint.device,
-        BitstreamKind::App { vfpga },
-        frames,
-        build.netlist.digest(),
-    );
     Ok(AppArtifacts { report, bitstream })
 }
 

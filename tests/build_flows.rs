@@ -2,6 +2,9 @@
 
 use coyote::build::{build_app, build_shell};
 use coyote::ShellConfig;
+use coyote_fabric::{Bitstream, BitstreamKind};
+use coyote_mmu::MmuConfig;
+use coyote_net::SnifferConfig;
 use coyote_synth::{Ip, IpBlock, ShellCheckpoint};
 
 #[test]
@@ -90,4 +93,49 @@ fn shell_bitstream_sizes_follow_profiles() {
     assert!((37.0..37.5).contains(&(sizes[0] as f64 / 1e6)));
     assert!((53.0..54.0).contains(&(sizes[1] as f64 / 1e6)));
     assert!((64.0..65.0).contains(&(sizes[2] as f64 / 1e6)));
+}
+
+#[test]
+fn flow_images_match_floorplan_geometry() {
+    // Table 3 and Fig. 11 take their images from the floorplan instead of
+    // running these flows; the headers must agree in everything the
+    // reconfiguration path reads but the digest, a registry key.
+    let same = |built: &Bitstream, geometric: &Bitstream, frames: u64| {
+        assert_eq!(built.device(), geometric.device());
+        assert_eq!(built.kind(), geometric.kind());
+        assert_eq!((built.frames(), geometric.frames()), (frames, frames));
+        assert_eq!(built.len(), geometric.len());
+    };
+    let table3 = [
+        (
+            ShellConfig::host_only(1).with_mmu(MmuConfig::huge_1g()),
+            vec![vec![IpBlock::new(Ip::Passthrough)]],
+            99_000,
+        ),
+        (
+            ShellConfig::host_memory(2, 16),
+            vec![
+                vec![IpBlock::new(Ip::VecAdd)],
+                vec![IpBlock::new(Ip::VecProduct)],
+            ],
+            141_900,
+        ),
+        (
+            ShellConfig::host_memory_network(1, 16).with_sniffer(SnifferConfig::default()),
+            vec![vec![IpBlock::new(Ip::Passthrough)]],
+            171_600,
+        ),
+    ];
+    for (cfg, apps, frames) in table3 {
+        let built = build_shell(&cfg, apps).unwrap().shell_bitstream;
+        let geometric = cfg.floorplan().image(BitstreamKind::Shell, 0).unwrap();
+        same(&built, &geometric, frames);
+    }
+
+    let cfg = ShellConfig::host_memory(1, 8);
+    let shell = build_shell(&cfg, vec![vec![IpBlock::new(Ip::Hll)]]).unwrap();
+    let hll = build_app(&[IpBlock::new(Ip::Hll)], 0, &shell.checkpoint).unwrap();
+    let kind = BitstreamKind::App { vfpga: 0 };
+    let geometric = cfg.floorplan().image(kind, 0).unwrap();
+    same(&hll.bitstream, &geometric, 108_900);
 }
