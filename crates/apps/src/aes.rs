@@ -130,7 +130,39 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x
 /// An expanded AES-128 key.
 #[derive(Debug, Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// Round keys as little-endian column words, expanded once: the state
+    /// never leaves its four words between AddRoundKey and the next round.
+    round_keys: [[u32; 4]; 11],
+}
+
+/// A 16-byte block as four little-endian column words: row `r` of column
+/// `c` is byte `c * 4 + r` and sits at bits `8r..8r + 8` of word `c`.
+type State = [u32; 4];
+
+#[inline(always)]
+fn load(block: &[u8]) -> State {
+    core::array::from_fn(|c| {
+        u32::from_le_bytes(block[c * 4..c * 4 + 4].try_into().expect("4 bytes"))
+    })
+}
+
+#[inline(always)]
+fn store(s: State, block: &mut [u8]) {
+    for (c, col) in block.chunks_exact_mut(4).enumerate() {
+        col.copy_from_slice(&s[c].to_le_bytes());
+    }
+}
+
+#[inline(always)]
+fn xor(a: State, b: State) -> State {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
+}
+
+/// Row `r` of column `(c + r) % 4`: the byte ShiftRows moves to row `r` of
+/// column `c`.
+#[inline(always)]
+fn shifted(s: &State, c: usize, r: usize) -> usize {
+    ((s[(c + r) % 4] >> (8 * r)) & 0xFF) as usize
 }
 
 impl Aes128 {
@@ -153,13 +185,11 @@ impl Aes128 {
                 w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
+        Aes128 {
+            round_keys: core::array::from_fn(|r| {
+                core::array::from_fn(|c| u32::from_le_bytes(w[r * 4 + c]))
+            }),
         }
-        Aes128 { round_keys }
     }
 
     /// Build from a little-endian pair of `u64` halves (the CSR encoding
@@ -169,6 +199,79 @@ impl Aes128 {
         key[..8].copy_from_slice(&lo.to_le_bytes());
         key[8..].copy_from_slice(&hi.to_le_bytes());
         Aes128::new(key)
+    }
+
+    /// Round key `r` as bytes, for the byte-wise decryption rounds.
+    fn round_key_bytes(&self, r: usize) -> [u8; 16] {
+        let mut k = [0u8; 16];
+        store(self.round_keys[r], &mut k);
+        k
+    }
+
+    /// The one encryption round function: all ten rounds over a state held
+    /// in four column words. SubBytes + ShiftRows + MixColumns collapse into
+    /// four T-table lookups per column; the last round has no MixColumns.
+    /// Bit-identical to the textbook round sequence
+    /// (`t_table_round_matches_textbook`).
+    #[inline(always)]
+    fn rounds(&self, plain: State) -> State {
+        let rk = &self.round_keys;
+        let mut s = xor(plain, rk[0]);
+        for k in &rk[1..10] {
+            s = core::array::from_fn(|c| {
+                TE[0][shifted(&s, c, 0)]
+                    ^ TE[1][shifted(&s, c, 1)]
+                    ^ TE[2][shifted(&s, c, 2)]
+                    ^ TE[3][shifted(&s, c, 3)]
+                    ^ k[c]
+            });
+        }
+        core::array::from_fn(|c| {
+            u32::from_le_bytes(core::array::from_fn(|r| SBOX[shifted(&s, c, r)])) ^ rk[10][c]
+        })
+    }
+
+    /// Encrypt one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        store(self.rounds(load(block)), block);
+    }
+
+    /// ECB-encrypt a buffer (length must be a multiple of 16).
+    ///
+    /// ECB maps equal plaintext blocks to equal ciphertext (its textbook
+    /// weakness), so a one-block memo turns runs of repeated blocks into
+    /// copies: bulk benchmark payloads are highly repetitive and drop from
+    /// cipher speed to memcpy speed, while the output stays bit-identical
+    /// for arbitrary input (`ecb_memo_matches_per_block`).
+    pub fn encrypt_ecb(&self, data: &mut [u8]) {
+        assert_eq!(data.len() % 16, 0, "ECB needs whole blocks");
+        let mut memo: Option<(State, State)> = None;
+        for chunk in data.chunks_exact_mut(16) {
+            let plain = load(chunk);
+            let cipher = match memo {
+                Some((p, c)) if p == plain => c,
+                _ => {
+                    let c = self.rounds(plain);
+                    memo = Some((plain, c));
+                    c
+                }
+            };
+            store(cipher, chunk);
+        }
+    }
+
+    /// CBC-encrypt a buffer with `iv`, returning the final ciphertext block
+    /// (the next chaining value).
+    pub fn encrypt_cbc(&self, data: &mut [u8], iv: [u8; 16]) -> [u8; 16] {
+        assert_eq!(data.len() % 16, 0, "CBC needs whole blocks");
+        let mut chain = load(&iv);
+        for chunk in data.chunks_exact_mut(16) {
+            chain = self.rounds(xor(load(chunk), chain));
+            store(chain, chunk);
+        }
+        let mut next = [0u8; 16];
+        store(chain, &mut next);
+        next
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -197,9 +300,7 @@ impl Aes128 {
 
     #[cfg(test)]
     fn mix_columns(state: &mut [u8; 16]) {
-        // The loop-based `gf_mul` is fine for the compile-time S-box but far
-        // too slow per block at run time; ×2 is a single xtime and ×3 is
-        // xtime(a) ^ a.
+        // ×2 is a single xtime and ×3 is xtime(a) ^ a.
         for c in 0..4 {
             let col = &mut state[c * 4..c * 4 + 4];
             let (a0, a1, a2, a3) = (col[0], col[1], col[2], col[3]);
@@ -210,58 +311,19 @@ impl Aes128 {
         }
     }
 
-    /// Encrypt one 16-byte block in place.
-    ///
-    /// T-table formulation: the state lives in four little-endian column
-    /// words; SubBytes + ShiftRows + MixColumns collapse into four table
-    /// lookups per column. Output is bit-identical to the textbook round
-    /// sequence (see `t_table_round_matches_textbook`).
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let rk = &self.round_keys;
-        let word = |k: &[u8; 16], c: usize| {
-            u32::from_le_bytes(k[c * 4..c * 4 + 4].try_into().expect("4 bytes"))
-        };
-        let mut s = [0u32; 4];
-        for c in 0..4 {
-            let col = u32::from_le_bytes(block[c * 4..c * 4 + 4].try_into().expect("4 bytes"));
-            s[c] = col ^ word(&rk[0], c);
-        }
-        for k in &rk[1..10] {
-            let mut t = [0u32; 4];
-            for c in 0..4 {
-                // ShiftRows: row r of output column c comes from column
-                // (c + r) % 4; LE packing puts row r at bits 8r..8r+8.
-                let v0 = (s[c] & 0xFF) as usize;
-                let v1 = ((s[(c + 1) % 4] >> 8) & 0xFF) as usize;
-                let v2 = ((s[(c + 2) % 4] >> 16) & 0xFF) as usize;
-                let v3 = (s[(c + 3) % 4] >> 24) as usize;
-                t[c] = TE[0][v0] ^ TE[1][v1] ^ TE[2][v2] ^ TE[3][v3] ^ word(k, c);
-            }
-            s = t;
-        }
-        // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-        let k = &rk[10];
-        for c in 0..4 {
-            block[c * 4] = SBOX[(s[c] & 0xFF) as usize] ^ k[c * 4];
-            block[c * 4 + 1] = SBOX[((s[(c + 1) % 4] >> 8) & 0xFF) as usize] ^ k[c * 4 + 1];
-            block[c * 4 + 2] = SBOX[((s[(c + 2) % 4] >> 16) & 0xFF) as usize] ^ k[c * 4 + 2];
-            block[c * 4 + 3] = SBOX[(s[(c + 3) % 4] >> 24) as usize] ^ k[c * 4 + 3];
-        }
-    }
-
     /// The textbook round sequence, kept as the T-table path's ground truth.
     #[cfg(test)]
     fn encrypt_block_textbook(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
+        Self::add_round_key(block, &self.round_key_bytes(0));
         for round in 1..10 {
             Self::sub_bytes(block);
             Self::shift_rows(block);
             Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+            Self::add_round_key(block, &self.round_key_bytes(round));
         }
         Self::sub_bytes(block);
         Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        Self::add_round_key(block, &self.round_key_bytes(10));
     }
 
     fn inv_sub_bytes(state: &mut [u8; 16]) {
@@ -301,16 +363,16 @@ impl Aes128 {
 
     /// Decrypt one 16-byte block in place (the equivalent inverse cipher).
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
+        Self::add_round_key(block, &self.round_key_bytes(10));
         for round in (1..10).rev() {
             Self::inv_shift_rows(block);
             Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+            Self::add_round_key(block, &self.round_key_bytes(round));
             Self::inv_mix_columns(block);
         }
         Self::inv_shift_rows(block);
         Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        Self::add_round_key(block, &self.round_key_bytes(0));
     }
 
     /// ECB-decrypt a buffer (length must be a multiple of 16).
@@ -335,109 +397,6 @@ impl Aes128 {
             }
             chain = cipher;
         }
-    }
-
-    /// Encrypt four independent 16-byte blocks in place.
-    ///
-    /// Same T-table rounds as [`encrypt_block`], but the four block states
-    /// advance in lockstep so the table lookups of one block overlap the
-    /// xor chain of the next (no data dependency between blocks in ECB).
-    fn encrypt_block4(&self, blocks: &mut [u8; 64]) {
-        let rk = &self.round_keys;
-        let word = |k: &[u8; 16], c: usize| {
-            u32::from_le_bytes(k[c * 4..c * 4 + 4].try_into().expect("4 bytes"))
-        };
-        let mut s = [[0u32; 4]; 4];
-        for (b, state) in s.iter_mut().enumerate() {
-            for (c, col) in state.iter_mut().enumerate() {
-                let off = b * 16 + c * 4;
-                *col = u32::from_le_bytes(blocks[off..off + 4].try_into().expect("4 bytes"))
-                    ^ word(&rk[0], c);
-            }
-        }
-        for k in &rk[1..10] {
-            let kw = [word(k, 0), word(k, 1), word(k, 2), word(k, 3)];
-            let mut t = [[0u32; 4]; 4];
-            for b in 0..4 {
-                let sb = &s[b];
-                for c in 0..4 {
-                    let v0 = (sb[c] & 0xFF) as usize;
-                    let v1 = ((sb[(c + 1) % 4] >> 8) & 0xFF) as usize;
-                    let v2 = ((sb[(c + 2) % 4] >> 16) & 0xFF) as usize;
-                    let v3 = (sb[(c + 3) % 4] >> 24) as usize;
-                    t[b][c] = TE[0][v0] ^ TE[1][v1] ^ TE[2][v2] ^ TE[3][v3] ^ kw[c];
-                }
-            }
-            s = t;
-        }
-        let k = &rk[10];
-        for (b, sb) in s.iter().enumerate() {
-            for c in 0..4 {
-                let off = b * 16 + c * 4;
-                blocks[off] = SBOX[(sb[c] & 0xFF) as usize] ^ k[c * 4];
-                blocks[off + 1] = SBOX[((sb[(c + 1) % 4] >> 8) & 0xFF) as usize] ^ k[c * 4 + 1];
-                blocks[off + 2] = SBOX[((sb[(c + 2) % 4] >> 16) & 0xFF) as usize] ^ k[c * 4 + 2];
-                blocks[off + 3] = SBOX[(sb[(c + 3) % 4] >> 24) as usize] ^ k[c * 4 + 3];
-            }
-        }
-    }
-
-    /// ECB-encrypt a buffer (length must be a multiple of 16).
-    ///
-    /// Blocks are independent in ECB, so the bulk of the buffer goes through
-    /// the four-way interleaved path; the sub-64-byte tail falls back to the
-    /// single-block routine. ECB also maps equal plaintext blocks to equal
-    /// ciphertext (its textbook weakness), so a one-block memo short-circuits
-    /// runs of repeated blocks into copies — bulk benchmark payloads are
-    /// highly repetitive and drop from cipher speed to memcpy speed, while
-    /// the output stays bit-identical for arbitrary input
-    /// (`interleaved_ecb_matches_per_block`).
-    pub fn encrypt_ecb(&self, data: &mut [u8]) {
-        assert_eq!(data.len() % 16, 0, "ECB needs whole blocks");
-        let mut memo_plain = [0u8; 16];
-        let mut memo_cipher = [0u8; 16];
-        let mut have_memo = false;
-        let mut quads = data.chunks_exact_mut(64);
-        for chunk in quads.by_ref() {
-            if have_memo && chunk.chunks_exact(16).all(|b| b == memo_plain) {
-                for b in chunk.chunks_exact_mut(16) {
-                    b.copy_from_slice(&memo_cipher);
-                }
-                continue;
-            }
-            memo_plain.copy_from_slice(&chunk[48..64]);
-            let blocks: &mut [u8; 64] = chunk.try_into().expect("64-byte chunk");
-            self.encrypt_block4(blocks);
-            memo_cipher.copy_from_slice(&blocks[48..64]);
-            have_memo = true;
-        }
-        for chunk in quads.into_remainder().chunks_exact_mut(16) {
-            if have_memo && *chunk == memo_plain {
-                chunk.copy_from_slice(&memo_cipher);
-                continue;
-            }
-            memo_plain.copy_from_slice(chunk);
-            let block: &mut [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            self.encrypt_block(block);
-            memo_cipher = *block;
-            have_memo = true;
-        }
-    }
-
-    /// CBC-encrypt a buffer with `iv`, returning the final ciphertext block
-    /// (the next chaining value).
-    pub fn encrypt_cbc(&self, data: &mut [u8], iv: [u8; 16]) -> [u8; 16] {
-        assert_eq!(data.len() % 16, 0, "CBC needs whole blocks");
-        let mut chain = iv;
-        for chunk in data.chunks_exact_mut(16) {
-            for i in 0..16 {
-                chunk[i] ^= chain[i];
-            }
-            let block: &mut [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            self.encrypt_block(block);
-            chain = *block;
-        }
-        chain
     }
 }
 
@@ -483,12 +442,10 @@ impl Kernel for AesEcbKernel {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
-        let mut out = data.to_vec();
-        let whole = out.len() - out.len() % 16;
-        self.cipher.encrypt_ecb(&mut out[..whole]);
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
+        let whole = data.len() - data.len() % 16;
+        self.cipher.encrypt_ecb(&mut data[..whole]);
         self.blocks += (whole / 16) as u64;
-        out
     }
 
     fn csr_write(&mut self, offset: u64, value: u64) {
@@ -556,13 +513,11 @@ impl Kernel for AesCbcKernel {
         }
     }
 
-    fn process_packet(&mut self, tid: u16, data: &[u8]) -> Vec<u8> {
-        let mut out = data.to_vec();
-        let whole = out.len() - out.len() % 16;
+    fn process_packet(&mut self, tid: u16, data: &mut Vec<u8>) {
+        let whole = data.len() - data.len() % 16;
         let chain = self.chains.entry(tid).or_insert([0u8; 16]);
-        *chain = self.cipher.encrypt_cbc(&mut out[..whole], *chain);
+        *chain = self.cipher.encrypt_cbc(&mut data[..whole], *chain);
         self.blocks += (whole / 16) as u64;
-        out
     }
 
     fn csr_write(&mut self, offset: u64, value: u64) {
@@ -640,34 +595,92 @@ mod tests {
         );
     }
 
+    /// NIST SP 800-38A's AES-128 key and four-block plaintext (F.1, F.2).
+    const SP800_38A_KEY: &str = "2b7e151628aed2a6abf7158809cf4f3c";
+    const SP800_38A_PLAIN: &str = "6bc1bee22e409f96e93d7e117393172a\
+                                   ae2d8a571e03ac9c9eb76fac45af8e51\
+                                   30c81c46a35ce411e5fbc1191a0a52ef\
+                                   f69f2445df4f9b17ad2b417be66c3710";
+    /// F.1.1 ECB-AES128.Encrypt.
+    const SP800_38A_ECB: &str = "3ad77bb40d7a3660a89ecaf32466ef97\
+                                 f5d3d58503b9699de785895a96fdbaaf\
+                                 43b1cd7f598ece23881b00e3ed030688\
+                                 7b0c785e27e8ad3f8223207104725dd4";
+    /// F.2.1 CBC-AES128.Encrypt, IV 000102...0f.
+    const SP800_38A_CBC: &str = "7649abac8119b246cee98e9b12e9197d\
+                                 5086cb9b507219ee95db113a917678b2\
+                                 73bed6b8e3c1743b7116e69e22229516\
+                                 3ff1caa1681fac09120eca307586e1a7";
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// The CSR pair that loads `key` (`Aes128::from_u64`'s encoding).
+    fn key_csrs(key: &[u8]) -> (u64, u64) {
+        let half = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        (half(&key[..8]), half(&key[8..]))
+    }
+
     #[test]
     fn nist_sp800_38a_cbc_vector() {
-        // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first two blocks.
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
+        let cipher = Aes128::new(hex(SP800_38A_KEY).try_into().expect("16 bytes"));
         let iv: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let mut data = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57, 0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac,
-            0x45, 0xaf, 0x8e, 0x51,
-        ];
-        Aes128::new(key).encrypt_cbc(&mut data, iv);
-        assert_eq!(
-            &data[..16],
-            &[
-                0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9, 0x8e, 0x9b, 0x12, 0xe9,
-                0x19, 0x7d
-            ]
-        );
-        assert_eq!(
-            &data[16..],
-            &[
-                0x50, 0x86, 0xcb, 0x9b, 0x50, 0x72, 0x19, 0xee, 0x95, 0xdb, 0x11, 0x3a, 0x91, 0x76,
-                0x78, 0xb2
-            ]
-        );
+        let mut data = hex(SP800_38A_PLAIN);
+        let next = cipher.encrypt_cbc(&mut data, iv);
+        assert_eq!(data, hex(SP800_38A_CBC));
+        assert_eq!(next[..], data[48..], "the last block chains on");
+    }
+
+    #[test]
+    fn nist_sp800_38a_ecb_vector() {
+        let cipher = Aes128::new(hex(SP800_38A_KEY).try_into().expect("16 bytes"));
+        let mut data = hex(SP800_38A_PLAIN);
+        cipher.encrypt_ecb(&mut data);
+        assert_eq!(data, hex(SP800_38A_ECB));
+    }
+
+    #[test]
+    fn nist_sp800_38a_through_kernels_in_place() {
+        // The message split 16 + 48 bytes over two packets, so the CBC
+        // kernel must chain across them. A kernel chain starts from a zero
+        // IV, and CBC under IV `v` is CBC under a zero IV of the message
+        // whose first block is XORed with `v`: that gives F.2.1's IV.
+        let key = hex(SP800_38A_KEY);
+        let (lo, hi) = key_csrs(&key);
+        let plain = hex(SP800_38A_PLAIN);
+
+        let mut ecb = AesEcbKernel::new();
+        ecb.csr_write(0, lo);
+        ecb.csr_write(8, hi);
+        let mut out = Vec::new();
+        for part in [&plain[..16], &plain[16..]] {
+            let mut buf = part.to_vec();
+            ecb.process_packet(0, &mut buf);
+            out.extend(buf);
+        }
+        assert_eq!(out, hex(SP800_38A_ECB));
+        assert_eq!(ecb.csr_read(16), 4);
+
+        let mut cbc = AesCbcKernel::new();
+        cbc.csr_write(0, lo);
+        cbc.csr_write(8, hi);
+        let iv: Vec<u8> = (0..16).collect();
+        let mut first = plain[..16].to_vec();
+        for (b, v) in first.iter_mut().zip(&iv) {
+            *b ^= v;
+        }
+        let mut out = Vec::new();
+        for part in [&first[..], &plain[16..]] {
+            let mut buf = part.to_vec();
+            cbc.process_packet(0, &mut buf);
+            out.extend(buf);
+        }
+        assert_eq!(out, hex(SP800_38A_CBC));
+        assert_eq!(cbc.csr_read(16), 4);
     }
 
     #[test]
@@ -687,24 +700,23 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_ecb_matches_per_block() {
-        // The four-way path and the tail fallback must agree with plain
-        // block-at-a-time encryption at every alignment, including lengths
-        // that leave 1..3 trailing blocks after the 64-byte chunks.
+    fn ecb_memo_matches_per_block() {
+        // The memoized ECB path must agree with plain block-at-a-time
+        // encryption at every length.
         let key: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(73) ^ 0x5A);
         let cipher = Aes128::new(key);
         for blocks in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 64] {
             let original: Vec<u8> = (0..blocks * 16)
                 .map(|i| (i as u8).wrapping_mul(151))
                 .collect();
-            let mut interleaved = original.clone();
-            cipher.encrypt_ecb(&mut interleaved);
+            let mut ecb = original.clone();
+            cipher.encrypt_ecb(&mut ecb);
             let mut reference = original;
             for chunk in reference.chunks_exact_mut(16) {
                 let block: &mut [u8; 16] = chunk.try_into().expect("16-byte chunk");
                 cipher.encrypt_block(block);
             }
-            assert_eq!(interleaved, reference, "divergence at {blocks} blocks");
+            assert_eq!(ecb, reference, "divergence at {blocks} blocks");
         }
 
         // Repetitive payloads exercise the memo fast path: uniform bytes,
@@ -762,8 +774,8 @@ mod tests {
         k.csr_write(0, 0x6167_717a_7a76_7668);
         k.csr_write(8, 0x1122_3344_5566_7788);
         let data = vec![0xABu8; 64];
-        let a = k.process_packet(0, &data);
-        let b = k.process_packet(1, &data);
+        let a = crate::process(&mut k, 0, &data);
+        let b = crate::process(&mut k, 1, &data);
         assert_eq!(a, b, "ECB: same plaintext, same ciphertext");
         assert_ne!(a, data);
         assert_eq!(k.csr_read(16), 8, "eight blocks processed");
@@ -774,12 +786,12 @@ mod tests {
         let mut k = AesCbcKernel::new();
         k.csr_write(0, 0xDEAD_BEEF);
         let data = vec![0x11u8; 32];
-        let t0_first = k.process_packet(0, &data);
-        let t1_first = k.process_packet(1, &data);
+        let t0_first = crate::process(&mut k, 0, &data);
+        let t1_first = crate::process(&mut k, 1, &data);
         // Fresh chains: identical prefixes.
         assert_eq!(t0_first, t1_first);
         // Second packet of thread 0 chains off its first: different.
-        let t0_second = k.process_packet(0, &data);
+        let t0_second = crate::process(&mut k, 0, &data);
         assert_ne!(t0_second, t0_first);
     }
 
@@ -788,8 +800,8 @@ mod tests {
         let mut k = AesCbcKernel::new();
         k.csr_write(0, 42);
         let plain = vec![0x77u8; 64];
-        let out1 = k.process_packet(3, &plain[..32]);
-        let out2 = k.process_packet(3, &plain[32..]);
+        let out1 = crate::process(&mut k, 3, &plain[..32]);
+        let out2 = crate::process(&mut k, 3, &plain[32..]);
         let mut reference = plain.clone();
         Aes128::from_u64(42, 0).encrypt_cbc(&mut reference, [0u8; 16]);
         assert_eq!(

@@ -29,3 +29,12 @@ pub use nn::{Activation, DenseLayer, NnKernel, QuantizedMlp};
 pub use sniffer_app::SnifferApp;
 pub use validator::ValidatorKernel;
 pub use vecadd::{VecAddKernel, VecProductKernel};
+
+/// Run one packet through `kernel` and return its output: the tests'
+/// shorthand for the in-place [`coyote::kernel::Kernel::process_packet`].
+#[cfg(test)]
+pub(crate) fn process(kernel: &mut impl coyote::kernel::Kernel, tid: u16, data: &[u8]) -> Vec<u8> {
+    let mut buf = data.to_vec();
+    kernel.process_packet(tid, &mut buf);
+    buf
+}

@@ -201,14 +201,16 @@ impl Kernel for NnKernel {
         }
     }
 
-    fn process_packet(&mut self, tid: u16, data: &[u8]) -> Vec<u8> {
+    fn process_packet(&mut self, tid: u16, data: &mut Vec<u8>) {
         let row_bytes = self.model.input_width() * 4;
         if row_bytes == 0 {
-            return Vec::new();
+            data.clear();
+            return;
         }
         let buf = self.partial.entry(tid).or_default();
         buf.extend_from_slice(data);
-        let mut out = Vec::new();
+        let out = data;
+        out.clear();
         while buf.len() >= row_bytes {
             let row: Vec<i32> = buf[..row_bytes]
                 .chunks_exact(4)
@@ -220,7 +222,6 @@ impl Kernel for NnKernel {
             }
             self.rows += 1;
         }
-        out
     }
 
     fn csr_read(&self, offset: u64) -> u64 {
@@ -321,9 +322,9 @@ mod tests {
             .flat_map(|v| quantize(*v).to_le_bytes())
             .collect();
         // Split the 16-byte row over two packets.
-        let out1 = k.process_packet(0, &row[..10]);
+        let out1 = crate::process(&mut k, 0, &row[..10]);
         assert!(out1.is_empty(), "partial row produces nothing");
-        let out2 = k.process_packet(0, &row[10..]);
+        let out2 = crate::process(&mut k, 0, &row[10..]);
         assert_eq!(out2.len(), 8, "two i32 logits");
         let logits: Vec<f32> = out2
             .chunks_exact(4)

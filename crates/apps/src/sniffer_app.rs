@@ -109,12 +109,12 @@ impl Kernel for SnifferApp {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
-        if !self.recording {
-            return Vec::new();
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
+        if self.recording {
+            self.bytes_captured += data.len() as u64;
+        } else {
+            data.clear();
         }
-        self.bytes_captured += data.len() as u64;
-        data.to_vec()
     }
 
     fn csr_write(&mut self, offset: u64, value: u64) {
@@ -207,9 +207,9 @@ mod tests {
     fn app_gates_on_recording_csr() {
         use coyote::kernel::Kernel as _;
         let mut app = SnifferApp::default();
-        assert!(app.process_packet(0, &[1, 2, 3]).is_empty());
+        assert!(crate::process(&mut app, 0, &[1, 2, 3]).is_empty());
         app.csr_write(0, 1);
-        assert_eq!(app.process_packet(0, &[1, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(crate::process(&mut app, 0, &[1, 2, 3]), vec![1, 2, 3]);
         assert_eq!(app.csr_read(8), 3);
     }
 }

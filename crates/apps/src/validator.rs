@@ -67,9 +67,10 @@ impl Kernel for ValidatorKernel {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
         self.buffer.extend_from_slice(data);
-        let mut out = Vec::new();
+        let out = data;
+        out.clear();
         loop {
             if self.buffer.len() < 8 {
                 break;
@@ -98,7 +99,6 @@ impl Kernel for ValidatorKernel {
             self.buffer.drain(..8 + len);
             self.records_ok += 1;
         }
-        out
     }
 
     fn take_interrupts(&mut self) -> Vec<u64> {
@@ -128,7 +128,7 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend(ValidatorKernel::encode_record(b"alpha"));
         stream.extend(ValidatorKernel::encode_record(b"beta"));
-        let out = k.process_packet(0, &stream);
+        let out = crate::process(&mut k, 0, &stream);
         assert_eq!(out, b"alphabeta");
         assert!(k.take_interrupts().is_empty());
         assert_eq!(k.csr_read(0), 2);
@@ -139,7 +139,7 @@ mod tests {
         let mut k = ValidatorKernel::new();
         let mut stream = vec![0xFFu8; 3]; // Garbage prefix.
         stream.extend(ValidatorKernel::encode_record(b"ok"));
-        let out = k.process_packet(0, &stream);
+        let out = crate::process(&mut k, 0, &stream);
         assert_eq!(out, b"ok");
         let irqs = k.take_interrupts();
         assert!(!irqs.is_empty());
@@ -152,9 +152,9 @@ mod tests {
     fn record_split_across_packets() {
         let mut k = ValidatorKernel::new();
         let rec = ValidatorKernel::encode_record(&[7u8; 100]);
-        let out1 = k.process_packet(0, &rec[..50]);
+        let out1 = crate::process(&mut k, 0, &rec[..50]);
         assert!(out1.is_empty());
-        let out2 = k.process_packet(0, &rec[50..]);
+        let out2 = crate::process(&mut k, 0, &rec[50..]);
         assert_eq!(out2, vec![7u8; 100]);
     }
 
@@ -164,7 +164,7 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
         stream.extend_from_slice(&(u32::MAX).to_le_bytes());
-        k.process_packet(0, &stream);
+        crate::process(&mut k, 0, &stream);
         let irqs = k.take_interrupts();
         assert_eq!(irqs.len(), 1);
         assert!(irqs[0] & irq_codes::TRUNCATED != 0);

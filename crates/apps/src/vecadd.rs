@@ -42,6 +42,21 @@ fn lanes(data: &[u8]) -> impl Iterator<Item = i64> + '_ {
         .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
 }
 
+/// Replace each whole lane `b` of `data` with `op(a, b)`, `a` taken from
+/// operand A at `cursor` (0 past its end), and drop a partial trailing
+/// lane. Returns the number of lanes combined.
+fn combine(a: &[i64], cursor: &mut usize, data: &mut Vec<u8>, op: fn(i64, i64) -> i64) -> u64 {
+    let whole = data.len() - data.len() % LANE_BYTES;
+    data.truncate(whole);
+    for lane in data.chunks_exact_mut(LANE_BYTES) {
+        let b = i64::from_le_bytes((*lane).try_into().expect("8 bytes"));
+        let a = a.get(*cursor).copied().unwrap_or(0);
+        *cursor += 1;
+        lane.copy_from_slice(&op(a, b).to_le_bytes());
+    }
+    (whole / LANE_BYTES) as u64
+}
+
 impl Kernel for VecAddKernel {
     fn name(&self) -> &str {
         "vecadd"
@@ -58,21 +73,14 @@ impl Kernel for VecAddKernel {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
         if self.phase == 0 {
             // Preload operand A.
             self.a.extend(lanes(data));
-            Vec::new()
+            data.clear();
         } else {
             // Stream operand B, emit A + B element-wise.
-            let mut out = Vec::with_capacity(data.len());
-            for b in lanes(data) {
-                let a = self.a.get(self.cursor).copied().unwrap_or(0);
-                self.cursor += 1;
-                self.elements += 1;
-                out.extend_from_slice(&(a.wrapping_add(b)).to_le_bytes());
-            }
-            out
+            self.elements += combine(&self.a, &mut self.cursor, data, i64::wrapping_add);
         }
     }
 
@@ -144,18 +152,12 @@ impl Kernel for VecProductKernel {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
         if self.phase == 0 {
             self.a.extend(lanes(data));
-            Vec::new()
+            data.clear();
         } else {
-            let mut out = Vec::with_capacity(data.len());
-            for b in lanes(data) {
-                let a = self.a.get(self.cursor).copied().unwrap_or(0);
-                self.cursor += 1;
-                out.extend_from_slice(&(a.wrapping_mul(b)).to_le_bytes());
-            }
-            out
+            combine(&self.a, &mut self.cursor, data, i64::wrapping_mul);
         }
     }
 
@@ -192,11 +194,11 @@ mod tests {
         let a: Vec<i64> = (0..100).collect();
         let b: Vec<i64> = (0..100).map(|x| x * 10).collect();
         assert!(
-            k.process_packet(0, &to_bytes(&a)).is_empty(),
+            crate::process(&mut k, 0, &to_bytes(&a)).is_empty(),
             "phase 0 is a sink"
         );
         k.csr_write(0, 1);
-        let out = from_bytes(&k.process_packet(0, &to_bytes(&b)));
+        let out = from_bytes(&crate::process(&mut k, 0, &to_bytes(&b)));
         let expect: Vec<i64> = (0..100).map(|x| x + x * 10).collect();
         assert_eq!(out, expect);
         assert_eq!(k.csr_read(8), 100);
@@ -206,13 +208,13 @@ mod tests {
     fn b_stream_split_across_packets() {
         let mut k = VecAddKernel::new();
         let a: Vec<i64> = (0..64).collect();
-        k.process_packet(0, &to_bytes(&a));
+        crate::process(&mut k, 0, &to_bytes(&a));
         k.csr_write(0, 1);
         let b: Vec<i64> = vec![5; 64];
         let bytes = to_bytes(&b);
         let mut out = Vec::new();
-        out.extend(from_bytes(&k.process_packet(0, &bytes[..256])));
-        out.extend(from_bytes(&k.process_packet(0, &bytes[256..])));
+        out.extend(from_bytes(&crate::process(&mut k, 0, &bytes[..256])));
+        out.extend(from_bytes(&crate::process(&mut k, 0, &bytes[256..])));
         let expect: Vec<i64> = (0..64).map(|x| x + 5).collect();
         assert_eq!(out, expect);
     }
@@ -222,9 +224,9 @@ mod tests {
         let mut k = VecProductKernel::new();
         let a: Vec<i64> = vec![3; 16];
         let b: Vec<i64> = (0..16).collect();
-        k.process_packet(0, &to_bytes(&a));
+        crate::process(&mut k, 0, &to_bytes(&a));
         k.csr_write(0, 1);
-        let out = from_bytes(&k.process_packet(0, &to_bytes(&b)));
+        let out = from_bytes(&crate::process(&mut k, 0, &to_bytes(&b)));
         let expect: Vec<i64> = (0..16).map(|x| 3 * x).collect();
         assert_eq!(out, expect);
     }
@@ -232,7 +234,7 @@ mod tests {
     #[test]
     fn phase_reset_clears_operand() {
         let mut k = VecAddKernel::new();
-        k.process_packet(0, &to_bytes(&[1, 2, 3]));
+        crate::process(&mut k, 0, &to_bytes(&[1, 2, 3]));
         assert_eq!(k.csr_read(16), 3);
         k.csr_write(0, 0);
         assert_eq!(k.csr_read(16), 0);

@@ -33,10 +33,10 @@ use std::time::{Duration, Instant};
 
 /// The order in which the fan-out claims the paper experiments that run
 /// for hundreds of milliseconds, ahead of the short ones, which fill in
-/// behind them. Median wall-clock of 3 runs at `--threads 1` on a 2-vCPU
-/// x86-64 host, one process each: `fig7b` 503 ms, `fig7a` 240, `fig8` 210,
-/// `fig11` 195 and `fig12` 145; every other paper experiment takes under
-/// 25 ms (`table3` 0.4).
+/// behind them. Median wall-clock of 3 runs at `--threads 1 --timings` on a
+/// 2-vCPU x86-64 host, one process each: `fig7b` 480 ms, `fig8` 225,
+/// `fig11` 185, `fig12` 142 and `fig7a` 117; every other paper experiment
+/// takes under 25 ms (`table3` 0.4).
 ///
 /// The order also sets a run's peak memory. The allocator keeps the heap a
 /// worker thread freed, so the peaks of experiments on different workers
@@ -44,11 +44,12 @@ use std::time::{Duration, Instant};
 /// out two items per claim, so the list is read in pairs: `fig11`+`fig12`,
 /// `fig7b`+`table3` (which only keeps a large resident set out of
 /// `fig7b`'s claim), then `fig8`+`fig7a`, taken by the first worker to
-/// finish, the one that ran `fig11`+`fig12` (~340 ms). The four largest
-/// resident sets (`fig8` 136 MB, `fig11` 108, `fig7a` 54, `fig12` 22) so
+/// finish, the one that ran `fig11`+`fig12` (~330 ms). The four largest
+/// resident sets (`fig8` 135 MB, `fig11` 76, `fig7a` 36, `fig12` 22) so
 /// run back to back on one worker, and `fig7b` (14 MB) beside them. A pass
-/// over the 17 paper experiments at two threads peaks at 138 MB in this
-/// order, and at 185 MB in order of wall-clock alone.
+/// over the 17 paper experiments at two threads peaks at 137 MB in this
+/// order (137.2-137.6 over 8 runs), and at 184 MB in order of wall-clock
+/// alone.
 const CLAIM_ORDER: &[&str] = &["fig11", "fig12", "fig7b", "table3", "fig8", "fig7a"];
 
 /// Experiments whose *measurand* is host wall-clock (`net_micro` times the

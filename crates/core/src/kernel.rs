@@ -60,10 +60,12 @@ pub trait Kernel {
         KernelTiming::line_rate()
     }
 
-    /// Transform one packet of data from thread `tid`. The returned bytes
-    /// flow to the destination stream (may be empty for sink kernels such
-    /// as HyperLogLog, whose result is read over the control bus).
-    fn process_packet(&mut self, tid: u16, data: &[u8]) -> Vec<u8>;
+    /// Transform one packet of data from thread `tid` in place. On entry
+    /// `data` holds the input packet; on return it holds the output, which
+    /// flows to the destination stream. The kernel may shrink, grow or
+    /// clear the buffer: a sink such as HyperLogLog clears it, since its
+    /// result is read over the control bus.
+    fn process_packet(&mut self, tid: u16, data: &mut Vec<u8>);
 
     /// Control-register write (`setCSR`).
     fn csr_write(&mut self, _offset: u64, _value: u64) {}
@@ -139,9 +141,8 @@ impl Kernel for Passthrough {
         }
     }
 
-    fn process_packet(&mut self, _tid: u16, data: &[u8]) -> Vec<u8> {
+    fn process_packet(&mut self, _tid: u16, data: &mut Vec<u8>) {
         self.bytes += data.len() as u64;
-        data.to_vec()
     }
 
     fn csr_read(&self, offset: u64) -> u64 {
@@ -159,8 +160,9 @@ mod tests {
     #[test]
     fn passthrough_is_identity() {
         let mut k = Passthrough::default();
-        let data = vec![7u8; 4096];
-        assert_eq!(k.process_packet(0, &data), data);
+        let mut data = vec![7u8; 4096];
+        k.process_packet(0, &mut data);
+        assert_eq!(data, vec![7u8; 4096]);
         assert_eq!(k.csr_read(0), 4096);
         assert_eq!(k.timing(), KernelTiming::line_rate());
     }

@@ -43,6 +43,15 @@ pub enum PlatformError {
     MissingService(&'static str),
     /// Host-side I/O failure (bitstream files, checkpoints).
     Io(String),
+    /// A drain's batch writes bytes that it also reads: invocation
+    /// `writer`'s destination overlaps invocation `reader`'s source (the
+    /// two may be one invocation working in place).
+    ReadWriteOverlap {
+        /// Invocation whose source range is overlapped.
+        reader: u64,
+        /// Invocation whose destination range overlaps it.
+        writer: u64,
+    },
 }
 
 impl std::fmt::Display for PlatformError {
@@ -58,6 +67,10 @@ impl std::fmt::Display for PlatformError {
             PlatformError::Flow(e) => write!(f, "build flow: {e}"),
             PlatformError::MissingService(s) => write!(f, "shell lacks the {s} service"),
             PlatformError::Io(e) => write!(f, "I/O: {e}"),
+            PlatformError::ReadWriteOverlap { reader, writer } => write!(
+                f,
+                "invocation {writer} writes bytes that invocation {reader} reads in the same drain"
+            ),
         }
     }
 }

@@ -86,7 +86,9 @@ mod tests {
         }
         assert_eq!(wb.read_counter((0, 0), &host), Some(5));
         // The raw bytes really are in host DRAM (poll without PCIe).
-        assert_eq!(host.read(buf.start, 4).unwrap(), 5u32.to_le_bytes());
+        let mut raw = [0u8; 4];
+        host.read_into(buf.start, &mut raw).unwrap();
+        assert_eq!(raw, 5u32.to_le_bytes());
     }
 
     #[test]

@@ -337,7 +337,9 @@ impl CoyoteDriver {
             .space
             .translate(vaddr, false, None)
             .map_err(DriverError::Fault)?;
-        self.phys_read(t.loc, t.paddr, len)
+        let mut out = vec![0u8; len];
+        self.phys_read(t.loc, t.paddr, &mut out)?;
+        Ok(out)
     }
 
     fn translate(
@@ -379,30 +381,45 @@ impl CoyoteDriver {
         }
     }
 
-    /// Raw physical read from one of the memories.
+    /// Raw physical read from one of the memories: fills `out` with the
+    /// bytes at `paddr`.
     pub fn phys_read(
         &self,
         loc: MemLocation,
         paddr: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, DriverError> {
+        out: &mut [u8],
+    ) -> Result<(), DriverError> {
         match loc {
-            MemLocation::Host => self
-                .host
-                .read(paddr, len)
-                .map_err(|_| DriverError::BadAddress(paddr)),
+            MemLocation::Host => self.host.read_into(paddr, out),
             MemLocation::Card => self
                 .card
                 .as_ref()
                 .ok_or(DriverError::NoCardMemory)?
-                .read(paddr, len)
-                .map_err(|_| DriverError::BadAddress(paddr)),
+                .read_into(paddr, out),
             MemLocation::Gpu => self
                 .gpu
                 .as_ref()
                 .ok_or(DriverError::NoGpu)?
-                .read(paddr, len)
-                .map_err(|_| DriverError::BadAddress(paddr)),
+                .read_into(paddr, out),
+        }
+        .map_err(|_| DriverError::BadAddress(paddr))
+    }
+
+    /// Check that `[paddr, paddr + len)` lies inside one of the memories,
+    /// without touching a byte.
+    pub fn phys_check(&self, loc: MemLocation, paddr: u64, len: u64) -> Result<(), DriverError> {
+        let capacity = match loc {
+            MemLocation::Host => self.host.capacity(),
+            MemLocation::Card => self
+                .card
+                .as_ref()
+                .ok_or(DriverError::NoCardMemory)?
+                .capacity(),
+            MemLocation::Gpu => self.gpu.as_ref().ok_or(DriverError::NoGpu)?.capacity(),
+        };
+        match paddr.checked_add(len) {
+            Some(end) if end <= capacity => Ok(()),
+            _ => Err(DriverError::BadAddress(paddr)),
         }
     }
 
@@ -455,7 +472,8 @@ impl CoyoteDriver {
                 .ok_or(DriverError::NoMemory)?,
         };
         // Move the bytes.
-        let data = self.phys_read(mapping.loc, mapping.paddr, mapping.len as usize)?;
+        let mut data = vec![0u8; mapping.len as usize];
+        self.phys_read(mapping.loc, mapping.paddr, &mut data)?;
         self.phys_write(wanted, dst_paddr, &data)?;
         // Timing: fixed fault cost + bulk transfer on the migration channel.
         let xfer = self
@@ -588,10 +606,9 @@ mod tests {
         assert_eq!(new_m.loc, MemLocation::Gpu);
         assert_eq!(d.user_read(1, m.vaddr, 10).unwrap(), b"to the gpu");
         // The bytes physically live in GPU memory.
-        assert_eq!(
-            d.gpu().unwrap().read(new_m.paddr, 10).unwrap(),
-            b"to the gpu"
-        );
+        let mut raw = [0u8; 10];
+        d.gpu().unwrap().read_into(new_m.paddr, &mut raw).unwrap();
+        assert_eq!(&raw, b"to the gpu");
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl CardMemory {
     /// the overall completion is their maximum `arrival`.
     ///
     /// This only models *time*; pair with [`CardMemory::write`] /
-    /// [`CardMemory::read`] for the data itself.
+    /// [`CardMemory::read_into`] for the data itself.
     pub fn book_access(&mut self, now: SimTime, addr: PhysAddr, len: u64) -> Vec<Transfer> {
         let mut out = Vec::new();
         let mut a = addr;
@@ -156,9 +156,9 @@ impl CardMemory {
         self.store.write(addr, data)
     }
 
-    /// Read data.
-    pub fn read(&self, addr: PhysAddr, len: usize) -> Result<Vec<u8>, MemAccessError> {
-        self.store.read(addr, len)
+    /// Fill `out` with the data at `addr`.
+    pub fn read_into(&self, addr: PhysAddr, out: &mut [u8]) -> Result<(), MemAccessError> {
+        self.store.read_into(addr, out)
     }
 }
 
@@ -207,7 +207,9 @@ mod tests {
         let addr = hbm.alloc_buffer(1 << 20).unwrap();
         let data: Vec<u8> = (0..1 << 20).map(|i| (i % 253) as u8).collect();
         hbm.write(addr, &data).unwrap();
-        assert_eq!(hbm.read(addr, data.len()).unwrap(), data);
+        let mut back = vec![0u8; data.len()];
+        hbm.read_into(addr, &mut back).unwrap();
+        assert_eq!(back, data);
         hbm.free_buffer(addr, 1 << 20);
     }
 

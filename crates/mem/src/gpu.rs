@@ -58,9 +58,9 @@ impl GpuMemory {
         self.store.write(addr, data)
     }
 
-    /// Read device memory.
-    pub fn read(&self, addr: PhysAddr, len: usize) -> Result<Vec<u8>, MemAccessError> {
-        self.store.read(addr, len)
+    /// Fill `out` with device memory at `addr`.
+    pub fn read_into(&self, addr: PhysAddr, out: &mut [u8]) -> Result<(), MemAccessError> {
+        self.store.read_into(addr, out)
     }
 }
 
@@ -73,7 +73,9 @@ mod tests {
         let mut gpu = GpuMemory::new(8 << 30);
         let a = gpu.alloc_buffer(1 << 20).unwrap();
         gpu.write(a, b"weights").unwrap();
-        assert_eq!(gpu.read(a, 7).unwrap(), b"weights");
+        let mut back = [0u8; 7];
+        gpu.read_into(a, &mut back).unwrap();
+        assert_eq!(&back, b"weights");
     }
 
     #[test]

@@ -94,12 +94,7 @@ impl HostMemory {
         self.store.write(addr, data)
     }
 
-    /// Read bytes at a physical address.
-    pub fn read(&self, addr: PhysAddr, len: usize) -> Result<Vec<u8>, MemAccessError> {
-        self.store.read(addr, len)
-    }
-
-    /// Read into a caller buffer.
+    /// Fill `out` with the bytes at a physical address.
     pub fn read_into(&self, addr: PhysAddr, out: &mut [u8]) -> Result<(), MemAccessError> {
         self.store.read_into(addr, out)
     }
@@ -139,7 +134,9 @@ mod tests {
         let buf = host.alloc_buffer(4096, PageSize::Small).unwrap();
         let data: Vec<u8> = (0..4096).map(|i| (i * 7 % 256) as u8).collect();
         host.write(buf.start, &data).unwrap();
-        assert_eq!(host.read(buf.start, 4096).unwrap(), data);
+        let mut back = vec![0u8; 4096];
+        host.read_into(buf.start, &mut back).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]

@@ -68,15 +68,7 @@ impl SparseBytes {
         Ok(())
     }
 
-    /// Read `len` bytes at `addr`.
-    pub fn read(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemAccessError> {
-        self.check(addr, len)?;
-        let mut out = vec![0u8; len];
-        self.read_into(addr, &mut out)?;
-        Ok(out)
-    }
-
-    /// Read into a caller-provided buffer.
+    /// Fill `out` with the bytes at `addr`.
     pub fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<(), MemAccessError> {
         self.check(addr, out.len())?;
         let mut off = 0usize;
@@ -132,10 +124,15 @@ impl std::error::Error for MemAccessError {}
 mod tests {
     use super::*;
 
+    fn read(s: &SparseBytes, addr: u64, len: usize) -> Result<Vec<u8>, MemAccessError> {
+        let mut out = vec![0xA5; len];
+        s.read_into(addr, &mut out).map(|()| out)
+    }
+
     #[test]
     fn unwritten_reads_zero() {
         let s = SparseBytes::new(1 << 30);
-        assert_eq!(s.read(12345, 8).unwrap(), vec![0u8; 8]);
+        assert_eq!(read(&s, 12345, 8).unwrap(), vec![0u8; 8]);
         assert!(s.blocks.is_empty(), "a read materializes nothing");
     }
 
@@ -145,10 +142,10 @@ mod tests {
         let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
         // Deliberately misaligned start that straddles three blocks.
         s.write(4000, &data).unwrap();
-        assert_eq!(s.read(4000, data.len()).unwrap(), data);
+        assert_eq!(read(&s, 4000, data.len()).unwrap(), data);
         // Bytes around the window untouched.
-        assert_eq!(s.read(3999, 1).unwrap(), vec![0]);
-        assert_eq!(s.read(4000 + data.len() as u64, 1).unwrap(), vec![0]);
+        assert_eq!(read(&s, 3999, 1).unwrap(), vec![0]);
+        assert_eq!(read(&s, 4000 + data.len() as u64, 1).unwrap(), vec![0]);
     }
 
     #[test]
@@ -156,14 +153,14 @@ mod tests {
         let mut s = SparseBytes::new(16 << 30); // "16 GB" HBM.
         s.write(8 << 30, &[1, 2, 3]).unwrap();
         assert_eq!(s.blocks.len(), 1, "one 4 KiB block is resident");
-        assert_eq!(s.read(8 << 30, 3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(read(&s, 8 << 30, 3).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
     fn out_of_range_rejected() {
         let mut s = SparseBytes::new(100);
         assert!(s.write(98, &[0; 3]).is_err());
-        assert!(s.read(0, 101).is_err());
+        assert!(read(&s, 0, 101).is_err());
         assert!(s.write(u64::MAX, &[0; 2]).is_err(), "overflow guarded");
         s.write(97, &[0; 3]).unwrap();
     }

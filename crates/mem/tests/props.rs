@@ -46,7 +46,9 @@ proptest! {
         }
         // Check random offsets.
         for probe in (0..(1u64 << 16)).step_by(997) {
-            let got = s.read(probe, 1).unwrap()[0];
+            let mut got = [0xA5u8];
+            s.read_into(probe, &mut got).unwrap();
+            let got = got[0];
             let expect = model.get(&probe).copied().unwrap_or(0);
             prop_assert_eq!(got, expect, "at {}", probe);
         }

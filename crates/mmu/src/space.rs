@@ -11,7 +11,7 @@ use coyote_mem::{PageSize, PhysAddr};
 use std::collections::BTreeMap;
 
 /// Which physical memory a page resides in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemLocation {
     /// Host DRAM.
     Host,

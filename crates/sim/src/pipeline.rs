@@ -14,7 +14,10 @@ use crate::time::{Freq, SimDuration, SimTime};
 pub struct PipelineModel {
     clock: Freq,
     depth_cycles: u64,
-    ii_cycles: u64,
+    /// The initiation interval and the depth as durations, computed once:
+    /// `issue` runs once per AES block, and `Freq::cycles` divides.
+    ii: SimDuration,
+    latency: SimDuration,
     next_issue: SimTime,
     issued: u64,
     /// Cycles the issue port sat idle while the unit was willing to accept.
@@ -39,7 +42,8 @@ impl PipelineModel {
         PipelineModel {
             clock,
             depth_cycles,
-            ii_cycles,
+            ii: clock.cycles(ii_cycles),
+            latency: clock.cycles(depth_cycles),
             next_issue: SimTime::ZERO,
             issued: 0,
             idle: SimDuration::ZERO,
@@ -59,7 +63,7 @@ impl PipelineModel {
 
     /// End-to-end latency of one item through an empty pipeline.
     pub fn latency(&self) -> SimDuration {
-        self.clock.cycles(self.depth_cycles)
+        self.latency
     }
 
     /// Issue one item at or after `now`.
@@ -73,15 +77,15 @@ impl PipelineModel {
         if let Some(prev) = self.last_issue {
             // Idle time: cycles between the earliest possible issue after
             // `prev` and the actual issue.
-            let earliest = prev + self.clock.cycles(self.ii_cycles);
+            let earliest = prev + self.ii;
             self.idle += start.saturating_since(earliest);
         }
         self.last_issue = Some(start);
-        self.next_issue = start + self.clock.cycles(self.ii_cycles);
+        self.next_issue = start + self.ii;
         self.issued += 1;
         Issue {
             start,
-            done: start + self.latency(),
+            done: start + self.latency,
         }
     }
 

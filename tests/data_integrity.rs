@@ -3,7 +3,7 @@
 //! across host and card paths, packet boundaries and odd lengths.
 
 use coyote::kernel::Passthrough;
-use coyote::{CThread, Oper, Platform, SgEntry, ShellConfig};
+use coyote::{CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
 use coyote_apps::{Aes128, AesCbcKernel, AesEcbKernel, HllKernel, VecAddKernel};
 
 fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -166,4 +166,137 @@ fn completion_latency_ordering_is_sane() {
         large.completed_at > small.completed_at,
         "the clock advances across drains"
     );
+}
+
+// A drain reads each source byte when its kernel consumes it and writes
+// each output at once, so a batch must not write what it also reads.
+
+#[test]
+fn batch_writing_what_it_reads_is_refused_before_any_byte_moves() {
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    p.load_kernel(0, Box::new(Passthrough::default())).unwrap();
+    let t = CThread::create(&mut p, 0, 1).unwrap();
+    let len = 16 * 1024u64;
+    let (a, b, c) = (
+        t.get_mem(&mut p, len).unwrap(),
+        t.get_mem(&mut p, len).unwrap(),
+        t.get_mem(&mut p, len).unwrap(),
+    );
+    let (da, db) = (pattern(len as usize, 1), pattern(len as usize, 2));
+    t.write(&mut p, a, &da).unwrap();
+    t.write(&mut p, b, &db).unwrap();
+    let moved = p.host_bytes_moved();
+
+    // In place: one invocation reads and writes `a`.
+    let id = t
+        .invoke(&mut p, Oper::LocalTransfer, &SgEntry::local(a, a, len))
+        .unwrap();
+    let err = p.drain().unwrap_err();
+    assert!(
+        matches!(err, PlatformError::ReadWriteOverlap { reader, writer } if reader == id && writer == id),
+        "{err}"
+    );
+
+    // Across invocations: the first writes into the second half of `a`,
+    // which the second reads.
+    let writer = t
+        .invoke(
+            &mut p,
+            Oper::LocalTransfer,
+            &SgEntry::local(b, a + len / 2, len),
+        )
+        .unwrap();
+    let reader = t
+        .invoke(&mut p, Oper::LocalTransfer, &SgEntry::local(a, c, len))
+        .unwrap();
+    let err = p.drain().unwrap_err();
+    assert!(
+        matches!(err, PlatformError::ReadWriteOverlap { reader: r, writer: w } if r == reader && w == writer),
+        "{err}"
+    );
+
+    assert_eq!(p.host_bytes_moved(), moved, "nothing was booked");
+    assert_eq!(t.read(&p, a, len as usize).unwrap(), da);
+    assert_eq!(t.read(&p, b, len as usize).unwrap(), db);
+    assert_eq!(t.read(&p, c, len as usize).unwrap(), vec![0; len as usize]);
+}
+
+#[test]
+fn cbc_transfers_of_one_thread_to_one_destination_keep_the_last_output() {
+    // Writes may overlap: outputs are written in the order they are
+    // booked, so the destination keeps the output booked last. Both
+    // transfers write `dst`, and the second finds its translation in the
+    // TLB where the first missed, so its packets are ready first: the
+    // thread's CBC chain runs through all of p2, then all of p1, and the
+    // destination ends with p1's ciphertext.
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    p.load_kernel(0, Box::new(AesCbcKernel::new())).unwrap();
+    let t = CThread::create(&mut p, 0, 1).unwrap();
+    t.set_csr(&mut p, 0x5EED, 0).unwrap();
+    let len = 12 * 1024u64; // Three packets each.
+    let (s1, s2, dst) = (
+        t.get_mem(&mut p, len).unwrap(),
+        t.get_mem(&mut p, len).unwrap(),
+        t.get_mem(&mut p, len).unwrap(),
+    );
+    let (p1, p2) = (pattern(len as usize, 5), pattern(len as usize, 6));
+    t.write(&mut p, s1, &p1).unwrap();
+    t.write(&mut p, s2, &p2).unwrap();
+    let ids: Vec<u64> = [s1, s2]
+        .into_iter()
+        .map(|src| {
+            t.invoke(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
+                .unwrap()
+        })
+        .collect();
+    let done: Vec<u64> = p.drain().unwrap().iter().map(|c| c.invocation).collect();
+    assert_eq!(done, [ids[1], ids[0]], "completion order");
+    let mut chain = [p2, p1].concat();
+    Aes128::from_u64(0x5EED, 0).encrypt_cbc(&mut chain, [0u8; 16]);
+    assert_eq!(
+        t.read(&p, dst, len as usize).unwrap(),
+        chain[len as usize..]
+    );
+}
+
+#[test]
+fn source_past_the_end_of_its_memory_fails_the_drain_before_any_write() {
+    // One HBM channel: card memory ends after 512 MiB. The bad source
+    // starts 1 MiB before that end and runs 4 KiB past it, so its first
+    // 256 packets are readable: the range is checked whole, up front, not
+    // when its last packet is read.
+    let mut p = Platform::load(ShellConfig::host_memory(1, 1)).unwrap();
+    p.load_kernel(0, Box::new(Passthrough::default())).unwrap();
+    let t = CThread::create(&mut p, 0, 1).unwrap();
+    let len = 4096u64;
+    let (src, dst) = (
+        t.get_mem(&mut p, len).unwrap(),
+        t.get_mem(&mut p, len).unwrap(),
+    );
+    t.write(&mut p, src, &pattern(len as usize, 7)).unwrap();
+    let before = pattern(len as usize, 8);
+    t.write(&mut p, dst, &before).unwrap();
+    let huge = 2 << 20;
+    t.get_card_mem(&mut p, coyote_sim::params::HBM_CHANNEL_BYTES - huge)
+        .unwrap();
+    let last = t.get_card_mem(&mut p, huge).unwrap();
+    let end = last + huge;
+
+    t.invoke(&mut p, Oper::LocalTransfer, &SgEntry::local(src, dst, len))
+        .unwrap();
+    t.invoke(
+        &mut p,
+        Oper::LocalRead,
+        &SgEntry::source(end - (1 << 20), (1 << 20) + 4096),
+    )
+    .unwrap();
+    let err = p.drain().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::Driver(coyote_driver::DriverError::BadAddress(_))
+        ),
+        "{err}"
+    );
+    assert_eq!(t.read(&p, dst, len as usize).unwrap(), before);
 }
