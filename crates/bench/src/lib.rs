@@ -60,7 +60,6 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("net_fanin", Run::Alone(netexp::net_fanin)),
     ("net_retransmit", Run::Alone(netexp::net_retransmit)),
     ("net_chaos", Run::Alone(netexp::net_chaos)),
-    ("net_micro", Run::Alone(netexp::net_micro)),
 ];
 
 /// How the experiment `id` runs, or `None` for an unknown id.

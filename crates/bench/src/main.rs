@@ -4,7 +4,7 @@
 //! coyote-bench all              # every table and figure
 //! coyote-bench fig7a fig10b     # a selection
 //! coyote-bench net              # the network data-plane group
-//! coyote-bench net --quick      # CI smoke: same paths, smaller workloads
+//! coyote-bench reconfig_storm --quick  # CI smoke: 48 tenants, not 256
 //! coyote-bench all --timings    # also record wall-clock to BENCH_wallclock.json
 //! coyote-bench all --threads 4  # pin the worker budget for this run
 //! coyote-bench scaling          # sweep 1/2/4/8 threads, record speedups
@@ -51,13 +51,6 @@ use std::time::{Duration, Instant};
 /// order (137.2-137.6 over 8 runs), and at 184 MB in order of wall-clock
 /// alone.
 const CLAIM_ORDER: &[&str] = &["fig11", "fig12", "fig7b", "table3", "fig8", "fig7a"];
-
-/// Experiments whose *measurand* is host wall-clock (`net_micro` times the
-/// serialize/retransmit hot loop in real nanoseconds). Their values are
-/// legitimately different on every run, so the `scaling` sweep's
-/// bit-identity fingerprint skips them — everything else must match
-/// exactly across thread counts.
-const NONDET: &[&str] = &["net_micro"];
 
 /// Thread counts the `scaling` sweep measures.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -128,15 +121,12 @@ fn run_selection(selection: &[&str]) -> Vec<(ExperimentResult, Duration)> {
         .collect()
 }
 
-/// FNV-64 over the serialized deterministic results, in selection order:
-/// one number that pins every value the run produced (the same [`Fnv64`] as
-/// the trace hashes). [`NONDET`] experiments are skipped.
+/// FNV-64 over the serialized results, in selection order: one number
+/// that pins every value the run produced (the same [`Fnv64`] as the trace
+/// hashes).
 fn fingerprint(results: &[(ExperimentResult, Duration)]) -> u64 {
     let mut h = Fnv64::new();
     for (result, _) in results {
-        if NONDET.contains(&result.id.as_str()) {
-            continue;
-        }
         h.write(&serde_json::to_vec_pretty(result).expect("serializable result"));
     }
     h.finish()
@@ -358,7 +348,8 @@ fn main() {
     let timings = args.iter().any(|a| a == "--timings");
     let gate = args.iter().any(|a| a == "--gate");
     if args.iter().any(|a| a == "--quick") {
-        // Experiments read this to shrink sizes/iterations (CI smoke runs).
+        // `reconfig_storm` reads this to shrink its tenant and image counts
+        // (CI smoke runs).
         std::env::set_var("COYOTE_BENCH_QUICK", "1");
     }
     let flag_value = |flag: &str| {

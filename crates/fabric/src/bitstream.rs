@@ -482,8 +482,8 @@ impl Bitstream {
     }
 
     /// Iterate over the frame records as `(frame address, payload)` pairs —
-    /// the view an offline verifier (e.g. `coyote-lint`) needs without going
-    /// through the ICAP load path.
+    /// the view an offline verifier needs without going through the ICAP
+    /// load path.
     pub fn frame_records(&self) -> impl Iterator<Item = (u32, &[u8])> {
         let bytes = self.bytes();
         bytes[HEADER_BYTES..bytes.len() - 4]

@@ -1,13 +1,11 @@
-//! The `coyote-lint` CLI: one pass per input, with the rules chosen by
-//! the path.
+//! The `coyote-lint` CLI: one pass per shell spec.
 //!
 //! ```text
 //! coyote-lint [OPTIONS] <PATH>...
 //!
-//! A .json PATH is a shell spec: the config, floorplan, netlist and
-//! whole-platform rules (CF, FP, NL, PG/WF/CAP/ISO) in one report. A .bin
-//! PATH is a bitstream (BS). A directory's top-level .json files are
-//! linted as shell specs, in sorted order.
+//! A .json PATH is a shell spec: the config, floorplan and whole-platform
+//! rules (CF, FP, PG/WF/CAP/ISO) in one report. A directory's top-level
+//! .json files are linted as shell specs, in sorted order.
 //!
 //! Options:
 //!   --json          machine-readable JSON report on stdout
@@ -20,7 +18,7 @@
 //! 2 usage or I/O failure, or a path with nothing to lint.
 //! ```
 
-use coyote_lint::{lint_bitstream, lint_shell_spec, LintConfig, Report, ShellSpec};
+use coyote_lint::{lint_shell_spec, LintConfig, Report, ShellSpec};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -98,7 +96,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Lint one path by its kind.
+/// Lint one spec, or every spec in a directory.
 fn lint_path(path: &str) -> Result<Report, String> {
     let p = Path::new(path);
     let mut report = Report::new();
@@ -117,15 +115,8 @@ fn lint_path(path: &str) -> Result<Report, String> {
         }
     } else if path.ends_with(".json") {
         report.extend(lint_spec_file(p)?);
-    } else if path.ends_with(".bin") {
-        let bytes = std::fs::read(p).map_err(|e| e.to_string())?;
-        let name = path.rsplit('/').next().unwrap_or(path);
-        report.extend(lint_bitstream(name, &bytes, None));
     } else {
-        return Err(
-            "unsupported path (expected a .json shell spec, a .bin bitstream or a directory)"
-                .to_string(),
-        );
+        return Err("unsupported path (expected a .json shell spec or a directory)".to_string());
     }
     Ok(report)
 }

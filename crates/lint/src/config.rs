@@ -1,4 +1,4 @@
-//! Configuration lints (CF002–CF008): shell, QP and MMU parameter checks.
+//! Configuration lints (CF002–CF007): shell, QP and MMU parameter checks.
 //!
 //! These rules catch configurations that *parse* fine and even *boot* fine
 //! but then fail to schedule, or are malformed for the component that
@@ -11,7 +11,6 @@
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::QpSpec;
 use coyote::config::ShellConfig;
-use coyote_chaos::{FaultKind, FaultPlan, RetryPolicy};
 use coyote_fabric::Device;
 use coyote_mmu::{MmuConfig, TlbConfig};
 use coyote_sim::params::ROCE_MTU;
@@ -45,70 +44,6 @@ pub fn lint_qp(unit: &str, qp: &QpSpec) -> Report {
             loc("qp.window"),
             "retransmission window of 0 packets: no packet can ever be in flight",
         ));
-    }
-
-    report
-}
-
-/// Residual per-message failure probability a retry budget must reach for a
-/// fault plan to count as covered (CF008).
-const CF008_RESIDUAL_TARGET: f64 = 1e-6;
-
-/// Lint a chaos fault plan against the retry budget that will face it
-/// (CF008).
-///
-/// A chaos run is only meaningful if recovery is *possible*: a plan whose
-/// frame-loss probability is 1.0 is a permanent blackhole no finite retry
-/// budget covers, and a plan whose per-attempt loss leaves more than
-/// [`CF008_RESIDUAL_TARGET`] residual failure probability after the policy's
-/// attempts will flake rather than exercise recovery. Corrupted frames are
-/// dropped at NIC RX, so `NetCorrupt` counts toward the effective loss.
-pub fn lint_fault_plan(unit: &str, plan: &FaultPlan, policy: &RetryPolicy) -> Report {
-    let mut report = Report::new();
-    let loc = |path: &str| Location::new(format!("config:{unit}"), path);
-
-    let loss = plan.max_rate(FaultKind::NetLoss);
-    let corrupt = plan.max_rate(FaultKind::NetCorrupt);
-    // Either fault costs the frame, so the per-attempt drop probability is
-    // the union of the two.
-    let effective = 1.0 - (1.0 - loss) * (1.0 - corrupt);
-    if effective <= 0.0 {
-        return report;
-    }
-
-    if effective >= 1.0 {
-        report.push(
-            Diagnostic::new(
-                "CF008",
-                Severity::Error,
-                loc("plan.net_loss"),
-                format!(
-                    "permanent blackhole: effective frame-loss rate is {effective:.2} — \
-                     every attempt fails and no retry budget ({} attempts) can recover",
-                    policy.max_attempts
-                ),
-            )
-            .with_suggestion("drop the rate below 1.0, or lift the blackhole mid-run"),
-        );
-        return report;
-    }
-
-    if !policy.covers_loss(effective, CF008_RESIDUAL_TARGET) {
-        report.push(
-            Diagnostic::new(
-                "CF008",
-                Severity::Error,
-                loc("plan.net_loss"),
-                format!(
-                    "retry budget cannot cover the loss rate: {effective:.3} loss over \
-                     {} attempts leaves {:.2e} residual failure probability \
-                     (target {CF008_RESIDUAL_TARGET:.0e})",
-                    policy.max_attempts,
-                    effective.powi(policy.max_attempts.max(1) as i32)
-                ),
-            )
-            .with_suggestion("raise max_attempts or lower the injected loss rate"),
-        );
     }
 
     report
@@ -285,33 +220,6 @@ mod tests {
         assert!(r.render_human().contains("enable qp.ack_on_window_fill"));
         // Messages that fit the window cannot starve.
         assert!(qp(64 * 4096).is_clean());
-    }
-
-    #[test]
-    fn fault_plan_budget_coverage() {
-        let policy = RetryPolicy::reconfig_default(); // 5 attempts.
-
-        // Covered: 1% loss over 5 attempts leaves 1e-10 residual.
-        let ok = FaultPlan::new(1).net_loss(0.01);
-        assert!(lint_fault_plan("t", &ok, &policy).is_clean());
-
-        // No loss at all: trivially clean.
-        assert!(lint_fault_plan("t", &FaultPlan::new(1), &policy).is_clean());
-
-        // Uncoverable: 50% loss leaves ~3% residual after 5 attempts.
-        let bad = FaultPlan::new(1).net_loss(0.5);
-        let r = lint_fault_plan("t", &bad, &policy);
-        assert_eq!(r.of_rule("CF008").count(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
-
-        // Blackhole: rate 1.0 can never be covered.
-        let hole = FaultPlan::new(1).net_loss(1.0);
-        assert!(lint_fault_plan("t", &hole, &policy).has_errors());
-
-        // Corruption counts toward effective loss: 0.3 loss + 0.4 corrupt
-        // is an effective 0.58 drop rate — uncoverable in 5 attempts.
-        let mixed = FaultPlan::new(1).net_loss(0.3).net_corrupt(0.4);
-        assert!(lint_fault_plan("t", &mixed, &policy).has_errors());
     }
 
     #[test]

@@ -29,13 +29,13 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Where a finding lives: an artifact (netlist, floorplan, bitstream,
-/// config file, event trace) plus a path within it.
+/// Where a finding lives: an artifact (a spec's config, its floorplan or
+/// its platform graph) plus a path within it.
 ///
 /// Kept as two strings so every layer can address its own structure —
-/// `netlist:aes128` / `net[17]`, `floorplan:U55C` / `vfpga(1)`,
-/// `bitstream` / `frame[5]`, `config` / `qp.window`, `trace` / `t=1200ps` —
-/// and golden tests can assert locations exactly.
+/// `config:<spec>` / `qp.window`, `floorplan:Alveo U55C` / `vfpga(1)`,
+/// `platform:<spec>` / `cycle(software)` — and golden tests can assert
+/// locations exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Location {
     /// The artifact being linted.
@@ -63,7 +63,7 @@ impl fmt::Display for Location {
 /// One finding from one rule.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
-    /// Stable rule identifier (e.g. `NL004`); see the catalog in `rules`.
+    /// Stable rule identifier (e.g. `WF001`); see the catalog in `rules`.
     pub rule_id: String,
     /// Severity after any allow/deny adjustment.
     pub severity: Severity,

@@ -1,21 +1,15 @@
 #![forbid(unsafe_code)]
-//! `coyote-lint`: the design-rule checker and shell verifier.
+//! `coyote-lint`: the shell verifier.
 //!
-//! Every other crate in the workspace *executes* the model — synthesizes
-//! netlists, loads bitstreams, moves data. This crate *judges* the
-//! artifacts those flows produce, before anything runs:
+//! Every other crate in the workspace *executes* the model. This crate
+//! *judges* the shell specification a node is about to run, before
+//! anything is built or loaded:
 //!
-//! * [`lint_netlist`] — undriven/multiply-driven nets, dangling cells,
-//!   combinational loops, width mismatches, unreachable logic (NL001–NL007).
 //! * [`lint_floorplan`] — clock-region discipline of the vFPGA regions
 //!   (FP007).
-//! * [`lint_bitstream`] — offline blob verification without the ICAP load
-//!   path, including deployment checks (BS001–BS006).
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] / [`lint_fault_plan`] —
-//!   configurations that would fail to schedule or are malformed for the
-//!   component that runs them (CF002–CF008).
-//! * [`lint_fault_trace`] — fault traces merged outside the canonical
-//!   `(domain, op)` order (DS004).
+//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
+//!   would fail to schedule or are malformed for the component that runs
+//!   them (CF002–CF007).
 //! * [`platform`] — the whole-platform analyzer: joins the shell's layers
 //!   into one typed resource graph ([`PlatformGraph`]) and runs the
 //!   cross-layer families on it — graph construction (PG001–PG002),
@@ -23,10 +17,8 @@
 //!   checks CF001 and CF009), capacity feasibility (CAP001–CAP003) and
 //!   tenant isolation (ISO001–ISO002).
 //!
-//! There is one entry per input kind, which is how the `coyote-lint`
-//! binary dispatches on a path: [`lint_shell_spec`] for a `.json` shell
-//! spec (config, floorplan, netlist and platform rules in one report) and
-//! [`lint_bitstream`] for a `.bin` blob.
+//! [`lint_shell_spec`] runs all of them on one `.json` shell spec, which
+//! is what the `coyote-lint` binary does for every spec it is given.
 //!
 //! The workspace's own Rust is not an input: its determinism hazards
 //! (hash-order iteration, wall clock, ambient entropy, atomics, ad-hoc
@@ -38,30 +30,23 @@
 //! JSON and exits non-zero on errors, which is how CI gates on it. The full
 //! rule catalog lives in [`rules::CATALOG`].
 
-pub mod bitstream;
 pub mod config;
-pub mod des;
 pub mod diag;
 pub mod floorplan;
-pub mod netlist;
 pub mod platform;
 pub mod rules;
 pub mod shellspec;
 
-pub use bitstream::{lint_bitstream, DeployContext};
-pub use config::{lint_fault_plan, lint_mmu, lint_qp, lint_shell};
-pub use des::lint_fault_trace;
+pub use config::{lint_mmu, lint_qp, lint_shell};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::lint_floorplan;
-pub use netlist::lint_netlist;
 pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
 
 /// Lint everything a shell specification implies, in one report: the
 /// configuration itself, the QP transport contract (if declared), the
-/// preset floorplan the shell would be built on, the post-synthesis
-/// netlists of every service block it instantiates, and the platform
+/// preset floorplan the shell would be built on, and the platform
 /// resource graph with its PG/WF/CAP/ISO rules.
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
@@ -76,20 +61,16 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
         )),
         Ok(cfg) => {
             let shell = lint_shell(unit, &cfg);
-            let buildable = !shell.has_errors();
+            let accepted = !shell.has_errors();
             report.extend(shell);
             if let Some(qp) = &spec.qp {
                 report.extend(lint_qp(unit, qp));
             }
-            // Artifact checks only make sense for a shell the config rules
-            // accept: one `validate` rejects (CF005) or whose services
-            // overflow the band (CF006) may ask for absurd service blocks,
-            // and synthesizing them costs seconds or all of memory.
-            if buildable {
+            // Only a shell the config rules accept has a floorplan to
+            // judge: `Floorplan::preset` panics on a vFPGA count that
+            // `validate` refuses (CF005).
+            if accepted {
                 report.extend(lint_floorplan(&cfg.floorplan()));
-                for block in cfg.service_blocks() {
-                    report.extend(lint_netlist(&block.synthesize()));
-                }
             }
         }
     }
@@ -144,7 +125,7 @@ mod tests {
     #[test]
     fn a_rejected_shell_is_not_synthesized() {
         // `n_vfpgas` is in range, so only `validate` knows this shell is
-        // unschedulable; the artifact checks must not build a memory
+        // unschedulable; CF006 must not size the service blocks of a memory
         // controller with that many channels.
         for channels in ["100000000", "18446744073709551615"] {
             let s = spec(&format!(

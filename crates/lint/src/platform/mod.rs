@@ -12,7 +12,7 @@
 //! * [`tenancy`] — ISO001–ISO002: tenant isolation by reachability.
 //!
 //! Entry point: [`lint_platform`], which [`crate::lint_shell_spec`] runs
-//! on every spec after the config, floorplan and netlist rules.
+//! on every spec after the config and floorplan rules.
 
 pub mod capacity;
 pub mod graph;

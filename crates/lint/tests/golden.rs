@@ -2,24 +2,15 @@
 //! the exact rule id and location, and stays silent on a clean counterpart.
 //!
 //! Config and platform rules are exercised through the JSON fixtures in
-//! `fixtures/` (the same files a deployment would feed the CLI); netlist,
-//! floorplan, bitstream and fault-trace rules use programmatic fixtures
-//! because their inputs are in-memory artifacts.
+//! `fixtures/` (the same files a deployment would feed the CLI); the
+//! floorplan rule reads the preset floorplan a spec implies.
 //!
 //! The retired pair checks map onto WF001: CF001 (ACK starvation) is the
 //! `cycle(rdma.sender)` finding and CF009 (ring sizing) the
 //! `cycle(software)` finding of the spec's `platform:<name>` unit.
 
-use coyote_fabric::{
-    Bitstream, BitstreamKind, DeviceKind, Floorplan, ResourceVec, ShellProfile, FRAME_RECORD_BYTES,
-    HEADER_BYTES,
-};
-use coyote_lint::{
-    lint_bitstream, lint_fault_trace, lint_floorplan, lint_netlist, lint_shell_spec, DeployContext,
-    Report, Severity, ShellSpec,
-};
-use coyote_sim::SimTime;
-use coyote_synth::{CellKind, Net, Netlist};
+use coyote_fabric::{DeviceKind, Floorplan, ShellProfile};
+use coyote_lint::{lint_floorplan, lint_shell_spec, Report, Severity, ShellSpec};
 
 fn fixture(name: &str) -> ShellSpec {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -111,29 +102,6 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
 }
 
 #[test]
-fn cf008_uncoverable_fault_plan_is_an_error() {
-    // CF008's input is an in-memory fault plan + retry policy, like DS004's
-    // fault trace.
-    use coyote_chaos::{FaultPlan, RetryPolicy};
-    let policy = RetryPolicy::reconfig_default();
-
-    // Covered plan: clean.
-    let ok = FaultPlan::new(1).net_loss(0.01);
-    assert!(coyote_lint::lint_fault_plan("chaos", &ok, &policy).is_clean());
-
-    // Uncoverable plan: fires at the exact location with error severity.
-    let bad = FaultPlan::new(1).net_loss(0.5);
-    let r = coyote_lint::lint_fault_plan("cf008-lossy-plan", &bad, &policy);
-    assert_fires(&r, "CF008", "config:cf008-lossy-plan", "plan.net_loss");
-    assert_eq!(r.of_rule("CF008").next().unwrap().severity, Severity::Error);
-
-    // A rate-1.0 blackhole is flagged no matter the budget.
-    let hole = FaultPlan::new(1).net_loss(1.0);
-    let r = coyote_lint::lint_fault_plan("chaos", &hole, &policy);
-    assert!(r.has_errors(), "{}", r.render_human());
-}
-
-#[test]
 fn the_pre_fix_deadlock_config_is_an_error() {
     // The acceptance case: a config reproducing the ack_req starvation
     // deadlock the RC queue pair had before the window-fill ACK fix must be
@@ -147,139 +115,6 @@ fn the_pre_fix_deadlock_config_is_an_error() {
         "{}",
         d.message
     );
-}
-
-// ---------------------------------------------------------------- netlist
-
-/// A minimal clean netlist: Io -> Lut -> Ff pipeline.
-fn clean_netlist() -> Netlist {
-    Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Io, CellKind::Lut, CellKind::Ff],
-        levels: vec![0, 1, 2],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![1],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![2],
-                width: 16,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    }
-}
-
-#[test]
-fn clean_netlist_produces_zero_diagnostics() {
-    let r = lint_netlist(&clean_netlist());
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn nl001_undriven_net() {
-    let mut n = clean_netlist();
-    n.nets.push(Net {
-        driver: 99,
-        sinks: vec![1],
-        width: 8,
-    });
-    assert_fires(&lint_netlist(&n), "NL001", "netlist:golden", "net[2]");
-}
-
-#[test]
-fn nl002_multiply_driven() {
-    let mut n = clean_netlist();
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    n.nets.push(Net {
-        driver: 0,
-        sinks: vec![3],
-        width: 8,
-    });
-    assert_fires(&lint_netlist(&n), "NL002", "netlist:golden", "cell[0]");
-}
-
-#[test]
-fn nl003_dangling_cell() {
-    let mut n = clean_netlist();
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    assert_fires(&lint_netlist(&n), "NL003", "netlist:golden", "cell[3]");
-}
-
-#[test]
-fn nl004_combinational_loop() {
-    let n = Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Lut, CellKind::Lut],
-        levels: vec![0, 1],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![1],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![0],
-                width: 8,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    };
-    assert_fires(&lint_netlist(&n), "NL004", "netlist:golden", "cell[0]");
-}
-
-#[test]
-fn nl005_width_mismatch() {
-    let n = Netlist {
-        name: "golden".into(),
-        cells: vec![CellKind::Io, CellKind::Io, CellKind::Lut],
-        levels: vec![0, 0, 1],
-        nets: vec![
-            Net {
-                driver: 0,
-                sinks: vec![2],
-                width: 8,
-            },
-            Net {
-                driver: 1,
-                sinks: vec![2],
-                width: 16,
-            },
-        ],
-        footprint: ResourceVec::logic(64, 64),
-    };
-    assert_fires(&lint_netlist(&n), "NL005", "netlist:golden", "cell[2]");
-}
-
-#[test]
-fn nl006_unreachable_cell() {
-    let mut n = clean_netlist();
-    // Cell 3 drives into the pipeline but nothing reaches *it*.
-    n.cells.push(CellKind::Lut);
-    n.levels.push(1);
-    n.nets.push(Net {
-        driver: 3,
-        sinks: vec![2],
-        width: 16,
-    });
-    assert_fires(&lint_netlist(&n), "NL006", "netlist:golden", "cell[3]");
-}
-
-#[test]
-fn nl007_invalid_sink() {
-    let mut n = clean_netlist();
-    n.nets.push(Net {
-        driver: 2,
-        sinks: vec![99],
-        width: 32,
-    });
-    assert_fires(&lint_netlist(&n), "NL007", "netlist:golden", "net[2]");
 }
 
 // -------------------------------------------------------------- floorplan
@@ -309,198 +144,6 @@ fn fp007_clock_region_straddle() {
         r.render_human()
     );
     assert_ne!(r.max_severity(), Some(Severity::Error));
-}
-
-// -------------------------------------------------------------- bitstream
-
-fn good_blob() -> Vec<u8> {
-    Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, 8, 7)
-        .bytes()
-        .to_vec()
-}
-
-fn restamp_crc(bytes: &mut [u8]) {
-    let end = bytes.len() - 4;
-    let crc = coyote_fabric::crc32(&bytes[..end]).to_le_bytes();
-    bytes[end..].copy_from_slice(&crc);
-}
-
-#[test]
-fn clean_bitstream_produces_zero_diagnostics() {
-    let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let bs = fp.image(BitstreamKind::Shell, 7).unwrap();
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: Some(&fp),
-    };
-    let r = lint_bitstream("shell.bin", bs.bytes(), Some(&ctx));
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn bs001_malformed_header() {
-    let mut b = good_blob();
-    b[0] = b'X';
-    assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
-        "BS001",
-        "bitstream:bad.bin",
-        "header",
-    );
-}
-
-#[test]
-fn bs002_truncated() {
-    let mut b = good_blob();
-    b.truncate(b.len() - FRAME_RECORD_BYTES);
-    restamp_crc(&mut b);
-    assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
-        "BS002",
-        "bitstream:bad.bin",
-        "body",
-    );
-}
-
-#[test]
-fn bs003_crc_mismatch() {
-    let mut b = good_blob();
-    let mid = b.len() / 2;
-    b[mid] ^= 0xFF;
-    assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
-        "BS003",
-        "bitstream:bad.bin",
-        "trailer",
-    );
-}
-
-#[test]
-fn bs004_frame_address_sequence() {
-    let mut b = good_blob();
-    let off = HEADER_BYTES + 3 * FRAME_RECORD_BYTES;
-    b[off..off + 4].copy_from_slice(&77u32.to_le_bytes());
-    restamp_crc(&mut b);
-    assert_fires(
-        &lint_bitstream("bad.bin", &b, None),
-        "BS004",
-        "bitstream:bad.bin",
-        "frame[3]",
-    );
-}
-
-#[test]
-fn bs005_frames_outside_partition() {
-    let fp = Floorplan::preset(DeviceKind::U55C, ShellProfile::HostOnly, 1);
-    let kind = BitstreamKind::App { vfpga: 0 };
-    let budget = fp.image(kind, 7).unwrap().frames();
-    let bs = Bitstream::assemble(DeviceKind::U55C, kind, budget + 1, 7);
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: Some(&fp),
-    };
-    assert_fires(
-        &lint_bitstream("big.bin", bs.bytes(), Some(&ctx)),
-        "BS005",
-        "bitstream:big.bin",
-        "frames",
-    );
-}
-
-#[test]
-fn bs006_device_mismatch() {
-    let bs = Bitstream::assemble(DeviceKind::U250, BitstreamKind::Shell, 8, 7);
-    let ctx = DeployContext {
-        device: DeviceKind::U55C,
-        floorplan: None,
-    };
-    assert_fires(
-        &lint_bitstream("wrong.bin", bs.bytes(), Some(&ctx)),
-        "BS006",
-        "bitstream:wrong.bin",
-        "header",
-    );
-}
-
-// ------------------------------------------------------------ fault trace
-
-/// The traces the injectors record, detections and recoveries included, lint
-/// clean once merged canonically, whichever order the per-domain traces are
-/// collected in.
-#[test]
-fn clean_trace_produces_zero_diagnostics() {
-    use coyote_chaos::{Domain, FaultPlan, FaultTrace};
-    let plan = FaultPlan::new(7)
-        .net_loss(0.2)
-        .dma_stall(0.2, 1_000)
-        .icap_reject_at(3);
-    let traces: Vec<FaultTrace> = [Domain::NetSwitch, Domain::Dma, Domain::Reconfig]
-        .into_iter()
-        .map(|domain| {
-            let mut inj = plan.injector(domain);
-            for _ in 0..64 {
-                for fault in inj.tick() {
-                    inj.record_detected(fault.kind, 0);
-                    inj.record_recovered(fault.kind, 0);
-                }
-            }
-            assert!(inj.injected() > 0, "{domain:?} fires at least once");
-            inj.take_trace()
-        })
-        .collect();
-    let forward = FaultTrace::merged(traces.clone());
-    let reverse = FaultTrace::merged(traces.into_iter().rev());
-    assert_eq!(forward, reverse);
-    let r = lint_fault_trace("chaos", &forward);
-    assert!(r.is_clean(), "{}", r.render_human());
-}
-
-#[test]
-fn ds004_concatenated_fault_trace() {
-    use coyote_chaos::{Domain, FaultKind, FaultTrace, TraceKind};
-    // NetSwitch's tag sorts after Dma's: recording net before dma leaves
-    // canonical (domain, op) order at the boundary event.
-    let mut t = FaultTrace::new();
-    t.push(
-        Domain::NetSwitch,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::NetLoss,
-        0,
-    );
-    t.push(
-        Domain::Dma,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::DmaStall,
-        0,
-    );
-    let r = lint_fault_trace("chaos", &t);
-    assert_fires(&r, "DS004", "trace:chaos", "event[1]");
-    assert!(r.has_errors());
-
-    // The canonical merge of the same per-domain traces is clean.
-    let mut net = FaultTrace::new();
-    net.push(
-        Domain::NetSwitch,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::NetLoss,
-        0,
-    );
-    let mut dma = FaultTrace::new();
-    dma.push(
-        Domain::Dma,
-        0,
-        SimTime::ZERO,
-        TraceKind::Injected,
-        FaultKind::DmaStall,
-        0,
-    );
-    assert!(lint_fault_trace("chaos", &FaultTrace::merged([net, dma])).is_clean());
 }
 
 // --------------------------------------------------------------- platform
@@ -626,10 +269,8 @@ fn every_catalog_rule_has_golden_coverage() {
     // test above fails here, and so does a rule dropped from the catalog
     // that is still listed.
     let covered = [
-        "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "FP007", "BS001", "BS002",
-        "BS003", "BS004", "BS005", "BS006", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007",
-        "CF008", "DS004", "PG001", "PG002", "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002",
-        "CAP003", "ISO001", "ISO002",
+        "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "PG001", "PG002", "WF001",
+        "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
     ];
     let catalog: Vec<&str> = coyote_lint::CATALOG.iter().map(|r| r.id).collect();
     assert_eq!(catalog, covered, "catalog and golden coverage disagree");

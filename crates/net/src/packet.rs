@@ -367,8 +367,8 @@ impl RocePacket {
 
     /// The original single-buffer serializer, kept as the differential
     /// reference for the scatter-gather path: tests assert
-    /// `to_frame().to_vec() == reference_serialize()` byte for byte, and
-    /// the bench harness uses it as the copy-path baseline.
+    /// `to_frame().to_vec() == reference_serialize()` byte for byte, for
+    /// first transmissions and for cached retransmission frames.
     pub fn reference_serialize(&self) -> Vec<u8> {
         let mut bth = Vec::with_capacity(BTH_LEN + RETH_LEN + AETH_LEN + self.payload.len());
         bth.push(self.opcode as u8);

@@ -164,12 +164,11 @@ fn retransmitted_wire_bytes_are_bit_identical() {
         },
     );
     // First transmission: every frame is "lost" (never delivered).
-    let originals: Vec<Vec<u8>> = a
-        .poll_tx(&mem)
-        .iter()
-        .map(|p| p.to_frame().to_vec())
-        .collect();
+    let first = a.poll_tx(&mem);
+    let originals: Vec<Vec<u8>> = first.iter().map(|p| p.to_frame().to_vec()).collect();
     assert!(originals.len() > 5);
+    let reference: Vec<Vec<u8>> = first.iter().map(RocePacket::reference_serialize).collect();
+    assert_eq!(originals, reference);
 
     // The timer re-frames the staged payload without copying it...
     reset_payload_copies();
@@ -182,6 +181,12 @@ fn retransmitted_wire_bytes_are_bit_identical() {
     // ...and the retransmitted wire bytes match the originals exactly.
     let retx: Vec<Vec<u8>> = retx_frames.iter().map(Frame::to_vec).collect();
     assert_eq!(retx, originals);
+    // So do the cached frames the retransmission timer sends, on every
+    // firing.
+    for _ in 0..2 {
+        let cached: Vec<Vec<u8>> = a.on_timeout_frames().iter().map(Frame::to_vec).collect();
+        assert_eq!(cached, reference);
+    }
 
     // The retransmissions alone complete the transfer.
     let mut bm = vec![0u8; mem.len()];
