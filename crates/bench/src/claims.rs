@@ -9,7 +9,6 @@
 //! summary". A claim whose input is missing fails.
 
 use crate::report::{ExperimentResult, Row};
-use coyote_sim::{params, PipelineModel, SimTime};
 use std::fmt;
 
 /// One number a claim reads: experiment id, exact row label, metric name.
@@ -131,14 +130,14 @@ const CLAIMS: &[Claim] = &[
     Claim {
         text: "multithreading cuts pipeline idle time ~7x (8 threads)",
         paper: "up to 7x",
-        reads: &[],
-        derive: idle_ratio,
-        checks: &[("", Bound::AtLeast(6.0), "x")],
+        reads: &[("fig10b", "8 cThreads", "scaling x")],
+        derive: identity,
+        checks: &[("", Bound::Within(7.0, 0.5), "x")],
         shown: |v| format!("{:.1}x", v[0]),
-        why: "Issue-port idle time of the 10-stage AES pipeline over 8,000 CBC blocks: one \
-              thread idles 13 of the 14 cycles each block takes, eight threads 6 cycles per \
-              8 blocks. That is 17.3x, above the paper's \"up to 7x\", so the bound is \
-              one-sided.",
+        why: "Ours reads throughput scaling: Fig. 10(b)'s CBC throughput at 8 cThreads over \
+              one, through the platform's 10-stage pipeline. PAPER.md holds no §9.5 text \
+              saying which quantity the paper's \"up to 7x\" measures. Eight threads would \
+              give 8x; the input DMA staggering the 32 KB messages keeps ours below.",
     },
     Claim {
         text: "cumulative ECB bandwidth constant across tenant counts",
@@ -228,23 +227,6 @@ fn icap_over_mcap(v: &[f64]) -> Vec<f64> {
 fn flatness(v: &[f64]) -> Vec<f64> {
     let [one, eight] = [v[0], v[1]];
     vec![(eight - one).abs() / one, one, eight]
-}
-
-/// Fig. 10(b)'s "up to 7x": issue-port idle time of the AES CBC pipeline
-/// at 1 thread over 8 threads, for the same 8,000 blocks. Reads no
-/// experiment.
-fn idle_ratio(_: &[f64]) -> Vec<f64> {
-    let idle_for = |threads: usize| {
-        let mut p = PipelineModel::new(params::SYS_CLOCK, params::AES_PIPELINE_DEPTH, 1);
-        let mut ready = vec![SimTime::ZERO; threads];
-        for i in 0..8000usize {
-            let t = i % threads;
-            let iss = p.issue(ready[t]);
-            ready[t] = iss.done + params::SYS_CLOCK.cycles(params::AES_CBC_OVERHEAD_CYCLES);
-        }
-        p.idle_time().as_ps().max(1) as f64
-    };
-    vec![idle_for(1) / idle_for(8)]
 }
 
 /// The value `read` names in `results`; `None` when the experiment, the

@@ -1,6 +1,6 @@
 //! The headline claims, asserted: the claims table evaluated over its
 //! input experiments, computed through the experiment registry. Its own
-//! test binary, so the seven experiments do not share the CPU with the
+//! test binary, so the eight experiments do not share the CPU with the
 //! library's wall-clock tests. EXPERIMENTS.md's per-figure tables are
 //! checked here too, cell by cell against the committed results.
 

@@ -6,23 +6,19 @@
 //! fill the pipeline and scale throughput linearly. [`PipelineModel`]
 //! captures exactly this: a unit with a *depth* (latency in cycles) and an
 //! *initiation interval* (cycles between independent issues).
+//! `Platform::drain` issues every block of a block-pipeline kernel (AES
+//! CBC, Fig. 10) through its vFPGA's one.
 
 use crate::time::{Freq, SimDuration, SimTime};
 
 /// Timing model of a pipelined hardware unit.
 #[derive(Debug, Clone)]
 pub struct PipelineModel {
-    clock: Freq,
-    depth_cycles: u64,
     /// The initiation interval and the depth as durations, computed once:
     /// `issue` runs once per AES block, and `Freq::cycles` divides.
     ii: SimDuration,
     latency: SimDuration,
     next_issue: SimTime,
-    issued: u64,
-    /// Cycles the issue port sat idle while the unit was willing to accept.
-    idle: SimDuration,
-    last_issue: Option<SimTime>,
 }
 
 /// Timing of one item issued into a pipeline.
@@ -40,30 +36,10 @@ impl PipelineModel {
     pub fn new(clock: Freq, depth_cycles: u64, ii_cycles: u64) -> Self {
         assert!(depth_cycles >= 1 && ii_cycles >= 1, "degenerate pipeline");
         PipelineModel {
-            clock,
-            depth_cycles,
             ii: clock.cycles(ii_cycles),
             latency: clock.cycles(depth_cycles),
             next_issue: SimTime::ZERO,
-            issued: 0,
-            idle: SimDuration::ZERO,
-            last_issue: None,
         }
-    }
-
-    /// The pipeline clock.
-    pub fn clock(&self) -> Freq {
-        self.clock
-    }
-
-    /// Pipeline depth in cycles.
-    pub fn depth_cycles(&self) -> u64 {
-        self.depth_cycles
-    }
-
-    /// End-to-end latency of one item through an empty pipeline.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
     }
 
     /// Issue one item at or after `now`.
@@ -74,30 +50,11 @@ impl PipelineModel {
     /// caller's job, since only the caller knows the dependences.
     pub fn issue(&mut self, now: SimTime) -> Issue {
         let start = self.next_issue.max(now);
-        if let Some(prev) = self.last_issue {
-            // Idle time: cycles between the earliest possible issue after
-            // `prev` and the actual issue.
-            let earliest = prev + self.ii;
-            self.idle += start.saturating_since(earliest);
-        }
-        self.last_issue = Some(start);
         self.next_issue = start + self.ii;
-        self.issued += 1;
         Issue {
             start,
             done: start + self.latency,
         }
-    }
-
-    /// Number of items issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Accumulated issue-port idle time (the "9 out of 10 stages remain
-    /// idle" effect of §9.5, measured).
-    pub fn idle_time(&self) -> SimDuration {
-        self.idle
     }
 }
 
@@ -158,26 +115,5 @@ mod tests {
         let total_bytes = blocks_per_thread * threads as u64 * 16;
         let rate = crate::time::rate(total_bytes, last_done.since(SimTime::ZERO));
         assert!((rate.as_gbps_f64() - 4.0).abs() < 0.02, "got {rate:?}");
-    }
-
-    #[test]
-    fn idle_time_drops_with_more_threads() {
-        // The "reducing idle time up to 7x" headline: measure issue-port
-        // idle time at 1 thread vs 8 threads for the same total work.
-        let idle_for = |threads: usize| {
-            let mut p = PipelineModel::new(mhz250(), 10, 1);
-            let mut ready = vec![SimTime::ZERO; threads];
-            let total_blocks = 8000;
-            for i in 0..total_blocks {
-                let t = i % threads;
-                let iss = p.issue(ready[t]);
-                ready[t] = iss.done;
-            }
-            p.idle_time()
-        };
-        let one = idle_for(1);
-        let eight = idle_for(8);
-        let ratio = one.as_ps() as f64 / eight.as_ps().max(1) as f64;
-        assert!(ratio > 6.0, "idle reduction only {ratio:.1}x");
     }
 }
