@@ -4,7 +4,6 @@
 //! coyote-bench all              # every table and figure
 //! coyote-bench fig7a fig10b     # a selection
 //! coyote-bench net              # the network data-plane group
-//! coyote-bench reconfig_storm --quick  # CI smoke: 48 tenants, not 256
 //! coyote-bench all --timings    # also record wall-clock to BENCH_wallclock.json
 //! coyote-bench all --threads 4  # pin the worker budget for this run
 //! coyote-bench scaling          # sweep 1/2/4/8 threads, record speedups
@@ -347,11 +346,6 @@ fn main() {
     }
     let timings = args.iter().any(|a| a == "--timings");
     let gate = args.iter().any(|a| a == "--gate");
-    if args.iter().any(|a| a == "--quick") {
-        // `reconfig_storm` reads this to shrink its tenant and image counts
-        // (CI smoke runs).
-        std::env::set_var("COYOTE_BENCH_QUICK", "1");
-    }
     let flag_value = |flag: &str| {
         args.iter()
             .position(|a| a == flag)

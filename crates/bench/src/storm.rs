@@ -19,16 +19,6 @@ use coyote_driver::{BatchedReconfig, CompletionStatus, CoyoteDriver};
 use coyote_fabric::{Bitstream, BitstreamCache, BitstreamKind, DeviceKind};
 use coyote_sim::{par_map, Fnv64, SimTime};
 
-/// CI smoke mode (`coyote-bench reconfig_storm --quick`): fewer tenants and
-/// smaller images, same code paths, same determinism contract.
-fn quick() -> bool {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "CI-mode switch; scales tenant/image counts only, the determinism assertions are identical in both modes"
-    )]
-    std::env::var_os("COYOTE_BENCH_QUICK").is_some()
-}
-
 /// One tenant's outcome, reduced to the deterministic fields the
 /// fingerprint pins.
 struct TenantOutcome {
@@ -48,11 +38,7 @@ fn status_code(s: CompletionStatus) -> u8 {
 }
 
 pub fn reconfig_storm() -> ExperimentResult {
-    let (tenants, images, frames) = if quick() {
-        (48u64, 4usize, 600u64)
-    } else {
-        (256u64, 8usize, 1200u64)
-    };
+    let (tenants, images, frames) = (256u64, 8usize, 1200u64);
     // Eight contiguous frame runs per batch: deep enough to exercise the
     // ring writeback path, comfortably under the default 16 slots.
     let per_run = frames.div_ceil(8).max(1);
@@ -182,7 +168,6 @@ mod tests {
 
     #[test]
     fn storm_is_deterministic_across_repeat_runs() {
-        std::env::set_var("COYOTE_BENCH_QUICK", "1");
         let a = reconfig_storm();
         let b = reconfig_storm();
         assert_eq!(
@@ -195,7 +180,6 @@ mod tests {
 
     #[test]
     fn storm_recovers_every_faulted_tenant() {
-        std::env::set_var("COYOTE_BENCH_QUICK", "1");
         let r = reconfig_storm();
         let faults = r
             .rows
@@ -210,10 +194,10 @@ mod tests {
                 .map(|(_, v)| *v)
                 .expect("metric present")
         };
-        // 48 quick tenants: t % 8 == 3 -> 6 faulted, all recovered, one
+        // 256 tenants: t % 8 == 3 -> 32 faulted, all recovered, one
         // retried run and one detected flip each.
-        assert_eq!(get("flips detected"), 6.0);
-        assert_eq!(get("runs retried"), 6.0);
-        assert_eq!(get("tenants recovered"), 6.0);
+        assert_eq!(get("flips detected"), 32.0);
+        assert_eq!(get("runs retried"), 32.0);
+        assert_eq!(get("tenants recovered"), 32.0);
     }
 }

@@ -5,7 +5,6 @@
 //! [`crate::Injector`] built from the plan.
 
 use crate::inject::Injector;
-use coyote_sim::SimTime;
 
 /// The fault taxonomy. Each kind maps onto one recovery mechanism that the
 /// chaos suite asserts end to end.
@@ -27,33 +26,9 @@ pub enum FaultKind {
     /// The configuration port transiently rejects a programming request
     /// (recovered by the driver's bounded retry with backoff).
     IcapReject,
-    /// A bounded extra delay on one DMA packet's arrival (absorbed by the
-    /// in-order completion plumbing).
-    DmaStall,
-    /// Force a TLB shootdown of the accessing process (recovered by the
-    /// driver-fallback miss path refilling the TLB).
-    PageFaultBurst,
-    /// A tenant dies mid-slot: its queued packets are evicted and its
-    /// resources reclaimed; other tenants keep their bandwidth share.
-    TenantCrash,
 }
 
 impl FaultKind {
-    /// Stable display name (also the trace rendering key).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::NetLoss => "net-loss",
-            FaultKind::NetReorder => "net-reorder",
-            FaultKind::NetDuplicate => "net-duplicate",
-            FaultKind::NetCorrupt => "net-corrupt",
-            FaultKind::BitstreamFlip => "bitstream-flip",
-            FaultKind::IcapReject => "icap-reject",
-            FaultKind::DmaStall => "dma-stall",
-            FaultKind::PageFaultBurst => "page-fault-burst",
-            FaultKind::TenantCrash => "tenant-crash",
-        }
-    }
-
     /// Stable numeric tag (feeds the trace hash).
     pub fn tag(self) -> u64 {
         match self {
@@ -63,29 +38,7 @@ impl FaultKind {
             FaultKind::NetCorrupt => 4,
             FaultKind::BitstreamFlip => 5,
             FaultKind::IcapReject => 6,
-            FaultKind::DmaStall => 7,
-            FaultKind::PageFaultBurst => 8,
-            FaultKind::TenantCrash => 9,
         }
-    }
-
-    /// Inverse of [`FaultKind::tag`]. `None` for tags this build does not
-    /// know: an unknown tag fails closed instead of misattributing the
-    /// fault. Round-tripping every kind also proves the tags that feed the
-    /// trace hash are distinct.
-    pub fn from_tag(tag: u64) -> Option<FaultKind> {
-        Some(match tag {
-            1 => FaultKind::NetLoss,
-            2 => FaultKind::NetReorder,
-            3 => FaultKind::NetDuplicate,
-            4 => FaultKind::NetCorrupt,
-            5 => FaultKind::BitstreamFlip,
-            6 => FaultKind::IcapReject,
-            7 => FaultKind::DmaStall,
-            8 => FaultKind::PageFaultBurst,
-            9 => FaultKind::TenantCrash,
-            _ => return None,
-        })
     }
 }
 
@@ -96,55 +49,18 @@ impl FaultKind {
 pub enum Domain {
     /// The switched Ethernet fabric (one op per injected frame).
     NetSwitch,
-    /// A NIC / QP receive path.
-    NetQp,
     /// The ICAP / reconfiguration path (one op per programming attempt).
     Reconfig,
-    /// The XDMA engine (one op per packet served).
-    Dma,
-    /// The MMU (one op per translation).
-    Mmu,
-    /// The tenant scheduler / interleaver (one op per packet served).
-    Sched,
 }
 
 impl Domain {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Domain::NetSwitch => "net-switch",
-            Domain::NetQp => "net-qp",
-            Domain::Reconfig => "reconfig",
-            Domain::Dma => "dma",
-            Domain::Mmu => "mmu",
-            Domain::Sched => "sched",
-        }
-    }
-
     /// Stable numeric tag, mixed into the domain's RNG seed and the trace
-    /// merge order.
+    /// hash.
     pub fn tag(self) -> u64 {
         match self {
             Domain::NetSwitch => 0x6E65_7453,
-            Domain::NetQp => 0x6E65_7451,
             Domain::Reconfig => 0x6963_6170,
-            Domain::Dma => 0x0064_6D61,
-            Domain::Mmu => 0x006D_6D75,
-            Domain::Sched => 0x7363_6864,
         }
-    }
-
-    /// Inverse of [`Domain::tag`]. `None` for unknown tags (fail closed).
-    pub fn from_tag(tag: u64) -> Option<Domain> {
-        Some(match tag {
-            0x6E65_7453 => Domain::NetSwitch,
-            0x6E65_7451 => Domain::NetQp,
-            0x6963_6170 => Domain::Reconfig,
-            0x0064_6D61 => Domain::Dma,
-            0x006D_6D75 => Domain::Mmu,
-            0x7363_6864 => Domain::Sched,
-            _ => return None,
-        })
     }
 }
 
@@ -156,8 +72,6 @@ pub enum Trigger {
     Rate(f64),
     /// Fire exactly once, at the domain's `n`-th operation (0-based).
     AtOp(u64),
-    /// Fire exactly once, at the first operation at or after this instant.
-    AtTime(SimTime),
 }
 
 /// A fault an injector decided to fire on the current operation.
@@ -166,7 +80,7 @@ pub struct Fault {
     /// What to inject.
     pub kind: FaultKind,
     /// Kind-specific parameter: bit index for [`FaultKind::BitstreamFlip`],
-    /// stall picoseconds for [`FaultKind::DmaStall`], ignored otherwise.
+    /// ignored otherwise.
     pub param: u64,
 }
 
@@ -210,8 +124,7 @@ impl FaultPlan {
         &self.rules
     }
 
-    /// Add an arbitrary rule.
-    pub fn inject(mut self, domain: Domain, kind: FaultKind, trigger: Trigger, param: u64) -> Self {
+    fn inject(mut self, domain: Domain, kind: FaultKind, trigger: Trigger, param: u64) -> Self {
         self.rules.push(Rule {
             domain,
             kind,
@@ -292,43 +205,17 @@ impl FaultPlan {
         )
     }
 
-    /// Stall DMA packets with probability `rate` by `stall_ps` picoseconds
-    /// (clamped to [`crate::MAX_STALL_PS`] at injection).
-    pub fn dma_stall(self, rate: f64, stall_ps: u64) -> Self {
-        self.inject(
-            Domain::Dma,
-            FaultKind::DmaStall,
-            Trigger::Rate(rate),
-            stall_ps,
-        )
-    }
-
-    /// Kill the tenant served at scheduler operation `op`.
-    pub fn tenant_crash_at(self, op: u64) -> Self {
-        self.inject(Domain::Sched, FaultKind::TenantCrash, Trigger::AtOp(op), 0)
-    }
-
-    /// Force a TLB shootdown at MMU operation `op`.
-    pub fn page_fault_burst_at(self, op: u64) -> Self {
-        self.inject(Domain::Mmu, FaultKind::PageFaultBurst, Trigger::AtOp(op), 0)
-    }
-
     /// Build the injector for one domain (rules filtered, RNG seeded
     /// `seed ^ domain.tag()`).
     pub fn injector(&self, domain: Domain) -> Injector {
-        Injector::from_plan(self, &[domain])
-    }
-
-    /// Build one injector evaluating the rules of several domains (e.g. the
-    /// XDMA engine consults `Dma` and `Sched` in one stream).
-    pub fn injector_multi(&self, domains: &[Domain]) -> Injector {
-        Injector::from_plan(self, domains)
+        Injector::from_plan(self, domain)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
 
     #[test]
     fn builder_accumulates_rules_in_order() {
@@ -344,18 +231,25 @@ mod tests {
 
     #[test]
     fn domain_tags_are_distinct() {
-        let all = [
-            Domain::NetSwitch,
-            Domain::NetQp,
-            Domain::Reconfig,
-            Domain::Dma,
-            Domain::Mmu,
-            Domain::Sched,
+        // The tags feed the RNG seeds and the trace hash, so they are pinned
+        // as well as distinct.
+        assert_eq!(Domain::NetSwitch.tag(), 0x6E65_7453);
+        assert_eq!(Domain::Reconfig.tag(), 0x6963_6170);
+        let kinds = [
+            FaultKind::NetLoss,
+            FaultKind::NetReorder,
+            FaultKind::NetDuplicate,
+            FaultKind::NetCorrupt,
+            FaultKind::BitstreamFlip,
+            FaultKind::IcapReject,
         ];
-        for (i, a) in all.iter().enumerate() {
-            for b in &all[i + 1..] {
-                assert_ne!(a.tag(), b.tag(), "{a:?} vs {b:?}");
-            }
-        }
+        let tags: Vec<u64> = kinds.iter().map(|k| k.tag()).collect();
+        assert_eq!(tags, (1..=6).collect::<Vec<u64>>());
+        let trace_tags = [
+            TraceKind::Injected.tag(),
+            TraceKind::Detected.tag(),
+            TraceKind::Recovered.tag(),
+        ];
+        assert_eq!(trace_tags, [1, 2, 3]);
     }
 }

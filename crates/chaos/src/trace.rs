@@ -1,13 +1,12 @@
 //! Fault traces: the reproducible artifact of a chaos run.
 //!
 //! Every injected fault, every detection and every recovery lands here as a
-//! [`TraceEvent`]. Traces from different subsystems merge in a canonical
-//! order — `(domain tag, op, arrival sequence)` — so the merged trace and
-//! its FNV-64 hash are bit-identical for any thread count: worker threads
-//! decide *who computes what*, never *what happened*.
+//! [`TraceEvent`], in the order its injector saw them. One injector serves
+//! one subsystem on one thread, so a trace and its FNV-64 hash are
+//! bit-identical for any thread count: worker threads decide *who computes
+//! what*, never *what happened*.
 
 use crate::plan::{Domain, FaultKind};
-use coyote_sim::stats::Counter;
 use coyote_sim::Fnv64;
 use coyote_sim::SimTime;
 
@@ -16,22 +15,13 @@ use coyote_sim::SimTime;
 pub enum TraceKind {
     /// The injector fired a fault.
     Injected,
-    /// A consumer detected it (CRC/ICRC mismatch, port rejection).
+    /// A consumer detected it (CRC mismatch, port rejection).
     Detected,
-    /// A consumer recovered from it (retransmission, retry, refill).
+    /// A consumer recovered from it (the driver's bounded retry).
     Recovered,
 }
 
 impl TraceKind {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Injected => "inject",
-            TraceKind::Detected => "detect",
-            TraceKind::Recovered => "recover",
-        }
-    }
-
     /// Stable numeric tag (feeds the trace hash).
     pub fn tag(self) -> u64 {
         match self {
@@ -39,16 +29,6 @@ impl TraceKind {
             TraceKind::Detected => 2,
             TraceKind::Recovered => 3,
         }
-    }
-
-    /// Inverse of [`TraceKind::tag`]; `None` for unknown tags.
-    pub fn from_tag(tag: u64) -> Option<TraceKind> {
-        Some(match tag {
-            1 => TraceKind::Injected,
-            2 => TraceKind::Detected,
-            3 => TraceKind::Recovered,
-            _ => return None,
-        })
     }
 }
 
@@ -65,7 +45,7 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// The fault class.
     pub fault: FaultKind,
-    /// Kind-specific detail (bit index, stall ps, tenant id, ...).
+    /// Kind-specific detail (bit index, retry attempts, ...).
     pub detail: u64,
 }
 
@@ -73,18 +53,6 @@ pub struct TraceEvent {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultTrace {
     events: Vec<TraceEvent>,
-}
-
-/// Aggregate fault/recovery counters, in `coyote_sim::stats` terms so the
-/// experiment harness reports them like any other metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosCounters {
-    /// Faults injected.
-    pub injected: Counter,
-    /// Faults detected by a consumer.
-    pub detected: Counter,
-    /// Recoveries completed.
-    pub recovered: Counter,
 }
 
 impl FaultTrace {
@@ -113,11 +81,6 @@ impl FaultTrace {
         });
     }
 
-    /// Events in recorded order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -133,22 +96,6 @@ impl FaultTrace {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Merge several traces into one canonical trace: events sort by
-    /// `(domain tag, op, original index)`, so the result is independent of
-    /// the order the pieces were collected in.
-    pub fn merged(traces: impl IntoIterator<Item = FaultTrace>) -> FaultTrace {
-        let mut keyed: Vec<(u64, u64, usize, TraceEvent)> = Vec::new();
-        for trace in traces {
-            for (i, e) in trace.events.into_iter().enumerate() {
-                keyed.push((e.domain.tag(), e.op, i, e));
-            }
-        }
-        keyed.sort_by_key(|&(d, op, i, _)| (d, op, i));
-        FaultTrace {
-            events: keyed.into_iter().map(|(_, _, _, e)| e).collect(),
-        }
-    }
-
     /// FNV-64 hash over the canonical field encoding. Same seed + same plan
     /// => same hash, on any thread count; this is the value CI publishes.
     pub fn hash(&self) -> u64 {
@@ -162,36 +109,6 @@ impl FaultTrace {
             h.write_u64(e.detail);
         }
         h.finish()
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> ChaosCounters {
-        let mut c = ChaosCounters::default();
-        for e in &self.events {
-            match e.kind {
-                TraceKind::Injected => c.injected.inc(),
-                TraceKind::Detected => c.detected.inc(),
-                TraceKind::Recovered => c.recovered.inc(),
-            }
-        }
-        c
-    }
-
-    /// Human-readable rendering, one line per event.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&format!(
-                "{:<10} op={:<6} t={}ps {:<8} {} detail={}\n",
-                e.domain.name(),
-                e.op,
-                e.at_ps,
-                e.kind.name(),
-                e.fault.name(),
-                e.detail
-            ));
-        }
-        out
     }
 }
 
@@ -214,71 +131,5 @@ mod tests {
         assert_ne!(a.hash(), b.hash(), "order matters");
         assert_eq!(a.hash(), a.clone().hash());
         assert_ne!(FaultTrace::new().hash(), a.hash());
-    }
-
-    #[test]
-    fn merge_is_collection_order_independent() {
-        let mut net = FaultTrace::new();
-        ev(&mut net, Domain::NetSwitch, 0, TraceKind::Injected);
-        ev(&mut net, Domain::NetSwitch, 2, TraceKind::Injected);
-        let mut dma = FaultTrace::new();
-        ev(&mut dma, Domain::Dma, 1, TraceKind::Injected);
-        let ab = FaultTrace::merged([net.clone(), dma.clone()]);
-        let ba = FaultTrace::merged([dma, net]);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.hash(), ba.hash());
-        assert_eq!(ab.len(), 3);
-    }
-
-    #[test]
-    fn counters_tally_by_kind() {
-        let mut t = FaultTrace::new();
-        ev(&mut t, Domain::Mmu, 0, TraceKind::Injected);
-        ev(&mut t, Domain::Mmu, 0, TraceKind::Detected);
-        ev(&mut t, Domain::Mmu, 1, TraceKind::Recovered);
-        ev(&mut t, Domain::Mmu, 2, TraceKind::Recovered);
-        let c = t.counters();
-        assert_eq!(c.injected.get(), 1);
-        assert_eq!(c.detected.get(), 1);
-        assert_eq!(c.recovered.get(), 2);
-    }
-
-    #[test]
-    fn tags_round_trip_and_unknown_fails_closed() {
-        use crate::plan::{Domain, FaultKind};
-        for kind in [
-            TraceKind::Injected,
-            TraceKind::Detected,
-            TraceKind::Recovered,
-        ] {
-            assert_eq!(TraceKind::from_tag(kind.tag()), Some(kind));
-        }
-        assert_eq!(TraceKind::from_tag(0), None);
-        assert_eq!(TraceKind::from_tag(4), None);
-        for tag in 1..=9 {
-            let kind = FaultKind::from_tag(tag).expect("known fault tag");
-            assert_eq!(kind.tag(), tag);
-        }
-        assert_eq!(FaultKind::from_tag(0), None);
-        assert_eq!(FaultKind::from_tag(10), None);
-        for domain in [
-            Domain::NetSwitch,
-            Domain::NetQp,
-            Domain::Reconfig,
-            Domain::Dma,
-            Domain::Mmu,
-            Domain::Sched,
-        ] {
-            assert_eq!(Domain::from_tag(domain.tag()), Some(domain));
-        }
-        assert_eq!(Domain::from_tag(0xDEAD_BEEF), None);
-    }
-
-    #[test]
-    fn render_mentions_every_event() {
-        let mut t = FaultTrace::new();
-        ev(&mut t, Domain::Reconfig, 7, TraceKind::Detected);
-        let s = t.render();
-        assert!(s.contains("reconfig") && s.contains("op=7") && s.contains("detect"));
     }
 }

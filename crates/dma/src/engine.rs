@@ -7,9 +7,8 @@
 //! a fixed descriptor-processing overhead, which is what bends the small-
 //! message end of Fig. 10(a).
 
-use coyote_chaos::Injector;
-use coyote_sched::{packetize_iter, Interleaver, Packet};
-use coyote_sim::{params, LinkModel, SimTime, Transfer};
+use coyote_sched::{packetize_iter, Packet};
+use coyote_sim::{params, LinkModel, RrQueue, SimTime, Transfer};
 use std::collections::HashMap;
 
 /// Transfer direction over PCIe.
@@ -52,27 +51,31 @@ pub struct PacketDone {
     pub job_done: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct QueuedPacket {
-    job: DmaJob,
-    packet: Packet,
+/// One PCIe direction: the tenants' packets, queued round-robin (§6.3), in
+/// front of the bandwidth-serialized link they share.
+#[derive(Debug)]
+struct Channel {
+    link: LinkModel,
+    queue: RrQueue<u8, (DmaJob, Packet)>,
 }
 
-impl coyote_sched::interleave::PacketLen for QueuedPacket {
-    fn packet_len(&self) -> u64 {
-        self.packet.len
+impl Channel {
+    fn new() -> Channel {
+        Channel {
+            link: LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY),
+            queue: RrQueue::new(),
+        }
     }
 }
 
 /// The XDMA engine: two directions of fair-shared PCIe bandwidth.
 #[derive(Debug)]
 pub struct XdmaEngine {
-    h2c: Interleaver<u8, QueuedPacket>,
-    c2h: Interleaver<u8, QueuedPacket>,
+    /// H2C and C2H, indexed by `XdmaDir as usize`.
+    channels: [Channel; 2],
     /// Packets remaining per in-flight job.
     remaining: HashMap<JobId, u32>,
     next_id: JobId,
-    chaos: Option<Injector>,
 }
 
 impl Default for XdmaEngine {
@@ -85,28 +88,10 @@ impl XdmaEngine {
     /// An engine with the calibrated U55C constants.
     pub fn new() -> XdmaEngine {
         XdmaEngine {
-            h2c: Interleaver::new(LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY)),
-            c2h: Interleaver::new(LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY)),
+            channels: [Channel::new(), Channel::new()],
             remaining: HashMap::new(),
             next_id: 1,
-            chaos: None,
         }
-    }
-
-    /// Attach a chaos injector, consulted once per packet served by
-    /// [`XdmaEngine::book_all_chaos`] (`DmaStall`, `TenantCrash`).
-    pub fn attach_chaos(&mut self, injector: Injector) {
-        self.chaos = Some(injector);
-    }
-
-    /// The attached chaos injector.
-    pub fn chaos(&self) -> Option<&Injector> {
-        self.chaos.as_ref()
-    }
-
-    /// Mutable access to the attached chaos injector.
-    pub fn chaos_mut(&mut self) -> Option<&mut Injector> {
-        self.chaos.as_mut()
     }
 
     /// Allocate a job id.
@@ -121,131 +106,70 @@ impl XdmaEngine {
     pub fn submit(&mut self, job: DmaJob) {
         assert!(job.len > 0, "empty DMA job");
         let mut count = 0u32;
-        let q = self.dir_mut(job.dir);
+        let queue = &mut self.channels[job.dir as usize].queue;
         for packet in packetize_iter(job.host_addr, job.len, params::DEFAULT_PACKET_BYTES) {
-            q.submit(job.tenant, QueuedPacket { job, packet });
+            queue.push(job.tenant, (job, packet));
             count += 1;
         }
         self.remaining.insert(job.id, count);
     }
 
-    fn dir_mut(&mut self, dir: XdmaDir) -> &mut Interleaver<u8, QueuedPacket> {
-        match dir {
-            XdmaDir::H2C => &mut self.h2c,
-            XdmaDir::C2H => &mut self.c2h,
-        }
-    }
-
     /// Packets queued in a direction.
     pub fn pending(&self, dir: XdmaDir) -> usize {
-        match dir {
-            XdmaDir::H2C => self.h2c.pending(),
-            XdmaDir::C2H => self.c2h.pending(),
-        }
+        self.channels[dir as usize].queue.len()
     }
 
-    /// Book everything queued in `dir` (fast path when all tenants
-    /// submitted before any service started).
+    /// Book everything queued in `dir` on its link, one packet per tenant
+    /// per round-robin turn, starting at `now`; returns the packets in
+    /// service order.
     pub fn book_all(&mut self, now: SimTime, dir: XdmaDir) -> Vec<PacketDone> {
-        let q = self.dir_mut(dir);
-        let delivered = q.drain(now);
-        delivered.into_iter().map(|d| self.finish(d)).collect()
-    }
-
-    /// [`XdmaEngine::book_all`] under the attached chaos injector: stalled
-    /// packets arrive late (bounded by [`coyote_chaos::MAX_STALL_PS`]) but
-    /// in order; a crashed tenant's packets are reclaimed from *both*
-    /// directions and its in-flight job bookkeeping is dropped, so the
-    /// surviving tenants' timing is unaffected beyond the freed bandwidth.
-    ///
-    /// Falls back to plain [`XdmaEngine::book_all`] when no injector is
-    /// attached.
-    pub fn book_all_chaos(&mut self, now: SimTime, dir: XdmaDir) -> ChaosBooked {
-        let Some(mut inj) = self.chaos.take() else {
-            return ChaosBooked {
-                done: self.book_all(now, dir),
-                crashed: Vec::new(),
-            };
-        };
-        let drained = self.dir_mut(dir).drain_chaos(now, &mut inj);
-        let mut crashed = Vec::new();
-        for (tenant, lost) in drained.crashed {
-            for qp in &lost {
-                self.remaining.remove(&qp.job.id);
+        let ch = &mut self.channels[dir as usize];
+        let mut out = Vec::with_capacity(ch.queue.len());
+        while let Some((_, (job, packet))) = ch.queue.pop() {
+            let mut transfer = ch.link.transmit(now, packet.len);
+            // The descriptor fetch delays the stream's visibility: every
+            // packet of the job arrives `XDMA_DESC_OVERHEAD` later than its
+            // wire time (link occupancy is unchanged, and in-order delivery
+            // is preserved).
+            transfer.arrival += params::XDMA_DESC_OVERHEAD;
+            let rem = self.remaining.get_mut(&job.id).expect("job bookkeeping");
+            *rem -= 1;
+            let job_done = *rem == 0;
+            if job_done {
+                self.remaining.remove(&job.id);
             }
-            // Reclaim the tenant's queue in the other direction too: a dead
-            // tenant holds no resources anywhere.
-            self.evict_tenant(tenant);
-            crashed.push(tenant);
+            out.push(PacketDone {
+                job,
+                packet,
+                transfer,
+                job_done,
+            });
         }
-        let done = drained
-            .delivered
-            .into_iter()
-            .map(|d| self.finish(d))
-            .collect();
-        self.chaos = Some(inj);
-        ChaosBooked { done, crashed }
-    }
-
-    fn finish(&mut self, d: coyote_sched::Delivered<u8, QueuedPacket>) -> PacketDone {
-        let QueuedPacket { job, packet } = d.packet;
-        let mut transfer = d.transfer;
-        // The descriptor fetch delays the stream's visibility: every packet
-        // of the job arrives `XDMA_DESC_OVERHEAD` later than its wire time
-        // (link occupancy is unchanged, and in-order delivery is preserved).
-        transfer.arrival += params::XDMA_DESC_OVERHEAD;
-        let rem = self.remaining.get_mut(&job.id).expect("job bookkeeping");
-        *rem -= 1;
-        let job_done = *rem == 0;
-        if job_done {
-            self.remaining.remove(&job.id);
-        }
-        PacketDone {
-            job,
-            packet,
-            transfer,
-            job_done,
-        }
+        out
     }
 
     /// Book one packet directly on a direction's link at or after `now`,
     /// bypassing the tenant queues. Used for per-packet output booking
     /// where the packets' ready times already reflect upstream fairness.
     pub fn book_direct(&mut self, now: SimTime, dir: XdmaDir, len: u64) -> Transfer {
-        match dir {
-            XdmaDir::H2C => self.h2c.link_mut().transmit(now, len),
-            XdmaDir::C2H => self.c2h.link_mut().transmit(now, len),
-        }
+        self.channels[dir as usize].link.transmit(now, len)
     }
 
     /// Bytes moved so far per direction.
     pub fn bytes_moved(&self, dir: XdmaDir) -> u64 {
-        match dir {
-            XdmaDir::H2C => self.h2c.link().bytes_total(),
-            XdmaDir::C2H => self.c2h.link().bytes_total(),
-        }
+        self.channels[dir as usize].link.bytes_total()
     }
 
     /// Drop a tenant's queued packets in both directions (vFPGA
     /// reconfiguration); in-flight job bookkeeping for dropped packets is
     /// removed.
     pub fn evict_tenant(&mut self, tenant: u8) {
-        for dir in [XdmaDir::H2C, XdmaDir::C2H] {
-            let dropped = self.dir_mut(dir).evict(&tenant);
-            for qp in dropped {
-                self.remaining.remove(&qp.job.id);
+        for ch in &mut self.channels {
+            for (job, _) in ch.queue.drain_key(&tenant) {
+                self.remaining.remove(&job.id);
             }
         }
     }
-}
-
-/// The outcome of [`XdmaEngine::book_all_chaos`].
-#[derive(Debug)]
-pub struct ChaosBooked {
-    /// Packets that made it over the link, in service order.
-    pub done: Vec<PacketDone>,
-    /// Tenants that crashed mid-drain (queues reclaimed in both directions).
-    pub crashed: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -337,12 +261,26 @@ mod tests {
 
     #[test]
     fn evict_tenant_drops_queue() {
+        // Evicting a tenant reclaims its queues in both directions and drops
+        // its job bookkeeping; the other tenant's packets all still book
+        // (the `job bookkeeping` expect would panic on a stale packet).
         let mut e = XdmaEngine::new();
-        job(&mut e, 0, 1 << 20, XdmaDir::H2C);
-        job(&mut e, 1, 1 << 20, XdmaDir::H2C);
+        for dir in [XdmaDir::H2C, XdmaDir::C2H] {
+            job(&mut e, 0, 1 << 20, dir);
+            job(&mut e, 1, 1 << 20, dir);
+            job(&mut e, 0, 8192, dir);
+        }
         e.evict_tenant(0);
-        let done = e.book_all(SimTime::ZERO, XdmaDir::H2C);
-        assert!(done.iter().all(|p| p.job.tenant == 1));
+        assert_eq!(e.remaining.len(), 2, "only tenant 1's jobs remain");
+        for dir in [XdmaDir::H2C, XdmaDir::C2H] {
+            assert_eq!(e.pending(dir), 256);
+            let done = e.book_all(SimTime::ZERO, dir);
+            assert_eq!(done.len(), 256);
+            assert!(done.iter().all(|p| p.job.tenant == 1));
+            assert!(done[255].job_done);
+            assert_eq!(e.pending(dir), 0);
+        }
+        assert!(e.remaining.is_empty());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! controlled from both the FPGA and the CPU."
 //!
 //! * [`XdmaEngine`] — host-to-card (H2C) and card-to-host (C2H) directions,
-//!   each a 12 GB/s bandwidth-serialized link shared by all tenants via
-//!   round-robin packet interleaving; per-descriptor overhead models the
-//!   descriptor fetch.
+//!   each a 12 GB/s bandwidth-serialized link behind its own round-robin
+//!   queue of tenant packets (`coyote_sim::RrQueue`, one packet per tenant
+//!   per turn), so every tenant gets an equal share (§6.3, Fig. 8);
+//!   per-descriptor overhead models the descriptor fetch.
 //! * [`WritebackTable`] — "the writeback mechanism enables efficient
 //!   completion tracking by updating host memory counters when data
 //!   transfers finish", extended to all data services.
@@ -19,9 +20,11 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+#[cfg(test)]
+mod interleave;
 pub mod msix;
 pub mod writeback;
 
-pub use engine::{ChaosBooked, DmaJob, JobId, PacketDone, XdmaDir, XdmaEngine};
+pub use engine::{DmaJob, JobId, PacketDone, XdmaDir, XdmaEngine};
 pub use msix::{IrqReason, MsiVector, MsiX};
 pub use writeback::WritebackTable;

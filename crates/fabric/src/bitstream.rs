@@ -480,19 +480,6 @@ impl Bitstream {
     pub fn digest(&self) -> u64 {
         self.header.digest
     }
-
-    /// Iterate over the frame records as `(frame address, payload)` pairs —
-    /// the view an offline verifier needs without going through the ICAP
-    /// load path.
-    pub fn frame_records(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        let bytes = self.bytes();
-        bytes[HEADER_BYTES..bytes.len() - 4]
-            .chunks_exact(FRAME_RECORD_BYTES)
-            .map(|rec| {
-                let addr = u32::from_le_bytes(rec[..4].try_into().expect("slice len 4"));
-                (addr, &rec[4..])
-            })
-    }
 }
 
 /// Write the image `header` describes, returning it with its
@@ -761,17 +748,6 @@ mod tests {
                 found: 999
             }
         );
-    }
-
-    #[test]
-    fn frame_records_expose_sequential_addresses() {
-        let bs = Bitstream::assemble(DeviceKind::U280, BitstreamKind::App { vfpga: 1 }, 6, 9);
-        let records: Vec<(u32, usize)> = bs.frame_records().map(|(a, p)| (a, p.len())).collect();
-        assert_eq!(records.len(), 6);
-        for (i, (addr, len)) in records.iter().enumerate() {
-            assert_eq!(*addr as usize, i);
-            assert_eq!(*len, FRAME_RECORD_BYTES - 4);
-        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! order) judged artifacts no run hands to the linter. The netlist
 //! generator cannot emit the NL violations; the loader's
 //! `Bitstream::validate` and the configuration port refuse malformed and
-//! wrong-device images; `FaultTrace::merged` is the one place traces
-//! combine. Every rule left fires on a shell spec.
+//! wrong-device images; no run combines fault traces. Every rule left
+//! fires on a shell spec.
 
 use crate::diag::Severity;
 

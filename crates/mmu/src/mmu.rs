@@ -16,7 +16,6 @@
 
 use crate::space::{AddressSpace, Fault, MemLocation, Translation};
 use crate::tlb::{Tlb, TlbConfig};
-use coyote_chaos::{FaultKind, Injector};
 use coyote_sim::{params, SimDuration, SimTime};
 
 /// MMU geometry: the two TLBs.
@@ -156,8 +155,6 @@ pub struct Mmu {
     stlb: Tlb,
     ltlb: Tlb,
     faults: u64,
-    chaos: Option<Injector>,
-    shootdowns: u64,
     epoch_shootdowns: u64,
 }
 
@@ -169,32 +166,8 @@ impl Mmu {
             stlb: Tlb::new(config.stlb),
             ltlb: Tlb::new(config.ltlb),
             faults: 0,
-            chaos: None,
-            shootdowns: 0,
             epoch_shootdowns: 0,
         }
-    }
-
-    /// Attach a chaos injector, consulted once per translation
-    /// ([`FaultKind::PageFaultBurst`] forces a TLB shootdown of the
-    /// accessing process; the driver-fallback miss path refills the TLB).
-    pub fn attach_chaos(&mut self, injector: Injector) {
-        self.chaos = Some(injector);
-    }
-
-    /// The attached chaos injector.
-    pub fn chaos(&self) -> Option<&Injector> {
-        self.chaos.as_ref()
-    }
-
-    /// Mutable access to the attached chaos injector.
-    pub fn chaos_mut(&mut self) -> Option<&mut Injector> {
-        self.chaos.as_mut()
-    }
-
-    /// Forced TLB shootdowns injected so far.
-    pub fn shootdowns(&self) -> u64 {
-        self.shootdowns
     }
 
     /// Geometry.
@@ -231,22 +204,6 @@ impl Mmu {
         wanted: Option<MemLocation>,
         space: &AddressSpace,
     ) -> TranslateOutcome {
-        // Chaos: a page-fault burst wipes the process's TLB entries right
-        // before the lookup, forcing the driver-fallback path to refill.
-        let mut burst = false;
-        if let Some(inj) = &mut self.chaos {
-            burst = inj
-                .tick()
-                .iter()
-                .any(|f| f.kind == FaultKind::PageFaultBurst);
-        }
-        if burst {
-            self.invalidate_process(hpid);
-            self.shootdowns += 1;
-            if let Some(inj) = &mut self.chaos {
-                inj.record_detected(FaultKind::PageFaultBurst, u64::from(hpid));
-            }
-        }
         // SRAM lookup: both TLBs probed in parallel in hardware. Each TLB
         // stores page-base translations; resolve the in-page offset with
         // the hitting TLB's own page size.
@@ -288,13 +245,6 @@ impl Mmu {
         match space.translate(vaddr, write, wanted) {
             Ok(t) => {
                 self.install(hpid, vaddr, space, t);
-                if burst {
-                    // The forced shootdown is fully absorbed: same
-                    // translation, one extra driver round trip.
-                    if let Some(inj) = &mut self.chaos {
-                        inj.record_recovered(FaultKind::PageFaultBurst, u64::from(hpid));
-                    }
-                }
                 TranslateOutcome::MissFilled {
                     translation: t,
                     latency: params::TLB_MISS_LATENCY,

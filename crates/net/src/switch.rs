@@ -98,11 +98,6 @@ impl Switch {
         self.chaos.as_ref()
     }
 
-    /// Mutable access to the attached chaos injector.
-    pub fn chaos_mut(&mut self) -> Option<&mut Injector> {
-        self.chaos.as_mut()
-    }
-
     /// Release any deliveries still held back by a reorder fault (call once
     /// the traffic pattern is done, so no frame stays in limbo).
     pub fn release_held(&mut self) -> Vec<Delivery> {

@@ -7,17 +7,17 @@
 //! * [`packetize`] — splits arbitrary transfers into 4 KB (default) chunks
 //!   at chunk-aligned boundaries, "requiring no user application
 //!   involvement".
-//! * [`Interleaver`] — round-robin interleaving of packets from all tenants
-//!   onto one bandwidth-constrained link, preserving per-tenant order.
 //! * [`CreditTable`] — per-key credit pools; requests stall (back-pressure
 //!   onto the vFPGA) rather than flooding the shared fabric.
+//!
+//! The round-robin interleaving of those packets onto a shared link is
+//! `coyote_sim::RrQueue`; the XDMA engine (`coyote-dma`) holds one per PCIe
+//! direction in front of its link.
 
 #![forbid(unsafe_code)]
 
 pub mod credits;
-pub mod interleave;
 pub mod packetizer;
 
 pub use credits::CreditTable;
-pub use interleave::{ChaosDrain, Delivered, Interleaver};
 pub use packetizer::{packetize, packetize_iter, Packet, PacketIter};

@@ -11,11 +11,11 @@
 //! * [`LinkModel`] — a bandwidth-serialized, fixed-latency link (PCIe, HBM
 //!   channel, 100G Ethernet, ICAP, disk, ...).
 //! * [`RrQueue`] — round-robin fair queueing across keys, the mechanism
-//!   behind Coyote v2's multi-tenant interleaving (§6.3 of the paper).
+//!   behind Coyote v2's multi-tenant interleaving (§6.3 of the paper); the
+//!   XDMA engine keeps one per PCIe direction.
 //! * [`CreditPool`] — the credit-based backpressure scheme of §7.2.
 //! * [`PipelineModel`] — an initiation-interval/latency model for pipelined
 //!   hardware kernels such as the 10-stage AES core of §9.5.
-//! * [`stats`] — event counters used by the experiment harness.
 //! * [`Fnv64`] — the FNV-1a-style 64-bit hash behind every determinism
 //!   fingerprint.
 //! * [`par_map`] — deterministic fork-join parallelism for the build flows
@@ -55,7 +55,6 @@ pub mod par;
 pub mod params;
 pub mod pipeline;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use arbiter::RrQueue;

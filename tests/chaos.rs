@@ -5,14 +5,11 @@
 
 use std::collections::VecDeque;
 
-use coyote_chaos::{
-    Domain, FaultKind, FaultPlan, FaultTrace, RetryPolicy, TraceKind, MAX_STALL_PS,
-};
+use coyote_chaos::{Domain, FaultPlan, FaultTrace, RetryPolicy, TraceKind};
+use coyote_dma::{DmaJob, PacketDone, XdmaDir, XdmaEngine};
 use coyote_driver::{CoyoteDriver, ReconfigError};
 use coyote_fabric::floorplan::PartitionId;
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
-use coyote_mem::PageSize;
-use coyote_mmu::{AddressSpace, MemLocation, Mmu, MmuConfig, TranslateOutcome};
 use coyote_net::{CommodityNic, Delivery, QpConfig, Switch, Verb};
 use coyote_sim::time::SimDuration;
 use coyote_sim::{Fnv64, SimTime};
@@ -235,15 +232,6 @@ fn fault_trace_is_seed_deterministic() {
     assert!(n1 > 0, "the storm fired");
     let (h3, _, _) = run(8);
     assert_ne!(h1, h3, "different seed, different fault sequence");
-    // A single-domain trace is already in canonical order: merging it is
-    // the identity, so the published hash is merge-stable.
-    let plan = FaultPlan::new(7)
-        .net_loss(0.2)
-        .net_reorder(0.1)
-        .net_corrupt(0.1);
-    let (sw, _, _) = run_faulted_write(&plan, 50_000);
-    let trace = sw.chaos().unwrap().trace().clone();
-    assert_eq!(FaultTrace::merged([trace.clone()]).hash(), trace.hash());
 }
 
 // --- Reconfiguration faults ------------------------------------------
@@ -287,10 +275,10 @@ fn bitstream_flips_are_caught_and_retried_to_success() {
         assert!(r.recovered);
         assert_eq!(shell_digest(&drv), next.digest(), "verify-after-write");
 
-        let counters = drv.icap_chaos().unwrap().trace().counters();
-        assert_eq!(counters.injected.get(), 2);
-        assert_eq!(counters.detected.get(), 2);
-        assert_eq!(counters.recovered.get(), 1);
+        let trace = drv.icap_chaos().unwrap().trace();
+        assert_eq!(trace.of_kind(TraceKind::Injected).count(), 2);
+        assert_eq!(trace.of_kind(TraceKind::Detected).count(), 2);
+        assert_eq!(trace.of_kind(TraceKind::Recovered).count(), 1);
     }
 }
 
@@ -544,9 +532,9 @@ fn a_faulted_batched_reconfiguration_never_writes_the_callers_blob() {
 #[test]
 fn batched_fault_trace_fingerprint_is_worker_count_invariant() {
     // A fleet of faulted batched reconfigurations fanned out over 1, 4 and
-    // 8 workers: every tenant's FaultTrace — and the canonical merged
-    // trace — must hash bit-identically regardless of the worker count.
-    let fleet = || -> (u64, Vec<u64>) {
+    // 8 workers: every tenant's FaultTrace must hash bit-identically
+    // regardless of the worker count.
+    let fleet = || -> Vec<u64> {
         let tenants: Vec<u64> = (0..12).collect();
         let traces: Vec<FaultTrace> = coyote_sim::par_map(&tenants, |_, &t| {
             let (mut drv, _) = driver_with_shell(11);
@@ -565,8 +553,7 @@ fn batched_fault_trace_fingerprint_is_worker_count_invariant() {
             assert!(r.recovered);
             drv.icap_chaos().unwrap().trace().clone()
         });
-        let per_tenant: Vec<u64> = traces.iter().map(FaultTrace::hash).collect();
-        (FaultTrace::merged(traces).hash(), per_tenant)
+        traces.iter().map(FaultTrace::hash).collect()
     };
     let mut runs = Vec::new();
     for workers in ["1", "4", "8"] {
@@ -574,20 +561,21 @@ fn batched_fault_trace_fingerprint_is_worker_count_invariant() {
         runs.push(fleet());
     }
     std::env::remove_var(coyote_sim::par::THREADS_ENV);
-    assert!(runs[0].1.iter().all(|&h| h != 0));
+    assert!(runs[0].iter().all(|&h| h != 0));
     assert_eq!(runs[0], runs[1], "1 vs 4 workers");
     assert_eq!(runs[1], runs[2], "4 vs 8 workers");
 }
 
-// --- DMA faults -------------------------------------------------------
+// --- Tenant crashes -----------------------------------------------------
+//
+// No plan injects a tenant crash (vFPGA orchestration is not modelled), but
+// the reclaim a crash needs is: `XdmaEngine::evict_tenant`.
 
-use coyote_dma::{DmaJob, XdmaDir, XdmaEngine};
-
-fn submit(engine: &mut XdmaEngine, tenant: u8, len: u64) {
+fn submit(engine: &mut XdmaEngine, tenant: u8, len: u64, dir: XdmaDir) {
     let id = engine.next_job_id();
     engine.submit(DmaJob {
         id,
-        dir: XdmaDir::H2C,
+        dir,
         tenant,
         host_addr: 0,
         len,
@@ -595,114 +583,29 @@ fn submit(engine: &mut XdmaEngine, tenant: u8, len: u64) {
 }
 
 #[test]
-fn dma_stalls_are_bounded_and_in_order() {
-    // Identical workloads, one engine under a stall storm asking for far
-    // more than the clamp allows. Every packet still arrives, in order,
-    // at most MAX_STALL_PS late.
-    let mut plain = XdmaEngine::new();
-    let mut chaotic = XdmaEngine::new();
-    for e in [&mut plain, &mut chaotic] {
-        submit(e, 0, 64 << 10);
-        submit(e, 1, 64 << 10);
-    }
-    let plan = FaultPlan::new(13).dma_stall(1.0, u64::MAX);
-    chaotic.attach_chaos(plan.injector(Domain::Dma));
-
-    let base = plain.book_all(SimTime::ZERO, XdmaDir::H2C);
-    let faulted = chaotic.book_all_chaos(SimTime::ZERO, XdmaDir::H2C);
-    assert!(faulted.crashed.is_empty());
-    assert_eq!(
-        faulted.done.len(),
-        base.len(),
-        "no packet is lost to a stall"
-    );
-    for (f, b) in faulted.done.iter().zip(&base) {
-        assert_eq!(f.job.id, b.job.id);
-        assert_eq!(f.transfer.done, b.transfer.done, "link occupancy unchanged");
-        let lag = f.transfer.arrival.since(b.transfer.arrival);
-        assert_eq!(lag.as_ps(), MAX_STALL_PS, "stall clamped to the bound");
-    }
-    let trace = chaotic.chaos().unwrap().trace();
-    assert_eq!(
-        trace.of_kind(TraceKind::Recovered).count(),
-        base.len(),
-        "every stall is absorbed and recorded as recovered"
-    );
-}
-
-#[test]
 fn tenant_crash_reclaims_queues_and_spares_survivors() {
+    // Two tenants with eight packets queued in each direction; tenant 0
+    // dies before service. Its queues are reclaimed in both directions, no
+    // packet of it is delivered, and the survivor's whole job books with
+    // the timing it would have had alone.
+    let dirs = [XdmaDir::H2C, XdmaDir::C2H];
     let mut e = XdmaEngine::new();
-    submit(&mut e, 0, 32 << 10); // 8 packets.
-    submit(&mut e, 1, 32 << 10);
-    let plan = FaultPlan::new(17).tenant_crash_at(0);
-    e.attach_chaos(plan.injector_multi(&[Domain::Dma, Domain::Sched]));
-
-    let booked = e.book_all_chaos(SimTime::ZERO, XdmaDir::H2C);
-    assert_eq!(booked.crashed.len(), 1, "exactly one tenant dies");
-    let dead = booked.crashed[0];
-    assert!(
-        booked.done.iter().all(|p| p.job.tenant != dead),
-        "no post-crash delivery for the dead tenant"
-    );
-    let survivor = 1 - dead;
-    let survivor_done: Vec<_> = booked
-        .done
-        .iter()
-        .filter(|p| p.job.tenant == survivor)
-        .collect();
-    assert_eq!(survivor_done.len(), 8, "the survivor's whole job completes");
-    assert!(survivor_done.last().unwrap().job_done);
-    assert_eq!(e.pending(XdmaDir::H2C), 0, "crashed queue fully reclaimed");
-    let trace = e.chaos().unwrap().trace();
-    let detected: Vec<_> = trace.of_kind(TraceKind::Detected).collect();
-    assert_eq!(detected.len(), 1);
-    assert_eq!(detected[0].fault, FaultKind::TenantCrash);
-    assert_eq!(detected[0].detail, 8, "all eight queued packets reclaimed");
-}
-
-// --- MMU faults -------------------------------------------------------
-
-#[test]
-fn page_fault_burst_refills_to_identical_translations() {
-    let walk = |mmu: &mut Mmu| {
-        let mut space = AddressSpace::new();
-        let m = space.map_fresh(
-            2 << 20,
-            PageSize::Huge2M,
-            MemLocation::Host,
-            0x100_0000,
-            true,
-        );
-        let mut paddrs = Vec::new();
-        let mut misses = 0u32;
-        for i in 0..10u64 {
-            let out = mmu.translate(1, m.vaddr + i * 4096, false, None, &space);
-            if matches!(out, TranslateOutcome::MissFilled { .. }) {
-                misses += 1;
-            }
-            paddrs.push(out.translation().unwrap().paddr);
-        }
-        (paddrs, misses)
-    };
-
-    let mut plain = Mmu::new(MmuConfig::default_2m());
-    let (expect, base_misses) = walk(&mut plain);
-    assert_eq!(base_misses, 1, "one cold miss, then TLB hits");
-
-    let mut chaotic = Mmu::new(MmuConfig::default_2m());
-    let plan = FaultPlan::new(23).page_fault_burst_at(5);
-    chaotic.attach_chaos(plan.injector(Domain::Mmu));
-    let (got, burst_misses) = walk(&mut chaotic);
-
-    assert_eq!(got, expect, "translations are bit-identical post-recovery");
-    assert_eq!(chaotic.shootdowns(), 1, "the burst forced one shootdown");
-    assert_eq!(
-        burst_misses,
-        base_misses + 1,
-        "the shootdown costs one refill"
-    );
-    let trace = chaotic.chaos().unwrap().trace();
-    assert_eq!(trace.of_kind(TraceKind::Detected).count(), 1);
-    assert_eq!(trace.of_kind(TraceKind::Recovered).count(), 1);
+    let mut alone = XdmaEngine::new();
+    for dir in dirs {
+        submit(&mut e, 0, 32 << 10, dir);
+        submit(&mut e, 1, 32 << 10, dir);
+        submit(&mut alone, 1, 32 << 10, dir);
+    }
+    e.evict_tenant(0);
+    for dir in dirs {
+        assert_eq!(e.pending(dir), 8, "{dir:?}: crashed queue reclaimed");
+        let done = e.book_all(SimTime::ZERO, dir);
+        assert!(done.iter().all(|p| p.job.tenant == 1), "{dir:?}");
+        assert_eq!(done.len(), 8, "{dir:?}: the survivor's whole job books");
+        assert!(done[7].job_done);
+        let expect = alone.book_all(SimTime::ZERO, dir);
+        let transfers = |d: &[PacketDone]| -> Vec<_> { d.iter().map(|p| p.transfer).collect() };
+        assert_eq!(transfers(&done), transfers(&expect), "{dir:?}");
+        assert_eq!(e.pending(dir), 0);
+    }
 }

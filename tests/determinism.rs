@@ -174,23 +174,22 @@ fn chaos_run(seed: u64) -> (FaultTrace, u64) {
     (sw.chaos().unwrap().trace().clone(), fnv(b.memory()))
 }
 
-/// Chaos across a `par_map` seed fan-out, digested: per-seed trace hashes,
-/// the canonical merged-trace hash, and the delivered payload digests.
-fn chaos_fingerprint() -> (Vec<(u64, u64)>, u64) {
+/// Chaos across a `par_map` seed fan-out, digested: per-seed trace hashes
+/// and the delivered payload digests.
+fn chaos_fingerprint() -> Vec<(u64, u64)> {
     let seeds = [1u64, 7, 42, 1337, 0xC0FFEE];
-    let runs = par_map(&seeds, |_, &seed| chaos_run(seed));
-    let per_seed: Vec<(u64, u64)> = runs.iter().map(|(t, m)| (t.hash(), *m)).collect();
-    let merged = FaultTrace::merged(runs.into_iter().map(|(t, _)| t)).hash();
-    (per_seed, merged)
+    par_map(&seeds, |_, &seed| {
+        let (trace, memory) = chaos_run(seed);
+        (trace.hash(), memory)
+    })
 }
 
 /// One seeded MMU walk with a deliberately tiny sTLB (4 sets x 2 ways, so
-/// the 64-page working set actively evicts) while a page-fault-burst chaos
-/// plan fires twice mid-walk. Returns the injector's fault trace and a
-/// digest of every translated paddr, every hit/miss outcome and the final
-/// TLB counters — if replacement order or shootdown recovery ever depended
-/// on scheduling, the digest would diverge.
-fn mmu_chaos_run(seed: u64) -> (FaultTrace, u64) {
+/// the 64-page working set actively evicts). Returns a digest of every
+/// translated paddr, every hit/miss outcome and the final TLB counters —
+/// if replacement order ever depended on scheduling, the digest would
+/// diverge.
+fn mmu_run(seed: u64) -> u64 {
     let cfg = MmuConfig {
         stlb: TlbConfig {
             sets: 4,
@@ -200,10 +199,6 @@ fn mmu_chaos_run(seed: u64) -> (FaultTrace, u64) {
         ltlb: TlbConfig::huge_default(),
     };
     let mut mmu = Mmu::new(cfg);
-    let plan = FaultPlan::new(seed)
-        .page_fault_burst_at(17)
-        .page_fault_burst_at(41);
-    mmu.attach_chaos(plan.injector(Domain::Mmu));
     let mut space = AddressSpace::new();
     let m = space.map_fresh(
         64 * 4096,
@@ -237,22 +232,17 @@ fn mmu_chaos_run(seed: u64) -> (FaultTrace, u64) {
         stats.evictions > 0,
         "workload must actively evict (seed {seed})"
     );
-    assert_eq!(mmu.shootdowns(), 2, "both bursts must land (seed {seed})");
     bytes.extend_from_slice(&stats.hits.to_le_bytes());
     bytes.extend_from_slice(&stats.misses.to_le_bytes());
     bytes.extend_from_slice(&stats.evictions.to_le_bytes());
-    (mmu.chaos().unwrap().trace().clone(), fnv(&bytes))
+    fnv(&bytes)
 }
 
-/// TLB-eviction workload under an active chaos plan, fanned out with
-/// `par_map` over seeds: per-seed (trace hash, digest) pairs plus the
-/// canonical merged-trace hash.
-fn mmu_chaos_fingerprint() -> (Vec<(u64, u64)>, u64) {
+/// The TLB-eviction workload fanned out with `par_map` over seeds: one
+/// digest per seed.
+fn mmu_fingerprint() -> Vec<u64> {
     let seeds = [3u64, 11, 29, 0xBEEF];
-    let runs = par_map(&seeds, |_, &seed| mmu_chaos_run(seed));
-    let per_seed: Vec<(u64, u64)> = runs.iter().map(|(t, d)| (t.hash(), *d)).collect();
-    let merged = FaultTrace::merged(runs.into_iter().map(|(t, _)| t)).hash();
-    (per_seed, merged)
+    par_map(&seeds, |_, &seed| mmu_run(seed))
 }
 
 fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
@@ -296,14 +286,14 @@ fn artifacts_identical_across_thread_counts() {
     );
 
     // Chaos: the fault trace is part of the determinism contract. The
-    // seeded fan-out recovers on every worker, and both the per-seed trace
-    // hashes and the canonical merged trace are bit-identical at 1, 4 and
-    // 8 threads (threads decide who computes, never what happened).
+    // seeded fan-out recovers on every worker, and the per-seed trace
+    // hashes are bit-identical at 1, 4 and 8 threads (threads decide who
+    // computes, never what happened).
     let chaos_1 = with_threads("1", chaos_fingerprint);
     let chaos_4 = with_threads("4", chaos_fingerprint);
     let chaos_8 = with_threads("8", chaos_fingerprint);
     let chaos_8_again = with_threads("8", chaos_fingerprint);
-    assert!(!chaos_1.0.is_empty() && chaos_1.0.iter().all(|&(h, _)| h != 0));
+    assert!(!chaos_1.is_empty() && chaos_1.iter().all(|&(h, _)| h != 0));
     assert_eq!(
         chaos_1, chaos_4,
         "chaos trace differs between 1 and 4 threads"
@@ -317,26 +307,18 @@ fn artifacts_identical_across_thread_counts() {
         "chaos trace not reproducible at 8 threads"
     );
 
-    // Chaos plan AND an active TLB-eviction workload in the same run: a
-    // page-fault-burst plan fires twice into an MMU whose sTLB is small
-    // enough that LRU replacement churns throughout. Translations, TLB
-    // counters and the fault trace must all be bit-identical at 1, 4 and
-    // 8 threads.
-    let mmu_1 = with_threads("1", mmu_chaos_fingerprint);
-    let mmu_4 = with_threads("4", mmu_chaos_fingerprint);
-    let mmu_8 = with_threads("8", mmu_chaos_fingerprint);
-    let mmu_8_again = with_threads("8", mmu_chaos_fingerprint);
-    assert!(!mmu_1.0.is_empty() && mmu_1.0.iter().all(|&(h, _)| h != 0));
-    assert_eq!(
-        mmu_1, mmu_4,
-        "MMU chaos+eviction trace differs between 1 and 4 threads"
-    );
-    assert_eq!(
-        mmu_1, mmu_8,
-        "MMU chaos+eviction trace differs between 1 and 8 threads"
-    );
+    // An active TLB-eviction workload: the MMU's sTLB is small enough
+    // that LRU replacement churns throughout. Translations and TLB
+    // counters must be bit-identical at 1, 4 and 8 threads.
+    let mmu_1 = with_threads("1", mmu_fingerprint);
+    let mmu_4 = with_threads("4", mmu_fingerprint);
+    let mmu_8 = with_threads("8", mmu_fingerprint);
+    let mmu_8_again = with_threads("8", mmu_fingerprint);
+    assert!(!mmu_1.is_empty() && mmu_1.iter().all(|&h| h != 0));
+    assert_eq!(mmu_1, mmu_4, "MMU eviction differs between 1 and 4 threads");
+    assert_eq!(mmu_1, mmu_8, "MMU eviction differs between 1 and 8 threads");
     assert_eq!(
         mmu_8, mmu_8_again,
-        "MMU chaos+eviction trace not reproducible at 8 threads"
+        "MMU eviction not reproducible at 8 threads"
     );
 }
