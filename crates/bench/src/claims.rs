@@ -272,7 +272,7 @@ impl Claim {
     }
 }
 
-/// The experiments [`CLAIMS`] reads, in first-read order.
+/// The experiments `CLAIMS` reads, in first-read order.
 pub fn inputs() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = Vec::new();
     for &(id, _, _) in CLAIMS.iter().flat_map(|c| c.reads) {

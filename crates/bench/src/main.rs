@@ -336,48 +336,55 @@ fn run_scaling(selection: &[&str], label: &str, gate: bool) -> i32 {
     code
 }
 
+/// The command line, printed with any usage error.
+const USAGE: &str = "usage: coyote-bench [all | net | scaling | <id>...] \
+                     [--list] [--timings] [--gate] [--label V] [--threads N]";
+
+/// Report a usage error and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+    let (mut list, mut timings, mut gate) = (false, false, false);
+    let (mut label, mut threads) = (None, None);
+    let mut named: Vec<&str> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--list" => list = true,
+            "--timings" => timings = true,
+            "--gate" => gate = true,
+            flag @ ("--label" | "--threads") => {
+                let Some(value) = rest.next() else {
+                    usage_error(&format!("{flag} expects a value"));
+                };
+                if flag == "--label" {
+                    label = Some(value.clone());
+                } else {
+                    threads = Some(value);
+                }
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
+            id => named.push(id),
+        }
+    }
+    if list {
         for (id, _) in EXPERIMENTS {
             println!("{id}");
         }
         return;
     }
-    let timings = args.iter().any(|a| a == "--timings");
-    let gate = args.iter().any(|a| a == "--gate");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let label = flag_value("--label");
-    if let Some(threads) = flag_value("--threads") {
+    if let Some(threads) = threads {
         match threads.trim().parse::<usize>() {
             Ok(n) if n >= 1 => std::env::set_var(coyote_sim::par::THREADS_ENV, n.to_string()),
-            _ => {
-                eprintln!("--threads expects a positive integer, got '{threads}'");
-                std::process::exit(2);
-            }
+            _ => usage_error(&format!(
+                "--threads expects a positive integer, got '{threads}'"
+            )),
         }
     }
-    let mut skip_next = false;
-    let named: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--label" || *a == "--threads" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
     let sweep = named.contains(&"scaling");
     let ids = EXPERIMENTS.iter().map(|&(id, _)| id);
     // Expand the group alias ("net" -> every net_* experiment).

@@ -40,7 +40,7 @@ pub fn reset_payload_copies() {
 }
 
 /// One frame on the wire, as up to three logical segments.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     /// Contiguous prefix: Ethernet through the transport headers — or the
     /// entire frame for contiguous (non-RoCE or pre-serialized) traffic.
@@ -49,7 +49,22 @@ pub struct Frame {
     payload: Bytes,
     /// Trailer (the 4-byte ICRC; empty for head-only frames).
     tail: Bytes,
+    /// The ICRC of the covered bytes, memoized by the one constructor that
+    /// computes it over exactly `head` and `payload` (`RocePacket::to_frame`).
+    /// Sound because the segments are private and `Bytes` never mutates:
+    /// clones carry it, and every frame rebuilt from bytes starts without it.
+    icrc: Option<u32>,
 }
+
+/// Equality is over the wire bytes' segments; the ICRC memo is a cache and
+/// a memoized frame equals its memo-less rebuild.
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        self.head == other.head && self.payload == other.payload && self.tail == other.tail
+    }
+}
+
+impl Eq for Frame {}
 
 impl Frame {
     /// A frame whose bytes are already contiguous. Zero-copy for `Bytes`
@@ -59,6 +74,7 @@ impl Frame {
             head: bytes.into(),
             payload: Bytes::new(),
             tail: Bytes::new(),
+            icrc: None,
         }
     }
 
@@ -68,7 +84,24 @@ impl Frame {
             head: Bytes::from(head),
             payload,
             tail: Bytes::copy_from_slice(&tail),
+            icrc: None,
         }
+    }
+
+    /// A scatter-gather frame whose ICRC over `head[14..]` and `payload` is
+    /// already known to be `icrc`: the caller computed it over these very
+    /// bytes (crate-internal; only `RocePacket::to_frame` may vouch).
+    pub(crate) fn with_icrc(head: Vec<u8>, payload: Bytes, icrc: u32) -> Frame {
+        Frame {
+            icrc: Some(icrc),
+            ..Frame::from_parts(head, payload, icrc.to_le_bytes())
+        }
+    }
+
+    /// The memoized ICRC of the covered bytes, if this frame was built by
+    /// `RocePacket::to_frame` (or is a clone of one).
+    pub(crate) fn icrc_memo(&self) -> Option<u32> {
+        self.icrc
     }
 
     /// Total length on the wire.
@@ -207,6 +240,32 @@ mod tests {
         let g = f.clone();
         assert_eq!(payload_copies(), 0);
         assert_eq!(f, g);
+    }
+
+    #[test]
+    fn equality_ignores_the_icrc_memo() {
+        use crate::headers::MacAddr;
+        use crate::packet::{BthOpcode, RocePacket};
+        let pkt = RocePacket {
+            src_mac: MacAddr::node(1),
+            dst_mac: MacAddr::node(2),
+            src_ip: [10, 0, 0, 1],
+            dst_ip: [10, 0, 0, 2],
+            opcode: BthOpcode::SendOnly,
+            dest_qp: 7,
+            psn: 3,
+            ack_req: true,
+            reth: None,
+            aeth: None,
+            payload: Bytes::from(vec![0x5A; 64]),
+        };
+        let built = pkt.to_frame();
+        let tail: [u8; 4] = built.tail().try_into().unwrap();
+        let rebuilt = Frame::from_parts(built.head().to_vec(), built.payload().clone(), tail);
+        assert!(built.icrc_memo().is_some());
+        assert_eq!(built.clone().icrc_memo(), built.icrc_memo());
+        assert_eq!(rebuilt.icrc_memo(), None);
+        assert_eq!(built, rebuilt);
     }
 
     #[test]

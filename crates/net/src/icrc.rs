@@ -24,7 +24,7 @@ pub fn icrc(ip_and_beyond: &[u8]) -> u32 {
 
 /// Compute the ICRC over a logically contiguous region presented as
 /// scatter-gather segments (e.g. a header slice plus a shared payload
-/// slice). Only the first [`MASKED_PREFIX`] bytes of the stream ever need
+/// slice). Only the first `MASKED_PREFIX` (28) bytes of the stream ever need
 /// masking, so they go through a small stack buffer and everything after —
 /// the payload in particular — streams through the CRC without a copy.
 pub fn icrc_segments(segments: &[&[u8]]) -> u32 {

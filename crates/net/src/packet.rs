@@ -352,10 +352,11 @@ impl RocePacket {
 
     /// Serialize to a scatter-gather wire frame: the payload segment is a
     /// shared slice of this packet's payload, never a copy. The flattened
-    /// bytes are identical to [`RocePacket::serialize`].
+    /// bytes are identical to [`RocePacket::serialize`]. The frame memoizes
+    /// its ICRC, so a receiver of it (or of a clone) does not re-hash it.
     pub fn to_frame(&self) -> Frame {
         let (head, crc) = self.wire_head();
-        Frame::from_parts(head, self.payload.clone(), crc.to_le_bytes())
+        Frame::with_icrc(head, self.payload.clone(), crc)
     }
 
     /// Serialize to contiguous wire bytes, computing the IPv4 checksum and
@@ -512,7 +513,17 @@ impl RocePacket {
             .tail()
             .try_into()
             .map_err(|_| PacketError::Malformed)?;
-        if icrc_segments(&[&head[EthernetHdr::LEN..], payload]) != u32::from_le_bytes(tail) {
+        // A frame `to_frame` built carries the ICRC of these very bytes;
+        // one rebuilt from bytes (corrupted, `from_parts`) is hashed here.
+        let covered: [&[u8]; 2] = [&head[EthernetHdr::LEN..], payload];
+        let crc = match frame.icrc_memo() {
+            Some(memo) => {
+                debug_assert_eq!(memo, icrc_segments(&covered), "stale ICRC memo");
+                memo
+            }
+            None => icrc_segments(&covered),
+        };
+        if crc != u32::from_le_bytes(tail) {
             return Err(PacketError::BadIcrc);
         }
         let t = decode_transport(bth)?;

@@ -94,6 +94,44 @@ proptest! {
         prop_assert_eq!(RocePacket::parse(&frame.to_vec()).unwrap(), pkt);
     }
 
+    /// A frame `to_frame` built (ICRC memoized) and its memo-less rebuild
+    /// from the same segments parse to the same result, and a single bit
+    /// flipped in the rebuild's ICRC-covered bytes is always rejected. The
+    /// flips skip the Ethernet header, which the ICRC does not cover, and
+    /// the UDP checksum, which RoCE v2 masks and receivers do not check.
+    #[test]
+    fn memoized_and_rebuilt_frames_parse_alike(opcode in arb_opcode(),
+                                               psn in 0u32..0x00FF_FFFF,
+                                               vaddr in any::<u64>(),
+                                               payload in prop::collection::vec(any::<u8>(), 0..1500),
+                                               flips in prop::collection::vec(any::<usize>(), 1..16)) {
+        let pkt = packet(opcode, 7, psn, true, vaddr, payload);
+        let frame = pkt.to_frame();
+        let head = frame.head().to_vec();
+        let tail: [u8; 4] = frame.tail().try_into().unwrap();
+        let rebuilt = Frame::from_parts(head.clone(), frame.payload().clone(), tail);
+        prop_assert_eq!(RocePacket::parse_frame(&rebuilt), RocePacket::parse_frame(&frame));
+        prop_assert_eq!(RocePacket::parse_frame(&frame), Ok(pkt));
+
+        const UDP_CSUM: usize = EthernetHdr::LEN + Ipv4Hdr::LEN + 6;
+        let covered_bits = (head.len() - EthernetHdr::LEN + frame.payload().len()) * 8;
+        for flip in flips {
+            let bit = EthernetHdr::LEN * 8 + flip % covered_bits;
+            let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+            if (UDP_CSUM..UDP_CSUM + 2).contains(&byte) {
+                continue;
+            }
+            let (mut h, mut p) = (head.clone(), frame.payload().to_vec());
+            if byte < h.len() {
+                h[byte] ^= mask;
+            } else {
+                p[byte - h.len()] ^= mask;
+            }
+            let bad = Frame::from_parts(h, Bytes::from(p), tail);
+            prop_assert!(RocePacket::parse_frame(&bad).is_err(), "bit {} accepted", bit);
+        }
+    }
+
     /// An RDMA write delivers intact for any payload length and drop
     /// pattern that eventually lets packets through (go-back-N recovery).
     #[test]

@@ -288,6 +288,49 @@ fn pump_lossy(a: &mut CommodityNic, b: &mut CommodityNic, switch: &mut Switch) {
     panic!("lossy run did not quiesce within the round budget");
 }
 
+/// A switch that corrupts every frame defeats the ICRC memo: each data
+/// frame — the first transmissions and the retransmitted clones of the
+/// memoized frames alike — reaches the receiver rebuilt from bytes, is
+/// hashed in full and counted as corrupt, and nothing lands in memory.
+#[test]
+fn corrupting_switch_frames_all_fail_the_icrc() {
+    let mut switch = Switch::new(2);
+    switch.attach_chaos(
+        FaultPlan::new(3)
+            .net_corrupt(1.0)
+            .injector(Domain::NetSwitch),
+    );
+    let mut a = CommodityNic::new("a", 1 << 20);
+    let mut b = CommodityNic::new("b", 1 << 20);
+    let (qa, qb) = QpConfig::pair(0x10, 0x20);
+    a.create_qp(qa);
+    b.create_qp(qb);
+    let len = 5 * ROCE_MTU + 100;
+    a.write_memory(0, &vec![0xA5; len]);
+    a.post(
+        0x10,
+        1,
+        Verb::Write {
+            remote_vaddr: 0,
+            local_vaddr: 0,
+            len: len as u64,
+        },
+    );
+    let mut sent = 0;
+    for frames in [a.poll_tx_frames(), a.on_timeout_frames()] {
+        assert_eq!(frames.len(), 6);
+        for f in frames {
+            sent += 1;
+            for d in switch.inject(SimTime::ZERO, 0, f) {
+                assert!(b.on_frame(&d.bytes).is_empty());
+            }
+        }
+    }
+    assert_eq!(switch.stats(0).corrupted, sent);
+    assert_eq!(b.rx_corrupt(), sent);
+    assert!(b.memory()[..len].iter().all(|&x| x == 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

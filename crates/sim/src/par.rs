@@ -28,7 +28,7 @@
 //! * **Chunked claiming.** Workers claim runs of indices (≈4 chunks per
 //!   worker) rather than single items, so the per-claim synchronization is
 //!   amortized over the run and false sharing on the slot array is rare.
-//! * **Min-work threshold.** Batches below [`MIN_PAR_ITEMS`] (a single
+//! * **Min-work threshold.** Batches below `MIN_PAR_ITEMS` (a single
 //!   item) run inline on the caller. Two items already fan out: a spawn
 //!   costs tens of microseconds, and the two-item batches of the build
 //!   flows (two placement seeds, services + one app partition, a blob of
