@@ -174,7 +174,10 @@ impl CoyoteDriver {
     /// the (pre-validated) image into contiguous frame runs, submit the
     /// batch with one doorbell ring, stream each run through the ICAP with
     /// one address setup + CRC check per run, and reap per-run completion
-    /// records from the writeback ring instead of blocking per op.
+    /// records from the writeback ring instead of blocking per op. For a
+    /// resident image (see [`coyote_fabric::BitstreamCache`]) validation,
+    /// the split and every unflipped run's check are memoized, so the call
+    /// costs O(runs), not O(image bytes).
     ///
     /// `max_frames_per_run = None` submits the whole image as a single run:
     /// bounded retries with jitter-free exponential backoff and
@@ -247,7 +250,9 @@ impl CoyoteDriver {
             run_attempt[idx] += 1;
             attempts += 1;
             // This run's bytes, borrowed: the port copies them only if
-            // chaos corrupts them in flight, so `blob` stays pristine.
+            // chaos corrupts them in flight, so `blob` stays pristine. A
+            // resident image's unflipped run is checked against the CRC its
+            // split memoized, so the batch reads none of its bytes.
             let run_bytes = &blob[run.byte_off..run.byte_off + run.byte_len];
             let (icap, _state) = self.icap_and_state();
             let outcome = icap.program_run(t, run, run_bytes);

@@ -239,7 +239,11 @@ impl BitstreamHeader {
     /// Handed the exact buffer of a resident image, the process-wide
     /// [`BitstreamCache`] remembers the image's last split, so redeploying
     /// it at the same run size reads none of its bytes here. Any other
-    /// blob is split afresh.
+    /// blob is split afresh. A remembered run's CRC is also its CRC memo:
+    /// [`ConfigPort::program_run`] handed the run's own unflipped bytes
+    /// uses it instead of re-hashing them.
+    ///
+    /// [`ConfigPort::program_run`]: crate::ConfigPort::program_run
     pub fn frame_runs(&self, blob: &[u8], max_frames_per_run: Option<u64>) -> Arc<[FrameRun]> {
         self.frame_runs_in(BitstreamCache::global(), blob, max_frames_per_run)
     }
@@ -537,7 +541,8 @@ pub struct FrameRun {
     /// Bytes streamed for this run (run 0 includes the header, the last
     /// run includes the CRC trailer).
     pub byte_len: usize,
-    /// CRC-32 over the pristine run bytes; the per-run integrity check.
+    /// CRC-32 over the pristine run bytes; the per-run integrity check,
+    /// and for a resident image's run its CRC memo.
     pub crc: u32,
 }
 

@@ -15,8 +15,8 @@
 //! are valid by construction. An image nobody reads is never admitted, and
 //! need not be: nobody can validate bytes that were never written.
 //!
-//! Beside the content map sits an *identity index*: the (buffer address,
-//! length) of every resident image, that is one whose bytes were written by
+//! Beside the content map sits an *identity index*: the buffer address of
+//! every resident image, that is one whose bytes were written by
 //! [`Bitstream::bytes`] or taken over by [`Bitstream::from_bytes`], mapped
 //! to a [`Weak`] of the image's shared bytes and its header. Redeploying an
 //! in-memory image (§9.3) hands `validate` exactly that buffer, and the
@@ -56,6 +56,15 @@
 //! same run size, gets the remembered runs. Anything else splits afresh,
 //! and a recycled address's new entry starts with none. Memo lookups never
 //! touch [`CacheStats`].
+//!
+//! The remembered runs also stand in for the configuration port's per-run
+//! CRC. A slice is a resident image's run when the `Weak` upgrades, the
+//! image's buffer holds the slice at the run's byte offset with the run's
+//! length, and the remembered split's run of that index equals the run.
+//! The split computed that run's CRC over those same bytes, which cannot
+//! have changed since, so the run's CRC is the slice's. A copy, a chaos-
+//! flipped copy, another image's bytes, another split's runs or a run
+//! whose fields were edited all fail the test and are hashed.
 //!
 //! Only the process-wide cache is filled: a private cache never sees an
 //! identity entry, so its counters still come from content lookups alone.
@@ -130,24 +139,35 @@ struct CacheInner {
     map: HashMap<(u64, u64), BitstreamHeader>,
     // FIFO insertion order for deterministic capacity eviction.
     order: VecDeque<(u64, u64)>,
-    // The identity index, keyed by (buffer address, length); a lookup table
-    // like `map`, bounded the same way through `resident_order`.
-    resident: HashMap<(usize, usize), Resident>,
-    resident_order: VecDeque<(usize, usize)>,
+    // The identity index, keyed by buffer address (two live buffers never
+    // share one); a lookup table like `map`, bounded the same way through
+    // `resident_order`.
+    resident: HashMap<usize, Resident>,
+    resident_order: VecDeque<usize>,
     stats: CacheStats,
 }
 
 impl CacheInner {
-    /// The identity entry of the live resident image whose buffer is
-    /// exactly `blob` (see the module docs' "Coherence").
-    fn resident_of(&mut self, blob: &[u8]) -> Option<&mut Resident> {
-        let entry = self
-            .resident
-            .get_mut(&(blob.as_ptr() as usize, blob.len()))?;
+    /// The identity entry of the live resident image whose buffer holds
+    /// `part` at byte `off`, and that buffer's length (see the module docs'
+    /// "Coherence").
+    fn resident_holding(&mut self, part: &[u8], off: usize) -> Option<(&mut Resident, usize)> {
+        let start = (part.as_ptr() as usize).wrapping_sub(off);
+        let entry = self.resident.get_mut(&start)?;
         let image = entry.image.upgrade()?;
         let bytes = image.get()?;
-        let same = bytes.as_ptr() == blob.as_ptr() && bytes.len() == blob.len();
-        same.then_some(entry)
+        let own = bytes.get(off..)?.get(..part.len())?;
+        let len = bytes.len();
+        (own.as_ptr() == part.as_ptr()).then_some((entry, len))
+    }
+
+    /// The identity entry of the live resident image whose buffer is
+    /// exactly `blob`.
+    fn resident_of(&mut self, blob: &[u8]) -> Option<&mut Resident> {
+        match self.resident_holding(blob, 0)? {
+            (entry, len) if len == blob.len() => Some(entry),
+            _ => None,
+        }
     }
 }
 
@@ -233,6 +253,22 @@ impl BitstreamCache {
         }
     }
 
+    /// Whether `bytes` is `run` of a live resident image as the image's
+    /// remembered split cut it: the image's own bytes at `run.byte_off`,
+    /// `run.byte_len` long, and `run` equal to the split's run of that
+    /// index. Then `run.crc` is the CRC-32 of `bytes`, computed by the
+    /// split over these same immutable bytes. Counts nothing.
+    pub(crate) fn is_resident_run(&self, run: &FrameRun, bytes: &[u8]) -> bool {
+        if bytes.len() != run.byte_len {
+            return false;
+        }
+        let mut inner = self.inner.lock().expect("bitstream cache poisoned");
+        inner
+            .resident_holding(bytes, run.byte_off)
+            .and_then(|(entry, _)| entry.runs.as_ref())
+            .is_some_and(|(_, runs)| runs.get(run.index as usize) == Some(run))
+    }
+
     /// Remember `runs`, the split of `blob` at `per` frames per run, if
     /// `blob` is exactly the buffer of a live resident image. Replaces the
     /// image's previous split.
@@ -251,7 +287,7 @@ impl BitstreamCache {
         bytes: &[u8],
         header: BitstreamHeader,
     ) {
-        let key = (bytes.as_ptr() as usize, bytes.len());
+        let key = bytes.as_ptr() as usize;
         let entry = Resident {
             image: Arc::downgrade(image),
             header,

@@ -14,6 +14,7 @@
 //! reads the payload bytes.
 
 use crate::bitstream::{BitstreamError, BitstreamHeader, BitstreamKind, FrameRun};
+use crate::cache::BitstreamCache;
 use crate::crc::crc32;
 use crate::device::DeviceKind;
 use crate::floorplan::PartitionId;
@@ -277,6 +278,13 @@ impl ConfigPort {
     /// run instead of per frame. Nothing is committed here; the caller
     /// commits the whole image via [`ConfigPort::commit_batch`] once every
     /// run has passed.
+    ///
+    /// The CRC is memoized: when the unflipped bytes are `run` of a live
+    /// resident image, as the image's remembered split cut it (the
+    /// [`BitstreamCache`] identity rule), the split already computed their
+    /// CRC over these immutable bytes, and `run.crc` is used as the
+    /// computed value. Flipped bytes and any other bytes are hashed. Debug
+    /// builds recompute a memoized CRC and assert it equals the memo.
     pub fn program_run(
         &mut self,
         now: SimTime,
@@ -307,7 +315,13 @@ impl ConfigPort {
                 }
             }
         }
-        let computed = crc32(&in_flight);
+        let computed = match in_flight {
+            Cow::Borrowed(bytes) if BitstreamCache::global().is_resident_run(run, bytes) => {
+                debug_assert_eq!(crc32(bytes), run.crc, "a resident run's CRC memo");
+                run.crc
+            }
+            bytes => run_crc(&bytes),
+        };
         if computed != run.crc {
             if flipped {
                 if let Some(inj) = &mut self.chaos {
@@ -336,6 +350,20 @@ impl ConfigPort {
         state.commit(header, at);
         Ok(())
     }
+}
+
+/// CRC-32 of a run's in-flight bytes, when the port hashes them to decide
+/// the run.
+fn run_crc(bytes: &[u8]) -> u32 {
+    #[cfg(test)]
+    RUN_CRC_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
+    crc32(bytes)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread's ports have hashed to decide a run.
+    static RUN_CRC_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -512,6 +540,95 @@ mod tests {
         // The next attempt is clean and streams the same borrowed bytes.
         assert!(port.program_run(SimTime::ZERO, run, borrowed).is_ok());
         assert_eq!(port.link.bytes_total(), run.byte_len as u64);
+    }
+
+    /// Bytes `f` makes this thread's ports hash to decide runs, and its
+    /// value.
+    fn run_hashing<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = RUN_CRC_BYTES.with(|n| n.get());
+        let out = f();
+        (RUN_CRC_BYTES.with(|n| n.get()) - before, out)
+    }
+
+    fn run_bytes<'a>(bs: &'a Bitstream, run: &FrameRun) -> &'a [u8] {
+        &bs.bytes()[run.byte_off..run.byte_off + run.byte_len]
+    }
+
+    #[test]
+    fn a_resident_image_streams_without_hashing_its_unflipped_runs() {
+        use coyote_chaos::{Domain, FaultPlan};
+        let bs = shell_bs(46);
+        let runs = bs.header().frame_runs(bs.bytes(), Some(300));
+        let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
+        let (hashed, streamed) = run_hashing(|| {
+            runs.iter().all(|run| {
+                port.program_run(SimTime::ZERO, run, run_bytes(&bs, run))
+                    .is_ok()
+            })
+        });
+        assert!(streamed);
+        assert_eq!(hashed, 0, "every run's CRC is its memo");
+
+        // A flipped run is hashed once; its clean retry is not.
+        port.attach_chaos(
+            FaultPlan::new(4)
+                .bitstream_flip_at(0, 8 * 40 + 1)
+                .injector(Domain::Reconfig),
+        );
+        let run = &runs[2];
+        let (hashed, flipped) =
+            run_hashing(|| port.program_run(SimTime::ZERO, run, run_bytes(&bs, run)));
+        assert!(matches!(
+            flipped,
+            Err(ProgramError::Bitstream(BitstreamError::CrcMismatch { .. }))
+        ));
+        assert_eq!(hashed, run.byte_len as u64);
+        let (hashed, retry) =
+            run_hashing(|| port.program_run(SimTime::ZERO, run, run_bytes(&bs, run)));
+        assert!(retry.is_ok());
+        assert_eq!(hashed, 0);
+
+        // A copy of the same bytes is not the image: it is hashed, and passes.
+        let copy = run_bytes(&bs, run).to_vec();
+        let (hashed, of_copy) = run_hashing(|| port.program_run(SimTime::ZERO, run, &copy));
+        assert!(of_copy.is_ok());
+        assert_eq!(hashed, run.byte_len as u64);
+    }
+
+    #[test]
+    fn a_run_handed_another_images_bytes_is_refused() {
+        // Two resident images of one geometry, both split alike: every run
+        // of B sits at the offset and length of A's run of that index.
+        let a = shell_bs(47);
+        let b = shell_bs(48);
+        let a_runs = a.header().frame_runs(a.bytes(), Some(400));
+        let b_runs = b.header().frame_runs(b.bytes(), Some(400));
+        let mut port = ConfigPort::new(ConfigPortKind::CoyoteIcap);
+        for (run, theirs) in a_runs.iter().zip(b_runs.iter()) {
+            assert_eq!(run.byte_len, theirs.byte_len);
+            let err = port
+                .program_run(SimTime::ZERO, run, run_bytes(&b, theirs))
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                ProgramError::Bitstream(BitstreamError::CrcMismatch { .. })
+            ));
+        }
+        // A's own run with its CRC edited is refused on A's own bytes.
+        let mut forged = a_runs[1];
+        forged.crc ^= 1;
+        let err = port
+            .program_run(SimTime::ZERO, &forged, run_bytes(&a, &forged))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ProgramError::Bitstream(BitstreamError::CrcMismatch { .. })
+        ));
+        assert_eq!(
+            port.link.bytes_total(),
+            0,
+            "no refused run reached the port"
+        );
     }
 
     #[test]

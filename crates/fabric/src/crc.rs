@@ -1,8 +1,11 @@
 //! CRC-32 (IEEE 802.3), table-driven.
 //!
 //! Used for the bitstream integrity word (the real devices embed a CRC in
-//! the configuration stream and abort configuration on mismatch) and for the
-//! ICRC of the RoCE v2 stack in `coyote-net`.
+//! the configuration stream and abort configuration on mismatch), for the
+//! per-run check of a batched reconfiguration and for the ICRC of the RoCE
+//! v2 stack in `coyote-net`. The last two are memoized where the bytes are
+//! provably the ones hashed before: a batched reconfiguration of a resident
+//! image hashes only the runs chaos flips in flight.
 //!
 //! [`Crc32::update`] folds sixteen bytes per table step. One step depends
 //! on the previous one's result, so a single stream of steps waits on its
@@ -20,8 +23,8 @@ const POLY: u32 = 0xEDB8_8320;
 /// classic byte-at-a-time table; `TABLES[k][i]` advances byte `i` over `k`
 /// further zero bytes, letting `update` fold sixteen input bytes per step
 /// instead of one (bitstream blobs run to tens of megabytes, so the CRC is
-/// the assembly and reconfiguration paths' dominant wall-clock cost). Both
-/// lanes of a long input step through the same tables.
+/// the dominant wall-clock cost of writing an image and of validating one
+/// by content). Both lanes of a long input step through the same tables.
 static TABLES: [[u32; 256]; 16] = build_tables();
 
 /// Inputs at least this long take two lanes. Below it, the one-lane loop

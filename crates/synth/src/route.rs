@@ -96,10 +96,7 @@ impl Router {
                             return; // Pin access, not a routing track.
                         }
                         let t = idx(x, y);
-                        let over = usage[t].saturating_sub(TILE_TRACKS) as u64;
-                        cost = cost
-                            .saturating_add(1 + over.saturating_pow(penalty_exp.min(4)))
-                            .saturating_add(4 * history[t] as u64);
+                        cost = cost.saturating_add(tile_cost(usage[t], history[t], penalty_exp));
                         probed += 1;
                     };
                     if x_first {
@@ -171,6 +168,18 @@ impl Router {
     }
 }
 
+/// The cost of routing through a tile that holds `usage` tracks and has
+/// `history` tracks of past overuse, in a round whose overuse penalty grows
+/// as `overuse^exp` (at most the fourth power). Saturating throughout: a
+/// tile overused by 65,536 tracks or more costs `u64::MAX` instead of
+/// wrapping to free.
+fn tile_cost(usage: u32, history: u32, exp: u32) -> u64 {
+    let over = u64::from(usage.saturating_sub(TILE_TRACKS));
+    over.saturating_pow(exp.min(4))
+        .saturating_add(1)
+        .saturating_add(4 * u64::from(history))
+}
+
 /// The tiles from `a` to `b` inclusive, stepping toward `b`. One concrete
 /// iterator type for both directions, so the hot connection loop never
 /// allocates.
@@ -196,6 +205,24 @@ mod tests {
         let n = Netlist::synthesize("r", ResourceVec::new(12_000, 24_000, 8, 0, 8), 6, 3.0, 8, 3);
         let p = Placer::default().place(&n, 20, 20);
         (n, p)
+    }
+
+    #[test]
+    fn tile_cost_saturates_instead_of_wrapping() {
+        assert_eq!(tile_cost(TILE_TRACKS, 0, 4), 1, "at capacity: one track");
+        assert_eq!(tile_cost(TILE_TRACKS + 3, 2, 2), 1 + 9 + 8);
+        assert_eq!(
+            tile_cost(TILE_TRACKS + 3, 0, 9),
+            1 + 81,
+            "exponent capped at 4"
+        );
+        // 65,536^4 = 2^64: the penalty saturates, and so does the term.
+        let saturated = TILE_TRACKS + (1 << 16);
+        assert_eq!(tile_cost(saturated, 0, 4), u64::MAX);
+        assert_eq!(tile_cost(saturated - 1, 0, 4), 65_535u64.pow(4) + 1);
+        assert_eq!(tile_cost(u32::MAX, u32::MAX, 4), u64::MAX);
+        // Below the fourth power the same overuse stays finite and ordered.
+        assert!(tile_cost(saturated, 0, 3) > tile_cost(saturated - 1, 0, 3));
     }
 
     #[test]
