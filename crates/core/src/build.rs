@@ -6,6 +6,8 @@
 
 use crate::config::ShellConfig;
 use crate::platform::{Platform, PlatformError};
+use coyote_fabric::{Device, PartitionId};
+use coyote_synth::flow::{check_fit, partition_footprint, FlowError};
 use coyote_synth::{app_flow, shell_flow, AppArtifacts, BuildRequest, IpBlock, ShellArtifacts};
 
 /// Build every partial bitstream for `config` with the given per-vFPGA app
@@ -23,6 +25,26 @@ pub fn build_shell(
         apps,
     };
     shell_flow(&req).map_err(PlatformError::Flow)
+}
+
+/// The shell flow's fit check on `config`'s service blocks, without
+/// synthesizing them: `Err` exactly when [`build_shell`] fails the
+/// services partition before placement.
+///
+/// # Panics
+///
+/// Panics if `config` fails [`ShellConfig::validate`] (there is no
+/// floorplan to fit).
+pub fn check_service_fit(config: &ShellConfig) -> Result<(), FlowError> {
+    let band = config
+        .floorplan()
+        .capacity_of(&Device::new(config.device), PartitionId::Shell)
+        .expect("preset floorplan has a shell");
+    check_fit(
+        "services",
+        &partition_footprint(&config.service_blocks()),
+        &band,
+    )
 }
 
 /// Build an app against an existing shell checkpoint (the fast flow of
@@ -60,6 +82,29 @@ mod tests {
             .shell_registry
             .contains_key(&artifacts.shell_bitstream.digest()));
         assert_eq!(artifacts.app_bitstreams.len(), 1);
+    }
+
+    #[test]
+    fn service_fit_is_the_shell_flows_check() {
+        let fits = ShellConfig::host_memory(1, 8);
+        assert_eq!(check_service_fit(&fits), Ok(()));
+        // 32 channels and a 512 Ki-entry sTLB overflow the service band.
+        let mut overflows = ShellConfig::host_memory(1, 32);
+        overflows.mmu.stlb.sets = 1 << 16;
+        overflows.mmu.stlb.ways = 8;
+        let err = check_service_fit(&overflows).unwrap_err();
+        assert!(matches!(
+            err,
+            FlowError::ResourceOverflow {
+                partition: "services",
+                ..
+            }
+        ));
+        let apps = vec![vec![IpBlock::new(Ip::Passthrough)]];
+        assert!(matches!(
+            build_shell(&overflows, apps),
+            Err(PlatformError::Flow(e)) if e == err
+        ));
     }
 
     #[test]

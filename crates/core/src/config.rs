@@ -4,7 +4,7 @@
 //! applications. Coyote v2 will then synthesize all the necessary partial
 //! bitstreams which can dynamically be loaded onto the FPGA."
 
-use coyote_fabric::{DeviceKind, Floorplan, ShellProfile};
+use coyote_fabric::{Device, DeviceKind, Floorplan, ShellProfile};
 use coyote_mmu::MmuConfig;
 use coyote_net::SnifferConfig;
 use coyote_sim::Fnv64;
@@ -60,10 +60,35 @@ pub enum ConfigError {
     BadVfpgaCount(u8),
     /// Sniffer requires the networking service.
     SnifferWithoutNetwork,
-    /// Stream counts must be 1..=16.
+    /// Host stream counts must be 1..=16.
     BadStreamCount(u8),
+    /// Card stream counts must be 0..=16.
+    BadCardStreamCount(u8),
     /// More memory channels than the card has.
     TooManyChannels(usize),
+    /// A TLB whose set count is not a non-zero power of two (the set index
+    /// is a bit-slice of the VPN) or whose way count is zero.
+    BadTlbGeometry {
+        /// `"stlb"` or `"ltlb"`.
+        tlb: &'static str,
+        /// Set count.
+        sets: usize,
+        /// Ways per set.
+        ways: usize,
+    },
+    /// The small-page TLB's page is not smaller than the huge-page TLB's,
+    /// so lookups would classify pages into the wrong TLB.
+    TlbPagesInverted {
+        /// sTLB page bytes.
+        stlb: u64,
+        /// lTLB page bytes.
+        ltlb: u64,
+    },
+    /// The TLBs' SRAM does not fit the whole device's on-chip memory.
+    TlbTooLarge {
+        /// SRAM both TLBs need.
+        sram_bits: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -74,7 +99,23 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "the traffic sniffer requires the networking service")
             }
             ConfigError::BadStreamCount(n) => write!(f, "{n} streams (1-16 supported)"),
+            ConfigError::BadCardStreamCount(n) => {
+                write!(f, "{n} card streams (0-16 supported)")
+            }
             ConfigError::TooManyChannels(n) => write!(f, "{n} memory channels not available"),
+            ConfigError::BadTlbGeometry { tlb, sets, ways } => write!(
+                f,
+                "{tlb} geometry {sets}x{ways} invalid: sets must be a non-zero power of two \
+                 and ways non-zero"
+            ),
+            ConfigError::TlbPagesInverted { stlb, ltlb } => write!(
+                f,
+                "sTLB page ({stlb} B) must be smaller than lTLB page ({ltlb} B)"
+            ),
+            ConfigError::TlbTooLarge { sram_bits } => write!(
+                f,
+                "TLB SRAM of {sram_bits} bits does not fit the device's block RAM"
+            ),
         }
     }
 }
@@ -169,7 +210,8 @@ impl ShellConfig {
         [10, 0, (self.node_id >> 8) as u8, self.node_id as u8]
     }
 
-    /// Validate.
+    /// Check everything [`crate::Platform::load`] needs of a shell: a
+    /// config this accepts loads without panicking.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(1..=10).contains(&self.n_vfpgas) {
             return Err(ConfigError::BadVfpgaCount(self.n_vfpgas));
@@ -180,9 +222,31 @@ impl ShellConfig {
         if self.n_host_streams == 0 || self.n_host_streams > 16 {
             return Err(ConfigError::BadStreamCount(self.n_host_streams));
         }
+        if self.n_card_streams > 16 {
+            return Err(ConfigError::BadCardStreamCount(self.n_card_streams));
+        }
         let max_ch = coyote_sim::params::HBM_CHANNELS;
         if self.services.memory_channels > max_ch {
             return Err(ConfigError::TooManyChannels(self.services.memory_channels));
+        }
+        for (tlb, geometry) in [("stlb", self.mmu.stlb), ("ltlb", self.mmu.ltlb)] {
+            if !geometry.sets.is_power_of_two() || geometry.ways == 0 {
+                return Err(ConfigError::BadTlbGeometry {
+                    tlb,
+                    sets: geometry.sets,
+                    ways: geometry.ways,
+                });
+            }
+        }
+        let (stlb, ltlb) = (self.mmu.stlb.page.bytes(), self.mmu.ltlb.page.bytes());
+        if stlb >= ltlb {
+            return Err(ConfigError::TlbPagesInverted { stlb, ltlb });
+        }
+        // Every vFPGA's MMU allocates its TLBs at load.
+        let sram_bits = self.mmu.sram_bits();
+        let footprint = IpBlock::new(Ip::Mmu { sram_bits }).footprint();
+        if !footprint.fits_in(&Device::new(self.device).capacity()) {
+            return Err(ConfigError::TlbTooLarge { sram_bits });
         }
         Ok(())
     }
@@ -314,6 +378,45 @@ mod tests {
         let mut cfg = ShellConfig::host_memory(1, 64);
         cfg.services.memory_channels = 64;
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyChannels(64)));
+        let mut cfg = ShellConfig::host_memory(1, 16);
+        cfg.n_card_streams = 17;
+        assert_eq!(cfg.validate(), Err(ConfigError::BadCardStreamCount(17)));
+    }
+
+    #[test]
+    fn broken_tlb_geometry_rejected() {
+        let mut cfg = ShellConfig::host_memory(1, 4);
+        cfg.mmu.stlb.sets = 3;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadTlbGeometry {
+                tlb: "stlb",
+                sets: 3,
+                ways: 4
+            })
+        );
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.ltlb.ways = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::BadTlbGeometry { tlb: "ltlb", .. })
+        ));
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.stlb.page = coyote_mem::PageSize::Huge1G;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TlbPagesInverted {
+                stlb: 1 << 30,
+                ltlb: 2 << 20
+            })
+        );
+        // A power-of-two geometry too large to allocate, let alone build.
+        let mut cfg = ShellConfig::host_only(1);
+        cfg.mmu.stlb.sets = 1 << 60;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TlbTooLarge { .. })
+        ));
     }
 
     #[test]

@@ -25,6 +25,8 @@ use std::collections::{HashMap, HashSet};
 pub enum PlatformError {
     /// Invalid configuration.
     Config(crate::config::ConfigError),
+    /// Invalid queue-pair parameters.
+    Qp(coyote_net::QpConfigError),
     /// Driver error.
     Driver(DriverError),
     /// No such vFPGA.
@@ -58,6 +60,7 @@ impl std::fmt::Display for PlatformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlatformError::Config(e) => write!(f, "config: {e}"),
+            PlatformError::Qp(e) => write!(f, "queue pair: {e}"),
             PlatformError::Driver(e) => write!(f, "driver: {e}"),
             PlatformError::BadVfpga(v) => write!(f, "no vFPGA {v}"),
             PlatformError::NoKernel(v) => write!(f, "vFPGA {v} has no kernel loaded"),
@@ -106,7 +109,8 @@ pub struct VfpgaState {
 }
 
 impl VfpgaState {
-    fn new(config: &ShellConfig) -> VfpgaState {
+    /// An empty slot: no kernel, a fresh MMU of the shell's geometry.
+    pub(crate) fn new(config: &ShellConfig) -> VfpgaState {
         VfpgaState {
             kernel: None,
             csr: RegisterFile::new(),
@@ -334,7 +338,12 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConfigError;
     use crate::kernel::Passthrough;
+    use coyote_mem::PageSize;
+    use coyote_mmu::TlbConfig;
+    use coyote_net::{QpConfig, QpConfigError};
+    use proptest::prelude::*;
 
     #[test]
     fn load_validates_config() {
@@ -374,5 +383,86 @@ mod tests {
         let p = Platform::load(cfg).unwrap();
         assert!(p.balboa.is_some());
         assert!(p.sniffer.is_some());
+    }
+
+    #[test]
+    fn a_broken_tlb_is_refused_not_panicked() {
+        let mut cfg = ShellConfig::host_memory(1, 4);
+        cfg.mmu.stlb.sets = 3;
+        assert!(matches!(
+            Platform::load(cfg),
+            Err(PlatformError::Config(ConfigError::BadTlbGeometry { .. }))
+        ));
+    }
+
+    #[test]
+    fn create_qp_refuses_bad_mtu_and_window() {
+        let mut p = Platform::load(ShellConfig::host_memory_network(1, 8)).unwrap();
+        let (ok, _) = QpConfig::pair(1, 2);
+        for mtu in [0, 3000, 8192] {
+            let cfg = QpConfig { mtu, ..ok.clone() };
+            assert!(matches!(
+                p.rdma_create_qp(1, cfg),
+                Err(PlatformError::Qp(QpConfigError::BadMtu(m))) if m == mtu
+            ));
+        }
+        let cfg = QpConfig {
+            window: 0,
+            ..ok.clone()
+        };
+        assert!(matches!(
+            p.rdma_create_qp(1, cfg),
+            Err(PlatformError::Qp(QpConfigError::ZeroWindow))
+        ));
+        assert_eq!(p.rdma_create_qp(1, ok).unwrap(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any shell geometry, ring size included, loads or is refused
+        /// with a typed error: `load` never panics, and it refuses exactly
+        /// what `validate` refuses. Accepted TLB sets are drawn up to 512 and ways up to 16
+        /// because a geometry `validate` accepts is allocated in full, per
+        /// TLB and per vFPGA; ten vFPGAs of two 8 Ki-entry TLBs stay within
+        /// a few MB per case.
+        #[test]
+        fn load_never_panics_over_shell_geometry(
+            (n_vfpgas, n_host_streams, n_card_streams) in (0u8..=12, 0u8..=18, 0u8..=18),
+            (channels, networking, sniffer) in (0usize..=40, any::<bool>(), any::<bool>()),
+            (stlb_sets, ltlb_sets) in (geometry_sets(), geometry_sets()),
+            (stlb_ways, ltlb_ways) in (0usize..=16, 0usize..=16),
+            (stlb_page, ltlb_page) in (page(), page()),
+            ring_slots in prop::sample::select(vec![0, 1, 16, usize::MAX]),
+        ) {
+            let mut cfg = ShellConfig::host_memory(n_vfpgas, channels);
+            cfg.services.networking = networking;
+            cfg.services.sniffer = sniffer;
+            cfg.sniffer_config = sniffer.then(coyote_net::SnifferConfig::default);
+            cfg.n_host_streams = n_host_streams;
+            cfg.n_card_streams = n_card_streams;
+            cfg.mmu.stlb = TlbConfig { sets: stlb_sets, ways: stlb_ways, page: stlb_page };
+            cfg.mmu.ltlb = TlbConfig { sets: ltlb_sets, ways: ltlb_ways, page: ltlb_page };
+            cfg.reconfig_ring_slots = ring_slots;
+            let verdict = cfg.validate();
+            match Platform::load(cfg) {
+                Ok(p) => {
+                    prop_assert_eq!(verdict, Ok(()));
+                    prop_assert_eq!(p.vfpgas.len(), n_vfpgas as usize);
+                }
+                Err(PlatformError::Config(e)) => prop_assert_eq!(verdict, Err(e)),
+                Err(e) => prop_assert!(false, "untyped refusal: {e}"),
+            }
+        }
+    }
+
+    /// Set counts: zero, powers of two, a few that are not, and one
+    /// `validate` refuses as too large before anything is allocated.
+    fn geometry_sets() -> impl Strategy<Value = usize> {
+        prop::sample::select(vec![0, 1, 2, 3, 8, 100, 256, 512, 1 << 40])
+    }
+
+    fn page() -> impl Strategy<Value = PageSize> {
+        prop::sample::select(vec![PageSize::Small, PageSize::Huge2M, PageSize::Huge1G])
     }
 }

@@ -64,12 +64,14 @@ impl Default for BalboaService {
 
 impl Platform {
     /// Create an RC queue pair owned by `hpid` ("initiate Queue Pair (QP)
-    /// numbers for RDMA connections", §7.3).
+    /// numbers for RDMA connections", §7.3). Refuses a bad MTU or window
+    /// with [`PlatformError::Qp`].
     pub fn rdma_create_qp(&mut self, hpid: u32, cfg: QpConfig) -> Result<u32, PlatformError> {
         let balboa = self
             .balboa
             .as_mut()
             .ok_or(PlatformError::MissingService("networking"))?;
+        cfg.validate().map_err(PlatformError::Qp)?;
         let qpn = cfg.qpn;
         balboa.qps.insert(qpn, (hpid, QueuePair::new(cfg)));
         Ok(qpn)

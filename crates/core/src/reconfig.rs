@@ -71,11 +71,20 @@ impl CRcnfg {
             .get(&digest)
             .cloned()
             .ok_or(PlatformError::UnknownApp(digest))?;
+        // Refuse a shell the platform could not bring up before the image
+        // rewrites anything.
+        new_config.validate().map_err(PlatformError::Config)?;
         let now = platform.now;
         let timing = platform
             .driver_mut()
             .reconfigure_parsed(now, header, from_disk)
             .map_err(PlatformError::Reconfig)?;
+        // The batched path's ring follows the active shell, as at load.
+        if platform.driver().completion_ring().slots() != new_config.reconfig_ring_slots {
+            platform
+                .driver_mut()
+                .set_reconfig_ring_slots(new_config.reconfig_ring_slots);
+        }
 
         // Swap the dynamic layer to the new services.
         platform
@@ -103,7 +112,7 @@ impl CRcnfg {
         // The fail-safe: all vFPGAs are rewritten by the shell image, so
         // every kernel slot resets.
         platform.vfpgas = (0..new_config.n_vfpgas)
-            .map(|_| VfpgaState::empty_for(&new_config))
+            .map(|_| VfpgaState::new(&new_config))
             .collect();
         platform.next_tid = vec![0; new_config.n_vfpgas as usize];
         platform.shell_digest = digest;
@@ -176,22 +185,6 @@ impl CRcnfg {
             },
         );
         Ok(timing)
-    }
-}
-
-impl VfpgaState {
-    pub(crate) fn empty_for(config: &crate::config::ShellConfig) -> VfpgaState {
-        VfpgaState {
-            kernel: None,
-            csr: coyote_axi::RegisterFile::new(),
-            mmu: coyote_mmu::Mmu::new(config.mmu),
-            pipeline: None,
-            thread_ready: std::collections::HashMap::new(),
-            kernel_ready: coyote_sim::SimTime::ZERO,
-            loaded_digest: 0,
-            beats_in: 0,
-            beats_out: 0,
-        }
     }
 }
 

@@ -179,9 +179,9 @@ impl CoyoteDriver {
         &self.ring
     }
 
-    /// Resize the completion ring (platform load applies
+    /// Resize the completion ring (platform load and a shell swap apply
     /// `ShellConfig::reconfig_ring_slots`). Pending records are dropped, so
-    /// this is only sensible before any batch is submitted.
+    /// this is only sensible between batches.
     pub fn set_reconfig_ring_slots(&mut self, slots: usize) {
         self.ring = CompletionRing::new(slots);
     }

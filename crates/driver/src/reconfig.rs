@@ -46,8 +46,8 @@ pub enum ReconfigError {
     },
     /// The batch holds more frame runs than the completion ring has slots:
     /// the engine would stall on writeback while software waits for the
-    /// batch — deadlock by construction (lint rule WF001 catches this in
-    /// the shell spec as a wait-for cycle; this is the runtime guard).
+    /// batch — deadlock by construction. This is the runtime guard;
+    /// `coyote-lint`'s WF001 reports it for a shell spec.
     RingTooSmall {
         /// Completion-ring capacity.
         slots: usize,

@@ -11,8 +11,8 @@
 //! larger than the ring would have the engine stall on writeback while
 //! software waits for the doorbell's batch to finish — deadlock by
 //! construction. The driver refuses such submissions at the doorbell
-//! (`ReconfigError::RingTooSmall`) and `coyote-lint` flags the config
-//! statically (the WF001 wait-for cycle).
+//! (`ReconfigError::RingTooSmall`), and `coyote-lint` reports the same
+//! condition for a shell spec as WF001.
 
 use coyote_sim::SimTime;
 use std::collections::VecDeque;
@@ -21,12 +21,12 @@ use std::collections::VecDeque;
 /// `ShellConfig::reconfig_ring_slots` when a platform loads).
 pub const DEFAULT_RING_SLOTS: usize = 16;
 
-/// The static wait facts of one completion ring, exported for the
-/// whole-platform analyzer (`coyote-lint`'s platform rules).
+/// The static wait facts of one completion ring, exported for
+/// `coyote-lint`'s WF001.
 ///
-/// The runtime guard (`ReconfigError::RingTooSmall`) and the static
-/// wait-for-graph rule (WF001) must agree on when the ICAP engine can
-/// stall on writeback; this struct is the single definition both key on:
+/// The runtime guard (`ReconfigError::RingTooSmall`) and WF001 must agree
+/// on when the ICAP engine can stall on writeback; this struct is the
+/// single definition both key on:
 /// with `concurrent` batches of up to `max_batch` runs in flight against
 /// one ring, the engine blocks iff the ring cannot hold every in-flight
 /// completion at once.
@@ -121,7 +121,9 @@ impl CompletionRing {
     pub fn new(slots: usize) -> CompletionRing {
         CompletionRing {
             slots,
-            entries: VecDeque::with_capacity(slots),
+            // Grown on use: `slots` comes from a shell config and bounds
+            // occupancy, not the allocation.
+            entries: VecDeque::new(),
             pushed: 0,
             reaped: 0,
             high_water: 0,

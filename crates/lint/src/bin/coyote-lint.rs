@@ -3,9 +3,9 @@
 //! ```text
 //! coyote-lint [OPTIONS] <PATH>...
 //!
-//! A .json PATH is a shell spec: the config, floorplan and whole-platform
-//! rules (CF, FP, PG/WF/CAP/ISO) in one report. A directory's top-level
-//! .json files are linted as shell specs, in sorted order.
+//! A .json PATH is a shell spec: the config and floorplan rules (CF, WF,
+//! FP) in one report. A directory's top-level .json files are linted as
+//! shell specs, in sorted order.
 //!
 //! Options:
 //!   --json          machine-readable JSON report on stdout

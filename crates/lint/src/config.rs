@@ -1,104 +1,92 @@
-//! Configuration lints (CF002–CF007): shell, QP and MMU parameter checks.
+//! Configuration lints: the shell, QP and completion-ring checks.
 //!
-//! These rules catch configurations that *parse* fine and even *boot* fine
-//! but then fail to schedule, or are malformed for the component that
-//! would run them. Deadlocks are judged on the platform wait-for graph
-//! instead ([`crate::platform::waitfor`]): its WF001 cycles subsume the
-//! retired pair checks CF001 (end-of-message-only ACKs with messages
-//! longer than `window * mtu`) and CF009 (a completion ring smaller than
-//! the batches in flight), and their edges name the same fixes.
+//! Every error-severity rule here renders a refusal of the runtime rather
+//! than re-deriving it, so a rule and the component it guards cannot
+//! drift apart:
+//!
+//! * CF004/CF005 are the [`ConfigError`]s of `ShellConfig::validate`,
+//!   which `Platform::load` and a shell swap refuse with.
+//! * CF002/CF003 are the [`QpConfigError`]s of `QpConfig::validate`,
+//!   which `Platform::rdma_create_qp` refuses with.
+//! * CF006 is the build flows' pre-placement fit check on the service
+//!   blocks ([`check_service_fit`]).
+//! * WF001 is the condition under which the driver's
+//!   `reconfigure_batched` refuses a batch with `RingTooSmall`
+//!   ([`RingWaitFacts::engine_waits_on_ring`]).
+//!
+//! CF007, a warning, is the one judgement the runtime does not make.
 
 use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::QpSpec;
-use coyote::config::ShellConfig;
-use coyote_fabric::Device;
-use coyote_mmu::{MmuConfig, TlbConfig};
+use coyote::build::check_service_fit;
+use coyote::config::{ConfigError, ShellConfig};
+use coyote_driver::RingWaitFacts;
+use coyote_net::QpConfigError;
 use coyote_sim::params::ROCE_MTU;
+
+fn loc(unit: &str, path: &str) -> Location {
+    Location::new(format!("config:{unit}"), path)
+}
 
 /// Lint one QP's transport parameters (CF002, CF003).
 pub fn lint_qp(unit: &str, qp: &QpSpec) -> Report {
     let mut report = Report::new();
-    let loc = |path: &str| Location::new(format!("config:{unit}"), path);
-
-    // CF002: MTU sanity.
-    if qp.mtu == 0 || qp.mtu > ROCE_MTU as u64 || !qp.mtu.is_power_of_two() {
-        report.push(
-            Diagnostic::new(
-                "CF002",
+    if let Err(e) = qp.to_qp_config().validate() {
+        let d = match e {
+            QpConfigError::BadMtu(_) => {
+                Diagnostic::new("CF002", Severity::Error, loc(unit, "qp.mtu"), e.to_string())
+                    .with_suggestion(format!("use the RoCE default of {ROCE_MTU}"))
+            }
+            QpConfigError::ZeroWindow => Diagnostic::new(
+                "CF003",
                 Severity::Error,
-                loc("qp.mtu"),
-                format!(
-                    "MTU {} invalid: must be a power of two in 1..={ROCE_MTU}",
-                    qp.mtu
-                ),
-            )
-            .with_suggestion(format!("use the RoCE default of {ROCE_MTU}")),
-        );
+                loc(unit, "qp.window"),
+                e.to_string(),
+            ),
+        };
+        report.push(d);
     }
-
-    // CF003: window sanity.
-    if qp.window == 0 {
-        report.push(Diagnostic::new(
-            "CF003",
-            Severity::Error,
-            loc("qp.window"),
-            "retransmission window of 0 packets: no packet can ever be in flight",
-        ));
-    }
-
     report
 }
 
-/// Lint MMU/TLB geometry (CF004, CF007).
-pub fn lint_mmu(unit: &str, mmu: &MmuConfig) -> Report {
+/// Lint a full shell configuration (CF004–CF007).
+pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     let mut report = Report::new();
-    let loc = |path: &str| Location::new(format!("config:{unit}"), path);
 
-    let check_tlb = |name: &str, tlb: &TlbConfig, report: &mut Report| {
-        if !tlb.sets.is_power_of_two() || tlb.sets == 0 || tlb.ways == 0 {
-            report.push(
-                Diagnostic::new(
-                    "CF004",
-                    Severity::Error,
-                    loc(&format!("mmu.{name}")),
-                    format!(
-                        "{name} geometry {}x{} invalid: sets must be a non-zero power of two \
-                         (the set index is a bit-slice of the VPN) and ways non-zero",
-                        tlb.sets, tlb.ways
-                    ),
-                )
-                .with_suggestion("the TLB constructor panics on this geometry"),
-            );
-        }
-    };
-    check_tlb("stlb", &mmu.stlb, &mut report);
-    check_tlb("ltlb", &mmu.ltlb, &mut report);
-
-    // CF004 (continued): the small-page TLB must translate smaller pages
-    // than the huge-page TLB, or every lookup classifies wrong.
-    if mmu.stlb.page.bytes() >= mmu.ltlb.page.bytes() {
-        report.push(Diagnostic::new(
-            "CF004",
-            Severity::Error,
-            loc("mmu"),
-            format!(
-                "sTLB page ({} B) must be smaller than lTLB page ({} B)",
-                mmu.stlb.page.bytes(),
-                mmu.ltlb.page.bytes()
-            ),
-        ));
+    let valid = cfg.validate();
+    if let Err(e) = &valid {
+        let (rule, path) = match e {
+            ConfigError::BadTlbGeometry { tlb, .. } => ("CF004", format!("mmu.{tlb}")),
+            ConfigError::TlbPagesInverted { .. } | ConfigError::TlbTooLarge { .. } => {
+                ("CF004", "mmu".to_string())
+            }
+            ConfigError::BadVfpgaCount(_)
+            | ConfigError::SnifferWithoutNetwork
+            | ConfigError::BadStreamCount(_)
+            | ConfigError::BadCardStreamCount(_)
+            | ConfigError::TooManyChannels(_) => ("CF005", "shell".to_string()),
+        };
+        report.push(
+            Diagnostic::new(
+                rule,
+                Severity::Error,
+                loc(unit, &path),
+                format!("Platform::load refuses this shell: {e}"),
+            )
+            .with_suggestion("fix the field named in the message"),
+        );
     }
 
     // CF007: SRAM budget. The synthesis resource model charges BRAM for the
     // TLB SRAM; past ~16 Mbit the MMU alone starves the service band.
     const SRAM_BUDGET_BITS: u64 = 16 << 20;
-    let bits = mmu.sram_bits();
+    let bits = cfg.mmu.sram_bits();
     if bits > SRAM_BUDGET_BITS {
         report.push(
             Diagnostic::new(
                 "CF007",
                 Severity::Warning,
-                loc("mmu"),
+                loc(unit, "mmu"),
                 format!(
                     "TLB SRAM of {bits} bits exceeds the {SRAM_BUDGET_BITS}-bit on-chip budget \
                      the MMU model assumes"
@@ -108,60 +96,16 @@ pub fn lint_mmu(unit: &str, mmu: &MmuConfig) -> Report {
         );
     }
 
-    report
-}
-
-/// Lint a full shell configuration (CF005, CF006, plus the MMU rules).
-pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
-    let mut report = Report::new();
-    let loc = |path: &str| Location::new(format!("config:{unit}"), path);
-
-    // CF005: everything ShellConfig::validate refuses — vFPGA count,
-    // stream counts, channel counts, sniffer-without-network. The shell
-    // could never be scheduled onto a device in this state.
-    let valid = cfg.validate();
-    if let Err(e) = &valid {
-        report.push(
-            Diagnostic::new(
-                "CF005",
-                Severity::Error,
-                loc("shell"),
-                format!("shell can never be scheduled: {e}"),
-            )
-            .with_suggestion("fix the field named in the message"),
-        );
-    }
-    if cfg.n_card_streams > 16 {
-        report.push(Diagnostic::new(
-            "CF005",
-            Severity::Error,
-            loc("shell.n_card_streams"),
-            format!("{} card streams (0-16 supported)", cfg.n_card_streams),
-        ));
-    }
-
-    report.extend(lint_mmu(unit, &cfg.mmu));
-
-    // CF006: do the service blocks fit the service band of the implied
-    // floorplan? `capacity_of(Shell)` already subtracts the vFPGA regions.
-    // Only a shell `validate` accepts has one: synthesizing the service
-    // blocks of a rejected shell (say 10^8 memory channels) is wasted work.
+    // CF006: only a shell `validate` accepts has a floorplan to fit.
     if valid.is_ok() {
-        let device = Device::new(cfg.device);
-        let band = cfg
-            .floorplan()
-            .capacity_of(&device, coyote_fabric::PartitionId::Shell)
-            .expect("preset floorplan has a shell");
-        let demand: coyote_fabric::ResourceVec =
-            cfg.service_blocks().iter().map(|b| b.footprint()).sum();
-        if !demand.fits_in(&band) {
+        if let Err(e) = check_service_fit(cfg) {
             report.push(
                 Diagnostic::new(
                     "CF006",
                     Severity::Error,
-                    loc("shell.services"),
+                    loc(unit, "shell.services"),
                     format!(
-                        "service blocks need {demand} but the {:?} service band offers {band}",
+                        "the build flow refuses the {:?} service band: {e}",
                         cfg.profile()
                     ),
                 )
@@ -173,18 +117,48 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     report
 }
 
+/// Lint the batched-reconfiguration sizing a spec declares (WF001).
+pub fn lint_ring(unit: &str, facts: &RingWaitFacts) -> Report {
+    let mut report = Report::new();
+    if facts.engine_waits_on_ring() {
+        let required = facts.required_slots();
+        report.push(
+            Diagnostic::new(
+                "WF001",
+                Severity::Error,
+                loc(unit, "reconfig.ring_slots"),
+                format!(
+                    "hold-and-wait cycle: software -> reconfig.doorbell -> reconfig.engine -> \
+                     reconfig.ring -> software — no participant can ever proceed\
+                     \n      software -> reconfig.doorbell: software blocks until the \
+                     doorbell's batch completion count is reached\
+                     \n      reconfig.doorbell -> reconfig.engine: the doorbell count advances \
+                     only as the engine finishes runs\
+                     \n      reconfig.engine -> reconfig.ring: {} concurrent batch(es) of {} \
+                     runs need {required} completion slots but the ring holds {}\
+                     \n      reconfig.ring -> software: ring slots free only when software \
+                     reaps — after its doorbell wait returns\
+                     \n      reconfigure_batched refuses such a batch with RingTooSmall",
+                    facts.concurrent.max(1),
+                    facts.max_batch,
+                    facts.slots
+                ),
+            )
+            .with_suggestion(format!(
+                "raise reconfig.ring_slots to at least {required}, or lower \
+                 reconfig.max_batch_runs or reconfig.max_concurrent"
+            )),
+        );
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coyote_mem::PageSize;
 
     fn qp(mtu: u64, window: u64) -> QpSpec {
-        QpSpec {
-            mtu,
-            window,
-            max_msg_bytes: mtu * window,
-            ack_on_window_fill: true,
-        }
+        QpSpec { mtu, window }
     }
 
     #[test]
@@ -192,8 +166,7 @@ mod tests {
         assert!(lint_qp("t", &qp(ROCE_MTU as u64, 64)).is_clean());
     }
 
-    /// A spec with the given service/section fields, through the one spec
-    /// entry (config, artifacts and platform rules).
+    /// A spec with the given section fields, through the one spec entry.
     fn spec_report(fields: &str) -> Report {
         let text = format!(
             r#"{{"name": "t", "device": "u55c", "n_vfpgas": 2, "memory_channels": 0,
@@ -204,48 +177,37 @@ mod tests {
     }
 
     #[test]
-    fn pre_fix_deadlock_config_is_flagged() {
-        // The class the RC queue pair deadlocked on before the window-fill
-        // ACK: 1 MB messages over a 64 x 4096-byte window with
-        // end-of-message-only ACKs. The spec lint reports it once, as the
-        // WF001 cycle, whose ACK edge names the fix.
-        let qp = |max_msg: u64| {
-            spec_report(&format!(
-                r#""networking": true, "qp": {{ "mtu": 4096, "window": 64,
-                    "max_msg_bytes": {max_msg}, "ack_on_window_fill": false }}"#
-            ))
-        };
-        let r = qp(1 << 20);
-        assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
-        assert!(r.render_human().contains("enable qp.ack_on_window_fill"));
-        // Messages that fit the window cannot starve.
-        assert!(qp(64 * 4096).is_clean());
-    }
-
-    #[test]
     fn bad_mtu_and_window_flagged() {
-        let r = lint_qp("t", &qp(3000, 0));
-        assert_eq!(r.of_rule("CF002").count(), 1);
-        assert_eq!(r.of_rule("CF003").count(), 1);
+        for mtu in [0, 3000, 8192] {
+            let r = lint_qp("t", &qp(mtu, 64));
+            assert_eq!(r.of_rule("CF002").count(), 1, "{mtu}");
+        }
+        assert_eq!(lint_qp("t", &qp(4096, 0)).of_rule("CF003").count(), 1);
     }
 
     #[test]
     fn tlb_geometry_rules() {
-        assert!(lint_mmu("t", &MmuConfig::default_2m()).is_clean());
-        assert!(lint_mmu("t", &MmuConfig::huge_1g()).is_clean());
+        // A host-only shell has no MMU service block, so the SRAM budget
+        // case below stays clear of CF006.
+        let mmu = |f: fn(&mut ShellConfig)| {
+            let mut cfg = ShellConfig::host_only(1);
+            f(&mut cfg);
+            lint_shell("t", &cfg)
+        };
+        assert!(mmu(|_| {}).is_clean());
 
-        let mut bad = MmuConfig::default_2m();
-        bad.stlb.sets = 100; // not a power of two
-        assert_eq!(lint_mmu("t", &bad).of_rule("CF004").count(), 1);
+        let r = mmu(|c| c.mmu.stlb.sets = 100); // not a power of two
+        let hits: Vec<_> = r.of_rule("CF004").collect();
+        assert_eq!(hits.len(), 1, "{}", r.render_human());
+        assert_eq!(hits[0].location.path, "mmu.stlb");
 
-        let mut inverted = MmuConfig::default_2m();
-        inverted.stlb.page = PageSize::Huge1G;
-        assert_eq!(lint_mmu("t", &inverted).of_rule("CF004").count(), 1);
+        let r = mmu(|c| c.mmu.stlb.page = coyote_mem::PageSize::Huge1G);
+        assert_eq!(r.of_rule("CF004").count(), 1);
 
-        let mut huge = MmuConfig::default_2m();
-        huge.stlb.sets = 1 << 16;
-        huge.stlb.ways = 8;
-        let r = lint_mmu("t", &huge);
+        let r = mmu(|c| {
+            c.mmu.stlb.sets = 1 << 16;
+            c.mmu.stlb.ways = 8;
+        });
         assert_eq!(r.of_rule("CF007").count(), 1);
         assert_ne!(r.max_severity(), Some(Severity::Error));
     }
@@ -279,15 +241,16 @@ mod tests {
             .contains("raise reconfig.ring_slots to at least 8"));
         // Concurrency multiplies the bound: two in-flight batches of 8.
         assert!(ring(8, 2).render_human().contains("at least 16"));
+        assert!(ring(16, 2).is_clean());
     }
 
     #[test]
     fn unschedulable_shell_flagged() {
         let r = lint_shell("t", &ShellConfig::host_only(0));
-        assert!(r.of_rule("CF005").count() >= 1);
+        assert_eq!(r.of_rule("CF005").count(), 1);
 
         let mut cfg = ShellConfig::host_only(2);
         cfg.n_card_streams = 30;
-        assert!(lint_shell("t", &cfg).of_rule("CF005").count() >= 1);
+        assert_eq!(lint_shell("t", &cfg).of_rule("CF005").count(), 1);
     }
 }

@@ -29,13 +29,12 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Where a finding lives: an artifact (a spec's config, its floorplan or
-/// its platform graph) plus a path within it.
+/// Where a finding lives: an artifact (a spec's config or its floorplan)
+/// plus a path within it.
 ///
 /// Kept as two strings so every layer can address its own structure —
-/// `config:<spec>` / `qp.window`, `floorplan:Alveo U55C` / `vfpga(1)`,
-/// `platform:<spec>` / `cycle(software)` — and golden tests can assert
-/// locations exactly.
+/// `config:<spec>` / `qp.window`, `floorplan:Alveo U55C` / `vfpga(1)` —
+/// and golden tests can assert locations exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Location {
     /// The artifact being linted.

@@ -3,19 +3,15 @@
 //!
 //! Every other crate in the workspace *executes* the model. This crate
 //! *judges* the shell specification a node is about to run, before
-//! anything is built or loaded:
+//! anything is built or loaded, and it does so by asking the runtime:
 //!
+//! * [`lint_shell`] / [`lint_qp`] / [`lint_ring`] — configurations the
+//!   runtime refuses, rendered from its own checks (`ShellConfig::validate`,
+//!   `QpConfig::validate`, the build flows' fit check and the driver's
+//!   completion-ring bound): CF002–CF006 and WF001, plus the CF007 SRAM
+//!   warning.
 //! * [`lint_floorplan`] — clock-region discipline of the vFPGA regions
-//!   (FP007).
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_mmu`] — configurations that
-//!   would fail to schedule or are malformed for the component that runs
-//!   them (CF002–CF007).
-//! * [`platform`] — the whole-platform analyzer: joins the shell's layers
-//!   into one typed resource graph ([`PlatformGraph`]) and runs the
-//!   cross-layer families on it — graph construction (PG001–PG002),
-//!   global wait-for cycles (WF001–WF004, which subsume the retired pair
-//!   checks CF001 and CF009), capacity feasibility (CAP001–CAP003) and
-//!   tenant isolation (ISO001–ISO002).
+//!   (FP007, a warning).
 //!
 //! [`lint_shell_spec`] runs all of them on one `.json` shell spec, which
 //! is what the `coyote-lint` binary does for every spec it is given.
@@ -33,21 +29,19 @@
 pub mod config;
 pub mod diag;
 pub mod floorplan;
-pub mod platform;
 pub mod rules;
 pub mod shellspec;
 
-pub use config::{lint_mmu, lint_qp, lint_shell};
+pub use config::{lint_qp, lint_ring, lint_shell};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::lint_floorplan;
-pub use platform::{build_platform_graph, PlatformGraph};
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
 
 /// Lint everything a shell specification implies, in one report: the
-/// configuration itself, the QP transport contract (if declared), the
-/// preset floorplan the shell would be built on, and the platform
-/// resource graph with its PG/WF/CAP/ISO rules.
+/// configuration itself, the QP parameters (if declared), the
+/// reconfiguration ring sizing and the preset floorplan the shell would be
+/// built on.
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
     let unit = spec.name.as_str();
@@ -60,21 +54,18 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
             format!("unusable shell spec: {e}"),
         )),
         Ok(cfg) => {
-            let shell = lint_shell(unit, &cfg);
-            let accepted = !shell.has_errors();
-            report.extend(shell);
+            report.extend(lint_shell(unit, &cfg));
             if let Some(qp) = &spec.qp {
                 report.extend(lint_qp(unit, qp));
             }
-            // Only a shell the config rules accept has a floorplan to
-            // judge: `Floorplan::preset` panics on a vFPGA count that
-            // `validate` refuses (CF005).
-            if accepted {
+            report.extend(lint_ring(unit, &spec.ring_wait_facts()));
+            // `Floorplan::preset` panics on a vFPGA count that `validate`
+            // refuses (CF005).
+            if cfg.validate().is_ok() {
                 report.extend(lint_floorplan(&cfg.floorplan()));
             }
         }
     }
-    report.extend(platform::lint_platform(spec));
     report
 }
 
@@ -93,8 +84,7 @@ mod tests {
                 "name": "full", "device": "u55c", "n_vfpgas": 4,
                 "memory_channels": 32, "networking": true, "sniffer": false,
                 "n_host_streams": 4, "n_card_streams": 16, "node_id": 1,
-                "qp": { "mtu": 4096, "window": 64, "max_msg_bytes": 262144,
-                        "ack_on_window_fill": true }
+                "qp": { "mtu": 4096, "window": 64 }
             }"#,
         );
         let r = lint_shell_spec(&s);
@@ -103,22 +93,21 @@ mod tests {
 
     #[test]
     fn deadlock_prone_spec_is_refused() {
-        // 1 MB messages over a 64 x 4096-byte window with end-of-message
-        // ACKs: the sender starves, which the spec lint reports as the
-        // WF001 cycle through the RDMA sender.
+        // Batches of 8 runs against a 4-slot completion ring: the engine
+        // waits on writeback while software waits on the batch, which the
+        // spec lint reports as WF001 at the ring's size.
         let s = spec(
             r#"{
-                "name": "pre-fix", "device": "u55c", "n_vfpgas": 1,
-                "memory_channels": 0, "networking": true, "sniffer": false,
+                "name": "ring", "device": "u55c", "n_vfpgas": 1,
+                "memory_channels": 0, "networking": false, "sniffer": false,
                 "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
-                "qp": { "mtu": 4096, "window": 64, "max_msg_bytes": 1048576,
-                        "ack_on_window_fill": false }
+                "reconfig": { "ring_slots": 4, "max_batch_runs": 8 }
             }"#,
         );
         let r = lint_shell_spec(&s);
         let hits: Vec<_> = r.of_rule("WF001").collect();
         assert_eq!(hits.len(), 1, "{}", r.render_human());
-        assert_eq!(hits[0].location.path, "cycle(rdma.sender)");
+        assert_eq!(hits[0].location.path, "reconfig.ring_slots");
         assert!(r.has_errors());
     }
 

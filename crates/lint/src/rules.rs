@@ -5,21 +5,24 @@
 //! keys on them. The catalog is data, not behavior — the checks themselves
 //! live in the per-layer modules.
 //!
+//! Every error-severity rule renders a refusal of the runtime and names
+//! it in its description; FP007 and CF007 are warnings the runtime does
+//! not judge.
+//!
 //! Retired ids are not reused. DS001–DS003 and DS005–DS007 checked the
 //! event engine's recorded traces and IPA002 its cross-shard posts; they
 //! went with the engine. SRC001–SRC007 and IPA001/IPA003–IPA005 checked
 //! the workspace's own Rust for determinism hazards; `clippy.toml` and
 //! the workspace clippy lints gate those now (see DESIGN.md). CF001 (ACK
 //! starvation) and CF009 (completion ring smaller than the batches in
-//! flight) were pair checks for two cycles of the platform wait-for graph
-//! and are reported as WF001 at `platform:<spec>` / `cycle(rdma.sender)`
-//! and `cycle(software)`. NL001–NL007 (netlist), BS001–BS006 (bitstream),
-//! CF008 (fault plan against a retry budget) and DS004 (fault-trace merge
-//! order) judged artifacts no run hands to the linter. The netlist
-//! generator cannot emit the NL violations; the loader's
-//! `Bitstream::validate` and the configuration port refuse malformed and
-//! wrong-device images; no run combines fault traces. Every rule left
-//! fires on a shell spec.
+//! flight) were folded into WF001; the runtime queue pair always ACKs on
+//! window fill, so only the ring case remains. NL001–NL007 (netlist),
+//! BS001–BS006 (bitstream), CF008 (fault plan against a retry budget) and
+//! DS004 (fault-trace merge order) judged artifacts no run hands to the
+//! linter. PG001–PG002 (tenant graph construction), WF002–WF004 (zero
+//! capacity, orphaned and cross-tenant waits), CAP001–CAP003 (declared
+//! tenant rates) and ISO001–ISO002 (tenant isolation) judged tenant
+//! declarations no runtime struct holds and no run loads.
 
 use crate::diag::Severity;
 
@@ -28,10 +31,9 @@ use crate::diag::Severity;
 pub enum Layer {
     /// Partition geometry of the shell's preset floorplan (`coyote-fabric`).
     Floorplan,
-    /// Shell / QP / MMU configuration (`coyote`, `coyote-net`, `coyote-mmu`).
+    /// Shell / QP / MMU / reconfiguration-ring configuration (`coyote`,
+    /// `coyote-net`, `coyote-mmu`, `coyote-driver`).
     Config,
-    /// The joined cross-layer platform resource graph (every shell spec).
-    Platform,
 }
 
 impl Layer {
@@ -40,7 +42,6 @@ impl Layer {
         match self {
             Layer::Floorplan => "floorplan",
             Layer::Config => "config",
-            Layer::Platform => "platform",
         }
     }
 }
@@ -73,32 +74,37 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "CF002",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "MTU out of range (1..=4096) or not a power of two",
+        description: "MTU out of range (1..=4096) or not a power of two: QpConfig::validate \
+             refuses it, and so does Platform::rdma_create_qp",
     },
     RuleInfo {
         id: "CF003",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "retransmission window of zero packets (flow can never start)",
+        description: "retransmission window of zero packets: QpConfig::validate refuses it, and \
+             so does Platform::rdma_create_qp",
     },
     RuleInfo {
         id: "CF004",
         layer: Layer::Config,
         severity: Severity::Error,
-        description:
-            "TLB geometry broken: non-power-of-two sets, zero ways, or sTLB page >= lTLB page",
+        description: "TLB geometry broken (non-power-of-two sets, zero ways, sTLB page >= lTLB \
+             page, or SRAM beyond the device): ShellConfig::validate refuses it, and so does \
+             Platform::load",
     },
     RuleInfo {
         id: "CF005",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "shell can never schedule: invalid vFPGA/stream/channel/service combination",
+        description: "shell can never schedule (vFPGA, stream, channel or service counts): \
+             ShellConfig::validate refuses it, and so does Platform::load",
     },
     RuleInfo {
         id: "CF006",
         layer: Layer::Config,
         severity: Severity::Error,
-        description: "service set does not fit the shell service band of the implied floorplan",
+        description: "service blocks overflow the implied floorplan's service band: the build \
+             flow's fit check refuses them",
     },
     RuleInfo {
         id: "CF007",
@@ -106,85 +112,12 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Warning,
         description: "oversized TLB SRAM budget (exceeds the on-chip SRAM the MMU model assumes)",
     },
-    // --- Platform (cross-layer resource graph) -----------------------
-    RuleInfo {
-        id: "PG001",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description:
-            "graph construction conflict: duplicate tenant name or one vFPGA region claimed \
-             by two tenants",
-    },
-    RuleInfo {
-        id: "PG002",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description:
-            "dangling reference: a tenant names a region, stream target or service the shell \
-             does not have",
-    },
     RuleInfo {
         id: "WF001",
-        layer: Layer::Platform,
+        layer: Layer::Config,
         severity: Severity::Error,
-        description: "hold-and-wait cycle in the global wait-for graph: a chain of resources and \
-             actors waits back on itself (covers the retired CF001 ACK starvation and CF009 \
-             ring sizing)",
-    },
-    RuleInfo {
-        id: "WF002",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description: "unsatisfiable wait: a party waits on a resource with zero capacity",
-    },
-    RuleInfo {
-        id: "WF003",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description: "orphaned wait: a party waits on a producer this shell never instantiates",
-    },
-    RuleInfo {
-        id: "WF004",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description:
-            "cross-tenant hold-and-wait: a tenant holds its own resources while waiting on \
-             another tenant's",
-    },
-    RuleInfo {
-        id: "CAP001",
-        layer: Layer::Platform,
-        severity: Severity::Warning,
-        description: "declared tenant rate exceeds the min-cut of its path (host link, memory \
-             channels, RoCE link at the tenant's share)",
-    },
-    RuleInfo {
-        id: "CAP002",
-        layer: Layer::Platform,
-        severity: Severity::Warning,
-        description: "aggregate reconfiguration demand exceeds the ICAP beat rate: batches queue \
-             without bound",
-    },
-    RuleInfo {
-        id: "CAP003",
-        layer: Layer::Platform,
-        severity: Severity::Warning,
-        description: "RDMA window below the declared rate's bandwidth-delay product: the flow \
-             stalls-and-bursts under its promise",
-    },
-    RuleInfo {
-        id: "ISO001",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description: "tenant data flow reaches another tenant's resource (reachability over the \
-             feeds subgraph, path printed)",
-    },
-    RuleInfo {
-        id: "ISO002",
-        layer: Layer::Platform,
-        severity: Severity::Error,
-        description: "two tenants use a shell service the platform never declared shared \
-             (undeclared contention / covert channel)",
+        description: "completion ring smaller than the reconfiguration batches in flight \
+             (hold-and-wait cycle): reconfigure_batched refuses the batch with RingTooSmall",
     },
 ];
 
@@ -222,8 +155,15 @@ mod tests {
     }
 
     #[test]
+    fn every_error_rule_names_its_runtime_refusal() {
+        for r in CATALOG.iter().filter(|r| r.severity == Severity::Error) {
+            assert!(r.description.contains("refuses"), "{}", r.id);
+        }
+    }
+
+    #[test]
     fn lookup_works() {
-        assert_eq!(rule("WF001").unwrap().layer, Layer::Platform);
+        assert_eq!(rule("WF001").unwrap().layer, Layer::Config);
         assert!(rule("ZZ999").is_none());
         assert!(render_catalog().contains("CF002"));
     }

@@ -1,19 +1,18 @@
 //! The on-disk shell specification (`*.json`) the CLI lints.
 //!
 //! A deployment describes a shell as a JSON document — device, vFPGA count,
-//! services, optional MMU geometry and QP transport contract. This module
-//! parses that document and converts it to the typed [`ShellConfig`] the
-//! config rules run over; the QP section ([`QpSpec`]) is linted as
-//! written. The JSON schema deliberately carries *more* than `ShellConfig`
-//! (the QP message-size contract, the window-fill-ACK switch) because the
-//! platform wait-for graph checks the deployment's intent, not just what
-//! the runtime structs hold.
+//! services, optional MMU geometry, QP parameters and reconfiguration
+//! batch sizing. This module parses that document and converts each
+//! section to the runtime value that judges it: the shell to a
+//! [`ShellConfig`], the QP section to a [`QpConfig`] and the reconfig
+//! section to the driver's [`RingWaitFacts`].
 
 use coyote::config::{ShellConfig, ShellServices, DEFAULT_RECONFIG_RING_SLOTS};
 use coyote_driver::RingWaitFacts;
 use coyote_fabric::DeviceKind;
 use coyote_mem::PageSize;
 use coyote_mmu::{MmuConfig, TlbConfig};
+use coyote_net::QpConfig;
 use serde::{Deserialize, Serialize};
 
 /// One TLB's geometry in the spec file.
@@ -64,50 +63,25 @@ pub struct ReconfigSpec {
     pub max_concurrent: Option<u64>,
 }
 
-/// One tenant of the platform: the regions it owns, the services it uses
-/// and the rates it promises. Linted by the PG/WF/CAP/ISO rule families.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantSpec {
-    /// Unique tenant name.
-    pub name: String,
-    /// vFPGA regions this tenant owns (disjoint across tenants).
-    pub vfpgas: Vec<u64>,
-    /// Shell services the tenant's regions use: `host`, `mem`, `net`,
-    /// `sniffer`.
-    pub services: Vec<String>,
-    /// Regions (by index) the tenant streams data into.
-    pub streams_to: Option<Vec<u64>>,
-    /// Declared sustained data rate in Gbit/s, checked by CAP001/CAP003.
-    pub rate_gbps: Option<f64>,
-    /// Declared reconfiguration rate in regions/s, checked by CAP002.
-    pub reconfigs_per_s: Option<f64>,
-}
-
-/// The optional multi-tenant platform section of a spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlatformSpec {
-    /// The tenants sharing this shell.
-    pub tenants: Vec<TenantSpec>,
-    /// Services tenants are *declared* to share (ISO002 refuses undeclared
-    /// multi-tenant service use).
-    pub shared_services: Option<Vec<String>>,
-    /// Per-stream credit-pool depth; the simulator default when absent.
-    pub stream_credits: Option<u64>,
-}
-
-/// QP transport contract in the spec file: the runtime `QpConfig`'s
-/// geometry plus the deployment's message-size contract and whether the
-/// window-fill ACK safeguard is on.
+/// QP transport parameters in the spec file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QpSpec {
     /// Path MTU in bytes.
     pub mtu: u64,
     /// Outstanding-packet window.
     pub window: u64,
-    /// Largest message the deployment will post.
-    pub max_msg_bytes: u64,
-    /// Whether the window-fill ACK safeguard is enabled.
-    pub ack_on_window_fill: bool,
+}
+
+impl QpSpec {
+    /// The runtime queue-pair parameters this section declares, on the
+    /// loopback pair's addresses (only MTU and window are judged).
+    pub fn to_qp_config(&self) -> QpConfig {
+        QpConfig {
+            mtu: usize::try_from(self.mtu).unwrap_or(usize::MAX),
+            window: usize::try_from(self.window).unwrap_or(usize::MAX),
+            ..QpConfig::pair(1, 2).0
+        }
+    }
 }
 
 /// A full shell specification document.
@@ -133,13 +107,10 @@ pub struct ShellSpec {
     pub node_id: u64,
     /// MMU geometry; the 2 MB default when absent.
     pub mmu: Option<MmuSpec>,
-    /// QP transport contract; linted only when present.
+    /// QP transport parameters; linted only when present.
     pub qp: Option<QpSpec>,
     /// Batched-reconfiguration sizing; driver defaults when absent.
     pub reconfig: Option<ReconfigSpec>,
-    /// Multi-tenant platform declaration; platform rules (PG/WF/CAP/ISO)
-    /// check it when present.
-    pub platform: Option<PlatformSpec>,
 }
 
 fn clamp_u8(v: u64) -> u8 {
@@ -192,8 +163,8 @@ impl ShellSpec {
     }
 
     /// The wait facts of the reconfiguration control plane this spec
-    /// declares: the static precondition for the software -> doorbell ->
-    /// engine -> ring hold-and-wait cycle (WF001). Without a `reconfig`
+    /// declares: the precondition for the software -> doorbell -> engine
+    /// -> ring hold-and-wait cycle (WF001). Without a `reconfig`
     /// section the driver's default ring takes batches of half its slots,
     /// so one full batch plus its retries fit, one batch at a time.
     pub fn ring_wait_facts(&self) -> RingWaitFacts {
@@ -242,15 +213,12 @@ mod tests {
             qp: Some(QpSpec {
                 mtu: 4096,
                 window: 64,
-                max_msg_bytes: 262_144,
-                ack_on_window_fill: true,
             }),
             reconfig: Some(ReconfigSpec {
                 ring_slots: 16,
                 max_batch_runs: 8,
                 max_concurrent: None,
             }),
-            platform: None,
         }
     }
 
@@ -269,7 +237,9 @@ mod tests {
         assert!(cfg.services.networking);
         assert_eq!(cfg.mmu.stlb.sets, 512);
         cfg.validate().unwrap();
-        assert_eq!(sample().qp.unwrap().window, 64);
+        let qp = sample().qp.unwrap().to_qp_config();
+        assert_eq!((qp.mtu, qp.window), (4096, 64));
+        qp.validate().unwrap();
     }
 
     #[test]

@@ -61,8 +61,8 @@ fn exit_2_on_usage_and_io_errors() {
             "{retired} is not an option"
         );
     }
-    // Unknown rule id, including the retired SRC/IPA ids.
-    for id in ["ZZ999", "SRC001", "IPA001"] {
+    // Unknown rule id, including retired ids.
+    for id in ["ZZ999", "SRC001", "IPA001", "PG001", "CAP001", "ISO001"] {
         assert_eq!(code(&run(&["--allow", id, "x.json"])), 2, "{id}");
     }
     // A nonexistent file.
@@ -111,12 +111,12 @@ fn directory_scan_aggregates_findings() {
     assert_eq!(out.stdout, again.stdout);
 }
 
-// -------------------------------------------------------------- platform
+// ------------------------------------------------------------------ WF001
 
 #[test]
 fn platform_mode_reports_the_wait_for_cycle() {
-    // A spec runs the platform rules with the config rules, in one report.
-    let out = run(&[&fixture("platform/wf001_ring_cycle.json")]);
+    // The ring-sizing rule runs with the other config rules, in one report.
+    let out = run(&[&fixture("cf009_ring_too_small.json")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("WF001"), "{text}");
@@ -124,38 +124,6 @@ fn platform_mode_reports_the_wait_for_cycle() {
         text.contains("software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring"),
         "the rendered diagnostic must print the full cycle:\n{text}"
     );
-}
-
-#[test]
-fn platform_rules_are_clean_on_the_clean_fixture_and_gate_on_errors() {
-    let out = run(&[&fixture("platform/clean_platform.json")]);
-    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
-
-    let out = run(&[&fixture("platform/iso001_cross_tenant_reach.json")]);
-    assert_eq!(code(&out), 1, "error findings fail the run");
-
-    // CAP rules are warnings: reported but never a failure without --deny.
-    let out = run(&[&fixture("platform/cap001_rate_overrun.json")]);
-    assert_eq!(code(&out), 0);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("CAP001"));
-    let out = run(&[
-        "--deny",
-        "CAP001",
-        &fixture("platform/cap001_rate_overrun.json"),
-    ]);
-    assert_eq!(code(&out), 1, "--deny promotes the advisory to a failure");
-}
-
-#[test]
-fn platform_directory_scan_aggregates_and_is_deterministic() {
-    let out = run(&[&fixture("platform")]);
-    assert_eq!(code(&out), 1);
-    let text = String::from_utf8_lossy(&out.stdout);
-    for rule in ["PG001", "WF001", "CAP002", "ISO002"] {
-        assert!(text.contains(rule), "directory scan must report {rule}");
-    }
-    let again = run(&[&fixture("platform")]);
-    assert_eq!(out.stdout, again.stdout);
 }
 
 // ------------------------------------------------------------------ JSON
@@ -206,10 +174,7 @@ fn catalog_lists_the_new_rule_families() {
         .collect();
     assert_eq!(
         listed,
-        [
-            "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "PG001", "PG002",
-            "WF001", "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
-        ],
-        "--catalog must list the 18 rules, ordered by layer then id"
+        ["FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001"],
+        "--catalog must list the 8 rules, ordered by layer then id"
     );
 }

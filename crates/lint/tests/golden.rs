@@ -1,13 +1,12 @@
 //! Golden tests: every rule in the catalog fires on a seeded violation with
 //! the exact rule id and location, and stays silent on a clean counterpart.
 //!
-//! Config and platform rules are exercised through the JSON fixtures in
-//! `fixtures/` (the same files a deployment would feed the CLI); the
-//! floorplan rule reads the preset floorplan a spec implies.
+//! Config rules are exercised through the JSON fixtures in `fixtures/`
+//! (the same files a deployment would feed the CLI); the floorplan rule
+//! reads the preset floorplan a spec implies.
 //!
-//! The retired pair checks map onto WF001: CF001 (ACK starvation) is the
-//! `cycle(rdma.sender)` finding and CF009 (ring sizing) the
-//! `cycle(software)` finding of the spec's `platform:<name>` unit.
+//! The retired CF009 (ring sizing) maps onto WF001 at the spec's
+//! `reconfig.ring_slots`; its fixture keeps the old name.
 
 use coyote_fabric::{DeviceKind, Floorplan, ShellProfile};
 use coyote_lint::{lint_floorplan, lint_shell_spec, Report, Severity, ShellSpec};
@@ -47,12 +46,6 @@ fn clean_config_fixtures_produce_zero_diagnostics() {
 fn config_fixtures_fire_their_rule_at_the_exact_location() {
     let cases = [
         (
-            "cf001_ack_starvation.json",
-            "WF001",
-            "platform:cf001-ack-starvation",
-            "cycle(rdma.sender)",
-        ),
-        (
             "cf002_bad_mtu.json",
             "CF002",
             "config:cf002-bad-mtu",
@@ -91,8 +84,8 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
         (
             "cf009_ring_too_small.json",
             "WF001",
-            "platform:cf009-ring-too-small",
-            "cycle(software)",
+            "config:cf009-ring-too-small",
+            "reconfig.ring_slots",
         ),
     ];
     for (file, rule, unit, path) in cases {
@@ -103,17 +96,19 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
 
 #[test]
 fn the_pre_fix_deadlock_config_is_an_error() {
-    // The acceptance case: a config reproducing the ack_req starvation
-    // deadlock the RC queue pair had before the window-fill ACK fix must be
-    // rejected at error severity, with the fix on the cycle's ACK edge.
-    let r = lint_shell_spec(&fixture("cf001_ack_starvation.json"));
+    // The acceptance case: the reconfiguration ring sizing the batched
+    // path shipped before its fix (batches of 8 runs, a 4-slot ring) must
+    // be rejected at error severity, with the minimum ring as the fix.
+    let r = lint_shell_spec(&fixture("cf009_ring_too_small.json"));
     assert!(r.has_errors());
     let d = r.of_rule("WF001").next().unwrap();
     assert_eq!(d.severity, Severity::Error);
-    assert!(
-        d.message.contains("enable qp.ack_on_window_fill"),
-        "{}",
-        d.message
+    assert_eq!(
+        d.suggestion.as_deref(),
+        Some(
+            "raise reconfig.ring_slots to at least 8, or lower reconfig.max_batch_runs or \
+             reconfig.max_concurrent"
+        )
     );
 }
 
@@ -146,116 +141,21 @@ fn fp007_clock_region_straddle() {
     assert_ne!(r.max_severity(), Some(Severity::Error));
 }
 
-// --------------------------------------------------------------- platform
-
-fn platform_fixture(name: &str) -> Report {
-    let path = format!("{}/fixtures/platform/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let spec = ShellSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    lint_shell_spec(&spec)
-}
-
-#[test]
-fn platform_fixtures_fire_their_rule_at_the_exact_location() {
-    let cases = [
-        (
-            "pg001_duplicate_tenant.json",
-            "PG001",
-            "platform:pg001-duplicate-tenant",
-            "platform.tenants",
-        ),
-        (
-            "pg002_dangling_vfpga.json",
-            "PG002",
-            "platform:pg002-dangling-vfpga",
-            "platform.tenant(alice)",
-        ),
-        (
-            "wf001_ring_cycle.json",
-            "WF001",
-            "platform:wf001-ring-cycle",
-            "cycle(software)",
-        ),
-        (
-            "wf002_zero_credits.json",
-            "WF002",
-            "platform:wf002-zero-credits",
-            "credits.host(0)",
-        ),
-        (
-            "wf003_orphaned_qp.json",
-            "WF003",
-            "platform:wf003-orphaned-qp",
-            "svc.net",
-        ),
-        (
-            "wf004_cross_tenant_credits.json",
-            "WF004",
-            "platform:wf004-cross-tenant-credits",
-            "credits.host(1)",
-        ),
-        (
-            "cap001_rate_overrun.json",
-            "CAP001",
-            "platform:cap001-rate-overrun",
-            "platform.tenant(alice).rate_gbps",
-        ),
-        (
-            "cap002_icap_overrun.json",
-            "CAP002",
-            "platform:cap002-icap-overrun",
-            "platform.reconfigs_per_s",
-        ),
-        (
-            "cap003_window_underrun.json",
-            "CAP003",
-            "platform:cap003-window-underrun",
-            "qp.window",
-        ),
-        (
-            "iso001_cross_tenant_reach.json",
-            "ISO001",
-            "platform:iso001-cross-tenant-reach",
-            "platform.tenant(alice)",
-        ),
-        (
-            "iso002_undeclared_shared_service.json",
-            "ISO002",
-            "platform:iso002-undeclared-shared-service",
-            "platform.shared_services",
-        ),
-    ];
-    for (file, rule, unit, path) in cases {
-        let r = platform_fixture(file);
-        assert_fires(&r, rule, unit, path);
-        let expected = coyote_lint::rule(rule).unwrap().severity;
-        assert_eq!(
-            r.of_rule(rule).next().unwrap().severity,
-            expected,
-            "{rule} severity must match the catalog"
-        );
-    }
-}
-
-#[test]
-fn clean_platform_fixture_produces_zero_diagnostics() {
-    let r = platform_fixture("clean_platform.json");
-    assert!(r.is_clean(), "{}", r.render_human());
-}
+// ------------------------------------------------------------------ WF001
 
 #[test]
 fn wf001_diagnostic_prints_the_full_cycle() {
-    // The whole hold/wait chain must be in the message, edge by edge, and
-    // the configuration-dependent edge names the fix the retired CF009
-    // printed.
-    let r = platform_fixture("wf001_ring_cycle.json");
+    // The whole hold/wait chain is in the message, wait by wait, and it
+    // names the driver refusal it renders.
+    let r = lint_shell_spec(&fixture("cf009_ring_too_small.json"));
     let d = r.of_rule("WF001").next().expect("WF001 fires");
     let msg = &d.message;
     for leg in [
         "software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring -> software",
-        "reconfig.engine -> reconfig.ring:",
+        "reconfig.engine -> reconfig.ring: 1 concurrent batch(es) of 8 runs need 8 completion \
+         slots but the ring holds 4",
         "reconfig.ring -> software:",
-        "raise reconfig.ring_slots to at least 8",
+        "RingTooSmall",
     ] {
         assert!(msg.contains(leg), "missing '{leg}' in:\n{msg}");
     }
@@ -269,8 +169,7 @@ fn every_catalog_rule_has_golden_coverage() {
     // test above fails here, and so does a rule dropped from the catalog
     // that is still listed.
     let covered = [
-        "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "PG001", "PG002", "WF001",
-        "WF002", "WF003", "WF004", "CAP001", "CAP002", "CAP003", "ISO001", "ISO002",
+        "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001",
     ];
     let catalog: Vec<&str> = coyote_lint::CATALOG.iter().map(|r| r.id).collect();
     assert_eq!(catalog, covered, "catalog and golden coverage disagree");

@@ -39,10 +39,7 @@ pub use frame::{payload_copies, reset_payload_copies, Frame};
 pub use headers::{EthernetHdr, Ipv4Hdr, MacAddr, UdpHdr, ROCE_UDP_PORT};
 pub use nic::CommodityNic;
 pub use packet::{BthOpcode, RocePacket};
-pub use qp::{
-    Completion, QpConfig, QpStats, QueuePair, RdmaMemory, RxAction, Verb,
-    RUNTIME_ACK_ON_WINDOW_FILL,
-};
+pub use qp::{Completion, QpConfig, QpConfigError, QpStats, QueuePair, RdmaMemory, RxAction, Verb};
 pub use sniffer::{CaptureRecord, SnifferConfig, TrafficSniffer};
 pub use switch::{Delivery, PortId, PortStats, Switch};
 pub use tcp::{TcpSegment, TcpSocket, TcpStack, TcpState};

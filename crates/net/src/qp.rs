@@ -96,19 +96,44 @@ pub struct QpConfig {
     pub window: usize,
 }
 
-/// The runtime queue pair always requests an ACK on the packet that fills
-/// the window (see `poll_tx`), so a live flow can never ACK-starve. A
-/// deployment *spec* may declare the safeguard off — `coyote-lint` (the
-/// WF001 wait-for cycle) refuses that intent against this fact.
-pub const RUNTIME_ACK_ON_WINDOW_FILL: bool = true;
+/// A connection parameter no queue pair can run with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QpConfigError {
+    /// The MTU is not a power of two in `1..=ROCE_MTU`.
+    BadMtu(usize),
+    /// A window of zero packets: nothing can ever be in flight.
+    ZeroWindow,
+}
+
+impl std::fmt::Display for QpConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QpConfigError::BadMtu(mtu) => write!(
+                f,
+                "MTU {mtu} invalid: must be a power of two in 1..={}",
+                coyote_sim::params::ROCE_MTU
+            ),
+            QpConfigError::ZeroWindow => write!(
+                f,
+                "retransmission window of 0 packets: no packet can ever be in flight"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for QpConfigError {}
 
 impl QpConfig {
-    /// The window's bandwidth-delay capacity in bytes: how much of a
-    /// message can be in flight before the sender must see an ACK. The
-    /// capacity-feasibility rules (`coyote-lint`'s CAP003) check
-    /// declared tenant rates against this.
-    pub fn window_bdp_bytes(&self) -> u64 {
-        (self.window as u64).saturating_mul(self.mtu as u64)
+    /// Check the transport parameters: the MTU must be a power of two no
+    /// larger than the RoCE maximum, and the window at least one packet.
+    pub fn validate(&self) -> Result<(), QpConfigError> {
+        if !self.mtu.is_power_of_two() || self.mtu > coyote_sim::params::ROCE_MTU {
+            return Err(QpConfigError::BadMtu(self.mtu));
+        }
+        if self.window == 0 {
+            return Err(QpConfigError::ZeroWindow);
+        }
+        Ok(())
     }
 
     /// A loopback-style config for tests, with the BALBOA defaults

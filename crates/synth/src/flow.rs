@@ -190,6 +190,40 @@ struct PartitionSpec<'a> {
     capacity: ResourceVec,
 }
 
+/// Logic of the empty top-level netlist a partition's blocks merge into.
+fn top_footprint() -> ResourceVec {
+    ResourceVec::logic(64, 64)
+}
+
+/// What a partition holding `blocks` needs: their footprints plus the
+/// top-level netlist they merge into. It equals the footprint of the
+/// partition's synthesized netlist, without synthesizing it.
+pub fn partition_footprint(blocks: &[IpBlock]) -> ResourceVec {
+    blocks
+        .iter()
+        .fold(top_footprint(), |sum, b| sum + b.footprint())
+}
+
+/// The pre-placement fit check: a partition whose footprint exceeds its
+/// capacity fails the flow before any annealing. Every flow runs it on
+/// every partition's synthesized netlist, and `coyote-lint`'s CF006 runs
+/// it on a shell spec's service blocks ([`partition_footprint`]).
+pub fn check_fit(
+    partition: &'static str,
+    footprint: &ResourceVec,
+    capacity: &ResourceVec,
+) -> Result<(), FlowError> {
+    if footprint.fits_in(capacity) {
+        Ok(())
+    } else {
+        Err(FlowError::ResourceOverflow {
+            partition,
+            requested: footprint.to_string(),
+            capacity: capacity.to_string(),
+        })
+    }
+}
+
 /// Synthesize, place and route every partition of a flow, returning the
 /// builds in `specs` order.
 ///
@@ -202,18 +236,12 @@ struct PartitionSpec<'a> {
 fn build_partitions(specs: &[PartitionSpec]) -> Result<Vec<PartitionBuild>, FlowError> {
     let mut netlists = Vec::with_capacity(specs.len());
     for s in specs {
-        let mut netlist = Netlist::synthesize("empty", ResourceVec::logic(64, 64), 2, 2.0, 0, 0);
+        let mut netlist = Netlist::synthesize("empty", top_footprint(), 2, 2.0, 0, 0);
         netlist.name = format!("{}_top", s.name);
         for b in s.blocks {
             netlist.merge(&b.synthesize());
         }
-        if !netlist.footprint.fits_in(&s.capacity) {
-            return Err(FlowError::ResourceOverflow {
-                partition: s.name,
-                requested: netlist.footprint.to_string(),
-                capacity: s.capacity.to_string(),
-            });
-        }
+        check_fit(s.name, &netlist.footprint, &s.capacity)?;
         netlists.push(netlist);
     }
     let regions: Vec<(&Netlist, u16, u16)> = netlists
@@ -600,6 +628,15 @@ mod tests {
         });
         let err = app_flow(&[huge], 0, &shell.checkpoint).unwrap_err();
         assert!(matches!(err, FlowError::ResourceOverflow { .. }));
+    }
+
+    #[test]
+    fn partition_footprint_is_the_synthesized_netlists() {
+        let (_, req) = fig7b_configs().remove(0);
+        let shell = shell_flow(&req).unwrap();
+        let blocks = [IpBlock::new(Ip::Aes), IpBlock::new(Ip::Passthrough)];
+        let app = app_flow(&blocks, 0, &shell.checkpoint).unwrap();
+        assert_eq!(partition_footprint(&blocks), app.report.used);
     }
 
     #[test]

@@ -1,84 +1,56 @@
-//! Whole-platform static analysis, end to end (tier-1).
+//! The shell lint against the runtime it renders, end to end (tier-1).
 //!
-//! The acceptance contract for the platform analyzer:
-//!
-//! * The two deadlock configurations this repo has historically shipped
-//!   fixes for — the pre-window-fill-ACK RDMA starvation and the
-//!   pre-ring-sizing batched-reconfiguration stall (once the pair checks
-//!   CF001 and CF009) — must both surface from the spec lint as WF001
-//!   *wait-for cycles* with the full hold/wait chain in the diagnostic,
-//!   while the current example shells are clean.
-//! * The static wait-for predicate and the dynamic driver guard must
-//!   agree: a config the graph calls cycle-free completes
-//!   `reconfigure_batched` without `RingTooSmall`, and a flagged config
-//!   fails the guard (property-tested over ring/batch geometry).
-//! * Scanning every example shell stays comfortably inside the
-//!   interactive budget (<100 ms).
+//! * The batched-reconfiguration deadlock the driver shipped a fix for (a
+//!   completion ring smaller than the batches in flight, once the pair
+//!   check CF009) surfaces from the spec lint as WF001 with the full
+//!   hold/wait chain, while the example shells are clean.
+//! * WF001 and the driver guard agree: a spec WF001 passes completes
+//!   `reconfigure_batched` without `RingTooSmall`, and a flagged one is
+//!   refused (property-tested over ring/batch geometry).
+//! * Over every spec in `examples/shells` and the lint fixtures,
+//!   coyote-lint reports an error exactly when the runtime refuses the
+//!   spec somewhere: `Platform::load`, `QpConfig::validate`,
+//!   `reconfigure_batched` or the build flow's fit check.
 
+use coyote::build::check_service_fit;
+use coyote::Platform;
 use coyote_chaos::RetryPolicy;
 use coyote_driver::{CoyoteDriver, ReconfigError, RingWaitFacts};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
-use coyote_lint::platform::lint_platform;
 use coyote_lint::{lint_shell_spec, ShellSpec};
 use coyote_sim::SimTime;
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 fn spec(text: &str) -> ShellSpec {
     ShellSpec::from_json(text).unwrap()
 }
 
-fn example(name: &str) -> ShellSpec {
-    let path = format!(
-        "{}/../../examples/shells/{name}",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    spec(&std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}")))
+/// The top-level `.json` specs of `dir` (relative to the workspace root),
+/// sorted.
+fn specs_in(dir: &str) -> Vec<(PathBuf, ShellSpec)> {
+    let dir = PathBuf::from(format!("{}/../../{dir}", env!("CARGO_MANIFEST_DIR")));
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).unwrap();
+            (p, spec(&text))
+        })
+        .collect()
 }
 
-// --- The historical deadlocks, as wait-for cycles ----------------------
-
-#[test]
-fn pre_pr2_ack_starvation_config_is_a_wait_for_cycle() {
-    // The exact shape the retired CF001 was written for: end-of-message-only
-    // ACKs and a message longer than window*MTU. The platform graph sees it as a
-    // three-party cycle: the sender fills the window mid-message, window
-    // slots wait on the ACK path, and the ACK path waits on the final
-    // packet the stalled sender can never send.
-    let s = spec(
-        r#"{
-            "name": "pre-pr2", "device": "u55c", "n_vfpgas": 1,
-            "memory_channels": 0, "networking": true, "sniffer": false,
-            "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
-            "qp": { "mtu": 4096, "window": 64, "max_msg_bytes": 1048576,
-                    "ack_on_window_fill": false }
-        }"#,
-    );
-    let r = lint_shell_spec(&s);
-    let hits: Vec<_> = r.of_rule("WF001").collect();
-    assert_eq!(hits.len(), 1, "{}", r.render_human());
-    assert_eq!(hits[0].location.path, "cycle(rdma.sender)");
-    assert!(
-        hits[0]
-            .message
-            .contains("rdma.sender -> rdma.window -> rdma.ack -> rdma.sender"),
-        "full chain missing:\n{}",
-        hits[0].message
-    );
-
-    // Flip the safeguard back on: the ack->sender edge disappears and the
-    // cycle with it, exactly like the runtime fix.
-    let mut fixed = s.clone();
-    fixed.qp.as_mut().unwrap().ack_on_window_fill = true;
-    assert!(
-        lint_shell_spec(&fixed).of_rule("WF001").count() == 0,
-        "window-fill ACK must break the cycle"
-    );
-}
+// --- The historical deadlock, as a wait-for cycle ----------------------
 
 #[test]
 fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
-    // The exact shape the retired CF009 was written for: a completion ring smaller
-    // than the largest batch. Four parties: software waits on the
+    // The exact shape the retired CF009 was written for: a completion ring
+    // smaller than the largest batch. Four parties: software waits on the
     // doorbell, the doorbell on the engine, the engine on ring space, and
     // ring space on software's reap.
     let s = spec(
@@ -92,7 +64,7 @@ fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
     let r = lint_shell_spec(&s);
     let hits: Vec<_> = r.of_rule("WF001").collect();
     assert_eq!(hits.len(), 1, "{}", r.render_human());
-    assert_eq!(hits[0].location.path, "cycle(software)");
+    assert_eq!(hits[0].location.path, "reconfig.ring_slots");
     assert!(
         hits[0].message.contains(
             "software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring -> software"
@@ -116,13 +88,11 @@ fn pre_pr7_ring_sizing_config_is_a_wait_for_cycle() {
 
 #[test]
 fn current_example_shells_are_platform_clean() {
-    for name in [
-        "host_only.json",
-        "host_memory.json",
-        "host_memory_network.json",
-    ] {
-        let r = lint_shell_spec(&example(name));
-        assert!(r.is_clean(), "{name}:\n{}", r.render_human());
+    let examples = specs_in("examples/shells");
+    assert_eq!(examples.len(), 3);
+    for (path, s) in examples {
+        let r = lint_shell_spec(&s);
+        assert!(r.is_clean(), "{}:\n{}", path.display(), r.render_human());
     }
 }
 
@@ -147,9 +117,9 @@ fn run_batched(slots: usize, batch: u64) -> Result<(), ReconfigError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The static wait-for predicate agrees with the dynamic driver guard
-    /// over the whole ring/batch plane: WF001 fires exactly when
-    /// `reconfigure_batched` refuses the batch with `RingTooSmall`.
+    /// WF001 agrees with the dynamic driver guard over the whole
+    /// ring/batch plane: it fires exactly when `reconfigure_batched`
+    /// refuses the batch with `RingTooSmall`.
     #[test]
     fn static_wait_for_matches_dynamic_ring_guard(
         slots in 1usize..=24,
@@ -204,31 +174,55 @@ proptest! {
     }
 }
 
-// --- Wall clock --------------------------------------------------------
+// --- The lint renders the runtime's refusals -----------------------------
+
+/// Whether the runtime refuses `s` anywhere, and where.
+fn runtime_refusals(s: &ShellSpec) -> Vec<String> {
+    let Ok(cfg) = s.to_shell_config() else {
+        return vec!["no ShellConfig".to_string()];
+    };
+    let mut refused = Vec::new();
+    if let Err(e) = Platform::load(cfg.clone()) {
+        refused.push(format!("Platform::load: {e}"));
+    }
+    if let Some(Err(e)) = s.qp.as_ref().map(|q| q.to_qp_config().validate()) {
+        refused.push(format!("QpConfig::validate: {e}"));
+    }
+    // Every batch that may be in flight at once completes into the one
+    // ring, so they are submitted as one batch of that many runs.
+    let facts = s.ring_wait_facts();
+    if let Err(e) = run_batched(facts.slots, facts.required_slots() as u64) {
+        refused.push(format!("reconfigure_batched: {e}"));
+    }
+    if cfg.validate().is_ok() {
+        if let Err(e) = check_service_fit(&cfg) {
+            refused.push(format!("check_fit: {e}"));
+        }
+    }
+    refused
+}
 
 #[test]
-fn whole_platform_scan_stays_interactive() {
-    let shells: Vec<ShellSpec> = [
-        "host_only.json",
-        "host_memory.json",
-        "host_memory_network.json",
-    ]
-    .iter()
-    .map(|n| example(n))
-    .collect();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "harness wall-clock budget, not model state"
-    )]
-    let start = std::time::Instant::now();
-    for s in &shells {
-        let r = lint_platform(s);
-        assert!(r.is_clean(), "{}", r.render_human());
+fn lint_errors_exactly_when_the_runtime_refuses() {
+    let mut specs = specs_in("examples/shells");
+    specs.extend(specs_in("crates/lint/fixtures"));
+    let mut outcomes = (0, 0);
+    for (path, s) in &specs {
+        let report = lint_shell_spec(s);
+        let refused = runtime_refusals(s);
+        assert_eq!(
+            report.has_errors(),
+            !refused.is_empty(),
+            "{}: runtime refusals {refused:?}, lint:\n{}",
+            path.display(),
+            report.render_human()
+        );
+        if refused.is_empty() {
+            outcomes.0 += 1;
+        } else {
+            outcomes.1 += 1;
+        }
     }
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed.as_millis() < 100,
-        "platform scan of {} shells took {elapsed:?} (budget 100ms)",
-        shells.len()
-    );
+    // Clean examples and fixtures, and one seeded refusal per error rule.
+    assert_eq!(outcomes, (6, 6), "(accepted, refused)");
 }

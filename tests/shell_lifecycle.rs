@@ -1,9 +1,14 @@
 //! Shell lifecycle: build -> load -> run -> reconfigure (§4, §9.3).
 
 use coyote::build::build_shell;
+use coyote::config::ConfigError;
 use coyote::kernel::Passthrough;
-use coyote::{CRcnfg, CThread, Oper, Platform, SgEntry, ShellConfig};
+use coyote::{CRcnfg, CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
+use coyote_chaos::RetryPolicy;
+use coyote_driver::ReconfigError;
+use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use coyote_mmu::MmuConfig;
+use coyote_sim::SimTime;
 use coyote_synth::{Ip, IpBlock};
 
 #[test]
@@ -146,4 +151,60 @@ fn bitstream_files_roundtrip_through_disk() {
     rcnfg.reconfigure_shell(&mut p, &path).unwrap();
     assert_eq!(p.config().n_vfpgas, 3);
     std::fs::remove_file(&path).ok();
+}
+
+/// A registered shell image for `config`, without running the build flow:
+/// `frames` single-frame runs of a synthetic shell bitstream.
+fn register_synthetic_shell(p: &mut Platform, config: ShellConfig, frames: u64) -> Bitstream {
+    let image = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 7);
+    p.register_shell(image.digest(), config);
+    image
+}
+
+#[test]
+fn a_shell_swap_refuses_a_broken_config_before_programming() {
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    let before = p.shell_digest();
+    // A 3-set sTLB: `Mmu::new` would panic on it after the image landed.
+    let mut broken = ShellConfig::host_memory(1, 4);
+    broken.mmu.stlb.sets = 3;
+    let image = register_synthetic_shell(&mut p, broken, 4);
+    let err = CRcnfg::new(&mut p, 1)
+        .reconfigure_shell_bytes(&mut p, image.bytes(), false)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PlatformError::Config(ConfigError::BadTlbGeometry { tlb: "stlb", .. })
+        ),
+        "{err}"
+    );
+    assert_eq!(p.shell_digest(), before, "the old shell stays active");
+    assert_eq!(p.now(), SimTime::ZERO, "nothing was programmed");
+    assert_eq!(p.config().n_vfpgas, 1);
+}
+
+#[test]
+fn a_shell_swap_resizes_the_completion_ring() {
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    let mut small_ring = ShellConfig::host_only(1);
+    small_ring.reconfig_ring_slots = 4;
+    let image = register_synthetic_shell(&mut p, small_ring, 8);
+    CRcnfg::new(&mut p, 1)
+        .reconfigure_shell_bytes(&mut p, image.bytes(), false)
+        .unwrap();
+    assert_eq!(p.driver().completion_ring().slots(), 4);
+    // The new shell's ring refuses an 8-run batch, as WF001 reports for it.
+    let now = p.now();
+    let err = p
+        .driver_mut()
+        .reconfigure_batched(
+            now,
+            image.bytes(),
+            false,
+            RetryPolicy::reconfig_default(),
+            Some(1),
+        )
+        .unwrap_err();
+    assert_eq!(err, ReconfigError::RingTooSmall { slots: 4, batch: 8 });
 }
