@@ -254,22 +254,30 @@ mod tests {
         assert_eq!(r_good.wirelength, r_bad.wirelength);
     }
 
+    /// A dense, high-fanout netlist crammed into a 10×10 region: its
+    /// first round overflows `TILE_TRACKS`, and three more rounds of
+    /// negotiation spread it.
+    fn dense() -> (Netlist, Placement) {
+        let n = Netlist::synthesize(
+            "dense",
+            ResourceVec::new(40_000, 40_000, 0, 0, 0),
+            4,
+            32.0,
+            0,
+            9,
+        );
+        let p = Placer::default().place(&n, 10, 10);
+        (n, p)
+    }
+
     #[test]
     fn congestion_negotiation_reduces_overuse() {
         // Cram a dense netlist into a tiny region: the first round must
         // overuse, later rounds spread.
-        let n = Netlist::synthesize(
-            "dense",
-            ResourceVec::new(8_000, 8_000, 0, 0, 0),
-            4,
-            8.0,
-            0,
-            9,
-        );
-        let p = Placer::default().place(&n, 6, 6);
+        let (n, p) = dense();
         let r = Router::default().route(&n, &p);
-        assert!(r.rounds >= 1);
-        assert!(r.peak_usage > 0);
+        assert!(r.rounds > 1, "round 1 must overuse");
+        assert!(r.is_routed(), "overused tiles: {}", r.overused_tiles);
     }
 
     #[test]
@@ -289,6 +297,25 @@ mod tests {
         assert_eq!(
             (r.wirelength, r.expansions, r.rounds, r.peak_usage),
             (3798, 7596, 1, 188)
+        );
+    }
+
+    #[test]
+    fn pinned_congested_fixture_result() {
+        // Pinned past round 1: the dense region overflows TILE_TRACKS, so
+        // the history and overuse penalties steer every later round.
+        let (n, p) = dense();
+        let r = Router::default().route(&n, &p);
+        assert!(r.rounds > 1, "the fixture must negotiate");
+        assert_eq!(
+            (
+                r.wirelength,
+                r.expansions,
+                r.rounds,
+                r.peak_usage,
+                r.overused_tiles
+            ),
+            (51_784, 414_272, 4, 1126, 0)
         );
     }
 
