@@ -14,6 +14,7 @@ use coyote_mem::PageSize;
 use coyote_mmu::{MmuConfig, TlbConfig};
 use coyote_net::QpConfig;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// One TLB's geometry in the spec file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,14 +114,70 @@ pub struct ShellSpec {
     pub reconfig: Option<ReconfigSpec>,
 }
 
+/// The keys each object of a spec may hold, by its path from the top
+/// level. The vendored serde has no `deny_unknown_fields`, so
+/// [`ShellSpec::from_json`] checks them itself: a misspelt or retired key
+/// (`reconfg`, or the deleted `platform` section) would otherwise be
+/// dropped, and the stale spec would lint clean.
+const KEYS: [(&[&str], &[&str]); 6] = [
+    (
+        &[],
+        &[
+            "name",
+            "device",
+            "n_vfpgas",
+            "memory_channels",
+            "networking",
+            "sniffer",
+            "n_host_streams",
+            "n_card_streams",
+            "node_id",
+            "mmu",
+            "qp",
+            "reconfig",
+        ],
+    ),
+    (&["mmu"], &["stlb", "ltlb"]),
+    (&["mmu", "stlb"], &["sets", "ways", "page"]),
+    (&["mmu", "ltlb"], &["sets", "ways", "page"]),
+    (&["qp"], &["mtu", "window"]),
+    (
+        &["reconfig"],
+        &["ring_slots", "max_batch_runs", "max_concurrent"],
+    ),
+];
+
+/// Refuse the first key of `doc` that no spec field reads, naming it by its
+/// dotted path.
+fn refuse_unknown_keys(doc: &Value) -> Result<(), String> {
+    for (path, keys) in KEYS {
+        let section = path.iter().try_fold(doc, |v, k| v.get(k));
+        let Some(fields) = section.and_then(Value::as_object) else {
+            continue;
+        };
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            let at: Vec<&str> = path.iter().copied().chain([key.as_str()]).collect();
+            return Err(format!(
+                "unknown key `{}` (expected one of: {})",
+                at.join("."),
+                keys.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn clamp_u8(v: u64) -> u8 {
     u8::try_from(v).unwrap_or(u8::MAX)
 }
 
 impl ShellSpec {
-    /// Parse a spec document from JSON text.
+    /// Parse a spec document from JSON text, refusing any key no field
+    /// reads, at the top level or inside a section.
     pub fn from_json(text: &str) -> Result<ShellSpec, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
+        let doc = serde_json::value_from_slice(text.as_bytes()).map_err(|e| e.to_string())?;
+        refuse_unknown_keys(&doc)?;
+        ShellSpec::from_value(&doc).map_err(|e| serde_json::Error::from(e).to_string())
     }
 
     /// The typed shell configuration this spec describes. Out-of-range
@@ -267,6 +324,77 @@ mod tests {
         let mut spec = sample();
         spec.mmu.as_mut().unwrap().stlb.page = "16k".into();
         assert!(spec.to_shell_config().is_err());
+    }
+
+    /// `sample()` as JSON text with `edit` applied to its value tree.
+    fn edited(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Object(mut top) = sample().to_value() else {
+            unreachable!("a spec serializes to an object")
+        };
+        edit(&mut top);
+        serde_json::to_string(&Value::Object(top)).unwrap()
+    }
+
+    /// The fields of the section `key` of an object.
+    fn section<'a>(obj: &'a mut [(String, Value)], key: &str) -> &'a mut Vec<(String, Value)> {
+        match obj.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::Object(fields))) => fields,
+            _ => panic!("no section `{key}`"),
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name() {
+        // A spec still declaring the deleted platform section.
+        let stale = edited(|top| top.push(("platform".into(), Value::Object(vec![]))));
+        let err = ShellSpec::from_json(&stale).unwrap_err();
+        assert!(err.contains("unknown key `platform`"), "{err}");
+
+        // A misspelt section: without the check its ring sizing would be
+        // dropped for the driver default and the spec would lint clean.
+        let typo = edited(|top| {
+            let at = top.iter().position(|(k, _)| k == "reconfig").unwrap();
+            top[at].0 = "reconfg".into();
+        });
+        let err = ShellSpec::from_json(&typo).unwrap_err();
+        assert!(err.contains("unknown key `reconfg`"), "{err}");
+
+        // Inside every section.
+        let nested: [(&[&str], &str); 5] = [
+            (&["mmu"], "mmu.utlb"),
+            (&["mmu", "stlb"], "mmu.stlb.pages"),
+            (&["mmu", "ltlb"], "mmu.ltlb.pages"),
+            (&["qp"], "qp.ack_on_window_fill"),
+            (&["reconfig"], "reconfig.ring"),
+        ];
+        for (path, key) in nested {
+            let text = edited(|top| {
+                let fields = path.iter().fold(top, |obj, k| section(obj, k));
+                let leaf = key.rsplit('.').next().unwrap();
+                fields.push((leaf.into(), Value::Int(1)));
+            });
+            let err = ShellSpec::from_json(&text).unwrap_err();
+            assert!(err.contains(&format!("unknown key `{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn key_lists_match_the_fields() {
+        // Every field of every section, with every optional section set.
+        let mut spec = sample();
+        spec.reconfig.as_mut().unwrap().max_concurrent = Some(2);
+        let doc = spec.to_value();
+        for (path, keys) in KEYS {
+            let fields = path.iter().try_fold(&doc, |v, k| v.get(k)).unwrap();
+            let names: Vec<&str> = fields
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(names, keys, "section {path:?}");
+        }
+        ShellSpec::from_json(&serde_json::to_string(&spec).unwrap()).unwrap();
     }
 
     #[test]
