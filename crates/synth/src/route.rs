@@ -18,6 +18,7 @@
 
 use crate::netlist::Netlist;
 use crate::place::Placement;
+use std::ops::Range;
 
 /// Routing tracks per tile. At the 64-primitives-per-cell reduced scale a
 /// tile stands for a whole CLB column span, so the track budget is
@@ -126,13 +127,23 @@ impl Router {
     }
 }
 
-/// One straight leg of an L pattern: tiles `lo..hi` along row `line`
-/// (`row`) or column `line`.
+/// One straight leg of an L pattern: the tiles at indices `span` along
+/// row `line` (`row`) or column `line`.
 struct Leg {
     row: bool,
     line: usize,
-    lo: usize,
-    hi: usize,
+    span: Range<usize>,
+}
+
+impl Leg {
+    /// The `(x, y)` of the tile at index `i` along the leg.
+    fn tile(&self, i: usize) -> (usize, usize) {
+        if self.row {
+            (i, self.line)
+        } else {
+            (self.line, i)
+        }
+    }
 }
 
 /// The two legs of the L from `a` to `b`. The x-first pattern runs along
@@ -150,40 +161,38 @@ fn legs(a: Tile, b: Tile, x_first: bool) -> [Leg; 2] {
     } else {
         (a.0, a.1, b.1, b.1, a.0, b.0)
     };
-    let (lo, hi) = if s2 == e2 {
+    let first = if s2 == e2 {
         between(s1, e1)
     } else {
         past(s1, e1)
     };
-    let first = Leg {
-        row: x_first,
-        line: usize::from(l1),
-        lo,
-        hi,
-    };
-    let (lo, hi) = between(s2, e2);
-    let second = Leg {
-        row: !x_first,
-        line: usize::from(l2),
-        lo,
-        hi,
-    };
-    [first, second]
+    [
+        Leg {
+            row: x_first,
+            line: usize::from(l1),
+            span: first,
+        },
+        Leg {
+            row: !x_first,
+            line: usize::from(l2),
+            span: between(s2, e2),
+        },
+    ]
 }
 
-/// The half-open span of the tiles strictly between `s` and `e`.
-fn between(s: u16, e: u16) -> (usize, usize) {
+/// The indices strictly between `s` and `e`.
+fn between(s: u16, e: u16) -> Range<usize> {
     let lo = usize::from(s.min(e)) + 1;
-    (lo, usize::from(s.max(e)).max(lo))
+    lo..usize::from(s.max(e)).max(lo)
 }
 
-/// The half-open span of the tiles past `s` up to and including `e`.
-fn past(s: u16, e: u16) -> (usize, usize) {
+/// The indices past `s` up to and including `e`.
+fn past(s: u16, e: u16) -> Range<usize> {
     let (s, e) = (usize::from(s), usize::from(e));
     if e >= s {
-        (s + 1, e + 1)
+        s + 1..e + 1
     } else {
-        (e, s)
+        e..s
     }
 }
 
@@ -272,19 +281,16 @@ impl Congestion {
             } else {
                 (&self.col_sums, self.h + 1, &self.col_over[leg.line])
             };
-            base += sums[leg.line * stride + leg.hi] - sums[leg.line * stride + leg.lo];
+            let at = leg.line * stride;
+            base += sums[at + leg.span.end] - sums[at + leg.span.start];
             for &i in overused {
                 let i = usize::from(i);
-                if (leg.lo..leg.hi).contains(&i) {
-                    let t = if leg.row {
-                        leg.line * self.w + i
-                    } else {
-                        i * self.w + leg.line
-                    };
-                    over = over.saturating_add(penalty(self.usage[t], exp));
+                if leg.span.contains(&i) {
+                    let (x, y) = leg.tile(i);
+                    over = over.saturating_add(penalty(self.usage[y * self.w + x], exp));
                 }
             }
-            tiles += (leg.hi - leg.lo) as u64;
+            tiles += leg.span.len() as u64;
         }
         let priced = (base.saturating_add(over), tiles);
         #[cfg(debug_assertions)]
@@ -302,12 +308,9 @@ impl Congestion {
     fn commit(&mut self, a: Tile, b: Tile, x_first: bool) -> u64 {
         let mut len = 0u64;
         for leg in legs(a, b, x_first) {
-            for i in leg.lo..leg.hi {
-                let (x, y) = if leg.row {
-                    (i, leg.line)
-                } else {
-                    (leg.line, i)
-                };
+            len += leg.span.len() as u64;
+            for i in leg.span.clone() {
+                let (x, y) = leg.tile(i);
                 let u = &mut self.usage[y * self.w + x];
                 *u += 1;
                 if *u == TILE_TRACKS + 1 {
@@ -315,7 +318,6 @@ impl Congestion {
                     self.col_over[x].push(y as u16);
                 }
             }
-            len += (leg.hi - leg.lo) as u64;
         }
         len
     }
