@@ -5,14 +5,15 @@
 //! *kind* of work at reduced scale: IP blocks expand into pseudo-random
 //! netlists (geometry seeded by the block identity), a simulated-annealing
 //! placer assigns cells to tiles inside the partition rectangles of the
-//! floorplan, a congestion-negotiating maze router realizes the nets, and
-//! static timing analysis checks the 250 MHz constraint. Build *times* are
-//! modeled from the actual operation counts of those algorithms (synthesis
-//! primitives, annealing moves, router expansions, bitstream frames), so
-//! the headline property of Fig. 7(b) — the app flow saving 15–20 % by
-//! linking against a routed, locked shell checkpoint instead of rebuilding
-//! the services — emerges from the work actually skipped, not from a
-//! hard-coded ratio.
+//! floorplan, a congestion-negotiating pattern router realizes each
+//! connection as one of its two L-shaped paths, and static timing analysis
+//! checks the 250 MHz constraint. Build *times* are modeled from the actual
+//! operation counts of those algorithms (synthesis primitives, annealing
+//! moves, router expansions, bitstream frames). The link step is the
+//! exception: the app flow's link against a routed, locked shell
+//! checkpoint is charged as [`flow::cost::LINK_FRACTION`] of the services'
+//! build time, a constant fitted to the 15–20 % saving of Fig. 7(b). That
+//! saving is therefore an input of the model, not a result it derives.
 //!
 //! One netlist cell represents [`netlist::PRIMITIVES_PER_CELL`] device
 //! primitives; modeled times scale back up by the same factor.
