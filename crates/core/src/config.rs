@@ -10,10 +10,6 @@ use coyote_net::SnifferConfig;
 use coyote_sim::Fnv64;
 use coyote_synth::{Ip, IpBlock};
 
-/// Default completion-ring size for the batched reconfiguration path
-/// (re-exported so config consumers don't need the driver crate).
-pub const DEFAULT_RECONFIG_RING_SLOTS: usize = coyote_driver::DEFAULT_RING_SLOTS;
-
 /// Which service groups the shell carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShellServices {
@@ -48,9 +44,6 @@ pub struct ShellConfig {
     /// Node identity: selects the platform's MAC/IP on the simulated
     /// network (distinct per platform in multi-node deployments).
     pub node_id: u16,
-    /// Completion-ring slots for the batched reconfiguration path. The
-    /// platform sizes the driver's writeback ring to this at load.
-    pub reconfig_ring_slots: usize,
 }
 
 /// Configuration errors.
@@ -138,7 +131,6 @@ impl ShellConfig {
             n_card_streams: 0,
             sniffer_config: None,
             node_id: 1,
-            reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
         }
     }
 
@@ -157,7 +149,6 @@ impl ShellConfig {
             n_card_streams: channels.min(16) as u8,
             sniffer_config: None,
             node_id: 1,
-            reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
         }
     }
 
@@ -176,7 +167,6 @@ impl ShellConfig {
             n_card_streams: channels.min(16) as u8,
             sniffer_config: None,
             node_id: 1,
-            reconfig_ring_slots: DEFAULT_RECONFIG_RING_SLOTS,
         }
     }
 

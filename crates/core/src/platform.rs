@@ -156,7 +156,7 @@ impl Platform {
     /// exercised separately through [`crate::build`]).
     pub fn load(config: ShellConfig) -> Result<Platform, PlatformError> {
         config.validate().map_err(PlatformError::Config)?;
-        let mut driver = if config.services.memory_channels > 0 {
+        let driver = if config.services.memory_channels > 0 {
             let mut d = CoyoteDriver::new(config.device);
             d.set_card(Some(CardMemory::with_channels(
                 CardMemKind::Hbm,
@@ -166,9 +166,6 @@ impl Platform {
         } else {
             CoyoteDriver::without_card_memory(config.device)
         };
-        // Size the batched-reconfiguration writeback ring before anything
-        // can submit (resizing drops pending records).
-        driver.set_reconfig_ring_slots(config.reconfig_ring_slots);
         let vfpgas = (0..config.n_vfpgas)
             .map(|_| VfpgaState::new(&config))
             .collect();
@@ -420,9 +417,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any shell geometry, ring size included, loads or is refused
-        /// with a typed error: `load` never panics, and it refuses exactly
-        /// what `validate` refuses. Accepted TLB sets are drawn up to 512 and ways up to 16
+        /// Any shell geometry loads or is refused with a typed error:
+        /// `load` never panics, and it refuses exactly what `validate`
+        /// refuses. Accepted TLB sets are drawn up to 512 and ways up to 16
         /// because a geometry `validate` accepts is allocated in full, per
         /// TLB and per vFPGA; ten vFPGAs of two 8 Ki-entry TLBs stay within
         /// a few MB per case.
@@ -433,7 +430,6 @@ mod tests {
             (stlb_sets, ltlb_sets) in (geometry_sets(), geometry_sets()),
             (stlb_ways, ltlb_ways) in (0usize..=16, 0usize..=16),
             (stlb_page, ltlb_page) in (page(), page()),
-            ring_slots in prop::sample::select(vec![0, 1, 16, usize::MAX]),
         ) {
             let mut cfg = ShellConfig::host_memory(n_vfpgas, channels);
             cfg.services.networking = networking;
@@ -443,7 +439,6 @@ mod tests {
             cfg.n_card_streams = n_card_streams;
             cfg.mmu.stlb = TlbConfig { sets: stlb_sets, ways: stlb_ways, page: stlb_page };
             cfg.mmu.ltlb = TlbConfig { sets: ltlb_sets, ways: ltlb_ways, page: ltlb_page };
-            cfg.reconfig_ring_slots = ring_slots;
             let verdict = cfg.validate();
             match Platform::load(cfg) {
                 Ok(p) => {

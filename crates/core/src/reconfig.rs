@@ -79,12 +79,6 @@ impl CRcnfg {
             .driver_mut()
             .reconfigure_parsed(now, header, from_disk)
             .map_err(PlatformError::Reconfig)?;
-        // The batched path's ring follows the active shell, as at load.
-        if platform.driver().completion_ring().slots() != new_config.reconfig_ring_slots {
-            platform
-                .driver_mut()
-                .set_reconfig_ring_slots(new_config.reconfig_ring_slots);
-        }
 
         // Swap the dynamic layer to the new services.
         platform

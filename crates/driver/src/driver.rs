@@ -1,7 +1,7 @@
 //! The driver object: per-process state, memory management, fault service.
 
 use crate::irq::{EventFd, IrqEvent};
-use crate::ring::{CompletionRing, Doorbell, DEFAULT_RING_SLOTS};
+use crate::ring::{CompletionRing, Doorbell};
 use coyote_fabric::config::{ConfigPort, ConfigPortKind, ConfigState};
 use coyote_fabric::DeviceKind;
 use coyote_mem::card::CardMemKind;
@@ -89,7 +89,7 @@ impl CoyoteDriver {
             migration_link: LinkModel::new(params::HOST_LINK_BW, params::PCIE_LATENCY),
             migrations: 0,
             doorbell: Doorbell::default(),
-            ring: CompletionRing::new(DEFAULT_RING_SLOTS),
+            ring: CompletionRing::default(),
         }
     }
 
@@ -174,16 +174,9 @@ impl CoyoteDriver {
         self.migrations
     }
 
-    /// The reconfiguration completion ring (statistics, pending records).
+    /// The reconfiguration completion ring (its peak occupancy).
     pub fn completion_ring(&self) -> &CompletionRing {
         &self.ring
-    }
-
-    /// Resize the completion ring (platform load and a shell swap apply
-    /// `ShellConfig::reconfig_ring_slots`). Pending records are dropped, so
-    /// this is only sensible between batches.
-    pub fn set_reconfig_ring_slots(&mut self, slots: usize) {
-        self.ring = CompletionRing::new(slots);
     }
 
     // ---------------------------------------------------------------

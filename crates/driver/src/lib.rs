@@ -32,6 +32,4 @@ pub mod ring;
 pub use driver::{CoyoteDriver, DriverError, Hpid};
 pub use irq::{EventFd, IrqEvent};
 pub use reconfig::{BatchedReconfig, ReconfigError, ReconfigTiming, VivadoBaseline};
-pub use ring::{
-    Completion, CompletionRing, CompletionStatus, Doorbell, RingWaitFacts, DEFAULT_RING_SLOTS,
-};
+pub use ring::{Completion, CompletionRing, CompletionStatus, Doorbell, RING_SLOTS};

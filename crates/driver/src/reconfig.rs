@@ -9,7 +9,7 @@
 //! driver re-insertion".
 
 use crate::driver::CoyoteDriver;
-use crate::ring::{Completion, CompletionStatus};
+use crate::ring::{Completion, CompletionStatus, RING_SLOTS};
 use coyote_chaos::{FaultKind, RetryPolicy};
 use coyote_fabric::bitstream::{Bitstream, BitstreamError, BitstreamHeader, BitstreamKind};
 use coyote_fabric::config::{ConfigError, ProgramError};
@@ -46,8 +46,9 @@ pub enum ReconfigError {
     },
     /// The batch holds more frame runs than the completion ring has slots:
     /// the engine would stall on writeback while software waits for the
-    /// batch — deadlock by construction. This is the runtime guard;
-    /// `coyote-lint`'s WF001 reports it for a shell spec.
+    /// batch — deadlock by construction. The run count follows from the
+    /// caller's `max_frames_per_run`, so a caller fixes it by splitting
+    /// the image into fewer, longer runs.
     RingTooSmall {
         /// Completion-ring capacity.
         slots: usize,
@@ -182,7 +183,9 @@ impl CoyoteDriver {
     /// `max_frames_per_run = None` submits the whole image as a single run:
     /// bounded retries with jitter-free exponential backoff and
     /// verify-after-write around one programming pass. The disk read (when
-    /// `from_disk`) is charged once; retries reuse the in-memory copy.
+    /// `from_disk`) is charged once; retries reuse the in-memory copy. A
+    /// split into more than [`RING_SLOTS`] runs is refused with
+    /// [`ReconfigError::RingTooSmall`] before any stage is charged.
     ///
     /// The recovery contract:
     ///
@@ -219,7 +222,7 @@ impl CoyoteDriver {
         let runs = header.frame_runs(blob, max_frames_per_run);
         if !self.ring.can_hold(runs.len()) {
             return Err(ReconfigError::RingTooSmall {
-                slots: self.ring.slots(),
+                slots: RING_SLOTS,
                 batch: runs.len(),
             });
         }
@@ -449,6 +452,39 @@ mod tests {
         let vivado = VivadoBaseline::full_flow(full);
         let speedup = vivado.as_secs_f64() / t.total_latency.as_secs_f64();
         assert!(speedup >= 10.0, "only {speedup:.1}x");
+    }
+
+    #[test]
+    fn a_batch_beyond_the_ring_is_refused() {
+        // Single-frame runs: the batch has as many runs as the image has
+        // frames. A full ring's worth completes; one run more is refused
+        // before anything is programmed.
+        let batched = |frames: u64| {
+            let mut d = CoyoteDriver::new(DeviceKind::U55C);
+            let shell = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, frames, 7);
+            let out = d.reconfigure_batched(
+                SimTime::ZERO,
+                shell.bytes(),
+                false,
+                RetryPolicy::reconfig_default(),
+                Some(1),
+            );
+            (out, d.config_state().reconfig_count())
+        };
+        let (done, count) = batched(RING_SLOTS as u64);
+        let done = done.unwrap();
+        assert_eq!(done.runs, 16);
+        assert_eq!(done.completions.len(), 16);
+        assert_eq!(count, 1);
+        let (refused, count) = batched(RING_SLOTS as u64 + 1);
+        assert_eq!(
+            refused.unwrap_err(),
+            ReconfigError::RingTooSmall {
+                slots: 16,
+                batch: 17
+            }
+        );
+        assert_eq!(count, 0, "nothing was programmed");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! ```text
 //! coyote-lint [OPTIONS] <PATH>...
 //!
-//! A .json PATH is a shell spec: the config and floorplan rules (CF, WF,
-//! FP) in one report. A directory's top-level .json files are linted as
+//! A .json PATH is a shell spec: the config and floorplan rules (CF, FP)
+//! in one report. A directory's top-level .json files are linted as
 //! shell specs, in sorted order.
 //!
 //! Options:

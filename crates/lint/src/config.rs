@@ -1,4 +1,4 @@
-//! Configuration lints: the shell, QP and completion-ring checks.
+//! Configuration lints: the shell and QP checks.
 //!
 //! Every error-severity rule here renders a refusal of the runtime rather
 //! than re-deriving it, so a rule and the component it guards cannot
@@ -10,9 +10,6 @@
 //!   which `Platform::rdma_create_qp` refuses with.
 //! * CF006 is the build flows' pre-placement fit check on the service
 //!   blocks ([`check_service_fit`]).
-//! * WF001 is the condition under which the driver's
-//!   `reconfigure_batched` refuses a batch with `RingTooSmall`
-//!   ([`RingWaitFacts::engine_waits_on_ring`]).
 //!
 //! CF007, a warning, is the one judgement the runtime does not make.
 
@@ -20,7 +17,6 @@ use crate::diag::{Diagnostic, Location, Report, Severity};
 use crate::shellspec::QpSpec;
 use coyote::build::check_service_fit;
 use coyote::config::{ConfigError, ShellConfig};
-use coyote_driver::RingWaitFacts;
 use coyote_net::QpConfigError;
 use coyote_sim::params::ROCE_MTU;
 
@@ -117,42 +113,6 @@ pub fn lint_shell(unit: &str, cfg: &ShellConfig) -> Report {
     report
 }
 
-/// Lint the batched-reconfiguration sizing a spec declares (WF001).
-pub fn lint_ring(unit: &str, facts: &RingWaitFacts) -> Report {
-    let mut report = Report::new();
-    if facts.engine_waits_on_ring() {
-        let required = facts.required_slots();
-        report.push(
-            Diagnostic::new(
-                "WF001",
-                Severity::Error,
-                loc(unit, "reconfig.ring_slots"),
-                format!(
-                    "hold-and-wait cycle: software -> reconfig.doorbell -> reconfig.engine -> \
-                     reconfig.ring -> software — no participant can ever proceed\
-                     \n      software -> reconfig.doorbell: software blocks until the \
-                     doorbell's batch completion count is reached\
-                     \n      reconfig.doorbell -> reconfig.engine: the doorbell count advances \
-                     only as the engine finishes runs\
-                     \n      reconfig.engine -> reconfig.ring: {} concurrent batch(es) of {} \
-                     runs need {required} completion slots but the ring holds {}\
-                     \n      reconfig.ring -> software: ring slots free only when software \
-                     reaps — after its doorbell wait returns\
-                     \n      reconfigure_batched refuses such a batch with RingTooSmall",
-                    facts.concurrent.max(1),
-                    facts.max_batch,
-                    facts.slots
-                ),
-            )
-            .with_suggestion(format!(
-                "raise reconfig.ring_slots to at least {required}, or lower \
-                 reconfig.max_batch_runs or reconfig.max_concurrent"
-            )),
-        );
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +124,6 @@ mod tests {
     #[test]
     fn default_qp_spec_is_clean() {
         assert!(lint_qp("t", &qp(ROCE_MTU as u64, 64)).is_clean());
-    }
-
-    /// A spec with the given section fields, through the one spec entry.
-    fn spec_report(fields: &str) -> Report {
-        let text = format!(
-            r#"{{"name": "t", "device": "u55c", "n_vfpgas": 2, "memory_channels": 0,
-                "sniffer": false, "n_host_streams": 4, "n_card_streams": 0,
-                "node_id": 1, {fields}}}"#
-        );
-        crate::lint_shell_spec(&crate::ShellSpec::from_json(&text).unwrap())
     }
 
     #[test]
@@ -222,26 +172,6 @@ mod tests {
             let r = lint_shell("t", &cfg);
             assert!(r.is_clean(), "{}", r.render_human());
         }
-    }
-
-    #[test]
-    fn undersized_completion_ring_flagged() {
-        let ring = |slots: u64, concurrent: u64| {
-            spec_report(&format!(
-                r#""networking": false, "reconfig": {{ "ring_slots": {slots},
-                    "max_batch_runs": 8, "max_concurrent": {concurrent} }}"#
-            ))
-        };
-        // One WF001 naming the minimum ring; `validate` deliberately does
-        // not refuse this shell, so no CF005 rides along.
-        let r = ring(4, 1);
-        assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
-        assert!(r
-            .render_human()
-            .contains("raise reconfig.ring_slots to at least 8"));
-        // Concurrency multiplies the bound: two in-flight batches of 8.
-        assert!(ring(8, 2).render_human().contains("at least 16"));
-        assert!(ring(16, 2).is_clean());
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl fmt::Display for Location {
 /// One finding from one rule.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
-    /// Stable rule identifier (e.g. `WF001`); see the catalog in `rules`.
+    /// Stable rule identifier (e.g. `CF002`); see the catalog in `rules`.
     pub rule_id: String,
     /// Severity after any allow/deny adjustment.
     pub severity: Severity,

@@ -5,11 +5,10 @@
 //! *judges* the shell specification a node is about to run, before
 //! anything is built or loaded, and it does so by asking the runtime:
 //!
-//! * [`lint_shell`] / [`lint_qp`] / [`lint_ring`] — configurations the
-//!   runtime refuses, rendered from its own checks (`ShellConfig::validate`,
-//!   `QpConfig::validate`, the build flows' fit check and the driver's
-//!   completion-ring bound): CF002–CF006 and WF001, plus the CF007 SRAM
-//!   warning.
+//! * [`lint_shell`] / [`lint_qp`] — configurations the runtime refuses,
+//!   rendered from its own checks (`ShellConfig::validate`,
+//!   `QpConfig::validate` and the build flows' fit check): CF002–CF006,
+//!   plus the CF007 SRAM warning.
 //! * [`lint_floorplan`] — clock-region discipline of the vFPGA regions
 //!   (FP007, a warning).
 //!
@@ -32,16 +31,15 @@ pub mod floorplan;
 pub mod rules;
 pub mod shellspec;
 
-pub use config::{lint_qp, lint_ring, lint_shell};
+pub use config::{lint_qp, lint_shell};
 pub use diag::{Diagnostic, LintConfig, Location, Report, Severity};
 pub use floorplan::lint_floorplan;
 pub use rules::{render_catalog, rule, Layer, RuleInfo, CATALOG};
 pub use shellspec::{QpSpec, ShellSpec};
 
 /// Lint everything a shell specification implies, in one report: the
-/// configuration itself, the QP parameters (if declared), the
-/// reconfiguration ring sizing and the preset floorplan the shell would be
-/// built on.
+/// configuration itself, the QP parameters (if declared) and the preset
+/// floorplan the shell would be built on.
 pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
     let mut report = Report::new();
     let unit = spec.name.as_str();
@@ -58,7 +56,6 @@ pub fn lint_shell_spec(spec: &ShellSpec) -> Report {
             if let Some(qp) = &spec.qp {
                 report.extend(lint_qp(unit, qp));
             }
-            report.extend(lint_ring(unit, &spec.ring_wait_facts()));
             // `Floorplan::preset` panics on a vFPGA count that `validate`
             // refuses (CF005).
             if cfg.validate().is_ok() {
@@ -89,26 +86,6 @@ mod tests {
         );
         let r = lint_shell_spec(&s);
         assert!(r.is_clean(), "{}", r.render_human());
-    }
-
-    #[test]
-    fn deadlock_prone_spec_is_refused() {
-        // Batches of 8 runs against a 4-slot completion ring: the engine
-        // waits on writeback while software waits on the batch, which the
-        // spec lint reports as WF001 at the ring's size.
-        let s = spec(
-            r#"{
-                "name": "ring", "device": "u55c", "n_vfpgas": 1,
-                "memory_channels": 0, "networking": false, "sniffer": false,
-                "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
-                "reconfig": { "ring_slots": 4, "max_batch_runs": 8 }
-            }"#,
-        );
-        let r = lint_shell_spec(&s);
-        let hits: Vec<_> = r.of_rule("WF001").collect();
-        assert_eq!(hits.len(), 1, "{}", r.render_human());
-        assert_eq!(hits[0].location.path, "reconfig.ring_slots");
-        assert!(r.has_errors());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! the workspace's own Rust for determinism hazards; `clippy.toml` and
 //! the workspace clippy lints gate those now (see DESIGN.md). CF001 (ACK
 //! starvation) and CF009 (completion ring smaller than the batches in
-//! flight) were folded into WF001; the runtime queue pair always ACKs on
-//! window fill, so only the ring case remains. NL001–NL007 (netlist),
+//! flight) were folded into WF001, and WF001 was retired in turn: the
+//! runtime queue pair always ACKs on window fill, and the completion ring
+//! has one fixed size, so only the caller's frames per run can make a
+//! batch outgrow it, and no spec declares those. NL001–NL007 (netlist),
 //! BS001–BS006 (bitstream), CF008 (fault plan against a retry budget) and
 //! DS004 (fault-trace merge order) judged artifacts no run hands to the
 //! linter. PG001–PG002 (tenant graph construction), WF002–WF004 (zero
@@ -31,8 +33,8 @@ use crate::diag::Severity;
 pub enum Layer {
     /// Partition geometry of the shell's preset floorplan (`coyote-fabric`).
     Floorplan,
-    /// Shell / QP / MMU / reconfiguration-ring configuration (`coyote`,
-    /// `coyote-net`, `coyote-mmu`, `coyote-driver`).
+    /// Shell / QP / MMU configuration (`coyote`, `coyote-net`,
+    /// `coyote-mmu`).
     Config,
 }
 
@@ -112,13 +114,6 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Warning,
         description: "oversized TLB SRAM budget (exceeds the on-chip SRAM the MMU model assumes)",
     },
-    RuleInfo {
-        id: "WF001",
-        layer: Layer::Config,
-        severity: Severity::Error,
-        description: "completion ring smaller than the reconfiguration batches in flight \
-             (hold-and-wait cycle): reconfigure_batched refuses the batch with RingTooSmall",
-    },
 ];
 
 /// Look up a rule by id.
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn lookup_works() {
-        assert_eq!(rule("WF001").unwrap().layer, Layer::Config);
+        assert_eq!(rule("CF002").unwrap().layer, Layer::Config);
         assert!(rule("ZZ999").is_none());
         assert!(render_catalog().contains("CF002"));
     }

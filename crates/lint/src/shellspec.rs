@@ -1,14 +1,12 @@
 //! The on-disk shell specification (`*.json`) the CLI lints.
 //!
 //! A deployment describes a shell as a JSON document — device, vFPGA count,
-//! services, optional MMU geometry, QP parameters and reconfiguration
-//! batch sizing. This module parses that document and converts each
-//! section to the runtime value that judges it: the shell to a
-//! [`ShellConfig`], the QP section to a [`QpConfig`] and the reconfig
-//! section to the driver's [`RingWaitFacts`].
+//! services, optional MMU geometry and QP parameters. This module parses
+//! that document and converts each section to the runtime value that
+//! judges it: the shell to a [`ShellConfig`] and the QP section to a
+//! [`QpConfig`].
 
-use coyote::config::{ShellConfig, ShellServices, DEFAULT_RECONFIG_RING_SLOTS};
-use coyote_driver::RingWaitFacts;
+use coyote::config::{ShellConfig, ShellServices};
 use coyote_fabric::DeviceKind;
 use coyote_mem::PageSize;
 use coyote_mmu::{MmuConfig, TlbConfig};
@@ -50,18 +48,6 @@ pub struct MmuSpec {
     pub stlb: TlbSpec,
     /// Huge-page TLB.
     pub ltlb: TlbSpec,
-}
-
-/// Batched-reconfiguration control-plane sizing in the spec file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReconfigSpec {
-    /// Completion-ring slots the driver's writeback ring is sized to.
-    pub ring_slots: u64,
-    /// Largest frame-run batch one reconfiguration may submit.
-    pub max_batch_runs: u64,
-    /// Batches allowed in flight concurrently; the driver default (1)
-    /// when absent.
-    pub max_concurrent: Option<u64>,
 }
 
 /// QP transport parameters in the spec file.
@@ -110,16 +96,14 @@ pub struct ShellSpec {
     pub mmu: Option<MmuSpec>,
     /// QP transport parameters; linted only when present.
     pub qp: Option<QpSpec>,
-    /// Batched-reconfiguration sizing; driver defaults when absent.
-    pub reconfig: Option<ReconfigSpec>,
 }
 
 /// The keys each object of a spec may hold, by its path from the top
 /// level. The vendored serde has no `deny_unknown_fields`, so
 /// [`ShellSpec::from_json`] checks them itself: a misspelt or retired key
-/// (`reconfg`, or the deleted `platform` section) would otherwise be
-/// dropped, and the stale spec would lint clean.
-const KEYS: [(&[&str], &[&str]); 6] = [
+/// (`qp.windw`, or the deleted `platform` and `reconfig` sections) would
+/// otherwise be dropped, and the stale spec would lint clean.
+const KEYS: [(&[&str], &[&str]); 5] = [
     (
         &[],
         &[
@@ -134,17 +118,12 @@ const KEYS: [(&[&str], &[&str]); 6] = [
             "node_id",
             "mmu",
             "qp",
-            "reconfig",
         ],
     ),
     (&["mmu"], &["stlb", "ltlb"]),
     (&["mmu", "stlb"], &["sets", "ways", "page"]),
     (&["mmu", "ltlb"], &["sets", "ways", "page"]),
     (&["qp"], &["mtu", "window"]),
-    (
-        &["reconfig"],
-        &["ring_slots", "max_batch_runs", "max_concurrent"],
-    ),
 ];
 
 /// Refuse the first key of `doc` that no spec field reads, naming it by its
@@ -215,28 +194,7 @@ impl ShellSpec {
                 None
             },
             node_id: u16::try_from(self.node_id).unwrap_or(u16::MAX),
-            reconfig_ring_slots: self.ring_wait_facts().slots,
         })
-    }
-
-    /// The wait facts of the reconfiguration control plane this spec
-    /// declares: the precondition for the software -> doorbell -> engine
-    /// -> ring hold-and-wait cycle (WF001). Without a `reconfig`
-    /// section the driver's default ring takes batches of half its slots,
-    /// so one full batch plus its retries fit, one batch at a time.
-    pub fn ring_wait_facts(&self) -> RingWaitFacts {
-        match &self.reconfig {
-            Some(r) => RingWaitFacts {
-                slots: r.ring_slots as usize,
-                max_batch: r.max_batch_runs as usize,
-                concurrent: r.max_concurrent.map_or(1, |c| c as usize).max(1),
-            },
-            None => RingWaitFacts {
-                slots: DEFAULT_RECONFIG_RING_SLOTS,
-                max_batch: DEFAULT_RECONFIG_RING_SLOTS / 2,
-                concurrent: 1,
-            },
-        }
     }
 }
 
@@ -271,11 +229,6 @@ mod tests {
                 mtu: 4096,
                 window: 64,
             }),
-            reconfig: Some(ReconfigSpec {
-                ring_slots: 16,
-                max_batch_runs: 8,
-                max_concurrent: None,
-            }),
         }
     }
 
@@ -304,14 +257,11 @@ mod tests {
         let mut spec = sample();
         spec.mmu = None;
         spec.qp = None;
-        spec.reconfig = None;
         let text = serde_json::to_string(&spec).unwrap();
         let back = ShellSpec::from_json(&text).unwrap();
         assert_eq!(back.mmu, None);
         let cfg = back.to_shell_config().unwrap();
         assert_eq!(cfg.mmu.stlb.sets, MmuConfig::default_2m().stlb.sets);
-        assert_eq!(cfg.reconfig_ring_slots, DEFAULT_RECONFIG_RING_SLOTS);
-        assert_eq!(back.ring_wait_facts().max_batch, 8);
         assert!(back.qp.is_none());
     }
 
@@ -345,27 +295,31 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_refused_by_name() {
-        // A spec still declaring the deleted platform section.
-        let stale = edited(|top| top.push(("platform".into(), Value::Object(vec![]))));
-        let err = ShellSpec::from_json(&stale).unwrap_err();
-        assert!(err.contains("unknown key `platform`"), "{err}");
+        // A spec still declaring a deleted section: the tenants of the
+        // platform graph, or the completion-ring sizing (the ring has one
+        // fixed size now).
+        let ring = Value::Object(vec![("ring_slots".into(), Value::Int(4))]);
+        for (key, section) in [("platform", Value::Object(vec![])), ("reconfig", ring)] {
+            let stale = edited(|top| top.push((key.into(), section)));
+            let err = ShellSpec::from_json(&stale).unwrap_err();
+            assert!(err.contains(&format!("unknown key `{key}`")), "{err}");
+        }
 
-        // A misspelt section: without the check its ring sizing would be
-        // dropped for the driver default and the spec would lint clean.
+        // A misspelt section: without the check its QP parameters would
+        // be dropped and the spec would lint clean.
         let typo = edited(|top| {
-            let at = top.iter().position(|(k, _)| k == "reconfig").unwrap();
-            top[at].0 = "reconfg".into();
+            let at = top.iter().position(|(k, _)| k == "qp").unwrap();
+            top[at].0 = "qpp".into();
         });
         let err = ShellSpec::from_json(&typo).unwrap_err();
-        assert!(err.contains("unknown key `reconfg`"), "{err}");
+        assert!(err.contains("unknown key `qpp`"), "{err}");
 
         // Inside every section.
-        let nested: [(&[&str], &str); 5] = [
+        let nested: [(&[&str], &str); 4] = [
             (&["mmu"], "mmu.utlb"),
             (&["mmu", "stlb"], "mmu.stlb.pages"),
             (&["mmu", "ltlb"], "mmu.ltlb.pages"),
             (&["qp"], "qp.ack_on_window_fill"),
-            (&["reconfig"], "reconfig.ring"),
         ];
         for (path, key) in nested {
             let text = edited(|top| {
@@ -381,8 +335,7 @@ mod tests {
     #[test]
     fn key_lists_match_the_fields() {
         // Every field of every section, with every optional section set.
-        let mut spec = sample();
-        spec.reconfig.as_mut().unwrap().max_concurrent = Some(2);
+        let spec = sample();
         let doc = spec.to_value();
         for (path, keys) in KEYS {
             let fields = path.iter().try_fold(&doc, |v, k| v.get(k)).unwrap();

@@ -101,9 +101,7 @@ fn directory_scan_aggregates_findings() {
     let out = run(&[&fixture("")]);
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001",
-    ] {
+    for rule in ["CF002", "CF003", "CF004", "CF005", "CF006", "CF007"] {
         assert!(text.contains(rule), "directory scan must report {rule}");
     }
     // Deterministic: two runs render identically.
@@ -111,19 +109,25 @@ fn directory_scan_aggregates_findings() {
     assert_eq!(out.stdout, again.stdout);
 }
 
-// ------------------------------------------------------------------ WF001
+// ------------------------------------------------------------ stale specs
 
 #[test]
-fn platform_mode_reports_the_wait_for_cycle() {
-    // The ring-sizing rule runs with the other config rules, in one report.
-    let out = run(&[&fixture("cf009_ring_too_small.json")]);
-    assert_eq!(code(&out), 1);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("WF001"), "{text}");
-    assert!(
-        text.contains("software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring"),
-        "the rendered diagnostic must print the full cycle:\n{text}"
-    );
+fn a_spec_with_a_reconfig_section_is_refused_by_name() {
+    // The completion ring has one fixed size, so a spec that still sizes
+    // it is stale: refused as unreadable, naming the key, not linted clean.
+    let spec = format!("{}/reconfig-section.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &spec,
+        r#"{"name": "stale", "device": "u55c", "n_vfpgas": 1,
+            "memory_channels": 0, "networking": false, "sniffer": false,
+            "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
+            "reconfig": {"ring_slots": 4, "max_batch_runs": 8}}"#,
+    )
+    .unwrap();
+    let out = run(&[&spec]);
+    assert_eq!(code(&out), 2);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown key `reconfig`"), "{err}");
 }
 
 // ------------------------------------------------------------------ JSON
@@ -174,7 +178,7 @@ fn catalog_lists_the_new_rule_families() {
         .collect();
     assert_eq!(
         listed,
-        ["FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001"],
-        "--catalog must list the 8 rules, ordered by layer then id"
+        ["FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007"],
+        "--catalog must list the 7 rules, ordered by layer then id"
     );
 }

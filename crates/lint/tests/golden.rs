@@ -4,9 +4,6 @@
 //! Config rules are exercised through the JSON fixtures in `fixtures/`
 //! (the same files a deployment would feed the CLI); the floorplan rule
 //! reads the preset floorplan a spec implies.
-//!
-//! The retired CF009 (ring sizing) maps onto WF001 at the spec's
-//! `reconfig.ring_slots`; its fixture keeps the old name.
 
 use coyote_fabric::{DeviceKind, Floorplan, ShellProfile};
 use coyote_lint::{lint_floorplan, lint_shell_spec, Report, Severity, ShellSpec};
@@ -81,35 +78,11 @@ fn config_fixtures_fire_their_rule_at_the_exact_location() {
             "config:cf007-oversized-tlb",
             "mmu",
         ),
-        (
-            "cf009_ring_too_small.json",
-            "WF001",
-            "config:cf009-ring-too-small",
-            "reconfig.ring_slots",
-        ),
     ];
     for (file, rule, unit, path) in cases {
         let r = lint_shell_spec(&fixture(file));
         assert_fires(&r, rule, unit, path);
     }
-}
-
-#[test]
-fn the_pre_fix_deadlock_config_is_an_error() {
-    // The acceptance case: the reconfiguration ring sizing the batched
-    // path shipped before its fix (batches of 8 runs, a 4-slot ring) must
-    // be rejected at error severity, with the minimum ring as the fix.
-    let r = lint_shell_spec(&fixture("cf009_ring_too_small.json"));
-    assert!(r.has_errors());
-    let d = r.of_rule("WF001").next().unwrap();
-    assert_eq!(d.severity, Severity::Error);
-    assert_eq!(
-        d.suggestion.as_deref(),
-        Some(
-            "raise reconfig.ring_slots to at least 8, or lower reconfig.max_batch_runs or \
-             reconfig.max_concurrent"
-        )
-    );
 }
 
 // -------------------------------------------------------------- floorplan
@@ -141,26 +114,6 @@ fn fp007_clock_region_straddle() {
     assert_ne!(r.max_severity(), Some(Severity::Error));
 }
 
-// ------------------------------------------------------------------ WF001
-
-#[test]
-fn wf001_diagnostic_prints_the_full_cycle() {
-    // The whole hold/wait chain is in the message, wait by wait, and it
-    // names the driver refusal it renders.
-    let r = lint_shell_spec(&fixture("cf009_ring_too_small.json"));
-    let d = r.of_rule("WF001").next().expect("WF001 fires");
-    let msg = &d.message;
-    for leg in [
-        "software -> reconfig.doorbell -> reconfig.engine -> reconfig.ring -> software",
-        "reconfig.engine -> reconfig.ring: 1 concurrent batch(es) of 8 runs need 8 completion \
-         slots but the ring holds 4",
-        "reconfig.ring -> software:",
-        "RingTooSmall",
-    ] {
-        assert!(msg.contains(leg), "missing '{leg}' in:\n{msg}");
-    }
-}
-
 // ------------------------------------------------------------ the catalog
 
 #[test]
@@ -169,7 +122,7 @@ fn every_catalog_rule_has_golden_coverage() {
     // test above fails here, and so does a rule dropped from the catalog
     // that is still listed.
     let covered = [
-        "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007", "WF001",
+        "FP007", "CF002", "CF003", "CF004", "CF005", "CF006", "CF007",
     ];
     let catalog: Vec<&str> = coyote_lint::CATALOG.iter().map(|r| r.id).collect();
     assert_eq!(catalog, covered, "catalog and golden coverage disagree");

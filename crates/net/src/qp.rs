@@ -228,6 +228,10 @@ pub struct QpStats {
     pub duplicates: u64,
     /// Out-of-order packets that triggered a NAK.
     pub naks_sent: u64,
+    /// WRITE fragments and READ requests dropped at the responder because
+    /// they fall outside its memory (a full stack would NAK them with a
+    /// remote access error).
+    pub access_errors: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -604,9 +608,9 @@ impl QueuePair {
         };
         // One staged read of the requested region; response fragments are
         // zero-copy slices of it.
-        let data = match mem.read_bytes(vaddr, dmalen as usize) {
-            Ok(d) => d,
-            Err(_) => return, // A real stack would NAK-remote-access-error.
+        let Ok(data) = mem.read_bytes(vaddr, dmalen as usize) else {
+            self.stats.access_errors += 1;
+            return;
         };
         let mtu = self.cfg.mtu;
         let n = data.len().div_ceil(mtu).max(1);
@@ -660,8 +664,7 @@ impl QueuePair {
                 .write(msg.write_vaddr + msg.offset, &pkt.payload)
                 .is_err()
             {
-                // Remote access error; a full stack would NAK. Count it.
-                self.stats.duplicates += 0;
+                self.stats.access_errors += 1;
             }
         }
         msg.offset += pkt.payload.len() as u64;
@@ -1022,6 +1025,34 @@ mod tests {
         assert_eq!(bm, am);
         let ids: Vec<u64> = a.poll_completions().iter().map(|c| c.wr_id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn out_of_range_remote_access_is_counted_and_dropped() {
+        // A 200-byte WRITE or READ against a 100-byte responder: one
+        // fragment or request, refused by the memory, counted once.
+        let write = Verb::Write {
+            remote_vaddr: 0,
+            local_vaddr: 0,
+            len: 200,
+        };
+        let read = Verb::Read {
+            remote_vaddr: 0,
+            local_vaddr: 0,
+            len: 200,
+        };
+        for verb in [write, read] {
+            let (ca, cb) = QpConfig::pair(1, 2);
+            let mut a = QueuePair::new(ca);
+            let mut b = QueuePair::new(cb);
+            let mut am = payload(200);
+            let mut bm = payload(100);
+            a.post(3, verb.clone());
+            run(&mut a, &mut am, &mut b, &mut bm, |_| false);
+            assert_eq!(b.stats().access_errors, 1, "{verb:?}");
+            assert_eq!(bm, payload(100), "{verb:?}: responder memory unchanged");
+            assert_eq!(a.stats().access_errors, 0, "{verb:?}");
+        }
     }
 
     #[test]

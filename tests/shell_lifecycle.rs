@@ -4,8 +4,6 @@ use coyote::build::build_shell;
 use coyote::config::ConfigError;
 use coyote::kernel::Passthrough;
 use coyote::{CRcnfg, CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
-use coyote_chaos::RetryPolicy;
-use coyote_driver::ReconfigError;
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use coyote_mmu::MmuConfig;
 use coyote_sim::SimTime;
@@ -182,29 +180,4 @@ fn a_shell_swap_refuses_a_broken_config_before_programming() {
     assert_eq!(p.shell_digest(), before, "the old shell stays active");
     assert_eq!(p.now(), SimTime::ZERO, "nothing was programmed");
     assert_eq!(p.config().n_vfpgas, 1);
-}
-
-#[test]
-fn a_shell_swap_resizes_the_completion_ring() {
-    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
-    let mut small_ring = ShellConfig::host_only(1);
-    small_ring.reconfig_ring_slots = 4;
-    let image = register_synthetic_shell(&mut p, small_ring, 8);
-    CRcnfg::new(&mut p, 1)
-        .reconfigure_shell_bytes(&mut p, image.bytes(), false)
-        .unwrap();
-    assert_eq!(p.driver().completion_ring().slots(), 4);
-    // The new shell's ring refuses an 8-run batch, as WF001 reports for it.
-    let now = p.now();
-    let err = p
-        .driver_mut()
-        .reconfigure_batched(
-            now,
-            image.bytes(),
-            false,
-            RetryPolicy::reconfig_default(),
-            Some(1),
-        )
-        .unwrap_err();
-    assert_eq!(err, ReconfigError::RingTooSmall { slots: 4, batch: 8 });
 }
