@@ -89,6 +89,23 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_prone_spec_is_refused() {
+        // Batches of 8 runs against a 4-slot completion ring. The ring has
+        // one fixed size now, so a spec that still sizes it is refused at
+        // parse, naming the key, before anything is linted or loaded.
+        let err = ShellSpec::from_json(
+            r#"{
+                "name": "ring", "device": "u55c", "n_vfpgas": 1,
+                "memory_channels": 0, "networking": false, "sniffer": false,
+                "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
+                "reconfig": { "ring_slots": 4, "max_batch_runs": 8 }
+            }"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown key `reconfig`"), "{err}");
+    }
+
+    #[test]
     fn a_rejected_shell_is_not_synthesized() {
         // `n_vfpgas` is in range, so only `validate` knows this shell is
         // unschedulable; CF006 must not size the service blocks of a memory

@@ -1,6 +1,8 @@
 //! The shell lint against the runtime it renders, end to end (tier-1).
 //!
 //! * The example shells are clean.
+//! * The completion ring's one size is the bound the driver guard holds
+//!   every batch to, and no spec can declare another.
 //! * Over every spec in `examples/shells` and the lint fixtures,
 //!   coyote-lint reports an error exactly when the runtime refuses the
 //!   spec somewhere: `Platform::load`, `QpConfig::validate` or the build
@@ -8,7 +10,11 @@
 
 use coyote::build::check_service_fit;
 use coyote::Platform;
+use coyote_chaos::RetryPolicy;
+use coyote_driver::{CoyoteDriver, ReconfigError, RING_SLOTS};
+use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use coyote_lint::{lint_shell_spec, ShellSpec};
+use coyote_sim::SimTime;
 use std::path::PathBuf;
 
 fn spec(text: &str) -> ShellSpec {
@@ -42,6 +48,55 @@ fn current_example_shells_are_platform_clean() {
         let r = lint_shell_spec(&s);
         assert!(r.is_clean(), "{}:\n{}", path.display(), r.render_human());
     }
+}
+
+// --- Static == dynamic ------------------------------------------------
+
+/// One batched reconfiguration with the image split into `batch`
+/// single-frame runs.
+fn run_batched(batch: u64) -> Result<(), ReconfigError> {
+    let mut drv = CoyoteDriver::new(DeviceKind::U55C);
+    let shell = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, batch, 7);
+    drv.reconfigure_batched(
+        SimTime::ZERO,
+        shell.bytes(),
+        false,
+        RetryPolicy::reconfig_default(),
+        Some(1),
+    )
+    .map(|_| ())
+}
+
+#[test]
+fn static_wait_for_matches_dynamic_ring_guard() {
+    // The static bound is the one ring size: the driver refuses a batch
+    // with `RingTooSmall` exactly when it has more runs than that.
+    for batch in 1..=24u64 {
+        let outcome = run_batched(batch);
+        if batch as usize <= RING_SLOTS {
+            outcome.unwrap();
+        } else {
+            assert_eq!(
+                outcome.unwrap_err(),
+                ReconfigError::RingTooSmall {
+                    slots: RING_SLOTS,
+                    batch: batch as usize
+                }
+            );
+        }
+    }
+
+    // No spec moves that bound: one that sizes the ring is refused by name.
+    let err = ShellSpec::from_json(
+        r#"{
+            "name": "prop", "device": "u55c", "n_vfpgas": 1,
+            "memory_channels": 0, "networking": false, "sniffer": false,
+            "n_host_streams": 4, "n_card_streams": 0, "node_id": 1,
+            "reconfig": { "ring_slots": 4, "max_batch_runs": 8 }
+        }"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("unknown key `reconfig`"), "{err}");
 }
 
 // --- The lint renders the runtime's refusals -----------------------------

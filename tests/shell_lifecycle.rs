@@ -4,6 +4,8 @@ use coyote::build::build_shell;
 use coyote::config::ConfigError;
 use coyote::kernel::Passthrough;
 use coyote::{CRcnfg, CThread, Oper, Platform, PlatformError, SgEntry, ShellConfig};
+use coyote_chaos::RetryPolicy;
+use coyote_driver::{ReconfigError, RING_SLOTS};
 use coyote_fabric::{Bitstream, BitstreamKind, DeviceKind};
 use coyote_mmu::MmuConfig;
 use coyote_sim::SimTime;
@@ -180,4 +182,39 @@ fn a_shell_swap_refuses_a_broken_config_before_programming() {
     assert_eq!(p.shell_digest(), before, "the old shell stays active");
     assert_eq!(p.now(), SimTime::ZERO, "nothing was programmed");
     assert_eq!(p.config().n_vfpgas, 1);
+}
+
+#[test]
+fn a_shell_swap_resizes_the_completion_ring() {
+    // The ring has one size: after a swap to a different shell it holds a
+    // full batch of `RING_SLOTS` runs again and refuses one run more.
+    let mut p = Platform::load(ShellConfig::host_only(1)).unwrap();
+    let image = register_synthetic_shell(&mut p, ShellConfig::host_memory(1, 4), 8);
+    CRcnfg::new(&mut p, 1)
+        .reconfigure_shell_bytes(&mut p, image.bytes(), false)
+        .unwrap();
+    assert_eq!(p.config().services.memory_channels, 4);
+
+    let mut batched = |runs: usize| {
+        let now = p.now();
+        let image = Bitstream::assemble(DeviceKind::U55C, BitstreamKind::Shell, runs as u64, 7);
+        p.driver_mut().reconfigure_batched(
+            now,
+            image.bytes(),
+            false,
+            RetryPolicy::reconfig_default(),
+            Some(1),
+        )
+    };
+    let err = batched(RING_SLOTS + 1).unwrap_err();
+    assert_eq!(
+        err,
+        ReconfigError::RingTooSmall {
+            slots: 16,
+            batch: 17
+        }
+    );
+    let done = batched(RING_SLOTS).unwrap();
+    assert_eq!(done.runs, 16);
+    assert_eq!(done.completions.len(), RING_SLOTS);
 }
