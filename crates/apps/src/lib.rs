@@ -14,7 +14,7 @@
 //! * [`sniffer_app`] — the vFPGA side of the §8 traffic sniffer: capture
 //!   buffer serialization and PCAP export.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod aes;
 pub mod hll;

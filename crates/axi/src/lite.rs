@@ -122,7 +122,7 @@ impl RegisterFile {
     }
 
     fn check_align(offset: u64) -> Result<(), LiteError> {
-        if offset % 8 != 0 {
+        if !offset.is_multiple_of(8) {
             Err(LiteError::Unaligned { offset })
         } else {
             Ok(())

@@ -635,7 +635,7 @@ fn refuse_read_write_overlap(resolved: &[ResolvedInv]) -> Result<(), PlatformErr
             }
         }
         let mine = &mut reach[usize::from(write)];
-        if mine.map_or(true, |(e, _)| end > e) {
+        if mine.is_none_or(|(e, _)| end > e) {
             *mine = Some((end, id));
         }
     }

@@ -875,7 +875,7 @@ mod tests {
         // A body that ends exactly on a chunk boundary leaves the trailer
         // alone in the last chunk.
         let aligned = (1..)
-            .find(|n| (HEADER_BYTES + n * FRAME_RECORD_BYTES) % HASH_BLOCK_BYTES == 0)
+            .find(|n| (HEADER_BYTES + n * FRAME_RECORD_BYTES).is_multiple_of(HASH_BLOCK_BYTES))
             .expect("some frame count fills whole chunks") as u64;
         for frames in [1, c - 1, c, c + 1, 3 * c + 7, aligned] {
             let want = reference_assemble(DeviceKind::U280, BitstreamKind::Shell, frames, 0x5EED);

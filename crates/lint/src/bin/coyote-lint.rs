@@ -18,6 +18,8 @@
 //! 2 usage or I/O failure, or a path with nothing to lint.
 //! ```
 
+#![forbid(unsafe_code)]
+
 use coyote_lint::{lint_shell_spec, LintConfig, Report, ShellSpec};
 use std::path::Path;
 use std::process::ExitCode;

@@ -103,13 +103,16 @@ impl BthOpcode {
     }
 }
 
-/// AETH syndromes (simplified: ACK or NAK-sequence-error).
+/// AETH syndromes: an ACK and the two NAKs the RC transport raises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AethSyndrome {
     /// Positive acknowledgement of everything up to the PSN.
     Ack,
     /// Sequence error: retransmit from the PSN.
     NakSequence,
+    /// Remote access error: the packet at the PSN addresses memory the
+    /// responder does not have. Its work request fails, unretried.
+    NakRemoteAccess,
 }
 
 impl AethSyndrome {
@@ -117,6 +120,7 @@ impl AethSyndrome {
         match self {
             AethSyndrome::Ack => 0x00,
             AethSyndrome::NakSequence => 0x60,
+            AethSyndrome::NakRemoteAccess => 0x62,
         }
     }
 
@@ -124,6 +128,7 @@ impl AethSyndrome {
         match v {
             0x00 => Some(AethSyndrome::Ack),
             0x60 => Some(AethSyndrome::NakSequence),
+            0x62 => Some(AethSyndrome::NakRemoteAccess),
             _ => None,
         }
     }
@@ -649,6 +654,23 @@ mod tests {
         let parsed = RocePacket::parse(&pkt.serialize()).unwrap();
         assert!(parsed.payload.is_empty());
         assert_eq!(parsed.aeth, Some((AethSyndrome::Ack, 5)));
+    }
+
+    #[test]
+    fn every_aeth_syndrome_round_trips() {
+        for syndrome in [
+            AethSyndrome::Ack,
+            AethSyndrome::NakSequence,
+            AethSyndrome::NakRemoteAccess,
+        ] {
+            let mut pkt = sample(BthOpcode::Ack, b"");
+            pkt.aeth = Some((syndrome, 9));
+            let wire = pkt.serialize();
+            // An empty ACK ends with its AETH and the 4-byte ICRC.
+            let aeth_at = wire.len() - 4 - AETH_LEN;
+            assert_eq!(wire[aeth_at], syndrome.code(), "{syndrome:?} on the wire");
+            assert_eq!(RocePacket::parse(&wire), Ok(pkt), "{syndrome:?}");
+        }
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //!
 //! Simplification: PSNs are assumed not to wrap within a simulation run
 //! (24-bit space, < 16M packets per QP), which every experiment satisfies.
+//!
+//! A WRITE fragment or READ request outside the responder's memory is
+//! answered with a remote-access NAK, and its work request completes with
+//! an error. Unlike a full RC stack, the responder QP stays usable
+//! afterwards. A retransmitted READ is refused again, but the responder
+//! keeps no record of a refused WRITE: if that NAK is lost, a later
+//! cumulative ACK completes the WRITE `Ok`.
 
 use crate::frame::{count_payload_copy, Frame};
 use crate::headers::MacAddr;
@@ -228,9 +235,8 @@ pub struct QpStats {
     pub duplicates: u64,
     /// Out-of-order packets that triggered a NAK.
     pub naks_sent: u64,
-    /// WRITE fragments and READ requests dropped at the responder because
-    /// they fall outside its memory (a full stack would NAK them with a
-    /// remote access error).
+    /// WRITE fragments and READ requests the responder refused with a
+    /// remote-access NAK because they fall outside its memory.
     pub access_errors: u64,
 }
 
@@ -508,27 +514,7 @@ impl QueuePair {
             return;
         };
         match syndrome {
-            AethSyndrome::Ack => {
-                while let Some(front) = self.outstanding.front() {
-                    if front.psn <= acked_psn && !front.is_read_req {
-                        let done = self.outstanding.pop_front().expect("front exists");
-                        if let Some(wr_id) = done.completes {
-                            self.completions.push_back(Completion {
-                                wr_id,
-                                status: Ok(()),
-                            });
-                        }
-                    } else if front.psn <= acked_psn && front.is_read_req {
-                        // Reads complete on response data, not on ACK; but a
-                        // cumulative ACK past the request PSN means the
-                        // responder saw it. Keep it for timeout-based
-                        // recovery until the data arrives.
-                        break;
-                    } else {
-                        break;
-                    }
-                }
-            }
+            AethSyndrome::Ack => self.acknowledge(acked_psn),
             AethSyndrome::NakSequence => {
                 // Go-back-N from the NAK'd PSN.
                 for out in &self.outstanding {
@@ -538,6 +524,72 @@ impl QueuePair {
                     }
                 }
             }
+            AethSyndrome::NakRemoteAccess => {
+                // The responder consumed every PSN before the refused one.
+                if let Some(before) = acked_psn.checked_sub(1) {
+                    self.acknowledge(before);
+                }
+                self.on_refused(acked_psn);
+            }
+        }
+    }
+
+    /// Everything up to `acked_psn` reached the responder: retire it.
+    fn acknowledge(&mut self, acked_psn: u32) {
+        while let Some(front) = self.outstanding.front() {
+            if front.psn <= acked_psn && !front.is_read_req {
+                let done = self.outstanding.pop_front().expect("front exists");
+                if let Some(wr_id) = done.completes {
+                    self.completions.push_back(Completion {
+                        wr_id,
+                        status: Ok(()),
+                    });
+                }
+            } else if front.psn <= acked_psn && front.is_read_req {
+                // Reads complete on response data, not on ACK; but a
+                // cumulative ACK past the request PSN means the
+                // responder saw it. Keep it for timeout-based
+                // recovery until the data arrives.
+                break;
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// The responder refused the packet at `psn`: fail its work request. The
+    /// responder consumed that PSN, so the packet leaves the retransmit
+    /// buffer; the WR's other sent fragments stay, to be acknowledged (or
+    /// retransmitted) like any packet, but no longer complete it.
+    fn on_refused(&mut self, psn: u32) {
+        let Some(at) = self.outstanding.iter().position(|o| o.psn == psn) else {
+            return; // Already failed: a repeated NAK.
+        };
+        let refused = self.outstanding.remove(at).expect("position is in range");
+        let wr_id = if refused.is_read_req {
+            self.reads.remove(&psn).map(|r| r.wr_id)
+        } else {
+            // A WR's fragments have consecutive PSNs and its last one
+            // carries its id. While that one is unsent, the WR is still at
+            // the head of the send queue and nothing after it has been sent.
+            refused
+                .completes
+                .or_else(|| {
+                    self.outstanding
+                        .iter_mut()
+                        .skip(at)
+                        .find_map(|o| o.completes.take())
+                })
+                .or_else(|| {
+                    let partly_sent = self.sq.front().is_some_and(|w| w.offset > 0);
+                    partly_sent.then(|| self.sq.pop_front().expect("front exists").wr_id)
+                })
+        };
+        if let Some(wr_id) = wr_id {
+            self.completions.push_back(Completion {
+                wr_id,
+                status: Err(format!("remote access error at PSN {psn}")),
+            });
         }
     }
 
@@ -609,7 +661,7 @@ impl QueuePair {
         // One staged read of the requested region; response fragments are
         // zero-copy slices of it.
         let Ok(data) = mem.read_bytes(vaddr, dmalen as usize) else {
-            self.stats.access_errors += 1;
+            self.refuse(pkt.psn);
             return;
         };
         let mtu = self.cfg.mtu;
@@ -650,27 +702,29 @@ impl QueuePair {
                 parts: Vec::new(),
             });
         }
-        let Some(msg) = self.cur_msg.as_mut() else {
-            return; // Middle/last without first: dropped state, ignore.
-        };
-        if msg.is_send {
-            // SEND fragments are delivered as a message; keep the shared
-            // slices and stitch only if there is more than one.
-            msg.parts.push(pkt.payload.clone());
-        } else {
-            // RDMA WRITE fragments stream straight into memory at their
-            // offset — no per-message reassembly buffer.
-            if mem
+        // With no current message (the rest of a refused WRITE), the
+        // fragment is consumed unread but still acknowledged.
+        if let Some(msg) = self.cur_msg.as_mut() {
+            if msg.is_send {
+                // SEND fragments are delivered as a message; keep the shared
+                // slices and stitch only if there is more than one.
+                msg.parts.push(pkt.payload.clone());
+            } else if mem
                 .write(msg.write_vaddr + msg.offset, &pkt.payload)
                 .is_err()
             {
-                self.stats.access_errors += 1;
+                // RDMA WRITE fragments stream straight into memory at their
+                // offset, with no per-message reassembly buffer. One that
+                // misses the memory is NAK'd instead of ACK'd, and the rest
+                // of its message is dropped.
+                self.cur_msg = None;
+                self.refuse(pkt.psn);
+                return;
             }
+            msg.offset += pkt.payload.len() as u64;
         }
-        msg.offset += pkt.payload.len() as u64;
         if pkt.opcode.ends_message() {
-            let mut msg = self.cur_msg.take().expect("current message");
-            if msg.is_send {
+            if let Some(mut msg) = self.cur_msg.take().filter(|m| m.is_send) {
                 let delivered = if msg.parts.len() == 1 {
                     msg.parts.pop().expect("one part")
                 } else {
@@ -706,6 +760,14 @@ impl QueuePair {
         nak.aeth = Some((AethSyndrome::NakSequence, self.expect_psn));
         self.pending_tx.push_back(nak);
         self.stats.naks_sent += 1;
+    }
+
+    /// NAK the packet at `psn` with a remote access error.
+    fn refuse(&mut self, psn: u32) {
+        let mut nak = self.base_packet(BthOpcode::Ack, psn);
+        nak.aeth = Some((AethSyndrome::NakRemoteAccess, psn));
+        self.pending_tx.push_back(nak);
+        self.stats.access_errors += 1;
     }
 
     /// Retransmission timer fired: go-back-N over everything outstanding.
@@ -1030,7 +1092,9 @@ mod tests {
     #[test]
     fn out_of_range_remote_access_is_counted_and_dropped() {
         // A 200-byte WRITE or READ against a 100-byte responder: one
-        // fragment or request, refused by the memory, counted once.
+        // fragment or request, refused by the memory, counted once, NAK'd
+        // with a remote access error, and failed at the requester without
+        // a retransmission.
         let write = Verb::Write {
             remote_vaddr: 0,
             local_vaddr: 0,
@@ -1052,7 +1116,75 @@ mod tests {
             assert_eq!(b.stats().access_errors, 1, "{verb:?}");
             assert_eq!(bm, payload(100), "{verb:?}: responder memory unchanged");
             assert_eq!(a.stats().access_errors, 0, "{verb:?}");
+            assert_eq!(b.stats().acks_sent, 0, "{verb:?}: NAK'd, not ACK'd");
+            let comps = a.poll_completions();
+            assert_eq!(comps.len(), 1, "{verb:?}: {comps:?}");
+            assert_eq!(comps[0].wr_id, 3);
+            assert!(comps[0].status.is_err(), "{verb:?}: {comps:?}");
+            assert_eq!(a.in_flight(), 0, "{verb:?}: nothing left to retransmit");
+            for _ in 0..3 {
+                assert!(a.on_timeout().is_empty(), "{verb:?}");
+            }
+            assert_eq!(a.stats().retransmits, 0, "{verb:?}");
+            assert_eq!(am, payload(200), "{verb:?}: requester memory unchanged");
         }
+    }
+
+    #[test]
+    fn a_refused_write_fragment_fails_only_its_wr() {
+        // Three 3-packet WRITEs to a 16 KiB responder: the second runs past
+        // its end at its third fragment. Only that WR fails; the rest of the
+        // stream is still acknowledged, written and completed.
+        let (ca, cb) = QpConfig::pair(1, 2);
+        let mut a = QueuePair::new(ca);
+        let mut b = QueuePair::new(cb);
+        let len = 3 * 4096;
+        let mut am = payload(len);
+        let mut bm = vec![0u8; 4 * 4096];
+        for (wr_id, remote_vaddr) in [(0, 0), (1, 2 * 4096), (2, 4096)] {
+            a.post(
+                wr_id,
+                Verb::Write {
+                    remote_vaddr,
+                    local_vaddr: 0,
+                    len: len as u64,
+                },
+            );
+        }
+        run(&mut a, &mut am, &mut b, &mut bm, |_| false);
+        let comps = a.poll_completions();
+        let ids: Vec<(u64, bool)> = comps.iter().map(|c| (c.wr_id, c.status.is_ok())).collect();
+        assert_eq!(ids, [(0, true), (1, false), (2, true)], "{comps:?}");
+        assert_eq!(b.stats().access_errors, 1);
+        assert_eq!(&bm[4096..], &am[..], "the last WRITE landed");
+        assert_eq!(a.in_flight(), 0, "every consumed packet acknowledged");
+        assert!(a.on_timeout().is_empty());
+
+        // A 2-packet window: the refused second fragment's NAK arrives
+        // while the WR's last two are unsent. They are never sent, and the
+        // NAK retires the first fragment, which no ACK covered.
+        let (mut ca, cb) = QpConfig::pair(1, 2);
+        ca.window = 2;
+        let mut a = QueuePair::new(ca);
+        let mut b = QueuePair::new(cb);
+        let mut am = payload(4 * 4096);
+        let mut bm = vec![0u8; 4096];
+        a.post(
+            7,
+            Verb::Write {
+                remote_vaddr: 0,
+                local_vaddr: 0,
+                len: 4 * 4096,
+            },
+        );
+        run(&mut a, &mut am, &mut b, &mut bm, |_| false);
+        let comps = a.poll_completions();
+        assert_eq!(comps.len(), 1, "{comps:?}");
+        assert_eq!(comps[0].wr_id, 7);
+        assert!(comps[0].status.is_err(), "{comps:?}");
+        assert_eq!(a.stats().tx_packets, 2, "the unsent fragments stay unsent");
+        assert_eq!(a.in_flight(), 0);
+        assert_eq!(bm, am[..4096], "the first fragment landed");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! thread count, provided `f` is a pure function of its arguments. Workers
 //! race only over *which* index they claim next; every result lands in the
 //! slot of its input index, so the merge order never depends on scheduling.
-//! Nothing here (or anywhere in the workspace) uses `unsafe`.
+//! Nothing here uses `unsafe`: the workspace's only `unsafe` is the call
+//! into the hardware AES path, checked by `tests/unsafe_code.rs`.
 //!
 //! # Cost model
 //!
