@@ -439,9 +439,10 @@ pub(crate) fn fold_block_hashes(blocks: impl IntoIterator<Item = u64>, len: usiz
 /// The value is an in-memory cache key only and is never persisted. It
 /// runs on the caller's thread: every reconfiguration and upload pays it,
 /// and a worker spawned per call would tie each one's latency to the load
-/// on the other core. Runs close to memory bandwidth — hashing a 37 MB
-/// shell image costs a few milliseconds where the CRC + frame scan it
-/// replaces costs tens.
+/// on the other core. On a fresh 40 MiB buffer it runs at 0.144–0.147
+/// ns/B, a little slower than the hardware CRC a hit skips (0.118–0.123
+/// ns/B; release, 2-vCPU x86-64 host): a hit saves about the frame scan,
+/// and a miss pays the hash on top of the CRC and the scan.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
     #[cfg(test)]
     HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));

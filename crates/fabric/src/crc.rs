@@ -1,4 +1,4 @@
-//! CRC-32 (IEEE 802.3), table-driven.
+//! CRC-32 (IEEE 802.3).
 //!
 //! Used for the bitstream integrity word (the real devices embed a CRC in
 //! the configuration stream and abort configuration on mismatch), for the
@@ -7,29 +7,32 @@
 //! provably the ones hashed before: a batched reconfiguration of a resident
 //! image hashes only the runs chaos flips in flight.
 //!
-//! [`Crc32::update`] folds sixteen bytes per table step. One step depends
-//! on the previous one's result, so a single stream of steps waits on its
-//! own table loads. An input of at least [`TWO_LANE_MIN`] bytes is therefore
-//! split into two equal, 16-byte-aligned halves whose step chains run in
-//! lockstep (independent chains overlap in the pipeline), and the halves'
-//! CRCs are joined with [`crc32_combine`]'s shift operator. The output is
-//! bit-identical to the one-lane loop, and the work stays on the caller's
-//! thread.
+//! [`Crc32::update`] runs on one of two paths, chosen per call:
+//!
+//! * the CPU's carry-less multiply, when run-time detection finds it (x86-64
+//!   PCLMULQDQ, in the private `clmul` module), for the whole 16-byte blocks
+//!   of an input of at least 64 bytes: 0.046–0.050 ns/B on a 4 KiB RoCE
+//!   payload in cache, 0.118–0.123 ns/B on a fresh 40 MiB buffer;
+//! * otherwise, and for shorter inputs and the last 0–15 bytes, a
+//!   slice-by-16 table loop: 0.54–0.56 ns/B.
+//!
+//! The figures are release builds on a 2-vCPU x86-64 host, best of 5–7
+//! passes, three runs. No option selects a path: the CPU and the input
+//! length do. Both give the same register, and the tests check each against
+//! the other ([`crc32_portable`] is the table loop alone).
+
+#[cfg(target_arch = "x86_64")]
+mod clmul;
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
 /// Slice-by-16 lookup tables, built at compile time. `TABLES[0]` is the
 /// classic byte-at-a-time table; `TABLES[k][i]` advances byte `i` over `k`
-/// further zero bytes, letting `update` fold sixteen input bytes per step
-/// instead of one (bitstream blobs run to tens of megabytes, so the CRC is
-/// the dominant wall-clock cost of writing an image and of validating one
-/// by content). Both lanes of a long input step through the same tables.
+/// further zero bytes, letting the table loop fold sixteen input bytes per
+/// step instead of one (on a CPU without the carry-less multiply it checks
+/// whole bitstream blobs, which run to tens of megabytes).
 static TABLES: [[u32; 256]; 16] = build_tables();
-
-/// Inputs at least this long take two lanes. Below it, the one-lane loop
-/// wins: joining the lanes costs a GF(2) shift of about a dozen multiplies.
-pub const TWO_LANE_MIN: usize = 2048;
 
 const fn build_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
@@ -81,22 +84,15 @@ impl Crc32 {
 
     /// Absorb bytes.
     pub fn update(&mut self, data: &[u8]) {
-        if data.len() < TWO_LANE_MIN {
-            self.state = absorb(self.state, data);
-            return;
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN {
+            if let Some(clmul) = clmul::Clmul::detect() {
+                let (blocks, tail) = data.split_at(data.len() / 16 * 16);
+                self.state = absorb(clmul.update(self.state, blocks), tail);
+                return;
+            }
         }
-        let half = data.len() / 32 * 16;
-        let (a, rest) = data.split_at(half);
-        let (b, tail) = rest.split_at(half);
-        let (mut crc_a, mut crc_b) = (self.state, 0xFFFF_FFFF);
-        for (x, y) in a.chunks_exact(16).zip(b.chunks_exact(16)) {
-            crc_a = step16(crc_a, x);
-            crc_b = step16(crc_b, y);
-        }
-        // The lanes' registers, finished, are CRCs of (everything before ++
-        // a) and of b alone; join them and carry on over the < 32-byte tail.
-        let joined = crc32_combine(!crc_a, !crc_b, half as u64);
-        self.state = absorb(!joined, tail);
+        self.state = absorb(self.state, data);
     }
 
     /// Final checksum.
@@ -130,7 +126,7 @@ fn step16(crc: u32, chunk: &[u8]) -> u32 {
         ^ TABLES[0][(d >> 24) as usize]
 }
 
-/// The one-lane loop: advance the register `crc` over `data`.
+/// The table loop: advance the register `crc` over `data`.
 fn absorb(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(16);
     for chunk in &mut chunks {
@@ -165,6 +161,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);
     c.finish()
+}
+
+/// [`crc32`] on the table loop alone, whatever the CPU: the reference the
+/// hardware path is tested against.
+#[doc(hidden)]
+pub fn crc32_portable(data: &[u8]) -> u32 {
+    !absorb(!0, data)
 }
 
 /// `a * b mod P` over GF(2), in the reflected bit order of the CRC
@@ -259,23 +262,28 @@ mod tests {
         );
     }
 
-    /// The byte-at-a-time CRC over `TABLES[0]` alone: no slicing, no lanes.
+    /// The byte-at-a-time CRC over `TABLES[0]` alone: no slicing, no kernel.
     fn bytewise(data: &[u8]) -> u32 {
         !data.iter().fold(!0u32, |crc, &b| {
             (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
         })
     }
 
+    /// Deterministic bytes with no short period.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| ((i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
     #[test]
     fn matches_the_bytewise_reference_at_every_length() {
-        // Lengths 0..=4200 cross the two-lane threshold and every tail
-        // length on both sides of it.
-        let data: Vec<u8> = (0..4200u64)
-            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
-            .collect();
-        assert!(data.len() > 2 * TWO_LANE_MIN);
+        // Lengths 0..=4200 cross the hardware path's 64-byte threshold and
+        // every 16-byte tail length on both sides of it, on both paths.
+        let data = noise(4200, 0);
         for len in 0..=data.len() {
             let want = bytewise(&data[..len]);
+            assert_eq!(crc32_portable(&data[..len]), want, "table, len {len}");
             assert_eq!(crc32(&data[..len]), want, "one-shot, len {len}");
             // A short first piece makes the long second one start from a
             // non-initial register.
@@ -284,6 +292,61 @@ mod tests {
             c.update(head);
             c.update(tail);
             assert_eq!(c.finish(), want, "streaming, len {len}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_kernel_runs_where_the_cpu_has_it() {
+        assert_eq!(
+            clmul::Clmul::detect().is_some(),
+            std::is_x86_feature_detected!("pclmulqdq")
+        );
+    }
+
+    #[test]
+    fn hardware_path_matches_portable_on_long_inputs() {
+        let data = noise(37 << 20, 1);
+        for len in [1 << 20, 37 << 20] {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_portable(&data[..len]),
+                "len {len}"
+            );
+        }
+        // Streaming cuts inside the first and later 64-byte lines, each
+        // leaving the next piece a register the kernel did not start from.
+        let data = &data[..3000];
+        let want = crc32_portable(data);
+        for cut in (1..200).chain([1000, 2047, 2048, 2049, 2999]) {
+            for second in [cut + 1, cut + 17, cut + 64, cut + 100, data.len()] {
+                let second = second.min(data.len());
+                let mut c = Crc32::new();
+                c.update(&data[..cut]);
+                c.update(&data[cut..second]);
+                c.update(&data[second..]);
+                assert_eq!(c.finish(), want, "cuts {cut}, {second}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_kernel_matches_the_table_loop_from_any_register() {
+        let Some(kernel) = clmul::Clmul::detect() else {
+            return;
+        };
+        let data = noise(4096 + 48, 2);
+        let mut registers = vec![0, !0, 1, 0x8000_0000, 0xDEAD_BEEF];
+        registers.extend((0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9) ^ 0x5A5A_5A5A));
+        for len in (clmul::MIN_LEN..=data.len()).step_by(16) {
+            for &reg in &registers {
+                assert_eq!(
+                    kernel.update(reg, &data[..len]),
+                    absorb(reg, &data[..len]),
+                    "len {len}, register {reg:#x}"
+                );
+            }
         }
     }
 

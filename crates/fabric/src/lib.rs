@@ -17,7 +17,7 @@
 //!   the AXI HWICAP / PCAP / MCAP baselines of Table 2, and the
 //!   [`config::ConfigState`] tracking which partition holds which bitstream.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod bitstream;
 pub mod cache;

@@ -108,6 +108,55 @@ mod tests {
     }
 
     #[test]
+    fn full_mtu_frames_match_the_portable_crc_at_every_split() {
+        use crate::headers::{EthernetHdr, MacAddr};
+        use crate::packet::{AethSyndrome, BthOpcode, RocePacket};
+        use coyote_fabric::crc::crc32_portable;
+
+        // The ICRC over the masked stream, on the table loop alone.
+        fn portable(covered: &[u8]) -> u32 {
+            let mut stream = vec![0xFF; 8];
+            stream.extend_from_slice(covered);
+            for off in MASKED_IP_OFFSETS.into_iter().chain(26..MASKED_PREFIX) {
+                stream[8 + off] = 0xFF;
+            }
+            crc32_portable(&stream)
+        }
+
+        let mtu = coyote_sim::params::ROCE_MTU;
+        let payload: Vec<u8> = (0..mtu as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        for opcode in [
+            BthOpcode::WriteFirst,
+            BthOpcode::WriteMiddle,
+            BthOpcode::ReadRespLast,
+        ] {
+            let pkt = RocePacket {
+                src_mac: MacAddr::node(1),
+                dst_mac: MacAddr::node(2),
+                src_ip: [10, 0, 0, 1],
+                dst_ip: [10, 0, 0, 2],
+                opcode,
+                dest_qp: 0x11,
+                psn: 3,
+                ack_req: false,
+                reth: opcode.has_reth().then_some((0x4000, 0, 4 * mtu as u32)),
+                aeth: opcode.has_aeth().then_some((AethSyndrome::Ack, 2)),
+                payload: payload.clone().into(),
+            };
+            let wire = pkt.to_frame().to_vec();
+            let covered = &wire[EthernetHdr::LEN..wire.len() - 4];
+            let want = portable(covered);
+            assert_eq!(wire[wire.len() - 4..], want.to_le_bytes(), "{opcode:?}");
+            for split in 0..=covered.len() {
+                let (a, b) = covered.split_at(split);
+                assert_eq!(icrc_segments(&[a, b]), want, "{opcode:?}, split at {split}");
+            }
+        }
+    }
+
+    #[test]
     fn sensitive_to_addresses() {
         let mut a = vec![0u8; 40];
         let mut b = vec![0u8; 40];

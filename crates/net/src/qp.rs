@@ -18,9 +18,12 @@
 //! A WRITE fragment or READ request outside the responder's memory is
 //! answered with a remote-access NAK, and its work request completes with
 //! an error. Unlike a full RC stack, the responder QP stays usable
-//! afterwards. A retransmitted READ is refused again, but the responder
-//! keeps no record of a refused WRITE: if that NAK is lost, a later
-//! cumulative ACK completes the WRITE `Ok`.
+//! afterwards. A retransmitted READ is refused again. So is a retransmitted
+//! WRITE fragment at the PSN the responder last refused, and the rest of
+//! that WRITE's message is answered with the same NAK instead of an ACK:
+//! the requester's timeout repeats a lost NAK. Only an ACK for a later
+//! message covers the refused PSN; if every NAK is lost before that ACK
+//! arrives, the WRITE completes `Ok`.
 
 use crate::frame::{count_payload_copy, Frame};
 use crate::headers::MacAddr;
@@ -302,6 +305,9 @@ pub struct QueuePair {
     // Responder side.
     expect_psn: u32,
     cur_msg: Option<InMsg>,
+    /// The PSN of the last WRITE fragment refused, NAK'd again when it or
+    /// the rest of its message arrives.
+    refused_write: Option<u32>,
     pending_tx: VecDeque<RocePacket>,
     stats: QpStats,
 }
@@ -318,6 +324,7 @@ impl QueuePair {
             completions: VecDeque::new(),
             expect_psn: 0,
             cur_msg: None,
+            refused_write: None,
             pending_tx: VecDeque::new(),
             stats: QpStats::default(),
         }
@@ -684,9 +691,13 @@ impl QueuePair {
     fn on_data<M: RdmaMemory>(&mut self, pkt: &RocePacket, mem: &mut M, action: &mut RxAction) {
         if pkt.psn < self.expect_psn {
             // Duplicate from a go-back-N retransmission; re-ACK so the
-            // requester makes progress.
+            // requester makes progress, or refuse it again if it was.
             self.stats.duplicates += 1;
-            self.queue_ack();
+            if self.refused_write == Some(pkt.psn) {
+                self.refuse(pkt.psn);
+            } else {
+                self.queue_ack();
+            }
             return;
         }
         if pkt.psn > self.expect_psn {
@@ -703,7 +714,8 @@ impl QueuePair {
             });
         }
         // With no current message (the rest of a refused WRITE), the
-        // fragment is consumed unread but still acknowledged.
+        // fragment is consumed unread and answered with the refusal.
+        let rest_of_refused = self.cur_msg.is_none();
         if let Some(msg) = self.cur_msg.as_mut() {
             if msg.is_send {
                 // SEND fragments are delivered as a message; keep the shared
@@ -718,6 +730,7 @@ impl QueuePair {
                 // misses the memory is NAK'd instead of ACK'd, and the rest
                 // of its message is dropped.
                 self.cur_msg = None;
+                self.refused_write = Some(pkt.psn);
                 self.refuse(pkt.psn);
                 return;
             }
@@ -742,7 +755,10 @@ impl QueuePair {
             }
         }
         if pkt.ack_req || pkt.opcode.ends_message() {
-            self.queue_ack();
+            match self.refused_write.filter(|_| rest_of_refused) {
+                Some(refused) => self.queue_nak_refused(refused),
+                None => self.queue_ack(),
+            }
         }
     }
 
@@ -762,12 +778,17 @@ impl QueuePair {
         self.stats.naks_sent += 1;
     }
 
-    /// NAK the packet at `psn` with a remote access error.
+    /// Refuse the packet at `psn`: count it and NAK it with a remote access
+    /// error.
     fn refuse(&mut self, psn: u32) {
+        self.stats.access_errors += 1;
+        self.queue_nak_refused(psn);
+    }
+
+    fn queue_nak_refused(&mut self, psn: u32) {
         let mut nak = self.base_packet(BthOpcode::Ack, psn);
         nak.aeth = Some((AethSyndrome::NakRemoteAccess, psn));
         self.pending_tx.push_back(nak);
-        self.stats.access_errors += 1;
     }
 
     /// Retransmission timer fired: go-back-N over everything outstanding.
@@ -1185,6 +1206,59 @@ mod tests {
         assert_eq!(a.stats().tx_packets, 2, "the unsent fragments stay unsent");
         assert_eq!(a.in_flight(), 0);
         assert_eq!(bm, am[..4096], "the first fragment landed");
+    }
+
+    #[test]
+    fn a_lost_refusal_is_repeated_and_the_write_never_completes_ok() {
+        // A one-fragment WRITE refused whole, and a three-fragment WRITE
+        // refused at its second fragment, each with its first remote-access
+        // NAK lost. The requester learns of the refusal from the rest of the
+        // message or from its own retransmission, never from an ACK.
+        for (len, responder_bytes, landed) in [(200, 100, 0), (3 * 4096, 4096 + 100, 4096)] {
+            let (ca, cb) = QpConfig::pair(1, 2);
+            let mut a = QueuePair::new(ca);
+            let mut b = QueuePair::new(cb);
+            let mut am = payload(len);
+            let mut bm = vec![0u8; responder_bytes];
+            a.post(
+                5,
+                Verb::Write {
+                    remote_vaddr: 0,
+                    local_vaddr: 0,
+                    len: len as u64,
+                },
+            );
+            let mut lost = false;
+            run(&mut a, &mut am, &mut b, &mut bm, |pkt| {
+                let refusal = matches!(pkt.aeth, Some((AethSyndrome::NakRemoteAccess, _)));
+                let drop = refusal && !lost;
+                lost |= refusal;
+                drop
+            });
+            assert!(lost, "len {len}: a NAK was dropped");
+            let mut comps = a.poll_completions();
+            for _ in 0..3 {
+                for pkt in a.on_timeout() {
+                    for resp in b.on_rx(&pkt, &mut bm).tx {
+                        a.on_rx(&resp, &mut am);
+                    }
+                }
+                comps.extend(a.poll_completions());
+            }
+            assert_eq!(comps.len(), 1, "len {len}: {comps:?}");
+            assert_eq!(comps[0].wr_id, 5);
+            assert!(comps[0].status.is_err(), "len {len}: {comps:?}");
+            assert_eq!(a.in_flight(), 0, "len {len}: every consumed packet retired");
+            assert_eq!(
+                bm[..landed],
+                am[..landed],
+                "len {len}: fragments before the refusal"
+            );
+            assert!(
+                bm[landed..].iter().all(|&x| x == 0),
+                "len {len}: nothing after it"
+            );
+        }
     }
 
     #[test]

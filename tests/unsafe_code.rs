@@ -1,12 +1,21 @@
 //! `unsafe` stays where it is reviewed (tier-1).
 //!
 //! Every crate root of the workspace, the vendored stand-ins included,
-//! forbids `unsafe_code`, except coyote-apps. It denies it, and its
-//! hardware AES module (`crates/apps/src/aes/ni.rs`) allows it for the
-//! calls into the CPU's AES instructions. The word `unsafe` appears in no
-//! other file of that crate.
+//! forbids `unsafe_code`, except the crates in [`EXCEPTIONS`]. Each denies
+//! it, and one hardware module allows it for the calls into CPU
+//! instructions that run-time detection found. The word `unsafe` appears
+//! in no other file of those crates.
 
 use std::path::{Path, PathBuf};
+
+/// The crates that deny `unsafe_code` instead of forbidding it, each with
+/// the one module under its `src` that allows it.
+const EXCEPTIONS: [(&str, &str); 2] = [
+    // The CPU's AES instructions.
+    ("crates/apps", "aes/ni.rs"),
+    // The CPU's carry-less multiply, for CRC-32.
+    ("crates/fabric", "crc/clmul.rs"),
+];
 
 fn workspace() -> PathBuf {
     PathBuf::from(format!("{}/../..", env!("CARGO_MANIFEST_DIR")))
@@ -61,14 +70,19 @@ fn crate_roots() -> Vec<PathBuf> {
 }
 
 #[test]
-fn every_crate_root_forbids_unsafe_code_but_apps_denies_it() {
+fn every_crate_root_forbids_unsafe_code_but_the_exceptions_deny_it() {
     let roots = crate_roots();
-    let apps = workspace().join("crates/apps/src/lib.rs");
-    assert!(roots.contains(&apps));
+    let denying: Vec<PathBuf> = EXCEPTIONS
+        .iter()
+        .map(|(krate, _)| workspace().join(krate).join("src/lib.rs"))
+        .collect();
+    for lib in &denying {
+        assert!(roots.contains(lib), "{} is not a crate root", lib.display());
+    }
     assert!(roots.contains(&workspace().join("crates/bench/src/main.rs")));
     assert!(roots.len() >= 24, "found only {roots:?}");
     for root in roots {
-        let want = if root == apps {
+        let want = if denying.contains(&root) {
             "#![deny(unsafe_code)]"
         } else {
             "#![forbid(unsafe_code)]"
@@ -81,10 +95,15 @@ fn every_crate_root_forbids_unsafe_code_but_apps_denies_it() {
     }
 }
 
-#[test]
-fn apps_unsafe_lives_only_in_the_hardware_aes_module() {
-    let src = workspace().join("crates/apps/src");
-    let hardware = src.join("aes/ni.rs");
+/// In the exception crate `krate`, only its hardware module and the deny
+/// line of its root mention `unsafe`.
+fn unsafe_lives_only_in_the_hardware_module_of(krate: &str) {
+    let (_, module) = EXCEPTIONS
+        .iter()
+        .find(|(k, _)| *k == krate)
+        .unwrap_or_else(|| panic!("{krate} is not an exception"));
+    let src = workspace().join(krate).join("src");
+    let hardware = src.join(module);
     let lib = src.join("lib.rs");
     let files = rust_files(&src);
     assert!(files.contains(&hardware) && files.contains(&lib));
@@ -102,4 +121,14 @@ fn apps_unsafe_lives_only_in_the_hardware_aes_module() {
             assert!(mentions.is_empty(), "{}: {mentions:?}", file.display());
         }
     }
+}
+
+#[test]
+fn apps_unsafe_lives_only_in_the_hardware_aes_module() {
+    unsafe_lives_only_in_the_hardware_module_of("crates/apps");
+}
+
+#[test]
+fn fabric_unsafe_lives_only_in_the_hardware_crc_module() {
+    unsafe_lives_only_in_the_hardware_module_of("crates/fabric");
 }
